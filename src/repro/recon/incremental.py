@@ -42,8 +42,9 @@ class IncrementalTiledReconstructor:
     Two solve modes share the stitching accumulator:
 
     * **eager** — :meth:`add_tile` inverts each tile the moment it lands
-      (the progressive-quality streaming mode, and the ``serial``/``thread``
-      executors of :func:`~repro.recon.pipeline.reconstruct_tiled`);
+      (the ``serial``/``thread`` executors of
+      :func:`~repro.recon.pipeline.reconstruct_tiled`, and a streamed tile
+      that lost samples, solved over its surviving rows of Φ);
     * **staged/batched** — :meth:`stage_tile` only records frames and
       :meth:`solve_staged` later inverts every equal-shape group in one
       einsum-driven multi-tile pass (the default for whole-frame

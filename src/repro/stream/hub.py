@@ -347,7 +347,7 @@ class ReceiverHub:
     Parameters
     ----------
     reconstruct, dictionary, solver, regularization, sparsity,
-    max_iterations, operator, eager:
+    max_iterations, operator:
         Per-session reconstruction options, exactly as on
         :class:`~repro.stream.receiver.StreamReceiver`; every session the
         hub opens gets the same configuration.
@@ -421,7 +421,6 @@ class ReceiverHub:
         sparsity: int | None = None,
         max_iterations: int | None = None,
         operator: str = "structured",
-        eager: bool = False,
         step_cache: StepSizeCache | None = None,
         share_step_cache: bool = False,
         executor: Executor | None = None,
@@ -471,7 +470,6 @@ class ReceiverHub:
             sparsity=sparsity,
             max_iterations=max_iterations,
             operator=operator,
-            eager=eager,
             step_cache=step_cache,
             resilient=self.resilient,
             min_surviving_samples=min_surviving_samples,
@@ -664,7 +662,11 @@ class ReceiverHub:
                             session = self._open_session(chunk.stream_id)
                         sessions[chunk.stream_id] = session
                     await session.handle_chunk(chunk)
-                    if feedback_open:
+                    if session.ended:
+                        # The node stops reading feedback once its stream
+                        # end is out: shipping more could only block ingest.
+                        session.take_outgoing_control()
+                    elif feedback_open:
                         await ship_feedback(session)
                     if session.ended and not session.finished:
                         await settle(session)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
+import itertools
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from collections.abc import Awaitable, Callable, Iterable
-from typing import Any, TypeVar, cast
+from collections.abc import Awaitable, Callable, Iterable, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.io.bitstream import pack_samples
 from repro.io.framing import encode_frame, frame_overhead_bits
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressedFrame, CompressiveImager
-from repro.sensor.shard import TiledSensorArray
+from repro.sensor.shard import TiledSensorArray, tile_grid
 from repro.sensor.video import VideoSequencer
 from repro.stream.protocol import (
     Chunk,
@@ -87,34 +87,6 @@ class ChannelBudgetError(ValueError):
 #: Wire cost of wrapping one frame as a chunk: the 12-byte chunk header plus
 #: the 9-byte frame-data prefix (frame index, grid position, keyframe flag).
 CHUNK_OVERHEAD_BITS = (12 + 9) * 8
-
-
-_StreamMethod = TypeVar("_StreamMethod", bound=Callable[..., Awaitable[Any]])
-
-
-def _close_on_error(method: _StreamMethod) -> _StreamMethod:
-    """Close the transport when a stream method dies mid-stream.
-
-    A capture-side failure (governor rejection, bad scene shape, solver
-    error) must not strand the peer: closing the channel turns the
-    receiver's blocking ``recv`` into end-of-stream, so it raises its own
-    "transport closed before the stream-end chunk" protocol error instead of
-    waiting forever on a stream that will never finish — and the node's
-    exception still propagates to whoever awaits the stream task.
-    """
-
-    @functools.wraps(method)
-    async def wrapper(self: CameraNode, *args: Any, **kwargs: Any) -> Any:
-        try:
-            return await method(self, *args, **kwargs)
-        except BaseException:
-            with contextlib.suppress(Exception):
-                await self._stop_feedback()
-            with contextlib.suppress(Exception):
-                await self.transport.close()
-            raise
-
-    return cast("_StreamMethod", wrapper)
 
 
 @dataclass
@@ -509,15 +481,16 @@ class CameraNode:
         ``concurrent.futures`` executor for the capture work; ``None`` uses
         the event loop's default thread pool.
     segments_per_frame:
-        Split each single-sensor frame's sample vector across this many
+        Split each tile's sample vector across this many
         :data:`~repro.stream.protocol.ChunkType.FRAME_SEGMENT` chunks (each
         carrying the frame prefix, so any survivor decodes), turning a lost
         chunk into a lost *row subset* of Φ instead of a lost frame.  ``1``
-        (default) keeps the legacy one-chunk-per-frame framing.  Segmented
-        streams need a resilient receiver and are single-sensor only.
+        (default) keeps the legacy one-chunk-per-tile framing.  Every stream
+        kind may be segmented: each tile of a mosaic becomes its own segment
+        group.
     parity:
         Append one XOR-parity chunk per segment group, recovering any single
-        lost segment of a frame at the receiver (burst-loss insurance, off
+        lost segment of a tile at the receiver (burst-loss insurance, off
         by default; implies segment framing even with one segment).
     feedback:
         Read receiver→node control chunks (ACK / rate advice / NACK) from
@@ -761,15 +734,6 @@ class CameraNode:
             with contextlib.suppress(asyncio.CancelledError):
                 await task
 
-    def _reject_segmented(self, method: str) -> None:
-        """Tiled streams already shard frames across tile chunks; the
-        segment/parity framing is single-sensor only."""
-        if self._segmented:
-            raise ValueError(
-                f"{method} does not support segments_per_frame/parity — "
-                "tiled frames are already chunked per tile"
-            )
-
     async def _send_chunk(
         self,
         chunk_type: ChunkType,
@@ -865,67 +829,43 @@ class CameraNode:
         stats: StreamStats,
         *,
         frame_index: int,
-        grid_row: int = 0,
-        grid_col: int = 0,
-        keyframe: bool = True,
-    ) -> int:
-        tel = active(self.telemetry)
-        if tel is not None:
-            tel.begin_span(self.stream_id, frame_index, SPAN_ENCODE)
-        frame_bytes = encode_frame(frame, version=2, include_seed=keyframe)
-        if self._segmented:
-            if tel is not None:
-                # Segment payload packing happens inside the send loop, so
-                # for segmented frames the encode span covers the shared
-                # frame encoding and the transport envelope the rest.
-                tel.end_span(self.stream_id, frame_index, SPAN_ENCODE)
-                tel.begin_span(self.stream_id, frame_index, SPAN_TRANSPORT)
-            return await self._send_frame_segmented(
-                frame,
-                frame_bytes,
-                stats,
-                frame_index=frame_index,
-                grid_row=grid_row,
-                grid_col=grid_col,
-                keyframe=keyframe,
-            )
-        payload = encode_frame_data(
-            FrameData(
-                frame_index=frame_index,
-                grid_row=grid_row,
-                grid_col=grid_col,
-                keyframe=keyframe,
-                frame_bytes=frame_bytes,
-            )
-        )
-        if tel is not None:
-            tel.end_span(self.stream_id, frame_index, SPAN_ENCODE)
-            # The span's other half closes on the receiving session when the
-            # chunk lands (joined over loopback; a no-op half over TCP).
-            tel.begin_span(self.stream_id, frame_index, SPAN_TRANSPORT)
-        return await self._send_chunk(
-            ChunkType.FRAME_DATA, payload, stats, frame_index=frame_index
-        )
-
-    async def _send_frame_segmented(
-        self,
-        frame: CompressedFrame,
-        frame_bytes: bytes,
-        stats: StreamStats,
-        *,
-        frame_index: int,
         grid_row: int,
         grid_col: int,
         keyframe: bool,
     ) -> int:
-        """Ship one frame as a segment group (+ optional parity chunk).
+        """Ship one tile: a ``FRAME_DATA`` chunk, or a segment group.
 
-        The encoded frame splits into its *prefix* (header, stats, seed —
-        everything before the packed samples) and the samples themselves;
-        every segment replicates the prefix and bit-packs its own contiguous
-        sample slice, so each chunk decodes independently and a lost chunk
-        costs exactly its rows of Φ.
+        A segment group splits the encoded frame into its *prefix* (header,
+        stats, seed — everything before the packed samples) and the samples
+        themselves; every segment replicates the prefix and bit-packs its own
+        contiguous sample slice, so each chunk decodes independently and a
+        lost chunk costs exactly its rows of Φ.  An optional XOR-parity chunk
+        closes the group.
         """
+        tel = active(self.telemetry)
+        if tel is not None:
+            tel.begin_span(self.stream_id, frame_index, SPAN_ENCODE)
+        frame_bytes = encode_frame(frame, version=2, include_seed=keyframe)
+        if tel is not None:
+            # Segment payload packing happens inside the send loop below, so
+            # the encode span covers the shared frame encoding.  The transport
+            # span's other half closes on the receiving session when the
+            # first chunk lands (joined over loopback; a no-op half over TCP).
+            tel.end_span(self.stream_id, frame_index, SPAN_ENCODE)
+            tel.begin_span(self.stream_id, frame_index, SPAN_TRANSPORT)
+        if not self._segmented:
+            payload = encode_frame_data(
+                FrameData(
+                    frame_index=frame_index,
+                    grid_row=grid_row,
+                    grid_col=grid_col,
+                    keyframe=keyframe,
+                    frame_bytes=frame_bytes,
+                )
+            )
+            return await self._send_chunk(
+                ChunkType.FRAME_DATA, payload, stats, frame_index=frame_index
+            )
         sample_bits = frame.config.compressed_sample_bits
         packed = pack_samples(frame.samples, sample_bits)
         prefix = frame_bytes[: len(frame_bytes) - len(packed)]
@@ -966,21 +906,107 @@ class CameraNode:
             )
         return sent
 
-    def _frame_chunk_count(self, frame: CompressedFrame) -> int:
-        """Chunks a segmented frame occupies (announced by its barrier)."""
-        n_segments = max(1, min(self.segments_per_frame, frame.n_samples))
-        return n_segments + (1 if self.parity else 0)
+    # ------------------------------------------------------------ send loop
+    async def _stream(
+        self,
+        header: StreamHeader,
+        captures: Iterator[tuple[int, int, CompressedFrame]],
+    ) -> StreamStats:
+        """The one send loop every stream kind runs.
 
-    async def _finish(self, stats: StreamStats) -> StreamStats:
-        await self._send_chunk(
-            ChunkType.STREAM_END, encode_stream_end(stats.n_frames), stats
-        )
-        await self._stop_feedback()
-        await self.transport.close()
-        return stats
+        ``captures`` yields ``(grid_row, grid_col, frame)`` for every tile of
+        every frame, frame after frame in grid order; each pull runs on the
+        worker executor, so capture work never blocks the event loop and a
+        tile is on the wire while the next one is still being captured.  A
+        frame is a grid of ≥1 tiles and a tile ships as one ``FRAME_DATA``
+        chunk or a segment group; once a frame's last tile is out, a
+        ``FRAME_COMPLETE`` barrier announcing the chunks the frame occupied
+        closes it (mosaics and segmented streams only — an unsegmented
+        single-sensor frame is its own barrier).
+
+        A failure mid-stream (governor rejection, bad scene shape, a dead
+        transport) must not strand the peer: the transport is closed, turning
+        the receiver's blocking ``recv`` into end-of-stream, and the error
+        still propagates to whoever awaits the stream.
+        """
+        try:
+            grid = tile_grid(header.scene_shape, header.tile_shape)
+            n_tiles = len(grid) * len(grid[0])
+            barriers = header.tiled or self._segmented
+            chunks_per_tile = self.segments_per_frame + (1 if self.parity else 0)
+            if barriers and n_tiles * chunks_per_tile > 0xFFFF:
+                raise ValueError(
+                    f"{n_tiles} tiles x {chunks_per_tile} chunks per tile "
+                    "overflow the frame barrier's u16 chunk count"
+                )
+            stats = StreamStats()
+            await self._send_header(header, stats)
+            tel = active(self.telemetry)
+            sentinel = object()
+            frame_index = 0
+            tiles_sent = frame_bytes = frame_samples = 0
+            frame_start_chunks = stats.n_chunks
+            while True:
+                # The capture span is recorded after the fact (add_span) so
+                # the sentinel pull that ends the stream never opens a phantom
+                # frame; a mosaic's per-tile intervals merge into one envelope.
+                capture_started = tel.clock.now() if tel is not None else 0.0
+                item = await self._run(next, captures, sentinel)
+                if item is sentinel:
+                    break
+                grid_row, grid_col, frame = item
+                if tel is not None:
+                    tel.add_span(
+                        self.stream_id,
+                        frame_index,
+                        SPAN_CAPTURE,
+                        capture_started,
+                        tel.clock.now(),
+                    )
+                frame_bytes += await self._send_frame(
+                    frame,
+                    stats,
+                    frame_index=frame_index,
+                    grid_row=grid_row,
+                    grid_col=grid_col,
+                    keyframe=frame_index % header.gop_size == 0,
+                )
+                frame_samples += frame.n_samples
+                tiles_sent += 1
+                if tiles_sent < n_tiles:
+                    continue
+                if barriers:
+                    # The barrier tells the receiver how many chunks the frame
+                    # occupied, so it can settle (and account loss for) the
+                    # frame without waiting for the next one.
+                    frame_bytes += await self._send_chunk(
+                        ChunkType.FRAME_COMPLETE,
+                        encode_frame_complete(
+                            frame_index, stats.n_chunks - frame_start_chunks
+                        ),
+                        stats,
+                        frame_index=frame_index,
+                    )
+                stats.n_frames += 1
+                stats.samples_per_frame.append(frame_samples)
+                stats.bytes_per_frame.append(frame_bytes)
+                frame_index += 1
+                tiles_sent = frame_bytes = frame_samples = 0
+                frame_start_chunks = stats.n_chunks
+            await self._send_chunk(
+                ChunkType.STREAM_END, encode_stream_end(stats.n_frames), stats
+            )
+            await self._stop_feedback()
+            await self.transport.close()
+            return stats
+        except BaseException:
+            with contextlib.suppress(Exception):
+                await self._stop_feedback()
+            with contextlib.suppress(Exception):
+                await self.transport.close()
+            raise
 
     # ---------------------------------------------------------- single chip
-    @_close_on_error
     async def stream_frames(
         self,
         imager: CompressiveImager,
@@ -998,44 +1024,23 @@ class CameraNode:
         count to the channel.
         """
         config = imager.config
-        stats = StreamStats()
+
+        def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
+            for scene in scenes:
+                n_samples = self.governor.samples_for_frame(config)
+                yield 0, 0, imager.capture_scene(
+                    scene, n_samples=n_samples, fidelity=fidelity, **capture_kwargs
+                )
+
         header = StreamHeader(
             kind="frame",
             scene_shape=(config.rows, config.cols),
             tile_shape=(config.rows, config.cols),
             gop_size=1,
         )
-        await self._send_header(header, stats)
-        tel = active(self.telemetry)
-        for index, scene in enumerate(scenes):
-            n_samples = self.governor.samples_for_frame(config)
-            if tel is not None:
-                tel.begin_span(self.stream_id, index, SPAN_CAPTURE)
-            frame = await self._run(
-                lambda s=scene, n=n_samples: imager.capture_scene(
-                    s, n_samples=n, fidelity=fidelity, **capture_kwargs
-                )
-            )
-            if tel is not None:
-                tel.end_span(self.stream_id, index, SPAN_CAPTURE)
-            sent = await self._send_frame(frame, stats, frame_index=index)
-            if self._segmented:
-                # The barrier tells a resilient receiver how many chunks the
-                # frame occupied, so it can finalise (and account loss for)
-                # the frame without waiting for the next one.
-                sent += await self._send_chunk(
-                    ChunkType.FRAME_COMPLETE,
-                    encode_frame_complete(index, self._frame_chunk_count(frame)),
-                    stats,
-                    frame_index=index,
-                )
-            stats.n_frames += 1
-            stats.samples_per_frame.append(frame.n_samples)
-            stats.bytes_per_frame.append(sent)
-        return await self._finish(stats)
+        return await self._stream(header, captures())
 
     # --------------------------------------------------------------- video
-    @_close_on_error
     async def stream_video(
         self,
         sequencer: VideoSequencer,
@@ -1054,14 +1059,6 @@ class CameraNode:
         (:func:`repro.stream.protocol.advance_seed_state`).
         """
         config = sequencer.imager.config
-        stats = StreamStats()
-        header = StreamHeader(
-            kind="video",
-            scene_shape=(config.rows, config.cols),
-            tile_shape=(config.rows, config.cols),
-            gop_size=self.gop_size,
-        )
-        await self._send_header(header, stats)
         # The governor must fix one sample count per GOP: seed re-derivation
         # needs every chained frame's advance to be announced in its header,
         # and a keyframe budget must also fit its seed bits.  Re-asking the
@@ -1080,51 +1077,21 @@ class CameraNode:
                 )
             return gop_samples[gop]
 
-        iterator = iter(
-            sequencer.stream_frames(
-                scenes,
-                fidelity=fidelity,
-                samples_for_frame=samples_for,
-                **capture_kwargs,
-            )
+        def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
+            for frame in sequencer.stream_frames(
+                scenes, fidelity=fidelity, samples_for_frame=samples_for, **capture_kwargs
+            ):
+                yield 0, 0, frame
+
+        header = StreamHeader(
+            kind="video",
+            scene_shape=(config.rows, config.cols),
+            tile_shape=(config.rows, config.cols),
+            gop_size=self.gop_size,
         )
-        sentinel = object()
-        index = 0
-        tel = active(self.telemetry)
-        while True:
-            # The capture span is recorded after the fact (add_span) so the
-            # sentinel pull that ends the stream never opens a phantom frame.
-            capture_started = tel.clock.now() if tel is not None else 0.0
-            frame = await self._run(next, iterator, sentinel)
-            if frame is sentinel:
-                break
-            if tel is not None:
-                tel.add_span(
-                    self.stream_id,
-                    index,
-                    SPAN_CAPTURE,
-                    capture_started,
-                    tel.clock.now(),
-                )
-            keyframe = index % self.gop_size == 0
-            sent = await self._send_frame(
-                frame, stats, frame_index=index, keyframe=keyframe
-            )
-            if self._segmented:
-                sent += await self._send_chunk(
-                    ChunkType.FRAME_COMPLETE,
-                    encode_frame_complete(index, self._frame_chunk_count(frame)),
-                    stats,
-                    frame_index=index,
-                )
-            stats.n_frames += 1
-            stats.samples_per_frame.append(frame.n_samples)
-            stats.bytes_per_frame.append(sent)
-            index += 1
-        return await self._finish(stats)
+        return await self._stream(header, captures())
 
     # --------------------------------------------------------------- tiled
-    @_close_on_error
     async def stream_tiled(
         self,
         array: TiledSensorArray,
@@ -1141,62 +1108,24 @@ class CameraNode:
         capturing the rest of the mosaic.  Every tile is self-contained
         (own seed); a ``FRAME_COMPLETE`` barrier closes the frame.
         """
-        self._reject_segmented("stream_tiled")
-        stats = StreamStats()
+
+        def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
+            for slot, frame in array.iter_capture(
+                photocurrent,
+                fidelity=fidelity,
+                compression_ratio=self._tiled_ratio(array),
+                **capture_kwargs,
+            ):
+                yield slot.grid_row, slot.grid_col, frame
+
         header = StreamHeader(
             kind="tiled",
             scene_shape=array.scene_shape,
             tile_shape=array.tile_shape,
             gop_size=1,
         )
-        await self._send_header(header, stats)
-        ratio = self.governor.ratio_for_frame(
-            array.imagers[0][0].config,
-            array.scene_shape[0] * array.scene_shape[1],
-            n_tiles=array.n_tiles,
-        )
-        iterator = array.iter_capture(
-            photocurrent,
-            fidelity=fidelity,
-            compression_ratio=ratio,
-            **capture_kwargs,
-        )
-        sentinel = object()
-        total_samples = 0
-        frame_bytes = 0
-        tel = active(self.telemetry)
-        while True:
-            capture_started = tel.clock.now() if tel is not None else 0.0
-            pair = await self._run(next, iterator, sentinel)
-            if pair is sentinel:
-                break
-            if tel is not None:
-                # Per-tile intervals merge into one capture envelope for the
-                # single mosaic frame (index 0).
-                tel.add_span(
-                    self.stream_id, 0, SPAN_CAPTURE, capture_started, tel.clock.now()
-                )
-            slot, frame = pair
-            frame_bytes += await self._send_frame(
-                frame,
-                stats,
-                frame_index=0,
-                grid_row=slot.grid_row,
-                grid_col=slot.grid_col,
-            )
-            total_samples += frame.n_samples
-        frame_bytes += await self._send_chunk(
-            ChunkType.FRAME_COMPLETE,
-            encode_frame_complete(0, array.n_tiles),
-            stats,
-            frame_index=0,
-        )
-        stats.n_frames = 1
-        stats.samples_per_frame.append(total_samples)
-        stats.bytes_per_frame.append(frame_bytes)
-        return await self._finish(stats)
+        return await self._stream(header, captures())
 
-    @_close_on_error
     async def stream_tiled_video(
         self,
         array: TiledSensorArray,
@@ -1212,82 +1141,42 @@ class CameraNode:
         through
         :meth:`~repro.sensor.shard.TiledSensorArray.capture_sequence` with
         ``advance=True`` (every tile's CA free-runs across GOP boundaries),
-        then emitted frame by frame: one ``FRAME_DATA`` chunk per tile —
+        then emitted frame by frame: one chunk (or segment group) per tile —
         seeds riding only on the GOP's first frame — and one
         ``FRAME_COMPLETE`` barrier per frame.  ``photocurrents=True`` treats
         ``scenes`` as photocurrent maps instead of normalised scenes.
         """
-        self._reject_segmented("stream_tiled_video")
-        stats = StreamStats()
+
+        def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
+            ratio = self._tiled_ratio(array)
+            capture = (
+                array.capture_sequence if photocurrents else array.capture_scene_sequence
+            )
+            iterator = iter(scenes)
+            while gop := list(itertools.islice(iterator, self.gop_size)):
+                results = capture(
+                    gop,
+                    fidelity=fidelity,
+                    compression_ratio=ratio,
+                    advance=True,
+                    **capture_kwargs,
+                )
+                for result in results:
+                    for slot, frame in result.frames():
+                        yield slot.grid_row, slot.grid_col, frame
+
         header = StreamHeader(
             kind="tiled-video",
             scene_shape=array.scene_shape,
             tile_shape=array.tile_shape,
             gop_size=self.gop_size,
         )
-        await self._send_header(header, stats)
-        ratio = self.governor.ratio_for_frame(
+        return await self._stream(header, captures())
+
+    def _tiled_ratio(self, array: TiledSensorArray) -> float | None:
+        """The governor's per-tile compression ratio for one mosaic frame."""
+        return self.governor.ratio_for_frame(
             array.imagers[0][0].config,
             array.scene_shape[0] * array.scene_shape[1],
             n_tiles=array.n_tiles,
         )
-        frame_index = 0
-        iterator = iter(scenes)
-        tel = active(self.telemetry)
-        while True:
-            gop = []
-            for _ in range(self.gop_size):
-                try:
-                    gop.append(next(iterator))
-                except StopIteration:
-                    break
-            if not gop:
-                break
-            capture = (
-                array.capture_sequence if photocurrents else array.capture_scene_sequence
-            )
-            capture_started = tel.clock.now() if tel is not None else 0.0
-            results = await self._run(
-                lambda g=gop: capture(
-                    g,
-                    fidelity=fidelity,
-                    compression_ratio=ratio,
-                    advance=True,
-                    **capture_kwargs,
-                )
-            )
-            if tel is not None:
-                # The GOP is captured in one batched call; each of its frames
-                # records the same capture interval.
-                capture_ended = tel.clock.now()
-                for gop_offset in range(len(results)):
-                    tel.add_span(
-                        self.stream_id,
-                        frame_index + gop_offset,
-                        SPAN_CAPTURE,
-                        capture_started,
-                        capture_ended,
-                    )
-            for gop_offset, result in enumerate(results):
-                keyframe = gop_offset == 0
-                frame_bytes = 0
-                for slot, frame in result.frames():
-                    frame_bytes += await self._send_frame(
-                        frame,
-                        stats,
-                        frame_index=frame_index,
-                        grid_row=slot.grid_row,
-                        grid_col=slot.grid_col,
-                        keyframe=keyframe,
-                    )
-                frame_bytes += await self._send_chunk(
-                    ChunkType.FRAME_COMPLETE,
-                    encode_frame_complete(frame_index, array.n_tiles),
-                    stats,
-                    frame_index=frame_index,
-                )
-                stats.n_frames += 1
-                stats.samples_per_frame.append(result.n_samples)
-                stats.bytes_per_frame.append(frame_bytes)
-                frame_index += 1
-        return await self._finish(stats)

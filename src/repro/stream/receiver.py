@@ -7,18 +7,12 @@ builds a private :class:`~repro.stream.hub.ReceiverHub` capped at one
 stream, attaches the transport and returns that stream's result.  All the
 actual protocol work lives in :class:`~repro.stream.session.StreamSession`:
 
-* tiled streams feed an
-  :class:`~repro.recon.incremental.IncrementalTiledReconstructor` per frame.
-  By default the tiles of a frame are collected as they land and inverted
+* tiled streams collect a frame's tiles as they land and invert them
   **batched** at the ``FRAME_COMPLETE`` barrier — every equal-shape tile of
   the mosaic iterated through one einsum-driven multi-tile FISTA pass over
   the stacked rank-structured ``(R, C)`` factors, exactly the path
   in-process :func:`~repro.recon.pipeline.reconstruct_tiled` defaults to,
-  so streamed and in-process reconstructions stay byte-identical.  With
-  ``eager=True`` the receiver instead inverts each tile the moment its
-  chunk lands — tile ``(0, 0)`` is being solved while tile ``(3, 3)`` is
-  still on the wire — matching the ``serial``/``thread`` per-tile
-  executors of ``reconstruct_tiled`` byte for byte;
+  so streamed and in-process reconstructions stay byte-identical;
 * video streams maintain one **seed chain** per tile position: keyframes
   re-anchor the chain with their inline seed, seedless frames decode against
   it, and after every frame the chain advances by the one-pattern frame
@@ -37,15 +31,13 @@ class (pinned by the hub tests).
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
+import inspect
 from typing import Any
 
-from repro.cs.operators import StepSizeCache
 from repro.stream.hub import ReceiverHub
 from repro.stream.protocol import StreamProtocolError
-from repro.stream.session import ReceivedFrame, StreamResult, StreamSession
+from repro.stream.session import ReceivedFrame, StreamResult
 from repro.stream.transport import Transport
-from repro.telemetry import Telemetry
 
 __all__ = ["ReceivedFrame", "StreamReceiver", "StreamResult", "receive_stream"]
 
@@ -53,61 +45,13 @@ __all__ = ["ReceivedFrame", "StreamReceiver", "StreamResult", "receive_stream"]
 class StreamReceiver:
     """Consume one stream from a transport, decoding and reconstructing live.
 
-    Parameters
-    ----------
-    reconstruct:
-        When false the receiver only decodes (no sparse recovery) — the
-        relay/benchmark mode.
-    dictionary, solver, regularization, sparsity, max_iterations, operator:
-        Per-frame/tile reconstruction options, as in
-        :func:`~repro.recon.pipeline.reconstruct_frame`.
-    eager:
-        ``False`` (default) collects a tiled frame's tiles and inverts them
-        batched at the frame barrier — the multi-tile fast path, identical
-        to default in-process ``reconstruct_tiled``.  ``True`` restores the
-        progressive per-tile mode: each tile's solve is scheduled the
-        moment its chunk lands, overlapping reconstruction with the wire.
-    step_cache:
-        Optional :class:`~repro.cs.operators.StepSizeCache` shared across
-        the stream's frames: per-tile power-iteration step sizes are then
-        memoised and warm-started along the GOP chain instead of being
-        re-estimated from scratch every frame.  Off by default because the
-        warm starts shift the step estimates (and hence the reconstructed
-        images, by small but far-above-round-off amounts), which would
-        break byte-identity with an isolated in-process reconstruction of
-        the same frames.
-    executor:
-        ``concurrent.futures`` executor for the reconstruction work; ``None``
-        uses the event loop's default thread pool.
-    resilient:
-        Tolerate a lossy channel: sequence gaps become tracked losses,
-        segmented frames reconstruct from the surviving row subset of Φ,
-        and a dead transport salvages the frames already in flight (see
-        :class:`~repro.stream.session.StreamSession`).  Off by default —
-        zero-loss resilient reception is byte-identical to strict.
-    min_surviving_samples:
-        Sample floor under which a lossy frame is landed without a solve.
-    feedback:
-        Send per-frame delivery ACKs and rate advice back up the transport
-        (requires a duplex transport; pairs with ``feedback=True`` on the
-        :class:`~repro.stream.node.CameraNode`).
-    max_sequence_gap, frame_deadline, nack_grace:
-        Recovery knobs forwarded to the session verbatim: the
-        resync-plausibility window, and the reassembly deadline / NACK
-        grace pair that turns on selective repeat (see
-        :class:`~repro.stream.session.StreamSession`).
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` forwarded to the
-        private single-stream hub (and its session): frame traces and the
-        stage histogram land on its tracer/registry.  Share one facade with
-        the sending node to join the transport span over loopback.
+    Every keyword option is a :class:`~repro.stream.hub.ReceiverHub` option
+    (``reconstruct``, ``max_iterations``, ``resilient``, ``feedback``,
+    ``frame_deadline``, ``telemetry``, ...), forwarded verbatim to the
+    private one-stream hub each :meth:`run` builds.  The fleet options that
+    hub fixes or never exercises (:attr:`FLEET_ONLY`) are refused, as is an
+    unknown name: both raise ``TypeError`` here, at construction.
     """
-
-    #: Re-exported session bound (see
-    #: :attr:`StreamSession.MAX_INFLIGHT_TILED_SOLVES`): how many whole-frame
-    #: batched solves may be in flight before the frame barrier awaits the
-    #: oldest.
-    MAX_INFLIGHT_TILED_SOLVES = StreamSession.MAX_INFLIGHT_TILED_SOLVES
 
     #: Solver slots of the private single-stream hub.  Generous on purpose:
     #: the historical receiver never bounded its in-flight solves (the tiled
@@ -115,68 +59,35 @@ class StreamReceiver:
     #: cross-stream fairness.
     SOLVER_SLOTS = 8
 
-    def __init__(
-        self,
-        *,
-        reconstruct: bool = True,
-        dictionary: str = "dct",
-        solver: str = "fista",
-        regularization: float | None = None,
-        sparsity: int | None = None,
-        max_iterations: int | None = None,
-        operator: str = "structured",
-        eager: bool = False,
-        step_cache: StepSizeCache | None = None,
-        executor: Executor | None = None,
-        resilient: bool = False,
-        min_surviving_samples: int = 1,
-        feedback: bool = False,
-        max_sequence_gap: int | None = None,
-        frame_deadline: float | None = None,
-        nack_grace: float | None = None,
-        telemetry: Telemetry | None = None,
-    ) -> None:
-        self.reconstruct = bool(reconstruct)
-        self.dictionary = dictionary
-        self.solver = solver
-        self.regularization = regularization
-        self.sparsity = sparsity
-        self.max_iterations = None if max_iterations is None else int(max_iterations)
-        self.operator = operator
-        self.eager = bool(eager)
-        self.step_cache = step_cache
-        self.executor = executor
-        self.resilient = bool(resilient)
-        self.min_surviving_samples = int(min_surviving_samples)
-        self.feedback = bool(feedback)
-        self.max_sequence_gap = max_sequence_gap
-        self.frame_deadline = frame_deadline
-        self.nack_grace = nack_grace
-        self.telemetry = telemetry
+    #: Hub options with no meaning for one stream on a private hub: the
+    #: scheduler sizing and admission bound are fixed below, and parking,
+    #: reaping and cache sharing need a long-lived fleet hub.
+    FLEET_ONLY = frozenset(
+        {
+            "share_step_cache",
+            "solver_slots",
+            "per_stream_pending",
+            "max_pending",
+            "max_streams",
+            "resume_grace",
+            "idle_timeout",
+        }
+    )
+
+    def __init__(self, **options: Any) -> None:
+        fleet = sorted(self.FLEET_ONLY.intersection(options))
+        if fleet:
+            raise TypeError(f"StreamReceiver does not take the hub options {fleet}")
+        inspect.signature(ReceiverHub).bind(**options)
+        self._options = options
 
     def _new_hub(self) -> ReceiverHub:
         return ReceiverHub(
-            reconstruct=self.reconstruct,
-            dictionary=self.dictionary,
-            solver=self.solver,
-            regularization=self.regularization,
-            sparsity=self.sparsity,
-            max_iterations=self.max_iterations,
-            operator=self.operator,
-            eager=self.eager,
-            step_cache=self.step_cache,
-            executor=self.executor,
             solver_slots=self.SOLVER_SLOTS,
             per_stream_pending=None,
             max_pending=None,
             max_streams=1,
-            resilient=self.resilient,
-            min_surviving_samples=self.min_surviving_samples,
-            feedback=self.feedback,
-            max_sequence_gap=self.max_sequence_gap,
-            frame_deadline=self.frame_deadline,
-            nack_grace=self.nack_grace,
-            telemetry=self.telemetry,
+            **self._options,
         )
 
     async def run(self, transport: Transport) -> StreamResult:

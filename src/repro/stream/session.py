@@ -29,14 +29,13 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from collections.abc import Callable
-from typing import Any, Protocol
+from typing import Any, Literal, Protocol, Union
 
 import numpy as np
 
 from repro.cs.operators import StepSizeCache
 from repro.io.bitstream import unpack_samples
 from repro.io.framing import (
-    FrameHeader,
     FramingError,
     decode_frame,
     decode_frame_prefix,
@@ -253,50 +252,88 @@ class SessionStats:
     frame_loss: list[FrameLossReport] = field(default_factory=list)
 
 
-class _SegmentAssembly:
-    """In-flight segment group of one frame (resilient single-sensor path)."""
+#: Stats counters the strictness policy may bump for a skipped chunk.
+_Counter = Literal["n_late_chunks", "n_duplicate_chunks", "n_corrupt_chunks"]
 
-    def __init__(self, frame_index: int) -> None:
-        self.frame_index = frame_index
+#: Payload of one tile-carrying chunk.
+_TilePart = Union[FrameData, FrameSegment, FrameParity]
+
+_TILE_DECODERS: dict[ChunkType, Callable[[bytes], _TilePart]] = {
+    ChunkType.FRAME_DATA: decode_frame_data,
+    ChunkType.FRAME_SEGMENT: decode_frame_segment,
+    ChunkType.FRAME_PARITY: decode_frame_parity,
+}
+
+
+class _TileChunks:
+    """The chunks of one tile of one frame that have landed so far.
+
+    A tile arrives either as one ``FRAME_DATA`` chunk or as a group of
+    ``FRAME_SEGMENT`` chunks plus an optional ``FRAME_PARITY`` chunk.
+    """
+
+    def __init__(self) -> None:
+        self.data: FrameData | None = None
         self.n_segments: int | None = None
-        self.keyframe = False
         self.segments: dict[int, FrameSegment] = {}
         self.payloads: dict[int, bytes] = {}
         self.parity: FrameParity | None = None
-        #: Chunks of this frame that actually arrived off the wire.
+        #: Chunks of this tile that actually arrived off the wire.
         self.n_chunks_received = 0
 
-    def add_segment(self, segment: FrameSegment, payload: bytes) -> bool:
-        """Land one segment; returns False for an in-frame duplicate."""
+    def add(self, part: _TilePart, payload: bytes) -> bool:
+        """Land one chunk; returns False for a duplicate within the tile."""
+        # A tile that already holds chunks of the other kind is corrupt.
+        if self.n_chunks_received and (self.data is None) == isinstance(
+            part, FrameData
+        ):
+            raise StreamProtocolError("tile mixes frame-data and segment chunks")
+        if isinstance(part, FrameData):
+            if self.data is not None:
+                return False
+            self.data = part
+        elif isinstance(part, FrameParity):
+            if self.parity is not None:
+                return False
+            self.parity = part
+        else:
+            if self.n_segments is None:
+                self.n_segments = part.n_segments
+            elif part.n_segments != self.n_segments:
+                raise StreamProtocolError(
+                    f"frame {part.frame_index} segments disagree on group size "
+                    f"({part.n_segments} vs {self.n_segments})"
+                )
+            if part.segment_index in self.segments:
+                return False
+            self.segments[part.segment_index] = part
+            self.payloads[part.segment_index] = payload
+        self.n_chunks_received += 1
+        return True
+
+    @property
+    def whole(self) -> bool:
+        """True when every sample arrived or parity rebuilds the one missing."""
+        if self.data is not None:
+            return True
         if self.n_segments is None:
-            self.n_segments = segment.n_segments
-            self.keyframe = segment.keyframe
-        elif segment.n_segments != self.n_segments:
-            raise StreamProtocolError(
-                f"frame {self.frame_index} segments disagree on group size "
-                f"({segment.n_segments} vs {self.n_segments})"
-            )
-        if segment.segment_index in self.segments:
             return False
-        self.segments[segment.segment_index] = segment
-        self.payloads[segment.segment_index] = payload
-        self.n_chunks_received += 1
-        return True
+        missing = self.n_segments - len(self.segments)
+        return missing <= 0 or (missing == 1 and self.parity is not None)
 
-    def add_parity(self, parity: FrameParity) -> bool:
-        """Land the frame's parity chunk; returns False for a duplicate."""
-        if self.parity is not None:
-            return False
-        self.parity = parity
-        self.n_chunks_received += 1
-        return True
+    @property
+    def n_chunks_expected(self) -> int:
+        """The tile's chunk count as far as its own chunks tell."""
+        if self.data is not None:
+            return 1
+        return (self.n_segments or 0) + (1 if self.parity is not None else 0)
 
-    def try_recover(self) -> FrameSegment | None:
+    def try_recover(self) -> bool:
         """Rebuild the single missing segment from parity, if possible."""
         if self.parity is None or self.n_segments is None:
-            return None
+            return False
         if len(self.segments) != self.n_segments - 1:
-            return None
+            return False
         (missing_index,) = set(range(self.n_segments)) - set(self.segments)
         try:
             payload = recover_missing_payload(
@@ -304,16 +341,48 @@ class _SegmentAssembly:
             )
             segment = decode_frame_segment(payload)
         except StreamProtocolError:
-            return None
+            return False
         if segment.segment_index != missing_index:
-            return None
+            return False
         self.segments[missing_index] = segment
         self.payloads[missing_index] = payload
-        return segment
+        return True
+
+
+@dataclass
+class _PendingFrame:
+    """An unsettled frame: the grid positions whose chunks have landed."""
+
+    #: Session-clock time the frame's first chunk landed.
+    started: float
+    tiles: dict[tuple[int, int], _TileChunks] = field(default_factory=dict)
+
+
+@dataclass
+class _DecodedTile:
+    """One tile after decoding; ``frame`` is ``None`` when written off."""
+
+    frame: CompressedFrame | None
+    #: Survival mask of the tile's samples; ``None`` when all of them arrived.
+    mask: np.ndarray | None = None
+    #: Samples the tile carried (0 when unknowable) and the ones that arrived.
+    n_samples_expected: int = 0
+    n_samples_received: int = 0
 
 
 class StreamSession:
     """The chunk finite-state machine for exactly one stream.
+
+    Every stream kind runs one frame model: a frame is a grid of ≥1 tiles
+    (one for single-sensor streams), and each tile arrives as one
+    ``FRAME_DATA`` chunk or as a group of ``FRAME_SEGMENT`` chunks plus an
+    optional ``FRAME_PARITY`` chunk.  Tiles land in a per-frame grid; frames
+    settle oldest-first through one path when a ``FRAME_COMPLETE`` barrier,
+    the stream end or EOF passes them (an unsegmented single-sensor frame is
+    its own barrier).  Settling decodes each tile against its position's seed
+    chain and hands the frame to the solver — one
+    :func:`~repro.recon.pipeline.reconstruct_frame` job per single-sensor
+    frame, one batched barrier job per mosaic frame.
 
     Parameters
     ----------
@@ -323,18 +392,18 @@ class StreamSession:
         The :class:`SolveScheduler` every reconstruction is dispatched
         through.  The session never blocks the event loop on solver work.
     reconstruct, dictionary, solver, regularization, sparsity,
-    max_iterations, operator, eager, step_cache:
+    max_iterations, operator, step_cache:
         Reconstruction options, exactly as on
         :class:`~repro.stream.receiver.StreamReceiver` (which forwards them
         here verbatim).
     resilient:
-        Tolerate a lossy channel instead of treating every anomaly as a
-        protocol violation: sequence gaps become tracked losses, duplicates
-        and late chunks are skipped, corrupt payloads are counted, segment
-        frames reconstruct from the surviving row subset of Φ, and mosaics
-        may finalise with missing tiles.  Off by default — on a lossless
-        channel the strict FSM is the stronger contract, and a zero-loss
-        resilient session is byte-identical to it.
+        The strictness policy.  A strict session (the default) raises
+        :class:`StreamProtocolError` on every anomaly; a resilient one turns
+        anomalies into accounting: sequence gaps become tracked losses,
+        duplicates and late chunks are skipped, corrupt payloads are counted,
+        and frames settle from whatever arrived — lost segments as masked
+        rows of Φ, lost tiles as holes in the mosaic.  On a lossless channel
+        the two are byte-identical.
     min_surviving_samples:
         Sample floor for the partial-Φ solve: a frame that lands with fewer
         surviving samples keeps its decoded capture but gets no
@@ -346,27 +415,29 @@ class StreamSession:
         frame saw loss) for the hub to ship down the feedback path.
     max_sequence_gap:
         Resync-plausibility window: the largest forward sequence jump a
-        resilient session books as loss rather than corruption.  ``None``
-        keeps the :data:`MAX_SEQUENCE_GAP` default; burst-loss tests and
-        operators expecting long outages can widen it.
+        resilient session books as loss rather than corruption.  Every frame
+        occupies at least one sequence number, so the same window bounds how
+        far past the oldest unsettled frame a frame index (or the stream
+        end's frame count) may jump.  ``None`` keeps the
+        :data:`MAX_SEQUENCE_GAP` default; burst-loss tests and operators
+        expecting long outages can widen it.
     frame_deadline:
-        Seconds (on the session clock) an incomplete segmented frame may
-        wait for repair before settling.  Setting it turns on NACK-driven
-        selective repeat: a frame that reaches its barrier (or outlives the
-        deadline) with chunks still missing queues one ``CONTROL_NACK``
-        down the feedback path and defers settlement for ``nack_grace``
-        seconds; a retransmit completing the frame settles it whole, the
-        grace lapsing settles it through the existing partial-Φ salvage
-        (``n_deadline_salvages``).  ``None`` (default) keeps the immediate
-        settle-at-barrier behaviour — with no faults the two are
-        byte-identical.
+        Seconds (on the session clock) an incomplete frame may wait for
+        repair before settling.  Setting it turns on NACK-driven selective
+        repeat: a frame that reaches its barrier (or outlives the deadline)
+        with chunks still missing queues one ``CONTROL_NACK`` down the
+        feedback path and defers settlement for ``nack_grace`` seconds; a
+        retransmit completing the frame settles it whole, the grace lapsing
+        settles it through the partial-Φ salvage (``n_deadline_salvages``).
+        ``None`` (default) keeps the immediate settle-at-barrier behaviour —
+        with no faults the two are byte-identical.
     nack_grace:
         Grace window after a NACK before the deferred frame is salvaged;
         defaults to ``frame_deadline``.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`.  When present (and
         enabled) the session closes each frame's ``transport`` span as its
-        chunks land, brackets chunk decoding in a ``decode`` span, and wraps
+        chunks land, brackets tile decoding in a ``decode`` span, and wraps
         every scheduled solve so the scheduler's ``queue_wait`` and the
         ``solve`` itself appear in the frame's trace.  Its clock also times
         the ``frame_latencies`` stats.  ``None`` (the default) records
@@ -398,7 +469,6 @@ class StreamSession:
         sparsity: int | None = None,
         max_iterations: int | None = None,
         operator: str = "structured",
-        eager: bool = False,
         step_cache: StepSizeCache | None = None,
         resilient: bool = False,
         min_surviving_samples: int = 1,
@@ -411,7 +481,6 @@ class StreamSession:
         self.stream_id = int(stream_id)
         self.scheduler = scheduler
         self.reconstruct = bool(reconstruct)
-        self.eager = bool(eager)
         self.resilient = bool(resilient)
         self.min_surviving_samples = max(1, int(min_surviving_samples))
         self.emit_feedback = bool(emit_feedback)
@@ -445,64 +514,47 @@ class StreamSession:
             step_cache=step_cache,
         )
         self._header: StreamHeader | None = None
-        self._slots: list[list[TileSlot]] | None = None
+        #: The frame's tile grid (1x1 for single-sensor streams).
+        self._slots: list[list[TileSlot]] = []
         self._result = StreamResult(stream_id=self.stream_id)
         self._next_sequence = 0
         self._ended = False
-        # Per tile-position seed chains for seedless (GOP) frames.
-        self._seed_chains: dict[tuple[int, int], np.ndarray] = {}
-        # Per in-flight frame: grid of decoded tile frames, the frame's
-        # reconstructor, the event-loop time its first chunk landed, and the
-        # in-flight solve futures awaited at the frame barrier.
-        self._pending_tiles: dict[int, list[list[CompressedFrame | None]]] = {}
-        self._pending_recon: dict[int, IncrementalTiledReconstructor] = {}
-        self._frame_started: dict[int, float] = {}
-        self._pending_solves: dict[
-            int,
-            list[tuple[int, int, CompressedFrame, asyncio.Future[Any]]],
-        ] = {}
-        # Single-sensor streams: (ReceivedFrame, future) pairs whose
-        # reconstructions are attached at end-of-stream (see :meth:`finish`).
-        self._pending_frame_solves: list[
-            tuple[ReceivedFrame, asyncio.Future[Any]]
-        ] = []
-        # Batched tiled mode: the (bounded) queue of in-flight whole-frame
-        # solves — frame k's solve overlaps frame k+1's wire time, but the
-        # barrier awaits older solves past the depth bound so a stream that
-        # outruns the solver cannot accumulate unbounded work.
-        self._pending_tiled_solves: list[
-            tuple[ReceivedFrame, asyncio.Future[Any]]
-        ] = []
-        # ---- resilient-mode state ----
         self._finished = False
+        # Per tile-position seed chains for seedless (GOP) frames, and the
+        # frame index that last advanced each chain — a gap in that walk
+        # means the chain is stale and seedless tiles must be written off
+        # until the next keyframe re-anchors it.
+        self._seed_chains: dict[tuple[int, int], np.ndarray] = {}
+        self._chain_frame: dict[tuple[int, int], int] = {}
+        #: Unsettled frames, by frame index.
+        self._frames: dict[int, _PendingFrame] = {}
+        # (ReceivedFrame, future) pairs of in-flight solves.  Single-sensor
+        # reconstructions are attached at end-of-stream (see :meth:`finish`);
+        # a mosaic frame's barrier awaits older solves past
+        # MAX_INFLIGHT_TILED_SOLVES, so a stream that outruns the solver
+        # cannot accumulate unbounded work.
+        self._solves: list[tuple[ReceivedFrame, asyncio.Future[Any]]] = []
         #: Sequence numbers proven missing (gap seen, chunk never arrived).
         self._missing: set[int] = set()
         #: Next frame index the stream has not yet settled (landed, finalised
         #: partial, or written off as lost).  Frames are emitted in this
         #: order, so everything below it is history.
         self._next_frame_index = 0
-        #: Chunks per frame, learned from the first frame barrier (segmented
-        #: streams) or pinned to 1 (frame-data streams) — the expectation a
-        #: fully-lost frame is reported against.
+        #: Highest frame index (exclusive) the barriers / stream end have
+        #: asked the session to settle up to.
+        self._settle_frontier = 0
+        #: Chunks per frame, learned from the latest frame barrier — the
+        #: expectation a fully-lost frame is reported against.
         self._expected_frame_chunks: int | None = None
-        #: In-flight segment groups, by frame index (single-sensor only).
-        self._assemblies: dict[int, _SegmentAssembly] = {}
-        #: Frame index of the last frame that advanced each position's seed
-        #: chain — a gap in this walk means the chain is stale and seedless
-        #: frames must be dropped until the next keyframe re-anchors it.
-        self._chain_frame: dict[tuple[int, int], int] = {}
         #: Encoded control chunks (type, payload) awaiting the feedback path.
         self._outgoing_control: list[tuple[ChunkType, bytes]] = []
         # ---- deadline supervision (only with frame_deadline set) ----
         #: Frames whose settlement is deferred awaiting NACK repair, mapped
         #: to the clock time their grace lapses.  In-order emission holds:
-        #: :meth:`_drain_settled` never settles past the lowest deferral.
+        #: :meth:`_settle_to` never settles past the lowest deferral.
         self._deferred: dict[int, float] = {}
         #: Frames that already used their one NACK (a frame NACKs once).
         self._nacked_frames: set[int] = set()
-        #: Highest frame index (exclusive) the barriers / stream end have
-        #: asked the session to settle up to.
-        self._settle_frontier = 0
         #: Clock time of the last chunk landed — what idle reaping reads.
         self.last_activity = self._clock.now()
 
@@ -533,37 +585,9 @@ class StreamSession:
         queued, self._outgoing_control = self._outgoing_control, []
         return queued
 
-    def _record_loss(self, report: FrameLossReport) -> None:
-        """Book a frame's delivery accounting and queue its feedback."""
-        self.stats.frame_loss.append(report)
-        if not self.emit_feedback:
-            return
-        self._outgoing_control.append(
-            (ChunkType.CONTROL_ACK, encode_control_ack(report.to_ack()))
-        )
-        if report.n_samples_received < report.n_samples_expected:
-            advice = RateAdvice(
-                frame_index=report.frame_index,
-                advised_samples=report.n_samples_received,
-                loss_fraction=report.to_ack().loss_fraction,
-            )
-            self._outgoing_control.append(
-                (ChunkType.CONTROL_RATE, encode_rate_advice(advice))
-            )
-
-    def _chain_ready(self, key: tuple[int, int], frame_index: int) -> bool:
-        """True when the position's seed chain is valid for this frame.
-
-        The chain is only trustworthy if *every* previous frame at this
-        position advanced it; a fully-lost frame leaves a gap in the walk
-        and everything after it (until the next keyframe) would silently
-        decode against a stale seed — the one failure mode worse than a
-        dropped frame.
-        """
-        assert self._header is not None
-        if self._header.gop_size <= 1:
-            return True
-        return self._chain_frame.get(key) == frame_index - 1
+    @property
+    def _n_tiles(self) -> int:
+        return len(self._slots) * len(self._slots[0])
 
     def _now(self) -> float:
         # The injected telemetry clock (REPRO006): deterministic under a
@@ -571,19 +595,12 @@ class StreamSession:
         # two halves of a frame trace subtract meaningfully.
         return self._clock.now()
 
-    def _note_frame_landed(self, frame_index: int) -> None:
+    def _note_frame_landed(self, started: float) -> None:
         """Record a frame's latency for the decode-only completion point."""
-        started = self._frame_started.pop(frame_index, None)
-        if started is not None:
-            self.stats.frame_latencies.append(self._now() - started)
+        self.stats.frame_latencies.append(self._now() - started)
 
-    def _note_on_solve_done(
-        self, frame_index: int, future: asyncio.Future[Any]
-    ) -> None:
+    def _note_on_solve_done(self, started: float, future: asyncio.Future[Any]) -> None:
         """Record a frame's latency when its (scheduled) solve resolves."""
-        started = self._frame_started.pop(frame_index, None)
-        if started is None:
-            return
         clock = self._clock
 
         def note(done: asyncio.Future[Any]) -> None:
@@ -621,120 +638,415 @@ class StreamSession:
             fn = traced
         return await self.scheduler.submit(self.stream_id, fn)
 
-    def _new_reconstructor(self) -> IncrementalTiledReconstructor:
-        assert self._header is not None
-        return IncrementalTiledReconstructor(
-            self._header.scene_shape,
-            self._header.tile_shape,
-            **self._recon_options,
-        )
-
-    def _solve_frame(self, frame: CompressedFrame) -> ReconstructionResult:
-        return reconstruct_frame(frame, **self._recon_options)
-
-    def _solve_frame_masked(
-        self, frame: CompressedFrame, sample_mask: np.ndarray
+    def _solve_frame(
+        self, frame: CompressedFrame, sample_mask: np.ndarray | None
     ) -> ReconstructionResult:
-        """Partial-Φ solve: invert only the rows whose samples survived."""
+        """Solve one single-sensor frame (partial-Φ when ``sample_mask`` is set)."""
         return reconstruct_frame(frame, sample_mask=sample_mask, **self._recon_options)
 
-    def _solve_tiled_batched(
+    def _solve_tiled(
         self,
-        tiles: list[list[CompressedFrame | None]],
+        tiles: list[tuple[tuple[int, int], CompressedFrame, np.ndarray | None]],
         capture_metadata: dict[str, object],
-        partial: bool = False,
+        partial: bool,
     ) -> TiledReconstructionResult:
-        """Invert one tiled frame through the batched barrier solve.
+        """Invert one mosaic frame through the batched barrier solve.
 
-        ``partial`` (resilient streams) skips missing tiles — they stay zero
-        in the stitched scene — instead of requiring the full mosaic.
+        Tiles whose samples all arrived are stacked into the batched solve
+        (the path in-process ``reconstruct_tiled`` defaults to, so the
+        streamed result is byte-identical to it); a tile that lost samples
+        takes the per-tile partial-Φ solve inside the same job.  ``partial``
+        leaves missing tiles zero in the stitched scene.
         """
-        reconstructor = self._new_reconstructor()
-        for grid_row, row in enumerate(tiles):
-            for grid_col, frame in enumerate(row):
-                if frame is not None:
-                    reconstructor.stage_tile(grid_row, grid_col, frame)
+        assert self._header is not None
+        reconstructor = IncrementalTiledReconstructor(
+            self._header.scene_shape, self._header.tile_shape, **self._recon_options
+        )
+        for (grid_row, grid_col), frame, mask in tiles:
+            if mask is None:
+                reconstructor.stage_tile(grid_row, grid_col, frame)
+            else:
+                reconstructor.add_tile(grid_row, grid_col, frame, mask)
         reconstructor.solve_staged()
         return reconstructor.result(capture_metadata=capture_metadata, partial=partial)
 
-    # ----------------------------------------------- resilient-mode settling
-    def _peek_header(
-        self, prefix_bytes: bytes, key: tuple[int, int]
-    ) -> FrameHeader | None:
-        """Best-effort parse of a frame header whose seed chain is unusable.
+    # ----------------------------------------------------- strictness policy
+    def _fault(
+        self, error: StreamProtocolError, counter: _Counter | None = None
+    ) -> None:
+        """Handle one anomaly: a strict session raises it; a resilient one
+        bumps ``counter`` (when given) and carries on."""
+        if not self.resilient:
+            raise error
+        if counter is not None:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+
+    def _record_loss(self, report: FrameLossReport) -> FrameLossReport | None:
+        """Book a frame's delivery accounting and queue its feedback.
+
+        Only a resilient session keeps loss accounting: a strict one has
+        already raised on any loss, so its frames carry no report.
+        """
+        if not self.resilient:
+            return None
+        self.stats.frame_loss.append(report)
+        if self.emit_feedback:
+            self._outgoing_control.append(
+                (ChunkType.CONTROL_ACK, encode_control_ack(report.to_ack()))
+            )
+            if report.n_samples_received < report.n_samples_expected:
+                advice = RateAdvice(
+                    frame_index=report.frame_index,
+                    advised_samples=report.n_samples_received,
+                    loss_fraction=report.to_ack().loss_fraction,
+                )
+                self._outgoing_control.append(
+                    (ChunkType.CONTROL_RATE, encode_rate_advice(advice))
+                )
+        return report
+
+    def _frame_in_window(self, frame_index: int) -> bool:
+        """Admit a chunk's frame index; False when the chunk is skipped.
+
+        A chunk for a frame that already settled is late.  A frame index
+        more than ``max_sequence_gap`` frames past the oldest unsettled frame
+        is a corrupt field, not loss: the settle loop walks every frame up to
+        it, so admitting it would let one flipped bit book billions of
+        phantom frame reports.
+        """
+        if frame_index < self._next_frame_index:
+            self._fault(
+                StreamProtocolError(
+                    f"chunk for frame {frame_index}, which already settled"
+                ),
+                "n_late_chunks",
+            )
+            return False
+        return self._plausible(frame_index)
+
+    def _plausible(self, stop: int) -> bool:
+        """The frame-index plausibility window of :meth:`_frame_in_window`."""
+        if stop - self._next_frame_index <= self.max_sequence_gap:
+            return True
+        self._fault(
+            StreamProtocolError(
+                f"frame index {stop} jumps more than {self.max_sequence_gap} "
+                f"frames past frame {self._next_frame_index}"
+            ),
+            "n_corrupt_chunks",
+        )
+        return False
+
+    # ------------------------------------------------------------ settling
+    async def _settle_to(self, stop: int, *, defer: bool = True) -> None:
+        """Settle every frame below ``stop`` in order, pausing at deferrals.
+
+        The one settle loop.  Every frame below :attr:`_settle_frontier`
+        settles oldest-first, except that a repairable frame (``defer=True``,
+        deadline configured, not yet NACKed) is deferred instead — one
+        ``CONTROL_NACK`` goes out and the sweep stops so frames keep emitting
+        in order.  A retransmit completing the frame (or its grace lapsing)
+        resumes the sweep via :meth:`_check_deferred`.
+        """
+        self._settle_frontier = max(self._settle_frontier, stop)
+        while self._next_frame_index < self._settle_frontier:
+            frame_index = self._next_frame_index
+            if frame_index in self._deferred:
+                return
+            if (
+                defer
+                and self.frame_deadline is not None
+                and frame_index not in self._nacked_frames
+                and self._repairable(frame_index)
+            ):
+                self._queue_nack(frame_index, self._now())
+                return
+            # Advance before settling: the settle may suspend on the solver,
+            # and a concurrent sweep (the reap loop) must start past it.
+            self._next_frame_index += 1
+            await self._settle_frame(frame_index)
+
+    def _expected_chunks(self, tiles: dict[tuple[int, int], _TileChunks]) -> int:
+        """Chunks a frame occupied: the latest barrier's count, else inferred
+        from the frame's own chunks (one per tile nothing arrived for)."""
+        if self._expected_frame_chunks is not None:
+            return self._expected_frame_chunks
+        inferred = sum(chunks.n_chunks_expected for chunks in tiles.values())
+        return inferred + self._n_tiles - len(tiles)
+
+    async def _settle_frame(self, frame_index: int) -> None:
+        """Land (or write off) one frame the stream has passed.
+
+        Loss shows up per tile: a tile missing samples solves over the rows
+        of Φ that survived, a tile nothing usable arrived for stays a hole in
+        the mosaic, and a frame with no usable tile at all is written off.
+        """
+        assert self._header is not None
+        pending = self._frames.pop(frame_index, None)
+        tiles = {} if pending is None else pending.tiles
+        n_recovered = sum(chunks.try_recover() for chunks in tiles.values())
+        self.stats.n_recovered_chunks += n_recovered
+        decoded = {
+            key: self._decode_tile(frame_index, key, tiles[key]) for key in sorted(tiles)
+        }
+        present = [tile.frame for tile in decoded.values() if tile.frame is not None]
+        per_tile = present[0].n_samples if present else 0
+        n_incomplete = self._n_tiles - sum(
+            tile.frame is not None and tile.mask is None for tile in decoded.values()
+        )
+        if n_incomplete:
+            self._fault(
+                StreamProtocolError(
+                    f"frame {frame_index} completed with {n_incomplete} tiles "
+                    "missing samples"
+                )
+            )
+        n_received_samples = sum(tile.n_samples_received for tile in decoded.values())
+        report = FrameLossReport(
+            frame_index=frame_index,
+            n_expected_chunks=self._expected_chunks(tiles),
+            n_received_chunks=sum(chunks.n_chunks_received for chunks in tiles.values()),
+            n_recovered_chunks=n_recovered,
+            # Every tile of a stream samples at the same rate, so a tile whose
+            # own count is unknown expects what any survivor carried.
+            n_samples_expected=sum(
+                tile.n_samples_expected or per_tile for tile in decoded.values()
+            )
+            + (self._n_tiles - len(decoded)) * per_tile,
+            n_samples_received=n_received_samples,
+        )
+        if pending is None or not present:
+            self.stats.n_dropped_frames += 1
+            self._record_loss(report)
+            return
+        capture: CompressedFrame | TiledCaptureResult
+        sample_mask = None
+        if self._header.tiled:
+            frames = {key: tile.frame for key, tile in decoded.items()}
+            capture = TiledCaptureResult(
+                tiles=[
+                    [frames.get((slot.grid_row, slot.grid_col)) for slot in row]
+                    for row in self._slots
+                ],
+                slots=self._slots,
+                scene_shape=self._header.scene_shape,
+                tile_shape=self._header.tile_shape,
+                metadata=merge_tile_statistics(present),
+            )
+        else:
+            capture, sample_mask = present[0], decoded[(0, 0)].mask
+        received = ReceivedFrame(
+            frame_index=frame_index,
+            capture=capture,
+            loss=self._record_loss(report),
+            sample_mask=sample_mask,
+        )
+        self._result.frames.append(received)
+        self.stats.n_frames += 1
+        if not self.reconstruct:
+            self._note_frame_landed(pending.started)
+            return
+        if n_incomplete and n_received_samples < self.min_surviving_samples:
+            self.stats.n_dropped_frames += 1
+            self._note_frame_landed(pending.started)
+            return
+        if n_incomplete:
+            self.stats.n_partial_frames += 1
+        job: Callable[[], Any]
+        if isinstance(capture, TiledCaptureResult):
+            while len(self._solves) >= self.MAX_INFLIGHT_TILED_SOLVES:
+                earlier, future = self._solves.pop(0)
+                earlier.reconstruction = await future
+            solvable = [
+                (key, tile.frame, tile.mask)
+                for key, tile in decoded.items()
+                if tile.frame is not None
+            ]
+            job = _bind(
+                self._solve_tiled,
+                solvable,
+                capture.metadata,
+                len(solvable) < self._n_tiles,
+            )
+        else:
+            job = _bind(self._solve_frame, capture, sample_mask)
+        future = await self._submit_solve(frame_index, job)
+        self._note_on_solve_done(pending.started, future)
+        self._solves.append((received, future))
+
+    def _decode_tile(
+        self, frame_index: int, key: tuple[int, int], chunks: _TileChunks
+    ) -> _DecodedTile:
+        """Decode one tile against its position's seed chain.
+
+        The one decode path for both chunk kinds: a ``FRAME_DATA`` tile
+        decodes whole; a segment group fills the sample slices that arrived
+        and marks them in a survival mask.  A tile whose Φ cannot be trusted
+        — only parity arrived, a seedless tile without an unbroken seed
+        chain, an undecodable prefix, a tile that does not fit its slot — is
+        written off rather than solved against a wrong or unknown Φ.
+        """
+        assert self._header is not None
+        segments = [chunks.segments[index] for index in sorted(chunks.segments)]
+        if chunks.data is not None:
+            keyframe, encoded = chunks.data.keyframe, chunks.data.frame_bytes
+        elif segments:
+            keyframe, encoded = segments[0].keyframe, segments[0].prefix_bytes
+        else:
+            return _DecodedTile(None)  # parity alone cannot rebuild anything
+        seed = None
+        if not keyframe:
+            if self._header.gop_size <= 1:
+                self._fault(
+                    StreamProtocolError(
+                        f"seedless frame {frame_index} for tile {key} in a "
+                        "keyframe-only stream"
+                    ),
+                    "n_corrupt_chunks",
+                )
+                return _DecodedTile(None)
+            if self._chain_frame.get(key) != frame_index - 1:
+                # An earlier loss broke this position's seed chain (or no
+                # keyframe ever anchored it): decoding against a stale seed
+                # would silently rebuild the wrong Φ.
+                self._fault(
+                    StreamProtocolError(
+                        f"seedless frame {frame_index} for tile {key} has no "
+                        "unbroken seed chain"
+                    )
+                )
+                return _DecodedTile(
+                    None, n_samples_expected=self._peek_samples(encoded, key)
+                )
+            seed = self._seed_chains[key]
+        tel = active(self.telemetry)
+        if tel is not None:
+            tel.begin_span(self.stream_id, frame_index, SPAN_DECODE)
+        mask: np.ndarray | None = None
+        try:
+            if chunks.data is not None:
+                frame = decode_frame(encoded, seed_state=seed)
+            else:
+                frame, mask = self._assemble_segments(encoded, seed, segments)
+        except FramingError as error:
+            self._fault(
+                StreamProtocolError(
+                    f"tile {key} of frame {frame_index} failed to decode: {error}"
+                ),
+                "n_corrupt_chunks",
+            )
+            return _DecodedTile(None)
+        finally:
+            if tel is not None:
+                tel.end_span(self.stream_id, frame_index, SPAN_DECODE)
+        slot = self._slots[key[0]][key[1]]
+        if (frame.config.rows, frame.config.cols) != (slot.rows, slot.cols):
+            self._fault(
+                StreamProtocolError(
+                    f"tile {key} of frame {frame_index} is "
+                    f"{frame.config.rows}x{frame.config.cols}, its slot expects "
+                    f"{slot.rows}x{slot.cols}"
+                ),
+                "n_corrupt_chunks",
+            )
+            return _DecodedTile(None, n_samples_expected=frame.n_samples)
+        # The one-pattern frame overlap: this frame's last selection pattern
+        # seeds the next frame at this position.  Keyframe-only streams
+        # (gop_size <= 1) never read the chain, so skip the CA evolution on
+        # their decode hot path.
+        if self._header.gop_size > 1:
+            self._seed_chains[key] = advance_seed_state(
+                frame.seed_state,
+                frame.rule_number,
+                n_samples=frame.n_samples,
+                steps_per_sample=frame.steps_per_sample,
+                warmup_steps=frame.warmup_steps,
+            )
+            self._chain_frame[key] = frame_index
+        n_received = frame.n_samples if mask is None else int(mask.sum())
+        if not n_received:
+            return _DecodedTile(None, n_samples_expected=frame.n_samples)
+        return _DecodedTile(frame, mask, frame.n_samples, n_received)
+
+    def _assemble_segments(
+        self,
+        prefix_bytes: bytes,
+        seed: np.ndarray | None,
+        segments: list[FrameSegment],
+    ) -> tuple[CompressedFrame, np.ndarray | None]:
+        """Rebuild a segmented tile: every surviving segment fills its sample
+        slice; the mask is ``None`` when all of them arrived."""
+        prefix = decode_frame_prefix(prefix_bytes, seed_state=seed)
+        header = prefix.header
+        samples = np.zeros(header.n_samples, dtype=np.int64)
+        mask = np.zeros(header.n_samples, dtype=bool)
+        n_bytes = len(prefix_bytes)
+        for segment in segments:
+            stop = segment.start_sample + segment.n_samples
+            try:
+                if stop > header.n_samples:
+                    raise ValueError("segment runs past its frame")
+                values = unpack_samples(
+                    segment.sample_bytes, segment.n_samples, header.sample_bits
+                )
+            except ValueError as error:
+                self._fault(
+                    StreamProtocolError(
+                        f"segment {segment.segment_index} of frame "
+                        f"{segment.frame_index}: {error}"
+                    ),
+                    "n_corrupt_chunks",
+                )
+                continue
+            samples[segment.start_sample : stop] = values
+            mask[segment.start_sample : stop] = True
+            n_bytes += len(segment.sample_bytes)
+        metadata = dict(prefix.metadata)
+        metadata["decoded_from_bytes"] = n_bytes
+        frame = CompressedFrame(
+            samples=samples,
+            seed_state=prefix.seed_state,
+            rule_number=header.rule_number,
+            steps_per_sample=header.steps_per_sample,
+            warmup_steps=header.warmup_steps,
+            config=SensorConfig(
+                rows=header.rows, cols=header.cols, pixel_bits=header.pixel_bits
+            ),
+            digital_image=None,
+            metadata=metadata,
+        )
+        return frame, None if mask.all() else mask
+
+    def _peek_samples(self, encoded: bytes, key: tuple[int, int]) -> int:
+        """Best-effort sample count of a tile whose seed chain is unusable.
 
         The fixed header precedes the seed on the wire, so decoding against a
         placeholder seed of the right width recovers the header fields (all
         a loss report needs) even when the real chain is stale or absent.
         """
-        assert self._header is not None
-        if self._slots is not None:
-            slot = self._slots[key[0]][key[1]]
-            rows, cols = slot.rows, slot.cols
-        else:
-            rows, cols = self._header.scene_shape
-        placeholder = np.zeros(rows + cols, dtype=np.uint8)
+        slot = self._slots[key[0]][key[1]]
+        placeholder = np.zeros(slot.rows + slot.cols, dtype=np.uint8)
         try:
-            return decode_frame_prefix(prefix_bytes, seed_state=placeholder).header
+            return decode_frame_prefix(encoded, seed_state=placeholder).header.n_samples
         except FramingError:
-            return None
-
-    def _report_fully_lost(self, frame_index: int, n_expected_chunks: int) -> None:
-        """Write off a frame none of whose chunks arrived (or none usable)."""
-        self.stats.n_dropped_frames += 1
-        self._frame_started.pop(frame_index, None)
-        self._record_loss(
-            FrameLossReport(
-                frame_index=frame_index,
-                n_expected_chunks=n_expected_chunks,
-                n_received_chunks=0,
-                n_recovered_chunks=0,
-                n_samples_expected=0,
-                n_samples_received=0,
-            )
-        )
-
-    def _expected_chunks_for(self, assembly: _SegmentAssembly | None) -> int:
-        """Best-known chunk count of one frame (barrier, else inference)."""
-        if self._expected_frame_chunks is not None:
-            return self._expected_frame_chunks
-        if assembly is not None and assembly.n_segments is not None:
-            return assembly.n_segments + (1 if assembly.parity is not None else 0)
-        return 0
-
-    async def _settle_one_frame(self, frame_index: int) -> None:
-        """Finalise (or write off) one single-sensor frame the stream passed."""
-        assembly = self._assemblies.pop(frame_index, None)
-        expected = self._expected_chunks_for(assembly)
-        if assembly is None:
-            self._report_fully_lost(frame_index, expected)
-        else:
-            await self._finalize_assembly(assembly, expected)
+            return 0
 
     # ------------------------------------------------- deadline supervision
-    def _assembly_repairable(self, frame_index: int) -> bool:
+    def _repairable(self, frame_index: int) -> bool:
         """True when the frame is incomplete in a way a retransmit could fix.
 
-        A frame with every segment present — or parity plus all-but-one,
-        which :meth:`_SegmentAssembly.try_recover` rebuilds for free — needs
-        no repair; one with nothing on the wire to ask for (an empty missing
-        set) cannot name what to NACK.
+        A frame whose every tile is whole (all samples, or parity rebuilding
+        the one missing segment for free) needs no repair; with nothing
+        proven missing on the wire there is nothing to NACK.
         """
         if not self._missing:
             return False
-        assembly = self._assemblies.get(frame_index)
-        if assembly is None:
-            return self._expected_chunks_for(None) > 0
-        if assembly.n_segments is None:
+        frame = self._frames.get(frame_index)
+        if frame is None:
             return True
-        if len(assembly.segments) >= assembly.n_segments:
-            return False
-        if (
-            assembly.parity is not None
-            and len(assembly.segments) == assembly.n_segments - 1
-        ):
-            return False
-        return True
+        return len(frame.tiles) < self._n_tiles or not all(
+            chunks.whole for chunks in frame.tiles.values()
+        )
 
     def _queue_nack(self, frame_index: int, now: float) -> None:
         """NACK the current missing set once on behalf of ``frame_index``."""
@@ -752,37 +1064,11 @@ class StreamSession:
         assert self.nack_grace is not None
         self._deferred[frame_index] = now + self.nack_grace
 
-    async def _drain_settled(self, *, defer: bool = True) -> None:
-        """Settle frames in order up to the frontier, pausing at deferrals.
-
-        The deadline path's replacement for the barrier's settle sweep:
-        every frame below :attr:`_settle_frontier` settles oldest-first,
-        except that a repairable frame (``defer=True``, deadline configured,
-        not yet NACKed) is deferred instead — one ``CONTROL_NACK`` goes out
-        and the sweep stops so frames keep emitting in order.  A retransmit
-        completing the frame (or its grace lapsing) resumes the sweep via
-        :meth:`_check_deferred`.
-        """
-        while self._next_frame_index < self._settle_frontier:
-            frame_index = self._next_frame_index
-            if frame_index in self._deferred:
-                return
-            if (
-                defer
-                and self.frame_deadline is not None
-                and frame_index not in self._nacked_frames
-                and self._assembly_repairable(frame_index)
-            ):
-                self._queue_nack(frame_index, self._now())
-                return
-            await self._settle_one_frame(frame_index)
-            self._next_frame_index += 1
-
     async def _check_deferred(self, now: float) -> None:
         """Resolve deferred frames that completed or whose grace lapsed."""
         while self._deferred:
             frame_index = min(self._deferred)
-            if not self._assembly_repairable(frame_index):
+            if not self._repairable(frame_index):
                 # Repair landed (or parity now covers the hole): settle the
                 # frame whole and keep sweeping.
                 self._deferred.pop(frame_index)
@@ -792,7 +1078,7 @@ class StreamSession:
                 self.stats.n_deadline_salvages += 1
             else:
                 return
-            await self._drain_settled()
+            await self._settle_to(self._settle_frontier)
 
     async def check_deadlines(self, now: float | None = None) -> None:
         """Fire every expired frame/NACK timer (the hub's reap loop calls
@@ -807,282 +1093,33 @@ class StreamSession:
             return
         if now is None:
             now = self._now()
-        for frame_index in sorted(self._frame_started):
+        for frame_index in sorted(self._frames):
             if (
-                frame_index >= self._next_frame_index
-                and frame_index not in self._nacked_frames
-                and now - self._frame_started[frame_index] >= self.frame_deadline
-                and self._assembly_repairable(frame_index)
+                frame_index not in self._nacked_frames
+                and now - self._frames[frame_index].started >= self.frame_deadline
+                and self._repairable(frame_index)
             ):
                 self._queue_nack(frame_index, now)
         await self._check_deferred(now)
 
     def _flush_deferrals(self) -> None:
         """Cancel every grace window (stream end / EOF): salvage now."""
-        for frame_index in list(self._deferred):
-            self._deferred.pop(frame_index)
-            self.stats.n_deadline_salvages += 1
-
-    async def _finalize_assembly(
-        self, assembly: _SegmentAssembly, n_expected_chunks: int
-    ) -> None:
-        """Reassemble a segment group into a frame and stage its solve.
-
-        Loss shows up as masked rows of Φ: every surviving segment fills its
-        sample slice and marks it in the survival mask; a full mask takes the
-        exact lossless solve path, a partial one the masked row-subset solve
-        (when it clears ``min_surviving_samples``), and a frame whose prefix
-        cannot be trusted — no segment at all, or a seedless frame behind a
-        broken GOP chain — is written off rather than solved against a wrong
-        or unknown Φ.
-        """
-        assert self._header is not None
-        frame_index = assembly.frame_index
-        key = (0, 0)
-        recovered = assembly.try_recover()
-        n_recovered = 1 if recovered is not None else 0
-        self.stats.n_recovered_chunks += n_recovered
-
-        def write_off(n_samples_expected: int) -> None:
-            self.stats.n_dropped_frames += 1
-            self._frame_started.pop(frame_index, None)
-            self._record_loss(
-                FrameLossReport(
-                    frame_index=frame_index,
-                    n_expected_chunks=n_expected_chunks,
-                    n_received_chunks=assembly.n_chunks_received,
-                    n_recovered_chunks=n_recovered,
-                    n_samples_expected=n_samples_expected,
-                    n_samples_received=0,
-                )
-            )
-
-        segments = [assembly.segments[i] for i in sorted(assembly.segments)]
-        if not segments:
-            # Parity alone cannot rebuild anything.
-            write_off(0)
-            return
-        first = segments[0]
-        tel = active(self.telemetry)
-        if tel is not None:
-            tel.begin_span(self.stream_id, frame_index, SPAN_DECODE)
-        try:
-            if first.keyframe:
-                prefix = decode_frame_prefix(first.prefix_bytes)
-            elif self._chain_ready(key, frame_index):
-                prefix = decode_frame_prefix(
-                    first.prefix_bytes, seed_state=self._seed_chains[key]
-                )
-            else:
-                # An earlier loss broke the seed chain; decoding against the
-                # stale seed would hand the solver the wrong Φ.
-                peeked = self._peek_header(first.prefix_bytes, key)
-                write_off(0 if peeked is None else peeked.n_samples)
-                return
-        except FramingError:
-            write_off(0)
-            return
-        header = prefix.header
-        if (header.rows, header.cols) != self._header.scene_shape:
-            write_off(header.n_samples)
-            return
-        samples = np.zeros(header.n_samples, dtype=np.int64)
-        mask = np.zeros(header.n_samples, dtype=bool)
-        n_bytes = len(first.prefix_bytes)
-        for segment in segments:
-            stop = segment.start_sample + segment.n_samples
-            if stop > header.n_samples:
-                self.stats.n_corrupt_chunks += 1
-                continue
-            try:
-                values = unpack_samples(
-                    segment.sample_bytes, segment.n_samples, header.sample_bits
-                )
-            except ValueError:
-                self.stats.n_corrupt_chunks += 1
-                continue
-            samples[segment.start_sample : stop] = values
-            mask[segment.start_sample : stop] = True
-            n_bytes += len(segment.sample_bytes)
-        if tel is not None:
-            tel.end_span(self.stream_id, frame_index, SPAN_DECODE)
-        if self._header.gop_size > 1:
-            self._seed_chains[key] = advance_seed_state(
-                prefix.seed_state,
-                header.rule_number,
-                n_samples=header.n_samples,
-                steps_per_sample=header.steps_per_sample,
-                warmup_steps=header.warmup_steps,
-            )
-            self._chain_frame[key] = frame_index
-        metadata = dict(prefix.metadata)
-        metadata["decoded_from_bytes"] = n_bytes
-        frame = CompressedFrame(
-            samples=samples,
-            seed_state=prefix.seed_state,
-            rule_number=header.rule_number,
-            steps_per_sample=header.steps_per_sample,
-            warmup_steps=header.warmup_steps,
-            config=SensorConfig(
-                rows=header.rows, cols=header.cols, pixel_bits=header.pixel_bits
-            ),
-            digital_image=None,
-            metadata=metadata,
-        )
-        n_received_samples = int(mask.sum())
-        complete = bool(mask.all())
-        report = FrameLossReport(
-            frame_index=frame_index,
-            n_expected_chunks=n_expected_chunks,
-            n_received_chunks=assembly.n_chunks_received,
-            n_recovered_chunks=n_recovered,
-            n_samples_expected=header.n_samples,
-            n_samples_received=n_received_samples,
-        )
-        received = ReceivedFrame(
-            frame_index=frame_index,
-            capture=frame,
-            loss=report,
-            sample_mask=None if complete else mask,
-        )
-        self._result.frames.append(received)
-        self.stats.n_frames += 1
-        self._record_loss(report)
-        if self.reconstruct and complete:
-            future = await self._submit_solve(
-                frame_index, _bind(self._solve_frame, frame)
-            )
-        elif self.reconstruct and n_received_samples >= self.min_surviving_samples:
-            self.stats.n_partial_frames += 1
-            future = await self._submit_solve(
-                frame_index, _bind(self._solve_frame_masked, frame, mask)
-            )
-        else:
-            if self.reconstruct:
-                self.stats.n_dropped_frames += 1
-            future = None
-        if future is None:
-            self._note_frame_landed(frame_index)
-        else:
-            self._note_on_solve_done(frame_index, future)
-            self._pending_frame_solves.append((received, future))
-
-    async def _settle_tiled_before(self, stop_index: int) -> None:
-        """Settle every tiled frame below ``stop_index`` (lost barriers)."""
-        assert self._slots is not None
-        grid_size = len(self._slots) * len(self._slots[0])
-        for frame_index in range(self._next_frame_index, stop_index):
-            tiles = self._pending_tiles.pop(frame_index, None)
-            if tiles is None:
-                self._report_fully_lost(frame_index, grid_size)
-            else:
-                await self._emit_tiled_frame(
-                    frame_index, tiles, n_expected_chunks=grid_size
-                )
-        self._next_frame_index = max(self._next_frame_index, stop_index)
-
-    async def _emit_tiled_frame(
-        self,
-        frame_index: int,
-        tiles: list[list[CompressedFrame | None]],
-        *,
-        n_expected_chunks: int,
-    ) -> None:
-        """Land one tiled frame — complete, or (resilient) missing tiles."""
-        assert self._header is not None and self._slots is not None
-        flat = [frame for row in tiles for frame in row]
-        present = [frame for frame in flat if frame is not None]
-        n_missing = len(flat) - len(present)
-        capture = TiledCaptureResult(
-            tiles=tiles,
-            slots=self._slots,
-            scene_shape=self._header.scene_shape,
-            tile_shape=self._header.tile_shape,
-            metadata=merge_tile_statistics(present),
-        )
-        report = None
-        if self.resilient:
-            # Every tile of a stream samples at the same rate, so a missing
-            # tile's expectation is any survivor's count.
-            per_tile = present[0].n_samples if present else 0
-            n_received_samples = sum(frame.n_samples for frame in present)
-            report = FrameLossReport(
-                frame_index=frame_index,
-                n_expected_chunks=n_expected_chunks,
-                n_received_chunks=len(present),
-                n_recovered_chunks=0,
-                n_samples_expected=n_received_samples + n_missing * per_tile,
-                n_samples_received=n_received_samples,
-            )
-            if n_missing:
-                self.stats.n_partial_frames += 1
-        reconstruction = None
-        if self.reconstruct and self.eager:
-            reconstructor = self._pending_recon.pop(frame_index)
-            solves = self._pending_solves.pop(frame_index, [])
-            try:
-                for grid_row, grid_col, frame, future in solves:
-                    reconstructor.insert_result(
-                        grid_row, grid_col, frame, await future
-                    )
-            except BaseException:
-                # One tile's solve failed: don't let its siblings keep
-                # running unobserved (they left _pending_solves above).
-                for _, _, _, future in solves:
-                    future.cancel()
-                raise
-            reconstruction = reconstructor.result(
-                capture_metadata=capture.metadata, partial=bool(n_missing)
-            )
-        received = ReceivedFrame(
-            frame_index=frame_index,
-            capture=capture,
-            reconstruction=reconstruction,
-            loss=report,
-        )
-        self._result.frames.append(received)
-        self.stats.n_frames += 1
-        if report is not None:
-            self._record_loss(report)
-        if self.reconstruct and not self.eager:
-            # Batched mode: every landed tile of the frame is here — queue
-            # the stacked multi-tile solve (the same stage/solve_staged path
-            # in-process reconstruct_tiled defaults to, so the streamed
-            # result is byte-identical to it) while the stream keeps
-            # draining the next frame's chunks.  Older in-flight solves are
-            # awaited here past the depth bound, so a stream faster than the
-            # solver back-pressures instead of accumulating frames without
-            # limit.
-            while len(self._pending_tiled_solves) >= self.MAX_INFLIGHT_TILED_SOLVES:
-                earlier, future = self._pending_tiled_solves.pop(0)
-                earlier.reconstruction = await future
-            future = await self._submit_solve(
-                frame_index,
-                _bind(
-                    self._solve_tiled_batched,
-                    tiles,
-                    capture.metadata,
-                    bool(n_missing),
-                ),
-            )
-            self._note_on_solve_done(frame_index, future)
-            self._pending_tiled_solves.append((received, future))
-        else:
-            self._note_frame_landed(frame_index)
+        self.stats.n_deadline_salvages += len(self._deferred)
+        self._deferred.clear()
 
     # ------------------------------------------------------------- chunk fsm
     async def handle_chunk(self, chunk: Chunk) -> None:
         """Advance the FSM by one chunk (may suspend on solve backpressure).
 
-        On the strict (default) path, raises :class:`StreamProtocolError` on
-        malformed chunks, sequence gaps, duplicate tiles, or chunks after
-        the stream end.  A resilient session turns those anomalies into
-        accounting instead: gaps become tracked losses, duplicates and
-        post-end chunks are skipped, reordered chunks are used, and corrupt
-        payloads — including an implausible sequence jump past
-        :data:`MAX_SEQUENCE_GAP`, the signature of a resync decoder latching
-        onto a false magic byte — are counted and skipped; only a missing
-        stream header still raises.
+        Every anomaly — a malformed chunk, a sequence gap, a duplicate, a
+        chunk after the stream end, a frame that settles incomplete — goes
+        through the strictness policy: a strict session raises
+        :class:`StreamProtocolError`, a resilient one turns it into
+        accounting.  Gaps become tracked losses, duplicates and post-end
+        chunks are skipped, reordered chunks are used, and corrupt payloads
+        — including an implausible sequence or frame-index jump, the
+        signature of a resync decoder latching onto a false magic byte — are
+        counted and skipped; only a missing stream header still raises.
         """
         self.last_activity = self._now()
         if not self._advance_sequence(chunk):
@@ -1093,14 +1130,12 @@ class StreamSession:
         self.stats.n_bytes += chunk.n_bytes
         try:
             await self._dispatch_chunk(chunk)
-        except StreamProtocolError:
-            if not self.resilient:
-                raise
+        except StreamProtocolError as error:
             # A chunk that arrived but cannot be used (failed checksum, a
             # truncated payload that swallowed its neighbour, an impossible
             # field) — its data is as lost as a dropped chunk's, but the
             # stream itself keeps flowing.
-            self.stats.n_corrupt_chunks += 1
+            self._fault(error, "n_corrupt_chunks")
         if self._deferred:
             # A retransmit may have just completed the deferred head frame
             # (settle it whole) or time may have run out on its grace.
@@ -1109,20 +1144,22 @@ class StreamSession:
     def _advance_sequence(self, chunk: Chunk) -> bool:
         """Run the sequence FSM; returns False when the chunk is skipped."""
         if self._ended:
-            if self.resilient:
-                self.stats.n_late_chunks += 1
-                return False
-            raise StreamProtocolError(
-                f"{chunk.chunk_type.name} chunk after the stream end"
+            self._fault(
+                StreamProtocolError(
+                    f"{chunk.chunk_type.name} chunk after the stream end"
+                ),
+                "n_late_chunks",
             )
+            return False
         if chunk.sequence == self._next_sequence:
             self._next_sequence += 1
             return True
-        if not self.resilient:
-            raise StreamProtocolError(
+        self._fault(
+            StreamProtocolError(
                 f"chunk sequence jumped to {chunk.sequence}, "
                 f"expected {self._next_sequence}"
             )
+        )
         if chunk.sequence > self._next_sequence:
             gap = chunk.sequence - self._next_sequence
             if gap > self.max_sequence_gap:
@@ -1153,51 +1190,56 @@ class StreamSession:
         if chunk.chunk_type == ChunkType.STREAM_START:
             if self._header is not None:
                 raise StreamProtocolError("duplicate stream-start chunk")
-            self._header = decode_stream_header(chunk.payload)
-            self._result.header = self._header
-            if self._header.tiled:
+            header = decode_stream_header(chunk.payload)
+            try:
                 self._slots = tile_grid(
-                    self._header.scene_shape, self._header.tile_shape
+                    header.scene_shape,
+                    header.tile_shape if header.tiled else header.scene_shape,
                 )
+            except ValueError as error:
+                raise StreamProtocolError(f"impossible stream geometry: {error}") from error
+            self._header = header
+            self._result.header = header
             return
         if self._header is None:
             raise StreamProtocolError(
                 f"{chunk.chunk_type.name} chunk before the stream start"
             )
-        if chunk.chunk_type == ChunkType.FRAME_DATA:
-            await self._handle_frame_data(chunk)
-        elif chunk.chunk_type == ChunkType.FRAME_SEGMENT:
-            self._handle_frame_segment(chunk)
-        elif chunk.chunk_type == ChunkType.FRAME_PARITY:
-            self._handle_frame_parity(chunk)
+        if chunk.chunk_type in _TILE_DECODERS:
+            await self._handle_tile_chunk(chunk)
         elif chunk.chunk_type == ChunkType.FRAME_COMPLETE:
-            await self._handle_frame_complete(chunk)
+            frame_index, n_chunks = decode_frame_complete(chunk.payload)
+            if not self._frame_in_window(frame_index):
+                return
+            # The barrier both finalises its own frame (with the
+            # authoritative chunk count) and settles every earlier frame
+            # whose own barrier was lost.
+            self._expected_frame_chunks = n_chunks
+            await self._settle_to(frame_index + 1)
         elif chunk.chunk_type == ChunkType.STREAM_END:
             announced = decode_stream_end(chunk.payload)
-            if self.resilient and self._header is not None:
-                # Frames whose barrier (or every chunk) was lost are still
-                # outstanding — settle them before sealing the stream.  Any
-                # open NACK grace window dies with the stream: the repair
-                # can no longer arrive, so deferred frames salvage partial.
-                if self._header.tiled:
-                    await self._settle_tiled_before(announced)
-                else:
-                    self._flush_deferrals()
-                    self._settle_frontier = max(self._settle_frontier, announced)
-                    await self._drain_settled(defer=False)
+            if not self._plausible(announced):
+                return
+            # Frames whose barrier (or every chunk) was lost are still
+            # outstanding — settle them before sealing the stream.  Any open
+            # NACK grace window dies with the stream: the repair can no
+            # longer arrive, so deferred frames salvage partial.
+            self._flush_deferrals()
+            await self._settle_to(announced, defer=False)
             self._result.announced_frames = announced
             self._ended = True
         elif chunk.chunk_type == ChunkType.SESSION_RESUME:
-            if not self.resilient:
-                raise StreamProtocolError(
-                    "session-resume chunk on a strict session (resume needs "
-                    "a resilient receiver)"
-                )
             # The resume rides the node's normal forward sequence, so the
             # gap FSM above has already booked everything the cut swallowed
             # as missing — the replay that follows reclaims it.  The chunk
             # itself is pure bookkeeping here; admission (grace window,
             # parked state) is the hub's job before the session ever sees it.
+            self._fault(
+                StreamProtocolError(
+                    "session-resume chunk on a strict session (resume needs "
+                    "a resilient receiver)"
+                )
+            )
             decode_session_resume(chunk.payload)
             self.stats.n_resumes += 1
         elif chunk.chunk_type in CONTROL_CHUNK_TYPES:
@@ -1206,343 +1248,89 @@ class StreamSession:
                 "path (control flows receiver → node only)"
             )
 
-    def _decode_with_chain(
-        self, data: FrameData, key: tuple[int, int], keyframe: bool
-    ) -> CompressedFrame:
-        """Decode one embedded frame, maintaining the position's seed chain."""
+    async def _handle_tile_chunk(self, chunk: Chunk) -> None:
+        """Land one tile-carrying chunk in its frame's grid."""
         assert self._header is not None
-        if keyframe:
-            frame = decode_frame(data.frame_bytes)
-        else:
-            chain = self._seed_chains.get(key)
-            if chain is None:
-                raise StreamProtocolError(
-                    f"seedless frame for tile {key} arrived before any keyframe"
-                )
-            frame = decode_frame(data.frame_bytes, seed_state=chain)
-        # The one-pattern frame overlap: this frame's last selection pattern
-        # seeds the next frame at this position.  Keyframe-only streams
-        # (gop_size <= 1) never read the chain, so skip the CA evolution on
-        # their decode hot path.
-        if self._header.gop_size > 1:
-            self._seed_chains[key] = advance_seed_state(
-                frame.seed_state,
-                frame.rule_number,
-                n_samples=frame.n_samples,
-                steps_per_sample=frame.steps_per_sample,
-                warmup_steps=frame.warmup_steps,
+        part = _TILE_DECODERS[chunk.chunk_type](chunk.payload)
+        key = (part.grid_row, part.grid_col)
+        grid_rows, grid_cols = len(self._slots), len(self._slots[0])
+        if not (key[0] < grid_rows and key[1] < grid_cols):
+            raise StreamProtocolError(
+                f"tile position {key} outside the {grid_rows}x{grid_cols} grid"
             )
-            self._chain_frame[key] = data.frame_index
-        return frame
-
-    async def _handle_frame_data(self, chunk: Chunk) -> None:
-        assert self._header is not None
-        data = decode_frame_data(chunk.payload)
-        key = (data.grid_row, data.grid_col)
+        if not self._frame_in_window(part.frame_index):
+            return
         tel = active(self.telemetry)
         if tel is not None:
             # Close the frame's transport span: its node-side half began
             # right before the first send.  Over TCP this process never saw
             # that begin, so the end is a documented no-op.
-            tel.end_span(self.stream_id, data.frame_index, SPAN_TRANSPORT)
-        if self.resilient and not self._header.tiled:
-            if data.frame_index < self._next_frame_index:
-                self.stats.n_late_chunks += 1
-                return
-            if self._expected_frame_chunks is None:
-                self._expected_frame_chunks = 1
-            # Frames the stream skipped entirely (their one chunk dropped).
-            while self._next_frame_index < data.frame_index:
-                await self._settle_one_frame(self._next_frame_index)
-                self._next_frame_index += 1
-            self._next_frame_index = data.frame_index + 1
-        if (
-            self.resilient
-            and not data.keyframe
-            and not self._chain_ready(key, data.frame_index)
-        ):
-            # The chunk arrived intact but an earlier loss broke this
-            # position's seed chain: decoding would silently rebuild the
-            # wrong Φ.  Drop it; the next keyframe re-anchors the chain.
-            if self._header.tiled:
-                return  # the frame barrier accounts for the missing tile
-            peeked = self._peek_header(data.frame_bytes, key)
-            self.stats.n_dropped_frames += 1
-            self._record_loss(
-                FrameLossReport(
-                    frame_index=data.frame_index,
-                    n_expected_chunks=1,
-                    n_received_chunks=1,
-                    n_recovered_chunks=0,
-                    n_samples_expected=0 if peeked is None else peeked.n_samples,
-                    n_samples_received=0,
-                )
+            tel.end_span(self.stream_id, part.frame_index, SPAN_TRANSPORT)
+        frame = self._frames.get(part.frame_index)
+        if frame is None:
+            frame = self._frames[part.frame_index] = _PendingFrame(self._now())
+        if not frame.tiles.setdefault(key, _TileChunks()).add(part, chunk.payload):
+            self._fault(
+                StreamProtocolError(
+                    f"duplicate {chunk.chunk_type.name} chunk for tile {key} "
+                    f"of frame {part.frame_index}"
+                ),
+                "n_duplicate_chunks",
             )
             return
-        if tel is not None:
-            tel.begin_span(self.stream_id, data.frame_index, SPAN_DECODE)
-        frame = self._decode_with_chain(data, key, data.keyframe)
-        if tel is not None:
-            tel.end_span(self.stream_id, data.frame_index, SPAN_DECODE)
-        self._frame_started.setdefault(data.frame_index, self._now())
-        if not self._header.tiled:
-            if key != (0, 0):
-                raise StreamProtocolError(
-                    f"tile position {key} in a single-sensor stream"
-                )
-            expected = self._header.scene_shape
-            if (frame.config.rows, frame.config.cols) != expected:
-                raise StreamProtocolError(
-                    f"frame {data.frame_index} geometry "
-                    f"{(frame.config.rows, frame.config.cols)} does not match "
-                    f"the announced scene {expected}"
-                )
-            received = ReceivedFrame(frame_index=data.frame_index, capture=frame)
-            if self.resilient:
-                received.loss = FrameLossReport(
-                    frame_index=data.frame_index,
-                    n_expected_chunks=1,
-                    n_received_chunks=1,
-                    n_recovered_chunks=0,
-                    n_samples_expected=frame.n_samples,
-                    n_samples_received=frame.n_samples,
-                )
-                self._record_loss(received.loss)
-            self._result.frames.append(received)
-            self.stats.n_frames += 1
-            if self.reconstruct:
-                # Queue the solve but keep draining the stream; the result
-                # is attached at end-of-stream (see :meth:`finish`).
-                future = await self._submit_solve(
-                    data.frame_index, _bind(self._solve_frame, frame)
-                )
-                self._note_on_solve_done(data.frame_index, future)
-                self._pending_frame_solves.append((received, future))
-            else:
-                self._note_frame_landed(data.frame_index)
-            return
-        # Tiled: land the tile in its in-flight frame (solved per-tile right
-        # away in eager mode, or collected for the barrier's batched solve).
-        assert self._slots is not None
-        grid_rows, grid_cols = len(self._slots), len(self._slots[0])
-        if not (data.grid_row < grid_rows and data.grid_col < grid_cols):
-            raise StreamProtocolError(
-                f"tile position {key} outside the {grid_rows}x{grid_cols} grid"
-            )
-        slot = self._slots[data.grid_row][data.grid_col]
-        if (frame.config.rows, frame.config.cols) != (slot.rows, slot.cols):
-            raise StreamProtocolError(
-                f"tile {key} of frame {data.frame_index} is "
-                f"{frame.config.rows}x{frame.config.cols}, its slot expects "
-                f"{slot.rows}x{slot.cols}"
-            )
-        tiles = self._pending_tiles.setdefault(
-            data.frame_index,
-            [[None] * grid_cols for _ in range(grid_rows)],
-        )
-        if tiles[data.grid_row][data.grid_col] is not None:
-            raise StreamProtocolError(
-                f"duplicate tile {key} in frame {data.frame_index}"
-            )
-        tiles[data.grid_row][data.grid_col] = frame
-        if self.reconstruct and self.eager:
-            reconstructor = self._pending_recon.get(data.frame_index)
-            if reconstructor is None:
-                reconstructor = self._new_reconstructor()
-                self._pending_recon[data.frame_index] = reconstructor
-            # Eager mode: queue the solve but keep draining the stream —
-            # with several scheduler slots, tiles reconstruct concurrently
-            # while later chunks are still arriving.  The futures are
-            # awaited (and stitched, in arrival order) at the frame barrier.
-            # In the default batched mode the tiles just accumulate here and
-            # the barrier inverts them all in one stacked solve.
-            future = await self._submit_solve(
-                data.frame_index, _bind(reconstructor.solve_tile, frame)
-            )
-            self._pending_solves.setdefault(data.frame_index, []).append(
-                (data.grid_row, data.grid_col, frame, future)
-            )
-
-    def _handle_frame_segment(self, chunk: Chunk) -> None:
-        assert self._header is not None
-        if not self.resilient:
-            raise StreamProtocolError(
-                "frame-segment chunk on a strict session (segmented streams "
-                "need a resilient receiver)"
-            )
-        if self._header.tiled:
-            raise StreamProtocolError("frame-segment chunk in a tiled stream")
-        segment = decode_frame_segment(chunk.payload)
-        if (segment.grid_row, segment.grid_col) != (0, 0):
-            raise StreamProtocolError(
-                f"tile position {(segment.grid_row, segment.grid_col)} on a "
-                "frame segment of a single-sensor stream"
-            )
-        if segment.frame_index < self._next_frame_index:
-            self.stats.n_late_chunks += 1
-            return
-        tel = active(self.telemetry)
-        if tel is not None:
-            tel.end_span(self.stream_id, segment.frame_index, SPAN_TRANSPORT)
-        assembly = self._assemblies.setdefault(
-            segment.frame_index, _SegmentAssembly(segment.frame_index)
-        )
-        if not assembly.add_segment(segment, chunk.payload):
-            self.stats.n_duplicate_chunks += 1
-            return
-        self._frame_started.setdefault(segment.frame_index, self._now())
-
-    def _handle_frame_parity(self, chunk: Chunk) -> None:
-        assert self._header is not None
-        if not self.resilient:
-            raise StreamProtocolError(
-                "frame-parity chunk on a strict session (segmented streams "
-                "need a resilient receiver)"
-            )
-        if self._header.tiled:
-            raise StreamProtocolError("frame-parity chunk in a tiled stream")
-        parity = decode_frame_parity(chunk.payload)
-        if (parity.grid_row, parity.grid_col) != (0, 0):
-            raise StreamProtocolError(
-                f"tile position {(parity.grid_row, parity.grid_col)} on a "
-                "frame parity chunk of a single-sensor stream"
-            )
-        if parity.frame_index < self._next_frame_index:
-            self.stats.n_late_chunks += 1
-            return
-        tel = active(self.telemetry)
-        if tel is not None:
-            tel.end_span(self.stream_id, parity.frame_index, SPAN_TRANSPORT)
-        assembly = self._assemblies.setdefault(
-            parity.frame_index, _SegmentAssembly(parity.frame_index)
-        )
-        if not assembly.add_parity(parity):
-            self.stats.n_duplicate_chunks += 1
-            return
-        self._frame_started.setdefault(parity.frame_index, self._now())
-
-    async def _handle_frame_complete(self, chunk: Chunk) -> None:
-        assert self._header is not None
-        frame_index, n_tiles = decode_frame_complete(chunk.payload)
-        if not self._header.tiled:
-            if not self.resilient:
-                raise StreamProtocolError(
-                    "frame-complete barrier in a single-sensor stream"
-                )
-            # Segmented single-sensor stream: the barrier both finalises its
-            # own frame (with the authoritative chunk count) and settles
-            # every earlier frame whose own barrier was lost.
-            if frame_index < self._next_frame_index:
-                self.stats.n_late_chunks += 1
-                return
-            self._expected_frame_chunks = n_tiles
-            self._settle_frontier = max(self._settle_frontier, frame_index + 1)
-            await self._drain_settled()
-            return
-        tiles = self._pending_tiles.pop(frame_index, None)
-        if tiles is None:
-            if not self.resilient:
-                raise StreamProtocolError(
-                    f"frame-complete for unknown frame {frame_index}"
-                )
-            if frame_index < self._next_frame_index:
-                self.stats.n_late_chunks += 1
-                return
-            # A barrier whose every data tile was lost.
-            await self._settle_tiled_before(frame_index)
-            self._report_fully_lost(frame_index, n_tiles)
-            self._next_frame_index = frame_index + 1
-            return
-        flat = [frame for row in tiles for frame in row]
-        if any(frame is None for frame in flat) and not self.resilient:
-            missing = sum(frame is None for frame in flat)
-            raise StreamProtocolError(
-                f"frame {frame_index} completed with {missing} tiles missing"
-            )
-        if n_tiles != len(flat):
-            # Corrupt barrier; keep the frame's tiles pending so a resilient
-            # stream can still settle them at end-of-stream.
-            self._pending_tiles[frame_index] = tiles
-            raise StreamProtocolError(
-                f"frame {frame_index} barrier announces {n_tiles} tiles, "
-                f"grid has {len(flat)}"
-            )
-        if self.resilient:
-            await self._settle_tiled_before(frame_index)
-            self._next_frame_index = frame_index + 1
-        await self._emit_tiled_frame(
-            frame_index, tiles, n_expected_chunks=n_tiles
-        )
+        if isinstance(part, FrameData) and not self._header.tiled:
+            # An unsegmented single-sensor frame is its own barrier.
+            self._expected_frame_chunks = 1
+            await self._settle_to(part.frame_index + 1)
 
     # --------------------------------------------------------------- closing
     async def handle_eof(self) -> None:
-        """Seal a resilient stream whose transport died before stream-end.
+        """Seal a stream whose transport died before stream-end.
 
-        The strict FSM treats EOF-before-end as a protocol failure (the hub
-        raises and tears the session down); a resilient session salvages
-        instead: every outstanding segment group and tiled frame finalises
-        from whatever arrived, and the session ends with
-        ``announced_frames`` unknown (``None``).
+        A strict session raises (EOF-before-end is a protocol failure); a
+        resilient one salvages instead: every outstanding frame settles from
+        whatever arrived, and the session ends with ``announced_frames``
+        unknown (``None``).
         """
-        if not self.resilient:
-            raise StreamProtocolError(
-                "transport closed before the stream-end chunk arrived"
-            )
+        self._fault(
+            StreamProtocolError("transport closed before the stream-end chunk arrived")
+        )
         if self._ended:
             return
         self._flush_deferrals()
-        if self._header is not None:
-            for frame_index in sorted(self._assemblies):
-                await self._settle_one_frame(frame_index)
-                self._next_frame_index = max(
-                    self._next_frame_index, frame_index + 1
-                )
-            if self._slots is not None and self._pending_tiles:
-                await self._settle_tiled_before(max(self._pending_tiles) + 1)
+        await self._settle_to(max(self._frames, default=-1) + 1, defer=False)
         self._ended = True
 
     async def finish(self) -> StreamResult:
         """Settle all in-flight work and return the stream's result.
 
-        Called once :attr:`ended` is true.  Raises
-        :class:`StreamProtocolError` for streams that ended with incomplete
-        tiled frames.
+        Called once :attr:`ended` is true.  A frame still unsettled at the
+        stream end (past its announced frame count) is an anomaly for the
+        strictness policy.
         """
         if not self._ended:
             raise StreamProtocolError(
                 "transport closed before the stream-end chunk arrived"
             )
-        if self._pending_tiles:
-            pending = sorted(self._pending_tiles)
-            raise StreamProtocolError(
-                f"stream ended with incomplete tiled frames: {pending}"
+        if self._frames:
+            pending = sorted(self._frames)
+            self._frames.clear()
+            self._fault(
+                StreamProtocolError(f"stream ended with incomplete frames: {pending}")
             )
-        for received, future in self._pending_frame_solves:
+        for received, future in self._solves:
             received.reconstruction = await future
-        self._pending_frame_solves = []
-        for received, future in self._pending_tiled_solves:
-            received.reconstruction = await future
-        self._pending_tiled_solves = []
+        self._solves = []
         self._finished = True
         return self._result
 
     def cancel(self) -> None:
         """Cancel every in-flight solve (the session is being torn down)."""
-        for solves in self._pending_solves.values():
-            for _, _, _, future in solves:
-                future.cancel()
-        for _, future in self._pending_frame_solves:
-            future.cancel()
-        for _, future in self._pending_tiled_solves:
+        for _, future in self._solves:
             future.cancel()
         # Consume exceptions of already-settled futures so a torn-down
         # session never leaves "exception was never retrieved" noise.
-        for solves in self._pending_solves.values():
-            for _, _, _, future in solves:
-                _consume_exception(future)
-        for _, future in self._pending_frame_solves:
-            _consume_exception(future)
-        for _, future in self._pending_tiled_solves:
+        for _, future in self._solves:
             _consume_exception(future)
 
 

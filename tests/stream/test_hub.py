@@ -360,6 +360,13 @@ class TestSingleSessionByteIdentity:
             assert ours_image.dtype == theirs_image.dtype
             assert ours_image.tobytes() == theirs_image.tobytes()
 
+    @pytest.mark.parametrize("option", ["max_streams", "resume_grace", "bogus"])
+    def test_stream_receiver_refuses_options_its_hub_cannot_honour(self, option):
+        # Options are forwarded to the private hub, so a typo or a fleet
+        # knob fails at construction instead of being silently dropped.
+        with pytest.raises(TypeError):
+            StreamReceiver(**{option: 1})
+
 
 class TestSharedStepCache:
     def test_share_step_cache_pools_power_iterations(self):

@@ -126,47 +126,6 @@ class TestTiled256VideoByteIdentical:
             assert received.capture.compression_ratio == direct.compression_ratio
 
 
-class TestEagerReceiverMode:
-    """The opt-in progressive mode: per-tile solves scheduled as chunks land.
-
-    Eager reconstruction must stay byte-identical to the per-tile
-    (``serial``/``thread``) executors of ``reconstruct_tiled``, exactly as
-    the default batched barrier solve is byte-identical to the batched
-    executor — the two mode pairs are the same code paths on both ends.
-    """
-
-    def test_eager_matches_per_tile_in_process(self):
-        scenes = [make_scene("blobs", (32, 32), seed=21)]
-        kwargs = dict(solver="fista", max_iterations=10)
-
-        def array():
-            return TiledSensorArray(
-                (32, 32),
-                tile_shape=(16, 16),
-                compression_ratio=0.2,
-                executor="serial",
-                seed=13,
-            )
-
-        async def scenario():
-            transport = LoopbackTransport(max_buffered=4)
-            node = CameraNode(transport)
-            receiver = StreamReceiver(eager=True, **kwargs)
-            send_task = asyncio.create_task(
-                node.stream_tiled_video(array(), scenes)
-            )
-            result = await receiver.run(transport)
-            await send_task
-            return result
-
-        result = run(scenario())
-        direct = reconstruct_tiled(
-            array().capture_scene_sequence(scenes)[0], executor="serial", **kwargs
-        )
-        streamed = result.frames[0].reconstruction
-        assert streamed.image.tobytes() == direct.image.tobytes()
-
-
 class TestSlowReceiverBackpressure:
     """A slow consumer must stall the node, not grow the buffer."""
 
