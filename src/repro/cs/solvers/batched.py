@@ -4,10 +4,13 @@ A tiled mosaic frame is a stack of independent equal-shape inverse problems:
 one ``(R_t, C_t)`` factor pair, one measurement vector and one LASSO solve
 per tile.  Solving them one tile at a time — even on a thread pool — leaves
 the BLAS underfed: every product is a small matrix-vector kernel.  The
-functions here stack the per-tile factors into ``(T, m, rows)`` /
-``(T, m, cols)`` arrays and drive **all** tiles through each FISTA/ISTA
-iteration in one einsum/batched-matmul pass, with the dictionary transforms
-batched the same way (one ``idctn`` over the whole coefficient stack).
+functions here stack the per-tile ±1 factors into ``(T, rows, m)`` (``S_Rᵀ``,
+pre-transposed) / ``(T, m, cols)`` (``S_C``) arrays and drive **all** tiles
+through each FISTA/ISTA iteration with one batched GEMM per product — the
+same :func:`~repro.cs.structured.phi_dot_stack` /
+:func:`~repro.cs.structured.phi_rdot_stack` kernels a solo operator calls
+with no stack axis — and with the dictionary transforms batched the same way
+(one ``idctn`` over the whole coefficient stack).
 
 Per-tile semantics mirror :func:`repro.cs.solvers.iterative.fista` exactly —
 per-tile step sizes, per-tile l1 weights, per-tile convergence with the same
@@ -26,7 +29,11 @@ import numpy as np
 from repro.cs.dictionaries import Dictionary
 from repro.cs.operators import BaseSensingOperator
 from repro.cs.solvers.result import SolverResult
-from repro.cs.structured import StructuredSensingOperator
+from repro.cs.structured import (
+    StructuredSensingOperator,
+    phi_dot_stack,
+    phi_rdot_stack,
+)
 from repro.telemetry import SolverProfile
 from repro.utils.validation import check_positive
 
@@ -34,7 +41,13 @@ from repro.utils.validation import check_positive
 def _stack_factors(
     operators: Sequence[StructuredSensingOperator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Dictionary]:
-    """Validate a homogeneous operator stack and return its batched factors."""
+    """Validate a homogeneous operator stack and return its batched factors.
+
+    Returns the ``(T, rows, m)`` stack of ``S_Rᵀ``, the ``(T, m, cols)``
+    stack of ``S_C``, the per-tile kernel offsets ``½ − d_t`` and the shared
+    dictionary — the layout :func:`~repro.cs.structured.phi_dot_stack` and
+    :func:`~repro.cs.structured.phi_rdot_stack` take.
+    """
     if not operators:
         raise ValueError("need at least one operator to stack")
     first = operators[0]
@@ -57,50 +70,16 @@ def _stack_factors(
             or operator.dictionary.shape != first.dictionary.shape
         ):
             raise ValueError("all stacked operators must share one dictionary")
-    row_stack = np.stack([op.row_factors for op in operators]).astype(np.float64)
-    col_stack = np.stack([op.col_factors for op in operators]).astype(np.float64)
-    centers = np.array([op.center for op in operators], dtype=np.float64)
-    return row_stack, col_stack, centers, first.dictionary
-
-
-def _phi_dot_batch(
-    row_stack: np.ndarray,
-    col_stack: np.ndarray,
-    centers: np.ndarray,
-    images: np.ndarray,
-) -> np.ndarray:
-    """``(Φ_t − d_t) x_t`` for every tile: ``(T, rows, cols) -> (T, m)``."""
-    term_rows = np.matmul(row_stack, images.sum(axis=2)[..., None])[..., 0]
-    term_cols = np.matmul(col_stack, images.sum(axis=1)[..., None])[..., 0]
-    cross = (np.matmul(row_stack, images) * col_stack).sum(axis=2)
-    projected = term_rows + term_cols - 2.0 * cross
-    return projected - centers[:, None] * images.sum(axis=(1, 2))[:, None]
-
-
-def _phi_rdot_batch(
-    row_stack: np.ndarray,
-    col_stack: np.ndarray,
-    centers: np.ndarray,
-    measurements: np.ndarray,
-) -> np.ndarray:
-    """``(Φ_t − d_t)* y_t`` for every tile: ``(T, m) -> (T, rows, cols)``."""
-    row_corr = np.matmul(
-        row_stack.transpose(0, 2, 1), measurements[..., None]
-    )[..., 0]
-    col_corr = np.matmul(
-        col_stack.transpose(0, 2, 1), measurements[..., None]
-    )[..., 0]
-    cross = np.matmul(
-        (row_stack * measurements[..., None]).transpose(0, 2, 1), col_stack
-    )
-    back = row_corr[:, :, None] + col_corr[:, None, :] - 2.0 * cross
-    return back - (centers * measurements.sum(axis=1))[:, None, None]
+    row_stack = np.stack([op.row_signs_t for op in operators])
+    col_stack = np.stack([op.col_signs for op in operators])
+    offsets = np.array([op.offset for op in operators], dtype=np.float64)
+    return row_stack, col_stack, offsets, first.dictionary
 
 
 def _matvec_batch(
     row_stack: np.ndarray,
     col_stack: np.ndarray,
-    centers: np.ndarray,
+    offsets: np.ndarray,
     dictionary: Dictionary,
     coefficients: np.ndarray,
 ) -> np.ndarray:
@@ -108,19 +87,19 @@ def _matvec_batch(
     n_tiles = coefficients.shape[0]
     rows, cols = dictionary.shape
     images = dictionary.synthesize_batch(coefficients).reshape(n_tiles, rows, cols)
-    return _phi_dot_batch(row_stack, col_stack, centers, images)
+    return phi_dot_stack(row_stack, col_stack, offsets, images)
 
 
 def _rmatvec_batch(
     row_stack: np.ndarray,
     col_stack: np.ndarray,
-    centers: np.ndarray,
+    offsets: np.ndarray,
     dictionary: Dictionary,
     measurements: np.ndarray,
 ) -> np.ndarray:
     """``A_t* y_t`` for every tile ``t``: ``(T, m) -> (T, n)``."""
     n_tiles = measurements.shape[0]
-    back = _phi_rdot_batch(row_stack, col_stack, centers, measurements)
+    back = phi_rdot_stack(row_stack, col_stack, offsets, measurements)
     return dictionary.analyze_batch(back.reshape(n_tiles, -1))
 
 
@@ -164,7 +143,7 @@ def batched_operator_norms(
         n_iterations = BaseSensingOperator.NORM_ITERATIONS
     if tolerance is None:
         tolerance = BaseSensingOperator.NORM_TOLERANCE
-    row_stack, col_stack, centers, dictionary = _stack_factors(operators)
+    row_stack, col_stack, offsets, dictionary = _stack_factors(operators)
     n_tiles = row_stack.shape[0]
     n_coefficients = dictionary.n_pixels
     base = np.random.default_rng(seed).standard_normal(n_coefficients)
@@ -183,14 +162,14 @@ def batched_operator_norms(
         # mirroring the solo operator_norm shortcut bit for bit in structure.
         def step_products(stack: np.ndarray) -> np.ndarray:
             images = stack.reshape(-1, rows, cols)
-            projected = _phi_dot_batch(row_stack, col_stack, centers, images)
-            back = _phi_rdot_batch(row_stack, col_stack, centers, projected)
+            projected = phi_dot_stack(row_stack, col_stack, offsets, images)
+            back = phi_rdot_stack(row_stack, col_stack, offsets, projected)
             return back.reshape(stack.shape)
     else:
         def step_products(stack: np.ndarray) -> np.ndarray:
             return _rmatvec_batch(
-                row_stack, col_stack, centers, dictionary,
-                _matvec_batch(row_stack, col_stack, centers, dictionary, stack),
+                row_stack, col_stack, offsets, dictionary,
+                _matvec_batch(row_stack, col_stack, offsets, dictionary, stack),
             )
     sigmas = np.zeros(n_tiles)
     active = np.ones(n_tiles, dtype=bool)
@@ -259,12 +238,12 @@ def batched_proximal_gradient(
         One result per tile, with per-tile iteration counts, convergence
         flags and residual histories.
     """
-    row_stack, col_stack, centers, dictionary = _stack_factors(operators)
+    row_stack, col_stack, offsets, dictionary = _stack_factors(operators)
     n_tiles = row_stack.shape[0]
     measurements = np.asarray(measurements, dtype=float)
-    if measurements.shape != (n_tiles, row_stack.shape[1]):
+    if measurements.shape != (n_tiles, col_stack.shape[1]):
         raise ValueError(
-            f"measurements must have shape ({n_tiles}, {row_stack.shape[1]}), "
+            f"measurements must have shape ({n_tiles}, {col_stack.shape[1]}), "
             f"got {measurements.shape}"
         )
     check_positive("max_iterations", max_iterations)
@@ -295,9 +274,8 @@ def batched_proximal_gradient(
     momentum = 1.0
     # A is linear, so A @ momentum_point is a linear combination of the
     # already-computed A @ candidate and A @ coefficients — tracking the two
-    # measurement-domain images saves one full matvec per iteration compared
-    # to the per-tile reference loop (which recomputes the residual from
-    # scratch), while the residual norms stay exact.
+    # measurement-domain images costs one matvec per iteration, as in the
+    # per-tile loop, while the residual norms stay exact.
     measured_point = np.zeros_like(measurements)
     measured_coefficients = np.zeros_like(measurements)
     active = np.ones(n_tiles, dtype=bool)
@@ -308,7 +286,7 @@ def batched_proximal_gradient(
         if not active.any():
             break
         gradient = _rmatvec_batch(
-            row_stack, col_stack, centers, dictionary,
+            row_stack, col_stack, offsets, dictionary,
             measured_point - measurements,
         )
         candidate = _soft_threshold_batch(
@@ -316,7 +294,7 @@ def batched_proximal_gradient(
             (step_sizes * regularization)[:, None],
         )
         measured_candidate = _matvec_batch(
-            row_stack, col_stack, centers, dictionary, candidate
+            row_stack, col_stack, offsets, dictionary, candidate
         )
         if accelerated:
             next_momentum = (1.0 + np.sqrt(1.0 + 4.0 * momentum ** 2)) / 2.0

@@ -1,9 +1,11 @@
 """Iterative thresholding solvers: ISTA, FISTA and IHT.
 
 These are the work-horses for the image-scale reconstructions (64x64 = 4096
-unknowns, ~1600 measurements): every iteration only needs one application of
-A and one of A*, both of which are fast (a dense m x n product for Φ plus a
-fast transform for Ψ).
+unknowns, ~1600 measurements): every iteration needs exactly one application
+of A and one of A*, both of which are fast (a structured or dense product for
+Φ plus a fast transform for Ψ).  The product of the iterate that the residual
+norm needs is carried into the next gradient, by linearity through FISTA's
+momentum step, instead of being recomputed.
 
 * ISTA/FISTA solve the LASSO problem ``min 0.5||y - Az||² + λ||z||₁`` by
   proximal gradient descent (FISTA adds Nesterov momentum).
@@ -155,24 +157,36 @@ def _proximal_gradient(
             raise ValueError("initial vector has the wrong dimension")
     momentum_point = coefficients.copy()
     momentum = 1.0
+    # A is linear, so A @ momentum_point is the same combination of
+    # A @ candidate and A @ coefficients as the momentum point itself:
+    # tracking both measurement-domain images costs one matvec per iteration
+    # (the residual's, which stays exact) instead of two.  ISTA's momentum
+    # point *is* the candidate, so its bytes are unchanged by the tracking.
+    measured_coefficients = operator.matvec(coefficients)
+    measured_point = measured_coefficients
     history = []
     converged = False
     iteration = 0
     for iteration in range(1, int(max_iterations) + 1):
-        gradient = operator.rmatvec(operator.matvec(momentum_point) - measurements)
+        gradient = operator.rmatvec(measured_point - measurements)
         candidate = soft_threshold(momentum_point - step * gradient, step * regularization)
+        measured_candidate = operator.matvec(candidate)
         if accelerated:
             next_momentum = (1.0 + np.sqrt(1.0 + 4.0 * momentum ** 2)) / 2.0
-            momentum_point = candidate + ((momentum - 1.0) / next_momentum) * (
-                candidate - coefficients
+            weight = (momentum - 1.0) / next_momentum
+            momentum_point = candidate + weight * (candidate - coefficients)
+            measured_point = measured_candidate + weight * (
+                measured_candidate - measured_coefficients
             )
             momentum = next_momentum
         else:
             momentum_point = candidate
+            measured_point = measured_candidate
         change = np.linalg.norm(candidate - coefficients)
         scale = max(np.linalg.norm(coefficients), 1e-12)
         coefficients = candidate
-        residual = measurements - operator.matvec(coefficients)
+        measured_coefficients = measured_candidate
+        residual = measurements - measured_coefficients
         history.append(float(np.linalg.norm(residual)))
         if profile is not None:
             profile.record_iteration(
@@ -221,16 +235,20 @@ def iht(
         profile.n_tiles = 1
 
     coefficients = np.zeros(operator.n_coefficients)
+    # The residual's product is the next gradient's: carry it forward (A of
+    # the zero start is zero), so each iteration costs one matvec.
+    measured = np.zeros(operator.n_samples)
     history = []
     converged = False
     iteration = 0
     for iteration in range(1, int(max_iterations) + 1):
-        gradient = operator.rmatvec(operator.matvec(coefficients) - measurements)
+        gradient = operator.rmatvec(measured - measurements)
         candidate = hard_threshold(coefficients - step * gradient, int(sparsity))
         change = np.linalg.norm(candidate - coefficients)
         scale = max(np.linalg.norm(coefficients), 1e-12)
         coefficients = candidate
-        residual = measurements - operator.matvec(coefficients)
+        measured = operator.matvec(coefficients)
+        residual = measurements - measured
         history.append(float(np.linalg.norm(residual)))
         if profile is not None:
             profile.record_iteration(0.5 * history[-1] ** 2, history[-1])

@@ -1,26 +1,36 @@
 """Matrix-free rank-structured sensing operator for CA-XOR measurement matrices.
 
 The sensor's XOR selection gate makes every row of Φ an outer XOR of the CA's
-row and column cells:
+row and column cells, ``Φ[i, (r, c)] = R[i, r] ⊕ C[i, c]``.  In ±1 form —
+``s = 1 − 2·f`` for a 0/1 cell ``f`` — the XOR is a product:
 
-    Φ[i, (r, c)] = R[i, r] ⊕ C[i, c] = R[i, r] + C[i, c] − 2·R[i, r]·C[i, c]
+    R[i, r] ⊕ C[i, c] = (1 − S_R[i, r]·S_C[i, c]) / 2
 
-so Φ applied to an image ``X`` (shape ``rows x cols``) never needs the dense
-``(m, rows·cols)`` matrix:
+so the centred operator ``Φ − d`` applied to an image ``X`` (shape
+``rows x cols``) never needs the dense ``(m, rows·cols)`` matrix:
 
-    (Φ x)_i = R_i · rowsum(X) + C_i · colsum(X) − 2 · (R_i X) · C_i
+    ((Φ − d) x)_i = (½ − d)·sum(X) − ½ · (S_R,i X) · S_C,i
 
-— three small matmuls over the raw factors, exactly the identity the batched
-behavioural capture engine uses (the bit-fidelity invariant).  The adjoint has
-the mirrored form: the back-projected image of a measurement vector ``y`` is
+— one GEMM ``S_R X`` plus a row-wise dot with ``S_C``.  The adjoint has the
+mirrored form: the back-projected image of a measurement vector ``y`` is
 
-    Φ* y = (Rᵀy) 1ᵀ + 1 (Cᵀy)ᵀ − 2 · Rᵀ diag(y) C
+    (Φ − d)* y = (½ − d)·sum(y) − ½ · S_Rᵀ diag(y) S_C
 
-:class:`StructuredSensingOperator` packages this with a fast dictionary Ψ so
-the whole solver stack runs matrix-free: a 64x64 tile's dense Φ is a 53 MB
-float64 matrix streamed from memory on every product, while the factors are a
-few hundred kilobytes driving small BLAS-3 kernels.  Centring (subtracting
-the matrix density ``d``) folds in analytically: ``(Φ − d) x = Φx − d·sum(x)``.
+again one GEMM.  :func:`phi_dot_stack` / :func:`phi_rdot_stack` implement
+the pair once, over any leading stack of tiles: a solo operator product is
+the no-stack case, the batched multi-tile solver
+(:mod:`repro.cs.solvers.batched`) the ``(T, ...)`` case.
+
+The sensor side keeps the 0/1 form ``R·rowsum + C·colsum − 2·(R X)·C``
+(:mod:`repro.sensor.imager`): capture sums integer pixel codes, where that
+form is exact and pinned byte-identical to the legacy per-pattern loop (the
+bit-fidelity invariant).  The receiver solves in float64, where the ±1 form
+needs one GEMM per product instead of a GEMM plus two matvec passes.
+
+:class:`StructuredSensingOperator` packages the kernels with a fast
+dictionary Ψ so the whole solver stack runs matrix-free: a 64x64 tile's dense
+Φ is a 53 MB float64 matrix streamed from memory on every product, while the
+±1 factors are a few hundred kilobytes driving small BLAS-3 kernels.
 
 The dense :class:`~repro.cs.operators.SensingOperator` stays in place as the
 executable reference; ``tests/cs/test_structured.py`` and
@@ -39,6 +49,40 @@ from repro.cs.dictionaries import Dictionary, IdentityDictionary
 from repro.cs.operators import BaseSensingOperator
 
 
+def phi_dot_stack(
+    row_signs_t: np.ndarray,
+    col_signs: np.ndarray,
+    offsets: np.ndarray | float,
+    images: np.ndarray,
+) -> np.ndarray:
+    """``(Φ − d) x`` from the ±1 factors: ``(..., rows, cols) -> (..., m)``.
+
+    ``row_signs_t`` is ``S_Rᵀ`` with shape ``(..., rows, m)``, ``col_signs``
+    is ``S_C`` with shape ``(..., m, cols)`` and ``offsets`` is ``½ − d``
+    with shape ``(...)``; leading axes broadcast against ``images``.
+    """
+    projected = np.matmul(np.swapaxes(row_signs_t, -1, -2), images)
+    cross = np.einsum("...mc,...mc->...m", projected, col_signs)
+    totals = np.asarray(offsets) * images.sum(axis=(-2, -1))
+    return totals[..., None] - 0.5 * cross
+
+
+def phi_rdot_stack(
+    row_signs_t: np.ndarray,
+    col_signs: np.ndarray,
+    offsets: np.ndarray | float,
+    measurements: np.ndarray,
+) -> np.ndarray:
+    """``(Φ − d)* y`` from the ±1 factors: ``(..., m) -> (..., rows, cols)``.
+
+    Same factor layout as :func:`phi_dot_stack`; the back-projected images
+    come out in the 2-D pixel layout.
+    """
+    cross = np.matmul(row_signs_t * measurements[..., None, :], col_signs)
+    totals = np.asarray(offsets) * measurements.sum(axis=-1)
+    return totals[..., None, None] - 0.5 * cross
+
+
 class StructuredSensingOperator(BaseSensingOperator):
     """Matrix-free ``A = (Φ − d) Ψ`` built from the CA factor pair ``(R, C)``.
 
@@ -55,6 +99,11 @@ class StructuredSensingOperator(BaseSensingOperator):
     center:
         The density offset ``d`` subtracted from every Φ entry (0.0 keeps
         the raw 0/1 matrix).  Use :attr:`density` for the exact matrix mean.
+
+    Every product runs the ±1 kernels (:func:`phi_dot_stack` /
+    :func:`phi_rdot_stack`) on :attr:`row_signs_t` and :attr:`col_signs`;
+    the 0/1 :attr:`row_factors` / :attr:`col_factors` serve the exact
+    density and the materialised :attr:`phi`.
     """
 
     def __init__(
@@ -79,8 +128,11 @@ class StructuredSensingOperator(BaseSensingOperator):
                 raise ValueError(f"{name} must contain only 0/1 values")
         self.row_factors = row_factors.astype(np.uint8)
         self.col_factors = col_factors.astype(np.uint8)
-        self._rowf = row_factors.astype(np.float64)
-        self._colf = col_factors.astype(np.float64)
+        #: ``S_Rᵀ``, shape ``(rows, m)``: the float64 ±1 row factors
+        #: ``1 − 2·R``, pre-transposed and contiguous for the adjoint's GEMM.
+        self.row_signs_t = 1.0 - 2.0 * np.ascontiguousarray(self.row_factors.T)
+        #: ``S_C``, shape ``(m, cols)``: the float64 ±1 column factors.
+        self.col_signs = 1.0 - 2.0 * self.col_factors
         self.image_shape: tuple[int, int] = (
             int(row_factors.shape[1]),
             int(col_factors.shape[1]),
@@ -108,6 +160,11 @@ class StructuredSensingOperator(BaseSensingOperator):
         # (frame_operator does, right after construction) must drop it.
         self._center = float(value)
         self._phi = None
+
+    @property
+    def offset(self) -> float:
+        """``½ − d``: the constant term of the ±1 kernels."""
+        return 0.5 - self._center
 
     # ------------------------------------------------------------- density
     @property
@@ -137,25 +194,15 @@ class StructuredSensingOperator(BaseSensingOperator):
             raise ValueError(
                 f"pixel vector must have {rows * cols} entries, got {pixels.size}"
             )
-        image = pixels.reshape(rows, cols)
-        projected = (
-            self._rowf @ image.sum(axis=1)
-            + self._colf @ image.sum(axis=0)
-            - 2.0 * ((self._rowf @ image) * self._colf).sum(axis=1)
+        return phi_dot_stack(
+            self.row_signs_t, self.col_signs, self.offset, pixels.reshape(rows, cols)
         )
-        if self.center:
-            projected = projected - self.center * image.sum()
-        return projected
 
     def phi_rdot(self, measurements: np.ndarray) -> np.ndarray:
         measurements = np.asarray(measurements, dtype=float).reshape(-1)
-        row_corr = self._rowf.T @ measurements
-        col_corr = self._colf.T @ measurements
-        cross = (self._rowf * measurements[:, None]).T @ self._colf
-        back = row_corr[:, None] + col_corr[None, :] - 2.0 * cross
-        if self.center:
-            back = back - self.center * measurements.sum()
-        return back.reshape(-1)
+        return phi_rdot_stack(
+            self.row_signs_t, self.col_signs, self.offset, measurements
+        ).reshape(-1)
 
     #: Column batches at least this wide ride the materialised Φ instead of
     #: the factor algebra: the cross term costs the same ``k·m·n`` flops
@@ -170,18 +217,7 @@ class StructuredSensingOperator(BaseSensingOperator):
             return self.phi @ atoms
         rows, cols = self.image_shape
         images = atoms.T.reshape(-1, rows, cols)
-        rowsums = images.sum(axis=2)
-        colsums = images.sum(axis=1)
-        projected = (
-            rowsums @ self._rowf.T
-            + colsums @ self._colf.T
-            - 2.0 * np.einsum(
-                "mr,krc,mc->km", self._rowf, images, self._colf, optimize=True
-            )
-        )
-        if self.center:
-            projected = projected - self.center * images.sum(axis=(1, 2))[:, None]
-        return projected.T
+        return phi_dot_stack(self.row_signs_t, self.col_signs, self.offset, images).T
 
     # --------------------------------------------------------------- dense
     @property

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.ca.selection import CASelectionGenerator
+from repro.ca.automaton import BoundaryCondition, ElementaryCellularAutomaton
+from repro.ca.selection import CASelectionGenerator, advance_ca_state
+from repro.stream.protocol import advance_seed_state
+from repro.utils.rng import nonzero_seed_bits
 
 
 class TestConstruction:
@@ -150,3 +153,63 @@ class TestBatchedStateAccess:
         fresh = CASelectionGenerator(8, 8, seed_state=generator.seed_state, warmup_steps=0)
         expected = [fresh.next_pattern() for _ in range(3)][2]
         assert np.array_equal(follow_up.mask, expected.mask)
+
+
+def stepped_state(state, rule, n_steps, boundary=BoundaryCondition.PERIODIC):
+    """The step-by-step reference: one numpy generation at a time."""
+    automaton = ElementaryCellularAutomaton(
+        len(state), rule, seed_state=state, boundary=boundary
+    )
+    automaton.step(n_steps)
+    return automaton.state
+
+
+class TestAdvanceCaState:
+    """The packed seed-chain helper against the per-generation reference."""
+
+    @pytest.mark.parametrize("rule", [30, 90, 110, 150])
+    @pytest.mark.parametrize("n_steps", [0, 1, 7, 1645])
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_matches_step_by_step_reference_byte_for_byte(self, rule, n_steps, seed):
+        state = nonzero_seed_bits(128, seed)
+        advanced = advance_ca_state(state, rule, n_steps)
+        reference = stepped_state(state, rule, n_steps)
+        assert advanced.dtype == reference.dtype == np.uint8
+        assert advanced.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        "boundary", [BoundaryCondition.FIXED_ZERO, BoundaryCondition.FIXED_ONE]
+    )
+    def test_fixed_boundaries_match_the_reference(self, boundary):
+        state = nonzero_seed_bits(21, 5)
+        advanced = advance_ca_state(state, 30, 40, boundary=boundary)
+        assert advanced.tobytes() == stepped_state(state, 30, 40, boundary).tobytes()
+
+    def test_does_not_mutate_its_input(self):
+        state = nonzero_seed_bits(24, 3)
+        before = state.copy()
+        advance_ca_state(state, 30, 9)
+        assert np.array_equal(state, before)
+
+    def test_negative_step_count_rejected(self):
+        with pytest.raises(ValueError):
+            advance_ca_state(nonzero_seed_bits(8, 1), 30, -1)
+
+    @pytest.mark.parametrize(
+        "n_samples,steps_per_sample,warmup_steps", [(1, 1, 0), (1638, 1, 0), (40, 3, 17)]
+    )
+    def test_seed_chain_matches_stepping_the_total(
+        self, n_samples, steps_per_sample, warmup_steps
+    ):
+        state = nonzero_seed_bits(128, 8)
+        total = warmup_steps + (n_samples - 1) * steps_per_sample
+        chained = advance_seed_state(
+            state, 30, n_samples=n_samples, steps_per_sample=steps_per_sample,
+            warmup_steps=warmup_steps,
+        )
+        assert chained.tobytes() == stepped_state(state, 30, total).tobytes()
+
+    def test_warmup_matches_stepping_the_generator(self):
+        generator = CASelectionGenerator(12, 9, seed=4, warmup_steps=23)
+        reference = stepped_state(generator.seed_state, 30, 23)
+        assert generator.measurement_factors(1)[0][0].tobytes() == reference[:12].tobytes()
