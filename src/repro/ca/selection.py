@@ -81,31 +81,6 @@ def selection_factors_from_states(
     return states[:, :rows].copy(), states[:, rows:].copy()
 
 
-def advance_ca_state(
-    state: np.ndarray,
-    rule: int | RuleTable,
-    n_steps: int,
-    *,
-    boundary: BoundaryCondition = BoundaryCondition.PERIODIC,
-) -> np.ndarray:
-    """The CA register ``n_steps`` generations after ``state``, as ``uint8``.
-
-    Equal byte for byte to ``ElementaryCellularAutomaton.step(n_steps)``,
-    but a periodic ring rides the packed-integer engine behind the Φ
-    builders (:meth:`~repro.ca.automaton.ElementaryCellularAutomaton.evolve_states`)
-    instead of one numpy call chain per generation.  The builders' warm-up
-    and the receiver's GOP seed chain both step the register this way.
-    """
-    check_positive("n_steps", n_steps, allow_zero=True)
-    state = np.asarray(state)
-    automaton = ElementaryCellularAutomaton(
-        state.size, rule, seed_state=state, boundary=boundary
-    )
-    if not n_steps:
-        return automaton.state
-    return automaton.evolve_states(2, int(n_steps))[-1]
-
-
 def _evolved_states(
     n_samples: int,
     rows: int,
@@ -121,12 +96,11 @@ def _evolved_states(
     check_positive("n_samples", n_samples)
     check_positive("rows", rows)
     check_positive("cols", cols)
-    state = np.asarray(seed_state)
-    if warmup_steps:
-        state = advance_ca_state(state, rule, int(warmup_steps), boundary=boundary)
     automaton = ElementaryCellularAutomaton(
-        rows + cols, rule, seed_state=state, boundary=boundary
+        rows + cols, rule, seed_state=np.asarray(seed_state), boundary=boundary
     )
+    if warmup_steps:
+        automaton.step(int(warmup_steps))
     return automaton.evolve_states(int(n_samples), int(steps_per_sample))
 
 

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ca.automaton import ElementaryCellularAutomaton
 from repro.ca.rules import RuleTable
-from repro.ca.selection import advance_ca_state
 
 #: First byte of every chunk ("CC": compressed chunk).
 CHUNK_MAGIC = 0xCC
@@ -876,5 +876,11 @@ def advance_seed_state(
     :meth:`repro.sensor.imager.CompressiveImager.capture_batch` exactly (the
     streaming tests pin the chain against captured ``seed_state`` values).
     """
+    seed_state = np.asarray(seed_state)
+    automaton = ElementaryCellularAutomaton(
+        seed_state.size, rule, seed_state=seed_state
+    )
     total_steps = int(warmup_steps) + (int(n_samples) - 1) * int(steps_per_sample)
-    return advance_ca_state(np.asarray(seed_state), rule, total_steps)
+    if total_steps:
+        automaton.step(total_steps)
+    return automaton.state

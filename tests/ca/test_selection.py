@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ca.automaton import BoundaryCondition, ElementaryCellularAutomaton
-from repro.ca.selection import CASelectionGenerator, advance_ca_state
+from repro.ca.selection import CASelectionGenerator
 from repro.stream.protocol import advance_seed_state
 from repro.utils.rng import nonzero_seed_bits
 
@@ -156,23 +156,34 @@ class TestBatchedStateAccess:
 
 
 def stepped_state(state, rule, n_steps, boundary=BoundaryCondition.PERIODIC):
-    """The step-by-step reference: one numpy generation at a time."""
+    """The per-generation reference: ``n_steps`` calls of ``step(1)``."""
+    automaton = ElementaryCellularAutomaton(
+        len(state), rule, seed_state=state, boundary=boundary
+    )
+    for _ in range(n_steps):
+        automaton.step(1)
+    return automaton.state
+
+
+def multi_stepped_state(state, rule, n_steps, boundary=BoundaryCondition.PERIODIC):
+    """One ``step(n_steps)`` call, the path the warm-ups and seed chain take."""
     automaton = ElementaryCellularAutomaton(
         len(state), rule, seed_state=state, boundary=boundary
     )
     automaton.step(n_steps)
+    assert automaton.generation == n_steps
     return automaton.state
 
 
-class TestAdvanceCaState:
-    """The packed seed-chain helper against the per-generation reference."""
+class TestMultiGenerationStep:
+    """``step(n)`` on the packed path against ``n`` calls of ``step(1)``."""
 
     @pytest.mark.parametrize("rule", [30, 90, 110, 150])
     @pytest.mark.parametrize("n_steps", [0, 1, 7, 1645])
     @pytest.mark.parametrize("seed", [0, 11, 2024])
     def test_matches_step_by_step_reference_byte_for_byte(self, rule, n_steps, seed):
         state = nonzero_seed_bits(128, seed)
-        advanced = advance_ca_state(state, rule, n_steps)
+        advanced = multi_stepped_state(state, rule, n_steps)
         reference = stepped_state(state, rule, n_steps)
         assert advanced.dtype == reference.dtype == np.uint8
         assert advanced.tobytes() == reference.tobytes()
@@ -182,18 +193,22 @@ class TestAdvanceCaState:
     )
     def test_fixed_boundaries_match_the_reference(self, boundary):
         state = nonzero_seed_bits(21, 5)
-        advanced = advance_ca_state(state, 30, 40, boundary=boundary)
+        advanced = multi_stepped_state(state, 30, 40, boundary)
         assert advanced.tobytes() == stepped_state(state, 30, 40, boundary).tobytes()
 
-    def test_does_not_mutate_its_input(self):
+    def test_does_not_mutate_the_seed(self):
         state = nonzero_seed_bits(24, 3)
         before = state.copy()
-        advance_ca_state(state, 30, 9)
+        automaton = ElementaryCellularAutomaton(24, 30, seed_state=state)
+        automaton.step(9)
         assert np.array_equal(state, before)
+        assert np.array_equal(automaton.initial_state, before)
 
-    def test_negative_step_count_rejected(self):
-        with pytest.raises(ValueError):
-            advance_ca_state(nonzero_seed_bits(8, 1), 30, -1)
+    def test_returns_a_copy_of_the_new_state(self):
+        automaton = ElementaryCellularAutomaton(24, 30, seed=3)
+        returned = automaton.step(9)
+        returned[:] = 0
+        assert automaton.state.any()
 
     @pytest.mark.parametrize(
         "n_samples,steps_per_sample,warmup_steps", [(1, 1, 0), (1638, 1, 0), (40, 3, 17)]
@@ -213,3 +228,4 @@ class TestAdvanceCaState:
         generator = CASelectionGenerator(12, 9, seed=4, warmup_steps=23)
         reference = stepped_state(generator.seed_state, 30, 23)
         assert generator.measurement_factors(1)[0][0].tobytes() == reference[:12].tobytes()
+        assert generator.next_pattern().row_signals.tobytes() == reference[:12].tobytes()
