@@ -29,7 +29,8 @@ identity key and keeps the converged singular vectors as warm starts for the
 from __future__ import annotations
 
 import threading
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Sequence
+from typing import TypeVar
 
 import numpy as np
 
@@ -174,54 +175,32 @@ class BaseSensingOperator:
             and tolerance == self.NORM_TOLERANCE
             and seed == 0
         )
-        cache = self.norm_cache if default_call else None
-        if cache is not None:
-            cached = cache.norm(self.norm_exact_key)
-            if cached is not None:
-                self._norm_cache[memo_key] = cached
-                return cached
-            warm_start = cache.warm_vector(self.norm_warm_key)
-        if warm_start is None:
-            rng = np.random.default_rng(seed)
-            vector = rng.standard_normal(self.n_coefficients)
-        else:
-            vector = np.asarray(warm_start, dtype=float).reshape(-1).copy()
-            if vector.size != self.n_coefficients:
-                raise ValueError(
-                    f"warm_start must have {self.n_coefficients} entries, "
-                    f"got {vector.size}"
-                )
-        norm = np.linalg.norm(vector)
-        if norm == 0.0:
-            raise ValueError("warm_start must be a non-zero vector")
-        vector /= norm
         # For an orthonormal Ψ, σ(Φ Ψ) = σ(Φ): iterate on Φ*Φ directly and
         # skip the dictionary round-trip on every power step.  All shipped
         # dictionaries are orthonormal; a custom non-orthonormal dictionary
         # opts out via ``Dictionary.orthonormal = False``.
         if getattr(self.dictionary, "orthonormal", False):
-            def step_product(v: np.ndarray) -> np.ndarray:
-                return self.phi_rdot(self.phi_dot(v))
+            def step_products(stack: np.ndarray) -> np.ndarray:
+                return self.phi_rdot(self.phi_dot(stack[0]))[None]
         else:
-            def step_product(v: np.ndarray) -> np.ndarray:
-                return self.rmatvec(self.matvec(v))
-        sigma = 0.0
-        for _ in range(max(1, int(n_iterations))):
-            product = step_product(vector)
-            norm = np.linalg.norm(product)
-            if norm == 0.0:
-                sigma = 0.0
-                break
-            vector = product / norm
-            previous = sigma
-            sigma = np.sqrt(norm)
-            if tolerance > 0.0 and abs(sigma - previous) <= tolerance * sigma:
-                break
-        sigma = float(sigma)
+            def step_products(stack: np.ndarray) -> np.ndarray:
+                return self.rmatvec(self.matvec(stack[0]))[None]
+
+        sigmas = cached_operator_norms(
+            [self],
+            self.norm_cache if default_call else None,
+            lambda _, warm_starts: power_iteration(
+                step_products,
+                self.n_coefficients,
+                [warm_start if explicit_warm else warm_starts[0]],
+                n_iterations=n_iterations,
+                seed=seed,
+                tolerance=tolerance,
+            ),
+        )
+        sigma = float(sigmas[0])
         if not explicit_warm:
             self._norm_cache[memo_key] = sigma
-        if cache is not None and sigma > 0.0:
-            cache.store(self.norm_exact_key, self.norm_warm_key, sigma, vector)
         return sigma
 
     # -------------------------------------------------------------- images
@@ -249,6 +228,113 @@ class BaseSensingOperator:
             f"{type(self).__name__}(m={self.n_samples}, n={self.n_coefficients}, "
             f"dictionary={type(self.dictionary).__name__})"
         )
+
+
+OperatorT = TypeVar("OperatorT", bound=BaseSensingOperator)
+
+
+def power_iteration(
+    step_products: Callable[[np.ndarray], np.ndarray],
+    n_coefficients: int,
+    warm_starts: Sequence[np.ndarray | None],
+    *,
+    n_iterations: int,
+    seed: int,
+    tolerance: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """σ of every operator of a stack: ``(T,)`` estimates, ``(T, n)`` vectors.
+
+    ``step_products`` applies every ``A_t* A_t`` to the rows of a ``(T, n)``
+    stack.  Tile ``t`` starts from ``warm_starts[t]`` (``None``: the
+    ``seed``-drawn normal vector) and stops once σ moves by at most
+    ``tolerance`` relative (never for 0) or vanishes; stopped tiles keep
+    their σ and vector while the rest iterate on.  Per-tile reductions are
+    1-D row norms, so a tile gives the same bytes alone as in a stack.
+    """
+    vectors = np.empty((len(warm_starts), n_coefficients))
+    for index, warm in enumerate(warm_starts):
+        if warm is None:
+            start = np.random.default_rng(seed).standard_normal(n_coefficients)
+        else:
+            start = np.asarray(warm, dtype=float).reshape(-1)
+        if start.size != n_coefficients:
+            raise ValueError(
+                f"warm_start must have {n_coefficients} entries, got {start.size}"
+            )
+        norm = np.linalg.norm(start)
+        if norm == 0.0:
+            raise ValueError("warm_start must be a non-zero vector")
+        vectors[index] = start / norm
+    sigmas = [0.0] * len(warm_starts)
+    live = list(range(len(warm_starts)))
+    stopped: list[int] = []
+    for _ in range(max(1, int(n_iterations))):
+        if not live:
+            break
+        products = step_products(vectors)
+        # Stopped tiles keep their rows (nothing to patch while all are live).
+        for index in stopped:
+            products[index] = vectors[index]
+        still_live = []
+        for index in live:
+            product = products[index]
+            norm = np.linalg.norm(product)
+            if norm == 0.0:
+                sigmas[index] = 0.0
+                product[:] = vectors[index]
+                stopped.append(index)
+                continue
+            product /= norm
+            previous = sigmas[index]
+            sigma = sigmas[index] = float(np.sqrt(norm))
+            if tolerance > 0.0 and abs(sigma - previous) <= tolerance * sigma:
+                stopped.append(index)
+            else:
+                still_live.append(index)
+        vectors = products
+        live = still_live
+    return np.array(sigmas, dtype=float), vectors
+
+
+def cached_operator_norms(
+    operators: Sequence[OperatorT],
+    cache: StepSizeCache | None,
+    estimate: Callable[
+        [list[OperatorT], list[np.ndarray | None]], tuple[np.ndarray, np.ndarray]
+    ],
+) -> np.ndarray:
+    """σ of every operator through the :class:`StepSizeCache` protocol.
+
+    Exact-key hits are returned verbatim; the misses go to one ``estimate``
+    call with their warm vectors, and each estimate with σ > 0 is stored.
+    All lookups come before any store, so the tiles of one batched solve
+    never warm-start each other.  ``cache=None`` makes every operator a
+    cold miss.
+    """
+    sigmas = np.zeros(len(operators))
+    misses: list[int] = []
+    warm_starts: list[np.ndarray | None] = []
+    for index, operator in enumerate(operators):
+        sigma = None if cache is None else cache.norm(operator.norm_exact_key)
+        if sigma is None:
+            misses.append(index)
+            warm_starts.append(
+                None if cache is None else cache.warm_vector(operator.norm_warm_key)
+            )
+        else:
+            sigmas[index] = sigma
+    if misses:
+        estimated, vectors = estimate([operators[index] for index in misses], warm_starts)
+        for position, index in enumerate(misses):
+            sigmas[index] = estimated[position]
+            if cache is not None and estimated[position] > 0.0:
+                cache.store(
+                    operators[index].norm_exact_key,
+                    operators[index].norm_warm_key,
+                    float(estimated[position]),
+                    vectors[position],
+                )
+    return sigmas
 
 
 class SensingOperator(BaseSensingOperator):

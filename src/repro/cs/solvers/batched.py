@@ -2,32 +2,31 @@
 
 A tiled mosaic frame is a stack of independent equal-shape inverse problems:
 one ``(R_t, C_t)`` factor pair, one measurement vector and one LASSO solve
-per tile.  Solving them one tile at a time — even on a thread pool — leaves
-the BLAS underfed: every product is a small matrix-vector kernel.  The
-functions here stack the per-tile ±1 factors into ``(T, rows, m)`` (``S_Rᵀ``,
-pre-transposed) / ``(T, m, cols)`` (``S_C``) arrays and drive **all** tiles
-through each FISTA/ISTA iteration with one batched GEMM per product — the
-same :func:`~repro.cs.structured.phi_dot_stack` /
+per tile.  Solving them one tile at a time leaves the BLAS underfed: every
+product is a small matrix-vector kernel.  The functions here stack the
+per-tile ±1 factors into ``(T, rows, m)`` (``S_Rᵀ``, pre-transposed) /
+``(T, m, cols)`` (``S_C``) arrays, so each product is one batched GEMM over
+all tiles — the same :func:`~repro.cs.structured.phi_dot_stack` /
 :func:`~repro.cs.structured.phi_rdot_stack` kernels a solo operator calls
-with no stack axis — and with the dictionary transforms batched the same way
-(one ``idctn`` over the whole coefficient stack).
+with no stack axis — with the dictionary transforms batched the same way.
 
-Per-tile semantics mirror :func:`repro.cs.solvers.iterative.fista` exactly —
-per-tile step sizes, per-tile l1 weights, per-tile convergence with the same
-relative-change criterion, and a tile that converges is frozen while its
-neighbours keep iterating — so the batched solve is the vectorised twin of
-the per-tile loop (numerically equivalent, pinned by the recon-equivalence
-suite), not a different algorithm.
+There is no batched copy of the algorithms: the stacked products drive the
+one power iteration (:func:`~repro.cs.operators.power_iteration`) and the
+one FISTA/ISTA loop (:func:`~repro.cs.solvers.iterative.proximal_gradient`)
+that solo solves run as a stack of one.  Every tile of a batched solve is
+therefore byte-identical to its per-tile solve.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial
 
 import numpy as np
 
-from repro.cs.dictionaries import Dictionary
-from repro.cs.operators import BaseSensingOperator
+from repro.cs.dictionaries import Dictionary, IdentityDictionary
+from repro.cs.operators import BaseSensingOperator, power_iteration
+from repro.cs.solvers.iterative import proximal_gradient, step_from_norm
 from repro.cs.solvers.result import SolverResult
 from repro.cs.structured import (
     StructuredSensingOperator,
@@ -35,7 +34,6 @@ from repro.cs.structured import (
     phi_rdot_stack,
 )
 from repro.telemetry import SolverProfile
-from repro.utils.validation import check_positive
 
 
 def _stack_factors(
@@ -103,17 +101,12 @@ def _rmatvec_batch(
     return dictionary.analyze_batch(back.reshape(n_tiles, -1))
 
 
-def _soft_threshold_batch(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    return np.sign(values) * np.maximum(np.abs(values) - thresholds, 0.0)
-
-
 def steps_from_norms(sigmas: np.ndarray) -> np.ndarray:
-    """Per-tile gradient steps ``1/σ²`` (unit step for degenerate σ = 0)."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    steps = np.ones_like(sigmas)
-    positive = sigmas > 0.0
-    steps[positive] = 1.0 / sigmas[positive] ** 2
-    return steps
+    """Per-tile gradient steps, each the solo :func:`step_from_norm` of its σ."""
+    return np.array(
+        [step_from_norm(float(sigma)) for sigma in np.asarray(sigmas, dtype=float)],
+        dtype=float,
+    )
 
 
 def batched_operator_norms(
@@ -126,73 +119,43 @@ def batched_operator_norms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Largest singular value of every stacked operator, in one power iteration.
 
-    The vectorised twin of
-    :meth:`~repro.cs.operators.BaseSensingOperator.operator_norm`: same start
-    vector (per tile), same normalisation recurrence, same relative-change
-    early exit — applied to all tiles at once, with converged tiles frozen.
-
-    Returns ``(sigmas, vectors)``; the converged vectors can be fed back as
-    ``warm_starts`` for the next frame of a GOP chain (or stored in a
-    :class:`~repro.cs.operators.StepSizeCache`).  ``n_iterations`` and
-    ``tolerance`` default to the solo path's shared class knobs
-    (:attr:`~repro.cs.operators.BaseSensingOperator.NORM_ITERATIONS` /
-    ``NORM_TOLERANCE``), so tuning those keeps batched and per-tile step
-    sizes configured identically.
+    The :func:`~repro.cs.operators.power_iteration` that
+    :meth:`~repro.cs.operators.BaseSensingOperator.operator_norm` runs as a
+    stack of one, on the stacked ±1 kernels: each tile's σ and vector are
+    byte-identical to its solo ``operator_norm``.  Returns ``(sigmas,
+    vectors)``; the vectors can seed the next frame of a GOP chain as
+    ``warm_starts`` (one entry per operator, ``None`` for a cold start).
+    ``n_iterations``/``tolerance`` default to the solo class knobs
+    (``NORM_ITERATIONS``/``NORM_TOLERANCE``).
     """
     if n_iterations is None:
         n_iterations = BaseSensingOperator.NORM_ITERATIONS
     if tolerance is None:
         tolerance = BaseSensingOperator.NORM_TOLERANCE
     row_stack, col_stack, offsets, dictionary = _stack_factors(operators)
-    n_tiles = row_stack.shape[0]
-    n_coefficients = dictionary.n_pixels
-    base = np.random.default_rng(seed).standard_normal(n_coefficients)
-    vectors = np.tile(base, (n_tiles, 1))
-    if warm_starts is not None:
-        for index, warm in enumerate(warm_starts):
-            if warm is not None:
-                vectors[index] = np.asarray(warm, dtype=float).reshape(-1)
-    norms = np.linalg.norm(vectors, axis=1)
-    if (norms == 0.0).any():
-        raise ValueError("warm-start vectors must be non-zero")
-    vectors = vectors / norms[:, None]
-    rows, cols = dictionary.shape
+    if warm_starts is None:
+        warm_starts = [None] * len(operators)
+    elif len(warm_starts) != len(operators):
+        raise ValueError(
+            f"warm_starts must have {len(operators)} entries, got {len(warm_starts)}"
+        )
     if getattr(dictionary, "orthonormal", False):
-        # σ(Φ Ψ) = σ(Φ) for orthonormal Ψ — iterate on the factors alone,
-        # mirroring the solo operator_norm shortcut bit for bit in structure.
-        def step_products(stack: np.ndarray) -> np.ndarray:
-            images = stack.reshape(-1, rows, cols)
-            projected = phi_dot_stack(row_stack, col_stack, offsets, images)
-            back = phi_rdot_stack(row_stack, col_stack, offsets, projected)
-            return back.reshape(stack.shape)
-    else:
-        def step_products(stack: np.ndarray) -> np.ndarray:
-            return _rmatvec_batch(
-                row_stack, col_stack, offsets, dictionary,
-                _matvec_batch(row_stack, col_stack, offsets, dictionary, stack),
-            )
-    sigmas = np.zeros(n_tiles)
-    active = np.ones(n_tiles, dtype=bool)
-    for _ in range(max(1, int(n_iterations))):
-        if not active.any():
-            break
-        products = step_products(vectors)
-        norms = np.linalg.norm(products, axis=1)
-        dead = active & (norms == 0.0)
-        sigmas[dead] = 0.0
-        active &= ~dead
-        safe = np.where(norms > 0.0, norms, 1.0)
-        previous = sigmas.copy()
-        updated = products / safe[:, None]
-        vectors[active] = updated[active]
-        new_sigmas = np.sqrt(norms)
-        sigmas[active] = new_sigmas[active]
-        if tolerance > 0.0:
-            settled = active & (
-                np.abs(sigmas - previous) <= tolerance * np.maximum(sigmas, 1e-300)
-            )
-            active &= ~settled
-    return sigmas, vectors
+        # σ(Φ Ψ) = σ(Φ) for orthonormal Ψ: iterate on the factors alone,
+        # exactly as the solo operator_norm shortcut does.
+        dictionary = IdentityDictionary(dictionary.shape)
+
+    def step_products(stack: np.ndarray) -> np.ndarray:
+        forward = _matvec_batch(row_stack, col_stack, offsets, dictionary, stack)
+        return _rmatvec_batch(row_stack, col_stack, offsets, dictionary, forward)
+
+    return power_iteration(
+        step_products,
+        dictionary.n_pixels,
+        list(warm_starts),
+        n_iterations=n_iterations,
+        seed=seed,
+        tolerance=tolerance,
+    )
 
 
 def batched_proximal_gradient(
@@ -225,18 +188,18 @@ def batched_proximal_gradient(
     accelerated:
         ``True`` for FISTA (Nesterov momentum), ``False`` for plain ISTA.
     profile:
-        Opt-in :class:`~repro.telemetry.SolverProfile`: per iteration it
-        records the LASSO objective and residual norm summed over all
-        tiles, plus how many tiles entered the iteration already frozen
-        (converged).  The recorded step size is the mean per-tile step;
-        provenance is ``"provided"``/``"estimated"`` for the whole stack.
-        Read-only — the solve itself is unchanged.
+        Opt-in :class:`~repro.telemetry.SolverProfile`: the LASSO objective
+        and residual norm summed over all tiles and the count of tiles
+        already frozen, per iteration, plus the mean step and its
+        provenance.  Read-only — the solve itself is unchanged.
 
     Returns
     -------
     list of SolverResult
         One result per tile, with per-tile iteration counts, convergence
-        flags and residual histories.
+        flags and residual histories — each byte-identical to the solo
+        :func:`~repro.cs.solvers.iterative.fista` / ``ista`` solve of that
+        tile with the same step.
     """
     row_stack, col_stack, offsets, dictionary = _stack_factors(operators)
     n_tiles = row_stack.shape[0]
@@ -246,103 +209,25 @@ def batched_proximal_gradient(
             f"measurements must have shape ({n_tiles}, {col_stack.shape[1]}), "
             f"got {measurements.shape}"
         )
-    check_positive("max_iterations", max_iterations)
-    check_positive("tolerance", tolerance)
-    regularization = np.broadcast_to(
-        np.asarray(regularization, dtype=float), (n_tiles,)
-    ).copy()
+    regularization = np.broadcast_to(np.asarray(regularization, dtype=float), (n_tiles,))
     if (regularization < 0).any():
         raise ValueError("regularization must be non-negative")
-    step_provenance = "provided"
+    step_provenance = "estimated" if step_sizes is None else "provided"
     if step_sizes is None:
-        sigmas, _ = batched_operator_norms(operators)
-        step_sizes = steps_from_norms(sigmas)
-        step_provenance = "estimated"
-    else:
-        step_sizes = np.broadcast_to(
-            np.asarray(step_sizes, dtype=float), (n_tiles,)
-        ).copy()
-        if (step_sizes <= 0).any():
-            raise ValueError("step_sizes must be positive")
-    if profile is not None:
-        profile.record_step_size(float(step_sizes.mean()), provenance=step_provenance)
-        profile.n_tiles = n_tiles
-
-    n_coefficients = dictionary.n_pixels
-    coefficients = np.zeros((n_tiles, n_coefficients))
-    momentum_point = coefficients.copy()
-    momentum = 1.0
-    # A is linear, so A @ momentum_point is a linear combination of the
-    # already-computed A @ candidate and A @ coefficients — tracking the two
-    # measurement-domain images costs one matvec per iteration, as in the
-    # per-tile loop, while the residual norms stay exact.
-    measured_point = np.zeros_like(measurements)
-    measured_coefficients = np.zeros_like(measurements)
-    active = np.ones(n_tiles, dtype=bool)
-    converged = np.zeros(n_tiles, dtype=bool)
-    iterations = np.zeros(n_tiles, dtype=int)
-    histories: list[list[float]] = [[] for _ in range(n_tiles)]
-    for iteration in range(1, int(max_iterations) + 1):
-        if not active.any():
-            break
-        gradient = _rmatvec_batch(
-            row_stack, col_stack, offsets, dictionary,
-            measured_point - measurements,
-        )
-        candidate = _soft_threshold_batch(
-            momentum_point - step_sizes[:, None] * gradient,
-            (step_sizes * regularization)[:, None],
-        )
-        measured_candidate = _matvec_batch(
-            row_stack, col_stack, offsets, dictionary, candidate
-        )
-        if accelerated:
-            next_momentum = (1.0 + np.sqrt(1.0 + 4.0 * momentum ** 2)) / 2.0
-            weight = (momentum - 1.0) / next_momentum
-            next_point = candidate + weight * (candidate - coefficients)
-            next_measured = measured_candidate + weight * (
-                measured_candidate - measured_coefficients
-            )
-            momentum = next_momentum
-        else:
-            next_point = candidate
-            next_measured = measured_candidate
-        change = np.linalg.norm(candidate - coefficients, axis=1)
-        scale = np.maximum(np.linalg.norm(coefficients, axis=1), 1e-12)
-        coefficients[active] = candidate[active]
-        momentum_point[active] = next_point[active]
-        measured_point[active] = next_measured[active]
-        measured_coefficients[active] = measured_candidate[active]
-        iterations[active] = iteration
-        residual_norms = np.linalg.norm(
-            measurements - measured_coefficients, axis=1
-        )
-        for index in np.flatnonzero(active):
-            histories[index].append(float(residual_norms[index]))
-        if profile is not None:
-            # Aggregate objective over the whole stack; `active` still holds
-            # the set that entered this iteration, so the frozen count is the
-            # tiles that were already settled when the iteration started.
-            objective = 0.5 * float((residual_norms ** 2).sum()) + float(
-                (regularization * np.abs(coefficients).sum(axis=1)).sum()
-            )
-            profile.record_iteration(
-                objective,
-                float(np.linalg.norm(residual_norms)),
-                frozen=n_tiles - int(active.sum()),
-            )
-        settled = active & (change / scale <= tolerance)
-        converged |= settled
-        active &= ~settled
-    if profile is not None:
-        profile.finish(converged=bool(converged.all()))
-    return [
-        SolverResult(
-            coefficients=coefficients[index],
-            n_iterations=int(iterations[index]),
-            converged=bool(converged[index]),
-            residual_norm=histories[index][-1] if histories[index] else 0.0,
-            history=histories[index],
-        )
-        for index in range(n_tiles)
-    ]
+        step_sizes = steps_from_norms(batched_operator_norms(operators)[0])
+    step_sizes = np.broadcast_to(np.asarray(step_sizes, dtype=float), (n_tiles,))
+    if (step_sizes <= 0).any():
+        raise ValueError("step_sizes must be positive")
+    return proximal_gradient(
+        partial(_matvec_batch, row_stack, col_stack, offsets, dictionary),
+        partial(_rmatvec_batch, row_stack, col_stack, offsets, dictionary),
+        measurements,
+        np.zeros((n_tiles, dictionary.n_pixels)),
+        step_sizes=step_sizes,
+        regularization=regularization,
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        accelerated=accelerated,
+        step_provenance=step_provenance,
+        profile=profile,
+    )

@@ -8,7 +8,10 @@ norm needs is carried into the next gradient, by linearity through FISTA's
 momentum step, instead of being recomputed.
 
 * ISTA/FISTA solve the LASSO problem ``min 0.5||y - Az||² + λ||z||₁`` by
-  proximal gradient descent (FISTA adds Nesterov momentum).
+  proximal gradient descent (FISTA adds Nesterov momentum).  Both run
+  :func:`proximal_gradient`, the one FISTA/ISTA loop of the package, as a
+  stack of one; the batched multi-tile solver
+  (:mod:`repro.cs.solvers.batched`) runs it over a stack of tiles.
 * IHT solves the k-sparse constrained problem by gradient steps followed by
   hard thresholding to the k largest coefficients.
 
@@ -23,10 +26,11 @@ default ``None`` skips every bookkeeping branch.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 
 import numpy as np
 
-from repro.cs.operators import SensingOperator
+from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.solvers.result import SolverResult, as_operator, check_measurements
 from repro.telemetry import SolverProfile
 from repro.utils.validation import check_positive
@@ -36,7 +40,12 @@ def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
     """Soft-thresholding (the proximal operator of the l1 norm)."""
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
-    return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
+    return _shrink(values, threshold)
+
+
+def _shrink(values: np.ndarray, thresholds: float | np.ndarray) -> np.ndarray:
+    """Unchecked soft-thresholding; ``thresholds`` may be one per stack row."""
+    return np.sign(values) * np.maximum(np.abs(values) - thresholds, 0.0)
 
 
 def hard_threshold(values: np.ndarray, sparsity: int) -> np.ndarray:
@@ -50,14 +59,20 @@ def hard_threshold(values: np.ndarray, sparsity: int) -> np.ndarray:
     return result
 
 
-def _step_size(operator: SensingOperator, step_size: float | None) -> float:
+def step_from_norm(sigma: float) -> float:
+    """The gradient step ``1/σ²`` for ``σ = σ_max(A)``; a unit step for σ = 0.
+
+    Solo and batched solves both take their steps from here, because
+    Python's float power and numpy's array square can round ``σ²`` apart.
+    """
+    return 1.0 / (sigma ** 2) if sigma > 0.0 else 1.0
+
+
+def _step_size(operator: BaseSensingOperator, step_size: float | None) -> float:
     if step_size is not None:
         check_positive("step_size", step_size)
         return float(step_size)
-    norm = operator.operator_norm()
-    if norm == 0.0:
-        return 1.0
-    return 1.0 / (norm ** 2)
+    return step_from_norm(operator.operator_norm())
 
 
 def ista(
@@ -87,16 +102,10 @@ def ista(
         per-iteration LASSO objective and residual norm plus the step size
         and its provenance.  Read-only — the solve itself is unchanged.
     """
-    return _proximal_gradient(
-        operator_or_matrix,
-        measurements,
-        regularization=regularization,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        step_size=step_size,
-        initial=initial,
-        accelerated=False,
-        profile=profile,
+    return _solo_proximal_gradient(
+        operator_or_matrix, measurements, regularization=regularization,
+        max_iterations=max_iterations, tolerance=tolerance, step_size=step_size,
+        initial=initial, accelerated=False, profile=profile,
     )
 
 
@@ -112,20 +121,14 @@ def fista(
     profile: SolverProfile | None = None,
 ) -> SolverResult:
     """FISTA — ISTA with Nesterov momentum (Beck & Teboulle 2009)."""
-    return _proximal_gradient(
-        operator_or_matrix,
-        measurements,
-        regularization=regularization,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        step_size=step_size,
-        initial=initial,
-        accelerated=True,
-        profile=profile,
+    return _solo_proximal_gradient(
+        operator_or_matrix, measurements, regularization=regularization,
+        max_iterations=max_iterations, tolerance=tolerance, step_size=step_size,
+        initial=initial, accelerated=True, profile=profile,
     )
 
 
-def _proximal_gradient(
+def _solo_proximal_gradient(
     operator_or_matrix: SensingOperator | np.ndarray,
     measurements: np.ndarray,
     *,
@@ -135,77 +138,139 @@ def _proximal_gradient(
     step_size: float | None,
     initial: np.ndarray | None,
     accelerated: bool,
-    profile: SolverProfile | None = None,
+    profile: SolverProfile | None,
 ) -> SolverResult:
+    """One LASSO solve: the one-tile stack of :func:`proximal_gradient`."""
     operator = as_operator(operator_or_matrix)
     measurements = check_measurements(operator, measurements)
     check_positive("regularization", regularization, allow_zero=True)
+    step = _step_size(operator, step_size)
+    if initial is None:
+        start = np.zeros(operator.n_coefficients)
+    else:
+        start = np.asarray(initial, dtype=float).reshape(-1)
+        if start.size != operator.n_coefficients:
+            raise ValueError("initial vector has the wrong dimension")
+    (result,) = proximal_gradient(
+        lambda stack: operator.matvec(stack[0])[None],
+        lambda stack: operator.rmatvec(stack[0])[None],
+        measurements[None],
+        start[None],
+        step_sizes=np.array([step]),
+        regularization=np.array([float(regularization)]),
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        accelerated=accelerated,
+        step_provenance="estimated" if step_size is None else "provided",
+        profile=profile,
+    )
+    return result
+
+
+def proximal_gradient(
+    forward: Callable[[np.ndarray], np.ndarray],
+    adjoint: Callable[[np.ndarray], np.ndarray],
+    measurements: np.ndarray,
+    initial: np.ndarray,
+    *,
+    step_sizes: np.ndarray,
+    regularization: np.ndarray,
+    max_iterations: int,
+    tolerance: float,
+    accelerated: bool,
+    step_provenance: str,
+    profile: SolverProfile | None,
+) -> list[SolverResult]:
+    """FISTA (or ISTA) on a stack of ``T`` independent LASSO problems.
+
+    ``forward``/``adjoint`` apply every ``A_t``/``A_t*`` to the rows of a
+    ``(T, n)``/``(T, m)`` stack; steps and l1 weights are per tile.  A tile
+    that meets its relative-change stop is frozen while the rest iterate
+    on, and every per-tile reduction is the 1-D norm of one row, so a tile
+    gives the same bytes in a stack of one as in a stack of many.  A is
+    linear, so ``A @ momentum_point`` is tracked as the same combination of
+    ``A @ candidate`` and ``A @ coefficients``: one forward product per
+    iteration plus the start point's, with exact residual norms (ISTA's
+    momentum point *is* the candidate, so its bytes are unchanged).
+    ``profile`` gets the objective and residual norm summed over the stack
+    and how many tiles entered each iteration frozen.
+    """
     check_positive("max_iterations", max_iterations)
     check_positive("tolerance", tolerance)
-    step = _step_size(operator, step_size)
+    n_tiles = measurements.shape[0]
     if profile is not None:
-        profile.record_step_size(
-            step, provenance="provided" if step_size is not None else "estimated"
-        )
-        profile.n_tiles = 1
-
-    if initial is None:
-        coefficients = np.zeros(operator.n_coefficients)
-    else:
-        coefficients = np.asarray(initial, dtype=float).reshape(-1).copy()
-        if coefficients.size != operator.n_coefficients:
-            raise ValueError("initial vector has the wrong dimension")
+        profile.record_step_size(float(step_sizes.mean()), provenance=step_provenance)
+        profile.n_tiles = n_tiles
+    # Per-tile steps and thresholds broadcast as columns; a lone tile's are
+    # scalars, which numpy applies faster (same bytes).
+    steps = step_sizes[:, None] if n_tiles > 1 else step_sizes[0]
+    thresholds = steps * (regularization[:, None] if n_tiles > 1 else regularization[0])
+    coefficients = initial.copy()
     momentum_point = coefficients.copy()
     momentum = 1.0
-    # A is linear, so A @ momentum_point is the same combination of
-    # A @ candidate and A @ coefficients as the momentum point itself:
-    # tracking both measurement-domain images costs one matvec per iteration
-    # (the residual's, which stays exact) instead of two.  ISTA's momentum
-    # point *is* the candidate, so its bytes are unchanged by the tracking.
-    measured_coefficients = operator.matvec(coefficients)
+    measured_coefficients = forward(coefficients)
     measured_point = measured_coefficients
-    history = []
-    converged = False
-    iteration = 0
-    for iteration in range(1, int(max_iterations) + 1):
-        gradient = operator.rmatvec(measured_point - measurements)
-        candidate = soft_threshold(momentum_point - step * gradient, step * regularization)
-        measured_candidate = operator.matvec(candidate)
+    histories: list[list[float]] = [[] for _ in range(n_tiles)]
+    live = list(range(n_tiles))
+    frozen: list[int] = []
+    for _ in range(int(max_iterations)):
+        if not live:
+            break
+        gradient = adjoint(measured_point - measurements)
+        candidate = _shrink(momentum_point - steps * gradient, thresholds)
+        measured_candidate = forward(candidate)
         if accelerated:
             next_momentum = (1.0 + np.sqrt(1.0 + 4.0 * momentum ** 2)) / 2.0
             weight = (momentum - 1.0) / next_momentum
-            momentum_point = candidate + weight * (candidate - coefficients)
-            measured_point = measured_candidate + weight * (
+            next_point = candidate + weight * (candidate - coefficients)
+            next_measured = measured_candidate + weight * (
                 measured_candidate - measured_coefficients
             )
             momentum = next_momentum
         else:
-            momentum_point = candidate
-            measured_point = measured_candidate
-        change = np.linalg.norm(candidate - coefficients)
-        scale = max(np.linalg.norm(coefficients), 1e-12)
-        coefficients = candidate
-        measured_coefficients = measured_candidate
-        residual = measurements - measured_coefficients
-        history.append(float(np.linalg.norm(residual)))
+            next_point = candidate
+            next_measured = measured_candidate
+        deltas = candidate - coefficients
+        # Frozen tiles keep their rows: patch them into the new stacks
+        # (nothing to patch while every tile is live).
+        for index in frozen:
+            candidate[index] = coefficients[index]
+            next_point[index] = momentum_point[index]
+            measured_candidate[index] = measured_coefficients[index]
+            next_measured[index] = measured_point[index]
+        residuals = measurements - measured_candidate
+        still_live = []
+        for index in live:
+            change = np.linalg.norm(deltas[index])
+            scale = max(np.linalg.norm(coefficients[index]), 1e-12)
+            histories[index].append(float(np.linalg.norm(residuals[index])))
+            if change / scale <= tolerance:
+                frozen.append(index)
+            else:
+                still_live.append(index)
+        coefficients, momentum_point = candidate, next_point
+        measured_coefficients, measured_point = measured_candidate, next_measured
         if profile is not None:
-            profile.record_iteration(
+            objective = sum(
                 0.5 * history[-1] ** 2
-                + float(regularization) * float(np.abs(coefficients).sum()),
-                history[-1],
+                + float(regularization[index]) * float(np.abs(coefficients[index]).sum())
+                for index, history in enumerate(histories)
             )
-        if change / scale <= tolerance:
-            converged = True
-            break
+            residual = np.hypot.reduce([history[-1] for history in histories])
+            profile.record_iteration(objective, residual, frozen=n_tiles - len(live))
+        live = still_live
     if profile is not None:
-        profile.finish(converged=converged)
-    return SolverResult(
-        coefficients=coefficients,
-        n_iterations=iteration,
-        converged=converged,
-        residual_norm=history[-1] if history else 0.0,
-        history=history,
-    )
+        profile.finish(converged=len(frozen) == n_tiles)
+    return [
+        SolverResult(
+            coefficients=coefficients[index],
+            n_iterations=len(history),
+            converged=index in frozen,
+            residual_norm=history[-1] if history else 0.0,
+            history=history,
+        )
+        for index, history in enumerate(histories)
+    ]
 
 
 def iht(

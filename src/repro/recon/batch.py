@@ -1,13 +1,15 @@
 """Batched multi-tile frame solves: one einsum pass over a whole mosaic.
 
 :func:`solve_tiles_batched` is the mosaic-scale twin of
-:func:`~repro.recon.pipeline.reconstruct_frame`: it applies the same
-per-tile centring (matrix density + image-DC estimate), the same default l1
-weight and the same FISTA/ISTA iteration — but to *all* equal-shape tiles of
-a frame at once, through the stacked rank-structured operators of
+:func:`~repro.recon.pipeline.reconstruct_frame`: it shares its per-tile
+centring and default l1 weight
+(:func:`~repro.recon.pipeline.center_frame_samples`) and result packaging,
+and runs the same FISTA/ISTA loop — but over *all* equal-shape tiles of a
+frame at once, through the stacked rank-structured operators of
 :mod:`repro.cs.solvers.batched`.  Per-tile step sizes come from one batched
-power iteration (optionally memoised / warm-started through a
-:class:`~repro.cs.operators.StepSizeCache` along a GOP chain).
+power iteration, memoised and warm-started through a
+:class:`~repro.cs.operators.StepSizeCache` when one is given.  The result
+is byte-identical to solving the tiles one by one.
 
 :class:`~repro.recon.incremental.IncrementalTiledReconstructor` routes its
 staged tiles through this function, which is how both
@@ -19,23 +21,25 @@ streamed and in-process mosaics stay byte-identical.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cs.metrics import psnr, reconstruction_snr
-from repro.cs.operators import StepSizeCache
+from repro.cs.operators import StepSizeCache, cached_operator_norms
 from repro.cs.solvers.batched import (
     batched_operator_norms,
     batched_proximal_gradient,
     steps_from_norms,
 )
 from repro.recon.operator import frame_operator
+from repro.recon.pipeline import (
+    _DEFAULT_MAX_ITERATIONS,
+    BATCHABLE_SOLVERS,
+    ReconstructionResult,
+    center_frame_samples,
+    frame_result,
+)
 from repro.sensor.imager import CompressedFrame
 from repro.utils.validation import check_choice
-
-if TYPE_CHECKING:
-    from repro.recon.pipeline import ReconstructionResult
 
 
 def batch_group_key(frame: CompressedFrame) -> tuple:
@@ -81,12 +85,6 @@ def solve_tiles_batched(
         per-tile path produces, including per-tile metrics against the
         frame's digital image when it was kept.
     """
-    from repro.recon.pipeline import (
-        _DEFAULT_MAX_ITERATIONS,
-        BATCHABLE_SOLVERS,
-        ReconstructionResult,
-    )
-
     check_choice("solver", solver, BATCHABLE_SOLVERS)
     if not frames:
         return []
@@ -98,98 +96,43 @@ def solve_tiles_batched(
     if max_iterations is None:
         max_iterations = _DEFAULT_MAX_ITERATIONS[solver]
 
-    operators = []
-    densities = []
-    for frame in frames:
-        operator, density = frame_operator(
+    built = [
+        frame_operator(
             frame,
             dictionary=dictionary,
             center=True,
             operator="structured",
             step_cache=step_cache,
         )
-        operators.append(operator)
-        densities.append(density)
-    n_pixels = frames[0].config.n_pixels
+        for frame in frames
+    ]
+    operators = [operator for operator, _ in built]
+    centered, pixel_means, regularizations = zip(*(
+        center_frame_samples(operator, density, frame.samples.astype(float), regularization)
+        for (operator, density), frame in zip(built, frames)
+    ))
 
-    # Per-tile centring, exactly as reconstruct_frame does it: the sample
-    # mean estimates the image DC, which is removed from the measurements so
-    # the solver only recovers the AC image.
-    samples = np.stack([frame.samples.astype(float) for frame in frames])
-    densities = np.asarray(densities)
-    dc_estimates = np.where(
-        densities > 0, samples.mean(axis=1) / np.where(densities > 0, densities, 1.0), 0.0
+    # Exact cache hits ride the memoised σ verbatim; one batched power
+    # iteration covers *only* the misses.
+    sigmas = cached_operator_norms(
+        operators,
+        step_cache,
+        lambda misses, warm_starts: batched_operator_norms(misses, warm_starts=warm_starts),
     )
-    pixel_means = dc_estimates / n_pixels
-    centered = samples - densities[:, None] * dc_estimates[:, None]
-    for index, operator in enumerate(operators):
-        centered[index] -= operator.phi_dot(np.full(n_pixels, pixel_means[index]))
-    if regularization is None:
-        regularizations = 0.02 * (np.abs(centered).max(axis=1) + 1.0)
-    else:
-        regularizations = np.full(len(frames), float(regularization))
-
-    # Per-tile step sizes: exact cache hits ride the memoised value
-    # verbatim, and one batched power iteration covers *only* the misses —
-    # the whole point of the cache is not to pay those matmuls again.
-    cached: dict[int, float] = {}
-    warm_starts: list[np.ndarray | None] | None = None
-    if step_cache is not None:
-        warm_starts = []
-        for index, operator in enumerate(operators):
-            sigma = step_cache.norm(operator.norm_exact_key)
-            if sigma is not None:
-                cached[index] = sigma
-            else:
-                warm_starts.append(step_cache.warm_vector(operator.norm_warm_key))
-    sigmas = np.zeros(len(operators))
-    miss_indices = [index for index in range(len(operators)) if index not in cached]
-    for index, sigma in cached.items():
-        sigmas[index] = sigma
-    if miss_indices:
-        miss_sigmas, miss_vectors = batched_operator_norms(
-            [operators[index] for index in miss_indices], warm_starts=warm_starts
-        )
-        for position, index in enumerate(miss_indices):
-            sigmas[index] = miss_sigmas[position]
-            if step_cache is not None and miss_sigmas[position] > 0.0:
-                step_cache.store(
-                    operators[index].norm_exact_key,
-                    operators[index].norm_warm_key,
-                    float(miss_sigmas[position]),
-                    miss_vectors[position],
-                )
-    step_sizes = steps_from_norms(sigmas)
-
     solver_results = batched_proximal_gradient(
         operators,
-        centered,
-        regularization=regularizations,
+        np.stack(centered),
+        regularization=np.array(regularizations),
         max_iterations=max_iterations,
-        step_sizes=step_sizes,
+        step_sizes=steps_from_norms(sigmas),
         accelerated=(solver == "fista"),
     )
-
-    results = []
-    for frame, operator, solver_result, pixel_mean in zip(
-        frames, operators, solver_results, pixel_means
-    ):
-        image = operator.coefficients_to_image(solver_result.coefficients) + pixel_mean
-        metrics: dict[str, float] = {}
-        if frame.digital_image is not None:
-            reference = np.asarray(frame.digital_image, dtype=float)
-            metrics = {
-                "psnr_db": psnr(reference, image),
-                "snr_db": reconstruction_snr(reference, image),
-            }
-        results.append(
-            ReconstructionResult(
-                image=image,
-                solver_result=solver_result,
-                dictionary=dictionary,
-                solver=solver,
-                metrics=metrics,
-                capture_metadata=dict(frame.metadata),
-            )
+    return [
+        frame_result(
+            frame, operator, solver_result, pixel_mean,
+            dictionary=dictionary, solver=solver,
         )
-    return results
+        for frame, operator, solver_result, pixel_mean in zip(
+            frames, operators, solver_results, pixel_means
+        )
+    ]

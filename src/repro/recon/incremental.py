@@ -9,7 +9,10 @@ header carries), it derives the same tile grid the sensor used
 (:func:`repro.sensor.shard.tile_grid`), reconstructs each tile through the
 ordinary :func:`~repro.recon.pipeline.reconstruct_frame` path as it is added,
 stitches it at its scene offset, and finalises into a
-:class:`~repro.recon.pipeline.TiledReconstructionResult`.
+:class:`~repro.recon.pipeline.TiledReconstructionResult`.  Tiles staged for
+the frame barrier are solved together by
+:func:`~repro.recon.batch.solve_tiles_batched` instead, which gives the
+same bytes as the per-tile path.
 
 :func:`repro.recon.pipeline.reconstruct_tiled` is built on this class, so the
 in-process and the streamed reconstruction are the *same code path* — a scene
@@ -23,13 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cs.metrics import psnr, reconstruction_snr
 from repro.cs.operators import StepSizeCache
 from repro.recon.batch import batch_group_key, solve_tiles_batched
 from repro.recon.pipeline import (
     BATCHABLE_SOLVERS,
     ReconstructionResult,
     TiledReconstructionResult,
+    quality_metrics,
     reconstruct_frame,
 )
 from repro.sensor.imager import CompressedFrame
@@ -133,6 +136,23 @@ class IncrementalTiledReconstructor:
             )
         return self.slots[grid_row][grid_col]
 
+    def _check_new_tile(
+        self, grid_row: int, grid_col: int, frame: CompressedFrame
+    ) -> TileSlot:
+        """The tile's slot, once the frame fits it and the slot is still free."""
+        slot = self.slot(grid_row, grid_col)
+        if (frame.config.rows, frame.config.cols) != (slot.rows, slot.cols):
+            raise ValueError(
+                f"tile ({grid_row}, {grid_col}) frame is "
+                f"{frame.config.rows}x{frame.config.cols}, slot expects "
+                f"{slot.rows}x{slot.cols}"
+            )
+        if self._frames[grid_row][grid_col] is not None or any(
+            (grid_row, grid_col) == (row, col) for row, col, _ in self._staged
+        ):
+            raise ValueError(f"tile ({grid_row}, {grid_col}) was already added")
+        return slot
+
     # -------------------------------------------------------------- solving
     def solve_tile(
         self,
@@ -168,17 +188,7 @@ class IncrementalTiledReconstructor:
         arrival, exactly as on the eager path); the inverse problem itself
         is deferred until the whole batch is stacked.
         """
-        slot = self.slot(grid_row, grid_col)
-        if (frame.config.rows, frame.config.cols) != (slot.rows, slot.cols):
-            raise ValueError(
-                f"tile ({grid_row}, {grid_col}) frame is "
-                f"{frame.config.rows}x{frame.config.cols}, slot expects "
-                f"{slot.rows}x{slot.cols}"
-            )
-        if self._frames[grid_row][grid_col] is not None or any(
-            (grid_row, grid_col) == (row, col) for row, col, _ in self._staged
-        ):
-            raise ValueError(f"tile ({grid_row}, {grid_col}) was already added")
+        self._check_new_tile(grid_row, grid_col, frame)
         self._staged.append((grid_row, grid_col, frame))
 
     def solve_staged(self) -> list[ReconstructionResult]:
@@ -242,17 +252,7 @@ class IncrementalTiledReconstructor:
         result: ReconstructionResult,
     ) -> ReconstructionResult:
         """Stitch an already-solved tile (the pre-computed, pooled path)."""
-        slot = self.slot(grid_row, grid_col)
-        if (frame.config.rows, frame.config.cols) != (slot.rows, slot.cols):
-            raise ValueError(
-                f"tile ({grid_row}, {grid_col}) frame is "
-                f"{frame.config.rows}x{frame.config.cols}, slot expects "
-                f"{slot.rows}x{slot.cols}"
-            )
-        if self._frames[grid_row][grid_col] is not None or any(
-            (grid_row, grid_col) == (row, col) for row, col, _ in self._staged
-        ):
-            raise ValueError(f"tile ({grid_row}, {grid_col}) was already added")
+        slot = self._check_new_tile(grid_row, grid_col, frame)
         self._frames[grid_row][grid_col] = frame
         self._tile_results[grid_row][grid_col] = result
         self._image[slot.row_slice, slot.col_slice] = result.image
@@ -307,13 +307,6 @@ class IncrementalTiledReconstructor:
                 for slot, frame in zip(slot_row, frame_row):
                     stitched[slot.row_slice, slot.col_slice] = frame.digital_image
             reference = stitched
-        metrics: dict[str, float] = {}
-        if reference is not None:
-            reference = np.asarray(reference, dtype=float)
-            metrics = {
-                "psnr_db": psnr(reference, self._image),
-                "snr_db": reconstruction_snr(reference, self._image),
-            }
         if capture_metadata is None:
             capture_metadata = (
                 merge_tile_statistics(flat_frames) if flat_frames else {}
@@ -323,6 +316,6 @@ class IncrementalTiledReconstructor:
             tile_results=[list(row) for row in self._tile_results],
             dictionary=self.dictionary,
             solver=self.solver,
-            metrics=metrics,
+            metrics=quality_metrics(reference, self._image),
             capture_metadata=dict(capture_metadata),
         )

@@ -172,21 +172,16 @@ def reconstruct_samples(
     """
     phi = np.asarray(phi, dtype=float)
     samples = np.asarray(samples, dtype=float).reshape(-1)
-    psi = make_dictionary(dictionary, image_shape)
     density = float(phi.mean())
-    dc_estimate = 0.0
-    pixel_mean = 0.0
-    if center and 0.0 < density < 1.0 and np.all((phi == 0.0) | (phi == 1.0)):
-        dc_estimate = float(samples.mean() / density)
-        pixel_mean = dc_estimate / phi.shape[1]
-        phi = phi - density
-        # Remove both the matrix DC and the image DC from the measurements and
-        # solve only for the AC part of the image; reconstructing the large DC
-        # coefficient through the solver would dominate its iteration budget.
-        samples = samples - density * dc_estimate - phi @ np.full(phi.shape[1], pixel_mean)
-    if regularization is None:
-        regularization = 0.02 * float(np.abs(samples).max() + 1.0)
-    operator = SensingOperator(phi, psi)
+    if not (center and 0.0 < density < 1.0 and np.all((phi == 0.0) | (phi == 1.0))):
+        density = 0.0
+    # Remove both the matrix DC and the image DC from the measurements and
+    # solve only for the AC part of the image; reconstructing the large DC
+    # coefficient through the solver would dominate its iteration budget.
+    operator = SensingOperator(phi - density, make_dictionary(dictionary, image_shape))
+    samples, pixel_mean, regularization = center_frame_samples(
+        operator, density, samples, regularization
+    )
     result = _solve(
         operator,
         samples,
@@ -196,21 +191,14 @@ def reconstruct_samples(
         max_iterations=max_iterations,
     )
     image = operator.coefficients_to_image(result.coefficients)
-    if dc_estimate:
+    if pixel_mean:
         image = image + pixel_mean
-    metrics: dict[str, float] = {}
-    if reference is not None:
-        reference = np.asarray(reference, dtype=float)
-        metrics = {
-            "psnr_db": psnr(reference, image),
-            "snr_db": reconstruction_snr(reference, image),
-        }
     return ReconstructionResult(
         image=image,
         solver_result=result,
         dictionary=dictionary,
         solver=solver,
-        metrics=metrics,
+        metrics=quality_metrics(reference, image),
     )
 
 
@@ -280,16 +268,9 @@ def reconstruct_frame(
     samples = frame.samples.astype(float)
     if mask is not None:
         samples = samples[mask]
-    # Every sample selects ~half the pixels, so the sample mean estimates the
-    # image DC: E[y] = density * sum(x).  The DC is handled outside the solver
-    # (see reconstruct_samples): the solver only recovers the AC image.
-    dc_estimate = float(samples.mean() / density) if density > 0 else 0.0
-    pixel_mean = dc_estimate / frame.config.n_pixels
-    centered = samples - density * dc_estimate
-    centered = centered - sensing.phi_dot(np.full(frame.config.n_pixels, pixel_mean))
-    if regularization is None:
-        # Scale with the measurement magnitude so one default fits 8..12 bit codes.
-        regularization = 0.02 * float(np.abs(centered).max() + 1.0)
+    centered, pixel_mean, regularization = center_frame_samples(
+        sensing, density, samples, regularization
+    )
     result = _solve(
         sensing,
         centered,
@@ -298,29 +279,72 @@ def reconstruct_frame(
         sparsity=sparsity,
         max_iterations=max_iterations,
     )
-    image = sensing.coefficients_to_image(result.coefficients)
-    image = image + pixel_mean
-    if reference is None and frame.digital_image is not None:
+    return frame_result(
+        frame, sensing, result, pixel_mean,
+        dictionary=dictionary, solver=solver, reference=reference,
+    )
+
+
+def center_frame_samples(
+    sensing: BaseSensingOperator,
+    density: float,
+    samples: np.ndarray,
+    regularization: float | None,
+) -> tuple[np.ndarray, float, float]:
+    """Centre one frame's samples: ``(centred samples, pixel mean, λ)``.
+
+    The sample mean estimates the image DC (E[y] = density * sum(x)), which
+    is removed so the solver only recovers the AC image.  ``λ`` defaults to
+    a weight scaled with the centred samples, which fits 8..12 bit codes.
+    """
+    n_pixels = sensing.dictionary.n_pixels
+    dc_estimate = float(samples.mean() / density) if density > 0 else 0.0
+    pixel_mean = dc_estimate / n_pixels
+    centered = samples - density * dc_estimate
+    centered = centered - sensing.phi_dot(np.full(n_pixels, pixel_mean))
+    if regularization is None:
+        regularization = 0.02 * float(np.abs(centered).max() + 1.0)
+    return centered, pixel_mean, regularization
+
+
+def frame_result(
+    frame: CompressedFrame,
+    sensing: BaseSensingOperator,
+    result: SolverResult,
+    pixel_mean: float,
+    *,
+    dictionary: str,
+    solver: str,
+    reference: np.ndarray | None = None,
+) -> ReconstructionResult:
+    """Package one frame's solve with its metrics and capture statistics.
+
+    ``reference`` defaults to the frame's digital image when it was kept.
+    The capture statistics (lost/queued events, LSB errors, fidelity) let
+    receivers weigh the result, e.g. down-rank frames with deadline losses.
+    """
+    image = sensing.coefficients_to_image(result.coefficients) + pixel_mean
+    if reference is None:
         reference = frame.digital_image
-    metrics: dict[str, float] = {}
-    if reference is not None:
-        reference = np.asarray(reference, dtype=float)
-        metrics = {
-            "psnr_db": psnr(reference, image),
-            "snr_db": reconstruction_snr(reference, image),
-        }
-    # Carry the sensor-side capture statistics (lost/queued events, LSB
-    # errors, fidelity) alongside the reconstruction so receivers can weigh
-    # the result — e.g. down-rank frames whose event-accurate capture
-    # reported deadline losses.
     return ReconstructionResult(
         image=image,
         solver_result=result,
         dictionary=dictionary,
         solver=solver,
-        metrics=metrics,
+        metrics=quality_metrics(reference, image),
         capture_metadata=dict(frame.metadata),
     )
+
+
+def quality_metrics(reference: np.ndarray | None, image: np.ndarray) -> dict[str, float]:
+    """PSNR/SNR of ``image`` against ``reference``; empty without one."""
+    if reference is None:
+        return {}
+    reference = np.asarray(reference, dtype=float)
+    return {
+        "psnr_db": psnr(reference, image),
+        "snr_db": reconstruction_snr(reference, image),
+    }
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 ``ista``/``fista``/``iht`` and ``batched_proximal_gradient`` accept
 ``profile=SolverProfile()``; when given, they append one record per
-iteration (objective, residual norm, and — batched — how many tiles are
-frozen) and stamp where the step size came from.  When ``profile`` stays
+iteration (objective, residual norm, and how many tiles are frozen — always
+0 for ``ista``/``fista``, which solve one tile) and stamp where the step
+size came from; ``iht`` records no frozen count.  When ``profile`` stays
 ``None`` (the default) the solvers skip every bookkeeping branch, so the
 profiling seam costs nothing and, because a profile only *reads* solver
 state, recording one is bit-neutral: same iterates, same RNG stream, same
@@ -30,9 +31,9 @@ class SolverProfile:
 
     ``objectives[i]`` is the composite objective ``0.5·‖Ax−y‖² + λ‖x‖₁``
     after iteration ``i`` (summed over tiles for batched solves) and
-    ``residual_norms[i]`` the matching data-fidelity norm.  For batched
+    ``residual_norms[i]`` the matching data-fidelity norm.  For ISTA/FISTA
     solves ``frozen_counts[i]`` counts tiles already converged-and-frozen
-    entering iteration ``i``.
+    entering iteration ``i`` (0 for a one-tile solve).
     """
 
     objectives: list[float] = field(default_factory=list)

@@ -25,6 +25,7 @@ from repro.cs.solvers import fista, ista
 from repro.cs.solvers.batched import (
     batched_operator_norms,
     batched_proximal_gradient,
+    steps_from_norms,
 )
 from repro.cs.structured import StructuredSensingOperator
 from repro.utils.rng import nonzero_seed_bits
@@ -337,7 +338,7 @@ class TestBatchedSolver:
         sigmas, vectors = batched_operator_norms(operators)
         assert vectors.shape == (3, 64)
         for operator, sigma in zip(operators, sigmas):
-            assert sigma == pytest.approx(operator.operator_norm(), rel=1e-5)
+            assert sigma == operator.operator_norm()
 
     @pytest.mark.parametrize("accelerated", [True, False])
     def test_batched_solve_matches_per_tile(self, accelerated):
@@ -363,12 +364,10 @@ class TestBatchedSolver:
                 max_iterations=60,
                 step_size=float(step),
             )
-            np.testing.assert_allclose(
-                result.coefficients, solo.coefficients, atol=1e-8
-            )
+            assert result.coefficients.tobytes() == solo.coefficients.tobytes()
+            assert result.history == solo.history
             assert result.n_iterations == solo.n_iterations
             assert result.converged == solo.converged
-            assert len(result.history) == len(solo.history)
 
     def test_per_tile_regularization(self):
         operators, measurements = self._stack(n_tiles=2)
@@ -380,9 +379,8 @@ class TestBatchedSolver:
             operators, measurements, weights, batched
         ):
             solo = fista(operator, y, regularization=float(weight), max_iterations=40)
-            np.testing.assert_allclose(
-                result.coefficients, solo.coefficients, atol=1e-8
-            )
+            assert result.coefficients.tobytes() == solo.coefficients.tobytes()
+            assert result.history == solo.history
 
     def test_heterogeneous_stack_rejected(self):
         operators, measurements = self._stack(n_tiles=2)
@@ -447,6 +445,32 @@ class TestBatchedSolver:
             batched_operator_norms(
                 operators, warm_starts=[np.zeros(operators[0].n_coefficients)]
             )
+
+    def test_too_many_warm_starts_rejected(self):
+        operators, _ = self._stack(n_tiles=2)
+        warm = np.ones(operators[0].n_coefficients)
+        with pytest.raises(ValueError, match="warm_starts must have 2 entries, got 3"):
+            batched_operator_norms(operators, warm_starts=[warm, warm, warm])
+
+    def test_too_few_warm_starts_rejected(self):
+        operators, _ = self._stack(n_tiles=2)
+        warm = np.ones(operators[0].n_coefficients)
+        with pytest.raises(ValueError, match="warm_starts must have 2 entries, got 1"):
+            batched_operator_norms(operators, warm_starts=[warm])
+
+    def test_mis_sized_warm_start_rejected(self):
+        operators, _ = self._stack(n_tiles=2)
+        with pytest.raises(ValueError, match="warm_start must have 64 entries, got 63"):
+            batched_operator_norms(operators, warm_starts=[None, np.ones(63)])
+
+    def test_estimated_steps_follow_the_solo_rule(self):
+        # At this σ, Python's float power and numpy's array square round σ²
+        # apart on common libms; a batched tile must take the solo step.
+        sigma = 6.258167291445783
+        assert steps_from_norms(np.array([sigma, 0.0])).tolist() == [
+            1.0 / sigma**2,
+            1.0,
+        ]
 
     def test_zero_operator_tile(self):
         """An all-dark Φ (all factors zero) gets σ=0 and the unit fallback step."""
