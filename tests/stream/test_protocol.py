@@ -13,15 +13,22 @@ from repro.stream.protocol import (
     ChunkType,
     FrameData,
     StreamHeader,
+    FrameParity,
+    FrameSegment,
     StreamProtocolError,
     advance_seed_state,
+    build_frame_parity,
     decode_frame_complete,
     decode_frame_data,
+    decode_frame_parity,
+    decode_frame_segment,
     decode_stream_end,
     decode_stream_header,
     encode_chunk,
     encode_frame_complete,
     encode_frame_data,
+    encode_frame_parity,
+    encode_frame_segment,
     encode_stream_end,
     encode_stream_header,
 )
@@ -129,6 +136,124 @@ class TestPayloadCodecs:
         with pytest.raises(StreamProtocolError):
             decode_stream_end(b"")
 
+
+
+HEADER = StreamHeader(
+    kind="tiled-video",
+    scene_shape=(256, 192),
+    tile_shape=(64, 64),
+    gop_size=6,
+    n_frames=30,
+)
+KEYFRAME = FrameData(
+    frame_index=12, grid_row=3, grid_col=1, keyframe=True, frame_bytes=b"\xc5\x02key"
+)
+NON_KEYFRAME = FrameData(
+    frame_index=13,
+    grid_row=3,
+    grid_col=1,
+    keyframe=False,
+    frame_bytes=b"\xc5\x02seedless",
+)
+SEGMENT = FrameSegment(
+    frame_index=2,
+    grid_row=1,
+    grid_col=0,
+    keyframe=True,
+    segment_index=1,
+    n_segments=4,
+    start_sample=12,
+    n_samples=13,
+    prefix_bytes=b"\xc5\x01\x02\x03",
+    sample_bytes=b"\x5a\x5a\x5a",
+)
+PARITY = FrameParity(
+    frame_index=2,
+    grid_row=1,
+    grid_col=0,
+    payload_lengths=(4, 3, 5),
+    parity_bytes=b"lmn\x0fl",
+)
+
+
+class TestForwardGoldenBlobs:
+    """Chunk types 1-6 frozen as hex: payloads and whole chunks.
+
+    The whole chunks ride stream id 3, numbered 0-6 in the order listed.
+    """
+
+    HEADER_HEX = "0103010000c00040004000060000001e"
+    KEYFRAME_HEX = "0000000c0003000101c5026b6579"
+    NON_KEYFRAME_HEX = "0000000d0003000100c502736565646c657373"
+    COMPLETE_HEX = "000000090010"
+    END_HEX = "0000002a"
+    SEGMENT_HEX = "00000002000100000101040000000c0000000d00040aa1e62bc50102035a5a5a"
+    PARITY_HEX = "0000000200010000030000000400000003000000056c6d6e0f6c"
+    HEADER_CHUNK_HEX = "cc01000300000000000000100103010000c00040004000060000001e"
+    KEYFRAME_CHUNK_HEX = "cc020003000000010000000e0000000c0003000101c5026b6579"
+    NON_KEYFRAME_CHUNK_HEX = (
+        "cc02000300000002000000130000000d0003000100c502736565646c657373"
+    )
+    COMPLETE_CHUNK_HEX = "cc0300030000000300000006000000090010"
+    END_CHUNK_HEX = "cc04000300000004000000040000002a"
+    SEGMENT_CHUNK_HEX = (
+        "cc050003000000050000002000000002000100000101040000000c0000000d00040aa1e62b"
+        "c50102035a5a5a"
+    )
+    PARITY_CHUNK_HEX = (
+        "cc060003000000060000001a0000000200010000030000000400000003000000056c6d6e0f6c"
+    )
+
+    def _payloads(self):
+        return [
+            (ChunkType.STREAM_START, encode_stream_header(HEADER), self.HEADER_HEX),
+            (ChunkType.FRAME_DATA, encode_frame_data(KEYFRAME), self.KEYFRAME_HEX),
+            (
+                ChunkType.FRAME_DATA,
+                encode_frame_data(NON_KEYFRAME),
+                self.NON_KEYFRAME_HEX,
+            ),
+            (ChunkType.FRAME_COMPLETE, encode_frame_complete(9, 16), self.COMPLETE_HEX),
+            (ChunkType.STREAM_END, encode_stream_end(42), self.END_HEX),
+            (ChunkType.FRAME_SEGMENT, encode_frame_segment(SEGMENT), self.SEGMENT_HEX),
+            (ChunkType.FRAME_PARITY, encode_frame_parity(PARITY), self.PARITY_HEX),
+        ]
+
+    def test_payloads_encode_to_the_golden_bytes(self):
+        for _, payload, golden in self._payloads():
+            assert payload.hex() == golden
+
+    def test_golden_blobs_decode_back_exactly(self):
+        assert decode_stream_header(bytes.fromhex(self.HEADER_HEX)) == HEADER
+        assert decode_frame_data(bytes.fromhex(self.KEYFRAME_HEX)) == KEYFRAME
+        assert decode_frame_data(bytes.fromhex(self.NON_KEYFRAME_HEX)) == NON_KEYFRAME
+        assert decode_frame_complete(bytes.fromhex(self.COMPLETE_HEX)) == (9, 16)
+        assert decode_stream_end(bytes.fromhex(self.END_HEX)) == 42
+        assert decode_frame_segment(bytes.fromhex(self.SEGMENT_HEX)) == SEGMENT
+        assert decode_frame_parity(bytes.fromhex(self.PARITY_HEX)) == PARITY
+
+    def test_the_parity_blob_is_the_xor_of_its_group(self):
+        parity = build_frame_parity(2, 1, 0, [b"abcd", b"efg", b"hijkl"])
+        assert parity == PARITY
+
+    def test_whole_chunks_pin_the_chunk_header_too(self):
+        goldens = [
+            self.HEADER_CHUNK_HEX,
+            self.KEYFRAME_CHUNK_HEX,
+            self.NON_KEYFRAME_CHUNK_HEX,
+            self.COMPLETE_CHUNK_HEX,
+            self.END_CHUNK_HEX,
+            self.SEGMENT_CHUNK_HEX,
+            self.PARITY_CHUNK_HEX,
+        ]
+        for sequence, ((chunk_type, payload, _), golden) in enumerate(
+            zip(self._payloads(), goldens)
+        ):
+            chunk = Chunk(
+                chunk_type=chunk_type, stream_id=3, sequence=sequence, payload=payload
+            )
+            assert encode_chunk(chunk).hex() == golden
+            assert ChunkDecoder().feed(bytes.fromhex(golden)) == [chunk]
 
 class TestSeedChain:
     """The one-pattern frame-overlap rule matches the capture engine."""
