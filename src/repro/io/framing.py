@@ -329,7 +329,7 @@ def decode_frame_prefix(
     """Parse a frame's header/stats/seed prefix without touching its samples.
 
     Accepts either a full encoded frame or just its prefix bytes (what
-    :func:`repro.stream.protocol.encode_frame_segment` replicates per
+    every :class:`repro.stream.protocol.FrameSegment` replicates per
     segment).  Raises the same typed errors as :func:`decode_frame`.
     """
     data = bytes(data)

@@ -60,28 +60,20 @@ from repro.stream.protocol import (
     ChunkDecoder,
     ChunkType,
     ControlAck,
+    FrameComplete,
     FrameData,
     FrameParity,
     FrameSegment,
     NackRequest,
     RateAdvice,
     SessionResume,
+    StreamEnd,
     StreamHeader,
     StreamProtocolError,
     advance_seed_state,
-    decode_control_ack,
-    decode_frame_parity,
-    decode_frame_segment,
-    decode_nack_request,
-    decode_rate_advice,
-    decode_session_resume,
+    decode_payload,
     encode_chunk,
-    encode_control_ack,
-    encode_frame_parity,
-    encode_frame_segment,
-    encode_nack_request,
-    encode_rate_advice,
-    encode_session_resume,
+    encode_payload,
 )
 from repro.stream.receiver import (
     ReceivedFrame,
@@ -137,6 +129,8 @@ __all__ = [
     "ChunkType",
     "ChunkDecoder",
     "FrameData",
+    "FrameComplete",
+    "StreamEnd",
     "FrameSegment",
     "FrameParity",
     "ControlAck",
@@ -149,16 +143,6 @@ __all__ = [
     "StreamProtocolError",
     "advance_seed_state",
     "encode_chunk",
-    "encode_frame_segment",
-    "decode_frame_segment",
-    "encode_frame_parity",
-    "decode_frame_parity",
-    "encode_control_ack",
-    "decode_control_ack",
-    "encode_rate_advice",
-    "decode_rate_advice",
-    "encode_nack_request",
-    "decode_nack_request",
-    "encode_session_resume",
-    "decode_session_resume",
+    "encode_payload",
+    "decode_payload",
 ]

@@ -46,11 +46,11 @@ from typing import Any
 
 from repro.cs.operators import StepSizeCache
 from repro.stream.protocol import (
-    Chunk,
     ChunkDecoder,
     ChunkType,
     StreamProtocolError,
     encode_chunk,
+    payload_chunk,
 )
 from repro.stream.session import SessionStats, StreamResult, StreamSession
 from repro.stream.transport import (
@@ -621,15 +621,15 @@ class ReceiverHub:
 
         async def ship_feedback(session: StreamSession) -> None:
             nonlocal feedback_sequence, feedback_open
-            for chunk_type, payload in session.take_outgoing_control():
+            for payload in session.take_outgoing_control():
                 if not feedback_open:
                     return
-                control = Chunk(
-                    chunk_type=chunk_type,
-                    stream_id=session.stream_id,
-                    sequence=feedback_sequence,
-                    payload=payload,
-                )
+                try:
+                    control = payload_chunk(payload, session.stream_id, feedback_sequence)
+                except StreamProtocolError:
+                    # Feedback built from corrupt input may not encode: drop
+                    # that one payload, the stream itself is unharmed.
+                    continue
                 try:
                     await transport.send(encode_chunk(control))
                 except (TransportClosedError, ConnectionError, OSError):

@@ -42,29 +42,24 @@ from repro.sensor.imager import CompressedFrame, CompressiveImager
 from repro.sensor.shard import TiledSensorArray, tile_grid
 from repro.sensor.video import VideoSequencer
 from repro.stream.protocol import (
+    CONTROL_CHUNK_TYPES,
     Chunk,
     ChunkDecoder,
-    ChunkType,
     ControlAck,
+    FrameComplete,
     FrameData,
     FrameSegment,
     NackRequest,
+    Payload,
     RateAdvice,
     SessionResume,
+    StreamEnd,
     StreamHeader,
     StreamProtocolError,
     build_frame_parity,
-    decode_control_ack,
-    decode_nack_request,
-    decode_rate_advice,
+    decode_payload,
     encode_chunk,
-    encode_frame_complete,
-    encode_frame_data,
-    encode_frame_parity,
-    encode_frame_segment,
-    encode_session_resume,
-    encode_stream_end,
-    encode_stream_header,
+    payload_chunk,
 )
 from repro.stream.transport import Transport
 from repro.telemetry import (
@@ -675,24 +670,22 @@ class CameraNode:
                 continue
             for chunk in chunks:
                 try:
-                    if chunk.chunk_type is ChunkType.CONTROL_ACK:
-                        ack = decode_control_ack(chunk.payload)
-                        self.governor.on_feedback(ack)
-                        if self._retransmit is not None:
-                            # A settled frame never gets NACKed again, so
-                            # everything up to it leaves the repair window.
-                            self._retransmit.evict_acked(ack.frame_index)
-                    elif chunk.chunk_type is ChunkType.CONTROL_RATE:
-                        self.governor.on_rate_advice(
-                            decode_rate_advice(chunk.payload)
-                        )
-                    elif chunk.chunk_type is ChunkType.CONTROL_NACK:
-                        await self._answer_nack(decode_nack_request(chunk.payload))
-                    else:
+                    if chunk.chunk_type not in CONTROL_CHUNK_TYPES:
                         raise StreamProtocolError(
                             f"non-control chunk type {chunk.chunk_type} on "
                             "the feedback path"
                         )
+                    control = decode_payload(chunk.chunk_type, chunk.payload)
+                    if isinstance(control, ControlAck):
+                        self.governor.on_feedback(control)
+                        if self._retransmit is not None:
+                            # A settled frame never gets NACKed again, so
+                            # everything up to it leaves the repair window.
+                            self._retransmit.evict_acked(control.frame_index)
+                    elif isinstance(control, RateAdvice):
+                        self.governor.on_rate_advice(control)
+                    elif isinstance(control, NackRequest):
+                        await self._answer_nack(control)
                 except StreamProtocolError:
                     self.n_feedback_errors += 1
                 else:
@@ -736,24 +729,18 @@ class CameraNode:
 
     async def _send_chunk(
         self,
-        chunk_type: ChunkType,
-        payload: bytes,
+        payload: Payload,
         stats: StreamStats,
         *,
         frame_index: int | None = None,
-    ) -> int:
-        """Frame one chunk and push it through the transport (may stall).
+    ) -> Chunk:
+        """Frame one payload as a chunk and push it through the transport (may stall).
 
         With a retransmission buffer the encoded bytes are recorded *before*
         the send, so a chunk lost to a mid-send disconnect is already in the
         window the resume flow replays.
         """
-        chunk = Chunk(
-            chunk_type=chunk_type,
-            stream_id=self.stream_id,
-            sequence=self._sequence,
-            payload=payload,
-        )
+        chunk = payload_chunk(payload, self.stream_id, self._sequence)
         self._sequence += 1
         data = encode_chunk(chunk)
         if frame_index is not None:
@@ -770,7 +757,7 @@ class CameraNode:
             await self._resume_stream()
         stats.n_chunks += 1
         stats.n_bytes += len(data)
-        return len(data)
+        return chunk
 
     async def _resume_stream(self) -> None:
         """Reconnect, re-attach the stream id, replay the unacked window.
@@ -793,12 +780,7 @@ class CameraNode:
             frame_index=self._last_frame_index,
             epoch=self._resume_epoch,
         )
-        chunk = Chunk(
-            chunk_type=ChunkType.SESSION_RESUME,
-            stream_id=self.stream_id,
-            sequence=self._sequence,
-            payload=encode_session_resume(resume),
-        )
+        chunk = payload_chunk(resume, self.stream_id, self._sequence)
         self._sequence += 1
         await self.transport.send(encode_chunk(chunk))
         if self.feedback and self._feedback_task is None:
@@ -819,9 +801,7 @@ class CameraNode:
             self._retransmit.clear()
         if self.feedback and self._feedback_task is None:
             self._feedback_task = asyncio.create_task(self._feedback_loop())
-        await self._send_chunk(
-            ChunkType.STREAM_START, encode_stream_header(header), stats
-        )
+        await self._send_chunk(header, stats)
 
     async def _send_frame(
         self,
@@ -854,18 +834,15 @@ class CameraNode:
             tel.end_span(self.stream_id, frame_index, SPAN_ENCODE)
             tel.begin_span(self.stream_id, frame_index, SPAN_TRANSPORT)
         if not self._segmented:
-            payload = encode_frame_data(
-                FrameData(
-                    frame_index=frame_index,
-                    grid_row=grid_row,
-                    grid_col=grid_col,
-                    keyframe=keyframe,
-                    frame_bytes=frame_bytes,
-                )
+            data = FrameData(
+                frame_index=frame_index,
+                grid_row=grid_row,
+                grid_col=grid_col,
+                keyframe=keyframe,
+                frame_bytes=frame_bytes,
             )
-            return await self._send_chunk(
-                ChunkType.FRAME_DATA, payload, stats, frame_index=frame_index
-            )
+            chunk = await self._send_chunk(data, stats, frame_index=frame_index)
+            return chunk.n_bytes
         sample_bits = frame.config.compressed_sample_bits
         packed = pack_samples(frame.samples, sample_bits)
         prefix = frame_bytes[: len(frame_bytes) - len(packed)]
@@ -876,34 +853,25 @@ class CameraNode:
         for index in range(n_segments):
             start = index * n_samples // n_segments
             stop = (index + 1) * n_samples // n_segments
-            payload = encode_frame_segment(
-                FrameSegment(
-                    frame_index=frame_index,
-                    grid_row=grid_row,
-                    grid_col=grid_col,
-                    keyframe=keyframe,
-                    segment_index=index,
-                    n_segments=n_segments,
-                    start_sample=start,
-                    n_samples=stop - start,
-                    prefix_bytes=prefix,
-                    sample_bytes=pack_samples(
-                        frame.samples[start:stop], sample_bits
-                    ),
-                )
+            segment = FrameSegment(
+                frame_index=frame_index,
+                grid_row=grid_row,
+                grid_col=grid_col,
+                keyframe=keyframe,
+                segment_index=index,
+                n_segments=n_segments,
+                start_sample=start,
+                n_samples=stop - start,
+                prefix_bytes=prefix,
+                sample_bytes=pack_samples(frame.samples[start:stop], sample_bits),
             )
-            payloads.append(payload)
-            sent += await self._send_chunk(
-                ChunkType.FRAME_SEGMENT, payload, stats, frame_index=frame_index
-            )
+            chunk = await self._send_chunk(segment, stats, frame_index=frame_index)
+            payloads.append(chunk.payload)
+            sent += chunk.n_bytes
         if self.parity:
             parity = build_frame_parity(frame_index, grid_row, grid_col, payloads)
-            sent += await self._send_chunk(
-                ChunkType.FRAME_PARITY,
-                encode_frame_parity(parity),
-                stats,
-                frame_index=frame_index,
-            )
+            chunk = await self._send_chunk(parity, stats, frame_index=frame_index)
+            sent += chunk.n_bytes
         return sent
 
     # ------------------------------------------------------------ send loop
@@ -979,23 +947,16 @@ class CameraNode:
                     # The barrier tells the receiver how many chunks the frame
                     # occupied, so it can settle (and account loss for) the
                     # frame without waiting for the next one.
-                    frame_bytes += await self._send_chunk(
-                        ChunkType.FRAME_COMPLETE,
-                        encode_frame_complete(
-                            frame_index, stats.n_chunks - frame_start_chunks
-                        ),
-                        stats,
-                        frame_index=frame_index,
-                    )
+                    barrier = FrameComplete(frame_index, stats.n_chunks - frame_start_chunks)
+                    chunk = await self._send_chunk(barrier, stats, frame_index=frame_index)
+                    frame_bytes += chunk.n_bytes
                 stats.n_frames += 1
                 stats.samples_per_frame.append(frame_samples)
                 stats.bytes_per_frame.append(frame_bytes)
                 frame_index += 1
                 tiles_sent = frame_bytes = frame_samples = 0
                 frame_start_chunks = stats.n_chunks
-            await self._send_chunk(
-                ChunkType.STREAM_END, encode_stream_end(stats.n_frames), stats
-            )
+            await self._send_chunk(StreamEnd(stats.n_frames), stats)
             await self._stop_feedback()
             await self.transport.close()
             return stats

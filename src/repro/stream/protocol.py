@@ -12,12 +12,14 @@ flowing.  This module is that layer:
 * :class:`ChunkDecoder` performs incremental parsing: feed it whatever byte
   slices the transport delivers (TCP segments, queue items) and it yields
   complete chunks, buffering partials;
-* typed payload codecs for the chunk kinds: the stream header
+* one payload dataclass per chunk kind: the stream header
   (:class:`StreamHeader` — kind, scene/tile geometry, GOP size: everything a
   receiver needs to derive the tile grid and pre-size its reconstruction),
-  frame/tile data (grid position + an embedded v2 frame from
-  :func:`repro.io.framing.encode_frame`), the per-frame completion barrier,
-  and the end-of-stream marker;
+  frame/tile data (:class:`FrameData` — grid position + an embedded v2 frame
+  from :func:`repro.io.framing.encode_frame`), the per-frame completion
+  barrier (:class:`FrameComplete`) and the end-of-stream marker
+  (:class:`StreamEnd`).  :data:`PAYLOAD_LAYOUTS` describes every payload
+  once, and one :func:`encode_payload`/:func:`decode_payload` pair reads it;
 * the loss-resilience extension (additive — the original four type bytes and
   their layouts are frozen): :class:`FrameSegment` splits one frame's sample
   vector across several chunks so a lost chunk costs a *row subset* of Φ
@@ -44,9 +46,12 @@ flowing.  This module is that layer:
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Any, Union
 
 import numpy as np
 
@@ -278,46 +283,9 @@ class StreamHeader:
 
 
 _STREAM_START = struct.Struct(">BBHHHHHI")
-# 16-bit grid positions: anything tile_grid can produce from the 16-bit
-# scene/tile shapes of the stream header is representable.
 _FRAME_DATA = struct.Struct(">IHHB")
 _FRAME_COMPLETE = struct.Struct(">IH")
 _STREAM_END = struct.Struct(">I")
-
-
-def encode_stream_header(header: StreamHeader) -> bytes:
-    """Payload of a :data:`ChunkType.STREAM_START` chunk."""
-    return _STREAM_START.pack(
-        PROTOCOL_VERSION,
-        STREAM_KINDS.index(header.kind),
-        header.scene_shape[0],
-        header.scene_shape[1],
-        header.tile_shape[0],
-        header.tile_shape[1],
-        header.gop_size,
-        header.n_frames,
-    )
-
-
-def decode_stream_header(payload: bytes) -> StreamHeader:
-    """Inverse of :func:`encode_stream_header`."""
-    try:
-        version, kind, srows, scols, trows, tcols, gop, n_frames = _STREAM_START.unpack(
-            payload
-        )
-    except struct.error as error:
-        raise StreamProtocolError(f"malformed stream header: {error}") from error
-    if version != PROTOCOL_VERSION:
-        raise StreamProtocolError(f"unsupported stream protocol version {version}")
-    if kind >= len(STREAM_KINDS):
-        raise StreamProtocolError(f"unknown stream kind index {kind}")
-    return StreamHeader(
-        kind=STREAM_KINDS[kind],
-        scene_shape=(srows, scols),
-        tile_shape=(trows, tcols),
-        gop_size=gop,
-        n_frames=n_frames,
-    )
 
 
 @dataclass(frozen=True)
@@ -335,57 +303,19 @@ class FrameData:
     frame_bytes: bytes
 
 
-def encode_frame_data(data: FrameData) -> bytes:
-    """Payload of a :data:`ChunkType.FRAME_DATA` chunk."""
-    return (
-        _FRAME_DATA.pack(
-            data.frame_index, data.grid_row, data.grid_col, int(data.keyframe)
-        )
-        + data.frame_bytes
-    )
+@dataclass(frozen=True)
+class FrameComplete:
+    """Per-frame completion barrier: the number of chunks the frame occupied."""
+
+    frame_index: int
+    n_chunks: int
 
 
-def decode_frame_data(payload: bytes) -> FrameData:
-    """Inverse of :func:`encode_frame_data`."""
-    if len(payload) < _FRAME_DATA.size:
-        raise StreamProtocolError(
-            f"frame-data payload of {len(payload)} bytes is shorter than its "
-            f"{_FRAME_DATA.size}-byte header"
-        )
-    frame_index, grid_row, grid_col, keyframe = _FRAME_DATA.unpack_from(payload)
-    return FrameData(
-        frame_index=frame_index,
-        grid_row=grid_row,
-        grid_col=grid_col,
-        keyframe=bool(keyframe),
-        frame_bytes=payload[_FRAME_DATA.size :],
-    )
+@dataclass(frozen=True)
+class StreamEnd:
+    """End-of-stream marker announcing the total number of frames sent."""
 
-
-def encode_frame_complete(frame_index: int, n_tiles: int) -> bytes:
-    """Payload of a :data:`ChunkType.FRAME_COMPLETE` chunk."""
-    return _FRAME_COMPLETE.pack(frame_index, n_tiles)
-
-
-def decode_frame_complete(payload: bytes) -> tuple[int, int]:
-    """Inverse of :func:`encode_frame_complete` → ``(frame_index, n_tiles)``."""
-    try:
-        return _FRAME_COMPLETE.unpack(payload)
-    except struct.error as error:
-        raise StreamProtocolError(f"malformed frame-complete payload: {error}") from error
-
-
-def encode_stream_end(n_frames: int) -> bytes:
-    """Payload of a :data:`ChunkType.STREAM_END` chunk."""
-    return _STREAM_END.pack(n_frames)
-
-
-def decode_stream_end(payload: bytes) -> int:
-    """Inverse of :func:`encode_stream_end` → total frames sent."""
-    try:
-        return _STREAM_END.unpack(payload)[0]
-    except struct.error as error:
-        raise StreamProtocolError(f"malformed stream-end payload: {error}") from error
+    n_frames: int
 
 
 # ------------------------------------------- loss-resilience payloads (5–8)
@@ -426,84 +356,6 @@ class FrameSegment:
     n_samples: int
     prefix_bytes: bytes
     sample_bytes: bytes
-
-
-def encode_frame_segment(segment: FrameSegment) -> bytes:
-    """Payload of a :data:`ChunkType.FRAME_SEGMENT` chunk."""
-    if not 0 <= segment.segment_index < segment.n_segments <= 255:
-        raise StreamProtocolError(
-            f"segment index {segment.segment_index} outside its group of "
-            f"{segment.n_segments}"
-        )
-    body = segment.prefix_bytes + segment.sample_bytes
-    return (
-        _FRAME_SEGMENT.pack(
-            segment.frame_index,
-            segment.grid_row,
-            segment.grid_col,
-            int(segment.keyframe),
-            segment.segment_index,
-            segment.n_segments,
-            segment.start_sample,
-            segment.n_samples,
-            len(segment.prefix_bytes),
-            zlib.crc32(body),
-        )
-        + body
-    )
-
-
-def decode_frame_segment(payload: bytes) -> FrameSegment:
-    """Inverse of :func:`encode_frame_segment`.
-
-    The CRC guards the body: a segment whose tail was corrupted in flight
-    (e.g. a truncated chunk that swallowed its neighbour's header) raises
-    here instead of delivering garbage samples into the solve.
-    """
-    if len(payload) < _FRAME_SEGMENT.size:
-        raise StreamProtocolError(
-            f"frame-segment payload of {len(payload)} bytes is shorter than "
-            f"its {_FRAME_SEGMENT.size}-byte header"
-        )
-    (
-        frame_index,
-        grid_row,
-        grid_col,
-        keyframe,
-        segment_index,
-        n_segments,
-        start_sample,
-        n_samples,
-        prefix_length,
-        checksum,
-    ) = _FRAME_SEGMENT.unpack_from(payload)
-    body = payload[_FRAME_SEGMENT.size :]
-    if segment_index >= n_segments:
-        raise StreamProtocolError(
-            f"segment index {segment_index} outside its group of {n_segments}"
-        )
-    if prefix_length > len(body):
-        raise StreamProtocolError(
-            f"frame segment announces a {prefix_length}-byte prefix but "
-            f"carries only {len(body)} body bytes"
-        )
-    if zlib.crc32(body) != checksum:
-        raise StreamProtocolError(
-            f"frame segment {segment_index} of frame {frame_index} failed "
-            "its checksum (payload corrupted in flight)"
-        )
-    return FrameSegment(
-        frame_index=frame_index,
-        grid_row=grid_row,
-        grid_col=grid_col,
-        keyframe=bool(keyframe),
-        segment_index=segment_index,
-        n_segments=n_segments,
-        start_sample=start_sample,
-        n_samples=n_samples,
-        prefix_bytes=body[:prefix_length],
-        sample_bytes=body[prefix_length:],
-    )
 
 
 @dataclass(frozen=True)
@@ -566,64 +418,6 @@ def recover_missing_payload(
     return recovered[: parity.payload_lengths[missing_index]]
 
 
-def encode_frame_parity(parity: FrameParity) -> bytes:
-    """Payload of a :data:`ChunkType.FRAME_PARITY` chunk."""
-    if not 1 <= len(parity.payload_lengths) <= 255:
-        raise StreamProtocolError(
-            f"parity group of {len(parity.payload_lengths)} segments "
-            "(must be 1–255)"
-        )
-    lengths = b"".join(
-        _PARITY_LENGTH.pack(length) for length in parity.payload_lengths
-    )
-    return (
-        _FRAME_PARITY.pack(
-            parity.frame_index,
-            parity.grid_row,
-            parity.grid_col,
-            len(parity.payload_lengths),
-        )
-        + lengths
-        + parity.parity_bytes
-    )
-
-
-def decode_frame_parity(payload: bytes) -> FrameParity:
-    """Inverse of :func:`encode_frame_parity`."""
-    if len(payload) < _FRAME_PARITY.size:
-        raise StreamProtocolError(
-            f"frame-parity payload of {len(payload)} bytes is shorter than "
-            f"its {_FRAME_PARITY.size}-byte header"
-        )
-    frame_index, grid_row, grid_col, n_segments = _FRAME_PARITY.unpack_from(payload)
-    if n_segments < 1:
-        raise StreamProtocolError("frame-parity chunk announces an empty group")
-    offset = _FRAME_PARITY.size
-    end = offset + n_segments * _PARITY_LENGTH.size
-    if len(payload) < end:
-        raise StreamProtocolError(
-            f"frame-parity chunk truncated inside its {n_segments}-entry "
-            "length table"
-        )
-    lengths = tuple(
-        _PARITY_LENGTH.unpack_from(payload, offset + i * _PARITY_LENGTH.size)[0]
-        for i in range(n_segments)
-    )
-    parity_bytes = payload[end:]
-    if len(parity_bytes) < max(lengths):
-        raise StreamProtocolError(
-            f"frame-parity body of {len(parity_bytes)} bytes cannot cover "
-            f"its longest segment of {max(lengths)}"
-        )
-    return FrameParity(
-        frame_index=frame_index,
-        grid_row=grid_row,
-        grid_col=grid_col,
-        payload_lengths=lengths,
-        parity_bytes=parity_bytes,
-    )
-
-
 @dataclass(frozen=True)
 class ControlAck:
     """Receiver→node delivery report for one finalised frame.
@@ -663,46 +457,6 @@ class ControlAck:
         return 1.0 - self.n_samples_received / self.n_samples_expected
 
 
-def encode_control_ack(ack: ControlAck) -> bytes:
-    """Payload of a :data:`ChunkType.CONTROL_ACK` chunk."""
-    return _CONTROL_ACK.pack(
-        ack.frame_index,
-        ack.n_expected_chunks,
-        ack.n_received_chunks,
-        ack.n_recovered_chunks,
-        ack.n_samples_expected,
-        ack.n_samples_received,
-    )
-
-
-def decode_control_ack(payload: bytes) -> ControlAck:
-    """Inverse of :func:`encode_control_ack`."""
-    try:
-        (
-            frame_index,
-            n_expected_chunks,
-            n_received_chunks,
-            n_recovered_chunks,
-            n_samples_expected,
-            n_samples_received,
-        ) = _CONTROL_ACK.unpack(payload)
-    except struct.error as error:
-        raise StreamProtocolError(f"malformed control-ack payload: {error}") from error
-    if n_received_chunks > n_expected_chunks:
-        raise StreamProtocolError(
-            f"control ack reports {n_received_chunks} received chunks of "
-            f"{n_expected_chunks} expected"
-        )
-    return ControlAck(
-        frame_index=frame_index,
-        n_expected_chunks=n_expected_chunks,
-        n_received_chunks=n_received_chunks,
-        n_recovered_chunks=n_recovered_chunks,
-        n_samples_expected=n_samples_expected,
-        n_samples_received=n_samples_received,
-    )
-
-
 @dataclass(frozen=True)
 class RateAdvice:
     """Receiver→node explicit rate advice: "the channel carried this many".
@@ -716,32 +470,6 @@ class RateAdvice:
     frame_index: int
     advised_samples: int
     loss_fraction: float
-
-
-def encode_rate_advice(advice: RateAdvice) -> bytes:
-    """Payload of a :data:`ChunkType.CONTROL_RATE` chunk."""
-    return _CONTROL_RATE.pack(
-        advice.frame_index, advice.advised_samples, advice.loss_fraction
-    )
-
-
-def decode_rate_advice(payload: bytes) -> RateAdvice:
-    """Inverse of :func:`encode_rate_advice`."""
-    try:
-        frame_index, advised_samples, loss_fraction = _CONTROL_RATE.unpack(payload)
-    except struct.error as error:
-        raise StreamProtocolError(
-            f"malformed rate-advice payload: {error}"
-        ) from error
-    if not 0.0 <= loss_fraction <= 1.0:
-        raise StreamProtocolError(
-            f"rate advice carries an impossible loss fraction {loss_fraction}"
-        )
-    return RateAdvice(
-        frame_index=frame_index,
-        advised_samples=advised_samples,
-        loss_fraction=float(loss_fraction),
-    )
 
 
 # ------------------------------------- session-durability payloads (9–10)
@@ -777,39 +505,6 @@ class NackRequest:
     sequences: tuple[int, ...]
 
 
-def encode_nack_request(request: NackRequest) -> bytes:
-    """Payload of a :data:`ChunkType.CONTROL_NACK` chunk."""
-    if not 1 <= len(request.sequences) <= MAX_NACK_SEQUENCES:
-        raise StreamProtocolError(
-            f"a NACK must carry 1–{MAX_NACK_SEQUENCES} missing sequences, "
-            f"got {len(request.sequences)}"
-        )
-    return _CONTROL_NACK.pack(request.frame_index, len(request.sequences)) + b"".join(
-        _NACK_SEQUENCE.pack(sequence) for sequence in request.sequences
-    )
-
-
-def decode_nack_request(payload: bytes) -> NackRequest:
-    """Inverse of :func:`encode_nack_request`."""
-    try:
-        frame_index, count = _CONTROL_NACK.unpack_from(payload)
-    except struct.error as error:
-        raise StreamProtocolError(f"malformed NACK payload: {error}") from error
-    if count < 1:
-        raise StreamProtocolError("NACK chunk announces an empty sequence list")
-    expected = _CONTROL_NACK.size + count * _NACK_SEQUENCE.size
-    if len(payload) != expected:
-        raise StreamProtocolError(
-            f"NACK chunk announces {count} sequences ({expected} bytes) but "
-            f"carries {len(payload)}"
-        )
-    sequences = tuple(
-        _NACK_SEQUENCE.unpack_from(payload, _CONTROL_NACK.size + i * _NACK_SEQUENCE.size)[0]
-        for i in range(count)
-    )
-    return NackRequest(frame_index=frame_index, sequences=sequences)
-
-
 @dataclass(frozen=True)
 class SessionResume:
     """Node→hub announcement re-attaching a stream id on a fresh connection.
@@ -828,30 +523,291 @@ class SessionResume:
     epoch: int = 1
 
 
-def encode_session_resume(resume: SessionResume) -> bytes:
-    """Payload of a :data:`ChunkType.SESSION_RESUME` chunk."""
-    if resume.epoch < 1:
-        raise StreamProtocolError(
-            f"session resume epoch must be >= 1, got {resume.epoch}"
-        )
-    return _SESSION_RESUME.pack(resume.next_sequence, resume.frame_index, resume.epoch)
+# ------------------------------------------------------------- wire schema
+#: Full unsigned range of each integer struct code the layouts use.
+_CODE_RANGE = {"B": (0, 0xFF), "H": (0, 0xFFFF), "I": (0, 0xFFFF_FFFF)}
+#: The orderings a layout's ``relations`` may demand between two fields.
+_RELATIONS = {"<": operator.lt, "<=": operator.le}
 
 
-def decode_session_resume(payload: bytes) -> SessionResume:
-    """Inverse of :func:`encode_session_resume`."""
+@dataclass(frozen=True)
+class RawTail:
+    """Variable tail: the rest of the payload, as the bytes attribute ``name``."""
+
+    name: str
+
+    def encode(self, payload: object, wire: dict[str, Any]) -> bytes:
+        tail: bytes = getattr(payload, self.name)
+        return tail
+
+    def decode(self, tail: bytes, wire: dict[str, Any], values: dict[str, Any]) -> None:
+        values[self.name] = tail
+
+
+@dataclass(frozen=True)
+class ListTail:
+    """Variable tail: the u32 list ``name``, counted by the fixed field ``count``.
+
+    Without ``rest`` the list ends the payload; with it the bytes after the
+    list form the ``rest`` attribute and must cover the longest entry (the
+    entries are byte lengths).  ``increasing`` demands strictly increasing
+    entries.
+    """
+
+    name: str
+    count: str
+    entry: struct.Struct
+    rest: str | None = None
+    increasing: bool = False
+
+    def encode(self, payload: object, wire: dict[str, Any]) -> bytes:
+        entries = tuple(getattr(payload, self.name))
+        rest: bytes = getattr(payload, self.rest) if self.rest else b""
+        wire[self.count] = len(entries)
+        self._check(entries, rest)
+        return b"".join(self.entry.pack(entry) for entry in entries) + rest
+
+    def decode(self, tail: bytes, wire: dict[str, Any], values: dict[str, Any]) -> None:
+        end = wire[self.count] * self.entry.size
+        if len(tail) < end or (self.rest is None and len(tail) > end):
+            raise StreamProtocolError(
+                f"{self.count}={wire[self.count]} needs {end} bytes of {self.name}, "
+                f"the tail carries {len(tail)}"
+            )
+        values[self.name] = tuple(entry for (entry,) in self.entry.iter_unpack(tail[:end]))
+        if self.rest:
+            values[self.rest] = tail[end:]
+        self._check(values[self.name], tail[end:])
+
+    def _check(self, entries: tuple[int, ...], rest: bytes) -> None:
+        if not all(0 <= entry <= _CODE_RANGE["I"][1] for entry in entries):
+            raise StreamProtocolError(f"{self.name} {entries} leave the u32 range")
+        if self.increasing and any(a >= b for a, b in zip(entries, entries[1:])):
+            raise StreamProtocolError(f"{self.name} {entries} are not strictly increasing")
+        if self.rest and len(rest) < max(entries, default=0):
+            raise StreamProtocolError(f"{len(rest)}-byte {self.rest} cannot cover {entries}")
+
+
+@dataclass(frozen=True)
+class CrcTail:
+    """Variable tail: a CRC-32-guarded body, split at a prefix length.
+
+    The fixed fields ``split`` and ``crc`` carry the length of the ``prefix``
+    attribute and the checksum of the whole body (``prefix`` + ``rest``), so
+    a body corrupted in flight raises instead of reaching the solve.
+    """
+
+    prefix: str
+    rest: str
+    split: str
+    crc: str
+
+    def encode(self, payload: object, wire: dict[str, Any]) -> bytes:
+        prefix: bytes = getattr(payload, self.prefix)
+        body = prefix + getattr(payload, self.rest)
+        wire[self.split], wire[self.crc] = len(prefix), zlib.crc32(body)
+        return body
+
+    def decode(self, tail: bytes, wire: dict[str, Any], values: dict[str, Any]) -> None:
+        split = wire[self.split]
+        if split > len(tail):
+            raise StreamProtocolError(f"{self.split}={split} overruns the {len(tail)}-byte body")
+        if zlib.crc32(tail) != wire[self.crc]:
+            raise StreamProtocolError("body failed its CRC-32 (corrupted in flight)")
+        values[self.prefix], values[self.rest] = tail[:split], tail[split:]
+
+
+@dataclass(frozen=True)
+class PayloadLayout:
+    """One row of the wire schema: how one payload dataclass sits on the wire.
+
+    ``names`` lists the fixed fields in the order of the pinned struct
+    ``fixed``, which gives each its code; ``tile_shape.1`` is element 1 of a
+    tuple attribute.  A field's static bound is its code's full range, 0..1
+    for a ``bool`` attribute and the index range of ``choices`` for a str
+    attribute carried as an index, unless ``bounds`` narrows it (a float
+    field must declare its bound there).  A field
+    with no payload attribute carries its lower bound (a version byte) or
+    what ``tail`` — the variable part after the struct — fills in (a count,
+    a prefix length, a checksum).  ``relations`` order two fields, e.g.
+    ``("segment_index", "<", "n_segments")``.
+    """
+
+    payload: type[Any]
+    fixed: struct.Struct
+    names: str
+    bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
+    tail: RawTail | ListTail | CrcTail | None = None
+    relations: tuple[tuple[str, str, str], ...] = ()
+    choices: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+    @cached_property
+    def attributes(self) -> dict[str, str]:
+        """The payload's attributes and their annotations."""
+        return {attribute.name: str(attribute.type) for attribute in fields(self.payload)}
+
+    @cached_property
+    def specs(self) -> tuple[tuple[str, str, float, float], ...]:
+        """``(name, code, low, high)`` of every fixed field, in wire order."""
+        specs: list[tuple[str, str, float, float]] = []
+        for name, code in zip(self.names.split(), self.fixed.format[1:]):
+            if name in self.bounds:
+                low, high = self.bounds[name]
+            elif name in self.choices:
+                low, high = 0, len(self.choices[name]) - 1
+            elif self.attributes.get(name) == "bool":
+                low, high = 0, 1
+            else:
+                low, high = _CODE_RANGE[code]
+            specs.append((name, code, low, high))
+        return tuple(specs)
+
+    def check(self, wire: dict[str, Any]) -> None:
+        """Raise unless every fixed wire value passes its bound and relations."""
+        for name, _, low, high in self.specs:
+            try:
+                admitted = low <= wire[name] <= high
+            except TypeError:
+                admitted = False
+            if not admitted:
+                raise StreamProtocolError(
+                    f"{self.payload.__name__}.{name}={wire[name]!r} outside [{low}, {high}]"
+                )
+        for left, relation, right in self.relations:
+            if not _RELATIONS[relation](wire[left], wire[right]):
+                raise StreamProtocolError(
+                    f"{self.payload.__name__}.{left}={wire[left]} is not {relation} "
+                    f"{right}={wire[right]}"
+                )
+
+
+#: The wire schema: the single description of every chunk payload.
+#: :func:`encode_payload` and :func:`decode_payload` read nothing else, so a
+#: bound declared here holds in both directions.
+PAYLOAD_LAYOUTS: dict[ChunkType, PayloadLayout] = {
+    ChunkType.STREAM_START: PayloadLayout(
+        StreamHeader,
+        _STREAM_START,
+        "version kind scene_shape.0 scene_shape.1 tile_shape.0 tile_shape.1 gop_size n_frames",
+        {"version": (PROTOCOL_VERSION, PROTOCOL_VERSION)},
+        choices={"kind": STREAM_KINDS},
+    ),
+    # 16-bit grid positions: anything tile_grid can produce from the 16-bit
+    # scene/tile shapes of the stream header is representable.
+    ChunkType.FRAME_DATA: PayloadLayout(
+        FrameData,
+        _FRAME_DATA,
+        "frame_index grid_row grid_col keyframe",
+        tail=RawTail("frame_bytes"),
+    ),
+    ChunkType.FRAME_COMPLETE: PayloadLayout(FrameComplete, _FRAME_COMPLETE, "frame_index n_chunks"),
+    ChunkType.STREAM_END: PayloadLayout(StreamEnd, _STREAM_END, "n_frames"),
+    ChunkType.FRAME_SEGMENT: PayloadLayout(
+        FrameSegment,
+        _FRAME_SEGMENT,
+        "frame_index grid_row grid_col keyframe segment_index n_segments start_sample n_samples"
+        " prefix_length checksum",
+        {"n_segments": (1, 0xFF)},
+        CrcTail("prefix_bytes", "sample_bytes", split="prefix_length", crc="checksum"),
+        (("segment_index", "<", "n_segments"),),
+    ),
+    ChunkType.FRAME_PARITY: PayloadLayout(
+        FrameParity,
+        _FRAME_PARITY,
+        "frame_index grid_row grid_col n_segments",
+        {"n_segments": (1, 0xFF)},
+        ListTail("payload_lengths", "n_segments", _PARITY_LENGTH, rest="parity_bytes"),
+    ),
+    ChunkType.CONTROL_ACK: PayloadLayout(
+        ControlAck,
+        _CONTROL_ACK,
+        "frame_index n_expected_chunks n_received_chunks n_recovered_chunks n_samples_expected"
+        " n_samples_received",
+        relations=(("n_received_chunks", "<=", "n_expected_chunks"),),
+    ),
+    ChunkType.CONTROL_RATE: PayloadLayout(
+        RateAdvice,
+        _CONTROL_RATE,
+        "frame_index advised_samples loss_fraction",
+        {"loss_fraction": (0, 1)},
+    ),
+    ChunkType.CONTROL_NACK: PayloadLayout(
+        NackRequest,
+        _CONTROL_NACK,
+        "frame_index n_sequences",
+        {"n_sequences": (1, MAX_NACK_SEQUENCES)},
+        ListTail("sequences", "n_sequences", _NACK_SEQUENCE, increasing=True),
+    ),
+    ChunkType.SESSION_RESUME: PayloadLayout(
+        SessionResume, _SESSION_RESUME, "next_sequence frame_index epoch", {"epoch": (1, 0xFFFF)}
+    ),
+}
+
+#: The payloads that carry one tile's samples, and the receiver→node ones.
+TilePayload = Union[FrameData, FrameSegment, FrameParity]
+ControlPayload = Union[ControlAck, RateAdvice, NackRequest]
+#: Any chunk payload: the dataclass of one row of :data:`PAYLOAD_LAYOUTS`.
+Payload = Union[StreamHeader, FrameComplete, StreamEnd, SessionResume, TilePayload, ControlPayload]
+_PAYLOAD_CHUNK_TYPES = {layout.payload: kind for kind, layout in PAYLOAD_LAYOUTS.items()}
+
+
+def payload_chunk(payload: Payload, stream_id: int, sequence: int) -> Chunk:
+    """The chunk carrying ``payload``, typed by the payload's schema row."""
+    chunk_type = _PAYLOAD_CHUNK_TYPES[type(payload)]
+    return Chunk(chunk_type, stream_id, sequence, encode_payload(payload))
+
+
+def encode_payload(payload: Payload) -> bytes:
+    """Serialise a payload dataclass into its chunk payload bytes.
+
+    Every field must pass the bound :func:`decode_payload` checks, so what
+    encodes also decodes; anything else raises :class:`StreamProtocolError`.
+    """
+    layout = PAYLOAD_LAYOUTS[_PAYLOAD_CHUNK_TYPES[type(payload)]]
+    wire: dict[str, Any] = {}
+    for name, _, low, _ in layout.specs:
+        attribute, _, item = name.partition(".")
+        value = getattr(payload, attribute, low)
+        value = value[int(item)] if item else value
+        if value in layout.choices.get(name, ()):
+            value = layout.choices[name].index(value)
+        wire[name] = value
     try:
-        next_sequence, frame_index, epoch = _SESSION_RESUME.unpack(payload)
+        tail = layout.tail.encode(payload, wire) if layout.tail is not None else b""
+        layout.check(wire)
+        return layout.fixed.pack(*wire.values()) + tail
     except struct.error as error:
+        raise StreamProtocolError(f"cannot encode {payload!r}: {error}") from error
+
+
+def decode_payload(chunk_type: ChunkType, data: bytes) -> Payload:
+    """Parse the payload of a ``chunk_type`` chunk into its dataclass.
+
+    A short, overlong, out-of-bound or corrupt payload raises
+    :class:`StreamProtocolError`, never a bare ``struct.error``.
+    """
+    layout = PAYLOAD_LAYOUTS[chunk_type]
+    size = layout.fixed.size
+    if len(data) < size or (layout.tail is None and len(data) > size):
         raise StreamProtocolError(
-            f"malformed session-resume payload: {error}"
-        ) from error
-    if epoch < 1:
-        raise StreamProtocolError(
-            f"session resume carries an impossible epoch {epoch}"
+            f"{chunk_type.name} payload of {len(data)} bytes does not fit its "
+            f"{size}-byte header (shorter, or longer without a tail)"
         )
-    return SessionResume(
-        next_sequence=next_sequence, frame_index=frame_index, epoch=epoch
-    )
+    wire = {spec[0]: value for spec, value in zip(layout.specs, layout.fixed.unpack_from(data))}
+    layout.check(wire)
+    values: dict[str, Any] = {}
+    for name, value in wire.items():
+        attribute, _, item = name.partition(".")
+        if name in layout.choices:
+            value = layout.choices[name][value]
+        elif layout.attributes.get(attribute) == "bool":
+            value = bool(value)
+        if attribute in layout.attributes:
+            values[attribute] = (values.get(attribute, ()) + (value,)) if item else value
+    if layout.tail is not None:
+        layout.tail.decode(data[size:], wire, values)
+    decoded: Payload = layout.payload(**values)
+    return decoded
 
 
 # ------------------------------------------------------------ seed chaining

@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from collections.abc import Callable
-from typing import Any, Literal, Protocol, Union
+from typing import Any, Literal, Protocol
 
 import numpy as np
 
@@ -60,24 +60,20 @@ from repro.stream.protocol import (
     Chunk,
     ChunkType,
     ControlAck,
+    ControlPayload,
+    FrameComplete,
     FrameData,
     FrameParity,
     FrameSegment,
     NackRequest,
     RateAdvice,
+    SessionResume,
+    StreamEnd,
     StreamHeader,
     StreamProtocolError,
+    TilePayload,
     advance_seed_state,
-    decode_frame_complete,
-    decode_frame_data,
-    decode_frame_parity,
-    decode_frame_segment,
-    decode_session_resume,
-    decode_stream_end,
-    decode_stream_header,
-    encode_control_ack,
-    encode_nack_request,
-    encode_rate_advice,
+    decode_payload,
     recover_missing_payload,
 )
 from repro.telemetry import (
@@ -255,15 +251,6 @@ class SessionStats:
 #: Stats counters the strictness policy may bump for a skipped chunk.
 _Counter = Literal["n_late_chunks", "n_duplicate_chunks", "n_corrupt_chunks"]
 
-#: Payload of one tile-carrying chunk.
-_TilePart = Union[FrameData, FrameSegment, FrameParity]
-
-_TILE_DECODERS: dict[ChunkType, Callable[[bytes], _TilePart]] = {
-    ChunkType.FRAME_DATA: decode_frame_data,
-    ChunkType.FRAME_SEGMENT: decode_frame_segment,
-    ChunkType.FRAME_PARITY: decode_frame_parity,
-}
-
 
 class _TileChunks:
     """The chunks of one tile of one frame that have landed so far.
@@ -281,7 +268,7 @@ class _TileChunks:
         #: Chunks of this tile that actually arrived off the wire.
         self.n_chunks_received = 0
 
-    def add(self, part: _TilePart, payload: bytes) -> bool:
+    def add(self, part: TilePayload, payload: bytes) -> bool:
         """Land one chunk; returns False for a duplicate within the tile."""
         # A tile that already holds chunks of the other kind is corrupt.
         if self.n_chunks_received and (self.data is None) == isinstance(
@@ -339,9 +326,10 @@ class _TileChunks:
             payload = recover_missing_payload(
                 self.parity, self.payloads, missing_index
             )
-            segment = decode_frame_segment(payload)
+            segment = decode_payload(ChunkType.FRAME_SEGMENT, payload)
         except StreamProtocolError:
             return False
+        assert isinstance(segment, FrameSegment)
         if segment.segment_index != missing_index:
             return False
         self.segments[missing_index] = segment
@@ -546,8 +534,8 @@ class StreamSession:
         #: Chunks per frame, learned from the latest frame barrier — the
         #: expectation a fully-lost frame is reported against.
         self._expected_frame_chunks: int | None = None
-        #: Encoded control chunks (type, payload) awaiting the feedback path.
-        self._outgoing_control: list[tuple[ChunkType, bytes]] = []
+        #: Control payloads awaiting the feedback path.
+        self._outgoing_control: list[ControlPayload] = []
         # ---- deadline supervision (only with frame_deadline set) ----
         #: Frames whose settlement is deferred awaiting NACK repair, mapped
         #: to the clock time their grace lapses.  In-order emission holds:
@@ -580,7 +568,7 @@ class StreamSession:
         """
         return tuple(sorted(self._missing))
 
-    def take_outgoing_control(self) -> list[tuple[ChunkType, bytes]]:
+    def take_outgoing_control(self) -> list[ControlPayload]:
         """Drain queued feedback payloads (the hub ships them to the node)."""
         queued, self._outgoing_control = self._outgoing_control, []
         return queued
@@ -691,18 +679,14 @@ class StreamSession:
             return None
         self.stats.frame_loss.append(report)
         if self.emit_feedback:
-            self._outgoing_control.append(
-                (ChunkType.CONTROL_ACK, encode_control_ack(report.to_ack()))
-            )
+            self._outgoing_control.append(report.to_ack())
             if report.n_samples_received < report.n_samples_expected:
                 advice = RateAdvice(
                     frame_index=report.frame_index,
                     advised_samples=report.n_samples_received,
                     loss_fraction=report.to_ack().loss_fraction,
                 )
-                self._outgoing_control.append(
-                    (ChunkType.CONTROL_RATE, encode_rate_advice(advice))
-                )
+                self._outgoing_control.append(advice)
         return report
 
     def _frame_in_window(self, frame_index: int) -> bool:
@@ -802,10 +786,13 @@ class StreamSession:
                 )
             )
         n_received_samples = sum(tile.n_samples_received for tile in decoded.values())
+        n_received_chunks = sum(chunks.n_chunks_received for chunks in tiles.values())
         report = FrameLossReport(
             frame_index=frame_index,
-            n_expected_chunks=self._expected_chunks(tiles),
-            n_received_chunks=sum(chunks.n_chunks_received for chunks in tiles.values()),
+            # The barrier's count has no CRC: a corrupt one below what landed
+            # cannot stand, or the ack would contradict itself on the wire.
+            n_expected_chunks=max(self._expected_chunks(tiles), n_received_chunks),
+            n_received_chunks=n_received_chunks,
             n_recovered_chunks=n_recovered,
             # Every tile of a stream samples at the same rate, so a tile whose
             # own count is unknown expects what any survivor carried.
@@ -1051,14 +1038,7 @@ class StreamSession:
     def _queue_nack(self, frame_index: int, now: float) -> None:
         """NACK the current missing set once on behalf of ``frame_index``."""
         sequences = tuple(sorted(self._missing)[:MAX_NACK_SEQUENCES])
-        self._outgoing_control.append(
-            (
-                ChunkType.CONTROL_NACK,
-                encode_nack_request(
-                    NackRequest(frame_index=frame_index, sequences=sequences)
-                ),
-            )
-        )
+        self._outgoing_control.append(NackRequest(frame_index=frame_index, sequences=sequences))
         self._nacked_frames.add(frame_index)
         self.stats.n_nacks_sent += 1
         assert self.nack_grace is not None
@@ -1187,37 +1167,40 @@ class StreamSession:
         return False
 
     async def _dispatch_chunk(self, chunk: Chunk) -> None:
-        if chunk.chunk_type == ChunkType.STREAM_START:
-            if self._header is not None:
-                raise StreamProtocolError("duplicate stream-start chunk")
-            header = decode_stream_header(chunk.payload)
-            try:
-                self._slots = tile_grid(
-                    header.scene_shape,
-                    header.tile_shape if header.tiled else header.scene_shape,
-                )
-            except ValueError as error:
-                raise StreamProtocolError(f"impossible stream geometry: {error}") from error
-            self._header = header
-            self._result.header = header
-            return
-        if self._header is None:
+        if chunk.chunk_type in CONTROL_CHUNK_TYPES:
+            raise StreamProtocolError(
+                f"{chunk.chunk_type.name} control chunk on the forward data "
+                "path (control flows receiver → node only)"
+            )
+        if self._header is None and chunk.chunk_type != ChunkType.STREAM_START:
             raise StreamProtocolError(
                 f"{chunk.chunk_type.name} chunk before the stream start"
             )
-        if chunk.chunk_type in _TILE_DECODERS:
-            await self._handle_tile_chunk(chunk)
-        elif chunk.chunk_type == ChunkType.FRAME_COMPLETE:
-            frame_index, n_chunks = decode_frame_complete(chunk.payload)
-            if not self._frame_in_window(frame_index):
+        payload = decode_payload(chunk.chunk_type, chunk.payload)
+        if isinstance(payload, StreamHeader):
+            if self._header is not None:
+                raise StreamProtocolError("duplicate stream-start chunk")
+            try:
+                self._slots = tile_grid(
+                    payload.scene_shape,
+                    payload.tile_shape if payload.tiled else payload.scene_shape,
+                )
+            except ValueError as error:
+                raise StreamProtocolError(f"impossible stream geometry: {error}") from error
+            self._header = payload
+            self._result.header = payload
+        elif isinstance(payload, (FrameData, FrameSegment, FrameParity)):
+            await self._handle_tile_chunk(chunk, payload)
+        elif isinstance(payload, FrameComplete):
+            if not self._frame_in_window(payload.frame_index):
                 return
             # The barrier both finalises its own frame (with the
             # authoritative chunk count) and settles every earlier frame
             # whose own barrier was lost.
-            self._expected_frame_chunks = n_chunks
-            await self._settle_to(frame_index + 1)
-        elif chunk.chunk_type == ChunkType.STREAM_END:
-            announced = decode_stream_end(chunk.payload)
+            self._expected_frame_chunks = payload.n_chunks
+            await self._settle_to(payload.frame_index + 1)
+        elif isinstance(payload, StreamEnd):
+            announced = payload.n_frames
             if not self._plausible(announced):
                 return
             # Frames whose barrier (or every chunk) was lost are still
@@ -1228,7 +1211,7 @@ class StreamSession:
             await self._settle_to(announced, defer=False)
             self._result.announced_frames = announced
             self._ended = True
-        elif chunk.chunk_type == ChunkType.SESSION_RESUME:
+        elif isinstance(payload, SessionResume):
             # The resume rides the node's normal forward sequence, so the
             # gap FSM above has already booked everything the cut swallowed
             # as missing — the replay that follows reclaims it.  The chunk
@@ -1240,18 +1223,11 @@ class StreamSession:
                     "a resilient receiver)"
                 )
             )
-            decode_session_resume(chunk.payload)
             self.stats.n_resumes += 1
-        elif chunk.chunk_type in CONTROL_CHUNK_TYPES:
-            raise StreamProtocolError(
-                f"{chunk.chunk_type.name} control chunk on the forward data "
-                "path (control flows receiver → node only)"
-            )
 
-    async def _handle_tile_chunk(self, chunk: Chunk) -> None:
-        """Land one tile-carrying chunk in its frame's grid."""
+    async def _handle_tile_chunk(self, chunk: Chunk, part: TilePayload) -> None:
+        """Land one tile-carrying chunk, decoded as ``part``, in its frame's grid."""
         assert self._header is not None
-        part = _TILE_DECODERS[chunk.chunk_type](chunk.payload)
         key = (part.grid_row, part.grid_col)
         grid_rows, grid_cols = len(self._slots), len(self._slots[0])
         if not (key[0] < grid_rows and key[1] < grid_cols):

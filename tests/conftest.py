@@ -7,11 +7,17 @@ integration tests and the benchmarks.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
+
+# Fixed-budget fuzzing for CI (``--hypothesis-profile=fuzz``): many examples,
+# no per-example deadline, still randomised so each run explores new inputs.
+# Tier-1 keeps hypothesis' default profile.
+settings.register_profile("fuzz", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

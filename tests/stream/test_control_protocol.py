@@ -31,18 +31,12 @@ from repro.stream.protocol import (
     FrameParity,
     FrameSegment,
     RateAdvice,
+    StreamEnd,
     StreamProtocolError,
     build_frame_parity,
-    decode_control_ack,
-    decode_frame_parity,
-    decode_frame_segment,
-    decode_rate_advice,
+    decode_payload,
     encode_chunk,
-    encode_control_ack,
-    encode_frame_parity,
-    encode_frame_segment,
-    encode_rate_advice,
-    encode_stream_end,
+    encode_payload,
     recover_missing_payload,
 )
 from repro.stream.session import StreamSession
@@ -98,27 +92,27 @@ class TestControlGoldenBlobs:
     ADVICE_CHUNK_HEX = "cc0800030000000a0000001000000007000000253fd0a3d70a3d70a4"
 
     def test_control_ack_encodes_to_the_golden_bytes(self):
-        assert encode_control_ack(ACK).hex() == self.ACK_HEX
+        assert encode_payload(ACK).hex() == self.ACK_HEX
 
     def test_rate_advice_encodes_to_the_golden_bytes(self):
-        assert encode_rate_advice(ADVICE).hex() == self.ADVICE_HEX
+        assert encode_payload(ADVICE).hex() == self.ADVICE_HEX
 
     def test_golden_blobs_decode_back_exactly(self):
-        assert decode_control_ack(bytes.fromhex(self.ACK_HEX)) == ACK
-        assert decode_rate_advice(bytes.fromhex(self.ADVICE_HEX)) == ADVICE
+        assert decode_payload(ChunkType.CONTROL_ACK, bytes.fromhex(self.ACK_HEX)) == ACK
+        assert decode_payload(ChunkType.CONTROL_RATE, bytes.fromhex(self.ADVICE_HEX)) == ADVICE
 
     def test_whole_control_chunks_pin_the_chunk_header_too(self):
         ack_chunk = Chunk(
             chunk_type=ChunkType.CONTROL_ACK,
             stream_id=3,
             sequence=9,
-            payload=encode_control_ack(ACK),
+            payload=encode_payload(ACK),
         )
         advice_chunk = Chunk(
             chunk_type=ChunkType.CONTROL_RATE,
             stream_id=3,
             sequence=10,
-            payload=encode_rate_advice(ADVICE),
+            payload=encode_payload(ADVICE),
         )
         assert encode_chunk(ack_chunk).hex() == self.ACK_CHUNK_HEX
         assert encode_chunk(advice_chunk).hex() == self.ADVICE_CHUNK_HEX
@@ -150,12 +144,12 @@ class TestSegmentAndParityRoundTrip:
 
     def test_segment_round_trips(self):
         segment = self._segment()
-        assert decode_frame_segment(encode_frame_segment(segment)) == segment
+        assert decode_payload(ChunkType.FRAME_SEGMENT, encode_payload(segment)) == segment
 
     def test_parity_round_trips_and_recovers(self):
         payloads = [b"abcd", b"efg", b"hijkl"]
         parity = build_frame_parity(0, 0, 0, payloads)
-        decoded = decode_frame_parity(encode_frame_parity(parity))
+        decoded = decode_payload(ChunkType.FRAME_PARITY, encode_payload(parity))
         assert decoded == parity
         recovered = recover_missing_payload(
             decoded, {0: payloads[0], 2: payloads[2]}, 1
@@ -168,42 +162,42 @@ class TestMalformedPayloadsRaiseTyped:
 
     def test_truncated_control_ack(self):
         with pytest.raises(StreamProtocolError):
-            decode_control_ack(b"\x01\x02\x03")
+            decode_payload(ChunkType.CONTROL_ACK, b"\x01\x02\x03")
 
     def test_impossible_control_ack_counts(self):
         # More chunks received than expected cannot describe any frame.
         bad = ControlAck(0, 2, 3, 0, 50, 50)
         with pytest.raises(StreamProtocolError):
-            decode_control_ack(encode_control_ack(bad))
+            decode_payload(ChunkType.CONTROL_ACK, encode_payload(bad))
 
     def test_truncated_rate_advice(self):
         with pytest.raises(StreamProtocolError):
-            decode_rate_advice(b"\x00" * 4)
+            decode_payload(ChunkType.CONTROL_RATE, b"\x00" * 4)
 
     def test_impossible_loss_fraction(self):
-        payload = encode_rate_advice(RateAdvice(0, 10, 0.0))
+        payload = encode_payload(RateAdvice(0, 10, 0.0))
         import struct
 
         mangled = payload[:8] + struct.pack(">d", 1.5)
         with pytest.raises(StreamProtocolError):
-            decode_rate_advice(mangled)
+            decode_payload(ChunkType.CONTROL_RATE, mangled)
 
     def test_segment_checksum_catches_corruption(self):
         segment = TestSegmentAndParityRoundTrip()._segment()
-        payload = bytearray(encode_frame_segment(segment))
+        payload = bytearray(encode_payload(segment))
         payload[-1] ^= 0xFF
         with pytest.raises(StreamProtocolError):
-            decode_frame_segment(bytes(payload))
+            decode_payload(ChunkType.FRAME_SEGMENT, bytes(payload))
 
     def test_segment_header_too_short(self):
         with pytest.raises(StreamProtocolError):
-            decode_frame_segment(b"\x00" * 4)
+            decode_payload(ChunkType.FRAME_SEGMENT, b"\x00" * 4)
 
     def test_parity_truncated_length_table(self):
         parity = build_frame_parity(0, 0, 0, [b"abcd", b"efgh"])
-        payload = encode_frame_parity(parity)
+        payload = encode_payload(parity)
         with pytest.raises(StreamProtocolError):
-            decode_frame_parity(payload[:10])
+            decode_payload(ChunkType.FRAME_PARITY, payload[:10])
 
 
 class TestControlChunksStayOffTheForwardPath:
@@ -219,7 +213,7 @@ class TestControlChunksStayOffTheForwardPath:
             chunk_type=ChunkType.CONTROL_ACK,
             stream_id=1,
             sequence=0,
-            payload=encode_control_ack(ACK),
+            payload=encode_payload(ACK),
         )
         await session.handle_chunk(chunk)
         return session
@@ -260,7 +254,7 @@ class TestNodeFeedbackLoopSurvivesGarbage:
                         chunk_type=ChunkType.STREAM_END,
                         stream_id=1,
                         sequence=1,
-                        payload=encode_stream_end(0),
+                        payload=encode_payload(StreamEnd(0)),
                     )
                 )
             )
@@ -270,7 +264,7 @@ class TestNodeFeedbackLoopSurvivesGarbage:
                         chunk_type=ChunkType.CONTROL_ACK,
                         stream_id=1,
                         sequence=2,
-                        payload=encode_control_ack(ACK),
+                        payload=encode_payload(ACK),
                     )
                 )
             )

@@ -38,7 +38,7 @@ from repro.stream.protocol import (
     StreamHeader,
     StreamProtocolError,
     encode_chunk,
-    encode_stream_header,
+    encode_payload,
 )
 from repro.stream.receiver import StreamReceiver
 from repro.stream.transport import LoopbackTransport, connect_tcp
@@ -58,7 +58,7 @@ def _start_chunk(stream_id, kind="frame", shape=(16, 16)):
             chunk_type=ChunkType.STREAM_START,
             stream_id=stream_id,
             sequence=0,
-            payload=encode_stream_header(header),
+            payload=encode_payload(header),
         )
     )
 

@@ -19,9 +19,10 @@ from repro.stream.node import (
 from repro.stream.protocol import (
     Chunk,
     ChunkType,
+    StreamEnd,
     StreamProtocolError,
     encode_chunk,
-    encode_stream_end,
+    encode_payload,
 )
 from repro.stream.receiver import StreamReceiver
 from repro.stream.transport import LoopbackTransport
@@ -234,7 +235,7 @@ class TestReceiverProtocolErrors:
             chunk_type=ChunkType.STREAM_END,
             stream_id=1,
             sequence=5,
-            payload=encode_stream_end(0),
+            payload=encode_payload(StreamEnd(0)),
         )
         with pytest.raises(StreamProtocolError, match="sequence"):
             self._run_receiver([chunk])
@@ -508,7 +509,6 @@ class TestTileGeometryValidation:
         from repro.stream.protocol import (
             ChunkDecoder,
             StreamHeader,
-            encode_stream_header,
         )
 
         items = TestReceiverBarrierErrors._tiled_wire_chunks()
@@ -522,7 +522,7 @@ class TestTileGeometryValidation:
             chunks[0].chunk_type,
             chunks[0].stream_id,
             chunks[0].sequence,
-            encode_stream_header(lying_header),
+            encode_payload(lying_header),
         )
         rewired = [encode_chunk(chunk) for chunk in chunks]
         with pytest.raises(StreamProtocolError, match="slot expects"):

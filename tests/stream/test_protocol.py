@@ -11,26 +11,18 @@ from repro.stream.protocol import (
     Chunk,
     ChunkDecoder,
     ChunkType,
+    FrameComplete,
     FrameData,
-    StreamHeader,
     FrameParity,
     FrameSegment,
+    StreamEnd,
+    StreamHeader,
     StreamProtocolError,
     advance_seed_state,
     build_frame_parity,
-    decode_frame_complete,
-    decode_frame_data,
-    decode_frame_parity,
-    decode_frame_segment,
-    decode_stream_end,
-    decode_stream_header,
+    decode_payload,
     encode_chunk,
-    encode_frame_complete,
-    encode_frame_data,
-    encode_frame_parity,
-    encode_frame_segment,
-    encode_stream_end,
-    encode_stream_header,
+    encode_payload,
 )
 
 
@@ -98,7 +90,7 @@ class TestPayloadCodecs:
             gop_size=6,
             n_frames=30,
         )
-        assert decode_stream_header(encode_stream_header(header)) == header
+        assert decode_payload(ChunkType.STREAM_START, encode_payload(header)) == header
         assert header.tiled
 
     def test_single_sensor_kinds_are_not_tiled(self):
@@ -112,7 +104,7 @@ class TestPayloadCodecs:
 
     def test_malformed_stream_header_rejected(self):
         with pytest.raises(StreamProtocolError, match="header"):
-            decode_stream_header(b"\x01\x02")
+            decode_payload(ChunkType.STREAM_START, b"\x01\x02")
 
     def test_frame_data_round_trip(self):
         data = FrameData(
@@ -122,19 +114,21 @@ class TestPayloadCodecs:
             keyframe=False,
             frame_bytes=b"\xc5\x02payload",
         )
-        assert decode_frame_data(encode_frame_data(data)) == data
+        assert decode_payload(ChunkType.FRAME_DATA, encode_payload(data)) == data
 
     def test_frame_data_too_short_rejected(self):
         with pytest.raises(StreamProtocolError, match="shorter"):
-            decode_frame_data(b"\x00\x00")
+            decode_payload(ChunkType.FRAME_DATA, b"\x00\x00")
 
     def test_frame_complete_and_stream_end(self):
-        assert decode_frame_complete(encode_frame_complete(9, 16)) == (9, 16)
-        assert decode_stream_end(encode_stream_end(42)) == 42
+        assert decode_payload(
+            ChunkType.FRAME_COMPLETE, encode_payload(FrameComplete(9, 16))
+        ) == FrameComplete(9, 16)
+        assert decode_payload(ChunkType.STREAM_END, encode_payload(StreamEnd(42))) == StreamEnd(42)
         with pytest.raises(StreamProtocolError):
-            decode_frame_complete(b"\x01")
+            decode_payload(ChunkType.FRAME_COMPLETE, b"\x01")
         with pytest.raises(StreamProtocolError):
-            decode_stream_end(b"")
+            decode_payload(ChunkType.STREAM_END, b"")
 
 
 
@@ -206,31 +200,22 @@ class TestForwardGoldenBlobs:
 
     def _payloads(self):
         return [
-            (ChunkType.STREAM_START, encode_stream_header(HEADER), self.HEADER_HEX),
-            (ChunkType.FRAME_DATA, encode_frame_data(KEYFRAME), self.KEYFRAME_HEX),
-            (
-                ChunkType.FRAME_DATA,
-                encode_frame_data(NON_KEYFRAME),
-                self.NON_KEYFRAME_HEX,
-            ),
-            (ChunkType.FRAME_COMPLETE, encode_frame_complete(9, 16), self.COMPLETE_HEX),
-            (ChunkType.STREAM_END, encode_stream_end(42), self.END_HEX),
-            (ChunkType.FRAME_SEGMENT, encode_frame_segment(SEGMENT), self.SEGMENT_HEX),
-            (ChunkType.FRAME_PARITY, encode_frame_parity(PARITY), self.PARITY_HEX),
+            (ChunkType.STREAM_START, HEADER, self.HEADER_HEX),
+            (ChunkType.FRAME_DATA, KEYFRAME, self.KEYFRAME_HEX),
+            (ChunkType.FRAME_DATA, NON_KEYFRAME, self.NON_KEYFRAME_HEX),
+            (ChunkType.FRAME_COMPLETE, FrameComplete(9, 16), self.COMPLETE_HEX),
+            (ChunkType.STREAM_END, StreamEnd(42), self.END_HEX),
+            (ChunkType.FRAME_SEGMENT, SEGMENT, self.SEGMENT_HEX),
+            (ChunkType.FRAME_PARITY, PARITY, self.PARITY_HEX),
         ]
 
     def test_payloads_encode_to_the_golden_bytes(self):
         for _, payload, golden in self._payloads():
-            assert payload.hex() == golden
+            assert encode_payload(payload).hex() == golden
 
     def test_golden_blobs_decode_back_exactly(self):
-        assert decode_stream_header(bytes.fromhex(self.HEADER_HEX)) == HEADER
-        assert decode_frame_data(bytes.fromhex(self.KEYFRAME_HEX)) == KEYFRAME
-        assert decode_frame_data(bytes.fromhex(self.NON_KEYFRAME_HEX)) == NON_KEYFRAME
-        assert decode_frame_complete(bytes.fromhex(self.COMPLETE_HEX)) == (9, 16)
-        assert decode_stream_end(bytes.fromhex(self.END_HEX)) == 42
-        assert decode_frame_segment(bytes.fromhex(self.SEGMENT_HEX)) == SEGMENT
-        assert decode_frame_parity(bytes.fromhex(self.PARITY_HEX)) == PARITY
+        for chunk_type, payload, golden in self._payloads():
+            assert decode_payload(chunk_type, bytes.fromhex(golden)) == payload
 
     def test_the_parity_blob_is_the_xor_of_its_group(self):
         parity = build_frame_parity(2, 1, 0, [b"abcd", b"efg", b"hijkl"])
@@ -250,10 +235,14 @@ class TestForwardGoldenBlobs:
             zip(self._payloads(), goldens)
         ):
             chunk = Chunk(
-                chunk_type=chunk_type, stream_id=3, sequence=sequence, payload=payload
+                chunk_type=chunk_type,
+                stream_id=3,
+                sequence=sequence,
+                payload=encode_payload(payload),
             )
             assert encode_chunk(chunk).hex() == golden
             assert ChunkDecoder().feed(bytes.fromhex(golden)) == [chunk]
+
 
 class TestSeedChain:
     """The one-pattern frame-overlap rule matches the capture engine."""
@@ -299,4 +288,4 @@ class TestLargeGridPositions:
             keyframe=True,
             frame_bytes=b"\xc5\x02x",
         )
-        assert decode_frame_data(encode_frame_data(data)) == data
+        assert decode_payload(ChunkType.FRAME_DATA, encode_payload(data)) == data

@@ -28,12 +28,9 @@ from repro.stream.protocol import (
     NackRequest,
     SessionResume,
     StreamProtocolError,
-    decode_nack_request,
-    decode_session_resume,
+    decode_payload,
     encode_chunk,
-    encode_nack_request,
-    encode_session_resume,
-    encode_stream_header,
+    encode_payload,
     StreamHeader,
 )
 from repro.stream.session import StreamSession
@@ -80,27 +77,27 @@ class TestRecoveryGoldenBlobs:
     RESUME_CHUNK_HEX = "cc0a00030000000b0000000a0000002a000000060002"
 
     def test_nack_request_encodes_to_the_golden_bytes(self):
-        assert encode_nack_request(NACK).hex() == self.NACK_HEX
+        assert encode_payload(NACK).hex() == self.NACK_HEX
 
     def test_session_resume_encodes_to_the_golden_bytes(self):
-        assert encode_session_resume(RESUME).hex() == self.RESUME_HEX
+        assert encode_payload(RESUME).hex() == self.RESUME_HEX
 
     def test_golden_blobs_decode_back_exactly(self):
-        assert decode_nack_request(bytes.fromhex(self.NACK_HEX)) == NACK
-        assert decode_session_resume(bytes.fromhex(self.RESUME_HEX)) == RESUME
+        assert decode_payload(ChunkType.CONTROL_NACK, bytes.fromhex(self.NACK_HEX)) == NACK
+        assert decode_payload(ChunkType.SESSION_RESUME, bytes.fromhex(self.RESUME_HEX)) == RESUME
 
     def test_whole_recovery_chunks_pin_the_chunk_header_too(self):
         nack_chunk = Chunk(
             chunk_type=ChunkType.CONTROL_NACK,
             stream_id=3,
             sequence=9,
-            payload=encode_nack_request(NACK),
+            payload=encode_payload(NACK),
         )
         resume_chunk = Chunk(
             chunk_type=ChunkType.SESSION_RESUME,
             stream_id=3,
             sequence=11,
-            payload=encode_session_resume(RESUME),
+            payload=encode_payload(RESUME),
         )
         assert encode_chunk(nack_chunk).hex() == self.NACK_CHUNK_HEX
         assert encode_chunk(resume_chunk).hex() == self.RESUME_CHUNK_HEX
@@ -109,17 +106,17 @@ class TestRecoveryGoldenBlobs:
 class TestRoundTrips:
     def test_single_sequence_nack_round_trips(self):
         request = NackRequest(frame_index=0, sequences=(17,))
-        assert decode_nack_request(encode_nack_request(request)) == request
+        assert decode_payload(ChunkType.CONTROL_NACK, encode_payload(request)) == request
 
     def test_full_window_nack_round_trips(self):
         request = NackRequest(
             frame_index=1, sequences=tuple(range(MAX_NACK_SEQUENCES))
         )
-        assert decode_nack_request(encode_nack_request(request)) == request
+        assert decode_payload(ChunkType.CONTROL_NACK, encode_payload(request)) == request
 
     def test_first_epoch_resume_round_trips(self):
         resume = SessionResume(next_sequence=0, frame_index=0, epoch=1)
-        assert decode_session_resume(encode_session_resume(resume)) == resume
+        assert decode_payload(ChunkType.SESSION_RESUME, encode_payload(resume)) == resume
 
 
 class TestMalformedPayloadsRaiseTyped:
@@ -127,43 +124,43 @@ class TestMalformedPayloadsRaiseTyped:
 
     def test_empty_nack_refuses_to_encode(self):
         with pytest.raises(StreamProtocolError):
-            encode_nack_request(NackRequest(frame_index=0, sequences=()))
+            encode_payload(NackRequest(frame_index=0, sequences=()))
 
     def test_overfull_nack_refuses_to_encode(self):
         sequences = tuple(range(MAX_NACK_SEQUENCES + 1))
         with pytest.raises(StreamProtocolError):
-            encode_nack_request(NackRequest(frame_index=0, sequences=sequences))
+            encode_payload(NackRequest(frame_index=0, sequences=sequences))
 
     def test_truncated_nack_header(self):
         with pytest.raises(StreamProtocolError):
-            decode_nack_request(b"\x01\x02\x03")
+            decode_payload(ChunkType.CONTROL_NACK, b"\x01\x02\x03")
 
     def test_nack_announcing_zero_sequences(self):
-        payload = bytearray(encode_nack_request(NACK))
+        payload = bytearray(encode_payload(NACK))
         payload[4:6] = b"\x00\x00"
         with pytest.raises(StreamProtocolError):
-            decode_nack_request(bytes(payload[:6]))
+            decode_payload(ChunkType.CONTROL_NACK, bytes(payload[:6]))
 
     def test_nack_count_and_length_must_agree(self):
-        payload = encode_nack_request(NACK)
+        payload = encode_payload(NACK)
         with pytest.raises(StreamProtocolError):
-            decode_nack_request(payload[:-2])  # sequence list cut short
+            decode_payload(ChunkType.CONTROL_NACK, payload[:-2])  # sequence list cut short
         with pytest.raises(StreamProtocolError):
-            decode_nack_request(payload + b"\x00")  # trailing garbage
+            decode_payload(ChunkType.CONTROL_NACK, payload + b"\x00")  # trailing garbage
 
     def test_truncated_session_resume(self):
         with pytest.raises(StreamProtocolError):
-            decode_session_resume(b"\x00" * 4)
+            decode_payload(ChunkType.SESSION_RESUME, b"\x00" * 4)
 
     def test_zero_epoch_resume_refuses_both_ways(self):
         with pytest.raises(StreamProtocolError):
-            encode_session_resume(
+            encode_payload(
                 SessionResume(next_sequence=1, frame_index=0, epoch=0)
             )
-        payload = bytearray(encode_session_resume(RESUME))
+        payload = bytearray(encode_payload(RESUME))
         payload[-2:] = b"\x00\x00"
         with pytest.raises(StreamProtocolError):
-            decode_session_resume(bytes(payload))
+            decode_payload(ChunkType.SESSION_RESUME, bytes(payload))
 
 
 class TestPathDiscipline:
@@ -180,7 +177,7 @@ class TestPathDiscipline:
             chunk_type=ChunkType.STREAM_START,
             stream_id=1,
             sequence=0,
-            payload=encode_stream_header(header),
+            payload=encode_payload(header),
         )
 
     async def _feed(self, resilient, chunk):
@@ -196,7 +193,7 @@ class TestPathDiscipline:
             chunk_type=ChunkType.CONTROL_NACK,
             stream_id=1,
             sequence=1,
-            payload=encode_nack_request(NACK),
+            payload=encode_payload(NACK),
         )
 
     def _resume_chunk(self):
@@ -204,7 +201,7 @@ class TestPathDiscipline:
             chunk_type=ChunkType.SESSION_RESUME,
             stream_id=1,
             sequence=1,
-            payload=encode_session_resume(RESUME),
+            payload=encode_payload(RESUME),
         )
 
     def test_nack_on_the_forward_path_raises_strict(self):

@@ -20,6 +20,7 @@ The session-durability layer of PR 10, pinned at every level:
 """
 
 import asyncio
+import struct
 
 import numpy as np
 import pytest
@@ -45,11 +46,13 @@ from repro.stream.protocol import (
     Chunk,
     ChunkDecoder,
     ChunkType,
+    ControlAck,
+    FrameComplete,
     NackRequest,
     SessionResume,
-    decode_nack_request,
+    decode_payload,
     encode_chunk,
-    encode_session_resume,
+    encode_payload,
 )
 from repro.stream.receiver import StreamReceiver
 from repro.stream.session import StreamSession
@@ -66,17 +69,18 @@ def run(coro):
 
 
 class RecordingTransport:
-    """Swallows every sent slice into a list (no receiver on the other end)."""
+    """Swallows every sent slice into a list; ``recv`` drains ``inbox``."""
 
     def __init__(self):
         self.slices = []
+        self.inbox = []
         self.closed = False
 
     async def send(self, data):
         self.slices.append(bytes(data))
 
     async def recv(self):
-        return None
+        return self.inbox.pop(0) if self.inbox else None
 
     async def close(self):
         self.closed = True
@@ -359,11 +363,7 @@ class TestSessionDeadlines:
         assert session.stats.n_nacks_sent == 1
         assert session.stats.n_frames == 0  # deferred, not settled
         control = session.take_outgoing_control()
-        assert [chunk_type for chunk_type, _ in control] == [
-            ChunkType.CONTROL_NACK
-        ]
-        request = decode_nack_request(control[0][1])
-        assert request == NackRequest(frame_index=0, sequences=(2, 5))
+        assert control == [NackRequest(frame_index=0, sequences=(2, 5))]
 
     def test_retransmit_completes_the_deferred_frame_whole(self):
         async def scenario():
@@ -634,6 +634,38 @@ class TestNodeNackAnswering:
         assert node.n_nack_misses == 1
         assert node.n_nacks_answered == 0
 
+    def test_a_nack_repeating_one_sequence_is_refused_on_the_feedback_path(self):
+        # 65,535 copies of one buffered sequence: the schema caps a NACK at
+        # MAX_NACK_SEQUENCES strictly increasing sequences, so the node counts
+        # a feedback error instead of resending the chunk once per copy.
+        flood = struct.pack(">IH", 0, 0xFFFF) + struct.pack(">I", 2) * 0xFFFF
+
+        def nack(payload):
+            return encode_chunk(Chunk(ChunkType.CONTROL_NACK, 1, 0, payload))
+
+        async def scenario():
+            transport = RecordingTransport()
+            node = CameraNode(
+                transport,
+                gop_size=4,
+                segments_per_frame=4,
+                parity=True,
+                retransmit_capacity=32,
+            )
+            await node.stream_video(_sequencer(), _scenes(2))
+            transport.slices.clear()
+            transport.inbox.append(nack(flood))
+            await node._feedback_loop()
+            refused = (node.n_feedback_errors, node.n_retransmits, len(transport.slices))
+            # The same sequence, asked for once, is still there to resend.
+            transport.inbox.append(nack(encode_payload(NackRequest(0, (2,)))))
+            await node._feedback_loop()
+            return refused, node.n_retransmits
+
+        refused, retransmits_after_a_valid_nack = run(scenario())
+        assert refused == (1, 0, 0)
+        assert retransmits_after_a_valid_nack == 1
+
     def test_reconnect_requires_a_retransmit_buffer(self):
         async def connect():
             return RecordingTransport()
@@ -669,6 +701,70 @@ async def _attach_slices(hub, slices, *, close=True):
     return await hub.attach(transport)
 
 
+class TestAdvisoryFeedback:
+    """Corrupt input may garble feedback but never kills a resilient connection."""
+
+    def test_barrier_announcing_zero_chunks_still_settles_the_stream(self):
+        # FRAME_COMPLETE carries no CRC: a flipped count that undercuts the
+        # chunks already received must not yield an ack the encoder refuses.
+        async def scenario():
+            hub, _ = _manual_hub(feedback=True)
+            slices, _ = await _record_video_chunks()
+            chunks = _decode_all(slices)
+            barrier = next(c for c in chunks if c.chunk_type is ChunkType.FRAME_COMPLETE)
+            frame_index = decode_payload(barrier.chunk_type, barrier.payload).frame_index
+            corrupt = Chunk(
+                chunk_type=barrier.chunk_type,
+                stream_id=barrier.stream_id,
+                sequence=barrier.sequence,
+                payload=encode_payload(FrameComplete(frame_index, 0)),
+            )
+            transport = RecordingTransport()
+            transport.inbox = [
+                encode_chunk(corrupt) if chunk is barrier else encode_chunk(chunk)
+                for chunk in chunks
+            ]
+            results = await hub.attach(transport)
+            return hub, results, _decode_all(transport.slices)
+
+        hub, results, feedback = run(scenario())
+        assert hub.failures == []
+        assert len(results) == 1
+        assert results[0].announced_frames == 4
+        acks = [
+            decode_payload(chunk.chunk_type, chunk.payload)
+            for chunk in feedback
+            if chunk.chunk_type is ChunkType.CONTROL_ACK
+        ]
+        # The first frame's ack still reaches the node, coherent: the
+        # chunks that landed bound the expectation from below.
+        first = next(ack for ack in acks if ack.frame_index == 0)
+        assert first.n_received_chunks > 0
+        assert first.n_expected_chunks == first.n_received_chunks
+
+    def test_a_payload_the_encoder_refuses_is_dropped_not_fatal(self, monkeypatch):
+        incoherent = ControlAck(0, 1, 2, 0, 50, 50)
+
+        def take_outgoing_control(self):
+            return [incoherent]
+
+        monkeypatch.setattr(StreamSession, "take_outgoing_control", take_outgoing_control)
+
+        async def scenario():
+            hub, _ = _manual_hub(feedback=True)
+            slices, _ = await _record_video_chunks()
+            transport = RecordingTransport()
+            transport.inbox = list(slices)
+            results = await hub.attach(transport)
+            return hub, results, transport.slices
+
+        hub, results, feedback = run(scenario())
+        assert hub.failures == []
+        assert len(results) == 1
+        assert results[0].announced_frames == 4
+        assert feedback == []
+
+
 class TestHubParkAndResume:
     def test_mid_stream_eof_parks_instead_of_salvaging(self):
         async def scenario():
@@ -698,7 +794,7 @@ class TestHubParkAndResume:
                 chunk_type=ChunkType.SESSION_RESUME,
                 stream_id=1,
                 sequence=13,
-                payload=encode_session_resume(
+                payload=encode_payload(
                     SessionResume(next_sequence=13, frame_index=1, epoch=1)
                 ),
             )
@@ -763,7 +859,7 @@ class TestHubParkAndResume:
                 chunk_type=ChunkType.SESSION_RESUME,
                 stream_id=1,
                 sequence=13,
-                payload=encode_session_resume(
+                payload=encode_payload(
                     SessionResume(next_sequence=13, frame_index=1, epoch=1)
                 ),
             )
@@ -792,7 +888,7 @@ class TestHubParkAndResume:
                 chunk_type=ChunkType.SESSION_RESUME,
                 stream_id=5,
                 sequence=0,
-                payload=encode_session_resume(
+                payload=encode_payload(
                     SessionResume(next_sequence=0, frame_index=0, epoch=1)
                 ),
             )

@@ -30,15 +30,11 @@ from repro.stream.protocol import (
     Chunk,
     ChunkDecoder,
     ChunkType,
+    FrameComplete,
     StreamProtocolError,
-    decode_frame_data,
-    decode_frame_segment,
-    decode_stream_header,
-    encode_frame_complete,
-    encode_frame_data,
-    encode_frame_segment,
-    encode_stream_end,
-    encode_stream_header,
+    StreamEnd,
+    decode_payload,
+    encode_payload,
 )
 from repro.stream.receiver import StreamReceiver
 from repro.stream.session import StreamSession
@@ -181,9 +177,9 @@ class TestBoundedSettling:
         index = next(
             i for i, c in enumerate(chunks) if c.chunk_type is ChunkType.FRAME_DATA
         )
-        data = decode_frame_data(chunks[index].payload)
+        data = decode_payload(ChunkType.FRAME_DATA, chunks[index].payload)
         chunks[index] = _with_payload(
-            chunks[index], encode_frame_data(replace(data, frame_index=2**31))
+            chunks[index], encode_payload(replace(data, frame_index=2**31))
         )
         session, result = run(_feed(chunks, max_sequence_gap=self.GAP))
         assert len(session.stats.frame_loss) <= self.GAP
@@ -194,7 +190,7 @@ class TestBoundedSettling:
     def test_implausible_stream_end_count_is_skipped_as_corrupt(self, kind):
         chunks = _recorded_chunks(kind)
         assert chunks[-1].chunk_type is ChunkType.STREAM_END
-        chunks[-1] = _with_payload(chunks[-1], encode_stream_end(2**31))
+        chunks[-1] = _with_payload(chunks[-1], encode_payload(StreamEnd(2**31)))
         session, result = run(_feed(chunks, eof=True, max_sequence_gap=self.GAP))
         assert len(session.stats.frame_loss) <= self.GAP
         assert session.stats.n_corrupt_chunks == 1
@@ -203,7 +199,7 @@ class TestBoundedSettling:
 
     def test_strict_session_raises_on_an_implausible_frame_index(self):
         chunks = _recorded_chunks("frame")
-        chunks[-1] = _with_payload(chunks[-1], encode_stream_end(2**31))
+        chunks[-1] = _with_payload(chunks[-1], encode_payload(StreamEnd(2**31)))
         with pytest.raises(StreamProtocolError, match="jumps more than"):
             run(_feed(chunks, resilient=False, max_sequence_gap=self.GAP))
 
@@ -220,29 +216,30 @@ class TestSeedlessTileWithoutChain:
     def _seedless_stream(segmented):
         options = dict(segments_per_frame=1, parity=True) if segmented else {}
         chunks = _recorded_chunks("video", **options)
-        header = decode_stream_header(chunks[0].payload)
+        header = decode_payload(ChunkType.STREAM_START, chunks[0].payload)
         stream = [
-            _with_payload(chunks[0], encode_stream_header(replace(header, gop_size=1)))
+            _with_payload(chunks[0], encode_payload(replace(header, gop_size=1)))
         ]
         # Frame 1 of the recorded GOP is seedless; renumber it to frame 0.
         for chunk in chunks:
             if chunk.chunk_type is ChunkType.FRAME_DATA:
-                data = decode_frame_data(chunk.payload)
+                data = decode_payload(ChunkType.FRAME_DATA, chunk.payload)
                 if data.frame_index == 1:
                     stream.append(
-                        _with_payload(chunk, encode_frame_data(replace(data, frame_index=0)))
+                        _with_payload(chunk, encode_payload(replace(data, frame_index=0)))
                     )
             elif chunk.chunk_type is ChunkType.FRAME_SEGMENT:
-                segment = decode_frame_segment(chunk.payload)
+                segment = decode_payload(ChunkType.FRAME_SEGMENT, chunk.payload)
                 if segment.frame_index == 1:
                     stream.append(
                         _with_payload(
-                            chunk, encode_frame_segment(replace(segment, frame_index=0))
+                            chunk, encode_payload(replace(segment, frame_index=0))
                         )
                     )
         if segmented:
-            stream.append(Chunk(ChunkType.FRAME_COMPLETE, 1, 0, encode_frame_complete(0, 1)))
-        stream.append(Chunk(ChunkType.STREAM_END, 1, 0, encode_stream_end(1)))
+            barrier = encode_payload(FrameComplete(0, 1))
+            stream.append(Chunk(ChunkType.FRAME_COMPLETE, 1, 0, barrier))
+        stream.append(Chunk(ChunkType.STREAM_END, 1, 0, encode_payload(StreamEnd(1))))
         return [
             Chunk(chunk.chunk_type, chunk.stream_id, sequence, chunk.payload)
             for sequence, chunk in enumerate(stream)
