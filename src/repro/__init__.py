@@ -22,7 +22,6 @@ from repro.ca import CASelectionGenerator, ElementaryCellularAutomaton, RuleTabl
 from repro.cs import (
     BlockCompressiveSampler,
     SensingOperator,
-    StepSizeCache,
     StructuredSensingOperator,
     make_dictionary,
     psnr,
@@ -63,7 +62,6 @@ __all__ = [
     "CASelectionGenerator",
     "SensingOperator",
     "StructuredSensingOperator",
-    "StepSizeCache",
     "BlockCompressiveSampler",
     "make_dictionary",
     "psnr",

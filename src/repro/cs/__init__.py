@@ -27,7 +27,7 @@ from repro.cs.matrices import (
     subsampled_hadamard_matrix,
 )
 from repro.cs.metrics import nmse, psnr, reconstruction_snr, ssim
-from repro.cs.operators import BaseSensingOperator, SensingOperator, StepSizeCache
+from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.structured import StructuredSensingOperator
 from repro.cs.rip import babel_function, mutual_coherence, restricted_isometry_estimate
 from repro.cs.solvers import basis_pursuit, cosamp, fista, iht, ista, omp
@@ -41,7 +41,6 @@ __all__ = [
     "BaseSensingOperator",
     "SensingOperator",
     "StructuredSensingOperator",
-    "StepSizeCache",
     "gaussian_matrix",
     "bernoulli_matrix",
     "rademacher_matrix",

@@ -4,8 +4,10 @@ Compressive sampling recovers an image from few samples because the image is
 sparse (or compressible) in some basis.  The dictionaries here are the two
 work-horses for natural images — the 2-D DCT and the 2-D Haar wavelet — plus
 the identity (for scenes that are sparse in the pixel domain, e.g. point
-sources).  All dictionaries are orthonormal, implemented with fast transforms
-rather than explicit matrices, and expose the pair of maps the solvers need:
+sources).  All dictionaries are orthonormal and separable.  The DCT applies
+cached per-axis DCT-II matrices (two small GEMMs, ``D_r Z D_cᵀ``), the Haar
+transform runs a lifting scheme, and each exposes the pair of maps the
+solvers need:
 
 * ``synthesize(coefficients) -> image``  (Ψ applied to a coefficient vector)
 * ``analyze(image) -> coefficients``     (Ψ* applied to an image vector)
@@ -18,9 +20,9 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from repro.utils.validation import check_positive, check_power_of_two
 
@@ -88,7 +90,7 @@ class Dictionary(abc.ABC):
         """Apply Ψ to a ``(k, n_pixels)`` stack of coefficient vectors at once.
 
         Subclasses override this with a genuinely vectorised transform (one
-        ``idctn`` call, one lifting pass over the whole stack); the base
+        matrix DCT, one lifting pass over the whole stack); the base
         implementation is the reference row loop.
         """
         coefficients = self._check_batch(coefficients, "coefficients")
@@ -158,34 +160,57 @@ class IdentityDictionary(Dictionary):
         return self._check_batch(images, "images").copy()
 
 
+@lru_cache(maxsize=None)
+def dct_matrix(size: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix ``D`` of one axis: ``dct(x, norm="ortho") = D x``.
+
+    Built once per side length and shared read-only, so a transform costs
+    two small GEMMs and no FFT planning or dispatch.
+    """
+    check_positive("size", size)
+    index = np.arange(size)
+    matrix = np.sqrt(2.0 / size) * np.cos(
+        np.pi * np.outer(index, 2 * index + 1) / (2 * size)
+    )
+    matrix[0] /= np.sqrt(2.0)
+    matrix.flags.writeable = False
+    return matrix
+
+
 class DCT2Dictionary(Dictionary):
-    """Orthonormal 2-D discrete cosine transform (type II, 'ortho' scaling)."""
+    """Orthonormal 2-D discrete cosine transform (type II, 'ortho' scaling).
+
+    Every map — solo or batched, forward or inverse — is the one matmul
+    chain ``D_r Z D_cᵀ`` (or its transpose) over a ``(..., rows, cols)``
+    stack, so a tile's bytes do not depend on the stack it rides in.
+    """
 
     orthonormal = True
 
+    def _transform(self, stack: np.ndarray, *, inverse: bool) -> np.ndarray:
+        row_matrix = dct_matrix(self.shape[0])
+        col_matrix = dct_matrix(self.shape[1])
+        if inverse:
+            return row_matrix.T @ stack @ col_matrix
+        return row_matrix @ stack @ col_matrix.T
+
     def synthesize(self, coefficients: np.ndarray) -> np.ndarray:
         coefficients = self._check_vector(coefficients, "coefficients")
-        image = idctn(coefficients.reshape(self.shape), norm="ortho")
-        return image.reshape(-1)
+        return self._transform(coefficients.reshape(self.shape), inverse=True).reshape(-1)
 
     def analyze(self, image: np.ndarray) -> np.ndarray:
         image = self._check_vector(image, "image")
-        coefficients = dctn(image.reshape(self.shape), norm="ortho")
-        return coefficients.reshape(-1)
+        return self._transform(image.reshape(self.shape), inverse=False).reshape(-1)
 
     def synthesize_batch(self, coefficients: np.ndarray) -> np.ndarray:
         coefficients = self._check_batch(coefficients, "coefficients")
-        if coefficients.shape[0] == 0:
-            return coefficients.copy()
         stack = coefficients.reshape(-1, *self.shape)
-        return idctn(stack, axes=(1, 2), norm="ortho").reshape(coefficients.shape)
+        return self._transform(stack, inverse=True).reshape(coefficients.shape)
 
     def analyze_batch(self, images: np.ndarray) -> np.ndarray:
         images = self._check_batch(images, "images")
-        if images.shape[0] == 0:
-            return images.copy()
         stack = images.reshape(-1, *self.shape)
-        return dctn(stack, axes=(1, 2), norm="ortho").reshape(images.shape)
+        return self._transform(stack, inverse=False).reshape(images.shape)
 
 
 class Haar2Dictionary(Dictionary):

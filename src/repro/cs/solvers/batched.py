@@ -2,30 +2,26 @@
 
 A tiled mosaic frame is a stack of independent equal-shape inverse problems:
 one ``(R_t, C_t)`` factor pair, one measurement vector and one LASSO solve
-per tile.  Solving them one tile at a time leaves the BLAS underfed: every
-product is a small matrix-vector kernel.  The functions here stack the
-per-tile ±1 factors into ``(T, rows, m)`` (``S_Rᵀ``, pre-transposed) /
-``(T, m, cols)`` (``S_C``) arrays, so each product is one batched GEMM over
-all tiles — the same :func:`~repro.cs.structured.phi_dot_stack` /
-:func:`~repro.cs.structured.phi_rdot_stack` kernels a solo operator calls
-with no stack axis — with the dictionary transforms batched the same way.
+per tile.  The functions here run them as one stack: the dictionary
+transforms are batched over every tile, and each tile's products are the
+same :func:`~repro.cs.structured.phi_dot_stack` /
+:func:`~repro.cs.structured.phi_rdot_stack` GEMMs its solo operator runs,
+on its own ±1 factors (``S_Rᵀ``, pre-transposed, and ``S_C``).  No factor
+stack is copied, so no kernel temporary outgrows one tile's.
 
-There is no batched copy of the algorithms: the stacked products drive the
-one power iteration (:func:`~repro.cs.operators.power_iteration`) and the
+There is no batched copy of the algorithm: the stacked products drive the
 one FISTA/ISTA loop (:func:`~repro.cs.solvers.iterative.proximal_gradient`)
-that solo solves run as a stack of one.  Every tile of a batched solve is
-therefore byte-identical to its per-tile solve.
+that solo solves run as a stack of one, and each tile's σ is its solo
+``operator_norm``.  Every tile of a batched solve is therefore
+byte-identical to its per-tile solve.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import partial
 
 import numpy as np
 
-from repro.cs.dictionaries import Dictionary, IdentityDictionary
-from repro.cs.operators import BaseSensingOperator, power_iteration
 from repro.cs.solvers.iterative import proximal_gradient, step_from_norm
 from repro.cs.solvers.result import SolverResult
 from repro.cs.structured import (
@@ -36,16 +32,8 @@ from repro.cs.structured import (
 from repro.telemetry import SolverProfile
 
 
-def _stack_factors(
-    operators: Sequence[StructuredSensingOperator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Dictionary]:
-    """Validate a homogeneous operator stack and return its batched factors.
-
-    Returns the ``(T, rows, m)`` stack of ``S_Rᵀ``, the ``(T, m, cols)``
-    stack of ``S_C``, the per-tile kernel offsets ``½ − d_t`` and the shared
-    dictionary — the layout :func:`~repro.cs.structured.phi_dot_stack` and
-    :func:`~repro.cs.structured.phi_rdot_stack` take.
-    """
+def _check_stack(operators: Sequence[StructuredSensingOperator]) -> None:
+    """Reject an empty or heterogeneous operator stack."""
     if not operators:
         raise ValueError("need at least one operator to stack")
     first = operators[0]
@@ -68,37 +56,44 @@ def _stack_factors(
             or operator.dictionary.shape != first.dictionary.shape
         ):
             raise ValueError("all stacked operators must share one dictionary")
-    row_stack = np.stack([op.row_signs_t for op in operators])
-    col_stack = np.stack([op.col_signs for op in operators])
-    offsets = np.array([op.offset for op in operators], dtype=np.float64)
-    return row_stack, col_stack, offsets, first.dictionary
 
 
-def _matvec_batch(
-    row_stack: np.ndarray,
-    col_stack: np.ndarray,
-    offsets: np.ndarray,
-    dictionary: Dictionary,
-    coefficients: np.ndarray,
-) -> np.ndarray:
-    """``A_t z_t`` for every tile ``t``: ``(T, n) -> (T, m)``."""
-    n_tiles = coefficients.shape[0]
-    rows, cols = dictionary.shape
-    images = dictionary.synthesize_batch(coefficients).reshape(n_tiles, rows, cols)
-    return phi_dot_stack(row_stack, col_stack, offsets, images)
+class _TileStack:
+    """The products ``A_t`` / ``A_t*`` of a homogeneous operator stack.
 
+    Each tile's ±1 kernels run on that operator's own factors, so no kernel
+    temporary outgrows one tile's; the dictionary transforms run once over
+    the whole stack.
+    """
 
-def _rmatvec_batch(
-    row_stack: np.ndarray,
-    col_stack: np.ndarray,
-    offsets: np.ndarray,
-    dictionary: Dictionary,
-    measurements: np.ndarray,
-) -> np.ndarray:
-    """``A_t* y_t`` for every tile ``t``: ``(T, m) -> (T, n)``."""
-    n_tiles = measurements.shape[0]
-    back = phi_rdot_stack(row_stack, col_stack, offsets, measurements)
-    return dictionary.analyze_batch(back.reshape(n_tiles, -1))
+    def __init__(self, operators: Sequence[StructuredSensingOperator]) -> None:
+        _check_stack(operators)
+        self.operators = list(operators)
+        self.dictionary = operators[0].dictionary
+        self.image_shape = operators[0].image_shape
+        self.n_samples = operators[0].n_samples
+
+    def forward(self, coefficients: np.ndarray, tiles: list[int]) -> np.ndarray:
+        """``A_t z_t`` for the listed tiles: ``(k, n) -> (k, m)``."""
+        images = self.dictionary.synthesize_batch(coefficients).reshape(
+            len(tiles), *self.image_shape
+        )
+        measured = np.empty((len(tiles), self.n_samples))
+        for position, tile in enumerate(tiles):
+            operator = self.operators[tile]
+            measured[position] = phi_dot_stack(
+                operator.row_signs_t, operator.col_signs, operator.offset, images[position]
+            )
+        return measured
+
+    def adjoint(self, measurements: np.ndarray) -> np.ndarray:
+        """``A_t* y_t`` for every tile: ``(T, m) -> (T, n)``."""
+        back = np.empty((len(self.operators), *self.image_shape))
+        for tile, operator in enumerate(self.operators):
+            back[tile] = phi_rdot_stack(
+                operator.row_signs_t, operator.col_signs, operator.offset, measurements[tile]
+            )
+        return self.dictionary.analyze_batch(back.reshape(len(self.operators), -1))
 
 
 def steps_from_norms(sigmas: np.ndarray) -> np.ndarray:
@@ -109,53 +104,17 @@ def steps_from_norms(sigmas: np.ndarray) -> np.ndarray:
     )
 
 
-def batched_operator_norms(
-    operators: Sequence[StructuredSensingOperator],
-    *,
-    n_iterations: int | None = None,
-    seed: int = 0,
-    tolerance: float | None = None,
-    warm_starts: Sequence[np.ndarray | None] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Largest singular value of every stacked operator, in one power iteration.
+def batched_operator_norms(operators: Sequence[StructuredSensingOperator]) -> np.ndarray:
+    """Largest singular value of every stacked operator, as a ``(T,)`` array.
 
-    The :func:`~repro.cs.operators.power_iteration` that
-    :meth:`~repro.cs.operators.BaseSensingOperator.operator_norm` runs as a
-    stack of one, on the stacked ±1 kernels: each tile's σ and vector are
-    byte-identical to its solo ``operator_norm``.  Returns ``(sigmas,
-    vectors)``; the vectors can seed the next frame of a GOP chain as
-    ``warm_starts`` (one entry per operator, ``None`` for a cold start).
-    ``n_iterations``/``tolerance`` default to the solo class knobs
-    (``NORM_ITERATIONS``/``NORM_TOLERANCE``).
+    Each entry is that tile's solo
+    :meth:`~repro.cs.operators.BaseSensingOperator.operator_norm`: the
+    closed-form :attr:`~repro.cs.operators.BaseSensingOperator.norm_estimate`
+    of a CA frame operator (no product), a memoised power iteration
+    otherwise.
     """
-    if n_iterations is None:
-        n_iterations = BaseSensingOperator.NORM_ITERATIONS
-    if tolerance is None:
-        tolerance = BaseSensingOperator.NORM_TOLERANCE
-    row_stack, col_stack, offsets, dictionary = _stack_factors(operators)
-    if warm_starts is None:
-        warm_starts = [None] * len(operators)
-    elif len(warm_starts) != len(operators):
-        raise ValueError(
-            f"warm_starts must have {len(operators)} entries, got {len(warm_starts)}"
-        )
-    if getattr(dictionary, "orthonormal", False):
-        # σ(Φ Ψ) = σ(Φ) for orthonormal Ψ: iterate on the factors alone,
-        # exactly as the solo operator_norm shortcut does.
-        dictionary = IdentityDictionary(dictionary.shape)
-
-    def step_products(stack: np.ndarray) -> np.ndarray:
-        forward = _matvec_batch(row_stack, col_stack, offsets, dictionary, stack)
-        return _rmatvec_batch(row_stack, col_stack, offsets, dictionary, forward)
-
-    return power_iteration(
-        step_products,
-        dictionary.n_pixels,
-        list(warm_starts),
-        n_iterations=n_iterations,
-        seed=seed,
-        tolerance=tolerance,
-    )
+    _check_stack(operators)
+    return np.array([operator.operator_norm() for operator in operators], dtype=float)
 
 
 def batched_proximal_gradient(
@@ -183,15 +142,16 @@ def batched_proximal_gradient(
         Per-tile iteration budget and relative-change stopping criterion,
         exactly as in the per-tile solvers.
     step_sizes:
-        Per-tile gradient steps; estimated via :func:`batched_operator_norms`
-        when omitted.
+        Per-tile initial gradient steps; from :func:`batched_operator_norms`
+        when omitted.  Steps that fail the sufficient-decrease test shrink
+        per tile, as in the solo solvers.
     accelerated:
         ``True`` for FISTA (Nesterov momentum), ``False`` for plain ISTA.
     profile:
         Opt-in :class:`~repro.telemetry.SolverProfile`: the LASSO objective
         and residual norm summed over all tiles and the count of tiles
-        already frozen, per iteration, plus the mean step and its
-        provenance.  Read-only — the solve itself is unchanged.
+        already frozen, per iteration, plus the mean step, its provenance
+        and the step reductions.  Read-only — the solve itself is unchanged.
 
     Returns
     -------
@@ -201,28 +161,31 @@ def batched_proximal_gradient(
         :func:`~repro.cs.solvers.iterative.fista` / ``ista`` solve of that
         tile with the same step.
     """
-    row_stack, col_stack, offsets, dictionary = _stack_factors(operators)
-    n_tiles = row_stack.shape[0]
+    stack = _TileStack(operators)
+    n_tiles = len(stack.operators)
     measurements = np.asarray(measurements, dtype=float)
-    if measurements.shape != (n_tiles, col_stack.shape[1]):
+    if measurements.shape != (n_tiles, stack.n_samples):
         raise ValueError(
-            f"measurements must have shape ({n_tiles}, {col_stack.shape[1]}), "
+            f"measurements must have shape ({n_tiles}, {stack.n_samples}), "
             f"got {measurements.shape}"
         )
     regularization = np.broadcast_to(np.asarray(regularization, dtype=float), (n_tiles,))
     if (regularization < 0).any():
         raise ValueError("regularization must be non-negative")
-    step_provenance = "estimated" if step_sizes is None else "provided"
     if step_sizes is None:
-        step_sizes = steps_from_norms(batched_operator_norms(operators)[0])
+        closed_form = all(operator.norm_estimate is not None for operator in operators)
+        step_provenance = "bound" if closed_form else "estimated"
+        step_sizes = steps_from_norms(batched_operator_norms(operators))
+    else:
+        step_provenance = "provided"
     step_sizes = np.broadcast_to(np.asarray(step_sizes, dtype=float), (n_tiles,))
     if (step_sizes <= 0).any():
         raise ValueError("step_sizes must be positive")
     return proximal_gradient(
-        partial(_matvec_batch, row_stack, col_stack, offsets, dictionary),
-        partial(_rmatvec_batch, row_stack, col_stack, offsets, dictionary),
+        stack.forward,
+        stack.adjoint,
         measurements,
-        np.zeros((n_tiles, dictionary.n_pixels)),
+        np.zeros((n_tiles, stack.dictionary.n_pixels)),
         step_sizes=step_sizes,
         regularization=regularization,
         max_iterations=max_iterations,

@@ -15,6 +15,14 @@ momentum step, instead of being recomputed.
 * IHT solves the k-sparse constrained problem by gradient steps followed by
   hard thresholding to the k largest coefficients.
 
+The default step ``1/σ²`` comes from ``operator.operator_norm()``, which for
+CA frames is a closed-form estimate rather than a bound.  So both loops
+check every step with the sufficient-decrease test of
+``f(z) = ½‖Az − y‖²``.  For this quadratic ``f`` the test is exactly
+``‖A(z⁺ − v)‖² ≤ ‖z⁺ − v‖²/t``, and both products are already in hand.
+A tile that fails it shrinks its step, recomputes its candidate and pays
+one forward product for its own row; a step that passes costs nothing.
+
 Every solver takes an opt-in ``profile``
 (:class:`~repro.telemetry.SolverProfile`): when given, it receives the
 composite objective and residual norm after each iteration plus the step
@@ -68,11 +76,39 @@ def step_from_norm(sigma: float) -> float:
     return 1.0 / (sigma ** 2) if sigma > 0.0 else 1.0
 
 
-def _step_size(operator: BaseSensingOperator, step_size: float | None) -> float:
+#: A step that fails the sufficient-decrease test shrinks to at most this
+#: fraction of itself, or to the curvature the failed step measured.
+BACKTRACK_FACTOR = 0.5
+
+
+def backtracked_step(delta: np.ndarray, measured_delta: np.ndarray, step: float) -> float | None:
+    """The shrunk step if ``step`` fails the sufficient-decrease test, else ``None``.
+
+    ``delta`` is ``z⁺ − v`` for one tile and ``measured_delta`` its product
+    ``A(z⁺ − v)``.  The test ``t·‖A d‖² ≤ ‖d‖²`` is the exact descent
+    condition of ``½‖Az − y‖²``.  A failed step shrinks to the smaller of
+    ``BACKTRACK_FACTOR·t`` and ``‖d‖²/‖A d‖²``, the inverse curvature along
+    ``d``; the halving guarantees the retry loop ends.  A step that moved
+    nothing (``d = 0``) passes, whatever rounding left in the tracked
+    ``A d``, and so does a test that reads NaN.  Both reductions are 1-D
+    dots of one row, so a tile decides alike alone and in a stack.
+    """
+    curvature = float(measured_delta @ measured_delta)
+    distance = float(delta @ delta)
+    if distance == 0.0 or not step * curvature > distance:
+        return None
+    return min(BACKTRACK_FACTOR * step, distance / curvature)
+
+
+def _step_size(
+    operator: BaseSensingOperator, step_size: float | None
+) -> tuple[float, str]:
+    """The initial step and its provenance: provided, bound or estimated."""
     if step_size is not None:
         check_positive("step_size", step_size)
-        return float(step_size)
-    return step_from_norm(operator.operator_norm())
+        return float(step_size), "provided"
+    provenance = "estimated" if operator.norm_estimate is None else "bound"
+    return step_from_norm(operator.operator_norm()), provenance
 
 
 def ista(
@@ -93,8 +129,10 @@ def ista(
     regularization:
         The l1 weight λ, in the units of the measurements.
     step_size:
-        Gradient step; defaults to ``1/σ_max(A)²`` estimated by power
-        iteration (the largest provably-convergent step).
+        Initial gradient step; defaults to ``1/σ²`` for
+        ``σ = operator.operator_norm()`` (the closed-form estimate of a CA
+        frame, else a power iteration).  Any step that fails the
+        sufficient-decrease test is shrunk; see :func:`backtracked_step`.
     tolerance:
         Stop when the relative change of the iterate falls below this value.
     profile:
@@ -144,7 +182,7 @@ def _solo_proximal_gradient(
     operator = as_operator(operator_or_matrix)
     measurements = check_measurements(operator, measurements)
     check_positive("regularization", regularization, allow_zero=True)
-    step = _step_size(operator, step_size)
+    step, provenance = _step_size(operator, step_size)
     if initial is None:
         start = np.zeros(operator.n_coefficients)
     else:
@@ -152,7 +190,7 @@ def _solo_proximal_gradient(
         if start.size != operator.n_coefficients:
             raise ValueError("initial vector has the wrong dimension")
     (result,) = proximal_gradient(
-        lambda stack: operator.matvec(stack[0])[None],
+        lambda stack, _tiles: operator.matvec(stack[0])[None],
         lambda stack: operator.rmatvec(stack[0])[None],
         measurements[None],
         start[None],
@@ -161,14 +199,14 @@ def _solo_proximal_gradient(
         max_iterations=max_iterations,
         tolerance=tolerance,
         accelerated=accelerated,
-        step_provenance="estimated" if step_size is None else "provided",
+        step_provenance=provenance,
         profile=profile,
     )
     return result
 
 
 def proximal_gradient(
-    forward: Callable[[np.ndarray], np.ndarray],
+    forward: Callable[[np.ndarray, list[int]], np.ndarray],
     adjoint: Callable[[np.ndarray], np.ndarray],
     measurements: np.ndarray,
     initial: np.ndarray,
@@ -183,42 +221,69 @@ def proximal_gradient(
 ) -> list[SolverResult]:
     """FISTA (or ISTA) on a stack of ``T`` independent LASSO problems.
 
-    ``forward``/``adjoint`` apply every ``A_t``/``A_t*`` to the rows of a
-    ``(T, n)``/``(T, m)`` stack; steps and l1 weights are per tile.  A tile
-    that meets its relative-change stop is frozen while the rest iterate
-    on, and every per-tile reduction is the 1-D norm of one row, so a tile
-    gives the same bytes in a stack of one as in a stack of many.  A is
-    linear, so ``A @ momentum_point`` is tracked as the same combination of
-    ``A @ candidate`` and ``A @ coefficients``: one forward product per
-    iteration plus the start point's, with exact residual norms (ISTA's
-    momentum point *is* the candidate, so its bytes are unchanged).
-    ``profile`` gets the objective and residual norm summed over the stack
-    and how many tiles entered each iteration frozen.
+    ``forward(stack, tiles)`` applies ``A_t`` to the rows of a ``(k, n)``
+    stack for the ``k`` listed tiles; ``adjoint`` applies every ``A_t*`` to
+    the rows of a ``(T, m)`` stack.  Steps and l1 weights are per tile, and
+    a tile whose step fails the sufficient-decrease test
+    (:func:`backtracked_step`) shrinks it, retries its own row and keeps the
+    smaller step.  A tile that meets its relative-change stop is frozen
+    while the rest iterate on, and every per-tile reduction is the 1-D
+    reduction of one row, so a tile gives the same bytes in a stack of one
+    as in a stack of many.  A is linear, so ``A @ momentum_point`` is
+    tracked as the same combination of ``A @ candidate`` and
+    ``A @ coefficients``: one forward product per iteration plus the start
+    point's, with exact residual norms (ISTA's momentum point *is* the
+    candidate, so its bytes are unchanged).  ``profile`` gets the objective
+    and residual norm summed over the stack, how many tiles entered each
+    iteration frozen and the number of step reductions.
     """
     check_positive("max_iterations", max_iterations)
     check_positive("tolerance", tolerance)
     n_tiles = measurements.shape[0]
+    all_tiles = list(range(n_tiles))
     if profile is not None:
         profile.record_step_size(float(step_sizes.mean()), provenance=step_provenance)
         profile.n_tiles = n_tiles
-    # Per-tile steps and thresholds broadcast as columns; a lone tile's are
-    # scalars, which numpy applies faster (same bytes).
-    steps = step_sizes[:, None] if n_tiles > 1 else step_sizes[0]
-    thresholds = steps * (regularization[:, None] if n_tiles > 1 else regularization[0])
+    step_sizes = np.array(step_sizes, dtype=float)
+    reductions = [0] * n_tiles
     coefficients = initial.copy()
     momentum_point = coefficients.copy()
     momentum = 1.0
-    measured_coefficients = forward(coefficients)
+    measured_coefficients = forward(coefficients, all_tiles)
     measured_point = measured_coefficients
     histories: list[list[float]] = [[] for _ in range(n_tiles)]
-    live = list(range(n_tiles))
+    live = all_tiles
     frozen: list[int] = []
     for _ in range(int(max_iterations)):
         if not live:
             break
+        # Per-tile steps and thresholds broadcast as columns; a lone tile's
+        # are scalars, which numpy applies faster (same bytes).
+        steps = step_sizes[:, None] if n_tiles > 1 else step_sizes[0]
+        thresholds = steps * (regularization[:, None] if n_tiles > 1 else regularization[0])
         gradient = adjoint(measured_point - measurements)
         candidate = _shrink(momentum_point - steps * gradient, thresholds)
-        measured_candidate = forward(candidate)
+        measured_candidate = forward(candidate, all_tiles)
+        failing = live
+        while failing:
+            retry = []
+            for index in failing:
+                shrunk = backtracked_step(
+                    candidate[index] - momentum_point[index],
+                    measured_candidate[index] - measured_point[index],
+                    float(step_sizes[index]),
+                )
+                if shrunk is not None:
+                    step_sizes[index] = shrunk
+                    reductions[index] += 1
+                    candidate[index] = _shrink(
+                        momentum_point[index] - step_sizes[index] * gradient[index],
+                        step_sizes[index] * regularization[index],
+                    )
+                    retry.append(index)
+            if retry:
+                measured_candidate[retry] = forward(candidate[retry], retry)
+            failing = retry
         if accelerated:
             next_momentum = (1.0 + np.sqrt(1.0 + 4.0 * momentum ** 2)) / 2.0
             weight = (momentum - 1.0) / next_momentum
@@ -260,6 +325,7 @@ def proximal_gradient(
             profile.record_iteration(objective, residual, frozen=n_tiles - len(live))
         live = still_live
     if profile is not None:
+        profile.step_reductions = sum(reductions)
         profile.finish(converged=len(frozen) == n_tiles)
     return [
         SolverResult(
@@ -268,6 +334,7 @@ def proximal_gradient(
             converged=index in frozen,
             residual_norm=history[-1] if history else 0.0,
             history=history,
+            step_reductions=reductions[index],
         )
         for index, history in enumerate(histories)
     ]
@@ -285,6 +352,9 @@ def iht(
 ) -> SolverResult:
     """Iterative hard thresholding (Blumensath & Davies 2009).
 
+    Each step passes the same sufficient-decrease test as the proximal
+    loop (:func:`backtracked_step`, with ``v`` the current iterate); a
+    failed step shrinks and retries at one forward product per retry.
     ``profile`` records the data-fidelity objective ``0.5||y - Az||²`` per
     iteration (IHT has no l1 term) plus step-size provenance; read-only.
     """
@@ -292,11 +362,9 @@ def iht(
     measurements = check_measurements(operator, measurements)
     check_positive("sparsity", sparsity)
     check_positive("max_iterations", max_iterations)
-    step = _step_size(operator, step_size)
+    step, provenance = _step_size(operator, step_size)
     if profile is not None:
-        profile.record_step_size(
-            step, provenance="provided" if step_size is not None else "estimated"
-        )
+        profile.record_step_size(step, provenance=provenance)
         profile.n_tiles = 1
 
     coefficients = np.zeros(operator.n_coefficients)
@@ -305,14 +373,24 @@ def iht(
     measured = np.zeros(operator.n_samples)
     history = []
     converged = False
+    reductions = 0
     iteration = 0
     for iteration in range(1, int(max_iterations) + 1):
         gradient = operator.rmatvec(measured - measurements)
-        candidate = hard_threshold(coefficients - step * gradient, int(sparsity))
+        while True:
+            candidate = hard_threshold(coefficients - step * gradient, int(sparsity))
+            measured_candidate = operator.matvec(candidate)
+            shrunk = backtracked_step(
+                candidate - coefficients, measured_candidate - measured, step
+            )
+            if shrunk is None:
+                break
+            step = shrunk
+            reductions += 1
         change = np.linalg.norm(candidate - coefficients)
         scale = max(np.linalg.norm(coefficients), 1e-12)
         coefficients = candidate
-        measured = operator.matvec(coefficients)
+        measured = measured_candidate
         residual = measurements - measured
         history.append(float(np.linalg.norm(residual)))
         if profile is not None:
@@ -321,6 +399,7 @@ def iht(
             converged = True
             break
     if profile is not None:
+        profile.step_reductions = reductions
         profile.finish(converged=converged)
     return SolverResult(
         coefficients=coefficients,
@@ -328,4 +407,5 @@ def iht(
         converged=converged,
         residual_norm=history[-1] if history else 0.0,
         history=history,
+        step_reductions=reductions,
     )

@@ -25,6 +25,9 @@ class SolverResult:
         Final ``||y - A z||_2``.
     history:
         Residual norm per iteration (useful for convergence plots/tests).
+    step_reductions:
+        How many times a step failed the sufficient-decrease test and was
+        shrunk (0 when the initial step held throughout).
     """
 
     coefficients: np.ndarray
@@ -32,6 +35,7 @@ class SolverResult:
     converged: bool
     residual_norm: float
     history: list[float] = field(default_factory=list)
+    step_reductions: int = 0
 
     @property
     def sparsity(self) -> int:

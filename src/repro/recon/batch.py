@@ -6,10 +6,9 @@ centring and default l1 weight
 (:func:`~repro.recon.pipeline.center_frame_samples`) and result packaging,
 and runs the same FISTA/ISTA loop — but over *all* equal-shape tiles of a
 frame at once, through the stacked rank-structured operators of
-:mod:`repro.cs.solvers.batched`.  Per-tile step sizes come from one batched
-power iteration, memoised and warm-started through a
-:class:`~repro.cs.operators.StepSizeCache` when one is given.  The result
-is byte-identical to solving the tiles one by one.
+:mod:`repro.cs.solvers.batched`.  Per-tile step sizes come from each CA
+operator's closed-form norm estimate, exactly as in the solo path.  The
+result is byte-identical to solving the tiles one by one.
 
 :class:`~repro.recon.incremental.IncrementalTiledReconstructor` routes its
 staged tiles through this function, which is how both
@@ -24,7 +23,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.cs.operators import StepSizeCache, cached_operator_norms
 from repro.cs.solvers.batched import (
     batched_operator_norms,
     batched_proximal_gradient,
@@ -61,7 +59,6 @@ def solve_tiles_batched(
     solver: str = "fista",
     regularization: float | None = None,
     max_iterations: int | None = None,
-    step_cache: StepSizeCache | None = None,
 ) -> list[ReconstructionResult]:
     """Solve a homogeneous group of tile frames in one batched pass.
 
@@ -73,10 +70,6 @@ def solve_tiles_batched(
     dictionary, solver, regularization, max_iterations:
         As in :func:`~repro.recon.pipeline.reconstruct_frame`; ``solver``
         must be one of the proximal family (``fista``/``ista``).
-    step_cache:
-        Optional step-size cache: exact hits skip the power iteration for a
-        tile entirely, warm vectors from previous same-geometry solves seed
-        the batched iteration for the rest.
 
     Returns
     -------
@@ -102,7 +95,6 @@ def solve_tiles_batched(
             dictionary=dictionary,
             center=True,
             operator="structured",
-            step_cache=step_cache,
         )
         for frame in frames
     ]
@@ -112,13 +104,7 @@ def solve_tiles_batched(
         for (operator, density), frame in zip(built, frames)
     ))
 
-    # Exact cache hits ride the memoised σ verbatim; one batched power
-    # iteration covers *only* the misses.
-    sigmas = cached_operator_norms(
-        operators,
-        step_cache,
-        lambda misses, warm_starts: batched_operator_norms(misses, warm_starts=warm_starts),
-    )
+    sigmas = batched_operator_norms(operators)
     solver_results = batched_proximal_gradient(
         operators,
         np.stack(centered),

@@ -23,10 +23,8 @@ tests pin.
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from repro.cs.operators import StepSizeCache
 from repro.recon.batch import batch_group_key, solve_tiles_batched
 from repro.recon.pipeline import (
     BATCHABLE_SOLVERS,
@@ -61,10 +59,6 @@ class IncrementalTiledReconstructor:
     dictionary, solver, regularization, sparsity, max_iterations, operator:
         Per-tile reconstruction options, as in
         :func:`~repro.recon.pipeline.reconstruct_frame`.
-    step_cache:
-        Optional :class:`~repro.cs.operators.StepSizeCache` shared across
-        frames so per-tile step sizes are memoised / warm-started along a
-        GOP chain.
     """
 
     def __init__(
@@ -78,7 +72,6 @@ class IncrementalTiledReconstructor:
         sparsity: int | None = None,
         max_iterations: int | None = None,
         operator: str = "structured",
-        step_cache: StepSizeCache | None = None,
     ) -> None:
         self.scene_shape = (int(scene_shape[0]), int(scene_shape[1]))
         self.tile_shape = (
@@ -91,7 +84,6 @@ class IncrementalTiledReconstructor:
         self.sparsity = sparsity
         self.max_iterations = None if max_iterations is None else int(max_iterations)
         self.operator = operator
-        self.step_cache = step_cache
         self.slots: list[list[TileSlot]] = tile_grid(self.scene_shape, self.tile_shape)
         grid_rows, grid_cols = self.grid_shape
         self._frames: list[list[CompressedFrame | None]] = [
@@ -175,7 +167,6 @@ class IncrementalTiledReconstructor:
             sparsity=self.sparsity,
             max_iterations=self.max_iterations,
             operator=self.operator,
-            step_cache=self.step_cache,
             sample_mask=sample_mask,
         )
 
@@ -216,7 +207,6 @@ class IncrementalTiledReconstructor:
                     solver=self.solver,
                     regularization=self.regularization,
                     max_iterations=self.max_iterations,
-                    step_cache=self.step_cache,
                 )
                 for index, result in zip(indices, solved):
                     results[index] = result

@@ -14,16 +14,18 @@ Two operator flavours share one CA evolution:
 * ``operator="dense"`` materialises Φ through the shared dense builder and
   returns the classic :class:`~repro.cs.operators.SensingOperator`, kept as
   the executable reference the equivalence suite pins the fast path against.
+
+Both flavours leave here carrying the same closed-form step estimate
+(:func:`ca_norm_estimate`), so no CA solve runs a power iteration.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
 from repro.ca.selection import ca_measurement_matrix, ca_selection_factors
 from repro.cs.dictionaries import Dictionary, make_dictionary
-from repro.cs.operators import BaseSensingOperator, SensingOperator, StepSizeCache
+from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.structured import StructuredSensingOperator
 from repro.sensor.imager import CompressedFrame
 from repro.utils.validation import check_choice, check_positive
@@ -90,31 +92,35 @@ def measurement_factors_from_seed(
     )
 
 
-def frame_cache_keys(
-    frame: CompressedFrame, dictionary: str, center: bool
-) -> tuple[tuple, tuple]:
-    """The ``(exact, warm)`` step-size cache keys of a frame's operator.
+#: Floor of the safety factor on the random-matrix spectrum edge in
+#: :func:`ca_norm_estimate`: 64x64 frames read at most 0.4% above the edge.
+CA_NORM_MARGIN = 1.03
+#: Headroom in units of the edge's finite-size fluctuation scale: of ~3,000
+#: rule-30 frames of 16x16 to 32x32, masked or not, the worst read 6.6 units
+#: above the edge (the CA's rows are less random than the scale assumes).
+CA_NORM_FLUCTUATIONS = 8.0
 
-    The exact key captures everything that determines the operator (seed
-    bits, CA parameters, geometry, dictionary, centring), so an exact hit
-    may reuse a memoised norm verbatim.  The warm key drops the seed: any
-    previously converged singular vector of a same-geometry operator — the
-    previous frame of a GOP chain — is a valid power-iteration warm start.
+
+def ca_norm_estimate(n_samples: int, n_pixels: int, density: float = 0.0) -> float:
+    """Closed-form σ estimate of an ``(m, n)`` CA-XOR measurement matrix.
+
+    The centred entries ``Φ − d`` are ±½ and nearly uncorrelated, so the top
+    singular value sits near the Marchenko–Pastur edge ``½(√m + √n)``.  It
+    fluctuates about the edge on the Tracy–Widom scale
+    ``τ = (1/√m + 1/√n)^⅓ / (√m + √n)`` (relative), which grows as the
+    frame shrinks: 16x16 frames read up to 6.4% above the edge, 64x64
+    frames 0.4%.  So the edge is scaled by ``max(CA_NORM_MARGIN, 1 +
+    CA_NORM_FLUCTUATIONS·τ)``: about 1.03 at 64x64, 1.07 at 32x32 and
+    1.17 at 16x16.  An uncentred matrix (``density`` is the
+    ``d`` left in it) adds ``‖d·11ᵀ‖ = d·√(mn)`` by the triangle
+    inequality.  This is an estimate, not a proof: frames below 16x16 and
+    non-chaotic rules can exceed it, which the solvers' sufficient-decrease
+    safeguard absorbs.
     """
-    warm_key = (
-        frame.config.rows,
-        frame.config.cols,
-        frame.n_samples,
-        dictionary,
-        bool(center),
-    )
-    exact_key = warm_key + (
-        frame.seed_state.astype(np.uint8).tobytes(),
-        frame.rule_number,
-        frame.steps_per_sample,
-        frame.warmup_steps,
-    )
-    return exact_key, warm_key
+    root_m, root_n = np.sqrt(float(n_samples)), np.sqrt(float(n_pixels))
+    fluctuation = (1.0 / root_m + 1.0 / root_n) ** (1.0 / 3.0) / (root_m + root_n)
+    margin = max(CA_NORM_MARGIN, 1.0 + CA_NORM_FLUCTUATIONS * fluctuation)
+    return float(0.5 * (root_m + root_n) * margin + density * root_m * root_n)
 
 
 def normalize_sample_mask(
@@ -146,7 +152,6 @@ def frame_operator(
     dictionary: str = "dct",
     center: bool = True,
     operator: str = "structured",
-    step_cache: StepSizeCache | None = None,
     sample_mask: np.ndarray | None = None,
 ) -> tuple[BaseSensingOperator, float]:
     """Build the sensing operator for a captured frame.
@@ -155,6 +160,10 @@ def frame_operator(
     when ``center`` is false).  Centring subtracts the mean entry from the
     0/1 matrix, which removes the large DC component shared by all rows of
     the XOR construction and is what makes smooth dictionaries usable.
+    Every operator leaves with its
+    :attr:`~repro.cs.operators.BaseSensingOperator.norm_estimate` set to
+    :func:`ca_norm_estimate` over its surviving rows, dense and structured
+    alike, so both flavours take the same step.
 
     Parameters
     ----------
@@ -170,10 +179,6 @@ def frame_operator(
         operator; ``"dense"`` materialises Φ and returns the dense
         reference.  Both flavours compute bit-identical densities and are
         pinned numerically equivalent by the recon-equivalence suite.
-    step_cache:
-        Optional :class:`~repro.cs.operators.StepSizeCache` attached to the
-        operator so its power-iteration step size is memoised (exact key)
-        and warm-started (geometry key) across frames of a video/GOP chain.
     sample_mask:
         Optional boolean row-survival mask over the frame's ``n_samples``
         measurements (the partial-Φ path of lossy streaming).  Φ is rebuilt
@@ -200,7 +205,8 @@ def frame_operator(
             row_factors = row_factors[mask]
             col_factors = col_factors[mask]
         structured = StructuredSensingOperator(row_factors, col_factors, psi)
-        density = structured.density if center else 0.0
+        matrix_density = structured.density
+        density = matrix_density if center else 0.0
         structured.center = density
         built: BaseSensingOperator = structured
     else:
@@ -214,15 +220,12 @@ def frame_operator(
         )
         if mask is not None:
             phi = phi[mask]
-        density = float(phi.mean()) if center else 0.0
+        matrix_density = float(phi.mean())
+        density = matrix_density if center else 0.0
         if center:
             phi = phi - density
         built = SensingOperator(phi, psi)
-    if step_cache is not None and mask is None:
-        # A masked operator has a different row space per loss pattern, so
-        # its step size is neither reusable nor worth polluting the cache.
-        exact_key, warm_key = frame_cache_keys(frame, dictionary, center)
-        built.norm_cache = step_cache
-        built.norm_exact_key = (operator,) + exact_key
-        built.norm_warm_key = warm_key
+    built.norm_estimate = ca_norm_estimate(
+        built.n_samples, built.n_coefficients, matrix_density - density
+    )
     return built, density

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cs.dictionaries import make_dictionary
 from repro.cs.metrics import psnr, reconstruction_snr
-from repro.cs.operators import BaseSensingOperator, SensingOperator, StepSizeCache
+from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.solvers import SolverResult, cosamp, fista, iht, ista, omp
 from repro.recon.operator import frame_operator, normalize_sample_mask
 from repro.sensor.imager import CompressedFrame
@@ -212,7 +212,6 @@ def reconstruct_frame(
     max_iterations: int | None = None,
     reference: np.ndarray | None = None,
     operator: str = "structured",
-    step_cache: StepSizeCache | None = None,
     sample_mask: np.ndarray | None = None,
 ) -> ReconstructionResult:
     """Reconstruct the code image of a captured :class:`CompressedFrame`.
@@ -237,10 +236,6 @@ def reconstruct_frame(
         Operator flavour (see :func:`repro.recon.operator.frame_operator`):
         the matrix-free rank-structured fast path by default, the dense
         executable reference on request.
-    step_cache:
-        Optional :class:`~repro.cs.operators.StepSizeCache` shared across
-        calls so the power-iteration step size is memoised and warm-started
-        along a video/GOP chain.
     sample_mask:
         Optional boolean survival mask over the frame's samples (the lossy
         streaming path): only the masked samples and the matching rows of Φ
@@ -262,7 +257,6 @@ def reconstruct_frame(
         dictionary=dictionary,
         center=True,
         operator=operator,
-        step_cache=step_cache,
         sample_mask=mask,
     )
     samples = frame.samples.astype(float)
@@ -388,7 +382,6 @@ def reconstruct_tiled(
     executor: str = "batched",
     max_workers: int | None = None,
     operator: str = "structured",
-    step_cache: StepSizeCache | None = None,
 ) -> TiledReconstructionResult:
     """Reconstruct a :class:`~repro.sensor.shard.TiledCaptureResult` scene.
 
@@ -420,10 +413,6 @@ def reconstruct_tiled(
     operator : {"structured", "dense"}
         Operator flavour for the per-tile solves, as in
         :func:`reconstruct_frame`.
-    step_cache:
-        Optional :class:`~repro.cs.operators.StepSizeCache` shared across
-        frames of a video so per-tile step sizes are memoised and
-        warm-started along the GOP chain.
 
     Returns
     -------
@@ -451,7 +440,6 @@ def reconstruct_tiled(
         sparsity=sparsity,
         max_iterations=max_iterations,
         operator=operator,
-        step_cache=step_cache,
     )
     pairs = list(capture.frames())
     if executor == "batched":

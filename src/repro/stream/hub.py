@@ -26,13 +26,8 @@ Two hub-level policies sit on top of the sessions:
   buffering) stalls that camera's capture loop — while every other
   connection keeps draining.  Nothing in the hub buffers unboundedly.
 
-Sessions may share one :class:`~repro.cs.operators.StepSizeCache`
-(``share_step_cache=True``): the fleet then pays each tile-geometry power
-iteration once instead of once per camera.  Off by default because warm
-starts shift the step estimates and hence the reconstructed bytes — with
-defaults, a hub serving a single node is **byte-identical** to
-``StreamReceiver`` (a pinned test), which is the invariant that makes the
-fleet path trustworthy.
+A hub serving a single node is **byte-identical** to ``StreamReceiver`` (a
+pinned test), which is the invariant that makes the fleet path trustworthy.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Any
 
-from repro.cs.operators import StepSizeCache
 from repro.stream.protocol import (
     ChunkDecoder,
     ChunkType,
@@ -351,14 +345,6 @@ class ReceiverHub:
         Per-session reconstruction options, exactly as on
         :class:`~repro.stream.receiver.StreamReceiver`; every session the
         hub opens gets the same configuration.
-    step_cache, share_step_cache:
-        ``share_step_cache=True`` creates one
-        :class:`~repro.cs.operators.StepSizeCache` handed to every session,
-        so the whole fleet pays each tile-geometry power iteration once
-        (pass ``step_cache`` to supply your own).  Off by default: warm
-        starts shift the step estimates and the reconstructed bytes, and
-        the default must keep a single-node hub byte-identical to
-        ``StreamReceiver``.
     executor:
         ``concurrent.futures`` executor for solver work; ``None`` uses the
         event loop's default thread pool.
@@ -421,8 +407,6 @@ class ReceiverHub:
         sparsity: int | None = None,
         max_iterations: int | None = None,
         operator: str = "structured",
-        step_cache: StepSizeCache | None = None,
-        share_step_cache: bool = False,
         executor: Executor | None = None,
         solver_slots: int = 2,
         per_stream_pending: int | None = 2,
@@ -444,9 +428,6 @@ class ReceiverHub:
             check_positive("resume_grace", resume_grace)
         if idle_timeout is not None:
             check_positive("idle_timeout", idle_timeout)
-        if step_cache is None and share_step_cache:
-            step_cache = StepSizeCache()
-        self.step_cache = step_cache
         self.resilient = bool(resilient)
         self.feedback = bool(feedback)
         self.resume_grace = resume_grace
@@ -470,7 +451,6 @@ class ReceiverHub:
             sparsity=sparsity,
             max_iterations=max_iterations,
             operator=operator,
-            step_cache=step_cache,
             resilient=self.resilient,
             min_surviving_samples=min_surviving_samples,
             emit_feedback=self.feedback,

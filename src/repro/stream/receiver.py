@@ -60,11 +60,10 @@ class StreamReceiver:
     SOLVER_SLOTS = 8
 
     #: Hub options with no meaning for one stream on a private hub: the
-    #: scheduler sizing and admission bound are fixed below, and parking,
-    #: reaping and cache sharing need a long-lived fleet hub.
+    #: scheduler sizing and admission bound are fixed below, and parking
+    #: and reaping need a long-lived fleet hub.
     FLEET_ONLY = frozenset(
         {
-            "share_step_cache",
             "solver_slots",
             "per_stream_pending",
             "max_pending",

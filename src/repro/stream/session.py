@@ -33,7 +33,6 @@ from typing import Any, Literal, Protocol
 
 import numpy as np
 
-from repro.cs.operators import StepSizeCache
 from repro.io.bitstream import unpack_samples
 from repro.io.framing import (
     FramingError,
@@ -380,7 +379,7 @@ class StreamSession:
         The :class:`SolveScheduler` every reconstruction is dispatched
         through.  The session never blocks the event loop on solver work.
     reconstruct, dictionary, solver, regularization, sparsity,
-    max_iterations, operator, step_cache:
+    max_iterations, operator:
         Reconstruction options, exactly as on
         :class:`~repro.stream.receiver.StreamReceiver` (which forwards them
         here verbatim).
@@ -457,7 +456,6 @@ class StreamSession:
         sparsity: int | None = None,
         max_iterations: int | None = None,
         operator: str = "structured",
-        step_cache: StepSizeCache | None = None,
         resilient: bool = False,
         min_surviving_samples: int = 1,
         emit_feedback: bool = False,
@@ -499,7 +497,6 @@ class StreamSession:
             sparsity=sparsity,
             max_iterations=None if max_iterations is None else int(max_iterations),
             operator=operator,
-            step_cache=step_cache,
         )
         self._header: StreamHeader | None = None
         #: The frame's tile grid (1x1 for single-sensor streams).

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 __all__ = ["SolverProfile"]
 
 #: Allowed values for :attr:`SolverProfile.step_size_provenance`.
-_PROVENANCES = ("provided", "estimated")
+#: ``"bound"`` is a closed-form σ estimate (CA frames), ``"estimated"`` a
+#: power iteration and ``"provided"`` the caller's own step.
+_PROVENANCES = ("provided", "bound", "estimated")
 
 
 @dataclass
@@ -33,7 +35,10 @@ class SolverProfile:
     after iteration ``i`` (summed over tiles for batched solves) and
     ``residual_norms[i]`` the matching data-fidelity norm.  For ISTA/FISTA
     solves ``frozen_counts[i]`` counts tiles already converged-and-frozen
-    entering iteration ``i`` (0 for a one-tile solve).
+    entering iteration ``i`` (0 for a one-tile solve).  ``step_size`` is
+    the initial step (the mean over tiles) and ``step_reductions`` counts
+    how often a step failed the sufficient-decrease test and was shrunk,
+    summed over tiles.
     """
 
     objectives: list[float] = field(default_factory=list)
@@ -43,10 +48,11 @@ class SolverProfile:
     step_size_provenance: str | None = None
     n_tiles: int | None = None
     n_iterations: int = 0
+    step_reductions: int = 0
     converged: bool | None = None
 
     def record_step_size(self, step: float, *, provenance: str) -> None:
-        """Stamp the step size and whether the caller supplied or estimated it."""
+        """Stamp the initial step size and where it came from."""
         if provenance not in _PROVENANCES:
             raise ValueError(
                 f"step-size provenance must be one of {_PROVENANCES}, got {provenance!r}"

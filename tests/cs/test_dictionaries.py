@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.fft import dctn, idctn
 
 from repro.cs.dictionaries import (
     DCT2Dictionary,
     Haar2Dictionary,
     IdentityDictionary,
+    dct_matrix,
     make_dictionary,
 )
 
@@ -122,3 +124,80 @@ class TestShapes:
         rng = np.random.default_rng(3)
         image = rng.standard_normal(32)
         assert np.allclose(dictionary.synthesize(dictionary.analyze(image)), image)
+
+
+MATRIX_DCT_SHAPES = [(1, 1), (8, 8), (16, 32), (64, 64), (256, 256)]
+
+
+def relative_error(got, reference):
+    return np.abs(got - reference).max() / max(np.abs(reference).max(), 1e-300)
+
+
+class TestMatrixDCT:
+    """The cached DCT-II matrices reproduce scipy's orthonormal transform."""
+
+    @pytest.mark.parametrize("shape", MATRIX_DCT_SHAPES)
+    def test_solo_maps_match_scipy(self, shape):
+        dictionary = DCT2Dictionary(shape)
+        image = np.random.default_rng(0).standard_normal(shape)
+        analyzed = dictionary.analyze(image.reshape(-1))
+        synthesized = dictionary.synthesize(image.reshape(-1))
+        assert relative_error(analyzed, dctn(image, norm="ortho").reshape(-1)) <= 1e-12
+        assert relative_error(synthesized, idctn(image, norm="ortho").reshape(-1)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", MATRIX_DCT_SHAPES)
+    def test_batch_maps_match_scipy_and_solo(self, shape):
+        dictionary = DCT2Dictionary(shape)
+        stack = np.random.default_rng(1).standard_normal((3, *shape))
+        flat = stack.reshape(3, -1)
+        analyzed = dictionary.analyze_batch(flat)
+        synthesized = dictionary.synthesize_batch(flat)
+        reference = dctn(stack, axes=(1, 2), norm="ortho").reshape(3, -1)
+        assert relative_error(analyzed, reference) <= 1e-12
+        reference = idctn(stack, axes=(1, 2), norm="ortho").reshape(3, -1)
+        assert relative_error(synthesized, reference) <= 1e-12
+        # One matmul path: a stacked row is the solo transform, byte for byte.
+        for row, coefficients, image in zip(flat, analyzed, synthesized):
+            assert dictionary.analyze(row).tobytes() == coefficients.tobytes()
+            assert dictionary.synthesize(row).tobytes() == image.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 8, 32, 64, 256])
+    def test_matrix_is_orthonormal(self, size):
+        matrix = dct_matrix(size)
+        assert np.abs(matrix @ matrix.T - np.eye(size)).max() <= 1e-12
+        assert not matrix.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 32)])
+    def test_psi_psi_star_is_identity(self, shape):
+        psi = DCT2Dictionary(shape).dense()
+        identity = np.eye(psi.shape[0])
+        assert np.abs(psi @ psi.T - identity).max() <= 1e-12
+        assert np.abs(psi.T @ psi - identity).max() <= 1e-12
+
+    def test_empty_batch(self):
+        dictionary = DCT2Dictionary((8, 8))
+        assert dictionary.synthesize_batch(np.zeros((0, 64))).shape == (0, 64)
+        assert dictionary.analyze_batch(np.zeros((0, 64))).shape == (0, 64)
+
+
+class TestHaarAndIdentityUntouched:
+    """Only the DCT changed transform: Haar and identity keep their maps."""
+
+    def test_haar_2x2_is_the_explicit_butterfly(self):
+        a, b, c, d = 1.0, 2.0, 3.0, 5.0
+        coefficients = Haar2Dictionary((2, 2)).analyze(np.array([a, b, c, d]))
+        expected = 0.5 * np.array([a + b + c + d, a - b + c - d, a + b - c - d, a - b - c + d])
+        np.testing.assert_allclose(coefficients, expected, rtol=0, atol=1e-15)
+
+    def test_haar_batch_matches_solo_bytes(self):
+        dictionary = Haar2Dictionary((16, 16))
+        stack = np.random.default_rng(2).standard_normal((3, 256))
+        for row, coefficients in zip(stack, dictionary.analyze_batch(stack)):
+            assert dictionary.analyze(row).tobytes() == coefficients.tobytes()
+
+    def test_identity_is_a_copy(self):
+        dictionary = IdentityDictionary((4, 4))
+        image = np.arange(16.0)
+        for mapped in (dictionary.analyze(image), dictionary.synthesize(image)):
+            assert mapped.tobytes() == image.tobytes()
+            assert mapped is not image

@@ -7,8 +7,7 @@ Every product the solvers consume — ``matvec``, ``rmatvec``, ``phi_dot``,
 matrix, across dictionaries, non-square shapes and seeds.  This suite pins
 that contract at tight tolerance (the recon-equivalence invariant at the
 operator layer), plus the supporting machinery: batched dictionary
-transforms, the memoised/tolerance-gated ``operator_norm`` and the
-:class:`~repro.cs.operators.StepSizeCache`.
+transforms and the memoised/tolerance-gated ``operator_norm``.
 """
 
 import numpy as np
@@ -20,7 +19,7 @@ from repro.ca.selection import (
     selection_masks_from_states,
 )
 from repro.cs.dictionaries import make_dictionary
-from repro.cs.operators import SensingOperator, StepSizeCache
+from repro.cs.operators import SensingOperator
 from repro.cs.solvers import fista, ista
 from repro.cs.solvers.batched import (
     batched_operator_norms,
@@ -242,83 +241,6 @@ class TestOperatorNormCaching:
         # stop is still a few-percent-accurate Lipschitz estimate.
         assert loose == pytest.approx(exact, rel=2e-2)
 
-    def test_warm_start_converges_fast(self):
-        dense, structured = make_pair((8, 16), "dct", seed=8)
-        sigma = dense.operator_norm(tolerance=0.0)
-        calls = {"n": 0}
-        original = structured.phi_dot
-
-        def counting_phi_dot(vector):
-            calls["n"] += 1
-            return original(vector)
-
-        structured.phi_dot = counting_phi_dot
-        # Warm-start the structured twin with the dense operator's converged
-        # direction (phi-domain, matching the orthonormal-shortcut iteration):
-        # a couple of iterations suffice.
-        vector = np.random.default_rng(0).standard_normal(structured.n_coefficients)
-        for _ in range(100):
-            product = dense.phi_rdot(dense.phi_dot(vector))
-            vector = product / np.linalg.norm(product)
-        warm = structured.operator_norm(warm_start=vector)
-        assert calls["n"] <= 10
-        assert warm == pytest.approx(sigma, rel=1e-3)
-
-    def test_explicit_warm_start_does_not_poison_memo(self):
-        first, _ = make_pair((8, 8), "dct", seed=6)
-        second, _ = make_pair((8, 8), "dct", seed=6)
-        cold = second.operator_norm()
-        rng = np.random.default_rng(1)
-        first.operator_norm(warm_start=rng.standard_normal(64))
-        # A later history-free call must return the cold-start value, not
-        # whatever the caller's warm start converged to.
-        assert first.operator_norm() == cold
-
-    def test_step_size_cache_bounds_exact_entries(self):
-        cache = StepSizeCache(max_entries=2)
-        vector = np.ones(4)
-        for index in range(5):
-            cache.store(("key", index), None, 1.0, vector)
-        assert len(cache) == 2
-        assert cache.norm(("key", 0)) is None
-        assert cache.norm(("key", 4)) == 1.0
-        with pytest.raises(ValueError, match="max_entries"):
-            StepSizeCache(max_entries=0)
-
-    def test_step_size_cache_exact_hit(self):
-        cache = StepSizeCache()
-        dense, _ = make_pair((8, 8), "dct", seed=6)
-        dense.norm_cache = cache
-        dense.norm_exact_key = ("k",)
-        dense.norm_warm_key = ("w",)
-        first = dense.operator_norm()
-        assert cache.exact_hits == 0 and len(cache) == 1
-        # A fresh operator with the same exact key reuses the norm verbatim.
-        other, _ = make_pair((8, 8), "dct", seed=6)
-        other.norm_cache = cache
-        other.norm_exact_key = ("k",)
-        other.norm_warm_key = ("w",)
-        assert other.operator_norm() == first
-        assert cache.exact_hits == 1
-
-    def test_step_size_cache_warm_vector(self):
-        cache = StepSizeCache()
-        first, _ = make_pair((8, 8), "dct", seed=6)
-        first.norm_cache = cache
-        first.norm_exact_key = ("a",)
-        first.norm_warm_key = ("geom",)
-        first.operator_norm()
-        # A same-geometry operator with a different seed misses the exact key
-        # but picks up the warm vector.
-        second, _ = make_pair((8, 8), "dct", seed=7)
-        second.norm_cache = cache
-        second.norm_exact_key = ("b",)
-        second.norm_warm_key = ("geom",)
-        sigma = second.operator_norm()
-        assert cache.warm_hits == 1
-        fresh, _ = make_pair((8, 8), "dct", seed=7)
-        assert sigma == pytest.approx(fresh.operator_norm(), rel=1e-2)
-
 
 class TestBatchedSolver:
     def _stack(self, n_tiles=3, shape=(8, 8), dictionary="dct", n_samples=40):
@@ -335,8 +257,8 @@ class TestBatchedSolver:
 
     def test_batched_norms_match_solo(self):
         operators, _ = self._stack()
-        sigmas, vectors = batched_operator_norms(operators)
-        assert vectors.shape == (3, 64)
+        sigmas = batched_operator_norms(operators)
+        assert sigmas.shape == (3,)
         for operator, sigma in zip(operators, sigmas):
             assert sigma == operator.operator_norm()
 
@@ -344,7 +266,7 @@ class TestBatchedSolver:
     def test_batched_solve_matches_per_tile(self, accelerated):
         operators, measurements = self._stack()
         solo_solver = fista if accelerated else ista
-        sigmas, _ = batched_operator_norms(operators)
+        sigmas = batched_operator_norms(operators)
         steps = 1.0 / sigmas ** 2
         batched = batched_proximal_gradient(
             operators,
@@ -368,6 +290,27 @@ class TestBatchedSolver:
             assert result.history == solo.history
             assert result.n_iterations == solo.n_iterations
             assert result.converged == solo.converged
+
+    @pytest.mark.parametrize("accelerated", [True, False])
+    def test_step_reductions_match_per_tile(self, accelerated):
+        # Steps 4x above 1/σ² fail the sufficient-decrease test: each tile
+        # backtracks on its own row, exactly as its solo solve does.
+        operators, measurements = self._stack()
+        solo_solver = fista if accelerated else ista
+        steps = 4.0 / batched_operator_norms(operators) ** 2
+        batched = batched_proximal_gradient(
+            operators, measurements, regularization=0.05, max_iterations=40,
+            step_sizes=steps, accelerated=accelerated,
+        )
+        for operator, y, step, result in zip(operators, measurements, steps, batched):
+            solo = solo_solver(
+                operator, y, regularization=0.05, max_iterations=40,
+                step_size=float(step),
+            )
+            assert result.step_reductions > 0
+            assert result.step_reductions == solo.step_reductions
+            assert result.coefficients.tobytes() == solo.coefficients.tobytes()
+            assert result.history == solo.history
 
     def test_per_tile_regularization(self):
         operators, measurements = self._stack(n_tiles=2)
@@ -439,30 +382,6 @@ class TestBatchedSolver:
                 step_sizes=np.array([0.0, 0.1]),
             )
 
-    def test_zero_warm_start_rejected(self):
-        operators, _ = self._stack(n_tiles=1)
-        with pytest.raises(ValueError, match="non-zero"):
-            batched_operator_norms(
-                operators, warm_starts=[np.zeros(operators[0].n_coefficients)]
-            )
-
-    def test_too_many_warm_starts_rejected(self):
-        operators, _ = self._stack(n_tiles=2)
-        warm = np.ones(operators[0].n_coefficients)
-        with pytest.raises(ValueError, match="warm_starts must have 2 entries, got 3"):
-            batched_operator_norms(operators, warm_starts=[warm, warm, warm])
-
-    def test_too_few_warm_starts_rejected(self):
-        operators, _ = self._stack(n_tiles=2)
-        warm = np.ones(operators[0].n_coefficients)
-        with pytest.raises(ValueError, match="warm_starts must have 2 entries, got 1"):
-            batched_operator_norms(operators, warm_starts=[warm])
-
-    def test_mis_sized_warm_start_rejected(self):
-        operators, _ = self._stack(n_tiles=2)
-        with pytest.raises(ValueError, match="warm_start must have 64 entries, got 63"):
-            batched_operator_norms(operators, warm_starts=[None, np.ones(63)])
-
     def test_estimated_steps_follow_the_solo_rule(self):
         # At this σ, Python's float power and numpy's array square round σ²
         # apart on common libms; a batched tile must take the solo step.
@@ -479,7 +398,7 @@ class TestBatchedSolver:
             np.zeros((40, 8), dtype=np.uint8),
             make_dictionary("dct", (8, 8)),
         )
-        sigmas, _ = batched_operator_norms([zero])
+        sigmas = batched_operator_norms([zero])
         assert sigmas[0] == 0.0
         results = batched_proximal_gradient(
             [zero], np.zeros((1, 40)), regularization=0.1, max_iterations=5
@@ -532,5 +451,5 @@ class TestNonOrthonormalFallback:
             self._scaled_dictionary(),
             center=structured.center,
         )
-        sigmas, _ = batched_operator_norms([scaled])
+        sigmas = batched_operator_norms([scaled])
         assert sigmas[0] == pytest.approx(scaled.operator_norm(), rel=1e-5)

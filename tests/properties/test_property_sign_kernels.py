@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.ca.selection import selection_masks_from_states
-from repro.cs.solvers.batched import _rmatvec_batch, _matvec_batch, _stack_factors
+from repro.cs.solvers.batched import _TileStack
 from repro.cs.structured import StructuredSensingOperator
 
 RTOL = 1e-12
@@ -101,12 +101,12 @@ def test_stacked_products_match_dense_phi_per_tile(n_samples, rows, cols, n_tile
     for _ in range(n_tiles):
         row_factors, col_factors = data.draw(factor_pairs(n_samples, rows, cols))
         operators.append(make_operator(row_factors, col_factors, data.draw(st.booleans())))
-    row_stack, col_stack, offsets, dictionary = _stack_factors(operators)
+    stack = _TileStack(operators)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     pixels = rng.standard_normal((n_tiles, rows * cols))
     samples = rng.standard_normal((n_tiles, n_samples))
-    forward = _matvec_batch(row_stack, col_stack, offsets, dictionary, pixels)
-    adjoint = _rmatvec_batch(row_stack, col_stack, offsets, dictionary, samples)
+    forward = stack.forward(pixels, list(range(n_tiles)))
+    adjoint = stack.adjoint(samples)
     for tile, operator in enumerate(operators):
         phi = dense_phi(operator.row_factors, operator.col_factors, operator.center)
         assert_close(forward[tile], pixels[tile], phi @ pixels[tile])

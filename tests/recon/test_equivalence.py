@@ -13,7 +13,6 @@ the fast path can be pinned against it.
 import numpy as np
 import pytest
 
-from repro.cs.operators import StepSizeCache
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.recon.operator import frame_operator
@@ -178,67 +177,47 @@ class TestSolveTilesBatched:
         solo = reconstruct_frame(frame, regularization=5.0, max_iterations=30)
         np.testing.assert_allclose(batched.image, solo.image, atol=EQUIV_ATOL)
 
-    def test_all_cached_steps_skip_power_iteration(self):
-        from repro.recon.batch import solve_tiles_batched
 
+class TestClosedFormSteps:
+    """No CA solve runs a power iteration: every frame operator carries σ̂."""
+
+    @pytest.fixture
+    def no_power_iteration(self, monkeypatch):
+        import repro.cs.operators as operators
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CA solve ran a power iteration")
+
+        monkeypatch.setattr(operators, "power_iteration", refuse)
+
+    @pytest.mark.parametrize("operator", ["structured", "dense"])
+    @pytest.mark.parametrize("solver", ["fista", "ista", "iht"])
+    def test_frame_solves(self, no_power_iteration, operator, solver):
         frame = capture()
-        cache = StepSizeCache()
-        first = solve_tiles_batched([frame], max_iterations=20, step_cache=cache)[0]
-        hits_before = cache.exact_hits
-        again = solve_tiles_batched([frame], max_iterations=20, step_cache=cache)[0]
-        assert cache.exact_hits > hits_before
-        assert first.image.tobytes() == again.image.tobytes()
+        mask = np.arange(frame.n_samples) % 3 != 0
+        for sample_mask in (None, mask):
+            result = reconstruct_frame(
+                frame, operator=operator, solver=solver, max_iterations=10,
+                sample_mask=sample_mask,
+            )
+            assert np.isfinite(result.image).all()
 
+    def test_batched_mosaic_solve(self, no_power_iteration):
+        array = TiledSensorArray((32, 32), tile_shape=(16, 16), compression_ratio=0.3, seed=8)
+        capture_result = array.capture_scene(make_scene("blobs", (32, 32), seed=40))
+        result = reconstruct_tiled(capture_result, max_iterations=10)
+        assert np.isfinite(result.image).all()
 
-class TestStepCacheEndToEnd:
-    def test_exact_hits_are_deterministic(self):
+    def test_explicit_arguments_run_the_power_iteration(self):
+        operator, _ = frame_operator(capture())
+        estimated = operator.operator_norm(tolerance=0.0)
+        # A 16x16 frame: the power iteration reads σ below the margined σ̂.
+        assert 0.0 < estimated < operator.norm_estimate
+        assert operator.operator_norm() == operator.norm_estimate
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_flavours_share_the_step(self, center):
         frame = capture()
-        cache = StepSizeCache()
-        first = reconstruct_frame(frame, max_iterations=30, step_cache=cache)
-        assert len(cache) == 1
-        # Re-solving the very same frame hits the exact key and reproduces
-        # the image bit for bit.
-        second = reconstruct_frame(frame, max_iterations=30, step_cache=cache)
-        assert cache.exact_hits >= 1
-        assert first.image.tobytes() == second.image.tobytes()
-
-    def test_gop_chain_warm_start_stays_close(self):
-        imager = CompressiveImager(SensorConfig(rows=16, cols=16), seed=5)
-        scenes = [make_scene("blobs", (16, 16), seed=index) for index in range(3)]
-        frames = imager.capture_batch(
-            [
-                PhotoConversion(prnu_sigma=0.0, shot_noise=False).convert(scene)
-                for scene in scenes
-            ],
-            n_samples=90,
-        )
-        cache = StepSizeCache()
-        chained = [
-            reconstruct_frame(frame, max_iterations=40, step_cache=cache)
-            for frame in frames
-        ]
-        isolated = [
-            reconstruct_frame(frame, max_iterations=40) for frame in frames
-        ]
-        # Later frames of the chain warm-start their power iteration from the
-        # previous frame's converged vector...
-        assert cache.warm_hits >= 2
-        # ...which perturbs only the step-size estimate: the reconstructions
-        # stay numerically interchangeable with the isolated solves (within
-        # a hundredth of a code on a ~1000-code scale; this is the round-off
-        # trade that keeps warm starts opt-in rather than default).
-        for warm, cold in zip(chained, isolated):
-            np.testing.assert_allclose(warm.image, cold.image, atol=5e-2)
-
-    def test_tiled_video_cache_accumulates(self):
-        array = TiledSensorArray(
-            (32, 32), tile_shape=(16, 16), compression_ratio=0.3, seed=8
-        )
-        scenes = [make_scene("blobs", (32, 32), seed=40 + i) for i in range(2)]
-        captures = array.capture_scene_sequence(scenes)
-        cache = StepSizeCache()
-        for capture_result in captures:
-            reconstruct_tiled(capture_result, max_iterations=30, step_cache=cache)
-        # 2 frames x 4 tiles, each a distinct operator identity.
-        assert len(cache) == 8
-        assert cache.warm_hits >= 4
+        dense, _ = frame_operator(frame, operator="dense", center=center)
+        structured, _ = frame_operator(frame, center=center)
+        assert dense.operator_norm() == structured.operator_norm() == dense.norm_estimate

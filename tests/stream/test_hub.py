@@ -368,45 +368,6 @@ class TestSingleSessionByteIdentity:
             StreamReceiver(**{option: 1})
 
 
-class TestSharedStepCache:
-    def test_share_step_cache_pools_power_iterations(self):
-        imager = CompressiveImager(CONFIG, seed=3)
-        scenes = [make_scene("blobs", (16, 16), seed=0)]
-
-        async def scenario():
-            # One solver slot serialises the two streams' solves, so the
-            # second one deterministically finds the first one's warm vector.
-            hub = ReceiverHub(
-                share_step_cache=True, solver_slots=1, max_iterations=10
-            )
-            transports = []
-            sends = []
-            for stream_id in (1, 2):
-                transport = LoopbackTransport(max_buffered=16)
-                node = CameraNode(transport, stream_id=stream_id)
-                sends.append(
-                    asyncio.create_task(node.stream_frames(imager, scenes))
-                )
-                transports.append(transport)
-            attaches = [
-                asyncio.create_task(hub.attach(transport))
-                for transport in transports
-            ]
-            await asyncio.gather(*sends, *attaches)
-            await hub.close()
-            return hub
-
-        hub = run(scenario())
-        assert hub.step_cache is not None
-        assert len(hub.completed) == 2
-        # The fleet paid the power iteration once; the second stream hit.
-        assert hub.step_cache.warm_hits + hub.step_cache.exact_hits > 0
-
-    def test_cache_is_off_by_default(self):
-        hub = ReceiverHub()
-        assert hub.step_cache is None
-
-
 class TestSlowConsumerIsolation:
     def test_backpressured_stream_does_not_stall_others(self):
         """One stream at its solve watermark must not delay another's frames."""

@@ -6,6 +6,10 @@ import pytest
 from repro.cs.solvers.batched import batched_proximal_gradient
 from repro.cs.solvers.iterative import fista, iht, ista
 from repro.cs.structured import StructuredSensingOperator
+from repro.optics.scenes import make_scene
+from repro.recon.operator import frame_operator
+from repro.sensor.config import SensorConfig
+from repro.sensor.imager import CompressiveImager
 from repro.telemetry import SolverProfile
 
 
@@ -48,6 +52,12 @@ class TestSolverProfileObject:
         assert profile.n_iterations == 2
         assert profile.converged is True
         assert profile.monotone
+
+    def test_bound_provenance_is_accepted(self):
+        profile = SolverProfile()
+        profile.record_step_size(0.5, provenance="bound")
+        assert profile.step_size_provenance == "bound"
+        assert profile.step_reductions == 0
 
     def test_provenance_is_validated(self):
         with pytest.raises(ValueError, match="provenance"):
@@ -153,3 +163,65 @@ class TestBatchedSolverHooks:
         )
         assert profile.step_size == pytest.approx(float(steps.mean()))
         assert profile.step_size_provenance == "provided"
+
+
+def _ca_problem(rule):
+    """A 16x16 CA frame operator and the measurements of its centred scene."""
+    imager = CompressiveImager(SensorConfig(rows=16, cols=16), rule=rule, seed=9)
+    frame = imager.capture_scene(make_scene("natural", (16, 16), seed=9), n_samples=102)
+    operator, _ = frame_operator(frame)
+    truth = frame.digital_image.astype(float).reshape(-1)
+    return operator, operator.phi_dot(truth - truth.mean())
+
+
+class TestStepProvenance:
+    """CA frames step from the closed-form σ̂; the profile says so truthfully."""
+
+    @pytest.mark.parametrize("solver", [fista, ista])
+    def test_rule30_profile_reads_bound_without_reductions(self, solver):
+        operator, measurements = _ca_problem(30)
+        profile = SolverProfile()
+        result = solver(operator, measurements, regularization=5.0,
+                        max_iterations=60, profile=profile)
+        assert profile.step_size_provenance == "bound"
+        assert profile.step_size == pytest.approx(1.0 / operator.norm_estimate**2)
+        assert profile.step_reductions == result.step_reductions == 0
+
+    @pytest.mark.parametrize("solver", [fista, ista])
+    def test_rule110_profile_counts_reductions(self, solver):
+        operator, measurements = _ca_problem(110)
+        profile = SolverProfile()
+        result = solver(operator, measurements, regularization=5.0,
+                        max_iterations=60, profile=profile)
+        assert profile.step_size_provenance == "bound"
+        assert profile.step_reductions == result.step_reductions > 0
+
+    def test_iht_profile_counts_reductions(self):
+        operator, measurements = _ca_problem(110)
+        profile = SolverProfile()
+        result = iht(operator, measurements, sparsity=12, max_iterations=60,
+                     profile=profile)
+        assert profile.step_size_provenance == "bound"
+        assert profile.step_reductions == result.step_reductions > 0
+
+    @pytest.mark.parametrize("rule", [30, 110])
+    def test_profiled_ca_solve_is_bit_identical(self, rule):
+        operator, measurements = _ca_problem(rule)
+        plain = fista(operator, measurements, regularization=5.0, max_iterations=60)
+        profiled = fista(operator, measurements, regularization=5.0,
+                         max_iterations=60, profile=SolverProfile())
+        assert plain.coefficients.tobytes() == profiled.coefficients.tobytes()
+        assert plain.history == profiled.history
+        assert plain.step_reductions == profiled.step_reductions
+
+    def test_batched_profile_reads_bound(self):
+        stack = [_ca_problem(rule) for rule in (30, 110)]
+        operators = [operator for operator, _ in stack]
+        profile = SolverProfile()
+        results = batched_proximal_gradient(
+            operators, np.stack([y for _, y in stack]), regularization=5.0,
+            max_iterations=60, profile=profile,
+        )
+        assert profile.step_size_provenance == "bound"
+        assert results[0].step_reductions == 0
+        assert profile.step_reductions == results[1].step_reductions > 0
