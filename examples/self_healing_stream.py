@@ -126,7 +126,7 @@ def main() -> None:
         "repro_hub_session_resumes_total",
         "repro_hub_duplicate_chunks_total",
         "repro_hub_reordered_chunks_total",
-        "repro_hub_lost_chunks_total",
+        "repro_hub_lost_chunks",
         "repro_hub_streams_completed_total",
         "repro_hub_frames_total",
     ):

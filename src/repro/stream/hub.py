@@ -46,7 +46,15 @@ from repro.stream.protocol import (
     encode_chunk,
     payload_chunk,
 )
-from repro.stream.session import SessionStats, StreamResult, StreamSession
+from repro.stream.session import (
+    STATS_SERIES,
+    STATS_WINDOW,
+    SessionStats,
+    StreamResult,
+    StreamSession,
+    frame_latency_instruments,
+    stats_instrument,
+)
 from repro.stream.transport import (
     TcpTransport,
     Transport,
@@ -54,9 +62,8 @@ from repro.stream.transport import (
     serve_tcp,
 )
 from repro.telemetry import (
-    MONOTONIC_CLOCK,
-    Clock,
-    MetricsRegistry,
+    Counter,
+    Gauge,
     MetricsSnapshot,
     Telemetry,
 )
@@ -181,9 +188,10 @@ class FairSolveScheduler:
         self._total_pending = 0
         self._workers: list[asyncio.Task[None]] = []
         self._closed = False
-        #: Stream key of every dispatch, in dispatch order — the fairness
-        #: audit trail the tests assert round-robin interleaving on.
-        self.dispatch_order: list[int] = []
+        #: Stream key of the last ``STATS_WINDOW`` dispatches, in dispatch
+        #: order — the fairness audit trail the tests assert round-robin
+        #: interleaving on (``n_dispatched`` stays the exact total).
+        self.dispatch_order: deque[int] = deque(maxlen=STATS_WINDOW)
         self.n_dispatched = 0
 
     def _condition(self) -> asyncio.Condition:
@@ -294,9 +302,11 @@ class FairSolveScheduler:
 class HubStats:
     """Fleet-level snapshot assembled by :meth:`ReceiverHub.stats`.
 
-    The loss counters aggregate the per-session loss accounting (see
+    A view of the registry counters the sessions and the hub bump at each
+    event, so a field totals every session the hub's facade served.  The
+    loss counters aggregate the per-session loss accounting (see
     :class:`~repro.stream.session.SessionStats`); they stay zero on strict
-    (non-resilient) hubs.
+    hubs.  ``frame_latencies`` holds the last ``STATS_WINDOW`` frames.
     """
 
     n_active: int = 0
@@ -333,6 +343,20 @@ class HubStats:
     n_drained: int = 0
     #: Sessions currently parked awaiting resume.
     n_parked_now: int = 0
+
+
+#: The hub's own event counters: :class:`HubStats` field -> (series, help).
+_HUB_SERIES: dict[str, tuple[str, str]] = {
+    "n_completed": ("repro_hub_streams_completed_total", "Streams that finished cleanly."),
+    "n_failed": ("repro_hub_streams_failed_total", "Connections torn down by an error."),
+    "n_parked": ("repro_hub_sessions_parked_total",
+                 "Sessions parked on disconnect awaiting resume."),
+    "n_resumed": ("repro_hub_sessions_resumed_total", "Parked sessions successfully re-admitted."),
+    "n_resume_expired": ("repro_hub_resumes_expired_total",
+                         "Resumes refused past the grace window."),
+    "n_reaped": ("repro_hub_sessions_reaped_total", "Sessions the reap loop settled."),
+    "n_drained": ("repro_hub_drains_total", "Graceful drains completed."),
+}
 
 
 class ReceiverHub:
@@ -390,11 +414,11 @@ class ReceiverHub:
         <repro.stream.session.StreamSession.MAX_SEQUENCE_GAP>`).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` shared by every session
-        the hub opens: frame traces (transport/decode/queue-wait/solve
-        spans) and the stage histogram accumulate there, and
-        :meth:`metrics` collects from its registry.  ``None`` (the default)
-        disables tracing at zero cost — :meth:`metrics` still works, pulling
-        the hub's counters into a private registry at snapshot time.
+        the hub opens: frame traces and stage histograms accumulate there,
+        and every stats event is counted into its registry, which
+        :meth:`stats` and :meth:`metrics` read.  One facade serves one hub.
+        ``None`` (the default) gives the hub its own
+        ``Telemetry(enabled=False)``: no tracing, the same counters.
     """
 
     def __init__(
@@ -432,10 +456,7 @@ class ReceiverHub:
         self.feedback = bool(feedback)
         self.resume_grace = resume_grace
         self.idle_timeout = idle_timeout
-        self.telemetry = telemetry
-        self._clock: Clock = (
-            telemetry.clock if telemetry is not None else MONOTONIC_CLOCK
-        )
+        self.telemetry = telemetry if telemetry is not None else Telemetry(enabled=False)
         self.max_streams = None if max_streams is None else int(max_streams)
         self.scheduler = FairSolveScheduler(
             slots=solver_slots,
@@ -457,17 +478,20 @@ class ReceiverHub:
             max_sequence_gap=max_sequence_gap,
             frame_deadline=frame_deadline,
             nack_grace=nack_grace,
-            telemetry=telemetry,
+            telemetry=self.telemetry,
         )
-        # The registry :meth:`metrics` collects from.  With telemetry wired
-        # it is the shared facade's registry (traces, stage histograms and
-        # node collectors land there too); without, a private registry whose
-        # only feed is the hub collector — metrics stay available either
-        # way, at zero hot-path cost (pull model).
-        self._metrics_registry = (
-            telemetry.registry if telemetry is not None else MetricsRegistry()
-        )
-        self._metrics_registry.register_collector(self._collect_metrics)
+        # What stats() reads, by HubStats field: every session's hub-wide
+        # series (bound here too, so a fresh hub exports zeros) and its own.
+        registry = self.telemetry.registry
+        self._counters: dict[str, Counter | Gauge] = {
+            name: stats_instrument(registry, series, help_text)
+            for name, (series, help_text, _, _) in STATS_SERIES.items()
+            if series is not None
+        }
+        for name, (series, help_text) in _HUB_SERIES.items():
+            self._counters[name] = registry.counter(series, help=help_text)
+        _, self._latencies = frame_latency_instruments(registry)
+        registry.register_collector(self._collect_metrics)
         # Live sessions hub-wide, keyed by stream id — the duplicate /
         # capacity admission registry.  Ids leave it at stream completion
         # (or connection death), so they are reusable sequentially.
@@ -476,16 +500,9 @@ class ReceiverHub:
         #: parked id is still owned (``_open_session`` refuses it) but not
         #: active (it holds no connection).
         self._parked: dict[int, _ParkedSession] = {}
-        # ---- durability counters (surface in stats()/metrics()) ----
-        self.n_parked = 0
-        self.n_resumed = 0
-        self.n_resume_expired = 0
-        self.n_reaped = 0
-        self.n_drained = 0
         #: Latest per-stream-id stats (live and finished) — what an
         #: operator polls while streams run; see docs/OPERATIONS.md.
         self.session_stats: dict[int, SessionStats] = {}
-        self._all_stats: list[SessionStats] = []
         #: Results of every cleanly-finished stream, in completion order.
         self.completed: list[StreamResult] = []
         #: Errors of failed connections, in failure order (each failure
@@ -521,7 +538,6 @@ class ReceiverHub:
         session = StreamSession(stream_id, self.scheduler, **self._session_options)
         self._active[stream_id] = session
         self.session_stats[stream_id] = session.stats
-        self._all_stats.append(session.stats)
         return session
 
     def _release_session(self, session: StreamSession) -> None:
@@ -532,9 +548,9 @@ class ReceiverHub:
         """Park a live session's state for the resume grace window."""
         self._release_session(session)
         self._parked[session.stream_id] = _ParkedSession(
-            session=session, parked_at=self._clock.now()
+            session=session, parked_at=self.telemetry.clock.now()
         )
-        self.n_parked += 1
+        self._counters["n_parked"].inc()
 
     async def _resume_session(self, stream_id: int) -> StreamSession:
         """Admit a ``SESSION_RESUME``: un-park the stream id's session."""
@@ -546,26 +562,32 @@ class ReceiverHub:
             )
         if (
             self.resume_grace is not None
-            and self._clock.now() - parked.parked_at > self.resume_grace
+            and self.telemetry.clock.now() - parked.parked_at > self.resume_grace
         ):
             # Too late: settle the parked state partial (exactly what the
             # reap would have done) and refuse the resume.
-            self.n_resume_expired += 1
+            self._counters["n_resume_expired"].inc()
             await self._salvage_session(parked.session)
             raise SessionResumeError(
                 f"resume for stream id {stream_id} arrived after the "
                 f"{self.resume_grace}s grace window"
             )
         self._active[stream_id] = parked.session
-        self.n_resumed += 1
+        self._counters["n_resumed"].inc()
         return parked.session
 
-    async def _salvage_session(self, session: StreamSession) -> None:
-        """Seal a session from whatever arrived and record its result."""
-        await session.handle_eof()
+    async def _settle(self, session: StreamSession) -> StreamResult:
+        """Finish an ended session, free its id and record its result."""
         result = await session.finish()
         self._release_session(session)
         self.completed.append(result)
+        self._counters["n_completed"].inc()
+        return result
+
+    async def _salvage_session(self, session: StreamSession) -> StreamResult:
+        """Seal a session from whatever arrived and record its result."""
+        await session.handle_eof()
+        return await self._settle(session)
 
     # ----------------------------------------------------------- connections
     async def attach(
@@ -619,12 +641,6 @@ class ReceiverHub:
                     return
                 feedback_sequence += 1
 
-        async def settle(session: StreamSession) -> None:
-            result = await session.finish()
-            self._release_session(session)
-            finished.append(result)
-            self.completed.append(result)
-
         try:
             while expected_streams is None or len(finished) < expected_streams:
                 data = await transport.recv()
@@ -649,7 +665,7 @@ class ReceiverHub:
                     elif feedback_open:
                         await ship_feedback(session)
                     if session.ended and not session.finished:
-                        await settle(session)
+                        finished.append(await self._settle(session))
             unfinished = [s for s in sessions.values() if not s.ended]
             if self.resilient:
                 for session in unfinished:
@@ -660,8 +676,7 @@ class ReceiverHub:
                         self._park_session(session)
                     else:
                         # Salvage: seal and settle streams the EOF cut short.
-                        await session.handle_eof()
-                        await settle(session)
+                        finished.append(await self._salvage_session(session))
             elif unfinished or (
                 expected_streams is not None and len(finished) < expected_streams
             ):
@@ -679,6 +694,7 @@ class ReceiverHub:
                     session.cancel()
                 self._release_session(session)
             self.failures.append(error)
+            self._counters["n_failed"].inc()
             raise
 
     async def serve(
@@ -762,14 +778,14 @@ class ReceiverHub:
           <repro.stream.session.StreamSession.check_deadlines>`).
         """
         if now is None:
-            now = self._clock.now()
+            now = self.telemetry.clock.now()
         if self.resume_grace is not None:
             for stream_id in list(self._parked):
                 parked = self._parked[stream_id]
                 if now - parked.parked_at > self.resume_grace:
                     del self._parked[stream_id]
-                    self.n_resume_expired += 1
-                    self.n_reaped += 1
+                    self._counters["n_resume_expired"].inc()
+                    self._counters["n_reaped"].inc()
                     await self._salvage_session(parked.session)
         if self.idle_timeout is not None:
             for session in list(self._active.values()):
@@ -778,7 +794,7 @@ class ReceiverHub:
                     and not session.ended
                     and now - session.last_activity > self.idle_timeout
                 ):
-                    self.n_reaped += 1
+                    self._counters["n_reaped"].inc()
                     await self._salvage_session(session)
         for session in list(self._active.values()):
             await session.check_deadlines(now)
@@ -796,7 +812,7 @@ class ReceiverHub:
             await self._salvage_session(parked.session)
         while self._connections:
             await asyncio.gather(*list(self._connections), return_exceptions=True)
-        self.n_drained += 1
+        self._counters["n_drained"].inc()
 
     async def close(self) -> None:
         """Stop serving: close servers, drain connections, stop the scheduler."""
@@ -809,144 +825,41 @@ class ReceiverHub:
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> HubStats:
-        """Aggregate fleet snapshot (cheap; safe to poll while streams run)."""
-        latencies = [
-            latency
-            for stats in self._all_stats
-            for latency in stats.frame_latencies
-        ]
+        """Fleet snapshot read off the registry counters: O(series + window),
+        however many sessions and frames the hub has served."""
+        counts = {name: int(counter.value) for name, counter in self._counters.items()}
         return HubStats(
             n_active=len(self._active),
-            n_completed=len(self.completed),
-            n_failed=len(self.failures),
-            n_frames=sum(stats.n_frames for stats in self._all_stats),
-            n_bytes=sum(stats.n_bytes for stats in self._all_stats),
             solves_dispatched=self.scheduler.n_dispatched,
-            frame_latencies=latencies,
-            n_lost_chunks=sum(s.n_lost_chunks for s in self._all_stats),
-            n_reordered_chunks=sum(s.n_reordered_chunks for s in self._all_stats),
-            n_duplicate_chunks=sum(s.n_duplicate_chunks for s in self._all_stats),
-            n_corrupt_chunks=sum(s.n_corrupt_chunks for s in self._all_stats),
-            n_recovered_chunks=sum(s.n_recovered_chunks for s in self._all_stats),
-            n_late_chunks=sum(s.n_late_chunks for s in self._all_stats),
-            n_partial_frames=sum(s.n_partial_frames for s in self._all_stats),
-            n_dropped_frames=sum(s.n_dropped_frames for s in self._all_stats),
-            n_nacks_sent=sum(s.n_nacks_sent for s in self._all_stats),
-            n_deadline_salvages=sum(
-                s.n_deadline_salvages for s in self._all_stats
-            ),
-            n_resumes=sum(s.n_resumes for s in self._all_stats),
-            n_parked=self.n_parked,
-            n_resumed=self.n_resumed,
-            n_resume_expired=self.n_resume_expired,
-            n_reaped=self.n_reaped,
-            n_drained=self.n_drained,
+            frame_latencies=list(self._latencies.values),
             n_parked_now=len(self._parked),
+            **counts,
         )
 
     def _collect_metrics(self) -> None:
-        """Rebuild the registry's hub instruments from the live stats.
-
-        Registered once at construction; runs only inside
-        ``registry.collect()`` (i.e. per :meth:`metrics` call or per
-        scrape), which is what migrating ``HubStats``/``SessionStats`` onto
-        the registry costs on the ingest hot path: nothing.
-        """
-        registry = self._metrics_registry
-        stats = self.stats()
+        """Set, at every ``registry.collect()``, what no event counts: the
+        levels, and the total the solve scheduler keeps itself."""
+        registry = self.telemetry.registry
         registry.gauge(
             "repro_hub_streams_active", help="Sessions currently live."
-        ).set(stats.n_active)
-        hub_counters: tuple[tuple[str, int, str], ...] = (
-            ("repro_hub_streams_completed_total", stats.n_completed,
-             "Streams that finished cleanly."),
-            ("repro_hub_streams_failed_total", stats.n_failed,
-             "Connections torn down by an error."),
-            ("repro_hub_frames_total", stats.n_frames,
-             "Frames fully landed across all sessions."),
-            ("repro_hub_bytes_total", stats.n_bytes,
-             "Wire bytes ingested across all sessions."),
-            ("repro_hub_solves_dispatched_total", stats.solves_dispatched,
-             "Solver jobs the fair scheduler dispatched."),
-            ("repro_hub_lost_chunks_total", stats.n_lost_chunks,
-             "Chunks proven lost by sequence gaps."),
-            ("repro_hub_reordered_chunks_total", stats.n_reordered_chunks,
-             "Chunks that arrived late but were used."),
-            ("repro_hub_duplicate_chunks_total", stats.n_duplicate_chunks,
-             "Chunks whose sequence was already processed."),
-            ("repro_hub_corrupt_chunks_total", stats.n_corrupt_chunks,
-             "Chunks that arrived but failed decoding."),
-            ("repro_hub_recovered_chunks_total", stats.n_recovered_chunks,
-             "Segment chunks rebuilt from XOR parity."),
-            ("repro_hub_late_chunks_total", stats.n_late_chunks,
-             "Chunks arriving after their frame settled."),
-            ("repro_hub_partial_frames_total", stats.n_partial_frames,
-             "Frames solved from a strict subset of their samples."),
-            ("repro_hub_dropped_frames_total", stats.n_dropped_frames,
-             "Frames landed without a reconstruction."),
-            ("repro_hub_nacks_sent_total", stats.n_nacks_sent,
-             "NACK repair requests sent down the feedback path."),
-            ("repro_hub_deadline_salvages_total", stats.n_deadline_salvages,
-             "Deferred frames settled partial after their NACK grace."),
-            ("repro_hub_session_resumes_total", stats.n_resumes,
-             "SESSION_RESUME chunks absorbed by sessions."),
-            ("repro_hub_sessions_parked_total", stats.n_parked,
-             "Sessions parked on disconnect awaiting resume."),
-            ("repro_hub_sessions_resumed_total", stats.n_resumed,
-             "Parked sessions successfully re-admitted."),
-            ("repro_hub_resumes_expired_total", stats.n_resume_expired,
-             "Resumes refused past the grace window."),
-            ("repro_hub_sessions_reaped_total", stats.n_reaped,
-             "Sessions the reap loop settled."),
-            ("repro_hub_drains_total", stats.n_drained,
-             "Graceful drains completed."),
-        )
-        for name, value, help_text in hub_counters:
-            registry.counter(name, help=help_text).set_total(value)
+        ).set(len(self._active))
         registry.gauge(
             "repro_hub_sessions_parked",
             help="Sessions currently parked awaiting resume.",
-        ).set(stats.n_parked_now)
-        registry.histogram(
-            "repro_hub_frame_latency_seconds",
-            help="Per-frame seconds from first chunk to decoded (and solved).",
-        ).rebuild(stats.frame_latencies)
+        ).set(len(self._parked))
+        registry.counter(
+            "repro_hub_solves_dispatched_total",
+            help="Solver jobs the fair scheduler dispatched.",
+        ).set_total(self.scheduler.n_dispatched)
         latency_quantile_gauges(
             registry,
             "repro_hub_frame_latency_quantile_seconds",
-            stats.frame_latencies,
+            self._latencies.sorted,
             help="Exact frame-latency percentiles over the raw series.",
         )
-        for stream_id, session in self.session_stats.items():
-            labels = {"stream": stream_id}
-            session_counters: tuple[tuple[str, int, str], ...] = (
-                ("repro_session_frames_total", session.n_frames,
-                 "Frames this stream landed."),
-                ("repro_session_chunks_total", session.n_chunks,
-                 "Chunks this stream processed."),
-                ("repro_session_bytes_total", session.n_bytes,
-                 "Wire bytes this stream carried."),
-                ("repro_session_partial_frames_total", session.n_partial_frames,
-                 "Frames solved from partial samples on this stream."),
-                ("repro_session_dropped_frames_total", session.n_dropped_frames,
-                 "Frames landed without reconstruction on this stream."),
-                ("repro_session_nacks_sent_total", session.n_nacks_sent,
-                 "NACK repair requests this stream queued."),
-                ("repro_session_deadline_salvages_total",
-                 session.n_deadline_salvages,
-                 "Frames this stream salvaged after their NACK grace."),
-                ("repro_session_resumes_total", session.n_resumes,
-                 "SESSION_RESUME chunks this stream absorbed."),
-            )
-            for name, value, help_text in session_counters:
-                registry.counter(name, labels=labels, help=help_text).set_total(value)
 
     def metrics(self) -> MetricsSnapshot:
-        """Typed snapshot of the hub's metrics (collectors run first).
-
-        Works with or without a wired :class:`~repro.telemetry.Telemetry`
-        (the hub's own counters are pulled either way); render it with
-        :meth:`~repro.telemetry.MetricsSnapshot.render_prometheus` or
-        :meth:`~repro.telemetry.MetricsSnapshot.to_json`.
-        """
-        return self._metrics_registry.collect()
+        """Typed snapshot of the hub's metrics (collectors run first); render
+        it with :meth:`~repro.telemetry.MetricsSnapshot.render_prometheus` or
+        :meth:`~repro.telemetry.MetricsSnapshot.to_json`."""
+        return self.telemetry.registry.collect()

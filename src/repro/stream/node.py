@@ -30,6 +30,7 @@ import contextlib
 import itertools
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from collections.abc import Awaitable, Callable, Iterable, Iterator
 from typing import Any
 
@@ -455,6 +456,29 @@ class ReconnectSupervisor:
         ) from last_error
 
 
+#: The node's counters, each exported as a ``{stream}`` series:
+#: (series, help, attribute path on the node).
+_NODE_SERIES: tuple[tuple[str, str, str], ...] = (
+    ("repro_node_feedback_chunks_total",
+     "Control chunks the node drained into its governor.", "n_feedback_chunks"),
+    ("repro_node_feedback_errors_total",
+     "Malformed or misrouted chunks seen on the feedback path.", "n_feedback_errors"),
+    ("repro_node_governor_feedback_total",
+     "Receiver reports (ACK + rate advice) the governor absorbed.", "governor.n_feedback"),
+    ("repro_node_governor_loss_events_total",
+     "Lossy-frame reports that triggered an AIMD back-off.", "governor.n_loss_events"),
+    ("repro_node_retransmits_total",
+     "Chunks re-sent verbatim in answer to receiver NACKs.", "n_retransmits"),
+    ("repro_node_nacks_answered_total",
+     "NACK requests for which at least one chunk was repaired.", "n_nacks_answered"),
+    ("repro_node_nack_misses_total",
+     "NACKed sequences already evicted from the retransmit buffer.", "n_nack_misses"),
+    ("repro_node_resumes_total", "Successful reconnect-with-resume cycles.", "n_resumes"),
+    ("repro_node_reconnect_attempts_total",
+     "Connect attempts made by the reconnect supervisor.", "_n_reconnect_attempts"),
+)
+
+
 class CameraNode:
     """An asyncio camera node streaming captures over a transport.
 
@@ -584,60 +608,19 @@ class CameraNode:
             telemetry.registry.register_collector(self._collect_metrics)
 
     def _collect_metrics(self) -> None:
-        """Export the node's counters at snapshot time (pull model).
-
-        Registered once at construction; runs only inside
-        ``registry.collect()``, so the hot paths that move these counters
-        never see the registry at all.
-        """
+        """Export the node's counters at snapshot time (pull model): the hot
+        paths that move them never see the registry."""
         assert self.telemetry is not None
         registry = self.telemetry.registry
         labels = {"stream": self.stream_id}
-        registry.counter(
-            "repro_node_feedback_chunks_total",
-            labels=labels,
-            help="Control chunks the node drained into its governor.",
-        ).set_total(self.n_feedback_chunks)
-        registry.counter(
-            "repro_node_feedback_errors_total",
-            labels=labels,
-            help="Malformed or misrouted chunks seen on the feedback path.",
-        ).set_total(self.n_feedback_errors)
-        registry.counter(
-            "repro_node_governor_feedback_total",
-            labels=labels,
-            help="Receiver reports (ACK + rate advice) the governor absorbed.",
-        ).set_total(self.governor.n_feedback)
-        registry.counter(
-            "repro_node_governor_loss_events_total",
-            labels=labels,
-            help="Lossy-frame reports that triggered an AIMD back-off.",
-        ).set_total(self.governor.n_loss_events)
-        registry.counter(
-            "repro_node_retransmits_total",
-            labels=labels,
-            help="Chunks re-sent verbatim in answer to receiver NACKs.",
-        ).set_total(self.n_retransmits)
-        registry.counter(
-            "repro_node_nacks_answered_total",
-            labels=labels,
-            help="NACK requests for which at least one chunk was repaired.",
-        ).set_total(self.n_nacks_answered)
-        registry.counter(
-            "repro_node_nack_misses_total",
-            labels=labels,
-            help="NACKed sequences already evicted from the retransmit buffer.",
-        ).set_total(self.n_nack_misses)
-        registry.counter(
-            "repro_node_resumes_total",
-            labels=labels,
-            help="Successful reconnect-with-resume cycles.",
-        ).set_total(self.n_resumes)
-        registry.counter(
-            "repro_node_reconnect_attempts_total",
-            labels=labels,
-            help="Connect attempts made by the reconnect supervisor.",
-        ).set_total(0 if self.reconnect is None else self.reconnect.n_attempts)
+        for series, help_text, attribute in _NODE_SERIES:
+            registry.counter(series, labels=labels, help=help_text).set_total(
+                attrgetter(attribute)(self)
+            )
+
+    @property
+    def _n_reconnect_attempts(self) -> int:
+        return 0 if self.reconnect is None else self.reconnect.n_attempts
 
     # -------------------------------------------------------------- helpers
     @property

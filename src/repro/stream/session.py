@@ -27,9 +27,10 @@ hundreds are.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Callable
-from typing import Any, Literal, Protocol
+from typing import Any, Protocol
 
 import numpy as np
 
@@ -76,13 +77,16 @@ from repro.stream.protocol import (
     recover_missing_payload,
 )
 from repro.telemetry import (
-    MONOTONIC_CLOCK,
     SPAN_DECODE,
     SPAN_QUEUE_WAIT,
     SPAN_SOLVE,
     SPAN_TRANSPORT,
-    Clock,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
     Telemetry,
+    Window,
     active,
 )
 
@@ -199,6 +203,12 @@ class StreamResult:
         return len(self.frames)
 
 
+#: Entries every stats window keeps: a session's ``frame_latencies`` and
+#: ``frame_loss``, the hub-wide latency window and the solve scheduler's
+#: ``dispatch_order``.  The counters stay exact totals.
+STATS_WINDOW = 4096
+
+
 @dataclass
 class SessionStats:
     """Live per-stream counters a hub operator reads while the stream runs.
@@ -206,17 +216,18 @@ class SessionStats:
     ``frame_latencies`` records, per frame, the seconds from the frame's
     first chunk landing to the frame being fully decoded *and* (when
     reconstruction is on) solved — the quantity whose p99 the ``hub``
-    benchmark group tracks.  Unlike :class:`StreamResult` (which is only
+    benchmark group tracks; it and ``frame_loss`` keep the last
+    :data:`STATS_WINDOW` frames.  Unlike :class:`StreamResult` (which is only
     returned for streams that finish cleanly), the stats object outlives a
     failed session, so a disconnect still leaves its partial counters
-    readable.
+    readable.  Each counter also feeds its :data:`STATS_SERIES`.
     """
 
     stream_id: int
     n_chunks: int = 0
     n_bytes: int = 0
     n_frames: int = 0
-    frame_latencies: list[float] = field(default_factory=list)
+    frame_latencies: deque[float] = field(default_factory=lambda: deque(maxlen=STATS_WINDOW))
     # ---- loss accounting (only a resilient session moves these) ----
     #: Chunks the sequence numbers prove never arrived (parity-recovered
     #: chunks still count — they were lost on the wire).
@@ -244,11 +255,64 @@ class SessionStats:
     #: ``SESSION_RESUME`` chunks absorbed (node reconnect-with-resume).
     n_resumes: int = 0
     #: Per-frame delivery accounting, in finalisation order.
-    frame_loss: list[FrameLossReport] = field(default_factory=list)
+    frame_loss: deque[FrameLossReport] = field(default_factory=lambda: deque(maxlen=STATS_WINDOW))
 
 
-#: Stats counters the strictness policy may bump for a skipped chunk.
-_Counter = Literal["n_late_chunks", "n_duplicate_chunks", "n_corrupt_chunks"]
+#: Every :class:`SessionStats` counter -> (hub-wide series, help, ``{stream}``
+#: series, help), ``None`` where there is none.  A name without ``_total`` is
+#: a gauge: lost chunks is a level, which a reordered arrival lowers.
+STATS_SERIES: dict[str, tuple[str | None, str, str | None, str]] = {
+    "n_chunks": (None, "", "repro_session_chunks_total", "Chunks this stream processed."),
+    "n_bytes": ("repro_hub_bytes_total", "Wire bytes ingested across all sessions.",
+                "repro_session_bytes_total", "Wire bytes this stream carried."),
+    "n_frames": ("repro_hub_frames_total", "Frames fully landed across all sessions.",
+                 "repro_session_frames_total", "Frames this stream landed."),
+    "n_lost_chunks": ("repro_hub_lost_chunks",
+                      "Chunks proven lost by sequence gaps and not reclaimed since.", None, ""),
+    "n_reordered_chunks": ("repro_hub_reordered_chunks_total",
+                           "Chunks that arrived late but were used.", None, ""),
+    "n_duplicate_chunks": ("repro_hub_duplicate_chunks_total",
+                           "Chunks whose sequence was already processed.", None, ""),
+    "n_corrupt_chunks": ("repro_hub_corrupt_chunks_total",
+                         "Chunks that arrived but failed decoding.", None, ""),
+    "n_recovered_chunks": ("repro_hub_recovered_chunks_total",
+                           "Segment chunks rebuilt from XOR parity.", None, ""),
+    "n_late_chunks": ("repro_hub_late_chunks_total",
+                      "Chunks arriving after their frame settled.", None, ""),
+    "n_partial_frames": ("repro_hub_partial_frames_total",
+                         "Frames solved from a strict subset of their samples.",
+                         "repro_session_partial_frames_total",
+                         "Frames solved from partial samples on this stream."),
+    "n_dropped_frames": ("repro_hub_dropped_frames_total",
+                         "Frames landed without a reconstruction.",
+                         "repro_session_dropped_frames_total",
+                         "Frames landed without reconstruction on this stream."),
+    "n_nacks_sent": ("repro_hub_nacks_sent_total",
+                     "NACK repair requests sent down the feedback path.",
+                     "repro_session_nacks_sent_total", "NACK repair requests this stream queued."),
+    "n_deadline_salvages": ("repro_hub_deadline_salvages_total",
+                            "Deferred frames settled partial after their NACK grace.",
+                            "repro_session_deadline_salvages_total",
+                            "Frames this stream salvaged after their NACK grace."),
+    "n_resumes": ("repro_hub_session_resumes_total", "SESSION_RESUME chunks absorbed by sessions.",
+                  "repro_session_resumes_total", "SESSION_RESUME chunks this stream absorbed."),
+}
+
+
+def stats_instrument(
+    registry: MetricsRegistry, name: str, help: str, labels: dict[str, object] | None = None
+) -> Counter | Gauge:
+    """The instrument of one :data:`STATS_SERIES` series (get-or-create)."""
+    if name.endswith("_total"):
+        return registry.counter(name, labels=labels, help=help)
+    return registry.gauge(name, labels=labels, help=help)
+
+
+def frame_latency_instruments(registry: MetricsRegistry) -> tuple[Histogram, Window]:
+    """The hub-wide frame-latency histogram and the window of its last values."""
+    name = "repro_hub_frame_latency_seconds"
+    help_text = "Per-frame seconds from first chunk to decoded (and solved)."
+    return registry.histogram(name, help=help_text), registry.window(name, maxlen=STATS_WINDOW)
 
 
 class _TileChunks:
@@ -422,13 +486,13 @@ class StreamSession:
         Grace window after a NACK before the deferred frame is salvaged;
         defaults to ``frame_deadline``.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry`.  When present (and
-        enabled) the session closes each frame's ``transport`` span as its
-        chunks land, brackets tile decoding in a ``decode`` span, and wraps
-        every scheduled solve so the scheduler's ``queue_wait`` and the
-        ``solve`` itself appear in the frame's trace.  Its clock also times
-        the ``frame_latencies`` stats.  ``None`` (the default) records
-        nothing and costs one identity check per seam.
+        Optional :class:`~repro.telemetry.Telemetry`.  When enabled the
+        session closes each frame's ``transport`` span as its chunks land,
+        brackets tile decoding in a ``decode`` span, and wraps every
+        scheduled solve so the scheduler's ``queue_wait`` and the ``solve``
+        itself appear in the frame's trace.  Enabled or not, its registry
+        gets the session's counters (:data:`STATS_SERIES`, bound once here)
+        and latencies.  ``None`` (the default) uses a private disabled one.
     """
 
     #: How many whole-frame batched solves may be in flight at once before
@@ -483,11 +547,20 @@ class StreamSession:
             raise ValueError(f"nack_grace must be > 0, got {nack_grace}")
         self.frame_deadline = frame_deadline
         self.nack_grace = nack_grace if nack_grace is not None else frame_deadline
-        self.telemetry = telemetry
-        self._clock: Clock = (
-            telemetry.clock if telemetry is not None else MONOTONIC_CLOCK
-        )
+        self.telemetry = telemetry if telemetry is not None else Telemetry(enabled=False)
         self.stats = SessionStats(stream_id=self.stream_id)
+        registry = self.telemetry.registry
+        labels: dict[str, object] = {"stream": self.stream_id}
+        self._instruments: dict[str, list[Counter | Gauge]] = {}
+        for name, (hub, hub_help, stream, stream_help) in STATS_SERIES.items():
+            bound = self._instruments[name] = []
+            if hub is not None:
+                bound.append(stats_instrument(registry, hub, hub_help))
+            if stream is not None:
+                bound.append(stats_instrument(registry, stream, stream_help, labels))
+        self._latency_histogram, self._hub_latencies = frame_latency_instruments(
+            registry
+        )
         # The one option set shared by the single-frame solve path and the
         # tiled reconstructors — the two cannot diverge in configuration.
         self._recon_options: dict[str, Any] = dict(
@@ -541,7 +614,7 @@ class StreamSession:
         #: Frames that already used their one NACK (a frame NACKs once).
         self._nacked_frames: set[int] = set()
         #: Clock time of the last chunk landed — what idle reaping reads.
-        self.last_activity = self._clock.now()
+        self.last_activity = self.telemetry.clock.now()
 
     # -------------------------------------------------------------- helpers
     @property
@@ -578,21 +651,20 @@ class StreamSession:
         # The injected telemetry clock (REPRO006): deterministic under a
         # ManualClock, and shared with the node side over loopback so the
         # two halves of a frame trace subtract meaningfully.
-        return self._clock.now()
+        return self.telemetry.clock.now()
 
-    def _note_frame_landed(self, started: float) -> None:
-        """Record a frame's latency for the decode-only completion point."""
-        self.stats.frame_latencies.append(self._now() - started)
+    def _count(self, name: str, n: int = 1) -> None:
+        """Book ``n`` events of a :class:`SessionStats` counter and its series."""
+        setattr(self.stats, name, getattr(self.stats, name) + n)
+        for instrument in self._instruments[name]:
+            instrument.inc(n)
 
-    def _note_on_solve_done(self, started: float, future: asyncio.Future[Any]) -> None:
-        """Record a frame's latency when its (scheduled) solve resolves."""
-        clock = self._clock
-
-        def note(done: asyncio.Future[Any]) -> None:
-            if not done.cancelled():
-                self.stats.frame_latencies.append(clock.now() - started)
-
-        future.add_done_callback(note)
+    def _note_latency(self, started: float) -> None:
+        """Record a frame's latency: session window, histogram, hub window."""
+        latency = self._now() - started
+        self.stats.frame_latencies.append(latency)
+        self._latency_histogram.observe(latency)
+        self._hub_latencies.append(latency)
 
     async def _submit_solve(
         self, frame_index: int, fn: Callable[[], Any]
@@ -656,15 +728,13 @@ class StreamSession:
         return reconstructor.result(capture_metadata=capture_metadata, partial=partial)
 
     # ----------------------------------------------------- strictness policy
-    def _fault(
-        self, error: StreamProtocolError, counter: _Counter | None = None
-    ) -> None:
+    def _fault(self, error: StreamProtocolError, counter: str | None = None) -> None:
         """Handle one anomaly: a strict session raises it; a resilient one
         bumps ``counter`` (when given) and carries on."""
         if not self.resilient:
             raise error
         if counter is not None:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            self._count(counter)
 
     def _record_loss(self, report: FrameLossReport) -> FrameLossReport | None:
         """Book a frame's delivery accounting and queue its feedback.
@@ -766,7 +836,7 @@ class StreamSession:
         pending = self._frames.pop(frame_index, None)
         tiles = {} if pending is None else pending.tiles
         n_recovered = sum(chunks.try_recover() for chunks in tiles.values())
-        self.stats.n_recovered_chunks += n_recovered
+        self._count("n_recovered_chunks", n_recovered)
         decoded = {
             key: self._decode_tile(frame_index, key, tiles[key]) for key in sorted(tiles)
         }
@@ -800,7 +870,7 @@ class StreamSession:
             n_samples_received=n_received_samples,
         )
         if pending is None or not present:
-            self.stats.n_dropped_frames += 1
+            self._count("n_dropped_frames")
             self._record_loss(report)
             return
         capture: CompressedFrame | TiledCaptureResult
@@ -826,16 +896,16 @@ class StreamSession:
             sample_mask=sample_mask,
         )
         self._result.frames.append(received)
-        self.stats.n_frames += 1
+        self._count("n_frames")
         if not self.reconstruct:
-            self._note_frame_landed(pending.started)
+            self._note_latency(pending.started)
             return
         if n_incomplete and n_received_samples < self.min_surviving_samples:
-            self.stats.n_dropped_frames += 1
-            self._note_frame_landed(pending.started)
+            self._count("n_dropped_frames")
+            self._note_latency(pending.started)
             return
         if n_incomplete:
-            self.stats.n_partial_frames += 1
+            self._count("n_partial_frames")
         job: Callable[[], Any]
         if isinstance(capture, TiledCaptureResult):
             while len(self._solves) >= self.MAX_INFLIGHT_TILED_SOLVES:
@@ -855,7 +925,10 @@ class StreamSession:
         else:
             job = _bind(self._solve_frame, capture, sample_mask)
         future = await self._submit_solve(frame_index, job)
-        self._note_on_solve_done(pending.started, future)
+        started = pending.started
+        future.add_done_callback(
+            lambda done: None if done.cancelled() else self._note_latency(started)
+        )
         self._solves.append((received, future))
 
     def _decode_tile(
@@ -1037,7 +1110,7 @@ class StreamSession:
         sequences = tuple(sorted(self._missing)[:MAX_NACK_SEQUENCES])
         self._outgoing_control.append(NackRequest(frame_index=frame_index, sequences=sequences))
         self._nacked_frames.add(frame_index)
-        self.stats.n_nacks_sent += 1
+        self._count("n_nacks_sent")
         assert self.nack_grace is not None
         self._deferred[frame_index] = now + self.nack_grace
 
@@ -1052,7 +1125,7 @@ class StreamSession:
             elif now >= self._deferred[frame_index]:
                 # Grace over — fall back to the partial-Φ salvage.
                 self._deferred.pop(frame_index)
-                self.stats.n_deadline_salvages += 1
+                self._count("n_deadline_salvages")
             else:
                 return
             await self._settle_to(self._settle_frontier)
@@ -1081,7 +1154,7 @@ class StreamSession:
 
     def _flush_deferrals(self) -> None:
         """Cancel every grace window (stream end / EOF): salvage now."""
-        self.stats.n_deadline_salvages += len(self._deferred)
+        self._count("n_deadline_salvages", len(self._deferred))
         self._deferred.clear()
 
     # ------------------------------------------------------------- chunk fsm
@@ -1101,10 +1174,8 @@ class StreamSession:
         self.last_activity = self._now()
         if not self._advance_sequence(chunk):
             return
-        self._result.n_chunks += 1
-        self._result.n_bytes += chunk.n_bytes
-        self.stats.n_chunks += 1
-        self.stats.n_bytes += chunk.n_bytes
+        self._count("n_chunks")
+        self._count("n_bytes", chunk.n_bytes)
         try:
             await self._dispatch_chunk(chunk)
         except StreamProtocolError as error:
@@ -1147,20 +1218,21 @@ class StreamSession:
                 # raising would kill the very salvage resilient mode exists
                 # for — so the chunk itself is the casualty: counted corrupt,
                 # skipped, and the sequence FSM holds its position.
-                self.stats.n_corrupt_chunks += 1
+                self._count("n_corrupt_chunks")
                 return False
             # Everything between is now provably lost *unless* it arrives
-            # late, in which case the FSM below reclaims it.
+            # late, in which case the FSM below reclaims it.  Lost chunks is
+            # a level (the size of the missing set), booked as deltas.
             self._missing.update(range(self._next_sequence, chunk.sequence))
-            self.stats.n_lost_chunks = len(self._missing)
+            self._count("n_lost_chunks", gap)
             self._next_sequence = chunk.sequence + 1
             return True
         if chunk.sequence in self._missing:
             self._missing.discard(chunk.sequence)
-            self.stats.n_lost_chunks = len(self._missing)
-            self.stats.n_reordered_chunks += 1
+            self._count("n_lost_chunks", -1)
+            self._count("n_reordered_chunks")
             return True
-        self.stats.n_duplicate_chunks += 1
+        self._count("n_duplicate_chunks")
         return False
 
     async def _dispatch_chunk(self, chunk: Chunk) -> None:
@@ -1220,7 +1292,7 @@ class StreamSession:
                     "a resilient receiver)"
                 )
             )
-            self.stats.n_resumes += 1
+            self._count("n_resumes")
 
     async def _handle_tile_chunk(self, chunk: Chunk, part: TilePayload) -> None:
         """Land one tile-carrying chunk, decoded as ``part``, in its frame's grid."""
@@ -1295,6 +1367,7 @@ class StreamSession:
             received.reconstruction = await future
         self._solves = []
         self._finished = True
+        self._result.n_chunks, self._result.n_bytes = self.stats.n_chunks, self.stats.n_bytes
         return self._result
 
     def cancel(self) -> None:

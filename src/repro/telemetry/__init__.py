@@ -27,6 +27,7 @@ from repro.telemetry.registry import (
     MetricSample,
     MetricsRegistry,
     MetricsSnapshot,
+    Window,
     parse_prometheus,
 )
 from repro.telemetry.scrape import serve_metrics
@@ -70,6 +71,7 @@ __all__ = [
     "SolverProfile",
     "Span",
     "Telemetry",
+    "Window",
     "active",
     "parse_prometheus",
     "percentile",

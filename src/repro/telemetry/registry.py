@@ -6,10 +6,10 @@ Design constraints, in order:
   environment the library runs in, including the invariant linter's
   zero-dependency CI job;
 * **deterministic** — no clocks, no threads of its own; every number in a
-  snapshot is either pushed by instrumented code or pulled by a registered
-  collector at :meth:`MetricsRegistry.collect` time (the pull path is how
-  the pre-existing ``HubStats``/``SessionStats`` counters migrated onto the
-  registry without adding a single instruction to their hot paths);
+  snapshot is either counted by instrumented code where its event happens
+  (a stream session bumps the hub's counters as each chunk lands) or set by
+  a registered collector at :meth:`MetricsRegistry.collect` time, for levels
+  only the owner can read (live sessions, exact quantiles over a window);
 * **thread-safe where it must be** — solver spans observe histograms from
   executor threads, so every instrument guards its state with a lock;
 * **renderer round-trip** — one typed :class:`MetricsSnapshot` renders to
@@ -29,8 +29,9 @@ import json
 import math
 import re
 import threading
-from bisect import bisect_left
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from bisect import bisect_left, insort
+from collections import deque
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.telemetry.stats import percentile, quantile_summary
@@ -43,6 +44,7 @@ __all__ = [
     "MetricSample",
     "MetricsRegistry",
     "MetricsSnapshot",
+    "Window",
     "parse_prometheus",
 ]
 
@@ -105,8 +107,8 @@ class Counter(_Instrument):
     def set_total(self, value: float) -> None:
         """Pin the absolute total — the *collector* path.
 
-        Collectors own a counter outright (they re-derive the total from an
-        authoritative source such as ``SessionStats`` at every collect), so
+        For a count its owner keeps outside the registry (a node's
+        retransmits, the scheduler's dispatches), copied at every collect:
         unlike :meth:`inc` this overwrites.  Totals still cannot be negative.
         """
         if value < 0:
@@ -189,15 +191,6 @@ class Histogram(_Instrument):
             self._sum += float(value)
             self._count += 1
 
-    def rebuild(self, values: Iterable[float]) -> None:
-        """Reset and re-observe — the collector path for migrated series."""
-        with self._lock:
-            self._counts = [0] * (len(self.bounds) + 1)
-            self._sum = 0.0
-            self._count = 0
-        for value in values:
-            self.observe(value)
-
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-th percentile (0-100) from the bucket counts.
 
@@ -223,6 +216,25 @@ class Histogram(_Instrument):
                 fraction = (rank - previous) / bucket_count
                 return lower + (upper - lower) * min(1.0, max(0.0, fraction))
         return self.bounds[-1]
+
+
+class Window:
+    """The last ``maxlen`` values of a series, in arrival and in sorted order.
+
+    Never exported itself: ``sorted`` gives a collector exact quantiles
+    (:func:`latency_quantile_gauges`) in linear time.  Unlocked: its writers
+    run on the event loop.
+    """
+
+    def __init__(self, maxlen: int) -> None:
+        self.values: deque[float] = deque(maxlen=maxlen)
+        self.sorted: list[float] = []
+
+    def append(self, value: float) -> None:
+        if len(self.values) == self.values.maxlen:
+            del self.sorted[bisect_left(self.sorted, self.values[0])]
+        self.values.append(value)
+        insort(self.sorted, value)
 
 
 # ------------------------------------------------------------------ snapshots
@@ -435,14 +447,14 @@ class MetricsRegistry:
     Instruments are get-or-create by ``(name, labels)``: asking twice
     returns the same object, asking with a different kind raises.  Pull-style
     *collectors* (:meth:`register_collector`) run at the top of every
-    :meth:`collect`, which is how pre-existing stats structures export
-    themselves with zero hot-path cost.
+    :meth:`collect` and set what cannot be counted at an event.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[tuple[str, Labels], _Instrument] = {}
         self._collectors: list[Callable[[], None]] = []
+        self._windows: dict[str, Window] = {}
 
     def _get_or_create(
         self,
@@ -506,13 +518,17 @@ class MetricsRegistry:
             )
         return instrument
 
+    def window(self, name: str, *, maxlen: int) -> Window:
+        """The :class:`Window` called ``name``, get-or-create like an instrument."""
+        with self._lock:
+            return self._windows.setdefault(name, Window(maxlen))
+
     def register_collector(self, collector: Callable[[], None]) -> None:
         """Run ``collector()`` at the top of every :meth:`collect`.
 
-        The pull seam: a collector reads an authoritative live structure
-        (``HubStats``, a governor, a tracer) and writes the registry's
-        instruments via ``set_total``/``set``/``rebuild``, so the source's
-        hot path stays untouched.
+        The pull seam, for values no event can count: a collector reads a
+        level its owner holds (live sessions, a governor's counters, a
+        latency window) and writes it via ``set``/``set_total``.
         """
         with self._lock:
             self._collectors.append(collector)

@@ -14,11 +14,14 @@ from collections.abc import Sequence
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0–100) of ``values`` by linear interpolation."""
-    if not values:
+    return _interpolate(sorted(values), q)
+
+
+def _interpolate(ordered: list[float], q: float) -> float:
+    if not ordered:
         raise ValueError("percentile of an empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
     position = (len(ordered) - 1) * (q / 100.0)
     below = int(position)
     above = min(below + 1, len(ordered) - 1)
@@ -39,4 +42,5 @@ def quantile_summary(
     >>> summary["p50"]
     2.5
     """
-    return {f"p{q:g}": percentile(values, q) for q in quantiles}
+    ordered = sorted(values)
+    return {f"p{q:g}": _interpolate(ordered, q) for q in quantiles}

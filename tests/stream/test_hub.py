@@ -98,7 +98,7 @@ class TestFairSolveScheduler:
             gate.release.set()
             results = await asyncio.gather(*futures)
             await scheduler.close()
-            return scheduler.dispatch_order, results
+            return list(scheduler.dispatch_order), results
 
         order, results = run(scenario())
         # Stream 1 had three jobs queued before stream 2's two, yet the

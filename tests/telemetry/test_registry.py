@@ -63,6 +63,29 @@ class TestInstruments:
         with pytest.raises(ValueError, match="already registered with bounds"):
             registry.histogram("repro_lat_seconds", bounds=(0.2, 1.0))
 
+    def test_window_is_shared_by_name_and_bounded(self):
+        registry = MetricsRegistry()
+        window = registry.window("repro_lat_seconds", maxlen=3)
+        assert registry.window("repro_lat_seconds", maxlen=3) is window
+        for value in (4.0, 1.0, 3.0, 1.0, 2.0):
+            window.append(value)
+        assert list(window.values) == [3.0, 1.0, 2.0]
+        assert window.sorted == [1.0, 2.0, 3.0]
+        # Windows are not instruments: nothing of them is exported.
+        assert registry.collect().samples == ()
+
+    @given(
+        values=st.lists(st.floats(0.0, 10.0), max_size=40),
+        maxlen=st.integers(1, 8),
+    )
+    def test_window_keeps_the_last_values_sorted(self, values, maxlen):
+        window = MetricsRegistry().window("repro_w_seconds", maxlen=maxlen)
+        for value in values:
+            window.append(value)
+        kept = values[-maxlen:] if values else []
+        assert list(window.values) == kept
+        assert window.sorted == sorted(kept)
+
     def test_invalid_names_and_labels_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError, match="invalid metric name"):
@@ -89,13 +112,6 @@ class TestHistogram:
         assert histogram.bucket_counts == (2, 2, 1)
         assert histogram.count == 5
         assert histogram.sum == pytest.approx(104.0)
-
-    def test_rebuild_resets_then_reobserves(self):
-        histogram = MetricsRegistry().histogram("repro_e_seconds", bounds=(1.0,))
-        histogram.observe(0.5)
-        histogram.rebuild([2.0, 3.0])
-        assert histogram.bucket_counts == (0, 2)
-        assert histogram.count == 2
 
     def test_quantile_guards(self):
         histogram = MetricsRegistry().histogram("repro_f_seconds", bounds=(1.0,))
