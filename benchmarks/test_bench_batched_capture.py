@@ -2,7 +2,8 @@
 
 Times the layers the batched engines rewrote: the vectorised Φ builder (one
 CA evolution + one broadcast XOR), the single-frame behavioural capture
-(rank-structured matmul + one LSB draw per selected event), the multi-frame
+(rank-structured matmul + one LSB draw per selected event, streamed through
+a fixed buffer; with and without saturated pixels), the multi-frame
 ``capture_batch`` fast path that shares one CA state stack across a whole
 sequence, and — since PR 2 — the column-parallel event-accurate engine
 (vectorised bus arbitration across all sample x column instances).  Together
@@ -60,6 +61,21 @@ def test_batched_behavioural_capture_with_lsb(benchmark):
     imager, current = make_inputs()
     frame = benchmark(lambda: imager.capture(current, n_samples=512))
     assert frame.n_samples == 512
+
+
+@pytest.mark.benchmark(group="behavioural-capture")
+def test_saturated_behavioural_capture(benchmark):
+    """A full-budget frame whose codes saturate: each LSB hit needs its pixel.
+
+    Saturated codes send the streamed LSB draws through the per-hit pixel
+    lookup from the CA factor bits (the path that used to build the whole
+    frame's mask and per-event index lists).
+    """
+    imager, current = make_inputs()
+    frame = benchmark(
+        lambda: imager.capture(current * 0.25, n_samples=1638, auto_expose=False)
+    )
+    assert frame.metadata["n_saturated_pixels"] > 0
 
 
 @pytest.mark.benchmark(group="behavioural-capture")

@@ -7,8 +7,8 @@ and the sample-and-add chain (III-B).  Two fidelity levels are offered:
 
 * ``"behavioural"`` — batched: pixel codes are quantised firing times and a
   whole frame is captured as one CA-matrix build plus one matmul,
-  ``samples = Φ @ codes``, with the ±1 LSB late-detection error injected by a
-  single vectorised draw over every selected event in the frame.  This
+  ``samples = Φ @ codes``, with the ±1 LSB late-detection error injected by
+  one draw per selected event, streamed in fixed-size blocks.  This
   mirrors the paper's architecture directly — Φ is generated concurrently
   with sampling and each sample is a plain masked sum (Section II) — and it
   is exact whenever no two events of a column collide.  The batched engine
@@ -48,13 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ca.selection import CASelectionGenerator, selection_masks_from_states
+from repro.ca.selection import CASelectionGenerator
 from repro.pixel.event import PixelEvent
 from repro.pixel.time_encoder import TimeEncoder, column_event_order
 from repro.sensor.column_bus import ColumnBusArbiter, arbitrate_columns
 from repro.sensor.config import SensorConfig
 from repro.sensor.sample_add import SampleAndAdd, fold_column_sums
-from repro.sensor.tdc import GlobalCounterTDC, draw_lsb_bumps
+from repro.sensor.tdc import GlobalCounterTDC, iter_lsb_bump_hits
 from repro.utils.rng import SeedLike, derive_seed, new_rng
 from repro.utils.validation import check_choice, check_positive
 
@@ -602,7 +602,10 @@ class CompressiveImager:
         The +1 LSB late-detection error is one uniform draw per selected
         event, taken in the exact event order (sample-major, then raster
         pixel order) the legacy per-pattern loop consumed them, so the output
-        is bit-identical to that loop for the same generator stream.
+        is bit-identical to that loop for the same generator stream.  The
+        draws stream through one fixed buffer
+        (:func:`~repro.sensor.tdc.iter_lsb_bump_hits`) and only the hits are
+        booked, so the capture's memory does not grow with the frame.
 
         ``dtype="float32"`` routes to :meth:`_behavioural_samples_fast`
         instead; the default float64 path below is untouched and stays
@@ -619,41 +622,78 @@ class CompressiveImager:
         samples = self._rank_structured_project(
             row_signals, col_signals, image
         ).astype(np.int64)
+        if lsb_probability <= 0.0:
+            return samples, 0
+        live = codes.reshape(-1) < self.tdc.max_code
+        if live.all():
+            return samples, self._book_lsb_bumps(states, samples, lsb_probability, rng)
+        return samples, self._book_lsb_bumps_clipped(states, samples, live, lsb_probability, rng)
+
+    def _book_lsb_bumps(
+        self,
+        states: np.ndarray,
+        samples: np.ndarray,
+        lsb_probability: float,
+        rng: np.random.Generator,
+    ) -> int:
+        """Add the +1 LSB bumps to ``samples`` in place; no pixel saturated.
+
+        Every bump lands, so each hit only needs its sample: the frame's
+        events are contiguous per sample in the draw order, and one
+        ``searchsorted`` over the per-sample event ends books a block of
+        hits.  Returns the number of bumps.
+        """
+        rows, cols = self.config.rows, self.config.cols
+        n_row_high = states[:, :rows].sum(axis=1, dtype=np.int64)
+        n_col_high = states[:, rows:].sum(axis=1, dtype=np.int64)
+        ends = np.cumsum(n_row_high * (cols - n_col_high) + (rows - n_row_high) * n_col_high)
         n_bumped = 0
-        if lsb_probability > 0.0:
-            n_row_high = row_signals.sum(axis=1)
-            n_col_high = col_signals.sum(axis=1)
-            counts = (
-                n_row_high * (cols - n_col_high) + (rows - n_row_high) * n_col_high
-            ).astype(np.int64)
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            bumps = draw_lsb_bumps(int(offsets[-1]), lsb_probability, rng=rng)
-            if np.all(codes < self.tdc.max_code):
-                # No saturated pixel: every bump lands.  Per-sample bump
-                # totals are segment sums over the contiguous draw vector.
-                if bumps.size and counts.min() > 0:
-                    samples += np.add.reduceat(
-                        bumps.view(np.uint8), offsets[:-1], dtype=np.int64
-                    )
-                elif bumps.size:
-                    # Empty segments (a degenerate all-equal CA state) break
-                    # reduceat's index convention; fall back to cumsum.
-                    bump_totals = np.concatenate(([0], np.cumsum(bumps)))[offsets]
-                    samples += bump_totals[1:] - bump_totals[:-1]
-                n_bumped = int(np.count_nonzero(bumps))
-            else:
-                # A bump on an already-saturated code clips back to max_code
-                # and neither shifts the sample nor counts as an error; this
-                # needs per-event pixel identity, so rebuild the mask batch.
-                phi = selection_masks_from_states(states, rows, cols)
-                sample_index, pixel_index = np.nonzero(phi)
-                effective = bumps & (codes.reshape(-1)[pixel_index] < self.tdc.max_code)
-                if effective.any():
-                    samples += np.bincount(
-                        sample_index[effective], minlength=samples.size
-                    )
-                n_bumped = int(np.count_nonzero(effective))
-        return samples, n_bumped
+        for hits in iter_lsb_bump_hits(int(ends[-1]), lsb_probability, rng=rng):
+            sample = np.searchsorted(ends, hits, side="right")
+            samples += np.bincount(sample, minlength=samples.size)
+            n_bumped += hits.size
+        return n_bumped
+
+    def _book_lsb_bumps_clipped(
+        self,
+        states: np.ndarray,
+        samples: np.ndarray,
+        live: np.ndarray,
+        lsb_probability: float,
+        rng: np.random.Generator,
+    ) -> int:
+        """:meth:`_book_lsb_bumps` for a frame with saturated pixels.
+
+        A bump on an already-saturated code clips back to ``max_code`` and
+        neither shifts the sample nor counts as an error, so each hit needs
+        its pixel.  It is found from the sample's factor bits, without the
+        frame's mask: sample i's events are the cells of ``R_i ⊕ C_i`` in
+        raster order, so row r holds the ``cols - |C_i|`` columns where
+        ``C_i`` is low when ``R_i[r]`` is high, and the ``|C_i|`` columns
+        where it is high otherwise.  One ``searchsorted`` over the
+        per-(sample, row) event ends gives a hit's sample and row.  With the
+        sample's columns sorted low cells first, a high row's group ends at
+        position ``cols - |C_i|`` and a low row's at ``cols``; the hit's
+        distance from its row's end, counted back from there, picks its
+        column.  ``live`` flags the unsaturated pixels.
+        """
+        rows, cols = self.config.rows, self.config.cols
+        row_high = states[:, :rows].astype(bool)
+        n_col_high = states[:, rows:].sum(axis=1, dtype=np.int64)
+        row_ends = np.where(row_high, cols - n_col_high[:, None], n_col_high[:, None]).ravel()
+        np.cumsum(row_ends, out=row_ends)
+        row_high = row_high.ravel()
+        col_order = np.argsort(states[:, rows:], axis=1, kind="stable")
+        n_bumped = 0
+        for hits in iter_lsb_bump_hits(int(row_ends[-1]), lsb_probability, rng=rng):
+            segment = np.searchsorted(row_ends, hits, side="right")
+            sample, row = np.divmod(segment, rows)
+            group_end = np.where(row_high[segment], cols - n_col_high[sample], cols)
+            rank = group_end - (row_ends[segment] - hits)
+            effective = live[row * cols + col_order[sample, rank]]
+            samples += np.bincount(sample[effective], minlength=samples.size)
+            n_bumped += int(np.count_nonzero(effective))
+        return n_bumped
 
     def _behavioural_metadata(
         self,

@@ -78,6 +78,12 @@ from repro.telemetry.stats import percentile as percentile  # noqa: PLC0414
 from repro.utils.validation import check_positive
 
 
+def _keep_recent(entries: list[Any], entry: Any) -> None:
+    """Append ``entry``, keeping only the last ``STATS_WINDOW`` entries."""
+    entries.append(entry)
+    del entries[:-STATS_WINDOW]
+
+
 class DuplicateStreamIdError(StreamProtocolError):
     """A connection announced a stream id already live on another connection.
 
@@ -503,10 +509,12 @@ class ReceiverHub:
         #: Latest per-stream-id stats (live and finished) — what an
         #: operator polls while streams run; see docs/OPERATIONS.md.
         self.session_stats: dict[int, SessionStats] = {}
-        #: Results of every cleanly-finished stream, in completion order.
+        #: Results of the last ``STATS_WINDOW`` cleanly-finished streams, in
+        #: completion order (``n_completed`` counts them all).
         self.completed: list[StreamResult] = []
-        #: Errors of failed connections, in failure order (each failure
-        #: tears down only that connection's sessions).
+        #: Errors of the last ``STATS_WINDOW`` failed connections, in failure
+        #: order (each failure tears down only that connection's sessions;
+        #: ``n_failed`` counts them all).
         self.failures: list[BaseException] = []
         self._servers: list[asyncio.AbstractServer] = []
         self._connections: set[asyncio.Task[Any]] = set()
@@ -580,7 +588,7 @@ class ReceiverHub:
         """Finish an ended session, free its id and record its result."""
         result = await session.finish()
         self._release_session(session)
-        self.completed.append(result)
+        _keep_recent(self.completed, result)
         self._counters["n_completed"].inc()
         return result
 
@@ -693,7 +701,7 @@ class ReceiverHub:
                 if not session.ended:
                     session.cancel()
                 self._release_session(session)
-            self.failures.append(error)
+            _keep_recent(self.failures, error)
             self._counters["n_failed"].inc()
             raise
 

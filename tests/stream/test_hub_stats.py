@@ -10,7 +10,8 @@ instruments back.  Pinned here:
 * **monotonic** — no ``*_total`` sample ever goes down between scrapes
   (lost chunks, a level a reordered arrival lowers, is a gauge);
 * **nothing retained** — a long-lived hub serving many sequential streams
-  holds neither their stats objects nor new series;
+  holds neither their stats objects nor new series, and keeps only the last
+  ``STATS_WINDOW`` stream results and connection errors;
 * **windows** — latencies and loss reports keep the last ``STATS_WINDOW``
   entries while the histogram still counts every frame.
 """
@@ -21,6 +22,7 @@ import weakref
 
 import pytest
 
+import repro.stream.hub as hub_module
 import repro.stream.session as session_module
 from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
@@ -29,6 +31,7 @@ from repro.sensor.video import VideoSequencer
 from repro.stream.fault import LossyTransport
 from repro.stream.hub import ReceiverHub
 from repro.stream.node import CameraNode
+from repro.stream.protocol import StreamProtocolError
 from repro.stream.session import STATS_SERIES
 from repro.stream.transport import LoopbackTransport
 from repro.telemetry import Telemetry
@@ -269,6 +272,31 @@ class TestNothingRetained:
         )
         # The latest session's own counts stay readable per id.
         assert hub.session_stats[1].n_frames == 4
+
+    def test_results_and_failures_keep_the_last_entries(self, monkeypatch):
+        monkeypatch.setattr(hub_module, "STATS_WINDOW", 3)
+
+        async def scenario():
+            slices = await _record(2, gop_size=2)
+            hub = ReceiverHub(reconstruct=False)
+            await _replay(hub, slices)
+            first = weakref.ref(hub.completed[0])
+            for _ in range(self.N_STREAMS - 1):
+                await _replay(hub, slices)
+            for _ in range(5):
+                with pytest.raises(StreamProtocolError):
+                    await _replay(hub, slices[:-1])
+            await hub.close()
+            return hub, first
+
+        hub, first = run(scenario())
+        gc.collect()
+        assert first() is None
+        assert len(hub.completed) == 3
+        assert len(hub.failures) == 3
+        snapshot = hub.metrics()
+        assert snapshot.value("repro_hub_streams_completed_total") == self.N_STREAMS
+        assert snapshot.value("repro_hub_streams_failed_total") == 5
 
 
 class TestWindows:
