@@ -75,6 +75,7 @@ from repro.telemetry.registry import latency_quantile_gauges
 # Re-exported from its new home (moved in the telemetry refactor) so
 # ``from repro.stream.hub import percentile`` keeps working.
 from repro.telemetry.stats import percentile as percentile  # noqa: PLC0414
+from repro.utils.memory import release_freed_memory
 from repro.utils.validation import check_positive
 
 
@@ -823,13 +824,20 @@ class ReceiverHub:
         self._counters["n_drained"].inc()
 
     async def close(self) -> None:
-        """Stop serving: close servers, drain connections, stop the scheduler."""
+        """Stop serving: close servers, drain connections, stop the scheduler.
+
+        Then the heap the solves freed goes back to the operating system
+        (:func:`~repro.utils.memory.release_freed_memory`), so a process that
+        runs hub after hub does not keep each earlier hub's solver working
+        set resident.
+        """
         servers, self._servers = self._servers, []
         for server in servers:
             server.close()
             await server.wait_closed()
         await self.drain()
         await self.scheduler.close()
+        release_freed_memory()
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> HubStats:

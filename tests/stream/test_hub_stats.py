@@ -298,6 +298,19 @@ class TestNothingRetained:
         assert snapshot.value("repro_hub_streams_completed_total") == self.N_STREAMS
         assert snapshot.value("repro_hub_streams_failed_total") == 5
 
+    def test_close_hands_freed_memory_back(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hub_module, "release_freed_memory", lambda: calls.append(1))
+
+        async def scenario():
+            hub = ReceiverHub(reconstruct=False)
+            await _replay(hub, await _record(2, gop_size=2))
+            assert calls == []
+            await hub.close()
+
+        run(scenario())
+        assert calls == [1]
+
 
 class TestWindows:
     N_FRAMES = 8
