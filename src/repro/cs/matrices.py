@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.linalg import hadamard
+from numpy.typing import DTypeLike
 
 from repro.ca.selection import CASelectionGenerator
 from repro.lfsr.lfsr import LFSRSelectionGenerator
@@ -65,6 +65,27 @@ def bernoulli_matrix(
     return (rng.random((int(n_samples), int(n_pixels))) < density).astype(float)
 
 
+def sylvester_hadamard(order: int, dtype: DTypeLike = float) -> np.ndarray:
+    """Sylvester Hadamard matrix of a power-of-two ``order``, entries ±1.
+
+    Doubles ``H₂ₙ = [[Hₙ, Hₙ], [Hₙ, -Hₙ]]`` from ``H₁ = [1]`` in place, the
+    construction ``scipy.linalg.hadamard`` uses, so the entries equal it
+    without importing scipy.
+    """
+    order = int(order)
+    check_power_of_two("order", order)
+    matrix = np.empty((order, order), dtype=dtype)
+    matrix[0, 0] = 1
+    size = 1
+    while size < order:
+        block = matrix[:size, :size]
+        matrix[:size, size : 2 * size] = block
+        matrix[size : 2 * size, :size] = block
+        np.negative(block, out=matrix[size : 2 * size, size : 2 * size])
+        size *= 2
+    return matrix
+
+
 def subsampled_hadamard_matrix(
     n_samples: int,
     n_pixels: int,
@@ -82,7 +103,7 @@ def subsampled_hadamard_matrix(
     if n_samples > n_pixels:
         raise ValueError("cannot draw more Hadamard rows than the matrix has")
     rng = new_rng(seed)
-    full = hadamard(int(n_pixels)).astype(float)
+    full = sylvester_hadamard(int(n_pixels))
     row_indices = rng.choice(int(n_pixels), size=int(n_samples), replace=False)
     column_signs = rng.integers(0, 2, size=int(n_pixels)) * 2 - 1
     return full[row_indices] * column_signs / np.sqrt(n_samples)

@@ -11,9 +11,7 @@ cross-validation tests, not for full 64x64 frames.
 
 from __future__ import annotations
 
-
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.cs.operators import SensingOperator
 from repro.cs.solvers.result import SolverResult, as_operator, check_measurements
@@ -49,6 +47,8 @@ def basis_pursuit(
             f"basis_pursuit is limited to {max_dimension} coefficients, got {n}; "
             "use fista/omp for larger problems"
         )
+    from scipy.optimize import linprog
+
     dense = operator.dense()
     # Variables: z = p - q with p, q >= 0; minimise sum(p) + sum(q).
     cost = np.ones(2 * n)

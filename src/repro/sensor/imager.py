@@ -725,20 +725,22 @@ class CompressiveImager:
         that mode applies the expectation instead of drawing per event.
         """
         rows, cols = self.config.rows, self.config.cols
-        row_signals = states[:, :rows].astype(np.int64)
-        col_signals = states[:, rows:].astype(np.int64)
-        n_row_high = row_signals.sum(axis=1)
-        n_col_high = col_signals.sum(axis=1)
+        n_row_high = states[:, :rows].sum(axis=1, dtype=np.int64)
+        n_col_high = states[:, rows:].sum(axis=1, dtype=np.int64)
         n_selected = int(
             (n_row_high * (cols - n_col_high) + (rows - n_row_high) * n_col_high).sum()
         )
         outside_window = ~(np.isfinite(times) & (times < self.tdc.conversion_window))
         n_lost = 0
         if outside_window.any():
-            lost_image = outside_window.astype(np.int64)
+            # The selected lost events are Φ applied to the 0/1 lost image;
+            # every partial sum is an integer below 2**53, so float64 is exact.
             n_lost = int(
-                np.einsum("si,ij,sj->", row_signals, lost_image, 1 - col_signals)
-                + np.einsum("si,ij,sj->", 1 - row_signals, lost_image, col_signals)
+                self._rank_structured_project(
+                    states[:, :rows].astype(np.float64),
+                    states[:, rows:].astype(np.float64),
+                    outside_window.reshape(rows, cols).astype(np.float64),
+                ).sum()
             )
         overlap = self.config.event_overlap_probability(self.config.rows // 2)
         return {

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import copy
+import os
 from dataclasses import dataclass, field, replace
 from collections.abc import Iterator
 
@@ -262,6 +263,17 @@ def _capture_tile_batch(job):
     return frames, chip.selection.seed_state
 
 
+def available_cpus() -> int:
+    """The number of CPUs this process may run on.
+
+    The affinity mask where the platform exposes it (so a pinned process
+    counts its pinned cores, not the machine's), else ``os.cpu_count()``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _capture_tile(job) -> CompressedFrame:
     """Capture one tile; module-level so process executors can pickle it.
 
@@ -302,9 +314,10 @@ class TiledSensorArray:
         is numpy/BLAS work that releases the GIL), a process pool, or inline.
         The samples are byte-identical across all three.
     max_workers : int, optional
-        Concurrency cap for the pool executors; ``None`` lets
-        :mod:`concurrent.futures` pick, and the pool is never wider than the
-        tile count.
+        Concurrency cap for the pool executors; ``None`` means one worker per
+        CPU the process may run on (:func:`available_cpus`), and the pool is
+        never wider than the tile count.  Each concurrent tile capture holds
+        its own transient, so a wider pool only adds memory.
     dtype : {"float64", "float32"}
         Default behavioural arithmetic width for :meth:`capture`; see
         :meth:`CompressiveImager.capture`.
@@ -740,14 +753,14 @@ class TiledSensorArray:
         """
         if executor == "serial" or n_jobs <= 1:
             return None
-        if max_workers is not None:
-            max_workers = min(int(max_workers), n_jobs)
+        if max_workers is None:
+            max_workers = available_cpus()
         pool_class = (
             concurrent.futures.ThreadPoolExecutor
             if executor == "thread"
             else concurrent.futures.ProcessPoolExecutor
         )
-        return pool_class(max_workers=max_workers)
+        return pool_class(max_workers=min(int(max_workers), n_jobs))
 
     @staticmethod
     def _run_jobs(jobs, executor: str, max_workers: int | None, job_fn=_capture_tile):

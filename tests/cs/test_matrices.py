@@ -1,5 +1,7 @@
 """Tests for the measurement-matrix constructions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.cs.matrices import (
     rademacher_matrix,
     selection_density,
     subsampled_hadamard_matrix,
+    sylvester_hadamard,
 )
 
 
@@ -53,6 +56,27 @@ class TestHadamard:
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):
             subsampled_hadamard_matrix(10, 100)
+        with pytest.raises(ValueError):
+            sylvester_hadamard(12)
+
+    @pytest.mark.parametrize("order", [2**k for k in range(13)])
+    def test_sylvester_matches_scipy(self, order):
+        """The numpy construction equals ``scipy.linalg.hadamard`` entry for
+        entry (int8 keeps the order-4096 pair at 16 MB each)."""
+        from scipy.linalg import hadamard
+
+        ours = sylvester_hadamard(order, dtype=np.int8)
+        assert ours.dtype == np.int8
+        assert np.array_equal(ours, hadamard(order, dtype=np.int8))
+
+    def test_subsampled_bytes_pinned(self):
+        """Digest of the ensemble as built on ``scipy.linalg.hadamard``: the
+        numpy construction must not change a byte of it."""
+        phi = subsampled_hadamard_matrix(32, 64, seed=4)
+        assert phi.dtype == np.float64 and phi.flags["C_CONTIGUOUS"]
+        assert hashlib.sha256(phi.tobytes()).hexdigest() == (
+            "846efb56c60d355dd75afe9c9c906b5fbf4f4c7a188bd18d27fa9f9ab5592806"
+        )
 
     def test_cannot_oversample(self):
         with pytest.raises(ValueError):

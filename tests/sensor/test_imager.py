@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.ca.selection import selection_masks_from_states
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
+from repro.utils.rng import derive_seed, new_rng
 
 
 def photocurrents(shape, seed=0):
@@ -120,6 +122,29 @@ class TestBehaviouralCapture:
         assert (
             behavioural.metadata["n_lost_events"] == event.metadata["n_lost_events"]
         )
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0], ids=["saturated", "in-window"])
+    def test_behavioural_lost_count_equals_dense_mask_count(self, scale):
+        """``n_lost_events`` equals the count summed from the dense Φ mask
+        over the out-of-window pixels, on a saturated frame and on an
+        auto-exposed frame where every pixel fires inside the window."""
+        config = SensorConfig(rows=32, cols=32)
+        scene = make_scene("natural", (32, 32), seed=2018)
+        current = PhotoConversion(prnu_sigma=0.0, shot_noise=False).convert(scene)
+        imager = CompressiveImager(config, seed=2018)
+        frame = imager.capture(current * scale, n_samples=400, auto_expose=scale == 1.0)
+
+        times = imager.firing_times(
+            current * scale, rng=new_rng(derive_seed(imager.seed, "capture"))
+        )
+        lost = ~(np.isfinite(times) & (times < imager.tdc.conversion_window))
+        imager.selection.reset()
+        masks = selection_masks_from_states(
+            imager.selection.next_states(400), config.rows, config.cols
+        )
+        expected = int((masks.astype(np.int64) @ lost.ravel().astype(np.int64)).sum())
+        assert frame.metadata["n_lost_events"] == expected
+        assert (expected > 0) == (scale != 1.0)
 
     def test_keep_digital_image_flag(self, small_imager):
         frame = small_imager.capture(

@@ -11,13 +11,15 @@ Pins the contracts of :mod:`repro.sensor.shard`:
   the executor is a wall-clock knob, never a semantics knob.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
-from repro.sensor.shard import TiledSensorArray, merge_tile_statistics
+from repro.sensor.shard import TiledSensorArray, available_cpus, merge_tile_statistics
 
 
 def make_current(shape, seed=5, kind="natural"):
@@ -150,6 +152,23 @@ class TestTiledCapture:
         assert serial.metadata["executor"] == "serial"
         assert threaded.metadata["executor"] == "thread"
         assert threaded.metadata["max_workers"] == 2
+
+    @pytest.mark.parametrize("n_jobs", [2, 64])
+    def test_default_pool_width_is_available_cpus(self, n_jobs):
+        """``max_workers=None`` gives one worker per usable CPU, clamped to
+        the tile count, not :mod:`concurrent.futures`' nproc + 4."""
+        pool = TiledSensorArray._make_pool("thread", None, n_jobs)
+        with pool:
+            assert pool._max_workers == min(available_cpus(), n_jobs)
+
+    def test_available_cpus_counts_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert available_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert available_cpus() == 1
 
     def test_dark_tile_does_not_fail_the_mosaic(self):
         current = make_current((32, 32))
