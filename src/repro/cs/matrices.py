@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from numpy.typing import DTypeLike
 
 from repro.ca.selection import CASelectionGenerator
 from repro.lfsr.lfsr import LFSRSelectionGenerator
@@ -65,17 +64,15 @@ def bernoulli_matrix(
     return (rng.random((int(n_samples), int(n_pixels))) < density).astype(float)
 
 
-def sylvester_hadamard(order: int, dtype: DTypeLike = float) -> np.ndarray:
+def _sylvester_hadamard(order: int) -> np.ndarray:
     """Sylvester Hadamard matrix of a power-of-two ``order``, entries ±1.
 
     Doubles ``H₂ₙ = [[Hₙ, Hₙ], [Hₙ, -Hₙ]]`` from ``H₁ = [1]`` in place, the
     construction ``scipy.linalg.hadamard`` uses, so the entries equal it
     without importing scipy.
     """
-    order = int(order)
-    check_power_of_two("order", order)
-    matrix = np.empty((order, order), dtype=dtype)
-    matrix[0, 0] = 1
+    matrix = np.empty((order, order))
+    matrix[0, 0] = 1.0
     size = 1
     while size < order:
         block = matrix[:size, :size]
@@ -103,7 +100,7 @@ def subsampled_hadamard_matrix(
     if n_samples > n_pixels:
         raise ValueError("cannot draw more Hadamard rows than the matrix has")
     rng = new_rng(seed)
-    full = sylvester_hadamard(int(n_pixels))
+    full = _sylvester_hadamard(int(n_pixels))
     row_indices = rng.choice(int(n_pixels), size=int(n_samples), replace=False)
     column_signs = rng.integers(0, 2, size=int(n_pixels)) * 2 - 1
     return full[row_indices] * column_signs / np.sqrt(n_samples)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cs.matrices import (
+    _sylvester_hadamard,
     bernoulli_matrix,
     block_diagonal_matrix,
     ca_xor_matrix,
@@ -15,7 +16,6 @@ from repro.cs.matrices import (
     rademacher_matrix,
     selection_density,
     subsampled_hadamard_matrix,
-    sylvester_hadamard,
 )
 
 
@@ -56,18 +56,15 @@ class TestHadamard:
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):
             subsampled_hadamard_matrix(10, 100)
-        with pytest.raises(ValueError):
-            sylvester_hadamard(12)
 
-    @pytest.mark.parametrize("order", [2**k for k in range(13)])
+    @pytest.mark.parametrize("order", [2**k for k in range(11)])
     def test_sylvester_matches_scipy(self, order):
         """The numpy construction equals ``scipy.linalg.hadamard`` entry for
-        entry (int8 keeps the order-4096 pair at 16 MB each)."""
+        entry; the doubling step is the same at every order, so 1..1024
+        (8 MB each in float64) covers it."""
         from scipy.linalg import hadamard
 
-        ours = sylvester_hadamard(order, dtype=np.int8)
-        assert ours.dtype == np.int8
-        assert np.array_equal(ours, hadamard(order, dtype=np.int8))
+        assert np.array_equal(_sylvester_hadamard(order), hadamard(order))
 
     def test_subsampled_bytes_pinned(self):
         """Digest of the ensemble as built on ``scipy.linalg.hadamard``: the

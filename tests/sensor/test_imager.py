@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.ca.selection import selection_masks_from_states
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
-from repro.utils.rng import derive_seed, new_rng
 
 
 def photocurrents(shape, seed=0):
@@ -106,45 +104,27 @@ class TestBehaviouralCapture:
         assert isinstance(frame.metadata["n_queued_events"], float)
         assert frame.metadata["n_queued_events"] > 0.0
 
-    def test_behavioural_lost_count_matches_event_prefilter(self, small_config):
+    @pytest.mark.parametrize(
+        ("side", "n_samples"), [(16, 15), (32, 400)], ids=["16x16", "32x32"]
+    )
+    def test_behavioural_lost_count_matches_event_prefilter(self, side, n_samples):
         """The modelled loss count equals the event engine's out-of-window
         losses — the behavioural sum keeps those pixels at ``max_code``
         while the event engine drops their pulse, which is exactly the
-        distinction the metadata documents."""
-        current = photocurrents((16, 16), seed=5) * 1e-3  # dim: most saturate
-        behavioural = CompressiveImager(small_config, seed=11).capture(
-            current, n_samples=15, auto_expose=False
+        distinction the metadata documents.  The larger frame gives the
+        rank-structured count many more partial sums to get exact."""
+        config = SensorConfig(rows=side, cols=side)
+        current = photocurrents((side, side), seed=5) * 1e-3  # dim: most saturate
+        behavioural = CompressiveImager(config, seed=11).capture(
+            current, n_samples=n_samples, auto_expose=False
         )
-        event = CompressiveImager(small_config, seed=11).capture(
-            current, n_samples=15, auto_expose=False, fidelity="event"
+        event = CompressiveImager(config, seed=11).capture(
+            current, n_samples=n_samples, auto_expose=False, fidelity="event"
         )
         assert behavioural.metadata["n_lost_events"] > 0
         assert (
             behavioural.metadata["n_lost_events"] == event.metadata["n_lost_events"]
         )
-
-    @pytest.mark.parametrize("scale", [0.25, 1.0], ids=["saturated", "in-window"])
-    def test_behavioural_lost_count_equals_dense_mask_count(self, scale):
-        """``n_lost_events`` equals the count summed from the dense Φ mask
-        over the out-of-window pixels, on a saturated frame and on an
-        auto-exposed frame where every pixel fires inside the window."""
-        config = SensorConfig(rows=32, cols=32)
-        scene = make_scene("natural", (32, 32), seed=2018)
-        current = PhotoConversion(prnu_sigma=0.0, shot_noise=False).convert(scene)
-        imager = CompressiveImager(config, seed=2018)
-        frame = imager.capture(current * scale, n_samples=400, auto_expose=scale == 1.0)
-
-        times = imager.firing_times(
-            current * scale, rng=new_rng(derive_seed(imager.seed, "capture"))
-        )
-        lost = ~(np.isfinite(times) & (times < imager.tdc.conversion_window))
-        imager.selection.reset()
-        masks = selection_masks_from_states(
-            imager.selection.next_states(400), config.rows, config.cols
-        )
-        expected = int((masks.astype(np.int64) @ lost.ravel().astype(np.int64)).sum())
-        assert frame.metadata["n_lost_events"] == expected
-        assert (expected > 0) == (scale != 1.0)
 
     def test_keep_digital_image_flag(self, small_imager):
         frame = small_imager.capture(

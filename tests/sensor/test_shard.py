@@ -11,6 +11,7 @@ Pins the contracts of :mod:`repro.sensor.shard`:
   the executor is a wall-clock knob, never a semantics knob.
 """
 
+import concurrent.futures
 import os
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
+from repro.sensor import shard
 from repro.sensor.config import SensorConfig
 from repro.sensor.shard import TiledSensorArray, available_cpus, merge_tile_statistics
 
@@ -153,13 +155,20 @@ class TestTiledCapture:
         assert threaded.metadata["executor"] == "thread"
         assert threaded.metadata["max_workers"] == 2
 
-    @pytest.mark.parametrize("n_jobs", [2, 64])
-    def test_default_pool_width_is_available_cpus(self, n_jobs):
+    @pytest.mark.parametrize(("n_jobs", "width"), [(2, 2), (64, 3)])
+    def test_default_pool_width_is_available_cpus(self, monkeypatch, n_jobs, width):
         """``max_workers=None`` gives one worker per usable CPU, clamped to
         the tile count, not :mod:`concurrent.futures`' nproc + 4."""
-        pool = TiledSensorArray._make_pool("thread", None, n_jobs)
-        with pool:
-            assert pool._max_workers == min(available_cpus(), n_jobs)
+        requested = []
+
+        def recording_pool(max_workers):
+            requested.append(max_workers)
+            return "pool"
+
+        monkeypatch.setattr(shard, "available_cpus", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        assert TiledSensorArray._make_pool("thread", None, n_jobs) == "pool"
+        assert requested == [width]
 
     def test_available_cpus_counts_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
