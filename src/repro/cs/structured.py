@@ -24,19 +24,28 @@ the no-stack case, the batched multi-tile solver
 The sensor side keeps the 0/1 form ``R·rowsum + C·colsum − 2·(R X)·C``
 (:mod:`repro.sensor.imager`): capture sums integer pixel codes, where that
 form is exact and pinned byte-identical to the legacy per-pattern loop (the
-bit-fidelity invariant).  The receiver solves in float64, where the ±1 form
-needs one GEMM per product instead of a GEMM plus two matvec passes.
+bit-fidelity invariant).  The receiver's ±1 form needs one GEMM per product
+instead of a GEMM plus two matvec passes.
+
+The ±1 factors are exact in any float format, so by default
+(``precision="mixed"``) they are stored as float32 and every GEMM runs in
+float32: only the image or measurement operand and the GEMM's accumulation
+round.  The solver's iterate, the offset term's sums, λ, the step and the
+backtrack test stay float64, and so do the kernels' outputs.
+``precision="float64"`` keeps the all-float64 products, on which the
+recon-equivalence suite pins the fast path against the dense reference.
 
 :class:`StructuredSensingOperator` packages the kernels with a fast
 dictionary Ψ so the whole solver stack runs matrix-free: a 64x64 tile's dense
-Φ is a 53 MB float64 matrix streamed from memory on every product, while the
-±1 factors are a few hundred kilobytes driving small BLAS-3 kernels.
+Φ is a 53 MB float64 matrix streamed from memory on every product, while its
+float32 ±1 factors take 0.8 MB and drive small BLAS-3 kernels.
 
 The dense :class:`~repro.cs.operators.SensingOperator` stays in place as the
 executable reference; ``tests/cs/test_structured.py`` and
-``tests/recon/test_equivalence.py`` pin the two implementations against each
-other across dictionaries, shapes, seeds and solvers (the recon-equivalence
-invariant).
+``tests/recon/test_equivalence.py`` pin the float64 products against it
+across dictionaries, shapes, seeds and solvers (the recon-equivalence
+invariant), and ``tests/properties/test_property_mixed_precision.py`` bounds
+the default products' distance from the float64 ones.
 """
 
 from __future__ import annotations
@@ -47,6 +56,12 @@ import numpy as np
 from repro.ca.selection import selection_masks_from_states
 from repro.cs.dictionaries import Dictionary, IdentityDictionary
 from repro.cs.operators import BaseSensingOperator
+from repro.utils.validation import check_choice
+
+#: Product precision of :class:`StructuredSensingOperator` -> dtype of its
+#: ±1 factors and so of its GEMMs.
+_FACTOR_DTYPES = {"mixed": np.float32, "float64": np.float64}
+PRECISIONS = tuple(_FACTOR_DTYPES)
 
 
 def phi_dot_stack(
@@ -59,9 +74,13 @@ def phi_dot_stack(
 
     ``row_signs_t`` is ``S_Rᵀ`` with shape ``(..., rows, m)``, ``col_signs``
     is ``S_C`` with shape ``(..., m, cols)`` and ``offsets`` is ``½ − d``
-    with shape ``(...)``; leading axes broadcast against ``images``.
+    with shape ``(...)``; leading axes broadcast against ``images``.  The
+    GEMM and row-dot run in the factors' dtype; the offset term sums the
+    images as given and the result is float64.
     """
-    projected = np.matmul(np.swapaxes(row_signs_t, -1, -2), images)
+    projected = np.matmul(
+        np.swapaxes(row_signs_t, -1, -2), images.astype(row_signs_t.dtype, copy=False)
+    )
     cross = np.einsum("...mc,...mc->...m", projected, col_signs)
     totals = np.asarray(offsets) * images.sum(axis=(-2, -1))
     return totals[..., None] - 0.5 * cross
@@ -75,10 +94,11 @@ def phi_rdot_stack(
 ) -> np.ndarray:
     """``(Φ − d)* y`` from the ±1 factors: ``(..., m) -> (..., rows, cols)``.
 
-    Same factor layout as :func:`phi_dot_stack`; the back-projected images
-    come out in the 2-D pixel layout.
+    Same factor layout and precision as :func:`phi_dot_stack`; the
+    back-projected images come out in the 2-D pixel layout.
     """
-    cross = np.matmul(row_signs_t * measurements[..., None, :], col_signs)
+    weights = measurements.astype(row_signs_t.dtype, copy=False)
+    cross = np.matmul(row_signs_t * weights[..., None, :], col_signs)
     totals = np.asarray(offsets) * measurements.sum(axis=-1)
     return totals[..., None, None] - 0.5 * cross
 
@@ -99,6 +119,10 @@ class StructuredSensingOperator(BaseSensingOperator):
     center:
         The density offset ``d`` subtracted from every Φ entry (0.0 keeps
         the raw 0/1 matrix).  Use :attr:`density` for the exact matrix mean.
+    precision : {"mixed", "float64"}
+        Dtype of the ±1 factors and so of the products' GEMMs: float32
+        (``"mixed"``, the default) or float64, the path the
+        recon-equivalence suite pins against the dense reference.
 
     Every product runs the ±1 kernels (:func:`phi_dot_stack` /
     :func:`phi_rdot_stack`) on :attr:`row_signs_t` and :attr:`col_signs`;
@@ -113,7 +137,9 @@ class StructuredSensingOperator(BaseSensingOperator):
         dictionary: Dictionary | None = None,
         *,
         center: float = 0.0,
+        precision: str = "mixed",
     ) -> None:
+        check_choice("precision", precision, PRECISIONS)
         row_factors = np.asarray(row_factors)
         col_factors = np.asarray(col_factors)
         if row_factors.ndim != 2 or col_factors.ndim != 2:
@@ -128,11 +154,14 @@ class StructuredSensingOperator(BaseSensingOperator):
                 raise ValueError(f"{name} must contain only 0/1 values")
         self.row_factors = row_factors.astype(np.uint8)
         self.col_factors = col_factors.astype(np.uint8)
-        #: ``S_Rᵀ``, shape ``(rows, m)``: the float64 ±1 row factors
-        #: ``1 − 2·R``, pre-transposed and contiguous for the adjoint's GEMM.
-        self.row_signs_t = 1.0 - 2.0 * np.ascontiguousarray(self.row_factors.T)
-        #: ``S_C``, shape ``(m, cols)``: the float64 ±1 column factors.
-        self.col_signs = 1.0 - 2.0 * self.col_factors
+        self.precision = precision
+        dtype = _FACTOR_DTYPES[precision]
+        #: ``S_Rᵀ``, shape ``(rows, m)``: the ±1 row factors ``1 − 2·R``
+        #: (float32 unless ``precision="float64"``), pre-transposed and
+        #: contiguous for the adjoint's GEMM.
+        self.row_signs_t = 1 - 2 * np.ascontiguousarray(self.row_factors.T, dtype=dtype)
+        #: ``S_C``, shape ``(m, cols)``: the ±1 column factors, same dtype.
+        self.col_signs = 1 - 2 * self.col_factors.astype(dtype)
         self.image_shape: tuple[int, int] = (
             int(row_factors.shape[1]),
             int(col_factors.shape[1]),

@@ -26,7 +26,7 @@ import numpy as np
 from repro.ca.selection import ca_measurement_matrix, ca_selection_factors
 from repro.cs.dictionaries import Dictionary, make_dictionary
 from repro.cs.operators import BaseSensingOperator, SensingOperator
-from repro.cs.structured import StructuredSensingOperator
+from repro.cs.structured import PRECISIONS, StructuredSensingOperator
 from repro.sensor.imager import CompressedFrame
 from repro.utils.validation import check_choice, check_positive
 
@@ -153,6 +153,7 @@ def frame_operator(
     center: bool = True,
     operator: str = "structured",
     sample_mask: np.ndarray | None = None,
+    precision: str = "mixed",
 ) -> tuple[BaseSensingOperator, float]:
     """Build the sensing operator for a captured frame.
 
@@ -187,8 +188,14 @@ def frame_operator(
         The centring density is recomputed over the *surviving* subset so
         the masked operator matches a from-scratch solve on those rows.  An
         all-true mask takes the exact unmasked path.
+    precision : {"mixed", "float64"}
+        Product precision of the structured operator (see
+        :class:`~repro.cs.structured.StructuredSensingOperator`): float32
+        ±1-factor GEMMs by default, all-float64 on request.  The dense
+        reference is always float64.
     """
     check_choice("operator", operator, OPERATOR_CHOICES)
+    check_choice("precision", precision, PRECISIONS)
     mask = normalize_sample_mask(sample_mask, frame.n_samples)
     shape = (frame.config.rows, frame.config.cols)
     psi: Dictionary = make_dictionary(dictionary, shape)
@@ -204,7 +211,9 @@ def frame_operator(
         if mask is not None:
             row_factors = row_factors[mask]
             col_factors = col_factors[mask]
-        structured = StructuredSensingOperator(row_factors, col_factors, psi)
+        structured = StructuredSensingOperator(
+            row_factors, col_factors, psi, precision=precision
+        )
         matrix_density = structured.density
         density = matrix_density if center else 0.0
         structured.center = density

@@ -5,12 +5,15 @@ in seconds; the full 64x64 Table II configuration is exercised by the
 integration tests and the benchmarks.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
+from repro.recon.operator import frame_operator
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
 
@@ -18,6 +21,19 @@ from repro.sensor.imager import CompressiveImager
 # no per-example deadline, still randomised so each run explores new inputs.
 # Tier-1 keeps hypothesis' default profile.
 settings.register_profile("fuzz", max_examples=2000, deadline=None)
+
+
+@pytest.fixture
+def float64_products():
+    """Make float64 the default product precision of every frame operator.
+
+    The recon-equivalence pins (structured against dense at 1e-8) hold on
+    the all-float64 products.  :func:`~repro.recon.operator.frame_operator`
+    builds every receiver-side operator, so switching its default reaches
+    ``reconstruct_frame``, ``reconstruct_tiled`` and the batched solve alike.
+    """
+    with patch.dict(frame_operator.__kwdefaults__, precision="float64"):
+        yield
 
 
 @pytest.fixture

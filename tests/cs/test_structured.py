@@ -43,7 +43,10 @@ def make_pair(shape, dictionary, *, seed=0, n_samples=40, center=True, **ca_kwar
         n_samples, rows, cols, seed_state, **ca_kwargs
     )
     psi = make_dictionary(dictionary, shape)
-    structured = StructuredSensingOperator(row_factors, col_factors, psi)
+    # The dense pins hold at 1e-10 on the float64 products.
+    structured = StructuredSensingOperator(
+        row_factors, col_factors, psi, precision="float64"
+    )
     density = structured.density if center else 0.0
     structured.center = density
     phi = ca_measurement_matrix(n_samples, rows, cols, seed_state, **ca_kwargs)
@@ -159,6 +162,10 @@ class TestStructuredEquivalence:
             )
         with pytest.raises(ValueError, match="0/1"):
             StructuredSensingOperator(np.full((4, 8), 2), np.zeros((4, 8)))
+        with pytest.raises(ValueError, match="precision"):
+            StructuredSensingOperator(
+                np.zeros((4, 8)), np.zeros((4, 8)), precision="float16"
+            )
         with pytest.raises(ValueError, match="dictionary shape"):
             StructuredSensingOperator(
                 np.zeros((4, 8), dtype=np.uint8),

@@ -9,10 +9,12 @@ against ``selection_masks_from_states`` expanded densely, for ``center`` 0
 and the exact density, plus the adjoint identity ``⟨Φx, y⟩ = ⟨x, Φ*y⟩``.
 
 Tolerances are relative to the l1 norm of the input vector.  Every term of
-the ±1 kernels is bounded by it, so it is the scale float64 rounding error
-grows with — also where Φ's row is all zeros and the two ±1 terms cancel
-exactly.  1e-12 leaves over three orders of magnitude of headroom at these
-sizes.
+the ±1 kernels is bounded by it, so it is the scale rounding error grows
+with — also where Φ's row is all zeros and the two ±1 terms cancel exactly.
+The dense pins run on the float64 products, where 1e-12 leaves over three
+orders of magnitude of headroom at these sizes.  The default float32 GEMMs
+are pinned at 1e-5: float32's rounding unit (6e-8) times the at most 24
+terms a product sums here, with headroom.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.cs.solvers.batched import _TileStack
 from repro.cs.structured import StructuredSensingOperator
 
 RTOL = 1e-12
+MIXED_RTOL = 1e-5
 
 
 @st.composite
@@ -50,15 +53,15 @@ def dense_phi(row_factors, col_factors, center):
     return masks.astype(float) - center
 
 
-def make_operator(row_factors, col_factors, centred):
-    operator = StructuredSensingOperator(row_factors, col_factors)
+def make_operator(row_factors, col_factors, centred, precision="float64"):
+    operator = StructuredSensingOperator(row_factors, col_factors, precision=precision)
     operator.center = operator.density if centred else 0.0
     return operator
 
 
-def assert_close(got, vector, reference):
+def assert_close(got, vector, reference, rtol=RTOL):
     scale = max(float(np.abs(vector).sum()), 1e-300)
-    assert np.abs(got - reference).max() <= RTOL * scale
+    assert np.abs(got - reference).max() <= rtol * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,6 +75,21 @@ def test_solo_products_match_dense_phi(pair, centred, seed):
     samples = rng.standard_normal(phi.shape[0])
     assert_close(operator.phi_dot(pixels), pixels, phi @ pixels)
     assert_close(operator.phi_rdot(samples), samples, phi.T @ samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_pairs(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_mixed_products_match_dense_phi_at_float32_rounding(pair, centred, seed):
+    row_factors, col_factors = pair
+    operator = make_operator(row_factors, col_factors, centred, precision="mixed")
+    phi = dense_phi(row_factors, col_factors, operator.center)
+    rng = np.random.default_rng(seed)
+    pixels = rng.standard_normal(phi.shape[1])
+    samples = rng.standard_normal(phi.shape[0])
+    forward, back = operator.phi_dot(pixels), operator.phi_rdot(samples)
+    assert forward.dtype == back.dtype == np.float64
+    assert_close(forward, pixels, phi @ pixels, MIXED_RTOL)
+    assert_close(back, samples, phi.T @ samples, MIXED_RTOL)
 
 
 @settings(max_examples=40, deadline=None)

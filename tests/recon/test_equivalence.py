@@ -8,6 +8,10 @@ solvers; and the batched multi-tile solve must agree with the per-tile path
 the same way.  Whenever the solver stack or the operator algebra changes,
 this suite is the tripwire: the dense path stays in the tree precisely so
 the fast path can be pinned against it.
+
+The suite runs on the float64 products (the ``float64_products`` fixture):
+the default float32 ±1-factor GEMMs round at ~1e-3 codes, and their bound
+against float64 is pinned by ``tests/properties/test_property_mixed_precision.py``.
 """
 
 import numpy as np
@@ -20,6 +24,8 @@ from repro.recon.pipeline import reconstruct_frame, reconstruct_tiled
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
 from repro.sensor.shard import TiledSensorArray
+
+pytestmark = pytest.mark.usefixtures("float64_products")
 
 #: The invariant's tolerance: solver outputs of the two operator flavours
 #: agree to this absolute tolerance (code units; images span ~1000 codes).
@@ -56,6 +62,8 @@ class TestFrameOperatorFlavours:
             frame_operator(frame, operator="sparse")
         with pytest.raises(ValueError, match="operator"):
             reconstruct_frame(frame, operator="sparse")
+        with pytest.raises(ValueError, match="precision"):
+            frame_operator(frame, operator="dense", precision="float16")
 
 
 class TestReconstructFrameEquivalence:

@@ -62,7 +62,7 @@ class TestReconstructTiled:
         )
         assert batched.image.tobytes() == serial.image.tobytes()
 
-    def test_dense_operator_reachable(self, tiled_capture):
+    def test_dense_operator_reachable(self, tiled_capture, float64_products):
         dense = reconstruct_tiled(tiled_capture, max_iterations=40, operator="dense")
         structured = reconstruct_tiled(
             tiled_capture, max_iterations=40, executor="serial"

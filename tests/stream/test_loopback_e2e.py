@@ -134,13 +134,34 @@ class TestSlowReceiverBackpressure:
         scenes = [make_scene("blobs", (16, 16), seed=index) for index in range(12)]
         max_buffered = 2
 
-        class SlowTransport(LoopbackTransport):
+        class HeldTransport(LoopbackTransport):
+            """A receiver that starts reading only once the node is blocked.
+
+            The first ``recv`` waits until a ``send`` finds the pipe full, so
+            the node stalls on every run, however fast capture is.
+            """
+
+            def __init__(self, max_buffered):
+                super().__init__(max_buffered=max_buffered)
+                self.node_blocked = asyncio.Event()
+
+            async def send(self, data):
+                if self._queue.full():
+                    self.node_blocked.set()
+                await super().send(data)
+
             async def recv(self):
-                await asyncio.sleep(0.003)  # a receiver slower than capture
+                await self.node_blocked.wait()
                 return await super().recv()
 
+            async def close(self):
+                # A node that never blocked fails the stall assertion below
+                # instead of hanging the held receiver.
+                self.node_blocked.set()
+                await super().close()
+
         async def scenario():
-            transport = SlowTransport(max_buffered=max_buffered)
+            transport = HeldTransport(max_buffered)
             node = CameraNode(transport)
             receiver = StreamReceiver(reconstruct=False)
             send_task = asyncio.create_task(node.stream_frames(imager, scenes))
@@ -148,7 +169,8 @@ class TestSlowReceiverBackpressure:
             stats = await send_task
             return transport, result, stats
 
-        transport, result, stats = run(scenario())
+        # The timeout only guards against a hang if the node dies early.
+        transport, result, stats = run(asyncio.wait_for(scenario(), timeout=60.0))
         # Bounded: the queue never held more than its cap, and the node hit
         # the bound (it stalled) instead of outrunning the receiver.
         assert transport.high_watermark <= max_buffered
