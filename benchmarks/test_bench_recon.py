@@ -2,8 +2,9 @@
 
 The ``recon`` group times the receiver half of the system, which PR 5 made
 matrix-free: the rank-structured ``(R, C)`` operator replaces the dense Φ
-matmuls, the tiled mosaic is solved by the einsum-driven batched multi-tile
-FISTA, and step sizes are memoised per operator.
+matmuls, the tiled mosaic is solved by the batched multi-tile FISTA in
+cache-sized tile groups (each tile's GEMMs on its own factors), and step
+sizes come from each CA operator's closed-form norm estimate.
 
 * ``test_recon_64x64_fista_dense`` / ``..._structured`` — one 64x64 frame
   through the proximal solver, dense reference vs matrix-free default;
@@ -132,7 +133,7 @@ def test_recon_tiled_256x256_dense_threaded(benchmark, mosaic_capture):
 
 @pytest.mark.benchmark(group="recon")
 def test_recon_tiled_256x256_structured_batched(benchmark, mosaic_capture):
-    """The PR-5 default: stacked rank-structured factors, one einsum pass."""
+    """The default: stacked structured solves in cache-sized tile groups."""
     result = benchmark(
         lambda: reconstruct_tiled(mosaic_capture, max_iterations=MAX_ITERATIONS)
     )

@@ -60,8 +60,8 @@ from repro.utils.validation import check_choice
 
 #: Product precision of :class:`StructuredSensingOperator` -> dtype of its
 #: ±1 factors and so of its GEMMs.
-_FACTOR_DTYPES = {"mixed": np.float32, "float64": np.float64}
-PRECISIONS = tuple(_FACTOR_DTYPES)
+FACTOR_DTYPES = {"mixed": np.float32, "float64": np.float64}
+PRECISIONS = tuple(FACTOR_DTYPES)
 
 
 def phi_dot_stack(
@@ -155,7 +155,7 @@ class StructuredSensingOperator(BaseSensingOperator):
         self.row_factors = row_factors.astype(np.uint8)
         self.col_factors = col_factors.astype(np.uint8)
         self.precision = precision
-        dtype = _FACTOR_DTYPES[precision]
+        dtype = FACTOR_DTYPES[precision]
         #: ``S_Rᵀ``, shape ``(rows, m)``: the ±1 row factors ``1 − 2·R``
         #: (float32 unless ``precision="float64"``), pre-transposed and
         #: contiguous for the adjoint's GEMM.

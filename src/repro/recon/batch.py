@@ -1,14 +1,21 @@
-"""Batched multi-tile frame solves: one einsum pass over a whole mosaic.
+"""Batched multi-tile frame solves: a mosaic solved in cache-sized groups.
 
 :func:`solve_tiles_batched` is the mosaic-scale twin of
 :func:`~repro.recon.pipeline.reconstruct_frame`: it shares its per-tile
 centring and default l1 weight
 (:func:`~repro.recon.pipeline.center_frame_samples`) and result packaging,
-and runs the same FISTA/ISTA loop — but over *all* equal-shape tiles of a
-frame at once, through the stacked rank-structured operators of
-:mod:`repro.cs.solvers.batched`.  Per-tile step sizes come from each CA
-operator's closed-form norm estimate, exactly as in the solo path.  The
-result is byte-identical to solving the tiles one by one.
+and runs the same FISTA/ISTA loop — but over a stack of equal-shape tiles
+at once, through the stacked operators of :mod:`repro.cs.solvers.batched`,
+where each tile's GEMMs run on its own ±1 factors.  Per-tile step sizes
+come from each CA operator's closed-form norm estimate, exactly as in the
+solo path.
+
+The tiles are independent inverse problems, so a frame is solved in groups
+of :func:`tiles_per_group` tiles whose factors fit
+:data:`GROUP_FACTOR_BUDGET`: each group's operators are built just before
+its solve and dropped after it, so solve memory does not grow with the
+mosaic's tile count.  A tile's bytes do not depend on the stack it rides
+in, so the result is byte-identical to solving the tiles one by one.
 
 :class:`~repro.recon.incremental.IncrementalTiledReconstructor` routes its
 staged tiles through this function, which is how both
@@ -28,6 +35,7 @@ from repro.cs.solvers.batched import (
     batched_proximal_gradient,
     steps_from_norms,
 )
+from repro.cs.structured import FACTOR_DTYPES
 from repro.recon.operator import frame_operator
 from repro.recon.pipeline import (
     _DEFAULT_MAX_ITERATIONS,
@@ -52,6 +60,25 @@ def batch_group_key(frame: CompressedFrame) -> tuple:
     )
 
 
+#: Bytes of ±1 factors one solve group may hold: half of a 2 MiB per-core
+#: L2, and the bound on a mosaic solve's operator memory.  A 64x64,
+#: 1638-sample tile (0.8 MB of float32 factors) solves alone, while 16x16,
+#: 102-sample tiles stack 80 to a group.
+GROUP_FACTOR_BUDGET = 1 << 20
+
+
+def tiles_per_group(frame: CompressedFrame) -> int:
+    """How many tiles shaped like ``frame`` one solve group stacks.
+
+    As many as fit their ±1 factors — ``n_samples·(rows + cols)`` entries of
+    the default product precision per tile — in :data:`GROUP_FACTOR_BUDGET`,
+    and at least one.
+    """
+    itemsize = np.dtype(FACTOR_DTYPES["mixed"]).itemsize
+    tile_bytes = frame.n_samples * (frame.config.rows + frame.config.cols) * itemsize
+    return max(1, GROUP_FACTOR_BUDGET // tile_bytes)
+
+
 def solve_tiles_batched(
     frames: Sequence[CompressedFrame],
     *,
@@ -60,7 +87,11 @@ def solve_tiles_batched(
     regularization: float | None = None,
     max_iterations: int | None = None,
 ) -> list[ReconstructionResult]:
-    """Solve a homogeneous group of tile frames in one batched pass.
+    """Solve equal-geometry tile frames in stacked groups.
+
+    The frames are walked in groups of :func:`tiles_per_group`; each group
+    builds its operators, runs one batched proximal-gradient solve and
+    releases them before the next group starts.
 
     Parameters
     ----------
@@ -88,7 +119,30 @@ def solve_tiles_batched(
         )
     if max_iterations is None:
         max_iterations = _DEFAULT_MAX_ITERATIONS[solver]
+    size = tiles_per_group(frames[0])
+    results: list[ReconstructionResult] = []
+    for start in range(0, len(frames), size):
+        results.extend(
+            _solve_group(
+                frames[start : start + size],
+                dictionary=dictionary,
+                solver=solver,
+                regularization=regularization,
+                max_iterations=max_iterations,
+            )
+        )
+    return results
 
+
+def _solve_group(
+    frames: Sequence[CompressedFrame],
+    *,
+    dictionary: str,
+    solver: str,
+    regularization: float | None,
+    max_iterations: int,
+) -> list[ReconstructionResult]:
+    """One stacked solve; its operators are freed when it returns."""
     built = [
         frame_operator(
             frame,

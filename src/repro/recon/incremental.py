@@ -47,9 +47,10 @@ class IncrementalTiledReconstructor:
       :func:`~repro.recon.pipeline.reconstruct_tiled`, and a streamed tile
       that lost samples, solved over its surviving rows of Φ);
     * **staged/batched** — :meth:`stage_tile` only records frames and
-      :meth:`solve_staged` later inverts every equal-shape group in one
-      einsum-driven multi-tile pass (the default for whole-frame
-      reconstruction, in-process and at the streaming frame barrier alike).
+      :meth:`solve_staged` later inverts every equal-shape group through
+      :func:`~repro.recon.batch.solve_tiles_batched`, in stacked solves of
+      cache-sized tile groups (the default for whole-frame reconstruction,
+      in-process and at the streaming frame barrier alike).
 
     Parameters
     ----------
@@ -187,9 +188,10 @@ class IncrementalTiledReconstructor:
 
         With the structured operator and a FISTA/ISTA solver, every
         equal-geometry group runs through
-        :func:`~repro.recon.batch.solve_tiles_batched` — all tiles of a
-        group iterated in one einsum pass; odd-shaped edge tiles simply form
-        single-tile groups and take the same batched path with ``T = 1``.
+        :func:`~repro.recon.batch.solve_tiles_batched`, which stacks as many
+        of its tiles per solve as fit the factor budget, each tile's GEMMs
+        on its own factors; odd-shaped edge tiles simply form single-tile
+        groups and take the same batched path with ``T = 1``.
         Greedy solvers and the dense operator flavour fall back to the
         ordinary per-tile solve.  Returns the per-tile results in staging
         order.

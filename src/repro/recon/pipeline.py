@@ -27,7 +27,7 @@ from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.solvers import SolverResult, cosamp, fista, iht, ista, omp
 from repro.recon.operator import frame_operator, normalize_sample_mask
 from repro.sensor.imager import CompressedFrame
-from repro.sensor.shard import TiledCaptureResult
+from repro.sensor.shard import TiledCaptureResult, pool_width
 from repro.utils.validation import check_choice
 
 _SOLVERS = {
@@ -402,14 +402,18 @@ def reconstruct_tiled(
         Ground-truth code image of the whole scene; when omitted, the
         stitched per-tile digital images are used if the capture kept them.
     executor : {"batched", "serial", "thread"}
-        ``"batched"`` (default) stacks the rank-structured factors of every
-        equal-shape tile and iterates all of them through one einsum-driven
-        FISTA/ISTA pass (solvers outside that family, or the dense operator
+        ``"batched"`` (default) solves the equal-shape tiles as stacked
+        FISTA/ISTA groups through
+        :func:`~repro.recon.batch.solve_tiles_batched`, each tile's GEMMs on
+        its own factors (solvers outside that family, or the dense operator
         flavour, fall back to the per-tile loop inside the same call).
         ``"serial"`` / ``"thread"`` run the classic per-tile solves inline
         or on a thread pool.
     max_workers : int, optional
-        Thread-pool width; ``None`` lets :mod:`concurrent.futures` pick.
+        Thread-pool width; ``None`` means one thread per CPU the process
+        may run on, and the pool is never wider than the tile count — the
+        same sizing as :class:`~repro.sensor.shard.TiledSensorArray`
+        (:func:`~repro.sensor.shard.pool_width`).
     operator : {"structured", "dense"}
         Operator flavour for the per-tile solves, as in
         :func:`reconstruct_frame`.
@@ -447,7 +451,8 @@ def reconstruct_tiled(
             reconstructor.stage_tile(slot.grid_row, slot.grid_col, frame)
         reconstructor.solve_staged()
     elif executor == "thread" and len(pairs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
+        width = pool_width(max_workers, len(pairs))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=width) as pool:
             flat_results = list(
                 pool.map(reconstructor.solve_tile, [frame for _, frame in pairs])
             )

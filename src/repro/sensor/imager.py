@@ -19,7 +19,7 @@ and the sample-and-add chain (III-B).  Two fidelity levels are offered:
 * ``"event"`` — event-accurate and *also* batched: the paper's column-bus
   arbitration (token protocol, collision queueing, deadline losses) is
   resolved column-parallel.  The firing times of every column are sorted
-  once per frame, the bus-emission instants of **all** sample x column
+  once per frame, the bus-emission instants of a block of sample x column
   instances are produced by one vectorised single-server recurrence
   (:func:`~repro.sensor.column_bus.arbitrate_columns`), the TDC samples the
   counter at those instants in one pass and the per-column code sums are
@@ -57,6 +57,11 @@ from repro.sensor.sample_add import SampleAndAdd, fold_column_sums
 from repro.sensor.tdc import GlobalCounterTDC, iter_lsb_bump_hits
 from repro.utils.rng import SeedLike, derive_seed, new_rng
 from repro.utils.validation import check_choice, check_positive
+
+#: Pixel instances (samples x rows x cols) the event-accurate engine expands
+#: per block: a 64x64 frame is arbitrated 16 samples at a time, which keeps
+#: the engine's transients to a few MB whatever the sample count.
+EVENT_BLOCK_SLOTS = 1 << 16
 
 #: Accuracy contract of the ``dtype="float32"`` behavioural fast mode, in
 #: compressed-sample code units.  With ``lsb_error=False`` a float32 capture
@@ -776,29 +781,76 @@ class CompressiveImager:
         """Event-accurate capture of one frame, column-parallel.
 
         The per-event Python loop this replaces walked every pattern, column
-        and pixel object; here the whole frame is four numpy passes:
+        and pixel object; here each block of samples is four numpy passes:
 
         1. sort each column's firing times once (they are shared by every
-           selection pattern) and expand the CA states into per-(sample,
-           column) activity flags over that sorted order;
+           selection pattern) and expand the block's CA states into
+           per-(sample, column) activity flags over that sorted order;
         2. run the vectorised single-server recurrence of
-           :func:`~repro.sensor.column_bus.arbitrate_columns` over all
-           sample x column bus instances at once — collision pools of three
-           or more events fall back to the scalar arbiter, which remains the
-           executable specification;
+           :func:`~repro.sensor.column_bus.arbitrate_columns` over the
+           block's sample x column bus instances at once — collision pools
+           of three or more events fall back to the scalar arbiter, which
+           remains the executable specification;
         3. sample the global counter at every delivered emission instant in
            one :meth:`~repro.sensor.tdc.GlobalCounterTDC.late_detection_codes`
            call;
         4. fold the per-column code sums through the batched Sample & Add.
 
-        The result — samples, lost/queued counts, LSB errors, maximum queue
-        delay — is event-for-event identical to the reference loop
+        Arbitration is independent per sample, so the samples are taken
+        :data:`EVENT_BLOCK_SLOTS` pixel instances at a time and only the
+        per-column code sums and event counts are kept across blocks:
+        memory stays bounded whatever the sample count.  The result —
+        samples, lost/queued counts, LSB errors, maximum queue delay — is
+        event-for-event identical to the reference loop
         (``tests/sensor/test_event_equivalence.py`` pins this).
         """
         rows, cols = self.config.rows, self.config.cols
         n_samples = states.shape[0]
+        column_order = column_event_order(times, self.tdc.conversion_window)
+        block = max(1, EVENT_BLOCK_SLOTS // (rows * cols))
+        column_sums = np.empty((n_samples, cols), dtype=np.int64)
+        n_lost = n_queued = n_lsb_errors = 0
+        max_queue_delay = 0.0
+        for start in range(0, n_samples, block):
+            stop = min(start + block, n_samples)
+            sums, lost, queued, lsb_errors, delay = self._arbitrate_event_block(
+                states[start:stop], column_order, lsb_error=lsb_error
+            )
+            column_sums[start:stop] = sums
+            n_lost += lost
+            n_queued += queued
+            n_lsb_errors += lsb_errors
+            max_queue_delay = max(max_queue_delay, delay)
+        samples = fold_column_sums(
+            column_sums,
+            column_bits=self.config.column_sum_bits,
+            sample_bits=self.config.compressed_sample_bits,
+        )
+        metadata = {
+            "n_lost_events": n_lost,
+            "n_queued_events": n_queued,
+            "n_lsb_errors": n_lsb_errors,
+            "max_queue_delay": max_queue_delay,
+            "event_statistics": "exact",
+        }
+        return samples, metadata
+
+    def _arbitrate_event_block(
+        self,
+        states: np.ndarray,
+        column_order: tuple[np.ndarray, np.ndarray, np.ndarray],
+        *,
+        lsb_error: bool,
+    ) -> tuple[np.ndarray, int, int, int, float]:
+        """One sample block of :meth:`_capture_event`.
+
+        Returns the block's ``(n_block, cols)`` per-column code sums, then
+        its lost, queued and LSB-error event counts and maximum queue delay.
+        """
+        rows, cols = self.config.rows, self.config.cols
+        n_samples = states.shape[0]
         deadline = self.tdc.conversion_window
-        order, sorted_times, valid = column_event_order(times, deadline)
+        order, sorted_times, valid = column_order
 
         row_signals = states[:, :rows].astype(bool)
         col_signals = states[:, rows:].astype(bool)
@@ -834,19 +886,13 @@ class CompressiveImager:
 
         code_matrix = np.zeros(delivered.shape, dtype=np.int64)
         code_matrix[delivered] = codes
-        samples = fold_column_sums(
+        return (
             code_matrix.sum(axis=1).reshape(n_samples, cols),
-            column_bits=self.config.column_sum_bits,
-            sample_bits=self.config.compressed_sample_bits,
+            n_lost_outside + batch.n_dropped,
+            int(np.count_nonzero(delays > 0.0)),
+            int(np.count_nonzero(codes != ideal)),
+            float(delays.max()) if delays.size else 0.0,
         )
-        metadata = {
-            "n_lost_events": n_lost_outside + batch.n_dropped,
-            "n_queued_events": int(np.count_nonzero(delays > 0.0)),
-            "n_lsb_errors": int(np.count_nonzero(codes != ideal)),
-            "max_queue_delay": float(delays.max()) if delays.size else 0.0,
-            "event_statistics": "exact",
-        }
-        return samples, metadata
 
     def _capture_event_reference(
         self,

@@ -274,6 +274,18 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def pool_width(max_workers: int | None, n_jobs: int) -> int:
+    """Workers for a pool running ``n_jobs`` tile jobs.
+
+    ``max_workers``, or one worker per usable CPU (:func:`available_cpus`)
+    when it is ``None``, and never more than the job count.  Tile captures
+    and per-tile solves size their pools here.
+    """
+    if max_workers is None:
+        max_workers = available_cpus()
+    return min(int(max_workers), n_jobs)
+
+
 def _capture_tile(job) -> CompressedFrame:
     """Capture one tile; module-level so process executors can pickle it.
 
@@ -753,14 +765,12 @@ class TiledSensorArray:
         """
         if executor == "serial" or n_jobs <= 1:
             return None
-        if max_workers is None:
-            max_workers = available_cpus()
         pool_class = (
             concurrent.futures.ThreadPoolExecutor
             if executor == "thread"
             else concurrent.futures.ProcessPoolExecutor
         )
-        return pool_class(max_workers=min(int(max_workers), n_jobs))
+        return pool_class(max_workers=pool_width(max_workers, n_jobs))
 
     @staticmethod
     def _run_jobs(jobs, executor: str, max_workers: int | None, job_fn=_capture_tile):

@@ -107,7 +107,7 @@ class GlobalCounterTDC:
         ``(emit_codes, ideal_codes)`` pair; the difference between the two is
         exactly the ±1 LSB (or more, under heavy queueing) late-detection
         error discussed in Section III-B.  The batched event engine calls
-        this once per frame over every delivered event.
+        this once per sample block over every delivered event.
         """
         emit_codes = self.sample(np.asarray(emit_times, dtype=float))
         ideal_codes = self.sample(np.asarray(fire_times, dtype=float))

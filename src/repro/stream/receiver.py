@@ -8,11 +8,12 @@ stream, attaches the transport and returns that stream's result.  All the
 actual protocol work lives in :class:`~repro.stream.session.StreamSession`:
 
 * tiled streams collect a frame's tiles as they land and invert them
-  **batched** at the ``FRAME_COMPLETE`` barrier — every equal-shape tile of
-  the mosaic iterated through one einsum-driven multi-tile FISTA pass over
-  the stacked rank-structured ``(R, C)`` factors, exactly the path
-  in-process :func:`~repro.recon.pipeline.reconstruct_tiled` defaults to,
-  so streamed and in-process reconstructions stay byte-identical;
+  **batched** at the ``FRAME_COMPLETE`` barrier — the mosaic's equal-shape
+  tiles solved in stacked FISTA groups sized to a cache budget
+  (:func:`~repro.recon.batch.solve_tiles_batched`), each tile's GEMMs on
+  its own rank-structured ``(R, C)`` factors, exactly the path in-process
+  :func:`~repro.recon.pipeline.reconstruct_tiled` defaults to, so streamed
+  and in-process reconstructions stay byte-identical;
 * video streams maintain one **seed chain** per tile position: keyframes
   re-anchor the chain with their inline seed, seedless frames decode against
   it, and after every frame the chain advances by the one-pattern frame

@@ -1,8 +1,11 @@
 """Tile-by-tile reconstruction of sharded captures."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
+import repro.sensor.shard as shard
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.recon.pipeline import reconstruct_tiled
@@ -42,6 +45,25 @@ class TestReconstructTiled:
             tiled_capture, max_iterations=40, executor="thread", max_workers=2
         )
         assert np.array_equal(serial.image, threaded.image)
+
+    @pytest.mark.parametrize(("cpus", "width"), [(3, 3), (64, 6)])
+    def test_default_thread_pool_sized_like_the_capture_pool(
+        self, monkeypatch, tiled_capture, cpus, width
+    ):
+        """``max_workers=None`` gives one thread per usable CPU, clamped to
+        the tile count, as :class:`TiledSensorArray` sizes its pool."""
+        requested = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            requested.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(shard, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        assert tiled_capture.n_tiles == 6
+        reconstruct_tiled(tiled_capture, max_iterations=5, executor="thread")
+        assert requested == [width]
 
     def test_batched_executor_matches_per_tile(self, tiled_capture):
         """The default batched solve is the per-tile solve, vectorised."""
