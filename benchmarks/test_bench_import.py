@@ -4,9 +4,10 @@ A camera node or hub that restarts pays this before its first frame, and it
 is almost all of perfbench's ``setup_s``.  Each round starts a new
 interpreter, so nothing is cached in ``sys.modules``; the time includes the
 interpreter's own start-up (a few tens of ms), which is constant across
-changes to the package.  The capture→pixels path must not import scipy
-(``tests/test_import_boundary.py``); this member makes a slip visible to the
-regression gate as a time, since scipy alone costs about half a second.
+changes to the package.  No module of the package imports scipy, a test-only
+dependency (``tests/test_import_boundary.py``); this member makes a slip
+visible to the regression gate as a time, since scipy alone costs about half
+a second.
 """
 
 import os

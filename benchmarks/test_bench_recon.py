@@ -10,12 +10,11 @@ sizes come from each CA operator's closed-form norm estimate.
   through the proximal solver, dense reference vs matrix-free default;
 * ``test_recon_64x64_omp_dense`` / ``..._structured`` — the greedy path,
   exercising the batched ``columns`` support solves;
-* ``test_recon_tiled_256x256_dense_threaded`` / ``..._structured_batched``
-  — the headline pair: a 16-tile 256x256 mosaic through the pre-PR per-tile
-  thread-pool loop (dense operators) vs the batched structured default.
-  The batched path must beat the per-tile thread pool by a wide margin
-  (≥5x median on the reference runner; the inline assertion uses a 3x
-  floor for noisy shared CI machines);
+* ``test_recon_tiled_256x256_structured_batched`` — the headline: a 16-tile
+  256x256 mosaic through the batched structured default.  It must beat the
+  dense per-tile loop by a wide margin (``test_batched_structured_beats_dense_per_tile``:
+  ~5x on the reference runner; the inline assertion uses a 3x floor for
+  noisy shared CI machines);
 * ``test_recon_streamed_video_decode_and_reconstruct`` — a four-frame 64x64
   GOP video over loopback with reconstruction *enabled*: the frames/s a
   receiver actually sustains while decoding and inverting.
@@ -118,20 +117,6 @@ def test_recon_64x64_omp_structured(benchmark, single_frame):
 
 
 @pytest.mark.benchmark(group="recon")
-def test_recon_tiled_256x256_dense_threaded(benchmark, mosaic_capture):
-    """The pre-PR-5 default: dense per-tile solves on a thread pool."""
-    result = benchmark(
-        lambda: reconstruct_tiled(
-            mosaic_capture,
-            max_iterations=MAX_ITERATIONS,
-            executor="thread",
-            operator="dense",
-        )
-    )
-    assert result.image.shape == (256, 256)
-
-
-@pytest.mark.benchmark(group="recon")
 def test_recon_tiled_256x256_structured_batched(benchmark, mosaic_capture):
     """The default: stacked structured solves in cache-sized tile groups."""
     result = benchmark(
@@ -144,10 +129,9 @@ def test_recon_tiled_256x256_structured_batched(benchmark, mosaic_capture):
 def test_batched_structured_beats_dense_per_tile(mosaic_capture):
     """The tentpole speedup, asserted: batched structured vs per-tile dense.
 
-    The reference runner shows ~5x against the serial per-tile loop and ~7x
-    against the thread-pool loop (BLAS contention makes the pool slower than
-    serial on many-core machines); the assertion floor is 3x to stay robust
-    on noisy shared CI runners.
+    The dense operator always solves tile by tile, serially.  The reference
+    runner shows ~5x; the assertion floor is 3x to stay robust on noisy
+    shared CI runners.
     """
 
     def median_time(fn, repeats=3):
@@ -163,10 +147,7 @@ def test_batched_structured_beats_dense_per_tile(mosaic_capture):
     )
     dense_serial = median_time(
         lambda: reconstruct_tiled(
-            mosaic_capture,
-            max_iterations=MAX_ITERATIONS,
-            executor="serial",
-            operator="dense",
+            mosaic_capture, max_iterations=MAX_ITERATIONS, operator="dense"
         ),
         repeats=1,
     )

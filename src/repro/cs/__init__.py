@@ -18,19 +18,17 @@ from repro.cs.dictionaries import (
 )
 from repro.cs.matrices import (
     bernoulli_matrix,
-    block_diagonal_matrix,
     ca_xor_matrix,
     center_matrix,
     gaussian_matrix,
     lfsr_matrix,
-    rademacher_matrix,
     subsampled_hadamard_matrix,
 )
 from repro.cs.metrics import nmse, psnr, reconstruction_snr, ssim
 from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.structured import StructuredSensingOperator
-from repro.cs.rip import babel_function, mutual_coherence, restricted_isometry_estimate
-from repro.cs.solvers import basis_pursuit, cosamp, fista, iht, ista, omp
+from repro.cs.rip import mutual_coherence, restricted_isometry_estimate
+from repro.cs.solvers import cosamp, fista, iht, ista, omp
 
 __all__ = [
     "Dictionary",
@@ -43,11 +41,9 @@ __all__ = [
     "StructuredSensingOperator",
     "gaussian_matrix",
     "bernoulli_matrix",
-    "rademacher_matrix",
     "subsampled_hadamard_matrix",
     "ca_xor_matrix",
     "lfsr_matrix",
-    "block_diagonal_matrix",
     "center_matrix",
     "BlockCompressiveSampler",
     "psnr",
@@ -55,12 +51,10 @@ __all__ = [
     "nmse",
     "reconstruction_snr",
     "mutual_coherence",
-    "babel_function",
     "restricted_isometry_estimate",
     "omp",
     "cosamp",
     "iht",
     "ista",
     "fista",
-    "basis_pursuit",
 ]

@@ -5,11 +5,10 @@ cellular automaton and an XOR of row/column selection signals, so that only
 the CA seed travels over the channel.  To evaluate it we also need the
 matrices it is implicitly compared against:
 
-* dense sub-Gaussian matrices (Gaussian, Rademacher, thresholded-Gaussian /
-  Bernoulli) — the theoretical gold standard, impractical on chip;
+* dense sub-Gaussian matrices (Gaussian, thresholded-Gaussian / Bernoulli)
+  — the theoretical gold standard, impractical on chip;
 * subsampled Hadamard — the structured alternative cited as prior art;
-* LFSR-generated selection — the conventional on-chip pseudo-random source;
-* block-diagonal matrices — what block-based compressive sampling uses.
+* LFSR-generated selection — the conventional on-chip pseudo-random source.
 
 All functions return dense ``m x n`` float arrays (binary matrices as 0/1
 floats) so they can be passed straight to the sensing operator and the RIP /
@@ -17,8 +16,6 @@ coherence analysis.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -34,15 +31,6 @@ def gaussian_matrix(n_samples: int, n_pixels: int, *, seed: SeedLike = None) -> 
     check_positive("n_pixels", n_pixels)
     rng = new_rng(seed)
     return rng.standard_normal((int(n_samples), int(n_pixels))) / np.sqrt(n_samples)
-
-
-def rademacher_matrix(n_samples: int, n_pixels: int, *, seed: SeedLike = None) -> np.ndarray:
-    """I.i.d. ±1 (Rademacher) matrix scaled by 1/sqrt(m)."""
-    check_positive("n_samples", n_samples)
-    check_positive("n_pixels", n_pixels)
-    rng = new_rng(seed)
-    signs = rng.integers(0, 2, size=(int(n_samples), int(n_pixels))) * 2 - 1
-    return signs / np.sqrt(n_samples)
 
 
 def bernoulli_matrix(
@@ -149,31 +137,6 @@ def lfsr_matrix(
     rows, cols = shape
     generator = LFSRSelectionGenerator(rows, cols, n_bits=n_bits, seed=seed)
     return generator.measurement_matrix(int(n_samples)).astype(float)
-
-
-def block_diagonal_matrix(
-    block_matrices: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Assemble per-block measurement matrices into one block-diagonal Φ.
-
-    Used to express block-based compressive sampling as a single full-image
-    operator so it can be analysed with the same coherence / RIP tools as the
-    full-frame strategies.
-    """
-    if not block_matrices:
-        raise ValueError("block_matrices must not be empty")
-    total_rows = sum(block.shape[0] for block in block_matrices)
-    total_cols = sum(block.shape[1] for block in block_matrices)
-    result = np.zeros((total_rows, total_cols))
-    row_offset = 0
-    col_offset = 0
-    for block in block_matrices:
-        block = np.asarray(block, dtype=float)
-        rows, cols = block.shape
-        result[row_offset:row_offset + rows, col_offset:col_offset + cols] = block
-        row_offset += rows
-        col_offset += cols
-    return result
 
 
 def center_matrix(matrix: np.ndarray, *, density: float | None = None) -> np.ndarray:

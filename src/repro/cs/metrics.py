@@ -106,22 +106,3 @@ def ssim(
     if not scores:
         raise ValueError("image smaller than the SSIM window")
     return float(np.mean(scores))
-
-
-def support_recovery_rate(
-    true_coefficients: np.ndarray, estimate: np.ndarray, *, sparsity: int | None = None
-) -> float:
-    """Fraction of the true support recovered among the largest estimated entries."""
-    true_coefficients = np.asarray(true_coefficients, dtype=float).reshape(-1)
-    estimate = np.asarray(estimate, dtype=float).reshape(-1)
-    if true_coefficients.shape != estimate.shape:
-        raise ValueError("coefficient vectors must have the same length")
-    true_support = set(np.nonzero(true_coefficients)[0].tolist())
-    if not true_support:
-        return 1.0
-    if sparsity is None:
-        sparsity = len(true_support)
-    estimated_support = set(
-        np.argsort(np.abs(estimate))[::-1][: int(sparsity)].tolist()
-    )
-    return float(len(true_support & estimated_support) / len(true_support))

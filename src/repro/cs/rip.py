@@ -1,11 +1,11 @@
 """Measurement-matrix quality analysis: coherence and RIP proxies.
 
 Computing the restricted isometry constant exactly is NP-hard; the standard
-practical surrogates are the mutual coherence of ``A = Φ Ψ``, the Babel
-function (cumulative coherence), and an empirical RIP estimate obtained by
-sampling random k-column submatrices and recording the extreme singular
-values.  Benchmark E10 uses these to compare the CA-XOR measurement matrix
-against Bernoulli, LFSR and Hadamard constructions.
+practical surrogates are the mutual coherence of ``A = Φ Ψ`` and an
+empirical RIP estimate obtained by sampling random k-column submatrices and
+recording the extreme singular values.  Benchmark E10 uses these to compare
+the CA-XOR measurement matrix against Bernoulli, LFSR and Hadamard
+constructions.
 """
 
 from __future__ import annotations
@@ -36,23 +36,6 @@ def mutual_coherence(matrix: np.ndarray) -> float:
     gram = normalized.T @ normalized
     np.fill_diagonal(gram, 0.0)
     return float(np.max(np.abs(gram)))
-
-
-def babel_function(matrix: np.ndarray, max_order: int = 16) -> np.ndarray:
-    """Cumulative coherence μ₁(k) for k = 1..max_order.
-
-    μ₁(k) is the maximum, over columns, of the sum of the k largest absolute
-    inner products with other columns; μ₁(k) < 1 guarantees recovery of
-    k+1-sparse signals by OMP/BP.
-    """
-    check_positive("max_order", max_order)
-    normalized = _normalized_columns(matrix)
-    gram = np.abs(normalized.T @ normalized)
-    np.fill_diagonal(gram, 0.0)
-    sorted_rows = np.sort(gram, axis=1)[:, ::-1]
-    max_order = int(min(max_order, sorted_rows.shape[1]))
-    cumulative = np.cumsum(sorted_rows[:, :max_order], axis=1)
-    return cumulative.max(axis=0)
 
 
 def restricted_isometry_estimate(

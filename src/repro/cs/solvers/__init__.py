@@ -13,15 +13,11 @@ Available solvers:
 * :func:`iht` — iterative hard thresholding.
 * :func:`ista` / :func:`fista` — proximal-gradient l1 minimisation (the
   default for the image-scale benchmarks).
-* :func:`basis_pursuit` — equality-constrained l1 minimisation via linear
-  programming (small problems only; used as the convex-optimisation
-  reference the paper alludes to).
 """
 
 from repro.cs.solvers.result import SolverResult, as_operator
 from repro.cs.solvers.greedy import cosamp, omp
 from repro.cs.solvers.iterative import fista, iht, ista
-from repro.cs.solvers.convex import basis_pursuit
 from repro.cs.solvers.batched import (
     batched_operator_norms,
     batched_proximal_gradient,
@@ -35,7 +31,6 @@ __all__ = [
     "iht",
     "ista",
     "fista",
-    "basis_pursuit",
     "batched_operator_norms",
     "batched_proximal_gradient",
 ]

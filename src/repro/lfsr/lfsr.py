@@ -1,4 +1,4 @@
-"""Fibonacci and Galois LFSR implementations and an LFSR-driven selection generator.
+"""A Fibonacci LFSR and an LFSR-driven selection generator.
 
 These are the baselines the paper positions its CA against: an LFSR is the
 conventional on-chip pseudo-random source for compressive-sampling
@@ -106,75 +106,6 @@ class FibonacciLFSR:
             [(self._state >> shift) & 1 for shift in range(self.n_bits - 1, -1, -1)],
             dtype=np.uint8,
         )
-
-
-class GaloisLFSR:
-    """A Galois (internal-XOR) LFSR — same sequence family, different structure.
-
-    Galois form toggles the tapped bits as the register shifts, which is the
-    layout usually preferred in silicon because the XORs are not chained.
-    """
-
-    def __init__(
-        self,
-        n_bits: int,
-        taps: Sequence[int] | None = None,
-        *,
-        state: int | None = None,
-        seed: SeedLike = None,
-    ) -> None:
-        check_positive("n_bits", n_bits)
-        self.n_bits = int(n_bits)
-        self.taps: tuple[int, ...] = (
-            tuple(taps) if taps is not None else primitive_taps(self.n_bits)
-        )
-        mask = (1 << self.n_bits) - 1
-        self._tap_mask = 0
-        for tap in self.taps:
-            if not 1 <= tap <= self.n_bits:
-                raise ValueError(f"tap {tap} outside register of {self.n_bits} bits")
-            if tap != self.n_bits:
-                self._tap_mask |= 1 << (tap - 1)
-        if state is None:
-            rng = new_rng(seed)
-            state = int(rng.integers(1, mask + 1))
-        state = int(state) & mask
-        if state == 0:
-            raise ValueError("LFSR state must be non-zero")
-        self._initial_state = state
-        self._state = state
-
-    @property
-    def state(self) -> int:
-        """Current register contents as an unsigned integer."""
-        return self._state
-
-    @property
-    def period(self) -> int:
-        """Maximal period for a primitive polynomial: ``2**n_bits - 1``."""
-        return (1 << self.n_bits) - 1
-
-    def reset(self, state: int | None = None) -> None:
-        """Reload the initial state (or a new non-zero ``state``)."""
-        if state is not None:
-            state = int(state) & ((1 << self.n_bits) - 1)
-            if state == 0:
-                raise ValueError("LFSR state must be non-zero")
-            self._initial_state = state
-        self._state = self._initial_state
-
-    def step(self) -> int:
-        """Advance one cycle and return the output bit."""
-        output = self._state & 1
-        self._state >>= 1
-        if output:
-            self._state ^= self._tap_mask | (1 << (self.n_bits - 1))
-        return output
-
-    def bits(self, n_bits: int) -> np.ndarray:
-        """Return the next ``n_bits`` output bits as a ``uint8`` array."""
-        check_positive("n_bits", n_bits)
-        return np.array([self.step() for _ in range(int(n_bits))], dtype=np.uint8)
 
 
 class LFSRSelectionGenerator:

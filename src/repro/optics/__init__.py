@@ -8,28 +8,13 @@ converts scene irradiance into per-pixel photocurrents with the usual noise
 sources (shot noise, dark current, fixed-pattern noise).
 """
 
-from repro.optics.photo import (
-    PhotoConversion,
-    irradiance_to_photocurrent,
-    photocurrent_image,
-)
-from repro.optics.motion import (
-    brightness_ramp_sequence,
-    drifting_sequence,
-    orbiting_blob_sequence,
-    random_walk_sequence,
-)
-from repro.optics.scenes import SceneGenerator, list_scenes, make_scene
+from repro.optics.photo import PhotoConversion
+from repro.optics.motion import orbiting_blob_sequence
+from repro.optics.scenes import list_scenes, make_scene
 
 __all__ = [
-    "SceneGenerator",
     "make_scene",
     "list_scenes",
     "PhotoConversion",
-    "irradiance_to_photocurrent",
-    "photocurrent_image",
-    "drifting_sequence",
     "orbiting_blob_sequence",
-    "brightness_ramp_sequence",
-    "random_walk_sequence",
 ]

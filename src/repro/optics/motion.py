@@ -1,9 +1,9 @@
 """Moving synthetic scenes for multi-frame (video) experiments.
 
-The video sequencer needs temporally-coherent input: the same scene content
-drifting, orbiting or changing brightness from frame to frame.  These
-generators produce short sequences with controlled motion so the video
-examples and tests can reason about frame-to-frame sample correlation.
+The video sequencer needs temporally-coherent input: scene content that moves
+smoothly from frame to frame.  The generator here produces a short sequence
+with controlled motion so the video examples and tests can reason about
+frame-to-frame sample correlation.
 """
 
 from __future__ import annotations
@@ -11,32 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.optics.scenes import make_scene
-from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import check_positive
-
-
-def translate_scene(scene: np.ndarray, shift_rows: int, shift_cols: int) -> np.ndarray:
-    """Cyclically shift a scene (wrap-around translation)."""
-    scene = np.asarray(scene, dtype=float)
-    return np.roll(np.roll(scene, int(shift_rows), axis=0), int(shift_cols), axis=1)
-
-
-def drifting_sequence(
-    kind: str,
-    n_frames: int,
-    shape: tuple[int, int] = (64, 64),
-    *,
-    velocity: tuple[int, int] = (1, 2),
-    seed: SeedLike = None,
-) -> list[np.ndarray]:
-    """A static scene translating by ``velocity`` pixels per frame."""
-    check_positive("n_frames", n_frames)
-    base = make_scene(kind, shape, seed=seed)
-    return [
-        translate_scene(base, frame * velocity[0], frame * velocity[1])
-        for frame in range(int(n_frames))
-    ]
 
 
 def orbiting_blob_sequence(
@@ -63,43 +38,4 @@ def orbiting_blob_sequence(
             -((row_axis - center_row) ** 2 + (col_axis - center_col) ** 2) / (2.0 * sigma ** 2)
         )
         frames.append(np.clip(background + (1.0 - background) * blob, 0.0, 1.0))
-    return frames
-
-
-def brightness_ramp_sequence(
-    kind: str,
-    n_frames: int,
-    shape: tuple[int, int] = (64, 64),
-    *,
-    low: float = 0.2,
-    high: float = 1.0,
-    seed: SeedLike = None,
-) -> list[np.ndarray]:
-    """The same scene under a global illumination ramp (tests exposure adaptation)."""
-    check_positive("n_frames", n_frames)
-    if not 0.0 < low <= high <= 1.0:
-        raise ValueError(f"need 0 < low <= high <= 1, got low={low}, high={high}")
-    base = make_scene(kind, shape, seed=seed)
-    levels = np.linspace(low, high, int(n_frames))
-    return [np.clip(base * level, 0.0, 1.0) for level in levels]
-
-
-def random_walk_sequence(
-    kind: str,
-    n_frames: int,
-    shape: tuple[int, int] = (64, 64),
-    *,
-    step_sigma: float = 1.5,
-    seed: SeedLike = None,
-) -> list[np.ndarray]:
-    """A scene performing a random walk (integer shifts drawn per frame)."""
-    check_positive("n_frames", n_frames)
-    check_positive("step_sigma", step_sigma)
-    rng = new_rng(seed)
-    base = make_scene(kind, shape, seed=seed)
-    position = np.zeros(2)
-    frames = []
-    for _ in range(int(n_frames)):
-        frames.append(translate_scene(base, int(round(position[0])), int(round(position[1]))))
-        position += rng.normal(0.0, step_sigma, size=2)
     return frames

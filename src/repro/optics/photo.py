@@ -91,55 +91,3 @@ class PhotoConversion:
             current = noisy_electrons * ELECTRON_CHARGE / self.integration_time
             current = np.maximum(current, self.dark_current * 0.1)
         return current
-
-
-def irradiance_to_photocurrent(
-    scene: np.ndarray,
-    *,
-    full_scale_current: float = 10.0e-9,
-    dark_current: float = 1.0e-9,
-    shot_noise: bool = False,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """One-shot functional wrapper around :class:`PhotoConversion`."""
-    base_seed = seed if isinstance(seed, int) else 0
-    conversion = PhotoConversion(
-        full_scale_current=full_scale_current,
-        dark_current=dark_current,
-        prnu_sigma=0.0,
-        shot_noise=shot_noise,
-        seed=base_seed,
-    )
-    return conversion.convert(scene, rng=seed)
-
-
-def photocurrent_image(
-    kind_or_scene,
-    shape=(64, 64),
-    *,
-    conversion: PhotoConversion = None,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Convenience helper: build a scene (by name) and convert it to photocurrents."""
-    from repro.optics.scenes import make_scene
-
-    if isinstance(kind_or_scene, str):
-        scene = make_scene(kind_or_scene, shape, seed=seed)
-    else:
-        scene = np.asarray(kind_or_scene, dtype=float)
-    if conversion is None:
-        conversion = PhotoConversion()
-    return conversion.convert(scene, rng=seed)
-
-
-def snr_from_electrons(n_electrons: float, *, read_noise_electrons: float = 5.0) -> float:
-    """Shot-noise-limited SNR (dB) of a pixel that collected ``n_electrons``.
-
-    Used by the analysis package to sanity-check the exposure settings.
-    """
-    check_positive("n_electrons", n_electrons, allow_zero=True)
-    check_positive("read_noise_electrons", read_noise_electrons, allow_zero=True)
-    noise = np.sqrt(n_electrons + read_noise_electrons ** 2)
-    if noise == 0:
-        return float("inf")
-    return float(20.0 * np.log10(max(n_electrons, 1e-12) / noise))

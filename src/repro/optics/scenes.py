@@ -142,42 +142,3 @@ def make_scene(
     rng = new_rng(seed)
     scene = _SCENE_BUILDERS[kind]((int(rows), int(cols)), rng)
     return np.clip(scene, 0.0, 1.0)
-
-
-class SceneGenerator:
-    """Reproducible stream of test scenes.
-
-    Parameters
-    ----------
-    shape:
-        Image dimensions (defaults to the chip's 64x64).
-    kinds:
-        Scene kinds to cycle through; defaults to all available kinds.
-    seed:
-        Base seed; scene ``i`` of kind ``k`` is a deterministic function of
-        ``(seed, k, i)``.
-    """
-
-    def __init__(
-        self,
-        shape: tuple[int, int] = (64, 64),
-        *,
-        kinds: tuple[str, ...] = (),
-        seed: int = 2018,
-    ) -> None:
-        self.shape = (int(shape[0]), int(shape[1]))
-        self.kinds = tuple(kinds) if kinds else tuple(list_scenes())
-        for kind in self.kinds:
-            if kind not in _SCENE_BUILDERS:
-                raise ValueError(f"unknown scene kind {kind!r}")
-        self.seed = int(seed)
-
-    def scene(self, index: int) -> np.ndarray:
-        """Return scene ``index`` of the stream (deterministic)."""
-        kind = self.kinds[index % len(self.kinds)]
-        return make_scene(kind, self.shape, seed=self.seed * 1009 + index)
-
-    def batch(self, n_scenes: int) -> np.ndarray:
-        """Return the first ``n_scenes`` scenes stacked into one array."""
-        check_positive("n_scenes", n_scenes)
-        return np.stack([self.scene(i) for i in range(int(n_scenes))])

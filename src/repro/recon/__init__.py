@@ -2,12 +2,10 @@
 
 The receiver side of the paper's system: rebuild the measurement matrix from
 the CA seed carried in the :class:`~repro.sensor.imager.CompressedFrame`,
-solve the sparse-recovery problem in a chosen dictionary, and calibrate the
-recovered time-code image back into light intensities.
+and solve the sparse-recovery problem in a chosen dictionary.
 """
 
 from repro.recon.batch import solve_tiles_batched
-from repro.recon.calibration import codes_to_intensity, intensity_to_codes
 from repro.recon.incremental import IncrementalTiledReconstructor
 from repro.recon.operator import (
     frame_operator,
@@ -27,8 +25,6 @@ __all__ = [
     "measurement_factors_from_seed",
     "frame_operator",
     "solve_tiles_batched",
-    "codes_to_intensity",
-    "intensity_to_codes",
     "reconstruct_frame",
     "reconstruct_samples",
     "reconstruct_tiled",

@@ -43,9 +43,8 @@ class IncrementalTiledReconstructor:
     Two solve modes share the stitching accumulator:
 
     * **eager** — :meth:`add_tile` inverts each tile the moment it lands
-      (the ``serial``/``thread`` executors of
-      :func:`~repro.recon.pipeline.reconstruct_tiled`, and a streamed tile
-      that lost samples, solved over its surviving rows of Φ);
+      through :func:`~repro.recon.pipeline.reconstruct_frame` (a streamed
+      tile that lost samples, solved over its surviving rows of Φ);
     * **staged/batched** — :meth:`stage_tile` only records frames and
       :meth:`solve_staged` later inverts every equal-shape group through
       :func:`~repro.recon.batch.solve_tiles_batched`, in stacked solves of
@@ -154,9 +153,9 @@ class IncrementalTiledReconstructor:
     ) -> ReconstructionResult:
         """Reconstruct one tile frame with this reconstructor's options.
 
-        Stateless (no stitching): both :meth:`add_tile` and the thread pool
-        of :func:`~repro.recon.pipeline.reconstruct_tiled` route through
-        this, so there is exactly one per-tile solve path.  ``sample_mask``
+        Stateless (no stitching): :meth:`add_tile` and the per-tile
+        fallback of :meth:`solve_staged` both route through this, so there
+        is exactly one per-tile solve path.  ``sample_mask``
         is the lossy-streaming row-survival mask forwarded to
         :func:`~repro.recon.pipeline.reconstruct_frame` (partial-Φ solve).
         """
@@ -216,7 +215,7 @@ class IncrementalTiledReconstructor:
             for index, (_, _, frame) in enumerate(staged):
                 results[index] = self.solve_tile(frame)
         for (grid_row, grid_col, frame), result in zip(staged, results):
-            self.insert_result(grid_row, grid_col, frame, result)
+            self._insert_result(grid_row, grid_col, frame, result)
         return list(results)
 
     def add_tile(
@@ -232,18 +231,18 @@ class IncrementalTiledReconstructor:
         receiver can surface progressive quality while the mosaic fills in.
         ``sample_mask`` forwards a lossy-streaming survival mask to the solve.
         """
-        return self.insert_result(
+        return self._insert_result(
             grid_row, grid_col, frame, self.solve_tile(frame, sample_mask)
         )
 
-    def insert_result(
+    def _insert_result(
         self,
         grid_row: int,
         grid_col: int,
         frame: CompressedFrame,
         result: ReconstructionResult,
     ) -> ReconstructionResult:
-        """Stitch an already-solved tile (the pre-computed, pooled path)."""
+        """Stitch an already-solved tile into the scene."""
         slot = self._check_new_tile(grid_row, grid_col, frame)
         self._frames[grid_row][grid_col] = frame
         self._tile_results[grid_row][grid_col] = result

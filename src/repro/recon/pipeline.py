@@ -16,7 +16,6 @@ guaranteed to invert exactly the matrix the sensor sampled with.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.solvers import SolverResult, cosamp, fista, iht, ista, omp
 from repro.recon.operator import frame_operator, normalize_sample_mask
 from repro.sensor.imager import CompressedFrame
-from repro.sensor.shard import TiledCaptureResult, pool_width
+from repro.sensor.shard import TiledCaptureResult
 from repro.utils.validation import check_choice
 
 _SOLVERS = {
@@ -379,8 +378,6 @@ def reconstruct_tiled(
     sparsity: int | None = None,
     max_iterations: int | None = None,
     reference: np.ndarray | None = None,
-    executor: str = "batched",
-    max_workers: int | None = None,
     operator: str = "structured",
 ) -> TiledReconstructionResult:
     """Reconstruct a :class:`~repro.sensor.shard.TiledCaptureResult` scene.
@@ -401,19 +398,6 @@ def reconstruct_tiled(
     reference : numpy.ndarray, optional
         Ground-truth code image of the whole scene; when omitted, the
         stitched per-tile digital images are used if the capture kept them.
-    executor : {"batched", "serial", "thread"}
-        ``"batched"`` (default) solves the equal-shape tiles as stacked
-        FISTA/ISTA groups through
-        :func:`~repro.recon.batch.solve_tiles_batched`, each tile's GEMMs on
-        its own factors (solvers outside that family, or the dense operator
-        flavour, fall back to the per-tile loop inside the same call).
-        ``"serial"`` / ``"thread"`` run the classic per-tile solves inline
-        or on a thread pool.
-    max_workers : int, optional
-        Thread-pool width; ``None`` means one thread per CPU the process
-        may run on, and the pool is never wider than the tile count — the
-        same sizing as :class:`~repro.sensor.shard.TiledSensorArray`
-        (:func:`~repro.sensor.shard.pool_width`).
     operator : {"structured", "dense"}
         Operator flavour for the per-tile solves, as in
         :func:`reconstruct_frame`.
@@ -426,15 +410,19 @@ def reconstruct_tiled(
 
     Notes
     -----
-    The per-tile solves and the stitching are delegated to
-    :class:`repro.recon.incremental.IncrementalTiledReconstructor` — the same
-    accumulator the streaming receiver feeds tile chunks into — so in-process
-    and streamed reconstructions are one code path and stay byte-identical
-    (the streaming receiver defaults to the same batched barrier solve).
+    The equal-shape tiles are solved as stacked FISTA/ISTA groups through
+    :func:`~repro.recon.batch.solve_tiles_batched`, each tile's GEMMs on its
+    own factors; solvers outside that family, or the dense operator flavour,
+    fall back to per-tile :func:`reconstruct_frame` solves inside the same
+    call.  Either way every tile's bytes equal its own
+    :func:`reconstruct_frame` solve.  The solves and the stitching are
+    delegated to :class:`repro.recon.incremental.IncrementalTiledReconstructor`
+    — the same accumulator the streaming receiver feeds tile chunks into — so
+    in-process and streamed reconstructions are one code path and stay
+    byte-identical (the streaming receiver runs the same barrier solve).
     """
     from repro.recon.incremental import IncrementalTiledReconstructor
 
-    check_choice("executor", executor, ("batched", "serial", "thread"))
     reconstructor = IncrementalTiledReconstructor(
         capture.scene_shape,
         capture.tile_shape,
@@ -445,22 +433,9 @@ def reconstruct_tiled(
         max_iterations=max_iterations,
         operator=operator,
     )
-    pairs = list(capture.frames())
-    if executor == "batched":
-        for slot, frame in pairs:
-            reconstructor.stage_tile(slot.grid_row, slot.grid_col, frame)
-        reconstructor.solve_staged()
-    elif executor == "thread" and len(pairs) > 1:
-        width = pool_width(max_workers, len(pairs))
-        with concurrent.futures.ThreadPoolExecutor(max_workers=width) as pool:
-            flat_results = list(
-                pool.map(reconstructor.solve_tile, [frame for _, frame in pairs])
-            )
-        for (slot, frame), result in zip(pairs, flat_results):
-            reconstructor.insert_result(slot.grid_row, slot.grid_col, frame, result)
-    else:
-        for slot, frame in pairs:
-            reconstructor.add_tile(slot.grid_row, slot.grid_col, frame)
+    for slot, frame in capture.frames():
+        reconstructor.stage_tile(slot.grid_row, slot.grid_col, frame)
+    reconstructor.solve_staged()
     return reconstructor.result(
         reference=reference, capture_metadata=dict(capture.metadata)
     )

@@ -6,20 +6,12 @@ and the compressive-sampling core — can rely on them without pulling in the
 heavier packages.
 """
 
-from repro.utils.bitops import (
-    bits_to_int,
-    bit_width,
-    int_to_bits,
-    popcount,
-    saturate,
-    wrap_unsigned,
-)
+from repro.utils.bitops import bit_width
 from repro.utils.images import (
     block_view,
     image_to_vector,
     normalize_image,
     unblock_view,
-    vector_to_image,
 )
 from repro.utils.rng import derive_seed, new_rng
 from repro.utils.validation import (
@@ -27,26 +19,18 @@ from repro.utils.validation import (
     check_positive,
     check_power_of_two,
     check_probability,
-    check_shape,
 )
 
 __all__ = [
-    "bits_to_int",
     "bit_width",
-    "int_to_bits",
-    "popcount",
-    "saturate",
-    "wrap_unsigned",
     "block_view",
     "image_to_vector",
     "normalize_image",
     "unblock_view",
-    "vector_to_image",
     "derive_seed",
     "new_rng",
     "check_in_range",
     "check_positive",
     "check_power_of_two",
     "check_probability",
-    "check_shape",
 ]

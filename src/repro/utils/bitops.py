@@ -1,17 +1,11 @@
 """Bit-level helpers for the digital blocks of the sensor model.
 
 The sensor accumulates time-to-digital codes in fixed-width registers (8-bit
-counter, 14-bit column accumulators, 20-bit compressed samples).  These
-helpers implement the handful of fixed-point primitives the digital model
-needs: width computation, saturation, wrap-around and bit (de)serialisation.
+counter, 14-bit column accumulators, 20-bit compressed samples).  The width
+of each register follows from the largest value it must hold.
 """
 
 from __future__ import annotations
-
-import math
-from collections.abc import Iterable
-
-import numpy as np
 
 
 def bit_width(max_value: int) -> int:
@@ -25,106 +19,3 @@ def bit_width(max_value: int) -> int:
     if max_value == 0:
         return 1
     return int(max_value).bit_length()
-
-
-def saturate(value: int, n_bits: int) -> int:
-    """Clamp ``value`` to the unsigned range representable with ``n_bits``."""
-    if n_bits <= 0:
-        raise ValueError(f"n_bits must be positive, got {n_bits}")
-    high = (1 << n_bits) - 1
-    if value < 0:
-        return 0
-    if value > high:
-        return high
-    return int(value)
-
-
-def wrap_unsigned(value: int, n_bits: int) -> int:
-    """Wrap ``value`` modulo ``2**n_bits`` (behaviour of an overflowing counter)."""
-    if n_bits <= 0:
-        raise ValueError(f"n_bits must be positive, got {n_bits}")
-    return int(value) & ((1 << n_bits) - 1)
-
-
-def int_to_bits(value: int, n_bits: int) -> list[int]:
-    """Return ``value`` as a list of ``n_bits`` bits, most-significant first."""
-    if value < 0:
-        raise ValueError("int_to_bits only supports non-negative values")
-    if value >= (1 << n_bits):
-        raise ValueError(f"value {value} does not fit in {n_bits} bits")
-    return [(value >> shift) & 1 for shift in range(n_bits - 1, -1, -1)]
-
-
-def bits_to_int(bits: Iterable[int]) -> int:
-    """Inverse of :func:`int_to_bits` (most-significant bit first)."""
-    value = 0
-    for bit in bits:
-        bit = int(bit)
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {bit}")
-        value = (value << 1) | bit
-    return value
-
-
-def popcount(array) -> int:
-    """Number of set bits in a binary array."""
-    return int(np.count_nonzero(np.asarray(array)))
-
-
-def required_accumulator_bits(n_values: int, value_bits: int) -> int:
-    """Bits needed to add ``n_values`` unsigned ``value_bits``-bit words without clipping.
-
-    This is Eq. (1) of the paper expressed for exact integer arithmetic:
-    the accumulator must hold ``n_values * (2**value_bits - 1)``.
-    """
-    if n_values <= 0:
-        raise ValueError(f"n_values must be positive, got {n_values}")
-    if value_bits <= 0:
-        raise ValueError(f"value_bits must be positive, got {value_bits}")
-    return bit_width(n_values * ((1 << value_bits) - 1))
-
-
-def gray_encode(value: int) -> int:
-    """Return the Gray code of ``value`` (used by counter-sampling tests)."""
-    if value < 0:
-        raise ValueError("gray_encode only supports non-negative values")
-    return value ^ (value >> 1)
-
-
-def gray_decode(code: int) -> int:
-    """Inverse of :func:`gray_encode`."""
-    if code < 0:
-        raise ValueError("gray_decode only supports non-negative values")
-    value = 0
-    while code:
-        value ^= code
-        code >>= 1
-    return value
-
-
-def quantize_to_bits(values: np.ndarray, n_bits: int, full_scale: float) -> np.ndarray:
-    """Uniformly quantise ``values`` in ``[0, full_scale]`` to ``n_bits`` unsigned codes."""
-    if full_scale <= 0:
-        raise ValueError(f"full_scale must be positive, got {full_scale}")
-    if n_bits <= 0:
-        raise ValueError(f"n_bits must be positive, got {n_bits}")
-    levels = (1 << n_bits) - 1
-    scaled = np.clip(np.asarray(values, dtype=float) / full_scale, 0.0, 1.0)
-    return np.round(scaled * levels).astype(np.int64)
-
-
-def dequantize_from_bits(codes: np.ndarray, n_bits: int, full_scale: float) -> np.ndarray:
-    """Inverse mapping of :func:`quantize_to_bits` (mid-tread reconstruction)."""
-    if full_scale <= 0:
-        raise ValueError(f"full_scale must be positive, got {full_scale}")
-    if n_bits <= 0:
-        raise ValueError(f"n_bits must be positive, got {n_bits}")
-    levels = (1 << n_bits) - 1
-    return np.asarray(codes, dtype=float) / levels * full_scale
-
-
-def log2_ceil(value: int) -> int:
-    """Smallest integer ``k`` with ``2**k >= value``."""
-    if value <= 0:
-        raise ValueError(f"value must be positive, got {value}")
-    return int(math.ceil(math.log2(value)))

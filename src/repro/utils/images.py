@@ -28,17 +28,6 @@ def image_to_vector(image: np.ndarray) -> np.ndarray:
     return image.reshape(-1)
 
 
-def vector_to_image(vector: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`image_to_vector`."""
-    vector = np.asarray(vector)
-    rows, cols = shape
-    if vector.size != rows * cols:
-        raise ValueError(
-            f"vector of length {vector.size} cannot be reshaped to {shape}"
-        )
-    return vector.reshape(rows, cols)
-
-
 def block_view(image: np.ndarray, block_size: int) -> np.ndarray:
     """Split ``image`` into non-overlapping ``block_size x block_size`` blocks.
 
@@ -76,25 +65,3 @@ def unblock_view(blocks: np.ndarray, image_shape: tuple[int, int]) -> np.ndarray
         )
     grid = blocks.reshape(rows // block_size, cols // block_size, block_size, block_size)
     return grid.transpose(0, 2, 1, 3).reshape(rows, cols)
-
-
-def crop_center(image: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Crop the central ``shape`` region out of ``image``."""
-    image = np.asarray(image)
-    rows, cols = shape
-    if rows > image.shape[0] or cols > image.shape[1]:
-        raise ValueError(f"cannot crop {shape} from image of shape {image.shape}")
-    top = (image.shape[0] - rows) // 2
-    left = (image.shape[1] - cols) // 2
-    return image[top:top + rows, left:left + cols]
-
-
-def resize_nearest(image: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbour resize (sufficient for synthetic test scenes)."""
-    image = np.asarray(image, dtype=float)
-    rows, cols = shape
-    if rows <= 0 or cols <= 0:
-        raise ValueError(f"target shape must be positive, got {shape}")
-    row_idx = np.floor(np.linspace(0, image.shape[0], rows, endpoint=False)).astype(int)
-    col_idx = np.floor(np.linspace(0, image.shape[1], cols, endpoint=False)).astype(int)
-    return image[np.ix_(row_idx, col_idx)]

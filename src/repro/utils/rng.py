@@ -44,16 +44,6 @@ def derive_seed(base_seed: int, *labels: str | int) -> int:
     return int.from_bytes(hasher.digest()[:8], "big")
 
 
-def random_bits(n_bits: int, seed: SeedLike = None, *, density: float = 0.5) -> np.ndarray:
-    """Return ``n_bits`` i.i.d. Bernoulli(``density``) bits as ``uint8``."""
-    if n_bits < 0:
-        raise ValueError(f"n_bits must be non-negative, got {n_bits}")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0, 1], got {density}")
-    rng = new_rng(seed)
-    return (rng.random(n_bits) < density).astype(np.uint8)
-
-
 def nonzero_seed_bits(n_bits: int, seed: SeedLike = None) -> np.ndarray:
     """Random bit vector guaranteed to contain at least one set bit.
 

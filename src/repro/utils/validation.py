@@ -62,23 +62,6 @@ def check_power_of_two(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive power of two, got {value}")
 
 
-def check_shape(name: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Raise ``ValueError`` unless ``array.shape`` equals ``shape``.
-
-    A ``-1`` entry in ``shape`` matches any extent along that axis.
-    """
-    array = np.asarray(array)
-    if array.ndim != len(shape):
-        raise ValueError(
-            f"{name} must have {len(shape)} dimensions, got {array.ndim}"
-        )
-    for axis, (actual, expected) in enumerate(zip(array.shape, shape)):
-        if expected != -1 and actual != expected:
-            raise ValueError(
-                f"{name} has shape {array.shape}, expected {shape} (mismatch on axis {axis})"
-            )
-
-
 def check_binary_array(name: str, array: np.ndarray) -> np.ndarray:
     """Return ``array`` as ``uint8`` after checking it only contains 0/1 values."""
     array = np.asarray(array)

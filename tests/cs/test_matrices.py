@@ -8,12 +8,10 @@ import pytest
 from repro.cs.matrices import (
     _sylvester_hadamard,
     bernoulli_matrix,
-    block_diagonal_matrix,
     ca_xor_matrix,
     center_matrix,
     gaussian_matrix,
     lfsr_matrix,
-    rademacher_matrix,
     selection_density,
     subsampled_hadamard_matrix,
 )
@@ -29,10 +27,6 @@ class TestDenseEnsembles:
 
     def test_gaussian_reproducible(self):
         assert np.array_equal(gaussian_matrix(10, 20, seed=1), gaussian_matrix(10, 20, seed=1))
-
-    def test_rademacher_entries(self):
-        phi = rademacher_matrix(10, 50, seed=2) * np.sqrt(10)
-        assert set(np.unique(np.round(phi, 6))).issubset({-1.0, 1.0})
 
     def test_bernoulli_entries_and_density(self):
         phi = bernoulli_matrix(200, 200, density=0.3, seed=3)
@@ -113,20 +107,6 @@ class TestLFSRMatrix:
 
     def test_reproducible(self):
         assert np.array_equal(lfsr_matrix(10, (8, 8), seed=9), lfsr_matrix(10, (8, 8), seed=9))
-
-
-class TestBlockDiagonal:
-    def test_assembly(self):
-        blocks = [np.ones((2, 3)), 2 * np.ones((1, 2))]
-        matrix = block_diagonal_matrix(blocks)
-        assert matrix.shape == (3, 5)
-        assert matrix[0, 0] == 1.0
-        assert matrix[2, 3] == 2.0
-        assert matrix[0, 3] == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            block_diagonal_matrix([])
 
 
 class TestCentering:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cs.metrics import mse, nmse, psnr, reconstruction_snr, ssim, support_recovery_rate
+from repro.cs.metrics import mse, nmse, psnr, reconstruction_snr, ssim
 
 
 class TestMseNmse:
@@ -75,25 +75,3 @@ class TestSsim:
     def test_window_larger_than_image_is_clamped(self):
         image = np.random.default_rng(7).random((4, 4))
         assert ssim(image, image, window=16) == pytest.approx(1.0)
-
-
-class TestSupportRecovery:
-    def test_perfect_support(self):
-        truth = np.zeros(20)
-        truth[[1, 5, 9]] = 1.0
-        estimate = truth + 0.01
-        assert support_recovery_rate(truth, estimate, sparsity=3) == pytest.approx(1.0)
-
-    def test_partial_support(self):
-        truth = np.zeros(10)
-        truth[[0, 1]] = 1.0
-        estimate = np.zeros(10)
-        estimate[[0, 5]] = 1.0
-        assert support_recovery_rate(truth, estimate, sparsity=2) == pytest.approx(0.5)
-
-    def test_empty_true_support(self):
-        assert support_recovery_rate(np.zeros(5), np.ones(5)) == 1.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            support_recovery_rate(np.zeros(5), np.zeros(6))

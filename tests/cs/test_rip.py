@@ -6,7 +6,6 @@ import pytest
 from repro.cs.dictionaries import DCT2Dictionary
 from repro.cs.matrices import bernoulli_matrix, ca_xor_matrix, center_matrix, gaussian_matrix
 from repro.cs.rip import (
-    babel_function,
     effective_rank,
     matrix_quality_report,
     mutual_coherence,
@@ -31,20 +30,6 @@ class TestMutualCoherence:
     def test_rejects_1d_input(self):
         with pytest.raises(ValueError):
             mutual_coherence(np.zeros(5))
-
-
-class TestBabelFunction:
-    def test_monotone_nondecreasing(self):
-        phi = gaussian_matrix(32, 64, seed=3)
-        babel = babel_function(phi, max_order=8)
-        assert np.all(np.diff(babel) >= -1e-12)
-
-    def test_first_value_is_coherence(self):
-        phi = gaussian_matrix(32, 64, seed=4)
-        assert babel_function(phi, max_order=4)[0] == pytest.approx(mutual_coherence(phi))
-
-    def test_orthogonal_matrix_babel_is_zero(self):
-        assert np.allclose(babel_function(np.eye(16), max_order=4), 0.0)
 
 
 class TestRipEstimate:

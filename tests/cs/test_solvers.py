@@ -10,7 +10,7 @@ import pytest
 from repro.cs.dictionaries import DCT2Dictionary
 from repro.cs.matrices import gaussian_matrix
 from repro.cs.operators import SensingOperator
-from repro.cs.solvers import basis_pursuit, cosamp, fista, iht, ista, omp
+from repro.cs.solvers import cosamp, fista, iht, ista, omp
 from repro.cs.solvers.iterative import hard_threshold, soft_threshold
 
 
@@ -151,31 +151,3 @@ class TestISTAAndFISTA:
         # The l1 penalty leaves a small shrinkage bias on the large coefficients.
         assert np.linalg.norm(result.coefficients - coefficients) < 0.25
         assert set(np.argsort(np.abs(result.coefficients))[::-1][:4]) == {0, 3, 17, 40}
-
-
-class TestBasisPursuit:
-    def test_exact_recovery_noiseless(self):
-        matrix, truth, measurements = sparse_problem(
-            n_samples=40, n_coefficients=80, sparsity=5, seed=19
-        )
-        result = basis_pursuit(matrix, measurements)
-        assert result.converged
-        assert np.allclose(result.coefficients, truth, atol=1e-6)
-
-    def test_noise_tolerance_variant(self):
-        matrix, truth, measurements = sparse_problem(
-            n_samples=40, n_coefficients=80, sparsity=4, seed=20, noise=0.01
-        )
-        result = basis_pursuit(matrix, measurements, noise_tolerance=0.05)
-        assert result.converged
-        assert np.linalg.norm(result.coefficients - truth) < 0.3
-
-    def test_dimension_guard(self):
-        matrix = gaussian_matrix(10, 100, seed=21)
-        with pytest.raises(ValueError):
-            basis_pursuit(matrix, np.zeros(10), max_dimension=50)
-
-    def test_measurement_length_validated(self):
-        matrix, _, _ = sparse_problem(seed=22)
-        with pytest.raises(ValueError):
-            basis_pursuit(matrix, np.zeros(3))

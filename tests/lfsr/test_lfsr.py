@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lfsr.lfsr import FibonacciLFSR, GaloisLFSR, LFSRSelectionGenerator
+from repro.lfsr.lfsr import FibonacciLFSR, LFSRSelectionGenerator
 
 
 class TestFibonacciLFSR:
@@ -41,31 +41,6 @@ class TestFibonacciLFSR:
     def test_invalid_tap_rejected(self):
         with pytest.raises(ValueError):
             FibonacciLFSR(8, taps=(9, 1), state=1)
-
-
-class TestGaloisLFSR:
-    def test_zero_state_rejected(self):
-        with pytest.raises(ValueError):
-            GaloisLFSR(8, state=0)
-
-    def test_maximal_period_small_register(self):
-        lfsr = GaloisLFSR(6, state=1)
-        states = set()
-        for _ in range(lfsr.period):
-            states.add(lfsr.state)
-            lfsr.step()
-        assert len(states) == lfsr.period
-
-    def test_reset_restores_state(self):
-        lfsr = GaloisLFSR(16, seed=9)
-        initial = lfsr.state
-        lfsr.bits(37)
-        lfsr.reset()
-        assert lfsr.state == initial
-
-    def test_bits_are_binary(self):
-        bits = GaloisLFSR(16, seed=2).bits(256)
-        assert set(np.unique(bits)).issubset({0, 1})
 
 
 class TestLFSRSelectionGenerator:

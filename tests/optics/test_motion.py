@@ -1,40 +1,12 @@
-"""Tests for the moving-scene generators."""
+"""Tests for the moving-scene generator."""
 
 import numpy as np
 import pytest
 
-from repro.optics.motion import (
-    brightness_ramp_sequence,
-    drifting_sequence,
-    orbiting_blob_sequence,
-    random_walk_sequence,
-    translate_scene,
-)
-
-
-class TestTranslateScene:
-    def test_wraps_around(self):
-        scene = np.arange(16, dtype=float).reshape(4, 4)
-        shifted = translate_scene(scene, 1, 0)
-        assert np.array_equal(shifted[0], scene[3])
-
-    def test_zero_shift_is_identity(self):
-        scene = np.random.default_rng(0).random((8, 8))
-        assert np.array_equal(translate_scene(scene, 0, 0), scene)
-
-    def test_full_period_shift_is_identity(self):
-        scene = np.random.default_rng(1).random((8, 8))
-        assert np.array_equal(translate_scene(scene, 8, 8), scene)
+from repro.optics.motion import orbiting_blob_sequence
 
 
 class TestSequences:
-    def test_drifting_sequence_preserves_content(self):
-        frames = drifting_sequence("blobs", 5, (32, 32), velocity=(2, 1), seed=3)
-        assert len(frames) == 5
-        # Cyclic translation preserves the histogram exactly.
-        for frame in frames[1:]:
-            assert np.allclose(np.sort(frame.ravel()), np.sort(frames[0].ravel()))
-
     def test_orbiting_blob_moves(self):
         frames = orbiting_blob_sequence(8, (32, 32))
         centroids = []
@@ -52,23 +24,6 @@ class TestSequences:
             assert frame.min() >= 0.0
             assert frame.max() <= 1.0
 
-    def test_brightness_ramp_is_monotone(self):
-        frames = brightness_ramp_sequence("gradient", 5, (16, 16), low=0.2, high=1.0, seed=1)
-        means = [frame.mean() for frame in frames]
-        assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
-
-    def test_brightness_ramp_validates_range(self):
-        with pytest.raises(ValueError):
-            brightness_ramp_sequence("gradient", 3, low=0.8, high=0.5)
-
-    def test_random_walk_reproducible(self):
-        a = random_walk_sequence("blobs", 4, (16, 16), seed=9)
-        b = random_walk_sequence("blobs", 4, (16, 16), seed=9)
-        for frame_a, frame_b in zip(a, b):
-            assert np.array_equal(frame_a, frame_b)
-
     def test_sequences_reject_zero_frames(self):
-        with pytest.raises(ValueError):
-            drifting_sequence("blobs", 0)
         with pytest.raises(ValueError):
             orbiting_blob_sequence(0)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.optics.photo import (
-    PhotoConversion,
-    irradiance_to_photocurrent,
-    photocurrent_image,
-    snr_from_electrons,
-)
+from repro.optics.photo import PhotoConversion
 
 
 class TestPhotoConversion:
@@ -63,32 +58,3 @@ class TestPhotoConversion:
             PhotoConversion(full_scale_current=-1.0)
         with pytest.raises(ValueError):
             PhotoConversion(integration_time=0.0)
-
-
-class TestFunctionalWrappers:
-    def test_irradiance_to_photocurrent_linear(self):
-        scene = np.array([[0.0, 0.5], [0.75, 1.0]])
-        current = irradiance_to_photocurrent(scene, full_scale_current=1e-9, dark_current=0.0)
-        assert np.allclose(current, scene * 1e-9)
-
-    def test_photocurrent_image_from_scene_name(self):
-        current = photocurrent_image("gradient", (16, 16), seed=1)
-        assert current.shape == (16, 16)
-        assert np.all(current > 0)
-
-    def test_photocurrent_image_from_array(self):
-        scene = np.full((8, 8), 0.25)
-        current = photocurrent_image(scene)
-        assert current.shape == (8, 8)
-
-
-class TestSnrFromElectrons:
-    def test_increases_with_signal(self):
-        assert snr_from_electrons(10000) > snr_from_electrons(100)
-
-    def test_read_noise_floor_dominates_small_signals(self):
-        assert snr_from_electrons(10, read_noise_electrons=100) < 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            snr_from_electrons(-5)

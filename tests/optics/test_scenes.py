@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.optics.scenes import SceneGenerator, list_scenes, make_scene
+from repro.optics.scenes import list_scenes, make_scene
 
 
 class TestMakeScene:
@@ -47,25 +47,3 @@ class TestMakeScene:
     def test_checkerboard_is_binary(self):
         scene = make_scene("checkerboard", (32, 32), seed=2)
         assert set(np.unique(scene)).issubset({0.0, 1.0})
-
-
-class TestSceneGenerator:
-    def test_deterministic_stream(self):
-        a = SceneGenerator((32, 32), seed=11)
-        b = SceneGenerator((32, 32), seed=11)
-        assert np.array_equal(a.scene(4), b.scene(4))
-
-    def test_batch_shape(self):
-        generator = SceneGenerator((16, 16), seed=1)
-        assert generator.batch(5).shape == (5, 16, 16)
-
-    def test_kind_cycling(self):
-        generator = SceneGenerator((16, 16), kinds=("gradient", "points"), seed=1)
-        # Even indices are gradients (smooth), odd indices are point scenes (sparse).
-        assert np.count_nonzero(generator.scene(1) > 0.5) < np.count_nonzero(
-            generator.scene(0) > 0.5
-        )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            SceneGenerator((16, 16), kinds=("bogus",))

@@ -1,21 +1,10 @@
-"""Property-based tests for the fixed-point helpers."""
+"""Property-based tests for the register-width helpers."""
 
-import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.bitops import (
-    bit_width,
-    bits_to_int,
-    dequantize_from_bits,
-    gray_decode,
-    gray_encode,
-    int_to_bits,
-    quantize_to_bits,
-    required_accumulator_bits,
-    saturate,
-    wrap_unsigned,
-)
+from repro.sensor.sample_add import required_sample_bits
+from repro.utils.bitops import bit_width
 
 
 @given(value=st.integers(0, 2**32 - 1))
@@ -26,44 +15,11 @@ def test_bit_width_is_tight(value):
         assert value >= (1 << (width - 1))
 
 
-@given(value=st.integers(0, 2**20 - 1), n_bits=st.integers(1, 24))
-def test_saturate_is_idempotent_and_bounded(value, n_bits):
-    once = saturate(value, n_bits)
-    assert 0 <= once <= (1 << n_bits) - 1
-    assert saturate(once, n_bits) == once
-
-
-@given(value=st.integers(0, 2**24 - 1), n_bits=st.integers(1, 16))
-def test_wrap_unsigned_is_modular(value, n_bits):
-    assert wrap_unsigned(value, n_bits) == value % (1 << n_bits)
-
-
-@given(value=st.integers(0, 2**16 - 1))
-def test_bit_serialisation_round_trip(value):
-    assert bits_to_int(int_to_bits(value, 16)) == value
-
-
-@given(value=st.integers(0, 2**20 - 1))
-def test_gray_code_round_trip(value):
-    assert gray_decode(gray_encode(value)) == value
-
-
 @given(n_values=st.integers(1, 10_000), value_bits=st.integers(1, 12))
-def test_accumulator_bits_are_sufficient_and_tight(n_values, value_bits):
+def test_sample_bits_are_sufficient_and_tight(n_values, value_bits):
     """Eq. (1) generalised: the returned width holds the worst case, one bit less does not."""
-    width = required_accumulator_bits(n_values, value_bits)
+    width = required_sample_bits(n_values, value_bits)
     worst_case = n_values * ((1 << value_bits) - 1)
     assert worst_case <= (1 << width) - 1
     if width > 1:
         assert worst_case > (1 << (width - 1)) - 1
-
-
-@given(
-    values=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=50),
-    n_bits=st.integers(2, 12),
-)
-def test_quantization_error_bounded_by_half_lsb(values, n_bits):
-    array = np.array(values)
-    codes = quantize_to_bits(array, n_bits, 1.0)
-    recovered = dequantize_from_bits(codes, n_bits, 1.0)
-    assert np.max(np.abs(recovered - array)) <= 0.5 / ((1 << n_bits) - 1) + 1e-12

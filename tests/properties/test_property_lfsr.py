@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lfsr.lfsr import FibonacciLFSR, GaloisLFSR
+from repro.lfsr.lfsr import FibonacciLFSR
 
 
 @settings(max_examples=40, deadline=None)
@@ -13,14 +13,6 @@ def test_fibonacci_state_never_zero_and_bits_binary(n_bits, seed, n):
     lfsr = FibonacciLFSR(n_bits, seed=seed)
     bits = lfsr.bits(n)
     assert set(np.unique(bits)).issubset({0, 1})
-    assert lfsr.state != 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(n_bits=st.integers(4, 24), seed=st.integers(0, 10_000), n=st.integers(1, 200))
-def test_galois_state_never_zero(n_bits, seed, n):
-    lfsr = GaloisLFSR(n_bits, seed=seed)
-    lfsr.bits(n)
     assert lfsr.state != 0
 
 

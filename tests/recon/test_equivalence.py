@@ -134,9 +134,7 @@ class TestTiledEquivalence:
     def test_batched_structured_matches_dense_per_tile(self, tiled_capture):
         """The headline chain: batched structured vs the dense per-tile loop."""
         batched = reconstruct_tiled(tiled_capture, max_iterations=40)
-        dense = reconstruct_tiled(
-            tiled_capture, max_iterations=40, executor="serial", operator="dense"
-        )
+        dense = reconstruct_tiled(tiled_capture, max_iterations=40, operator="dense")
         np.testing.assert_allclose(batched.image, dense.image, atol=EQUIV_ATOL)
 
     def test_cosamp_honours_iteration_budget(self, tiled_capture):

@@ -22,14 +22,14 @@ RECON_KWARGS = dict(solver="fista", max_iterations=25)
 
 class TestIncrementalTiledReconstructor:
     def test_matches_reconstruct_tiled_byte_for_byte(self, capture):
-        """Eager add_tile ≡ the per-tile executor of reconstruct_tiled."""
+        """Eager add_tile ≡ the default (batched) reconstruct_tiled."""
         reconstructor = IncrementalTiledReconstructor(
             capture.scene_shape, capture.tile_shape, **RECON_KWARGS
         )
         for slot, frame in capture.frames():
             reconstructor.add_tile(slot.grid_row, slot.grid_col, frame)
         incremental = reconstructor.result()
-        direct = reconstruct_tiled(capture, executor="serial", **RECON_KWARGS)
+        direct = reconstruct_tiled(capture, **RECON_KWARGS)
         assert incremental.image.tobytes() == direct.image.tobytes()
         assert incremental.capture_metadata["event_statistics"] == (
             direct.capture_metadata["event_statistics"]

@@ -1,14 +1,11 @@
 """Tile-by-tile reconstruction of sharded captures."""
 
-import concurrent.futures
-
 import numpy as np
 import pytest
 
-import repro.sensor.shard as shard
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
-from repro.recon.pipeline import reconstruct_tiled
+from repro.recon.pipeline import reconstruct_frame, reconstruct_tiled
 from repro.sensor.shard import TiledSensorArray
 
 
@@ -18,6 +15,17 @@ def tiled_capture():
     current = PhotoConversion(prnu_sigma=0.0, shot_noise=False).convert(scene)
     array = TiledSensorArray((32, 48), tile_shape=(16, 16), seed=9)
     return array.capture(current)
+
+
+def per_tile_solves(capture, **kwargs):
+    """Each tile solved alone by ``reconstruct_frame``, stitched at its slot."""
+    image = np.zeros(capture.scene_shape)
+    results = []
+    for slot, frame in capture.frames():
+        result = reconstruct_frame(frame, **kwargs)
+        image[slot.row_slice, slot.col_slice] = result.image
+        results.append(result)
+    return image, results
 
 
 class TestReconstructTiled:
@@ -39,56 +47,31 @@ class TestReconstructTiled:
         assert result.capture_metadata["n_tiles"] == tiled_capture.n_tiles
         assert result.capture_metadata["event_statistics"] == "modelled"
 
-    def test_thread_executor_matches_serial(self, tiled_capture):
-        serial = reconstruct_tiled(tiled_capture, max_iterations=40, executor="serial")
-        threaded = reconstruct_tiled(
-            tiled_capture, max_iterations=40, executor="thread", max_workers=2
-        )
-        assert np.array_equal(serial.image, threaded.image)
-
-    @pytest.mark.parametrize(("cpus", "width"), [(3, 3), (64, 6)])
-    def test_default_thread_pool_sized_like_the_capture_pool(
-        self, monkeypatch, tiled_capture, cpus, width
-    ):
-        """``max_workers=None`` gives one thread per usable CPU, clamped to
-        the tile count, as :class:`TiledSensorArray` sizes its pool."""
-        requested = []
-        real_pool = concurrent.futures.ThreadPoolExecutor
-
-        def recording_pool(max_workers):
-            requested.append(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(shard, "available_cpus", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-        assert tiled_capture.n_tiles == 6
-        reconstruct_tiled(tiled_capture, max_iterations=5, executor="thread")
-        assert requested == [width]
-
     def test_batched_executor_matches_per_tile(self, tiled_capture):
-        """The default batched solve is the per-tile solve, vectorised."""
+        """The batched solve is each tile's own ``reconstruct_frame``, vectorised."""
         batched = reconstruct_tiled(tiled_capture, max_iterations=40)
-        serial = reconstruct_tiled(tiled_capture, max_iterations=40, executor="serial")
-        assert batched.image.tobytes() == serial.image.tobytes()
-        for batched_row, serial_row in zip(batched.tile_results, serial.tile_results):
-            for batched_tile, serial_tile in zip(batched_row, serial_row):
-                assert batched_tile.solver_result.converged == (
-                    serial_tile.solver_result.converged
-                )
+        image, per_tile = per_tile_solves(tiled_capture, max_iterations=40)
+        assert batched.image.tobytes() == image.tobytes()
+        batched_tiles = [tile for row in batched.tile_results for tile in row]
+        assert len(batched_tiles) == len(per_tile)
+        for batched_tile, alone in zip(batched_tiles, per_tile):
+            ours, theirs = batched_tile.solver_result, alone.solver_result
+            assert batched_tile.image.tobytes() == alone.image.tobytes()
+            assert ours.coefficients.tobytes() == theirs.coefficients.tobytes()
+            assert ours.history == theirs.history
+            assert ours.n_iterations == theirs.n_iterations
+            assert ours.converged == theirs.converged
+            assert ours.step_reductions == theirs.step_reductions
 
     def test_batched_falls_back_for_greedy_solvers(self, tiled_capture):
-        """Non-proximal solvers ride the per-tile loop inside the batched executor."""
+        """Non-proximal solvers ride the per-tile loop inside the batched solve."""
         batched = reconstruct_tiled(tiled_capture, solver="omp", sparsity=12)
-        serial = reconstruct_tiled(
-            tiled_capture, solver="omp", sparsity=12, executor="serial"
-        )
-        assert batched.image.tobytes() == serial.image.tobytes()
+        image, _ = per_tile_solves(tiled_capture, solver="omp", sparsity=12)
+        assert batched.image.tobytes() == image.tobytes()
 
     def test_dense_operator_reachable(self, tiled_capture, float64_products):
         dense = reconstruct_tiled(tiled_capture, max_iterations=40, operator="dense")
-        structured = reconstruct_tiled(
-            tiled_capture, max_iterations=40, executor="serial"
-        )
+        structured = reconstruct_tiled(tiled_capture, max_iterations=40)
         np.testing.assert_allclose(dense.image, structured.image, atol=1e-8)
 
     def test_explicit_reference_overrides_digital_image(self, tiled_capture):
@@ -105,7 +88,3 @@ class TestReconstructTiled:
         capture = array.capture(current, keep_digital_image=False)
         result = reconstruct_tiled(capture, max_iterations=20)
         assert result.metrics == {}
-
-    def test_invalid_executor_rejected(self, tiled_capture):
-        with pytest.raises(ValueError, match="executor"):
-            reconstruct_tiled(tiled_capture, executor="process")

@@ -1,20 +1,26 @@
-"""The capture→pixels import path loads no scipy.
+"""The package needs no scipy: numpy is its only runtime dependency.
 
-scipy is needed only by :func:`repro.cs.solvers.convex.basis_pursuit`, which
-imports its LP solver on call.  Importing scipy costs about half a second and
-a second OpenBLAS plus HiGHS in every process, so a restarting camera node or
-hub must not pay it.  The check runs in a fresh interpreter: this test
-process may already hold scipy from other tests.
+scipy is a test extra.  Two checks keep it that way:
+
+* an AST scan of every module under ``src/repro`` finds no scipy import at
+  any scope, so no call path can need it, however rarely it runs;
+* the capture→pixels service modules import cleanly in a fresh interpreter
+  and leave no scipy in ``sys.modules`` (this test process may already hold
+  scipy from other tests, hence the new interpreter).  Importing scipy costs
+  about half a second and a second OpenBLAS in every process, so a
+  restarting camera node or hub must not pay it.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import subprocess
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = REPO_ROOT / "src" / "repro"
 
 # repro itself plus the modules the capture→stream→reconstruct workloads use.
 SERVICE_MODULES = (
@@ -33,6 +39,38 @@ PROBE = (
     "print('\\n'.join(sorted(k for k in sys.modules "
     "if k == 'scipy' or k.startswith('scipy.'))))\n"
 )
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Line numbers of every ``import scipy…``/``from scipy… import`` in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_nested_imports():
+    source = "def f():\n    from scipy.optimize import linprog\n\nimport scipy.fft\n"
+    assert scipy_imports(source) == [2, 4]
+    assert scipy_imports("import numpy\nfrom .scipy import x\n") == []
+
+
+def test_no_module_imports_scipy():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{line}"
+        for path in modules
+        for line in scipy_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
 
 
 def test_service_import_loads_no_scipy():

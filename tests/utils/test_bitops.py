@@ -1,22 +1,8 @@
-"""Tests for fixed-point / bit-manipulation helpers."""
+"""Tests for the register-width helper."""
 
-import numpy as np
 import pytest
 
-from repro.utils.bitops import (
-    bit_width,
-    bits_to_int,
-    dequantize_from_bits,
-    gray_decode,
-    gray_encode,
-    int_to_bits,
-    log2_ceil,
-    popcount,
-    quantize_to_bits,
-    required_accumulator_bits,
-    saturate,
-    wrap_unsigned,
-)
+from repro.utils.bitops import bit_width
 
 
 class TestBitWidth:
@@ -29,101 +15,3 @@ class TestBitWidth:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bit_width(-1)
-
-
-class TestSaturate:
-    def test_within_range_unchanged(self):
-        assert saturate(100, 8) == 100
-
-    def test_clips_high(self):
-        assert saturate(300, 8) == 255
-
-    def test_clips_negative_to_zero(self):
-        assert saturate(-5, 8) == 0
-
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            saturate(1, 0)
-
-
-class TestWrapUnsigned:
-    def test_wraps_like_counter_overflow(self):
-        assert wrap_unsigned(256, 8) == 0
-        assert wrap_unsigned(257, 8) == 1
-
-    def test_no_wrap_in_range(self):
-        assert wrap_unsigned(200, 8) == 200
-
-
-class TestBitConversion:
-    def test_round_trip(self):
-        for value in (0, 1, 37, 255):
-            assert bits_to_int(int_to_bits(value, 8)) == value
-
-    def test_msb_first_ordering(self):
-        assert int_to_bits(0b10000001, 8) == [1, 0, 0, 0, 0, 0, 0, 1]
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            int_to_bits(256, 8)
-
-    def test_bits_to_int_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            bits_to_int([0, 2, 1])
-
-
-class TestPopcount:
-    def test_counts_ones(self):
-        assert popcount(np.array([1, 0, 1, 1])) == 3
-
-    def test_empty_is_zero(self):
-        assert popcount(np.array([])) == 0
-
-
-class TestRequiredAccumulatorBits:
-    def test_paper_eq1_full_frame(self):
-        """Eq. (1): 64x64 pixels of 8 bits need a 20-bit compressed sample."""
-        assert required_accumulator_bits(64 * 64, 8) == 20
-
-    def test_paper_eq1_single_column(self):
-        """One column of 64 8-bit codes needs 14 bits."""
-        assert required_accumulator_bits(64, 8) == 14
-
-    def test_single_value_needs_value_bits(self):
-        assert required_accumulator_bits(1, 8) == 8
-
-
-class TestGrayCode:
-    @pytest.mark.parametrize("value", list(range(0, 64, 7)) + [255])
-    def test_round_trip(self, value):
-        assert gray_decode(gray_encode(value)) == value
-
-    def test_adjacent_codes_differ_by_one_bit(self):
-        for value in range(63):
-            diff = gray_encode(value) ^ gray_encode(value + 1)
-            assert bin(diff).count("1") == 1
-
-
-class TestQuantization:
-    def test_full_scale_maps_to_max_code(self):
-        codes = quantize_to_bits(np.array([0.0, 0.5, 1.0]), 8, 1.0)
-        assert codes.tolist() == [0, 128, 255]
-
-    def test_values_above_full_scale_clip(self):
-        assert quantize_to_bits(np.array([2.0]), 8, 1.0)[0] == 255
-
-    def test_round_trip_error_bounded_by_half_lsb(self):
-        values = np.linspace(0, 1, 100)
-        codes = quantize_to_bits(values, 8, 1.0)
-        recovered = dequantize_from_bits(codes, 8, 1.0)
-        assert np.max(np.abs(values - recovered)) <= 0.5 / 255 + 1e-12
-
-
-class TestLog2Ceil:
-    @pytest.mark.parametrize("value,expected", [(1, 0), (2, 1), (3, 2), (4096, 12), (4097, 13)])
-    def test_known_values(self, value, expected):
-        assert log2_ceil(value) == expected
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            log2_ceil(0)

@@ -5,12 +5,9 @@ import pytest
 
 from repro.utils.images import (
     block_view,
-    crop_center,
     image_to_vector,
     normalize_image,
-    resize_nearest,
     unblock_view,
-    vector_to_image,
 )
 
 
@@ -34,18 +31,10 @@ class TestNormalizeImage:
             normalize_image(np.zeros((2, 2)), low=1.0, high=0.0)
 
 
-class TestVectorRoundTrip:
-    def test_round_trip_preserves_values(self):
-        image = np.arange(12, dtype=float).reshape(3, 4)
-        assert np.array_equal(vector_to_image(image_to_vector(image), (3, 4)), image)
-
+class TestImageToVector:
     def test_raster_order(self):
         image = np.array([[1, 2], [3, 4]])
         assert image_to_vector(image).tolist() == [1, 2, 3, 4]
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            vector_to_image(np.zeros(5), (2, 3))
 
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError):
@@ -71,27 +60,3 @@ class TestBlockView:
     def test_unblock_rejects_wrong_count(self):
         with pytest.raises(ValueError):
             unblock_view(np.zeros((3, 2, 2)), (4, 4))
-
-
-class TestCropAndResize:
-    def test_crop_center_extracts_middle(self):
-        image = np.arange(36).reshape(6, 6)
-        cropped = crop_center(image, (2, 2))
-        assert cropped.shape == (2, 2)
-        assert cropped[0, 0] == image[2, 2]
-
-    def test_crop_larger_than_image_rejected(self):
-        with pytest.raises(ValueError):
-            crop_center(np.zeros((4, 4)), (6, 6))
-
-    def test_resize_nearest_shape(self):
-        resized = resize_nearest(np.arange(16, dtype=float).reshape(4, 4), (8, 8))
-        assert resized.shape == (8, 8)
-
-    def test_resize_identity(self):
-        image = np.arange(16, dtype=float).reshape(4, 4)
-        assert np.array_equal(resize_nearest(image, (4, 4)), image)
-
-    def test_resize_invalid_target_rejected(self):
-        with pytest.raises(ValueError):
-            resize_nearest(np.zeros((4, 4)), (0, 4))

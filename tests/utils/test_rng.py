@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, new_rng, nonzero_seed_bits, random_bits
+from repro.utils.rng import derive_seed, new_rng, nonzero_seed_bits
 
 
 class TestNewRng:
@@ -30,24 +30,6 @@ class TestDeriveSeed:
 
     def test_label_order_matters(self):
         assert derive_seed(1, "a", "b") != derive_seed(1, "b", "a")
-
-
-class TestRandomBits:
-    def test_length_and_dtype(self):
-        bits = random_bits(100, seed=1)
-        assert bits.shape == (100,)
-        assert bits.dtype == np.uint8
-
-    def test_density_respected(self):
-        bits = random_bits(20000, seed=1, density=0.25)
-        assert 0.2 < bits.mean() < 0.3
-
-    def test_zero_density_gives_all_zeros(self):
-        assert random_bits(100, seed=1, density=0.0).sum() == 0
-
-    def test_invalid_density_rejected(self):
-        with pytest.raises(ValueError):
-            random_bits(10, density=1.5)
 
 
 class TestNonzeroSeedBits:

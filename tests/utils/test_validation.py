@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_positive,
     check_power_of_two,
     check_probability,
-    check_shape,
 )
 
 
@@ -87,22 +86,6 @@ class TestCheckPowerOfTwo:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             check_power_of_two("n", 4.0)
-
-
-class TestCheckShape:
-    def test_exact_shape_accepted(self):
-        check_shape("a", np.zeros((3, 4)), (3, 4))
-
-    def test_wildcard_axis(self):
-        check_shape("a", np.zeros((3, 7)), (3, -1))
-
-    def test_wrong_extent_rejected(self):
-        with pytest.raises(ValueError, match="axis 1"):
-            check_shape("a", np.zeros((3, 4)), (3, 5))
-
-    def test_wrong_rank_rejected(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            check_shape("a", np.zeros(12), (3, 4))
 
 
 class TestCheckBinaryArray:
