@@ -28,6 +28,22 @@ class TestFibonacciLFSR:
         lfsr.reset()
         assert np.array_equal(first, lfsr.bits(50))
 
+    def test_reset_to_new_state_becomes_the_replay_point(self):
+        lfsr = FibonacciLFSR(12, seed=5)
+        lfsr.bits(17)
+        lfsr.reset(0x5A5)
+        assert lfsr.state == 0x5A5
+        first = lfsr.bits(50)
+        lfsr.reset()
+        assert np.array_equal(first, lfsr.bits(50))
+        assert np.array_equal(first, FibonacciLFSR(12, state=0x5A5).bits(50))
+
+    def test_reset_to_zero_state_rejected(self):
+        lfsr = FibonacciLFSR(8, state=3)
+        with pytest.raises(ValueError):
+            lfsr.reset(0x100)  # masks to zero in an 8-bit register
+        assert lfsr.state == 3
+
     def test_output_bits_are_balanced_over_full_period(self):
         lfsr = FibonacciLFSR(10, state=1)
         bits = lfsr.bits(lfsr.period)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.optics.photo import PhotoConversion
+from repro.optics.scenes import list_scenes, make_scene
 
 
 class TestPhotoConversion:
@@ -17,6 +18,20 @@ class TestPhotoConversion:
         current = conversion.convert(np.ones((8, 8)))
         expected = conversion.dark_current + conversion.full_scale_current
         assert np.allclose(current, expected)
+
+    def test_linear_in_irradiance(self):
+        conversion = PhotoConversion(
+            full_scale_current=1e-9, dark_current=0.0, prnu_sigma=0.0, shot_noise=False
+        )
+        scene = np.array([[0.0, 0.5], [0.75, 1.0]])
+        assert np.allclose(conversion.convert(scene), scene * 1e-9)
+
+    @pytest.mark.parametrize("kind", list_scenes())
+    def test_named_scenes_convert_to_positive_currents(self, kind):
+        current = PhotoConversion().convert(make_scene(kind, (16, 16), seed=1), rng=1)
+        assert current.shape == (16, 16)
+        assert np.all(np.isfinite(current))
+        assert np.all(current > 0)
 
     def test_monotonic_in_irradiance(self):
         conversion = PhotoConversion(prnu_sigma=0.0, shot_noise=False)

@@ -6,6 +6,7 @@ import pytest
 from repro.pixel.comparator import Comparator
 from repro.pixel.photodiode import Photodiode
 from repro.pixel.time_encoder import TimeEncoder
+from repro.sensor.tdc import GlobalCounterTDC
 
 
 def ideal_encoder() -> TimeEncoder:
@@ -117,3 +118,45 @@ class TestAdaptation:
     def test_full_scale_time(self):
         encoder = ideal_encoder()
         assert encoder.full_scale_time(1e-9) == pytest.approx(23e-6, rel=1e-6)
+
+
+class TestCodeChain:
+    """Photocurrent -> firing time -> counter code, and back through the ideal curve."""
+
+    @staticmethod
+    def chain() -> tuple[TimeEncoder, GlobalCounterTDC]:
+        encoder = TimeEncoder(
+            photodiode=Photodiode(capacitance=10e-15, reset_voltage=3.3),
+            comparator=Comparator(offset_sigma=0.0, delay=0.0),
+            reference_voltage=3.2,  # small swing so currents of ~1 nA land mid-range
+        )
+        return encoder, GlobalCounterTDC()
+
+    def test_brighter_pixels_get_smaller_codes(self):
+        encoder, tdc = self.chain()
+        codes = tdc.ideal_codes(encoder.ideal_firing_times(np.array([[0.5e-9, 2e-9]])))
+        assert codes[0, 1] < codes[0, 0]
+
+    def test_zero_current_saturates(self):
+        encoder, tdc = self.chain()
+        codes = tdc.ideal_codes(encoder.ideal_firing_times(np.array([[0.0]])))
+        assert codes[0, 0] == tdc.max_code
+
+    def test_code_brackets_the_current(self):
+        """Code c means the pixel fired in [c, c+1) periods, so its current lies
+        between the inverse transfer at the bin's two edges."""
+        encoder, tdc = self.chain()
+        currents = np.linspace(0.3e-9, 3e-9, 32).reshape(4, 8)
+        codes = tdc.ideal_codes(encoder.ideal_firing_times(currents))
+        assert codes.min() >= 1 and codes.max() < tdc.max_code
+        upper = encoder.photocurrent_from_time(codes * tdc.clock_period)
+        lower = encoder.photocurrent_from_time((codes + 1) * tdc.clock_period)
+        assert np.all(lower < currents * (1 + 1e-12))
+        assert np.all(currents <= upper * (1 + 1e-12))
+        recovered = encoder.photocurrent_from_time(tdc.code_to_time(codes))
+        assert np.median(np.abs(recovered - currents) / currents) < 0.1
+
+    def test_inverse_is_monotone_in_code(self):
+        encoder, tdc = self.chain()
+        currents = encoder.photocurrent_from_time(tdc.code_to_time(np.arange(tdc.n_codes)))
+        assert np.all(np.diff(currents) < 0)

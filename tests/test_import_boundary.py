@@ -19,6 +19,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "repro"
 
@@ -62,15 +64,20 @@ def test_scan_finds_nested_imports():
     assert scipy_imports("import numpy\nfrom .scipy import x\n") == []
 
 
-def test_no_module_imports_scipy():
+def _package_modules() -> list[pathlib.Path]:
     modules = sorted(PACKAGE.rglob("*.py"))
-    assert modules
-    offenders = [
-        f"{path.relative_to(REPO_ROOT)}:{line}"
-        for path in modules
-        for line in scipy_imports(path.read_text(encoding="utf-8"))
-    ]
-    assert offenders == []
+    assert modules, "src/repro vanished — update PACKAGE"
+    return modules
+
+
+@pytest.mark.parametrize(
+    "path",
+    _package_modules(),
+    ids=lambda path: str(path.relative_to(REPO_ROOT / "src")),
+)
+def test_no_module_imports_scipy(path):
+    offenders = scipy_imports(path.read_text(encoding="utf-8"))
+    assert offenders == [], f"{path.relative_to(REPO_ROOT)} imports scipy at lines {offenders}"
 
 
 def test_service_import_loads_no_scipy():
