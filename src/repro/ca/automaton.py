@@ -19,6 +19,27 @@ from repro.utils.rng import SeedLike, nonzero_seed_bits
 from repro.utils.validation import check_binary_array
 
 
+def rule_monomials(rule_number: int) -> tuple[tuple[int, ...], ...]:
+    """The algebraic normal form of an elementary rule, as its monomials.
+
+    Each monomial lists the neighbourhood variables it multiplies (0 left,
+    1 centre, 2 right; the empty monomial is the constant 1), and the rule
+    is the XOR of its monomials.  A monomial's coefficient is the Möbius
+    transform of the truth table: the XOR of the outputs on every
+    neighbourhood whose high cells lie inside the monomial.
+    """
+    monomials = []
+    for subset in range(8):
+        variables = tuple(index for index in range(3) if subset & (4 >> index))
+        coefficient = 0
+        for pattern in range(8):
+            if pattern & ~subset == 0:
+                coefficient ^= (rule_number >> pattern) & 1
+        if coefficient:
+            monomials.append(variables)
+    return tuple(monomials)
+
+
 class BoundaryCondition(enum.Enum):
     """Boundary handling for the 1-D cell register."""
 
@@ -217,8 +238,10 @@ class ElementaryCellularAutomaton:
         """Periodic-ring fast path for :meth:`evolve_states`.
 
         The register is packed into one Python integer (bit ``i`` is cell
-        ``i``) and the rule is applied as a bitwise sum-of-minterms over the
-        whole ring at once — arbitrary-precision integer ops make this a
+        ``i``) and the rule is applied over the whole ring at once in its
+        algebraic normal form: the XOR of the rule's monomials over
+        ``(left, centre, right)`` (:func:`rule_monomials`; Rule 30 is
+        ``l ⊕ c ⊕ r ⊕ c·r``).  Arbitrary-precision integer ops make this a
         handful of word-level operations per generation instead of a numpy
         call chain, which matters because CA evolution is the only serial
         part of the batched Φ builder.
@@ -229,29 +252,31 @@ class ElementaryCellularAutomaton:
         packed = int.from_bytes(
             np.packbits(self._state, bitorder="little").tobytes(), "little"
         )
-        minterms = [
-            ((pattern >> 2) & 1, (pattern >> 1) & 1, pattern & 1)
-            for pattern in range(8)
-            if (self.rule.number >> pattern) & 1
+        # Each monomial as (first factor, further factors); factor 3 is the
+        # all-ones ring, the constant monomial.
+        monomials = [
+            (monomial[0], monomial[1:]) if monomial else (3, ())
+            for monomial in rule_monomials(self.rule.number)
         ]
         n_bytes = (n_cells + 7) // 8
         packed_rows = bytearray()
         for snapshot_index in range(n_snapshots):
             if snapshot_index > 0 or step_before_first:
                 for _ in range(stride):
-                    # Bit i of `left` is cell i's left neighbour, etc.
-                    left = ((packed << 1) | (packed >> (n_cells - 1))) & ring_mask
-                    right = (packed >> 1) | ((packed & 1) << (n_cells - 1))
-                    not_left = left ^ ring_mask
-                    not_center = packed ^ ring_mask
-                    not_right = right ^ ring_mask
+                    # Bit i of factors[0] is cell i's left neighbour, of
+                    # factors[2] its right one.
+                    factors = (
+                        ((packed << 1) | (packed >> (n_cells - 1))) & ring_mask,
+                        packed,
+                        (packed >> 1) | ((packed & 1) << (n_cells - 1)),
+                        ring_mask,
+                    )
                     next_packed = 0
-                    for left_bit, center_bit, right_bit in minterms:
-                        next_packed |= (
-                            (left if left_bit else not_left)
-                            & (packed if center_bit else not_center)
-                            & (right if right_bit else not_right)
-                        )
+                    for first, further in monomials:
+                        term = factors[first]
+                        for factor in further:
+                            term &= factors[factor]
+                        next_packed ^= term
                     packed = next_packed
                     self._generation += 1
             packed_rows += packed.to_bytes(n_bytes, "little")

@@ -13,7 +13,9 @@ solvers need:
 * ``analyze(image) -> coefficients``     (Ψ* applied to an image vector)
 
 Vectors are flattened images in raster order; the dictionary knows the image
-shape so callers never juggle reshapes.
+shape so callers never juggle reshapes.  The maps compute in float64, except
+that a float32 operand stays float32 through the DCT: that is how the
+mixed-precision CA products (:mod:`repro.cs.structured`) run Ψ.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from functools import lru_cache
 import numpy as np
 
 from repro.utils.validation import check_positive, check_power_of_two
+
+
+def as_float(array: np.ndarray) -> np.ndarray:
+    """``array`` as float64, or as it is when it is already float32."""
+    array = np.asarray(array)
+    return array if array.dtype == np.float32 else np.asarray(array, dtype=float)
 
 
 class Dictionary(abc.ABC):
@@ -58,7 +66,7 @@ class Dictionary(abc.ABC):
 
     # -- helpers ----------------------------------------------------------
     def _check_vector(self, vector: np.ndarray, name: str) -> np.ndarray:
-        vector = np.asarray(vector, dtype=float).reshape(-1)
+        vector = as_float(vector).reshape(-1)
         if vector.size != self.n_pixels:
             raise ValueError(
                 f"{name} must have {self.n_pixels} entries, got {vector.size}"
@@ -79,7 +87,7 @@ class Dictionary(abc.ABC):
 
     # -- batched maps ------------------------------------------------------
     def _check_batch(self, batch: np.ndarray, name: str) -> np.ndarray:
-        batch = np.asarray(batch, dtype=float)
+        batch = as_float(batch)
         if batch.ndim != 2 or batch.shape[1] != self.n_pixels:
             raise ValueError(
                 f"{name} must have shape (k, {self.n_pixels}), got {batch.shape}"
@@ -161,11 +169,12 @@ class IdentityDictionary(Dictionary):
 
 
 @lru_cache(maxsize=None)
-def dct_matrix(size: int) -> np.ndarray:
+def dct_matrix(size: int, dtype: np.dtype | type = np.float64) -> np.ndarray:
     """The orthonormal DCT-II matrix ``D`` of one axis: ``dct(x, norm="ortho") = D x``.
 
-    Built once per side length and shared read-only, so a transform costs
-    two small GEMMs and no FFT planning or dispatch.
+    Built in float64 on first use, rounded to ``dtype`` and cached per side
+    length and dtype, shared read-only, so a transform costs two small GEMMs
+    and no FFT planning or dispatch.
     """
     check_positive("size", size)
     index = np.arange(size)
@@ -173,6 +182,7 @@ def dct_matrix(size: int) -> np.ndarray:
         np.pi * np.outer(index, 2 * index + 1) / (2 * size)
     )
     matrix[0] /= np.sqrt(2.0)
+    matrix = matrix.astype(dtype, copy=False)
     matrix.flags.writeable = False
     return matrix
 
@@ -182,14 +192,16 @@ class DCT2Dictionary(Dictionary):
 
     Every map — solo or batched, forward or inverse — is the one matmul
     chain ``D_r Z D_cᵀ`` (or its transpose) over a ``(..., rows, cols)``
-    stack, so a tile's bytes do not depend on the stack it rides in.
+    stack, so a tile's bytes do not depend on the stack it rides in.  The
+    chain runs in the stack's dtype: float32 operands meet float32 DCT
+    matrices.
     """
 
     orthonormal = True
 
     def _transform(self, stack: np.ndarray, *, inverse: bool) -> np.ndarray:
-        row_matrix = dct_matrix(self.shape[0])
-        col_matrix = dct_matrix(self.shape[1])
+        row_matrix = dct_matrix(self.shape[0], stack.dtype)
+        col_matrix = dct_matrix(self.shape[1], stack.dtype)
         if inverse:
             return row_matrix.T @ stack @ col_matrix
         return row_matrix @ stack @ col_matrix.T

@@ -60,6 +60,11 @@ class BaseSensingOperator:
     NORM_ITERATIONS = 50
     NORM_TOLERANCE = 1e-6
 
+    #: Dtype the dictionary transforms of :meth:`matvec` / :meth:`rmatvec`
+    #: run in; both products return float64 whatever it is.  The
+    #: mixed-precision structured operator lowers it to float32.
+    transform_dtype: type = np.float64
+
     def __init__(self, n_samples: int, dictionary: Dictionary) -> None:
         self._n_samples = int(n_samples)
         self.dictionary = dictionary
@@ -90,13 +95,16 @@ class BaseSensingOperator:
     # ------------------------------------------------------------ products
     def matvec(self, coefficients: np.ndarray) -> np.ndarray:
         """Apply ``A``: coefficients -> measurements."""
-        image = self.dictionary.synthesize(np.asarray(coefficients, dtype=float))
+        image = self.dictionary.synthesize(
+            np.asarray(coefficients, dtype=self.transform_dtype)
+        )
         return self.phi_dot(image)
 
     def rmatvec(self, measurements: np.ndarray) -> np.ndarray:
         """Apply ``A*``: measurements -> coefficient-domain correlations."""
         measurements = self._check_measurements(measurements)
-        return self.dictionary.analyze(self.phi_rdot(measurements))
+        back = self.phi_rdot(measurements).astype(self.transform_dtype, copy=False)
+        return np.asarray(self.dictionary.analyze(back), dtype=float)
 
     def phi_dot(self, pixels: np.ndarray) -> np.ndarray:
         """Apply Φ (as used by this operator, i.e. centred when centred) to a

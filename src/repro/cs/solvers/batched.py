@@ -63,7 +63,8 @@ class _TileStack:
 
     Each tile's ±1 kernels run on that operator's own factors, so no kernel
     temporary outgrows one tile's; the dictionary transforms run once over
-    the whole stack.
+    the whole stack, in the operators' ``transform_dtype`` as a solo
+    operator's do.
     """
 
     def __init__(self, operators: Sequence[StructuredSensingOperator]) -> None:
@@ -72,12 +73,13 @@ class _TileStack:
         self.dictionary = operators[0].dictionary
         self.image_shape = operators[0].image_shape
         self.n_samples = operators[0].n_samples
+        self.transform_dtype = operators[0].transform_dtype
 
     def forward(self, coefficients: np.ndarray, tiles: list[int]) -> np.ndarray:
         """``A_t z_t`` for the listed tiles: ``(k, n) -> (k, m)``."""
-        images = self.dictionary.synthesize_batch(coefficients).reshape(
-            len(tiles), *self.image_shape
-        )
+        images = self.dictionary.synthesize_batch(
+            coefficients.astype(self.transform_dtype, copy=False)
+        ).reshape(len(tiles), *self.image_shape)
         measured = np.empty((len(tiles), self.n_samples))
         for position, tile in enumerate(tiles):
             operator = self.operators[tile]
@@ -88,12 +90,13 @@ class _TileStack:
 
     def adjoint(self, measurements: np.ndarray) -> np.ndarray:
         """``A_t* y_t`` for every tile: ``(T, m) -> (T, n)``."""
-        back = np.empty((len(self.operators), *self.image_shape))
+        back = np.empty((len(self.operators), *self.image_shape), dtype=self.transform_dtype)
         for tile, operator in enumerate(self.operators):
             back[tile] = phi_rdot_stack(
                 operator.row_signs_t, operator.col_signs, operator.offset, measurements[tile]
             )
-        return self.dictionary.analyze_batch(back.reshape(len(self.operators), -1))
+        coefficients = self.dictionary.analyze_batch(back.reshape(len(self.operators), -1))
+        return np.asarray(coefficients, dtype=float)
 
 
 def steps_from_norms(sigmas: np.ndarray) -> np.ndarray:

@@ -30,8 +30,13 @@ instead of a GEMM plus two matvec passes.
 The ±1 factors are exact in any float format, so by default
 (``precision="mixed"``) they are stored as float32 and every GEMM runs in
 float32: only the image or measurement operand and the GEMM's accumulation
-round.  The solver's iterate, the offset term's sums, λ, the step and the
-backtrack test stay float64, and so do the kernels' outputs.
+round.  The DCT Ψ of the products runs in float32 too
+(:attr:`~repro.cs.operators.BaseSensingOperator.transform_dtype`): the
+coefficients enter it rounded to float32, the synthesised image feeds the
+GEMM as it is, and the back-projection is rounded to float32 before the
+analysis, whose coefficients return as float64.  The solver's iterate, the
+offset term's sums, λ, the step and the backtrack test stay float64, and so
+do the kernels' outputs.
 ``precision="float64"`` keeps the all-float64 products, on which the
 recon-equivalence suite pins the fast path against the dense reference.
 
@@ -54,7 +59,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ca.selection import selection_masks_from_states
-from repro.cs.dictionaries import Dictionary, IdentityDictionary
+from repro.cs.dictionaries import Dictionary, IdentityDictionary, as_float
 from repro.cs.operators import BaseSensingOperator
 from repro.utils.validation import check_choice
 
@@ -76,13 +81,13 @@ def phi_dot_stack(
     is ``S_C`` with shape ``(..., m, cols)`` and ``offsets`` is ``½ − d``
     with shape ``(...)``; leading axes broadcast against ``images``.  The
     GEMM and row-dot run in the factors' dtype; the offset term sums the
-    images as given and the result is float64.
+    images in float64 and the result is float64.
     """
     projected = np.matmul(
         np.swapaxes(row_signs_t, -1, -2), images.astype(row_signs_t.dtype, copy=False)
     )
     cross = np.einsum("...mc,...mc->...m", projected, col_signs)
-    totals = np.asarray(offsets) * images.sum(axis=(-2, -1))
+    totals = np.asarray(offsets) * images.sum(axis=(-2, -1), dtype=np.float64)
     return totals[..., None] - 0.5 * cross
 
 
@@ -156,6 +161,7 @@ class StructuredSensingOperator(BaseSensingOperator):
         self.col_factors = col_factors.astype(np.uint8)
         self.precision = precision
         dtype = FACTOR_DTYPES[precision]
+        self.transform_dtype = dtype
         #: ``S_Rᵀ``, shape ``(rows, m)``: the ±1 row factors ``1 − 2·R``
         #: (float32 unless ``precision="float64"``), pre-transposed and
         #: contiguous for the adjoint's GEMM.
@@ -217,7 +223,7 @@ class StructuredSensingOperator(BaseSensingOperator):
 
     # ------------------------------------------------------------ products
     def phi_dot(self, pixels: np.ndarray) -> np.ndarray:
-        pixels = np.asarray(pixels, dtype=float).reshape(-1)
+        pixels = as_float(pixels).reshape(-1)
         rows, cols = self.image_shape
         if pixels.size != rows * cols:
             raise ValueError(

@@ -94,20 +94,44 @@ class BitReader:
         return [self.read(n_bits) for _ in range(int(n_values))]
 
 
+def _bit_weights(n_bits: int) -> np.ndarray:
+    """``2**(n_bits-1), …, 2, 1``: the MSB-first place values of one sample."""
+    check_positive("n_bits", n_bits)
+    if n_bits > 63:
+        raise ValueError(f"samples are unsigned int64: n_bits must be at most 63, got {n_bits}")
+    return np.left_shift(1, np.arange(int(n_bits) - 1, -1, -1, dtype=np.int64))
+
+
 def pack_samples(samples: Sequence[int], n_bits: int) -> bytes:
     """Pack unsigned samples of ``n_bits`` each into a byte string.
 
-    An empty sample vector packs to zero bytes.  (The frame codec itself
-    never produces such a payload — headers require at least one sample, and
-    the streaming bit-rate governor refuses budgets below its
-    ``min_samples`` floor — but the packing layer stays total.)
+    The same MSB-first bytes :class:`BitWriter` produces, as one
+    ``np.packbits`` over the samples' bit matrix.  An empty sample vector
+    packs to zero bytes.  (The frame codec itself never produces such a
+    payload — headers require at least one sample, and the streaming
+    bit-rate governor refuses budgets below its ``min_samples`` floor — but
+    the packing layer stays total.)
     """
-    writer = BitWriter()
-    writer.write_many(np.asarray(samples, dtype=np.int64).tolist(), n_bits)
-    return writer.getvalue()
+    weights = _bit_weights(n_bits)
+    values = np.asarray(samples, dtype=np.int64).reshape(-1)
+    outside = (values < 0) | (values >> weights.size != 0)
+    if outside.any():
+        raise ValueError(
+            f"value {int(values[outside.argmax()])} does not fit in {n_bits} bits"
+        )
+    bits = (values[:, None] & weights) != 0
+    return np.packbits(bits).tobytes()
 
 
 def unpack_samples(data: bytes, n_samples: int, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_samples` (``n_samples=0`` yields an empty array)."""
-    reader = BitReader(data)
-    return np.array(reader.read_many(n_samples, n_bits), dtype=np.int64)
+    """Inverse of :func:`pack_samples` (``n_samples=0`` yields an empty array).
+
+    One ``np.unpackbits`` plus one weighted sum of the bit matrix.
+    """
+    check_positive("n_samples", n_samples, allow_zero=True)
+    weights = _bit_weights(n_bits)
+    n_needed, n_available = int(n_samples) * weights.size, len(data) * 8
+    if n_needed > n_available:
+        raise ValueError(f"requested {n_needed} bits but only {n_available} remain")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n_needed)
+    return bits.reshape(int(n_samples), weights.size) @ weights

@@ -181,6 +181,19 @@ def _read_stats(reader: BitReader) -> dict[str, object]:
     return metadata
 
 
+def _bits_to_int(bits: np.ndarray) -> int:
+    """A 0/1 vector as one MSB-first unsigned integer (one wide write)."""
+    packed = pack_samples(bits, 1)
+    return int.from_bytes(packed, "big") >> (len(packed) * 8 - bits.size)
+
+
+def _int_to_bits(value: int, n_bits: int) -> np.ndarray:
+    """Inverse of :func:`_bits_to_int`: the ``n_bits`` MSB-first bits of ``value``."""
+    n_bytes = (n_bits + 7) // 8
+    packed = (value << (n_bytes * 8 - n_bits)).to_bytes(n_bytes, "big")
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n_bits)
+
+
 def encode_frame(
     frame: CompressedFrame,
     *,
@@ -224,8 +237,8 @@ def encode_frame(
     if version == 2 and include_stats:
         _write_stats(writer, frame.metadata)
     if version == 1 or include_seed:
-        for bit in frame.seed_state:
-            writer.write(int(bit), 1)
+        seed = np.asarray(frame.seed_state).reshape(-1)
+        writer.write(_bits_to_int(seed), seed.size)
     packed_header = writer.getvalue()
     packed_samples = pack_samples(frame.samples, header.sample_bits)
     return packed_header + packed_samples
@@ -379,7 +392,7 @@ def decode_frame_prefix(
                 f"frame truncated inside the CA seed ({reader.bits_remaining} bits "
                 f"remain of {n_seed_bits})"
             )
-        seed = np.array(reader.read_many(n_seed_bits, 1), dtype=np.uint8)
+        seed = _int_to_bits(reader.read(n_seed_bits), n_seed_bits)
     else:
         if seed_state is None:
             raise HeaderMismatchError(

