@@ -9,7 +9,7 @@ never clips, one bit less clips the worst case.
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.analysis.dynamic_range import clipping_rate, compressed_sample_bits, dynamic_range_table
+from repro.analysis.dynamic_range import clipping_rate, dynamic_range_table
 from repro.sensor.sample_add import AccumulatorOverflowError, SampleAndAdd
 
 

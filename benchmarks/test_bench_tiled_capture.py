@@ -23,11 +23,11 @@ import os
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
+from benchmarks.paired import paired_rounds
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
@@ -99,30 +99,29 @@ PAIRED_ROUNDS = 5
 
 
 def paired_capture_times(n_rounds=PAIRED_ROUNDS):
-    """Wall-clock seconds of back-to-back serial/thread/process captures.
+    """Wall-clock seconds of serial/thread/process captures in paired rounds.
 
-    Each round times the three executors on the same capture, rotating
-    which goes first, so a shared runner's speed swings hit every side of
-    a round alike.  Returns one ``{executor: seconds}`` dict per round.
+    Each round times the three executors on the same capture
+    (:func:`~benchmarks.paired.paired_rounds`).  Returns one
+    ``{executor: seconds}`` dict per round.
     """
     current = make_scene_current()
     array = make_array(executor="serial")
     array.capture(current, keep_digital_image=False)  # warm caches
-    configs = [
-        ("serial", {"executor": "serial"}),
-        ("thread", {"executor": "thread", "max_workers": 4}),
-        ("process", {"executor": "process", "max_workers": 4}),
-    ]
-    rounds = []
-    for index in range(n_rounds):
-        shift = index % len(configs)
-        timings = {}
-        for name, capture_kwargs in configs[shift:] + configs[:shift]:
-            start = time.perf_counter()
-            array.capture(current, keep_digital_image=False, **capture_kwargs)
-            timings[name] = time.perf_counter() - start
-        rounds.append(timings)
-    return rounds
+    configs = {
+        "serial": {"executor": "serial"},
+        "thread": {"executor": "thread", "max_workers": 4},
+        "process": {"executor": "process", "max_workers": 4},
+    }
+    return paired_rounds(
+        {
+            name: lambda kwargs=kwargs: array.capture(
+                current, keep_digital_image=False, **kwargs
+            )
+            for name, kwargs in configs.items()
+        },
+        rounds=n_rounds,
+    )
 
 
 @pytest.mark.skipif(
@@ -143,16 +142,16 @@ def test_parallel_capture_beats_serial():
     when it does not — so the claim gated here is the honest one: the
     *best parallel* configuration beats serial on a multi-core machine.
     """
-    here = Path(__file__).resolve().parent
+    root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, **{name: "1" for name in BLAS_VARIABLES})
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")]
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
     )
     child = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import json, test_bench_tiled_capture as bench; "
+            "import json, benchmarks.test_bench_tiled_capture as bench; "
             "print(json.dumps(bench.paired_capture_times()))",
         ],
         env=env,

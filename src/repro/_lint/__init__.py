@@ -29,6 +29,9 @@ REPRO006   timing discipline: clock reads (``time.time``/``monotonic``/
            ``perf_counter``, ``loop.time``) go through the injected
            :class:`repro.telemetry.Clock`; only ``repro/telemetry/`` may
            read the wall/monotonic clock directly.
+REPRO007   no unused module-level imports: ruff's F401 checked offline
+           (``__all__``, ``import x as x`` and ``__init__.py`` re-exports
+           honoured); it does not replace ruff.
 ========== =====================================================================
 
 Suppressions

@@ -10,6 +10,7 @@ from repro._lint.rules.frozen_wire import RULE as FROZEN_WIRE
 from repro._lint.rules.rng_discipline import RULE as RNG_DISCIPLINE
 from repro._lint.rules.shared_phi import RULE as SHARED_PHI
 from repro._lint.rules.timing import RULE as TIMING_DISCIPLINE
+from repro._lint.rules.unused_imports import RULE as UNUSED_IMPORTS
 
 #: Every registered rule, in rule-id order.
 RULES: tuple[Rule, ...] = (
@@ -19,6 +20,7 @@ RULES: tuple[Rule, ...] = (
     ASYNC_HYGIENE,      # REPRO004
     FROZEN_WIRE,        # REPRO005
     TIMING_DISCIPLINE,  # REPRO006
+    UNUSED_IMPORTS,     # REPRO007
 )
 
 

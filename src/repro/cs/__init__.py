@@ -28,7 +28,7 @@ from repro.cs.metrics import nmse, psnr, reconstruction_snr, ssim
 from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.structured import StructuredSensingOperator
 from repro.cs.rip import mutual_coherence, restricted_isometry_estimate
-from repro.cs.solvers import cosamp, fista, iht, ista, omp
+from repro.cs.solvers import fista, ista, omp
 
 __all__ = [
     "Dictionary",
@@ -53,8 +53,6 @@ __all__ = [
     "mutual_coherence",
     "restricted_isometry_estimate",
     "omp",
-    "cosamp",
-    "iht",
     "ista",
     "fista",
 ]

@@ -129,7 +129,7 @@ class BaseSensingOperator:
 
         The atoms are batch-synthesised in one dictionary transform and
         pushed through Φ in one product — no per-column Python loop, which
-        is what keeps OMP/CoSaMP support solves cheap.
+        is what keeps OMP's support solves cheap.
         """
         indices = list(indices)
         if not indices:

@@ -9,15 +9,13 @@ attribute is the recovered sparse vector in the dictionary domain.
 Available solvers:
 
 * :func:`omp` — orthogonal matching pursuit (greedy, needs a sparsity target).
-* :func:`cosamp` — compressive sampling matching pursuit.
-* :func:`iht` — iterative hard thresholding.
 * :func:`ista` / :func:`fista` — proximal-gradient l1 minimisation (the
   default for the image-scale benchmarks).
 """
 
 from repro.cs.solvers.result import SolverResult, as_operator
-from repro.cs.solvers.greedy import cosamp, omp
-from repro.cs.solvers.iterative import fista, iht, ista
+from repro.cs.solvers.greedy import omp
+from repro.cs.solvers.iterative import fista, ista
 from repro.cs.solvers.batched import (
     batched_operator_norms,
     batched_proximal_gradient,
@@ -27,8 +25,6 @@ __all__ = [
     "SolverResult",
     "as_operator",
     "omp",
-    "cosamp",
-    "iht",
     "ista",
     "fista",
     "batched_operator_norms",

@@ -1,14 +1,13 @@
-"""Greedy sparse-recovery solvers: OMP and CoSaMP.
+"""Greedy sparse recovery: orthogonal matching pursuit (OMP).
 
-Greedy solvers build the support of the solution one (or a few) atoms at a
-time and solve a least-squares problem restricted to that support.  They are
-the right tool for the small, explicitly-sparse problems in the test-suite
-and for block-based CS where each block is low-dimensional; the image-scale
-benchmarks use the proximal solvers instead.
+OMP builds the support of the solution one atom at a time and solves a
+least-squares problem restricted to that support.  It is the right tool for
+the small, explicitly-sparse problems in the test-suite and for block-based
+CS where each block is low-dimensional; the image-scale benchmarks use the
+proximal solvers instead.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
@@ -79,58 +78,6 @@ def omp(
         history.append(float(np.linalg.norm(residual)))
         if history[-1] <= tolerance or len(support) >= sparsity:
             converged = history[-1] <= tolerance or len(support) >= sparsity
-            break
-    return SolverResult(
-        coefficients=coefficients,
-        n_iterations=iteration,
-        converged=converged,
-        residual_norm=history[-1] if history else float(np.linalg.norm(residual)),
-        history=history,
-    )
-
-
-def cosamp(
-    operator_or_matrix: SensingOperator | np.ndarray,
-    measurements: np.ndarray,
-    *,
-    sparsity: int,
-    max_iterations: int = 30,
-    tolerance: float = 1e-6,
-) -> SolverResult:
-    """Compressive sampling matching pursuit (CoSaMP, Needell & Tropp 2009).
-
-    Each iteration merges the ``2k`` strongest correlations into the current
-    support, solves least squares on the merged support and prunes back to
-    the ``k`` largest entries.
-    """
-    operator = as_operator(operator_or_matrix)
-    measurements = check_measurements(operator, measurements)
-    check_positive("sparsity", sparsity)
-    check_positive("max_iterations", max_iterations)
-
-    sparsity = int(sparsity)
-    coefficients = np.zeros(operator.n_coefficients)
-    residual = measurements.copy()
-    history = []
-    converged = False
-    iteration = 0
-    for iteration in range(1, int(max_iterations) + 1):
-        correlations = operator.rmatvec(residual)
-        candidate = np.argsort(np.abs(correlations))[::-1][: 2 * sparsity]
-        current_support = np.nonzero(coefficients)[0]
-        merged = np.union1d(candidate, current_support).astype(int)
-        estimate = _least_squares_on_support(operator, measurements, merged)
-        # Prune to the k largest entries.
-        keep = np.argsort(np.abs(estimate))[::-1][:sparsity]
-        coefficients = np.zeros(operator.n_coefficients)
-        coefficients[keep] = estimate[keep]
-        residual = measurements - operator.matvec(coefficients)
-        history.append(float(np.linalg.norm(residual)))
-        if history[-1] <= tolerance:
-            converged = True
-            break
-        if len(history) >= 2 and abs(history[-2] - history[-1]) <= 1e-12:
-            converged = True
             break
     return SolverResult(
         coefficients=coefficients,

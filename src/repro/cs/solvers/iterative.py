@@ -1,4 +1,4 @@
-"""Iterative thresholding solvers: ISTA, FISTA and IHT.
+"""Iterative soft-thresholding solvers: ISTA and FISTA.
 
 These are the work-horses for the image-scale reconstructions (64x64 = 4096
 unknowns, ~1600 measurements): every iteration needs exactly one application
@@ -12,12 +12,10 @@ momentum step, instead of being recomputed.
   :func:`proximal_gradient`, the one FISTA/ISTA loop of the package, as a
   stack of one; the batched multi-tile solver
   (:mod:`repro.cs.solvers.batched`) runs it over a stack of tiles.
-* IHT solves the k-sparse constrained problem by gradient steps followed by
-  hard thresholding to the k largest coefficients.
 
 The default step ``1/σ²`` comes from ``operator.operator_norm()``, which for
-CA frames is a closed-form estimate rather than a bound.  So both loops
-check every step with the sufficient-decrease test of
+CA frames is a closed-form estimate rather than a bound.  So the loop
+checks every step with the sufficient-decrease test of
 ``f(z) = ½‖Az − y‖²``.  For this quadratic ``f`` the test is exactly
 ``‖A(z⁺ − v)‖² ≤ ‖z⁺ − v‖²/t``, and both products are already in hand.
 A tile that fails it shrinks its step, recomputes its candidate and pays
@@ -54,17 +52,6 @@ def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
 def _shrink(values: np.ndarray, thresholds: float | np.ndarray) -> np.ndarray:
     """Unchecked soft-thresholding; ``thresholds`` may be one per stack row."""
     return np.sign(values) * np.maximum(np.abs(values) - thresholds, 0.0)
-
-
-def hard_threshold(values: np.ndarray, sparsity: int) -> np.ndarray:
-    """Keep the ``sparsity`` largest-magnitude entries, zero the rest."""
-    check_positive("sparsity", sparsity)
-    result = np.zeros_like(values)
-    if sparsity >= values.size:
-        return values.copy()
-    keep = np.argpartition(np.abs(values), -int(sparsity))[-int(sparsity):]
-    result[keep] = values[keep]
-    return result
 
 
 def step_from_norm(sigma: float) -> float:
@@ -338,74 +325,3 @@ def proximal_gradient(
         )
         for index, history in enumerate(histories)
     ]
-
-
-def iht(
-    operator_or_matrix: SensingOperator | np.ndarray,
-    measurements: np.ndarray,
-    *,
-    sparsity: int,
-    max_iterations: int = 100,
-    tolerance: float = 1e-6,
-    step_size: float | None = None,
-    profile: SolverProfile | None = None,
-) -> SolverResult:
-    """Iterative hard thresholding (Blumensath & Davies 2009).
-
-    Each step passes the same sufficient-decrease test as the proximal
-    loop (:func:`backtracked_step`, with ``v`` the current iterate); a
-    failed step shrinks and retries at one forward product per retry.
-    ``profile`` records the data-fidelity objective ``0.5||y - Az||²`` per
-    iteration (IHT has no l1 term) plus step-size provenance; read-only.
-    """
-    operator = as_operator(operator_or_matrix)
-    measurements = check_measurements(operator, measurements)
-    check_positive("sparsity", sparsity)
-    check_positive("max_iterations", max_iterations)
-    step, provenance = _step_size(operator, step_size)
-    if profile is not None:
-        profile.record_step_size(step, provenance=provenance)
-        profile.n_tiles = 1
-
-    coefficients = np.zeros(operator.n_coefficients)
-    # The residual's product is the next gradient's: carry it forward (A of
-    # the zero start is zero), so each iteration costs one matvec.
-    measured = np.zeros(operator.n_samples)
-    history = []
-    converged = False
-    reductions = 0
-    iteration = 0
-    for iteration in range(1, int(max_iterations) + 1):
-        gradient = operator.rmatvec(measured - measurements)
-        while True:
-            candidate = hard_threshold(coefficients - step * gradient, int(sparsity))
-            measured_candidate = operator.matvec(candidate)
-            shrunk = backtracked_step(
-                candidate - coefficients, measured_candidate - measured, step
-            )
-            if shrunk is None:
-                break
-            step = shrunk
-            reductions += 1
-        change = np.linalg.norm(candidate - coefficients)
-        scale = max(np.linalg.norm(coefficients), 1e-12)
-        coefficients = candidate
-        measured = measured_candidate
-        residual = measurements - measured
-        history.append(float(np.linalg.norm(residual)))
-        if profile is not None:
-            profile.record_iteration(0.5 * history[-1] ** 2, history[-1])
-        if change / scale <= tolerance:
-            converged = True
-            break
-    if profile is not None:
-        profile.step_reductions = reductions
-        profile.finish(converged=converged)
-    return SolverResult(
-        coefficients=coefficients,
-        n_iterations=iteration,
-        converged=converged,
-        residual_norm=history[-1] if history else 0.0,
-        history=history,
-        step_reductions=reductions,
-    )

@@ -38,8 +38,8 @@ from repro.cs.solvers.batched import (
 from repro.cs.structured import FACTOR_DTYPES
 from repro.recon.operator import frame_operator
 from repro.recon.pipeline import (
-    _DEFAULT_MAX_ITERATIONS,
-    BATCHABLE_SOLVERS,
+    DEFAULT_MAX_ITERATIONS,
+    PROXIMAL_SOLVERS,
     ReconstructionResult,
     center_frame_samples,
     frame_result,
@@ -109,7 +109,7 @@ def solve_tiles_batched(
         per-tile path produces, including per-tile metrics against the
         frame's digital image when it was kept.
     """
-    check_choice("solver", solver, BATCHABLE_SOLVERS)
+    check_choice("solver", solver, PROXIMAL_SOLVERS)
     if not frames:
         return []
     keys = {batch_group_key(frame) for frame in frames}
@@ -118,7 +118,7 @@ def solve_tiles_batched(
             f"solve_tiles_batched needs equal-geometry frames, got keys {sorted(keys)}"
         )
     if max_iterations is None:
-        max_iterations = _DEFAULT_MAX_ITERATIONS[solver]
+        max_iterations = DEFAULT_MAX_ITERATIONS
     size = tiles_per_group(frames[0])
     results: list[ReconstructionResult] = []
     for start in range(0, len(frames), size):

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.recon.batch import batch_group_key, solve_tiles_batched
 from repro.recon.pipeline import (
-    BATCHABLE_SOLVERS,
+    PROXIMAL_SOLVERS,
     ReconstructionResult,
     TiledReconstructionResult,
     quality_metrics,
@@ -35,6 +35,7 @@ from repro.recon.pipeline import (
 )
 from repro.sensor.imager import CompressedFrame
 from repro.sensor.shard import TileSlot, merge_tile_statistics, tile_grid
+from repro.utils.validation import check_choice
 
 
 class IncrementalTiledReconstructor:
@@ -56,9 +57,10 @@ class IncrementalTiledReconstructor:
     scene_shape, tile_shape : tuple of int
         Full-scene and nominal tile dimensions; the tile grid (edge tiles
         shrunk to fit) is derived exactly as the capture side derives it.
-    dictionary, solver, regularization, sparsity, max_iterations, operator:
+    dictionary, solver, regularization, max_iterations, operator:
         Per-tile reconstruction options, as in
-        :func:`~repro.recon.pipeline.reconstruct_frame`.
+        :func:`~repro.recon.pipeline.reconstruct_frame`; ``solver`` must be
+        one of the proximal family (``fista``/``ista``), checked here.
     """
 
     def __init__(
@@ -69,10 +71,10 @@ class IncrementalTiledReconstructor:
         dictionary: str = "dct",
         solver: str = "fista",
         regularization: float | None = None,
-        sparsity: int | None = None,
         max_iterations: int | None = None,
         operator: str = "structured",
     ) -> None:
+        check_choice("solver", solver, PROXIMAL_SOLVERS)
         self.scene_shape = (int(scene_shape[0]), int(scene_shape[1]))
         self.tile_shape = (
             min(int(tile_shape[0]), self.scene_shape[0]),
@@ -81,7 +83,6 @@ class IncrementalTiledReconstructor:
         self.dictionary = dictionary
         self.solver = solver
         self.regularization = regularization
-        self.sparsity = sparsity
         self.max_iterations = None if max_iterations is None else int(max_iterations)
         self.operator = operator
         self.slots: list[list[TileSlot]] = tile_grid(self.scene_shape, self.tile_shape)
@@ -164,7 +165,6 @@ class IncrementalTiledReconstructor:
             dictionary=self.dictionary,
             solver=self.solver,
             regularization=self.regularization,
-            sparsity=self.sparsity,
             max_iterations=self.max_iterations,
             operator=self.operator,
             sample_mask=sample_mask,
@@ -185,19 +185,17 @@ class IncrementalTiledReconstructor:
     def solve_staged(self) -> list[ReconstructionResult]:
         """Solve every staged tile and stitch the results into the scene.
 
-        With the structured operator and a FISTA/ISTA solver, every
-        equal-geometry group runs through
+        With the structured operator, every equal-geometry group runs through
         :func:`~repro.recon.batch.solve_tiles_batched`, which stacks as many
         of its tiles per solve as fit the factor budget, each tile's GEMMs
         on its own factors; odd-shaped edge tiles simply form single-tile
         groups and take the same batched path with ``T = 1``.
-        Greedy solvers and the dense operator flavour fall back to the
-        ordinary per-tile solve.  Returns the per-tile results in staging
-        order.
+        The dense operator flavour falls back to the ordinary per-tile
+        solve.  Returns the per-tile results in staging order.
         """
         staged, self._staged = self._staged, []
         results: list[ReconstructionResult | None] = [None] * len(staged)
-        if self.operator == "structured" and self.solver in BATCHABLE_SOLVERS:
+        if self.operator == "structured":
             groups: dict[tuple, list[int]] = {}
             for index, (_, _, frame) in enumerate(staged):
                 groups.setdefault(batch_group_key(frame), []).append(index)

@@ -23,7 +23,7 @@ import numpy as np
 from repro.cs.dictionaries import make_dictionary
 from repro.cs.metrics import psnr, reconstruction_snr
 from repro.cs.operators import BaseSensingOperator, SensingOperator
-from repro.cs.solvers import SolverResult, cosamp, fista, iht, ista, omp
+from repro.cs.solvers import SolverResult, fista, ista, omp
 from repro.recon.operator import frame_operator, normalize_sample_mask
 from repro.sensor.imager import CompressedFrame
 from repro.sensor.shard import TiledCaptureResult
@@ -33,25 +33,17 @@ _SOLVERS = {
     "fista": fista,
     "ista": ista,
     "omp": omp,
-    "cosamp": cosamp,
-    "iht": iht,
 }
 
-#: Per-solver iteration budgets used when the caller passes
-#: ``max_iterations=None``: the proximal solvers and IHT get the image-scale
-#: budget, CoSaMP keeps its classic small default (each CoSaMP iteration is
-#: a full least-squares solve, so 30 is already generous), and OMP is driven
-#: by its sparsity target.  An explicit ``max_iterations`` is honoured
-#: verbatim by every solver — it is never silently clamped.
-_DEFAULT_MAX_ITERATIONS = {
-    "fista": 200,
-    "ista": 200,
-    "iht": 200,
-    "cosamp": 30,
-}
+#: The proximal-gradient family: the solvers the batched multi-tile engine
+#: stacks, and the only ones the tiled and streaming paths take.
+PROXIMAL_SOLVERS = ("fista", "ista")
 
-#: Solvers the batched multi-tile engine can stack (proximal-gradient family).
-BATCHABLE_SOLVERS = ("fista", "ista")
+#: The proximal solvers' iteration budget when the caller passes
+#: ``max_iterations=None``; OMP is driven by its sparsity target instead.
+#: An explicit ``max_iterations`` is honoured verbatim by every solver — it
+#: is never silently clamped.
+DEFAULT_MAX_ITERATIONS = 200
 
 
 @dataclass
@@ -97,24 +89,16 @@ def _solve(
     max_iterations: int | None,
 ) -> SolverResult:
     check_choice("solver", solver, tuple(_SOLVERS))
-    if max_iterations is None:
-        max_iterations = _DEFAULT_MAX_ITERATIONS.get(solver)
-    if solver in ("fista", "ista"):
+    if solver in PROXIMAL_SOLVERS:
         return _SOLVERS[solver](
             operator,
             measurements,
             regularization=regularization,
-            max_iterations=max_iterations,
+            max_iterations=DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations,
         )
     if sparsity is None:
         sparsity = max(1, operator.n_samples // 8)
-    if solver == "iht":
-        return iht(operator, measurements, sparsity=int(sparsity), max_iterations=max_iterations)
-    if solver == "cosamp":
-        return cosamp(
-            operator, measurements, sparsity=int(sparsity), max_iterations=max_iterations
-        )
-    return omp(operator, measurements, sparsity=int(sparsity))
+    return omp(operator, measurements, sparsity=int(sparsity), max_iterations=max_iterations)
 
 
 def reconstruct_samples(
@@ -148,17 +132,16 @@ def reconstruct_samples(
         ``(rows, cols)`` of the image to recover.
     dictionary : str
         Sparsifying dictionary name (see :func:`repro.cs.dictionaries.make_dictionary`).
-    solver : {"fista", "ista", "omp", "cosamp", "iht"}
-        Sparse-recovery solver; greedy solvers use ``sparsity``.
+    solver : {"fista", "ista", "omp"}
+        Sparse-recovery solver; OMP uses ``sparsity``.
     regularization : float, optional
         l1 weight for FISTA/ISTA; auto-scaled when omitted.
     sparsity : int, optional
-        Sparsity target for the greedy solvers; defaults to
-        ``n_samples // 8``.
+        Sparsity target for OMP; defaults to ``n_samples // 8``.
     max_iterations : int, optional
-        Iteration budget; per-solver defaults when omitted (200 for the
-        proximal solvers and IHT, 30 for CoSaMP).  An explicit value is
-        honoured verbatim by every solver.
+        Iteration budget; when omitted, 200 for FISTA/ISTA and the
+        sparsity target for OMP.  An explicit value is honoured verbatim
+        by every solver.
     center : bool
         Apply the selection-matrix DC centring described above.
     reference : numpy.ndarray, optional
@@ -225,9 +208,11 @@ def reconstruct_frame(
         FISTA/ISTA l1 weight.  Defaults to a value scaled to the code range
         and the measurement count, which works well across the synthetic
         scenes.
+    sparsity:
+        OMP's sparsity target, as in :func:`reconstruct_samples`.
     max_iterations:
-        Iteration budget; per-solver defaults when omitted (200 proximal /
-        IHT, 30 CoSaMP), and an explicit value is honoured verbatim.
+        Iteration budget; when omitted, 200 for FISTA/ISTA and the sparsity
+        target for OMP, and an explicit value is honoured verbatim.
     reference:
         Optional ground-truth code image (e.g. ``frame.digital_image``); when
         given, PSNR/SNR metrics are attached to the result.
@@ -375,7 +360,6 @@ def reconstruct_tiled(
     dictionary: str = "dct",
     solver: str = "fista",
     regularization: float | None = None,
-    sparsity: int | None = None,
     max_iterations: int | None = None,
     reference: np.ndarray | None = None,
     operator: str = "structured",
@@ -393,8 +377,9 @@ def reconstruct_tiled(
     ----------
     capture : TiledCaptureResult
         The merged tiled capture to invert.
-    dictionary, solver, regularization, sparsity, max_iterations:
-        Per-tile reconstruction options, as in :func:`reconstruct_frame`.
+    dictionary, solver, regularization, max_iterations:
+        Per-tile reconstruction options, as in :func:`reconstruct_frame`;
+        ``solver`` is one of the proximal family (``fista``/``ista``).
     reference : numpy.ndarray, optional
         Ground-truth code image of the whole scene; when omitted, the
         stitched per-tile digital images are used if the capture kept them.
@@ -412,10 +397,9 @@ def reconstruct_tiled(
     -----
     The equal-shape tiles are solved as stacked FISTA/ISTA groups through
     :func:`~repro.recon.batch.solve_tiles_batched`, each tile's GEMMs on its
-    own factors; solvers outside that family, or the dense operator flavour,
-    fall back to per-tile :func:`reconstruct_frame` solves inside the same
-    call.  Either way every tile's bytes equal its own
-    :func:`reconstruct_frame` solve.  The solves and the stitching are
+    own factors; the dense operator flavour falls back to per-tile
+    :func:`reconstruct_frame` solves inside the same call.  Either way every
+    tile's bytes equal its own :func:`reconstruct_frame` solve.  The solves and the stitching are
     delegated to :class:`repro.recon.incremental.IncrementalTiledReconstructor`
     — the same accumulator the streaming receiver feeds tile chunks into — so
     in-process and streamed reconstructions are one code path and stay
@@ -429,7 +413,6 @@ def reconstruct_tiled(
         dictionary=dictionary,
         solver=solver,
         regularization=regularization,
-        sparsity=sparsity,
         max_iterations=max_iterations,
         operator=operator,
     )

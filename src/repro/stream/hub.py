@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Any
 
+from repro.recon.pipeline import PROXIMAL_SOLVERS
 from repro.stream.protocol import (
     ChunkDecoder,
     ChunkType,
@@ -76,7 +77,7 @@ from repro.telemetry.registry import latency_quantile_gauges
 # ``from repro.stream.hub import percentile`` keeps working.
 from repro.telemetry.stats import percentile as percentile  # noqa: PLC0414
 from repro.utils.memory import release_freed_memory
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_choice, check_positive
 
 
 def _keep_recent(entries: list[Any], entry: Any) -> None:
@@ -371,11 +372,12 @@ class ReceiverHub:
 
     Parameters
     ----------
-    reconstruct, dictionary, solver, regularization, sparsity,
-    max_iterations, operator:
+    reconstruct, dictionary, solver, regularization, max_iterations, operator:
         Per-session reconstruction options, exactly as on
         :class:`~repro.stream.receiver.StreamReceiver`; every session the
-        hub opens gets the same configuration.
+        hub opens gets the same configuration.  ``solver`` must be one of
+        the proximal family (``fista``/``ista``); any other name raises
+        ``ValueError`` here, before a stream arrives.
     executor:
         ``concurrent.futures`` executor for solver work; ``None`` uses the
         event loop's default thread pool.
@@ -435,7 +437,6 @@ class ReceiverHub:
         dictionary: str = "dct",
         solver: str = "fista",
         regularization: float | None = None,
-        sparsity: int | None = None,
         max_iterations: int | None = None,
         operator: str = "structured",
         executor: Executor | None = None,
@@ -453,6 +454,7 @@ class ReceiverHub:
         max_sequence_gap: int | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
+        check_choice("solver", solver, PROXIMAL_SOLVERS)
         if max_streams is not None:
             check_positive("max_streams", max_streams)
         if resume_grace is not None:
@@ -476,7 +478,6 @@ class ReceiverHub:
             dictionary=dictionary,
             solver=solver,
             regularization=regularization,
-            sparsity=sparsity,
             max_iterations=max_iterations,
             operator=operator,
             resilient=self.resilient,

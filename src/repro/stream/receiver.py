@@ -35,10 +35,12 @@ from __future__ import annotations
 import inspect
 from typing import Any
 
+from repro.recon.pipeline import PROXIMAL_SOLVERS
 from repro.stream.hub import ReceiverHub
 from repro.stream.protocol import StreamProtocolError
 from repro.stream.session import ReceivedFrame, StreamResult
 from repro.stream.transport import Transport
+from repro.utils.validation import check_choice
 
 __all__ = ["ReceivedFrame", "StreamReceiver", "StreamResult", "receive_stream"]
 
@@ -51,7 +53,8 @@ class StreamReceiver:
     ``frame_deadline``, ``telemetry``, ...), forwarded verbatim to the
     private one-stream hub each :meth:`run` builds.  The fleet options that
     hub fixes or never exercises (:attr:`FLEET_ONLY`) are refused, as is an
-    unknown name: both raise ``TypeError`` here, at construction.
+    unknown name: both raise ``TypeError`` here, at construction.  A solver
+    outside the proximal family raises ``ValueError``, also here.
     """
 
     #: Solver slots of the private single-stream hub.  Generous on purpose:
@@ -78,7 +81,9 @@ class StreamReceiver:
         fleet = sorted(self.FLEET_ONLY.intersection(options))
         if fleet:
             raise TypeError(f"StreamReceiver does not take the hub options {fleet}")
-        inspect.signature(ReceiverHub).bind(**options)
+        bound = inspect.signature(ReceiverHub).bind(**options)
+        bound.apply_defaults()
+        check_choice("solver", bound.arguments["solver"], PROXIMAL_SOLVERS)
         self._options = options
 
     def _new_hub(self) -> ReceiverHub:

@@ -442,11 +442,11 @@ class StreamSession:
     scheduler:
         The :class:`SolveScheduler` every reconstruction is dispatched
         through.  The session never blocks the event loop on solver work.
-    reconstruct, dictionary, solver, regularization, sparsity,
-    max_iterations, operator:
+    reconstruct, dictionary, solver, regularization, max_iterations, operator:
         Reconstruction options, exactly as on
         :class:`~repro.stream.receiver.StreamReceiver` (which forwards them
-        here verbatim).
+        here verbatim); ``solver`` is one of the proximal family
+        (``fista``/``ista``), which the hub checks at construction.
     resilient:
         The strictness policy.  A strict session (the default) raises
         :class:`StreamProtocolError` on every anomaly; a resilient one turns
@@ -517,7 +517,6 @@ class StreamSession:
         dictionary: str = "dct",
         solver: str = "fista",
         regularization: float | None = None,
-        sparsity: int | None = None,
         max_iterations: int | None = None,
         operator: str = "structured",
         resilient: bool = False,
@@ -567,7 +566,6 @@ class StreamSession:
             dictionary=dictionary,
             solver=solver,
             regularization=regularization,
-            sparsity=sparsity,
             max_iterations=None if max_iterations is None else int(max_iterations),
             operator=operator,
         )

@@ -1,10 +1,10 @@
 """Opt-in solver profiles: per-iteration convergence data, no numpy needed.
 
-``ista``/``fista``/``iht`` and ``batched_proximal_gradient`` accept
+``ista``/``fista`` and ``batched_proximal_gradient`` accept
 ``profile=SolverProfile()``; when given, they append one record per
 iteration (objective, residual norm, and how many tiles are frozen — always
 0 for ``ista``/``fista``, which solve one tile) and stamp where the step
-size came from; ``iht`` records no frozen count.  When ``profile`` stays
+size came from.  When ``profile`` stays
 ``None`` (the default) the solvers skip every bookkeeping branch, so the
 profiling seam costs nothing and, because a profile only *reads* solver
 state, recording one is bit-neutral: same iterates, same RNG stream, same

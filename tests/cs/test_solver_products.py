@@ -2,12 +2,12 @@
 
 The solvers carry the forward product the residual norm needs into the next
 gradient instead of recomputing it: one ``matvec`` and one ``rmatvec`` per
-FISTA/ISTA iteration (plus the start point's ``matvec``), one of each per IHT
-iteration.  The reference recurrences below are the three-product forms the
-solvers replaced, kept as executable specs:
+FISTA/ISTA iteration (plus the start point's ``matvec``).  The reference
+recurrence below is the three-product form the solvers replaced, kept as an
+executable spec:
 
-* ISTA and IHT stay byte-identical to them — their gradient point *is* the
-  previous iterate, so the carried product is the recomputed one;
+* ISTA stays byte-identical to it — its gradient point *is* the previous
+  iterate, so the carried product is the recomputed one;
 * FISTA tracks ``A @ momentum_point`` by linearity, which moves bytes at
   the ulp level only, pinned here at 1e-9 relative on a 64x64 frame's
   float64 products.
@@ -20,8 +20,8 @@ from repro.ca.selection import ca_selection_factors
 from repro.cs.dictionaries import make_dictionary
 from repro.cs.matrices import gaussian_matrix
 from repro.cs.operators import SensingOperator
-from repro.cs.solvers import fista, iht, ista
-from repro.cs.solvers.iterative import hard_threshold, soft_threshold
+from repro.cs.solvers import fista, ista
+from repro.cs.solvers.iterative import soft_threshold
 from repro.cs.structured import StructuredSensingOperator
 from repro.optics.scenes import make_scene
 from repro.utils.rng import nonzero_seed_bits
@@ -50,22 +50,6 @@ def reference_proximal_gradient(
             momentum = next_momentum
         else:
             momentum_point = candidate
-        change = np.linalg.norm(candidate - coefficients)
-        scale = max(np.linalg.norm(coefficients), 1e-12)
-        coefficients = candidate
-        history.append(float(np.linalg.norm(measurements - operator.matvec(coefficients))))
-        if change / scale <= tolerance:
-            break
-    return coefficients, history
-
-
-def reference_iht(operator, measurements, *, sparsity, max_iterations, tolerance, step):
-    """The replaced IHT recurrence: two matvecs and one rmatvec per iteration."""
-    coefficients = np.zeros(operator.n_coefficients)
-    history = []
-    for _ in range(max_iterations):
-        gradient = operator.rmatvec(operator.matvec(coefficients) - measurements)
-        candidate = hard_threshold(coefficients - step * gradient, sparsity)
         change = np.linalg.norm(candidate - coefficients)
         scale = max(np.linalg.norm(coefficients), 1e-12)
         coefficients = candidate
@@ -122,16 +106,6 @@ class TestProductCounts:
         assert result.n_iterations == 25
         assert counts == {"matvec": 26, "rmatvec": 25}
 
-    def test_iht_runs_one_product_pair_per_iteration(self):
-        operator, measurements = ca_problem((16, 16), 100)
-        counts = count_products(operator)
-        result = iht(
-            operator, measurements, sparsity=20, max_iterations=15,
-            tolerance=1e-300, step_size=1e-4,
-        )
-        assert result.n_iterations == 15
-        assert counts == {"matvec": 15, "rmatvec": 15}
-
 
 class TestRecurrencePins:
     @pytest.mark.parametrize("use_initial", [False, True])
@@ -154,24 +128,6 @@ class TestRecurrencePins:
         coefficients, history = reference_proximal_gradient(
             operator, measurements, regularization=0.05, max_iterations=80,
             tolerance=1e-6, step=step, initial=initial, accelerated=False,
-        )
-        assert result.coefficients.tobytes() == coefficients.tobytes()
-        assert result.history == history
-
-    @pytest.mark.parametrize("problem", ["structured", "dense"])
-    def test_iht_is_byte_identical_to_the_two_matvec_recurrence(self, problem):
-        if problem == "structured":
-            operator, measurements = ca_problem((16, 16), 100)
-        else:
-            operator, measurements = dense_problem()
-        step = 1.0 / operator.operator_norm() ** 2
-        result = iht(
-            operator, measurements, sparsity=12, max_iterations=60,
-            tolerance=1e-6, step_size=step,
-        )
-        coefficients, history = reference_iht(
-            operator, measurements, sparsity=12, max_iterations=60,
-            tolerance=1e-6, step=step,
         )
         assert result.coefficients.tobytes() == coefficients.tobytes()
         assert result.history == history

@@ -10,8 +10,8 @@ import pytest
 from repro.cs.dictionaries import DCT2Dictionary
 from repro.cs.matrices import gaussian_matrix
 from repro.cs.operators import SensingOperator
-from repro.cs.solvers import cosamp, fista, iht, ista, omp
-from repro.cs.solvers.iterative import hard_threshold, soft_threshold
+from repro.cs.solvers import fista, ista, omp
+from repro.cs.solvers.iterative import soft_threshold
 
 
 def sparse_problem(n_samples=40, n_coefficients=100, sparsity=5, seed=0, noise=0.0):
@@ -35,16 +35,6 @@ class TestThresholdOperators:
     def test_soft_threshold_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(np.zeros(3), -1.0)
-
-    def test_hard_threshold_keeps_k_largest(self):
-        values = np.array([5.0, -1.0, 3.0, 0.1])
-        result = hard_threshold(values, 2)
-        assert np.count_nonzero(result) == 2
-        assert result[0] == 5.0 and result[2] == 3.0
-
-    def test_hard_threshold_with_k_larger_than_size(self):
-        values = np.array([1.0, 2.0])
-        assert np.array_equal(hard_threshold(values, 10), values)
 
 
 class TestOMP:
@@ -73,35 +63,6 @@ class TestOMP:
         matrix, _, measurements = sparse_problem(seed=5)
         with pytest.raises(ValueError):
             omp(matrix, measurements, sparsity=0)
-
-
-class TestCoSaMP:
-    def test_exact_recovery(self):
-        matrix, truth, measurements = sparse_problem(n_samples=60, sparsity=6, seed=6)
-        result = cosamp(matrix, measurements, sparsity=6)
-        assert np.allclose(result.coefficients, truth, atol=1e-5)
-
-    def test_solution_is_k_sparse(self):
-        matrix, _, measurements = sparse_problem(n_samples=60, sparsity=6, seed=7)
-        result = cosamp(matrix, measurements, sparsity=6)
-        assert result.sparsity <= 6
-
-    def test_noisy_recovery_close(self):
-        matrix, truth, measurements = sparse_problem(n_samples=60, sparsity=4, seed=8, noise=0.01)
-        result = cosamp(matrix, measurements, sparsity=4)
-        assert np.linalg.norm(result.coefficients - truth) < 0.2
-
-
-class TestIHT:
-    def test_recovery_of_very_sparse_signal(self):
-        matrix, truth, measurements = sparse_problem(n_samples=60, sparsity=3, seed=9)
-        result = iht(matrix, measurements, sparsity=3, max_iterations=300)
-        assert np.linalg.norm(result.coefficients - truth) < 1e-2
-
-    def test_solution_is_k_sparse(self):
-        matrix, _, measurements = sparse_problem(n_samples=50, sparsity=5, seed=10)
-        result = iht(matrix, measurements, sparsity=5)
-        assert result.sparsity <= 5
 
 
 class TestISTAAndFISTA:

@@ -32,6 +32,16 @@ def test_whole_repo_is_clean_in_process():
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
+def test_benchmark_trees_have_no_unused_imports():
+    """REPRO007 alone over the two benchmark trees; only reads them."""
+    from repro._lint.rules.unused_imports import RULE
+
+    findings = lint_paths(
+        [REPO_ROOT / "benchmarks", REPO_ROOT / "perfbench"], rules=[RULE]
+    )
+    assert findings == [], "\n".join(f.render() for f in findings)
+
+
 def test_cli_exits_zero_on_clean_tree():
     result = _run_lint("src", "tests", "examples")
     assert result.returncode == 0, result.stdout + result.stderr

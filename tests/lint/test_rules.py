@@ -329,6 +329,90 @@ class TestTimingDiscipline:
         assert lint_source(TIMING_MODULE, "tests/stream/test_rogue.py") == []
 
 
+# ---------------------------------------------------------------- REPRO007
+UNUSED_IMPORTS = """\
+import os
+import os.path
+import numpy as np
+from typing import Any, Protocol
+
+
+def norm(x: Protocol):
+    return np.linalg.norm(x)
+"""
+
+UNUSED_IMPORTS_USED_OK = """\
+from __future__ import annotations
+
+import collections.abc
+from typing import TYPE_CHECKING
+from os.path import *
+
+if TYPE_CHECKING:
+    from pathlib import Path
+
+try:
+    import json
+except ImportError:
+    json = None
+
+
+def load(path: "Path") -> collections.abc.Mapping:
+    return json.loads(path.read_text())
+"""
+
+UNUSED_IMPORTS_REEXPORTS_OK = """\
+import math as math
+from statistics import median as median
+from fractions import Fraction
+from decimal import Decimal
+from string import Template
+
+__all__ = ["Fraction"]
+__all__ += ["Decimal"]
+__all__.append("Template")
+"""
+
+
+class TestUnusedImports:
+    def test_unused_module_imports_flagged(self):
+        full, reduced = _findings(
+            UNUSED_IMPORTS, "src/repro/cs/rogue.py", "REPRO007"
+        )
+        assert [f.rule_id for f in full] == ["REPRO007"] * 3
+        assert [(f.line, f.column) for f in full] == [(1, 7), (2, 7), (4, 19)]
+        # `import os.path` binds `os` too, which nothing reads.
+        assert ["`os`" in full[0].message, "`os.path`" in full[1].message] == [True, True]
+        assert "`Any`" in full[2].message
+        assert reduced == []
+
+    def test_reads_annotations_and_guarded_imports_count(self):
+        assert lint_source(UNUSED_IMPORTS_USED_OK, "src/repro/cs/rogue.py") == []
+
+    def test_reexport_idioms_and_all_honoured(self):
+        assert lint_source(UNUSED_IMPORTS_REEXPORTS_OK, "src/repro/cs/rogue.py") == []
+
+    def test_package_init_is_a_reexport(self):
+        assert lint_source(UNUSED_IMPORTS, "src/repro/cs/__init__.py") == []
+
+    def test_function_scope_imports_out_of_scope(self):
+        source = "def lazy():\n    import os\n    return 1\n"
+        assert lint_source(source, "src/repro/cs/rogue.py") == []
+
+    def test_tests_and_benchmarks_in_scope(self):
+        for path in ("tests/cs/test_rogue.py", "benchmarks/test_bench_rogue.py"):
+            findings = lint_source(UNUSED_IMPORTS, path)
+            assert [f.rule_id for f in findings] == ["REPRO007"] * 3
+
+    def test_justified_suppression_covers_the_alias_line(self):
+        source = (
+            "from typing import (\n"
+            "    Any,  # repro-lint: allow=REPRO007 -- imported for its side effect\n"
+            ")\n"
+        )
+        assert lint_source(source, "src/repro/cs/rogue.py") == []
+
+
 # ------------------------------------------------------------- suppressions
 class TestSuppressions:
     def test_justified_suppression_silences_the_finding(self):
@@ -364,9 +448,10 @@ class TestSuppressions:
 
 # ------------------------------------------------------------------- meta
 def test_every_rule_id_has_a_fixture():
-    """The six contracts stay demonstrated: one fixture class per rule."""
+    """The seven contracts stay demonstrated: one fixture class per rule."""
     covered = {
         "REPRO001", "REPRO002", "REPRO003", "REPRO004", "REPRO005", "REPRO006",
+        "REPRO007",
     }
     assert {rule.rule_id for rule in RULES} == covered
 

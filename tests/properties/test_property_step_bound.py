@@ -13,10 +13,10 @@ pinned:
   to 32x32, where the exact σ is a cheap dense SVD) plus explicit 64x64
   frames, so a rare frame above σ̂ can never turn a run red by chance.
 * **Safety.** A random search over rule-30 frames from 8x8 up asserts what
-  must hold on every frame: FISTA, ISTA and IHT stay finite with σ̂.  A
+  must hold on every frame: FISTA and ISTA stay finite with σ̂.  A
   frame above σ̂ is reported as a hypothesis event, not a failure.
 * **Safeguard.** Where σ̂ < σ — a rule-30 8x8 frame and the non-chaotic
-  rules 90/110/150/204 — FISTA, ISTA and IHT shrink their steps, stay
+  rules 90/110/150/204 — FISTA and ISTA shrink their steps, stay
   finite and land within 0.5 dB of a solve given the exact step.  On
   rule-30 64x64 frames the safeguard never fires.
 """
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from repro.cs.metrics import psnr
-from repro.cs.solvers import fista, iht, ista
+from repro.cs.solvers import fista, ista
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.recon.operator import frame_operator
@@ -109,9 +109,6 @@ def test_dense_and_structured_share_the_estimate(center):
 
 
 def solve(name, operator, measurements, step_size=None):
-    if name == "iht":
-        return iht(operator, measurements, sparsity=max(1, operator.n_samples // 8),
-                   max_iterations=100, step_size=step_size)
     solver = fista if name == "fista" else ista
     regularization = 0.02 * (np.abs(measurements).max() + 1.0)
     return solver(operator, measurements, regularization=regularization,
@@ -143,7 +140,7 @@ def safeguard_case(shape, seed, rule, name):
     st.integers(0, 2**16),
     st.floats(0.25, 1.0),
     st.integers(0, 2**16),
-    st.sampled_from(["fista", "ista", "iht"]),
+    st.sampled_from(["fista", "ista"]),
 )
 def test_solves_stay_finite_on_any_rule30_frame(shape, seed, fraction, mask_seed, name):
     frame = capture(shape, seed, scene="blobs")
@@ -160,7 +157,6 @@ def test_solves_stay_finite_on_any_rule30_frame(shape, seed, fraction, mask_seed
 @pytest.mark.parametrize("name", ["fista", "ista"])
 def test_rule30_8x8_frame_exceeds_the_estimate_and_backtracks(name):
     # Sensor seed 334: an 8x8 rule-30 frame whose σ is ~14% above σ̂.
-    # (IHT's k-sparse steps pass the test on this frame untouched.)
     operator, sigma, estimated, quality = safeguard_case((8, 8), 334, 30, name)
     assert sigma > operator.norm_estimate
     assert np.isfinite(estimated.coefficients).all()
@@ -168,7 +164,7 @@ def test_rule30_8x8_frame_exceeds_the_estimate_and_backtracks(name):
     assert abs(quality[0] - quality[1]) <= 0.5
 
 
-@pytest.mark.parametrize("name", ["fista", "ista", "iht"])
+@pytest.mark.parametrize("name", ["fista", "ista"])
 @pytest.mark.parametrize("rule", [90, 110, 150, 204])
 @pytest.mark.parametrize("shape, seed", [((16, 16), 9), ((64, 64), 3)])
 def test_safeguard_fires_on_non_chaotic_rules(shape, seed, rule, name):
@@ -181,7 +177,7 @@ def test_safeguard_fires_on_non_chaotic_rules(shape, seed, rule, name):
     assert abs(quality[0] - quality[1]) <= 0.5
 
 
-@pytest.mark.parametrize("solver", ["fista", "ista", "iht"])
+@pytest.mark.parametrize("solver", ["fista", "ista"])
 @pytest.mark.parametrize("seed", [3, 11])
 def test_safeguard_stays_idle_on_rule30_64x64_frames(seed, solver):
     result = reconstruct_frame(capture((64, 64), seed), solver=solver)

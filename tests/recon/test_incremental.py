@@ -126,6 +126,19 @@ class TestIncrementalTiledReconstructor:
         with pytest.raises(ValueError, match="outside"):
             reconstructor.add_tile(9, 9, frame)
 
+    @pytest.mark.parametrize("solver", ["omp", "iht", "bogus"])
+    def test_non_proximal_solver_rejected_at_construction(self, capture, solver):
+        with pytest.raises(ValueError, match="solver"):
+            IncrementalTiledReconstructor(
+                capture.scene_shape, capture.tile_shape, solver=solver
+            )
+
+    def test_sparsity_is_not_an_option(self, capture):
+        with pytest.raises(TypeError, match="sparsity"):
+            IncrementalTiledReconstructor(
+                capture.scene_shape, capture.tile_shape, sparsity=12
+            )
+
     def test_metrics_against_explicit_reference(self, capture):
         reconstructor = IncrementalTiledReconstructor(
             capture.scene_shape, capture.tile_shape, **RECON_KWARGS

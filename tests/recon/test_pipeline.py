@@ -63,9 +63,24 @@ class TestReconstructFrame:
         assert psnr_many > psnr_few
 
     def test_solver_choices_produce_images(self, captured_frame):
-        for solver in ("fista", "ista", "iht"):
-            result = reconstruct_frame(captured_frame, solver=solver, max_iterations=40)
+        for solver in ("fista", "ista", "omp"):
+            result = reconstruct_frame(
+                captured_frame, solver=solver, max_iterations=40, sparsity=20
+            )
             assert result.image.shape == (32, 32)
+
+    def test_omp_honours_an_explicit_iteration_budget(self, captured_frame):
+        capped = reconstruct_frame(
+            captured_frame, solver="omp", sparsity=20, max_iterations=3
+        )
+        assert capped.solver_result.n_iterations == 3
+        # Without a budget OMP runs to its sparsity target.
+        default = reconstruct_frame(captured_frame, solver="omp", sparsity=5)
+        assert default.solver_result.n_iterations == 5
+
+    def test_unknown_solver_rejected(self, captured_frame):
+        with pytest.raises(ValueError, match="solver"):
+            reconstruct_frame(captured_frame, solver="bogus")
 
     def test_haar_dictionary_supported(self, captured_frame):
         result = reconstruct_frame(captured_frame, dictionary="haar", max_iterations=80)

@@ -28,6 +28,21 @@ def per_tile_solves(capture, **kwargs):
     return image, results
 
 
+def assert_same_tiles(tiled, image, per_tile):
+    """The stitched scene and every tile's solve match, byte for byte."""
+    assert tiled.image.tobytes() == image.tobytes()
+    tiles = [tile for row in tiled.tile_results for tile in row]
+    assert len(tiles) == len(per_tile)
+    for tile, alone in zip(tiles, per_tile):
+        ours, theirs = tile.solver_result, alone.solver_result
+        assert tile.image.tobytes() == alone.image.tobytes()
+        assert ours.coefficients.tobytes() == theirs.coefficients.tobytes()
+        assert ours.history == theirs.history
+        assert ours.n_iterations == theirs.n_iterations
+        assert ours.converged == theirs.converged
+        assert ours.step_reductions == theirs.step_reductions
+
+
 class TestReconstructTiled:
     def test_stitches_full_scene(self, tiled_capture):
         result = reconstruct_tiled(tiled_capture, max_iterations=60)
@@ -50,24 +65,27 @@ class TestReconstructTiled:
     def test_batched_executor_matches_per_tile(self, tiled_capture):
         """The batched solve is each tile's own ``reconstruct_frame``, vectorised."""
         batched = reconstruct_tiled(tiled_capture, max_iterations=40)
-        image, per_tile = per_tile_solves(tiled_capture, max_iterations=40)
-        assert batched.image.tobytes() == image.tobytes()
-        batched_tiles = [tile for row in batched.tile_results for tile in row]
-        assert len(batched_tiles) == len(per_tile)
-        for batched_tile, alone in zip(batched_tiles, per_tile):
-            ours, theirs = batched_tile.solver_result, alone.solver_result
-            assert batched_tile.image.tobytes() == alone.image.tobytes()
-            assert ours.coefficients.tobytes() == theirs.coefficients.tobytes()
-            assert ours.history == theirs.history
-            assert ours.n_iterations == theirs.n_iterations
-            assert ours.converged == theirs.converged
-            assert ours.step_reductions == theirs.step_reductions
+        assert_same_tiles(batched, *per_tile_solves(tiled_capture, max_iterations=40))
 
-    def test_batched_falls_back_for_greedy_solvers(self, tiled_capture):
-        """Non-proximal solvers ride the per-tile loop inside the batched solve."""
-        batched = reconstruct_tiled(tiled_capture, solver="omp", sparsity=12)
-        image, _ = per_tile_solves(tiled_capture, solver="omp", sparsity=12)
-        assert batched.image.tobytes() == image.tobytes()
+    def test_batched_ista_matches_per_tile(self, tiled_capture):
+        kwargs = dict(solver="ista", max_iterations=40)
+        batched = reconstruct_tiled(tiled_capture, **kwargs)
+        assert_same_tiles(batched, *per_tile_solves(tiled_capture, **kwargs))
+
+    def test_dense_operator_falls_back_to_per_tile(self, tiled_capture):
+        """The dense flavour rides the per-tile loop inside the staged solve."""
+        kwargs = dict(max_iterations=40, operator="dense")
+        tiled = reconstruct_tiled(tiled_capture, **kwargs)
+        assert_same_tiles(tiled, *per_tile_solves(tiled_capture, **kwargs))
+
+    @pytest.mark.parametrize("solver", ["omp", "bogus"])
+    def test_non_proximal_solver_rejected(self, tiled_capture, solver):
+        with pytest.raises(ValueError, match="solver"):
+            reconstruct_tiled(tiled_capture, solver=solver)
+
+    def test_sparsity_is_not_an_option(self, tiled_capture):
+        with pytest.raises(TypeError, match="sparsity"):
+            reconstruct_tiled(tiled_capture, sparsity=12)
 
     def test_dense_operator_reachable(self, tiled_capture, float64_products):
         dense = reconstruct_tiled(tiled_capture, max_iterations=40, operator="dense")

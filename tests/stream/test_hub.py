@@ -367,6 +367,19 @@ class TestSingleSessionByteIdentity:
         with pytest.raises(TypeError):
             StreamReceiver(**{option: 1})
 
+    @pytest.mark.parametrize("factory", [ReceiverHub, StreamReceiver])
+    @pytest.mark.parametrize("solver", ["omp", "iht", "bogus"])
+    def test_non_proximal_solver_rejected_at_construction(self, factory, solver):
+        # Before any stream arrives, not when its first frame reaches the
+        # solver thread and fails the whole run().
+        with pytest.raises(ValueError, match="solver"):
+            factory(solver=solver)
+
+    @pytest.mark.parametrize("factory", [ReceiverHub, StreamReceiver])
+    def test_sparsity_is_not_an_option(self, factory):
+        with pytest.raises(TypeError, match="sparsity"):
+            factory(sparsity=12)
+
 
 class TestSlowConsumerIsolation:
     def test_backpressured_stream_does_not_stall_others(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cs.solvers.batched import batched_proximal_gradient
-from repro.cs.solvers.iterative import fista, iht, ista
+from repro.cs.solvers.iterative import fista, ista
 from repro.cs.structured import StructuredSensingOperator
 from repro.optics.scenes import make_scene
 from repro.recon.operator import frame_operator
@@ -109,16 +109,6 @@ class TestIterativeSolverHooks:
         assert profile.step_size == 1e-3
         assert profile.step_size_provenance == "provided"
 
-    def test_iht_records_data_fidelity_objective(self):
-        matrix, measurements = _problem()
-        profile = SolverProfile()
-        result = iht(
-            matrix, measurements, sparsity=3, max_iterations=30, profile=profile
-        )
-        assert profile.n_iterations == result.n_iterations
-        for objective, residual in zip(profile.objectives, profile.residual_norms):
-            assert objective == pytest.approx(0.5 * residual**2)
-
 
 class TestBatchedSolverHooks:
     def test_batched_profile_counts_frozen_tiles(self):
@@ -193,14 +183,6 @@ class TestStepProvenance:
         profile = SolverProfile()
         result = solver(operator, measurements, regularization=5.0,
                         max_iterations=60, profile=profile)
-        assert profile.step_size_provenance == "bound"
-        assert profile.step_reductions == result.step_reductions > 0
-
-    def test_iht_profile_counts_reductions(self):
-        operator, measurements = _ca_problem(110)
-        profile = SolverProfile()
-        result = iht(operator, measurements, sparsity=12, max_iterations=60,
-                     profile=profile)
         assert profile.step_size_provenance == "bound"
         assert profile.step_reductions == result.step_reductions > 0
 
