@@ -1,9 +1,10 @@
 """REPRO007 — unused module-level imports.
 
 This checks pyflakes' F401 (``ruff check``'s unused-import rule) offline,
-with the stdlib ``ast`` only, so an unused import fails the tier-1 suite
-instead of first failing CI's ruff job.  It does not replace ruff: ruff
-stays the authority, and this rule is a narrower, more lenient subset.
+with the stdlib ``ast`` and ``tokenize`` only, so an unused import fails the
+tier-1 suite instead of first failing CI's ruff job.  It does not replace
+ruff: ruff stays the authority, and this rule is a narrower, more lenient
+subset.
 
 Flagged in every linted file (library, tests, examples, benchmarks): a name
 bound by an ``import`` or ``from ... import`` statement at module scope
@@ -20,6 +21,7 @@ and in string annotations.  Not flagged:
 from __future__ import annotations
 
 import ast
+import tokenize
 from collections.abc import Iterator
 from pathlib import PurePosixPath
 
@@ -32,21 +34,18 @@ _HINT = (
 )
 
 
-def _module_imports(body: list[ast.stmt]) -> Iterator[tuple[ast.alias, str]]:
-    """Every ``(alias, bound name)`` an import at module scope binds."""
+def _module_imports(
+    body: list[ast.stmt],
+) -> Iterator[tuple[ast.Import | ast.ImportFrom, int, str]]:
+    """``(statement, alias index, bound name)`` for each import at module scope."""
     for node in body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname == alias.name:
-                    continue
-                yield alias, alias.asname or alias.name.partition(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "__future__":
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
                 continue
-            for alias in node.names:
+            for index, alias in enumerate(node.names):
                 if alias.name == "*" or alias.asname == alias.name:
                     continue
-                yield alias, alias.asname or alias.name
+                yield node, index, alias.asname or alias.name.partition(".")[0]
         elif isinstance(node, (ast.If, ast.Try, ast.With)):
             blocks = [node.body, getattr(node, "orelse", []), getattr(node, "finalbody", [])]
             blocks += [handler.body for handler in getattr(node, "handlers", [])]
@@ -54,17 +53,40 @@ def _module_imports(body: list[ast.stmt]) -> Iterator[tuple[ast.alias, str]]:
                 yield from _module_imports(block)
 
 
-def _string_annotation_names(node: ast.AST) -> Iterator[str]:
-    """Names read by the string constants inside one annotation."""
+def _alias_positions(
+    lines: list[str], statement: ast.Import | ast.ImportFrom
+) -> list[tuple[int, int]]:
+    """``(line, column)`` where each name of an import statement starts.
+
+    ``ast.alias`` has no position before Python 3.10, so every version reads
+    the statement's tokens instead: a name starts at the first token after
+    the ``import`` keyword, a ``(`` or a ``,``.
+    """
+    start = (statement.lineno, statement.col_offset)
+    end = (statement.end_lineno, statement.end_col_offset)
+    readline = iter(lines[statement.lineno - 1 :]).__next__
+    positions: list[tuple[int, int]] = []
+    seen_import = expect_name = False
+    for token in tokenize.generate_tokens(readline):
+        position = (token.start[0] + statement.lineno - 1, token.start[1])
+        if position < start or token.type in (tokenize.NL, tokenize.COMMENT):
+            continue
+        if position >= end:
+            break
+        if not seen_import:
+            seen_import = expect_name = token.string == "import"
+            continue
+        if expect_name and (token.type == tokenize.NAME or token.string == "*"):
+            positions.append(position)
+        expect_name = token.string in ("(", ",")
+    return positions
+
+
+def _strings(node: ast.AST) -> Iterator[str]:
+    """Every string constant inside ``node``."""
     for child in ast.walk(node):
         if isinstance(child, ast.Constant) and isinstance(child.value, str):
-            try:
-                parsed = ast.parse(child.value, mode="eval")
-            except SyntaxError:
-                continue
-            for inner in ast.walk(parsed):
-                if isinstance(inner, ast.Name):
-                    yield inner.id
+            yield child.value
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -73,36 +95,20 @@ def _read_names(tree: ast.Module) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
-        annotations: list[ast.AST | None] = []
-        if isinstance(node, ast.arg):
-            annotations.append(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-        for annotation in annotations:
-            if annotation is not None:
-                names.update(_string_annotation_names(annotation))
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is None:
+                continue
+            for text in _strings(annotation):
+                try:
+                    parsed = ast.parse(text, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
     for node in tree.body:
-        value: ast.AST | None = None
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                value = node.value
-        elif (
-            isinstance(node, ast.Expr)
-            and isinstance(node.value, ast.Call)
-            and isinstance(node.value.func, ast.Attribute)
-            and isinstance(node.value.func.value, ast.Name)
-            and node.value.func.value.id == "__all__"
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr)) and any(
+            isinstance(child, ast.Name) and child.id == "__all__" for child in ast.walk(node)
         ):
-            value = node.value
-        if value is not None:
-            names.update(
-                child.value
-                for child in ast.walk(value)
-                if isinstance(child, ast.Constant) and isinstance(child.value, str)
-            )
+            names.update(_strings(node))
     return names
 
 
@@ -114,14 +120,20 @@ class UnusedImportRule(Rule):
         if PurePosixPath(context.path).name == "__init__.py":
             return
         read = _read_names(context.tree)
-        for alias, bound in _module_imports(context.tree.body):
-            if bound not in read:
-                yield self.finding(
-                    context,
-                    alias,
-                    f"`{alias.asname or alias.name}` is imported but never used",
-                    hint=_HINT,
-                )
+        lines = context.source.splitlines(keepends=True)
+        for statement, index, bound in _module_imports(context.tree.body):
+            if bound in read:
+                continue
+            alias = statement.names[index]
+            line, column = _alias_positions(lines, statement)[index]
+            yield Finding(
+                rule_id=self.rule_id,
+                path=context.path,
+                line=line,
+                column=column,
+                message=f"`{alias.asname or alias.name}` is imported but never used",
+                hint=_HINT,
+            )
 
 
 RULE = UnusedImportRule()

@@ -33,9 +33,9 @@ class SolverProfile:
 
     ``objectives[i]`` is the composite objective ``0.5·‖Ax−y‖² + λ‖x‖₁``
     after iteration ``i`` (summed over tiles for batched solves) and
-    ``residual_norms[i]`` the matching data-fidelity norm.  For ISTA/FISTA
-    solves ``frozen_counts[i]`` counts tiles already converged-and-frozen
-    entering iteration ``i`` (0 for a one-tile solve).  ``step_size`` is
+    ``residual_norms[i]`` the matching data-fidelity norm, and
+    ``frozen_counts[i]`` counts tiles already converged-and-frozen entering
+    iteration ``i`` (0 for a one-tile solve).  ``step_size`` is
     the initial step (the mean over tiles) and ``step_reductions`` counts
     how often a step failed the sufficient-decrease test and was shrunk,
     summed over tiles.
@@ -61,12 +61,11 @@ class SolverProfile:
         self.step_size_provenance = provenance
 
     def record_iteration(
-        self, objective: float, residual_norm: float, *, frozen: int | None = None
+        self, objective: float, residual_norm: float, *, frozen: int
     ) -> None:
         self.objectives.append(float(objective))
         self.residual_norms.append(float(residual_norm))
-        if frozen is not None:
-            self.frozen_counts.append(int(frozen))
+        self.frozen_counts.append(int(frozen))
         self.n_iterations += 1
 
     def finish(self, *, converged: bool) -> None:

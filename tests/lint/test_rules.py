@@ -386,6 +386,19 @@ class TestUnusedImports:
         assert "`Any`" in full[2].message
         assert reduced == []
 
+    def test_positions_follow_the_names_across_lines(self):
+        # `ast.alias` has no position before Python 3.10; the rule finds it
+        # from the statement's tokens on every version.
+        source = (
+            "import os; import sys\n"
+            "from typing import (\n"
+            "    Any,\n"
+            "    List as L,\n"
+            ")\n"
+        )
+        findings = lint_source(source, "src/repro/cs/rogue.py")
+        assert [(f.line, f.column) for f in findings] == [(1, 7), (1, 18), (3, 4), (4, 4)]
+
     def test_reads_annotations_and_guarded_imports_count(self):
         assert lint_source(UNUSED_IMPORTS_USED_OK, "src/repro/cs/rogue.py") == []
 

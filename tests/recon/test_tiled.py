@@ -28,21 +28,6 @@ def per_tile_solves(capture, **kwargs):
     return image, results
 
 
-def assert_same_tiles(tiled, image, per_tile):
-    """The stitched scene and every tile's solve match, byte for byte."""
-    assert tiled.image.tobytes() == image.tobytes()
-    tiles = [tile for row in tiled.tile_results for tile in row]
-    assert len(tiles) == len(per_tile)
-    for tile, alone in zip(tiles, per_tile):
-        ours, theirs = tile.solver_result, alone.solver_result
-        assert tile.image.tobytes() == alone.image.tobytes()
-        assert ours.coefficients.tobytes() == theirs.coefficients.tobytes()
-        assert ours.history == theirs.history
-        assert ours.n_iterations == theirs.n_iterations
-        assert ours.converged == theirs.converged
-        assert ours.step_reductions == theirs.step_reductions
-
-
 class TestReconstructTiled:
     def test_stitches_full_scene(self, tiled_capture):
         result = reconstruct_tiled(tiled_capture, max_iterations=60)
@@ -62,21 +47,31 @@ class TestReconstructTiled:
         assert result.capture_metadata["n_tiles"] == tiled_capture.n_tiles
         assert result.capture_metadata["event_statistics"] == "modelled"
 
-    def test_batched_executor_matches_per_tile(self, tiled_capture):
-        """The batched solve is each tile's own ``reconstruct_frame``, vectorised."""
-        batched = reconstruct_tiled(tiled_capture, max_iterations=40)
-        assert_same_tiles(batched, *per_tile_solves(tiled_capture, max_iterations=40))
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"solver": "ista"}, {"operator": "dense"}],
+        ids=["fista", "ista", "dense"],
+    )
+    def test_batched_executor_matches_per_tile(self, tiled_capture, kwargs):
+        """The staged solve is each tile's own ``reconstruct_frame``, byte for byte.
 
-    def test_batched_ista_matches_per_tile(self, tiled_capture):
-        kwargs = dict(solver="ista", max_iterations=40)
-        batched = reconstruct_tiled(tiled_capture, **kwargs)
-        assert_same_tiles(batched, *per_tile_solves(tiled_capture, **kwargs))
-
-    def test_dense_operator_falls_back_to_per_tile(self, tiled_capture):
-        """The dense flavour rides the per-tile loop inside the staged solve."""
-        kwargs = dict(max_iterations=40, operator="dense")
+        FISTA/ISTA run as one batched solve; the dense operator rides the
+        per-tile fallback inside ``solve_staged``.
+        """
+        kwargs = dict(kwargs, max_iterations=40)
         tiled = reconstruct_tiled(tiled_capture, **kwargs)
-        assert_same_tiles(tiled, *per_tile_solves(tiled_capture, **kwargs))
+        image, per_tile = per_tile_solves(tiled_capture, **kwargs)
+        assert tiled.image.tobytes() == image.tobytes()
+        tiles = [tile for row in tiled.tile_results for tile in row]
+        assert len(tiles) == len(per_tile)
+        for tile, alone in zip(tiles, per_tile):
+            ours, theirs = tile.solver_result, alone.solver_result
+            assert tile.image.tobytes() == alone.image.tobytes()
+            assert ours.coefficients.tobytes() == theirs.coefficients.tobytes()
+            assert ours.history == theirs.history
+            assert ours.n_iterations == theirs.n_iterations
+            assert ours.converged == theirs.converged
+            assert ours.step_reductions == theirs.step_reductions
 
     @pytest.mark.parametrize("solver", ["omp", "bogus"])
     def test_non_proximal_solver_rejected(self, tiled_capture, solver):

@@ -41,14 +41,14 @@ class TestSolverProfileObject:
     def test_records_and_finishes(self):
         profile = SolverProfile()
         profile.record_step_size(0.5, provenance="provided")
-        profile.record_iteration(2.0, 1.0)
+        profile.record_iteration(2.0, 1.0, frozen=0)
         profile.record_iteration(1.0, 0.5, frozen=3)
         profile.finish(converged=True)
         assert profile.step_size == 0.5
         assert profile.step_size_provenance == "provided"
         assert profile.objectives == [2.0, 1.0]
         assert profile.residual_norms == [1.0, 0.5]
-        assert profile.frozen_counts == [3]
+        assert profile.frozen_counts == [0, 3]
         assert profile.n_iterations == 2
         assert profile.converged is True
         assert profile.monotone
@@ -65,8 +65,8 @@ class TestSolverProfileObject:
 
     def test_monotone_detects_increases(self):
         profile = SolverProfile()
-        profile.record_iteration(1.0, 1.0)
-        profile.record_iteration(2.0, 1.0)
+        profile.record_iteration(1.0, 1.0, frozen=0)
+        profile.record_iteration(2.0, 1.0, frozen=0)
         assert not profile.monotone
 
 
