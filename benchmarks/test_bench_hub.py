@@ -24,9 +24,10 @@ from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
 from repro.sensor.video import VideoSequencer
-from repro.stream.hub import ReceiverHub, percentile
+from repro.stream.hub import ReceiverHub
 from repro.stream.node import CameraNode
 from repro.stream.transport import LoopbackTransport
+from repro.telemetry import percentile
 
 N_NODES = 40
 N_FRAMES = 2

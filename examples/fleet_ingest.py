@@ -33,8 +33,8 @@ from repro import (
     make_scene,
 )
 from repro.sensor.video import VideoSequencer
-from repro.stream.hub import percentile
 from repro.stream.transport import connect_tcp
+from repro.telemetry import percentile
 
 N_NODES = 30
 N_FRAMES = 2

@@ -1,16 +1,17 @@
 """Runnable demo: a tiled camera node streaming live to a receiver.
 
 A 128x128 mosaic of four 64x64 compressive sensor tiles streams a two-frame
-video sequence over a *bounded* in-memory loopback channel to an incremental
-receiver.  Everything the paper promises crosses the wire and nothing else:
+video sequence over a *bounded* in-memory loopback channel to a
+``StreamReceiver``.  Everything the paper promises crosses the wire and nothing else:
 bit-packed compressed samples, the per-tile CA seed once per GOP (later
 frames are seedless — the receiver re-derives their seeds from the CA's
 one-pattern frame overlap), and the capture statistics block.
 
-The receiver reconstructs incrementally — each tile is inverted the moment
-its chunk lands — and the demo prints the running mosaic completion, then
-verifies the streamed reconstruction is byte-identical to the in-process
-pipeline and reports the backpressure the bounded channel exerted.
+The receiver decodes each tile chunk as it lands and solves each mosaic
+frame once its frame barrier passes, with the same ``reconstruct_tiled``
+call the in-process pipeline makes.  The demo reports the backpressure the
+bounded channel exerted, then checks every frame's samples and
+reconstruction against the in-process pipeline, byte for byte.
 
 Run:  python examples/stream_loopback.py
 """

@@ -31,7 +31,6 @@ from repro.io import decode_frame, encode_frame
 from repro.optics import PhotoConversion, make_scene
 from repro.pixel import Pixel, TimeEncoder
 from repro.recon import (
-    IncrementalTiledReconstructor,
     reconstruct_frame,
     reconstruct_samples,
     reconstruct_tiled,
@@ -81,7 +80,6 @@ __all__ = [
     "VideoSequencer",
     "encode_frame",
     "decode_frame",
-    "IncrementalTiledReconstructor",
     "CameraNode",
     "BitrateGovernor",
     "StreamReceiver",

@@ -41,8 +41,6 @@ BLOCKING_METHODS = frozenset(
         "capture_scene_sequence",
         "reconstruct_frame",
         "reconstruct_tiled",
-        "solve_tile",
-        "solve_staged",
     }
 )
 

@@ -6,7 +6,7 @@ bit-level plumbing that such a node needs: packing the 20-bit compressed
 samples into a byte stream, framing them together with the CA seed and the
 handful of parameters the receiver requires, and parsing the stream back on
 the other side.  The live-streaming layers (chunked wire protocol, asyncio
-camera node and incremental receiver) build on this package from
+camera node and streaming receiver) build on this package from
 :mod:`repro.stream`.
 """
 

@@ -6,7 +6,6 @@ and solve the sparse-recovery problem in a chosen dictionary.
 """
 
 from repro.recon.batch import solve_tiles_batched
-from repro.recon.incremental import IncrementalTiledReconstructor
 from repro.recon.operator import (
     frame_operator,
     measurement_factors_from_seed,
@@ -30,5 +29,4 @@ __all__ = [
     "reconstruct_tiled",
     "ReconstructionResult",
     "TiledReconstructionResult",
-    "IncrementalTiledReconstructor",
 ]

@@ -17,11 +17,10 @@ its solve and dropped after it, so solve memory does not grow with the
 mosaic's tile count.  A tile's bytes do not depend on the stack it rides
 in, so the result is byte-identical to solving the tiles one by one.
 
-:class:`~repro.recon.incremental.IncrementalTiledReconstructor` routes its
-staged tiles through this function, which is how both
-:func:`~repro.recon.pipeline.reconstruct_tiled` and the streaming
-:class:`~repro.stream.receiver.StreamReceiver` reach it — one code path, so
-streamed and in-process mosaics stay byte-identical.
+:func:`~repro.recon.pipeline.reconstruct_tiled` routes a mosaic's unmasked
+tiles through this function, and the streaming session settles each mosaic
+frame through ``reconstruct_tiled`` — one code path, so streamed and
+in-process mosaics stay byte-identical.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ guaranteed to invert exactly the matrix the sensor sampled with.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.solvers import SolverResult, fista, ista, omp
 from repro.recon.operator import frame_operator, normalize_sample_mask
 from repro.sensor.imager import CompressedFrame
-from repro.sensor.shard import TiledCaptureResult
+from repro.sensor.shard import TiledCaptureResult, TileSlot
 from repro.utils.validation import check_choice
 
 _SOLVERS = {
@@ -335,7 +337,8 @@ class TiledReconstructionResult:
         The stitched code-domain image, shape ``scene_shape``.
     tile_results:
         Row-major grid of the per-tile :class:`ReconstructionResult` objects
-        (each with its own solver diagnostics).
+        (each with its own solver diagnostics); ``None`` where a tile was
+        missing.
     dictionary, solver:
         Names of the sparsifying dictionary and solver used on every tile.
     metrics:
@@ -347,7 +350,7 @@ class TiledReconstructionResult:
     """
 
     image: np.ndarray
-    tile_results: list[list[ReconstructionResult]]
+    tile_results: list[list[ReconstructionResult | None]]
     dictionary: str
     solver: str
     metrics: dict[str, float]
@@ -363,6 +366,7 @@ def reconstruct_tiled(
     max_iterations: int | None = None,
     reference: np.ndarray | None = None,
     operator: str = "structured",
+    sample_masks: Mapping[tuple[int, int], np.ndarray] | None = None,
 ) -> TiledReconstructionResult:
     """Reconstruct a :class:`~repro.sensor.shard.TiledCaptureResult` scene.
 
@@ -376,7 +380,9 @@ def reconstruct_tiled(
     Parameters
     ----------
     capture : TiledCaptureResult
-        The merged tiled capture to invert.
+        The merged tiled capture to invert.  A tile that is ``None`` (lost
+        on the wire) stays zero in the image and ``None`` in
+        ``tile_results``.
     dictionary, solver, regularization, max_iterations:
         Per-tile reconstruction options, as in :func:`reconstruct_frame`;
         ``solver`` is one of the proximal family (``fista``/``ista``).
@@ -386,6 +392,10 @@ def reconstruct_tiled(
     operator : {"structured", "dense"}
         Operator flavour for the per-tile solves, as in
         :func:`reconstruct_frame`.
+    sample_masks : mapping, optional
+        Per-tile sample-survival masks keyed by ``(grid_row, grid_col)``: a
+        tile that lost samples is solved over the rows of Φ that survived,
+        as ``reconstruct_frame(frame, sample_mask=mask)``.
 
     Returns
     -------
@@ -395,30 +405,58 @@ def reconstruct_tiled(
 
     Notes
     -----
-    The equal-shape tiles are solved as stacked FISTA/ISTA groups through
-    :func:`~repro.recon.batch.solve_tiles_batched`, each tile's GEMMs on its
-    own factors; the dense operator flavour falls back to per-tile
-    :func:`reconstruct_frame` solves inside the same call.  Either way every
-    tile's bytes equal its own :func:`reconstruct_frame` solve.  The solves and the stitching are
-    delegated to :class:`repro.recon.incremental.IncrementalTiledReconstructor`
-    — the same accumulator the streaming receiver feeds tile chunks into — so
-    in-process and streamed reconstructions are one code path and stay
-    byte-identical (the streaming receiver runs the same barrier solve).
+    Unmasked tiles of equal geometry are solved as stacked FISTA/ISTA
+    groups through :func:`~repro.recon.batch.solve_tiles_batched`, each
+    tile's GEMMs on its own factors; masked tiles and the dense operator
+    flavour take per-tile :func:`reconstruct_frame` solves.  Either way every
+    tile's bytes equal its own :func:`reconstruct_frame` solve.  The
+    streaming receiver settles each mosaic frame through this function, so
+    streamed and in-process reconstructions stay byte-identical.
     """
-    from repro.recon.incremental import IncrementalTiledReconstructor
+    from repro.recon.batch import batch_group_key, solve_tiles_batched
 
-    reconstructor = IncrementalTiledReconstructor(
-        capture.scene_shape,
-        capture.tile_shape,
+    check_choice("solver", solver, PROXIMAL_SOLVERS)
+    options: dict[str, Any] = dict(
         dictionary=dictionary,
         solver=solver,
         regularization=regularization,
         max_iterations=max_iterations,
-        operator=operator,
     )
+    masks = sample_masks or {}
+    results: dict[TileSlot, ReconstructionResult] = {}
+    groups: dict[tuple, list[tuple[TileSlot, CompressedFrame]]] = {}
     for slot, frame in capture.frames():
-        reconstructor.stage_tile(slot.grid_row, slot.grid_col, frame)
-    reconstructor.solve_staged()
-    return reconstructor.result(
-        reference=reference, capture_metadata=dict(capture.metadata)
+        if frame is None:
+            continue
+        if (frame.config.rows, frame.config.cols) != (slot.rows, slot.cols):
+            raise ValueError(
+                f"tile ({slot.grid_row}, {slot.grid_col}) frame is "
+                f"{frame.config.rows}x{frame.config.cols}, slot expects "
+                f"{slot.rows}x{slot.cols}"
+            )
+        mask = masks.get((slot.grid_row, slot.grid_col))
+        if mask is None and operator == "structured":
+            groups.setdefault(batch_group_key(frame), []).append((slot, frame))
+        else:
+            results[slot] = reconstruct_frame(
+                frame, operator=operator, sample_mask=mask, **options
+            )
+    for members in groups.values():
+        solved = solve_tiles_batched([frame for _, frame in members], **options)
+        results.update(zip((slot for slot, _ in members), solved))
+    image = np.zeros(capture.scene_shape, dtype=float)
+    for slot, result in results.items():
+        image[slot.row_slice, slot.col_slice] = result.image
+    if reference is None and all(
+        frame is not None and frame.digital_image is not None
+        for _, frame in capture.frames()
+    ):
+        reference = capture.digital_image()
+    return TiledReconstructionResult(
+        image=image,
+        tile_results=[[results.get(slot) for slot in row] for row in capture.slots],
+        dictionary=dictionary,
+        solver=solver,
+        metrics=quality_metrics(reference, image),
+        capture_metadata=dict(capture.metadata),
     )

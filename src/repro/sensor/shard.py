@@ -65,8 +65,7 @@ def tile_grid(scene_shape, tile_shape) -> list[list[TileSlot]]:
 
     This is the one tiling rule shared by the capture side
     (:class:`TiledSensorArray`) and the receiving side
-    (:class:`repro.stream.receiver.StreamReceiver` /
-    :class:`repro.recon.incremental.IncrementalTiledReconstructor`): edge
+    (:class:`repro.stream.session.StreamSession`): edge
     tiles shrink to fit scenes that are not multiples of the tile size, so
     both ends of a channel derive identical geometry from the two shapes the
     stream header carries.

@@ -12,14 +12,14 @@ the capture engines:
 * :mod:`repro.stream.node` — :class:`CameraNode`, the asyncio capture-and-
   send loop with its bits-per-frame :class:`BitrateGovernor`;
 * :mod:`repro.stream.session` — :class:`StreamSession`, the per-stream chunk
-  FSM (seed chains, tile barriers, incremental reconstruction state);
+  FSM (seed chains, tile barriers, one solve job per settled frame);
 * :mod:`repro.stream.hub` — :class:`ReceiverHub`, the fleet-scale ingest
   service muxing many node connections over one event loop, with
   round-robin solve fairness (:class:`FairSolveScheduler`) and two-level
   backpressure high-watermarks;
 * :mod:`repro.stream.receiver` — :class:`StreamReceiver`, the single-node
   receiver (a thin one-session hub), decoding chunks as they arrive and
-  reconstructing incrementally (per tile, per frame), byte-identical to the
+  reconstructing each frame at its barrier, byte-identical to the
   in-process reconstruction pipeline;
 * :mod:`repro.stream.fault` — the seeded chaos adversaries:
   :class:`LossyTransport` (drop / truncate / duplicate / reorder),

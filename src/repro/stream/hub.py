@@ -6,7 +6,7 @@ concurrent node connections (loopback or TCP), demultiplexes chunks by the
 stream id **already carried in every chunk header** — the frozen v1 wire
 layout needs no extension — and gives each stream its own
 :class:`~repro.stream.session.StreamSession` (seed chains, tile barriers,
-incremental reconstructor), so fleet ingest is the same FSM as single-node
+frame solves), so fleet ingest is the same FSM as single-node
 ingest, just many of it.
 
 Two hub-level policies sit on top of the sessions:
@@ -72,10 +72,6 @@ from repro.telemetry import (
     serve_metrics as _serve_metrics,
 )
 from repro.telemetry.registry import latency_quantile_gauges
-
-# Re-exported from its new home (moved in the telemetry refactor) so
-# ``from repro.stream.hub import percentile`` keeps working.
-from repro.telemetry.stats import percentile as percentile  # noqa: PLC0414
 from repro.utils.memory import release_freed_memory
 from repro.utils.validation import check_choice, check_positive
 

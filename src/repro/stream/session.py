@@ -7,9 +7,10 @@ deliberately separate so each can scale independently:
   slices and exerts backpressure, nothing else;
 * this module owns everything *one stream* needs between the wire and the
   solver — the chunk finite-state machine, per-tile-position seed chains
-  (:func:`~repro.stream.protocol.advance_seed_state`), the per-stream
-  :class:`~repro.recon.incremental.IncrementalTiledReconstructor`, and the
-  frame-barrier bookkeeping;
+  (:func:`~repro.stream.protocol.advance_seed_state`) and the
+  frame-barrier bookkeeping that hands each settled frame to
+  :func:`~repro.recon.pipeline.reconstruct_frame` or
+  :func:`~repro.recon.pipeline.reconstruct_tiled`;
 * :mod:`repro.stream.hub` owns the *many-streams* concerns — the accept
   loop, demultiplexing by the stream ids already on the wire, fair solve
   scheduling across streams, and the high-watermark backpressure.
@@ -27,6 +28,7 @@ hundreds are.
 from __future__ import annotations
 
 import asyncio
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Callable
@@ -40,11 +42,11 @@ from repro.io.framing import (
     decode_frame,
     decode_frame_prefix,
 )
-from repro.recon.incremental import IncrementalTiledReconstructor
 from repro.recon.pipeline import (
     ReconstructionResult,
     TiledReconstructionResult,
     reconstruct_frame,
+    reconstruct_tiled,
 )
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressedFrame
@@ -166,9 +168,10 @@ class ReceivedFrame:
         streams, a reassembled :class:`TiledCaptureResult` for mosaics (its
         metadata is :func:`~repro.sensor.shard.merge_tile_statistics` over
         the decoded tiles, so the event statistics that crossed the wire
-        aggregate exactly as the capture side aggregated them).
+        aggregate exactly as the capture side aggregated them; a tile
+        nothing usable arrived for is ``None``).
     reconstruction:
-        The incremental reconstruction, or ``None`` when the receiver runs
+        The frame's reconstruction, or ``None`` when the receiver runs
         as a pure decoder — or when a resilient session dropped the solve
         because too few samples survived (see ``loss``).
     loss:
@@ -560,8 +563,8 @@ class StreamSession:
         self._latency_histogram, self._hub_latencies = frame_latency_instruments(
             registry
         )
-        # The one option set shared by the single-frame solve path and the
-        # tiled reconstructors — the two cannot diverge in configuration.
+        # The one option set shared by the single-frame and the mosaic solve
+        # paths — the two cannot diverge in configuration.
         self._recon_options: dict[str, Any] = dict(
             dictionary=dictionary,
             solver=solver,
@@ -692,38 +695,6 @@ class StreamSession:
 
             fn = traced
         return await self.scheduler.submit(self.stream_id, fn)
-
-    def _solve_frame(
-        self, frame: CompressedFrame, sample_mask: np.ndarray | None
-    ) -> ReconstructionResult:
-        """Solve one single-sensor frame (partial-Φ when ``sample_mask`` is set)."""
-        return reconstruct_frame(frame, sample_mask=sample_mask, **self._recon_options)
-
-    def _solve_tiled(
-        self,
-        tiles: list[tuple[tuple[int, int], CompressedFrame, np.ndarray | None]],
-        capture_metadata: dict[str, object],
-        partial: bool,
-    ) -> TiledReconstructionResult:
-        """Invert one mosaic frame through the batched barrier solve.
-
-        Tiles whose samples all arrived are stacked into the batched solve
-        (the path in-process ``reconstruct_tiled`` defaults to, so the
-        streamed result is byte-identical to it); a tile that lost samples
-        takes the per-tile partial-Φ solve inside the same job.  ``partial``
-        leaves missing tiles zero in the stitched scene.
-        """
-        assert self._header is not None
-        reconstructor = IncrementalTiledReconstructor(
-            self._header.scene_shape, self._header.tile_shape, **self._recon_options
-        )
-        for (grid_row, grid_col), frame, mask in tiles:
-            if mask is None:
-                reconstructor.stage_tile(grid_row, grid_col, frame)
-            else:
-                reconstructor.add_tile(grid_row, grid_col, frame, mask)
-        reconstructor.solve_staged()
-        return reconstructor.result(capture_metadata=capture_metadata, partial=partial)
 
     # ----------------------------------------------------- strictness policy
     def _fault(self, error: StreamProtocolError, counter: str | None = None) -> None:
@@ -909,19 +880,14 @@ class StreamSession:
             while len(self._solves) >= self.MAX_INFLIGHT_TILED_SOLVES:
                 earlier, future = self._solves.pop(0)
                 earlier.reconstruction = await future
-            solvable = [
-                (key, tile.frame, tile.mask)
-                for key, tile in decoded.items()
-                if tile.frame is not None
-            ]
-            job = _bind(
-                self._solve_tiled,
-                solvable,
-                capture.metadata,
-                len(solvable) < self._n_tiles,
+            masks = {key: tile.mask for key, tile in decoded.items() if tile.mask is not None}
+            job = functools.partial(
+                reconstruct_tiled, capture, sample_masks=masks, **self._recon_options
             )
         else:
-            job = _bind(self._solve_frame, capture, sample_mask)
+            job = functools.partial(
+                reconstruct_frame, capture, sample_mask=sample_mask, **self._recon_options
+            )
         future = await self._submit_solve(frame_index, job)
         started = pending.started
         future.add_done_callback(
@@ -1376,15 +1342,6 @@ class StreamSession:
         # session never leaves "exception was never retrieved" noise.
         for _, future in self._solves:
             _consume_exception(future)
-
-
-def _bind(fn: Callable[..., Any], *args: Any) -> Callable[[], Any]:
-    """A zero-argument thunk of ``fn(*args)`` for :meth:`SolveScheduler.submit`."""
-
-    def call() -> Any:
-        return fn(*args)
-
-    return call
 
 
 def _consume_exception(future: asyncio.Future[Any]) -> None:

@@ -1,5 +1,7 @@
 """Tile-by-tile reconstruction of sharded captures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,10 +55,10 @@ class TestReconstructTiled:
         ids=["fista", "ista", "dense"],
     )
     def test_batched_executor_matches_per_tile(self, tiled_capture, kwargs):
-        """The staged solve is each tile's own ``reconstruct_frame``, byte for byte.
+        """``reconstruct_tiled`` is each tile's own ``reconstruct_frame``, byte for byte.
 
         FISTA/ISTA run as one batched solve; the dense operator rides the
-        per-tile fallback inside ``solve_staged``.
+        per-tile ``reconstruct_frame`` fallback inside ``reconstruct_tiled``.
         """
         kwargs = dict(kwargs, max_iterations=40)
         tiled = reconstruct_tiled(tiled_capture, **kwargs)
@@ -101,3 +103,45 @@ class TestReconstructTiled:
         capture = array.capture(current, keep_digital_image=False)
         result = reconstruct_tiled(capture, max_iterations=20)
         assert result.metrics == {}
+
+
+class TestPartialMosaic:
+    """Missing and lossy tiles: the mosaic a lossy stream settles."""
+
+    def test_missing_and_masked_tiles_match_per_tile_solves(self, tiled_capture):
+        tiles = [list(row) for row in tiled_capture.tiles]
+        tiles[0][1] = None
+        capture = replace(tiled_capture, tiles=tiles)
+        mask = np.ones(capture.tiles[1][2].n_samples, dtype=bool)
+        mask[::3] = False
+        masks = {(1, 2): mask}
+        result = reconstruct_tiled(capture, max_iterations=40, sample_masks=masks)
+
+        image = np.zeros(capture.scene_shape)
+        for slot, frame in capture.frames():
+            tile = result.tile_results[slot.grid_row][slot.grid_col]
+            if frame is None:
+                assert tile is None
+                assert not result.image[slot.row_slice, slot.col_slice].any()
+                continue
+            alone = reconstruct_frame(
+                frame,
+                max_iterations=40,
+                sample_mask=masks.get((slot.grid_row, slot.grid_col)),
+            )
+            assert tile.image.tobytes() == alone.image.tobytes()
+            image[slot.row_slice, slot.col_slice] = alone.image
+        assert result.image.tobytes() == image.tobytes()
+        # The masked tile really solved over fewer rows of Φ.
+        unmasked = reconstruct_frame(capture.tiles[1][2], max_iterations=40)
+        assert result.tile_results[1][2].image.tobytes() != unmasked.image.tobytes()
+        # No scene reference without every tile's digital image.
+        assert result.metrics == {}
+
+    def test_geometry_mismatch_rejected(self):
+        array = TiledSensorArray((16, 24), tile_shape=(16, 16), seed=9)
+        capture = array.capture_scene(make_scene("blobs", (16, 24), seed=4))
+        full_tile = capture.tiles[0][0]
+        mismatched = replace(capture, tiles=[[full_tile, full_tile]])
+        with pytest.raises(ValueError, match="slot expects 16x8"):
+            reconstruct_tiled(mismatched, max_iterations=5)

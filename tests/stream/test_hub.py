@@ -29,7 +29,6 @@ from repro.stream.hub import (
     FairSolveScheduler,
     HubCapacityError,
     ReceiverHub,
-    percentile,
 )
 from repro.stream.node import CameraNode
 from repro.stream.protocol import (
@@ -42,6 +41,7 @@ from repro.stream.protocol import (
 )
 from repro.stream.receiver import StreamReceiver
 from repro.stream.transport import LoopbackTransport, connect_tcp
+from repro.telemetry import percentile
 
 
 CONFIG = SensorConfig(rows=16, cols=16)

@@ -19,9 +19,10 @@ from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
 from repro.sensor.video import VideoSequencer
-from repro.stream.hub import ReceiverHub, percentile
+from repro.stream.hub import ReceiverHub
 from repro.stream.node import CameraNode
 from repro.stream.transport import LoopbackTransport
+from repro.telemetry import percentile
 
 
 CONFIG = SensorConfig(rows=16, cols=16)

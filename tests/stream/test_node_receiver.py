@@ -434,6 +434,35 @@ class TestReceiverBarrierErrors:
             self._replay(renumbered)
 
 
+class TestPartialMosaicStream:
+    def test_lost_tile_settles_as_reconstruct_tiled_of_the_received_capture(self):
+        from repro.recon.pipeline import reconstruct_tiled
+        from repro.stream.protocol import ChunkDecoder
+
+        items = TestReceiverBarrierErrors._tiled_wire_chunks()
+        chunks = ChunkDecoder().feed(b"".join(items))
+        assert chunks[2].chunk_type == ChunkType.FRAME_DATA
+        # Lose tile (0, 1)'s only chunk: a sequence gap, booked as loss.
+        lossy = [encode_chunk(c) for i, c in enumerate(chunks) if i != 2]
+
+        async def scenario():
+            transport = LoopbackTransport(max_buffered=len(lossy) + 1)
+            for item in lossy:
+                await transport.send(item)
+            await transport.close()
+            receiver = StreamReceiver(resilient=True, max_iterations=20)
+            return await receiver.run(transport)
+
+        received = run(scenario()).frames[0]
+        assert received.capture.tiles[0][1] is None
+        assert received.loss.n_received_chunks < received.loss.n_expected_chunks
+        mosaic = received.reconstruction
+        assert mosaic.tile_results[0][1] is None
+        assert not mosaic.image[:16, 16:].any()
+        direct = reconstruct_tiled(received.capture, max_iterations=20)
+        assert mosaic.image.tobytes() == direct.image.tobytes()
+
+
 class TestReceiveStreamHelper:
     def test_one_shot_convenience(self):
         from repro.stream.receiver import receive_stream

@@ -31,14 +31,6 @@ class TestPercentile:
         with pytest.raises(ValueError, match=r"\[0, 100\]"):
             percentile([1.0], -0.5)
 
-    def test_reexported_from_stream_hub(self):
-        # Satellite compatibility pin: the historical import path still works
-        # and resolves to the telemetry implementation.
-        from repro.stream.hub import percentile as hub_percentile
-        from repro.telemetry.stats import percentile as stats_percentile
-
-        assert hub_percentile is stats_percentile
-
 
 class TestQuantileSummary:
     def test_default_keys_follow_summary_quantiles(self):
