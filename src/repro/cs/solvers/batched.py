@@ -22,7 +22,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.cs.solvers.iterative import proximal_gradient, step_from_norm
+from repro.cs.solvers.iterative import (
+    DEFAULT_MAX_ITERATIONS,
+    proximal_gradient,
+    step_from_norm,
+)
 from repro.cs.solvers.result import SolverResult
 from repro.cs.structured import (
     StructuredSensingOperator,
@@ -125,7 +129,7 @@ def batched_proximal_gradient(
     measurements: np.ndarray,
     *,
     regularization: float | np.ndarray,
-    max_iterations: int = 200,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
     tolerance: float = 1e-6,
     step_sizes: np.ndarray | None = None,
     accelerated: bool = True,
@@ -142,8 +146,9 @@ def batched_proximal_gradient(
     regularization:
         The l1 weight λ — a scalar shared by every tile or one value per tile.
     max_iterations, tolerance:
-        Per-tile iteration budget and relative-change stopping criterion,
-        exactly as in the per-tile solvers.
+        Per-tile iteration budget (over every λ-continuation stage) and
+        relative-change stopping criterion, exactly as in the per-tile
+        solvers.
     step_sizes:
         Per-tile initial gradient steps; from :func:`batched_operator_norms`
         when omitted.  Steps that fail the sufficient-decrease test shrink

@@ -20,7 +20,8 @@ class SolverResult:
     n_iterations:
         Iterations actually performed.
     converged:
-        Whether the stopping tolerance was met before the iteration cap.
+        Whether the stopping tolerance was met before the iteration cap (for
+        FISTA/ISTA: in the final λ-continuation stage, at the caller's λ).
     residual_norm:
         Final ``||y - A z||_2``.
     history:

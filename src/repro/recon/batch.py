@@ -29,6 +29,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.cs.solvers import DEFAULT_MAX_ITERATIONS
 from repro.cs.solvers.batched import (
     batched_operator_norms,
     batched_proximal_gradient,
@@ -37,7 +38,6 @@ from repro.cs.solvers.batched import (
 from repro.cs.structured import FACTOR_DTYPES
 from repro.recon.operator import frame_operator
 from repro.recon.pipeline import (
-    DEFAULT_MAX_ITERATIONS,
     PROXIMAL_SOLVERS,
     ReconstructionResult,
     center_frame_samples,

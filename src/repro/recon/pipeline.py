@@ -25,7 +25,7 @@ import numpy as np
 from repro.cs.dictionaries import make_dictionary
 from repro.cs.metrics import psnr, reconstruction_snr
 from repro.cs.operators import BaseSensingOperator, SensingOperator
-from repro.cs.solvers import SolverResult, fista, ista, omp
+from repro.cs.solvers import DEFAULT_MAX_ITERATIONS, SolverResult, fista, ista, omp
 from repro.recon.operator import frame_operator, normalize_sample_mask
 from repro.sensor.imager import CompressedFrame
 from repro.sensor.shard import TiledCaptureResult, TileSlot
@@ -40,12 +40,6 @@ _SOLVERS = {
 #: The proximal-gradient family: the solvers the batched multi-tile engine
 #: stacks, and the only ones the tiled and streaming paths take.
 PROXIMAL_SOLVERS = ("fista", "ista")
-
-#: The proximal solvers' iteration budget when the caller passes
-#: ``max_iterations=None``; OMP is driven by its sparsity target instead.
-#: An explicit ``max_iterations`` is honoured verbatim by every solver — it
-#: is never silently clamped.
-DEFAULT_MAX_ITERATIONS = 200
 
 
 @dataclass
@@ -141,9 +135,10 @@ def reconstruct_samples(
     sparsity : int, optional
         Sparsity target for OMP; defaults to ``n_samples // 8``.
     max_iterations : int, optional
-        Iteration budget; when omitted, 200 for FISTA/ISTA and the
-        sparsity target for OMP.  An explicit value is honoured verbatim
-        by every solver.
+        Iteration budget; when omitted,
+        :data:`~repro.cs.solvers.DEFAULT_MAX_ITERATIONS` for FISTA/ISTA
+        (their total over the λ-continuation stages) and the sparsity target
+        for OMP.  An explicit value is honoured verbatim by every solver.
     center : bool
         Apply the selection-matrix DC centring described above.
     reference : numpy.ndarray, optional
@@ -213,8 +208,10 @@ def reconstruct_frame(
     sparsity:
         OMP's sparsity target, as in :func:`reconstruct_samples`.
     max_iterations:
-        Iteration budget; when omitted, 200 for FISTA/ISTA and the sparsity
-        target for OMP, and an explicit value is honoured verbatim.
+        Iteration budget; when omitted,
+        :data:`~repro.cs.solvers.DEFAULT_MAX_ITERATIONS` for FISTA/ISTA
+        (their total over the λ-continuation stages) and the sparsity target
+        for OMP, and an explicit value is honoured verbatim.
     reference:
         Optional ground-truth code image (e.g. ``frame.digital_image``); when
         given, PSNR/SNR metrics are attached to the result.
@@ -337,8 +334,8 @@ class TiledReconstructionResult:
         The stitched code-domain image, shape ``scene_shape``.
     tile_results:
         Row-major grid of the per-tile :class:`ReconstructionResult` objects
-        (each with its own solver diagnostics); ``None`` where a tile was
-        missing.
+        (each with its own solver diagnostics, and its ``image`` a view of
+        its slot in ``image``); ``None`` where a tile was missing.
     dictionary, solver:
         Names of the sparsifying dictionary and solver used on every tile.
     metrics:
@@ -425,9 +422,7 @@ def reconstruct_tiled(
     masks = sample_masks or {}
     results: dict[TileSlot, ReconstructionResult] = {}
     groups: dict[tuple, list[tuple[TileSlot, CompressedFrame]]] = {}
-    for slot, frame in capture.frames():
-        if frame is None:
-            continue
+    for slot, frame in capture.delivered():
         if (frame.config.rows, frame.config.cols) != (slot.rows, slot.cols):
             raise ValueError(
                 f"tile ({slot.grid_row}, {slot.grid_col}) frame is "
@@ -447,6 +442,9 @@ def reconstruct_tiled(
     image = np.zeros(capture.scene_shape, dtype=float)
     for slot, result in results.items():
         image[slot.row_slice, slot.col_slice] = result.image
+        # The mosaic keeps its pixels once: each tile's image becomes a view
+        # of its slot (the same bytes).
+        result.image = image[slot.row_slice, slot.col_slice]
     if reference is None and all(
         frame is not None and frame.digital_image is not None
         for _, frame in capture.frames()

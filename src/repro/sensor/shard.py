@@ -141,7 +141,9 @@ class TiledCaptureResult:
     Attributes
     ----------
     tiles:
-        Row-major grid of per-tile :class:`CompressedFrame` objects.
+        Row-major grid of per-tile :class:`CompressedFrame` objects; ``None``
+        where a streamed mosaic lost a tile (a resilient session settles the
+        frame from the tiles that were delivered).
     slots:
         The matching grid of :class:`TileSlot` geometry.
     scene_shape, tile_shape:
@@ -152,7 +154,7 @@ class TiledCaptureResult:
         (``fidelity``, ``dtype``, ``executor``, ``max_workers``).
     """
 
-    tiles: list[list[CompressedFrame]]
+    tiles: list[list[CompressedFrame | None]]
     slots: list[list[TileSlot]]
     scene_shape: tuple[int, int]
     tile_shape: tuple[int, int]
@@ -175,21 +177,28 @@ class TiledCaptureResult:
         """Pixels in the full scene."""
         return self.scene_shape[0] * self.scene_shape[1]
 
-    def frames(self) -> Iterator[tuple[TileSlot, CompressedFrame]]:
-        """Yield ``(slot, frame)`` pairs in row-major grid order."""
+    def frames(self) -> Iterator[tuple[TileSlot, CompressedFrame | None]]:
+        """Yield ``(slot, frame)`` pairs in row-major grid order, ``None``
+        for a tile that was not delivered."""
         for slot_row, tile_row in zip(self.slots, self.tiles):
             yield from zip(slot_row, tile_row)
+
+    def delivered(self) -> Iterator[tuple[TileSlot, CompressedFrame]]:
+        """Yield the ``(slot, frame)`` pairs of the delivered tiles only."""
+        for slot, frame in self.frames():
+            if frame is not None:
+                yield slot, frame
 
     # -------------------------------------------------------------- payload
     @property
     def n_samples(self) -> int:
-        """Total compressed samples over all tiles."""
-        return sum(frame.n_samples for _, frame in self.frames())
+        """Total compressed samples over the delivered tiles."""
+        return sum(frame.n_samples for _, frame in self.delivered())
 
     @property
     def samples(self) -> np.ndarray:
-        """All compressed samples, concatenated in row-major tile order."""
-        return np.concatenate([frame.samples for _, frame in self.frames()])
+        """The delivered samples, concatenated in row-major tile order."""
+        return np.concatenate([frame.samples for _, frame in self.delivered()])
 
     @property
     def compression_ratio(self) -> float:
@@ -198,17 +207,24 @@ class TiledCaptureResult:
 
     @property
     def compressed_bits(self) -> int:
-        """Total payload bits over all tile streams."""
-        return sum(frame.compressed_bits for _, frame in self.frames())
+        """Total payload bits over the delivered tile streams."""
+        return sum(frame.compressed_bits for _, frame in self.delivered())
 
     def digital_image(self) -> np.ndarray:
         """Stitch the per-tile ideal code images into the full scene.
 
-        Requires the capture to have kept the digital images
-        (``keep_digital_image=True``).
+        Requires every tile, with its digital image kept
+        (``keep_digital_image=True``); a tile that was not delivered raises
+        a ``ValueError`` naming it.
         """
-        image = np.zeros(self.scene_shape, dtype=np.int64)
         for slot, frame in self.frames():
+            if frame is None:
+                raise ValueError(
+                    f"tile ({slot.grid_row}, {slot.grid_col}) was not delivered; "
+                    "the ideal code image needs every tile"
+                )
+        image = np.zeros(self.scene_shape, dtype=np.int64)
+        for slot, frame in self.delivered():
             if frame.digital_image is None:
                 raise ValueError(
                     "tile digital images were not kept; capture with "

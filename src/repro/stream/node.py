@@ -1106,7 +1106,7 @@ class CameraNode:
                     **capture_kwargs,
                 )
                 for result in results:
-                    for slot, frame in result.frames():
+                    for slot, frame in result.delivered():
                         yield slot.grid_row, slot.grid_col, frame
 
         header = StreamHeader(

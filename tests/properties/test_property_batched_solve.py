@@ -5,8 +5,9 @@
 tile's solo :meth:`~repro.cs.operators.BaseSensingOperator.operator_norm`
 and run the proximal-gradient loop of :func:`~repro.cs.solvers.fista` /
 :func:`~repro.cs.solvers.ista` over a stack of tiles.  Hypothesis draws the tile shape (square and not), the
-dictionary, the stack height, FISTA or ISTA, per-tile l1 weights, a loose
-tolerance, so tiles of one stack stop at different iterations and the
+dictionary, the stack height, FISTA or ISTA, per-tile l1 weights, the
+budget (one to four λ-continuation stages), a loose tolerance, so tiles of
+one stack freeze at different iterations and in different stages and the
 frozen-tile path is exercised, and whether the operators carry the CA
 closed-form σ estimate (which small tiles can exceed, so the step
 safeguard fires).  Every tile must match its solo solve exactly: σ,
@@ -24,6 +25,7 @@ from repro.cs.solvers.batched import batched_operator_norms, batched_proximal_gr
 from repro.cs.structured import StructuredSensingOperator
 from repro.optics.scenes import make_scene
 from repro.recon.operator import ca_norm_estimate
+from repro.telemetry import SolverProfile
 from repro.utils.rng import nonzero_seed_bits
 
 SHAPES = [(4, 4), (8, 8), (8, 16), (16, 8), (16, 16)]
@@ -52,12 +54,13 @@ def tile_problem(shape, dictionary, seed, bounded=False):
     st.sampled_from(["identity", "dct", "haar"]),
     st.integers(1, 5),
     st.booleans(),
-    st.sampled_from([3e-2, 1e-2, 3e-3]),
+    st.sampled_from([3e-2, 1e-2, 3e-3, 1e-3]),
+    st.sampled_from([20, 60, 80, 120]),
     st.booleans(),
     st.data(),
 )
 def test_batched_solve_matches_per_tile_solves(
-    shape, dictionary, n_tiles, accelerated, tolerance, bounded, data
+    shape, dictionary, n_tiles, accelerated, tolerance, budget, bounded, data
 ):
     seeds = data.draw(
         st.lists(st.integers(1, 10_000), min_size=n_tiles, max_size=n_tiles, unique=True)
@@ -74,7 +77,7 @@ def test_batched_solve_matches_per_tile_solves(
         operators,
         measurements,
         regularization=np.array(weights),
-        max_iterations=60,
+        max_iterations=budget,
         tolerance=tolerance,
         accelerated=accelerated,
     )
@@ -88,7 +91,7 @@ def test_batched_solve_matches_per_tile_solves(
             operator,
             samples,
             regularization=weight,
-            max_iterations=60,
+            max_iterations=budget,
             tolerance=tolerance,
             step_size=1.0 / solo_sigma**2,
         )
@@ -97,3 +100,26 @@ def test_batched_solve_matches_per_tile_solves(
         assert result.n_iterations == solo.n_iterations
         assert result.converged == solo.converged
         assert result.step_reductions == solo.step_reductions
+
+
+def test_tiles_freezing_in_different_stages_match_their_solo_solves():
+    # Tile 0's weight sits above a third of its ||A^T y||_inf, so its first
+    # three stages keep the zero start and freeze at once while tile 1
+    # still iterates: the stack's stages end at different times per tile.
+    problems = [tile_problem((16, 16), "dct", seed, bounded=True) for seed in (5, 6)]
+    operators = [operator for operator, _ in problems]
+    measurements = np.stack([samples for _, samples in problems])
+    weights = [0.5 * np.abs(operators[0].rmatvec(measurements[0])).max(), 0.5]
+    profile = SolverProfile()
+    batched = batched_proximal_gradient(
+        operators, measurements, regularization=np.array(weights),
+        max_iterations=100, tolerance=1e-3, profile=profile,
+    )
+    assert profile.n_stages == 4
+    early = [count for count, stage in zip(profile.frozen_counts, profile.stages) if stage == 0]
+    assert early[1:] and set(early[1:]) == {1}
+    for operator, samples, weight, result in zip(operators, measurements, weights, batched):
+        solo = fista(operator, samples, regularization=weight, max_iterations=100, tolerance=1e-3)
+        assert result.coefficients.tobytes() == solo.coefficients.tobytes()
+        assert result.history == solo.history
+        assert result.converged == solo.converged

@@ -75,6 +75,17 @@ class TestReconstructTiled:
             assert ours.converged == theirs.converged
             assert ours.step_reductions == theirs.step_reductions
 
+    @pytest.mark.parametrize("operator", ["structured", "dense"])
+    def test_tile_images_are_views_of_the_mosaic(self, tiled_capture, operator):
+        """The mosaic keeps its pixels once; each tile's image is its slot."""
+        tiled = reconstruct_tiled(tiled_capture, max_iterations=20, operator=operator)
+        image, _ = per_tile_solves(tiled_capture, max_iterations=20, operator=operator)
+        for slot, _frame in tiled_capture.frames():
+            tile = tiled.tile_results[slot.grid_row][slot.grid_col]
+            assert np.shares_memory(tile.image, tiled.image)
+            assert tile.image.shape == (slot.rows, slot.cols)
+            assert tile.image.tobytes() == image[slot.row_slice, slot.col_slice].tobytes()
+
     @pytest.mark.parametrize("solver", ["omp", "bogus"])
     def test_non_proximal_solver_rejected(self, tiled_capture, solver):
         with pytest.raises(ValueError, match="solver"):

@@ -435,8 +435,9 @@ class TestReceiverBarrierErrors:
 
 
 class TestPartialMosaicStream:
-    def test_lost_tile_settles_as_reconstruct_tiled_of_the_received_capture(self):
-        from repro.recon.pipeline import reconstruct_tiled
+    @staticmethod
+    def _received_without_tile_0_1():
+        """The 2x2 mosaic replayed into a resilient receiver, tile (0, 1) lost."""
         from repro.stream.protocol import ChunkDecoder
 
         items = TestReceiverBarrierErrors._tiled_wire_chunks()
@@ -453,7 +454,12 @@ class TestPartialMosaicStream:
             receiver = StreamReceiver(resilient=True, max_iterations=20)
             return await receiver.run(transport)
 
-        received = run(scenario()).frames[0]
+        return run(scenario()).frames[0]
+
+    def test_lost_tile_settles_as_reconstruct_tiled_of_the_received_capture(self):
+        from repro.recon.pipeline import reconstruct_tiled
+
+        received = self._received_without_tile_0_1()
         assert received.capture.tiles[0][1] is None
         assert received.loss.n_received_chunks < received.loss.n_expected_chunks
         mosaic = received.reconstruction
@@ -461,6 +467,20 @@ class TestPartialMosaicStream:
         assert not mosaic.image[:16, 16:].any()
         direct = reconstruct_tiled(received.capture, max_iterations=20)
         assert mosaic.image.tobytes() == direct.image.tobytes()
+
+    def test_partial_capture_counts_the_delivered_tiles(self):
+        capture = self._received_without_tile_0_1().capture
+        delivered = [frame for row in capture.tiles for frame in row if frame is not None]
+        assert len(delivered) == 3
+        assert capture.n_samples == sum(frame.n_samples for frame in delivered)
+        assert np.array_equal(
+            capture.samples, np.concatenate([frame.samples for frame in delivered])
+        )
+        assert capture.compression_ratio == capture.n_samples / capture.n_pixels
+        assert capture.compressed_bits == sum(frame.compressed_bits for frame in delivered)
+        assert [slot.grid_col for slot, _ in capture.delivered()] == [0, 0, 1]
+        with pytest.raises(ValueError, match=r"tile \(0, 1\) was not delivered"):
+            capture.digital_image()
 
 
 class TestReceiveStreamHelper:

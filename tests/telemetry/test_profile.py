@@ -41,14 +41,16 @@ class TestSolverProfileObject:
     def test_records_and_finishes(self):
         profile = SolverProfile()
         profile.record_step_size(0.5, provenance="provided")
-        profile.record_iteration(2.0, 1.0, frozen=0)
-        profile.record_iteration(1.0, 0.5, frozen=3)
+        profile.record_iteration(2.0, 1.0, frozen=0, stage=0, regularization=0.3)
+        profile.record_iteration(1.0, 0.5, frozen=3, stage=1, regularization=0.1)
         profile.finish(converged=True)
         assert profile.step_size == 0.5
         assert profile.step_size_provenance == "provided"
         assert profile.objectives == [2.0, 1.0]
         assert profile.residual_norms == [1.0, 0.5]
         assert profile.frozen_counts == [0, 3]
+        assert profile.stages == [0, 1]
+        assert profile.regularizations == [0.3, 0.1]
         assert profile.n_iterations == 2
         assert profile.converged is True
         assert profile.monotone
@@ -65,8 +67,8 @@ class TestSolverProfileObject:
 
     def test_monotone_detects_increases(self):
         profile = SolverProfile()
-        profile.record_iteration(1.0, 1.0, frozen=0)
-        profile.record_iteration(2.0, 1.0, frozen=0)
+        profile.record_iteration(1.0, 1.0, frozen=0, stage=0, regularization=0.1)
+        profile.record_iteration(2.0, 1.0, frozen=0, stage=0, regularization=0.1)
         assert not profile.monotone
 
 
@@ -121,9 +123,15 @@ class TestBatchedSolverHooks:
         assert profile.n_tiles == len(operators)
         assert profile.step_size_provenance == "estimated"
         assert len(profile.frozen_counts) == profile.n_iterations
-        # No tile is frozen entering iteration 1; the count never decreases.
-        assert profile.frozen_counts[0] == 0
-        assert profile.frozen_counts == sorted(profile.frozen_counts)
+        # Every stage starts with no tile frozen; within a stage the count
+        # never decreases.
+        for stage in set(profile.stages):
+            counts = [
+                count for count, ran_in in zip(profile.frozen_counts, profile.stages)
+                if ran_in == stage
+            ]
+            assert counts[0] == 0
+            assert counts == sorted(counts)
         assert profile.converged == all(result.converged for result in results)
         if profile.converged:
             # Each converged tile stops iterating, so the last iteration ran
@@ -207,3 +215,53 @@ class TestStepProvenance:
         assert profile.step_size_provenance == "bound"
         assert results[0].step_reductions == 0
         assert profile.step_reductions == results[1].step_reductions > 0
+
+
+class TestContinuationFacts:
+    """The profile names each iteration's λ-continuation stage and its λ."""
+
+    def test_stages_and_weights_follow_the_lambda_path(self):
+        matrix, measurements = _problem()
+        profile = SolverProfile()
+        result = fista(
+            matrix, measurements, regularization=0.05, max_iterations=100,
+            tolerance=1e-12, profile=profile,
+        )
+        assert profile.n_stages == 4
+        assert profile.stages == sorted(profile.stages)
+        assert set(profile.stages) == {0, 1, 2, 3}
+        for stage, weight in zip(profile.stages, profile.regularizations):
+            assert weight == 0.05 * 3.0 ** (3 - stage)
+        # The last objective is read at the caller's λ.
+        assert profile.objectives[-1] == pytest.approx(
+            0.5 * result.residual_norm**2 + 0.05 * np.abs(result.coefficients).sum()
+        )
+
+    def test_ista_stays_monotone_across_stage_boundaries(self):
+        matrix, measurements = _problem(seed=2)
+        profile = SolverProfile()
+        ista(
+            matrix, measurements, regularization=0.05, max_iterations=100,
+            tolerance=1e-12, profile=profile,
+        )
+        assert len(set(profile.stages)) == 4
+        assert profile.monotone
+
+    @pytest.mark.parametrize("tolerance, converged", [(1e-12, False), (1e-2, True)])
+    def test_converged_means_frozen_in_the_final_stage(self, tolerance, converged):
+        matrix, measurements = _problem()
+        # Above half of ||A^T y||_inf, the weights λ·27, λ·9 and λ·3 keep the
+        # zero start, so the first three stages freeze after one iteration
+        # each; only the final stage at λ decides ``converged``.
+        weight = 0.5 * np.abs(matrix.T @ measurements).max()
+        profile = SolverProfile()
+        result = ista(
+            matrix, measurements, regularization=weight, max_iterations=100,
+            tolerance=tolerance, profile=profile,
+        )
+        assert profile.stages[:4] == [0, 1, 2, 3]
+        assert result.converged is converged
+        assert profile.converged is converged
+        # A tile that did not freeze ran the final stage's whole quarter.
+        assert (profile.stages.count(3) < 25) is converged
+        assert result.n_iterations == 3 + profile.stages.count(3)

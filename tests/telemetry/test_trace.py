@@ -156,7 +156,7 @@ class TestTelemetryFacade:
     def test_enabled_facade_hands_out_profiles(self):
         profile = Telemetry(clock=ManualClock()).solver_profile()
         assert profile is not None
-        profile.record_iteration(1.0, 0.5, frozen=0)
+        profile.record_iteration(1.0, 0.5, frozen=0, stage=0, regularization=0.1)
         assert profile.n_iterations == 1
 
     def test_active_collapses_the_two_level_guard(self):
