@@ -62,7 +62,7 @@ def mosaic_capture(benchmark_seed):
         (256, 256),
         tile_shape=(64, 64),
         compression_ratio=0.3,
-        executor="serial",
+        max_workers=1,
         seed=benchmark_seed,
     )
     scene = make_scene("natural", (256, 256), seed=7)

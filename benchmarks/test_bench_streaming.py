@@ -62,7 +62,7 @@ def _stream_tiled_once():
         (256, 256),
         tile_shape=(64, 64),
         compression_ratio=0.1,
-        executor="serial",
+        max_workers=1,
         seed=2018,
     )
     scene = make_scene("natural", (256, 256), seed=7)

@@ -38,7 +38,7 @@ RECON = dict(max_iterations=40)
 def make_array():
     return TiledSensorArray(
         SCENE_SHAPE, tile_shape=(64, 64), compression_ratio=0.12, seed=11,
-        executor="serial",
+        max_workers=1,
     )
 
 

@@ -56,11 +56,6 @@ class BlockCompressiveSampler:
         be compared against the paper's strategy with an identical ensemble.
     seed:
         Seed for the shared per-block measurement matrix.
-    dtype:
-        Measurement arithmetic width: ``"float64"`` (default) or
-        ``"float32"`` — the same fast-mode trade the tiled sensor offers,
-        halving the measurement memory traffic for very large images.
-        Reconstruction always solves in float64.
     """
 
     def __init__(
@@ -72,7 +67,6 @@ class BlockCompressiveSampler:
         dictionary: str = "dct",
         matrix: str = "bernoulli",
         seed: SeedLike = 2018,
-        dtype: str = "float64",
     ) -> None:
         rows, cols = image_shape
         check_positive("rows", rows)
@@ -92,9 +86,7 @@ class BlockCompressiveSampler:
             dictionary, (self.block_size, self.block_size)
         )
         check_choice("matrix", matrix, ("bernoulli", "ca"))
-        check_choice("dtype", dtype, ("float64", "float32"))
         self.matrix = matrix
-        self.dtype = np.dtype(dtype)
         if matrix == "ca" and self.block_size < 2:
             raise ValueError(
                 "matrix='ca' needs block_size >= 2: the selection CA ring has "
@@ -107,11 +99,11 @@ class BlockCompressiveSampler:
                 self.block_size,
                 nonzero_seed_bits(2 * self.block_size, seed),
                 warmup_steps=8,
-            ).astype(self.dtype)
+            ).astype(np.float64)
         else:
             self.phi_block = bernoulli_matrix(
                 self.samples_per_block, self.n_block_pixels, density=0.5, seed=seed
-            ).astype(self.dtype)
+            ).astype(np.float64)
 
     # ---------------------------------------------------------------- sizes
     @property
@@ -127,12 +119,8 @@ class BlockCompressiveSampler:
 
     # -------------------------------------------------------------- measure
     def measure(self, image: np.ndarray) -> np.ndarray:
-        """Measure every block; returns an ``(n_blocks, samples_per_block)`` array.
-
-        The matmul runs in the sampler's ``dtype``; with ``"float32"`` the
-        result carries that width (cast up for reconstruction as needed).
-        """
-        image = np.asarray(image, dtype=self.dtype)
+        """Measure every block; returns an ``(n_blocks, samples_per_block)`` array."""
+        image = np.asarray(image, dtype=float)
         if image.shape != self.image_shape:
             raise ValueError(
                 f"image shape {image.shape} does not match {self.image_shape}"
@@ -172,10 +160,8 @@ class BlockCompressiveSampler:
                 f"samples must have shape {(self.n_blocks, self.samples_per_block)}, "
                 f"got {samples.shape}"
             )
-        # Solvers always run in float64, whatever width measured the blocks.
-        phi = self.phi_block.astype(np.float64)
-        density = float(phi.mean())
-        centered_phi = phi - density
+        density = float(self.phi_block.mean())
+        centered_phi = self.phi_block - density
         operator = SensingOperator(centered_phi, self.dictionary)
         if sparsity is None:
             sparsity = max(1, self.samples_per_block // 4)

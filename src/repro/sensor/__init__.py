@@ -23,7 +23,7 @@ chip:
 
 from repro.sensor.column_bus import ColumnBusArbiter, ColumnControlUnit
 from repro.sensor.config import SensorConfig
-from repro.sensor.imager import FLOAT32_SAMPLE_ATOL, CompressedFrame, CompressiveImager
+from repro.sensor.imager import CompressedFrame, CompressiveImager
 from repro.sensor.power import PowerAreaModel, chip_feature_summary
 from repro.sensor.sample_add import ColumnAccumulator, SampleAndAdd
 from repro.sensor.shard import (
@@ -47,7 +47,6 @@ __all__ = [
     "chip_feature_summary",
     "CompressiveImager",
     "CompressedFrame",
-    "FLOAT32_SAMPLE_ATOL",
     "VideoSequencer",
     "VideoCaptureResult",
     "TiledSensorArray",

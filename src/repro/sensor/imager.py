@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ca.selection import CASelectionGenerator
+from repro.ca.selection import CASelectionGenerator, selection_masks_from_states
 from repro.pixel.event import PixelEvent
 from repro.pixel.time_encoder import TimeEncoder, column_event_order
 from repro.sensor.column_bus import ColumnBusArbiter, arbitrate_columns
@@ -62,19 +62,6 @@ from repro.utils.validation import check_choice, check_positive
 #: per block: a 64x64 frame is arbitrated 16 samples at a time, which keeps
 #: the engine's transients to a few MB whatever the sample count.
 EVENT_BLOCK_SLOTS = 1 << 16
-
-#: Accuracy contract of the ``dtype="float32"`` behavioural fast mode, in
-#: compressed-sample code units.  With ``lsb_error=False`` a float32 capture
-#: is pinned to within this absolute tolerance of the float64 capture (for
-#: tiles up to 128x128 the float32 matmul is in fact exact: every partial sum
-#: stays below 2**24, the largest integer float32 resolves).  With
-#: ``lsb_error=True`` the fast mode replaces the per-sample binomial ±1 LSB
-#: draws with their expectation, so the two dtypes additionally differ by the
-#: binomial noise of the exact path — bounded (at six sigma) by
-#: ``6 * sqrt(n_selected_events_per_sample * p * (1 - p))``.
-#: ``tests/sensor/test_float32_mode.py`` pins both halves of this contract.
-FLOAT32_SAMPLE_ATOL = 2.0
-
 
 @dataclass
 class CompressedFrame:
@@ -245,9 +232,14 @@ class CompressiveImager:
         lsb_error: bool = True,
         keep_digital_image: bool = True,
         engine: str = "batched",
-        dtype: str = "float64",
     ) -> CompressedFrame:
         """Capture one compressive frame from a photocurrent map.
+
+        The frame is the one :meth:`capture_batch` would give for a
+        single-frame batch: the same per-frame core (:meth:`_capture_frame`)
+        runs from the reset CA.  Unlike :meth:`capture_batch`, the imager's
+        CA seed and warm-up are left as they were, so every capture of the
+        same scene starts from the same selection pattern.
 
         Parameters
         ----------
@@ -272,15 +264,6 @@ class CompressiveImager:
             original per-column Python loop — the executable specification
             the batched engine is pinned against; behavioural captures are
             batched either way.
-        dtype : {"float64", "float32"}
-            Arithmetic width of the behavioural fast path.  The default
-            ``"float64"`` is bit-exact (byte-identical to the legacy
-            per-pattern loop).  ``"float32"`` is the fast mode for very large
-            arrays: the Φ @ x matmuls run in single precision and the
-            per-event stochastic LSB bookkeeping is replaced by its
-            expectation — see :data:`FLOAT32_SAMPLE_ATOL` for the documented
-            accuracy contract.  Flagged in ``metadata["dtype"]``; rejected
-            for ``fidelity="event"``, which is exact by construction.
 
         Returns
         -------
@@ -288,69 +271,70 @@ class CompressiveImager:
             Samples (``int64``, shape ``(n_samples,)``), the CA seed, the
             configuration and the capture statistics ``metadata``.
         """
-        check_choice("fidelity", fidelity, ("behavioural", "event"))
         check_choice("engine", engine, ("batched", "reference"))
-        check_choice("dtype", dtype, ("float64", "float32"))
-        if fidelity == "event" and dtype != "float64":
-            raise ValueError(
-                "dtype='float32' is a behavioural fast mode; the event-accurate "
-                "engine is integer-exact and only supports dtype='float64'"
-            )
+        n_samples = self._check_capture(fidelity, n_samples)
+        self.selection.reset()
+        return self._capture_frame(
+            np.asarray(photocurrent, dtype=float),
+            self.selection.next_states(n_samples),
+            fidelity=fidelity,
+            engine=engine,
+            auto_expose=auto_expose,
+            lsb_error=lsb_error,
+            keep_digital_image=keep_digital_image,
+            seed_state=self.selection.seed_state,
+            warmup_steps=self.warmup_steps,
+        )
+
+    def _check_capture(self, fidelity: str, n_samples: int | None) -> int:
+        """Validate the fidelity and resolve the per-frame sample budget."""
+        check_choice("fidelity", fidelity, ("behavioural", "event"))
         if n_samples is None:
             n_samples = self.config.samples_per_frame
         check_positive("n_samples", n_samples)
-        n_samples = int(n_samples)
+        return int(n_samples)
 
-        photocurrent = np.asarray(photocurrent, dtype=float)
+    def _capture_frame(
+        self,
+        photocurrent: np.ndarray,
+        states: np.ndarray,
+        *,
+        fidelity: str,
+        engine: str,
+        auto_expose: bool,
+        lsb_error: bool,
+        keep_digital_image: bool,
+        seed_state: np.ndarray,
+        warmup_steps: int,
+    ) -> CompressedFrame:
+        """The per-frame capture core shared by :meth:`capture` and
+        :meth:`capture_batch`: expose, encode, sample one frame's CA state
+        stack and box the result.
+
+        The noise draws (comparator offsets, LSB-error injection) are
+        re-derived from the imager seed for every frame, so the same scene
+        captured at both fidelity levels sees the same analog front end and
+        the two paths can be compared exactly.
+        """
         if auto_expose:
             self.auto_expose(photocurrent)
-        # The noise draws (comparator offsets, LSB-error injection) depend only on
-        # the imager seed, so the same scene captured at both fidelity levels sees
-        # the same analog front end and the two paths can be compared exactly.
         rng = new_rng(derive_seed(self.seed, "capture"))
         times = self.firing_times(photocurrent, rng=rng)
         codes = self.tdc.ideal_codes(times)
-
-        self.selection.reset()
         if fidelity == "behavioural":
-            samples, metadata = self._capture_behavioural(
-                codes, times, n_samples, lsb_error=lsb_error, rng=rng, dtype=dtype
+            lsb_probability = self._behavioural_lsb_probability(lsb_error)
+            samples, n_bumped = self._behavioural_samples(
+                states, codes, lsb_probability=lsb_probability, rng=rng
+            )
+            metadata = self._behavioural_metadata(
+                states, times, lsb_probability, n_bumped
             )
         elif engine == "reference":
             samples, metadata = self._capture_event_reference(
-                times, n_samples, lsb_error=lsb_error
+                times, states, lsb_error=lsb_error
             )
         else:
-            samples, metadata = self._capture_event(
-                times, self.selection.next_states(n_samples), lsb_error=lsb_error
-            )
-        return self._assemble_frame(
-            samples,
-            metadata,
-            codes,
-            fidelity=fidelity,
-            seed_state=self.selection.seed_state,
-            warmup_steps=self.warmup_steps,
-            keep_digital_image=keep_digital_image,
-        )
-
-    def _assemble_frame(
-        self,
-        samples: np.ndarray,
-        metadata: dict[str, object],
-        codes: np.ndarray,
-        *,
-        fidelity: str,
-        seed_state: np.ndarray,
-        warmup_steps: int,
-        keep_digital_image: bool,
-    ) -> CompressedFrame:
-        """Stamp the common capture metadata and box one frame.
-
-        The single frame-assembly epilogue shared by :meth:`capture` and
-        :meth:`capture_batch`, so the two capture paths cannot drift in
-        metadata shape.
-        """
+            samples, metadata = self._capture_event(times, states, lsb_error=lsb_error)
         metadata["fidelity"] = fidelity
         metadata["n_saturated_pixels"] = int(np.count_nonzero(codes >= self.tdc.max_code))
         return CompressedFrame(
@@ -391,7 +375,6 @@ class CompressiveImager:
         auto_expose: bool = True,
         lsb_error: bool = True,
         keep_digital_image: bool = True,
-        dtype: str = "float64",
     ) -> list[CompressedFrame]:
         """Capture a stack of frames with a continuously-running selection CA.
 
@@ -420,10 +403,6 @@ class CompressiveImager:
             Capture engine, as in :meth:`capture`.
         auto_expose, lsb_error, keep_digital_image : bool
             As in :meth:`capture`, applied to every frame.
-        dtype : {"float64", "float32"}
-            Behavioural arithmetic width, as in :meth:`capture`; the float32
-            fast mode applies to every frame of the batch and is rejected
-            for ``fidelity="event"``.
 
         Returns
         -------
@@ -431,65 +410,30 @@ class CompressiveImager:
             One frame per input scene, in order, each independently
             decodable from its own ``seed_state``.
         """
-        check_choice("fidelity", fidelity, ("behavioural", "event"))
-        check_choice("dtype", dtype, ("float64", "float32"))
-        if fidelity == "event" and dtype != "float64":
-            raise ValueError(
-                "dtype='float32' is a behavioural fast mode; the event-accurate "
-                "engine is integer-exact and only supports dtype='float64'"
-            )
+        n_samples = self._check_capture(fidelity, n_samples)
         photocurrents = [np.asarray(current, dtype=float) for current in photocurrents]
         if not photocurrents:
             return []
-        if n_samples is None:
-            n_samples = self.config.samples_per_frame
-        check_positive("n_samples", n_samples)
-        n_samples = int(n_samples)
-        n_frames = len(photocurrents)
 
         # One batched CA evolution covers the whole sequence: frame f uses
         # global states [f*(n_samples-1), f*(n_samples-1) + n_samples).
         first_seed_state = self.selection.seed_state
         first_warmup = self.warmup_steps
-        n_states = n_frames * (n_samples - 1) + 1
-        states = self._sequence_states(n_states)
-
+        states = self._sequence_states(len(photocurrents) * (n_samples - 1) + 1)
         frames: list[CompressedFrame] = []
         for frame_index, photocurrent in enumerate(photocurrents):
-            if auto_expose:
-                self.auto_expose(photocurrent)
-            # Each frame re-derives the same capture stream a standalone
-            # capture() would, keeping batch and one-by-one captures equal.
-            rng = new_rng(derive_seed(self.seed, "capture"))
-            times = self.firing_times(photocurrent, rng=rng)
-            codes = self.tdc.ideal_codes(times)
             start = frame_index * (n_samples - 1)
-            frame_states = states[start : start + n_samples]
-            if fidelity == "behavioural":
-                lsb_probability = self._behavioural_lsb_probability(lsb_error)
-                samples, n_bumped = self._behavioural_samples(
-                    frame_states,
-                    codes,
-                    lsb_probability=lsb_probability,
-                    rng=rng,
-                    dtype=dtype,
-                )
-                metadata = self._behavioural_metadata(
-                    frame_states, times, lsb_probability, n_bumped, dtype=dtype
-                )
-            else:
-                samples, metadata = self._capture_event(
-                    times, frame_states, lsb_error=lsb_error
-                )
             frames.append(
-                self._assemble_frame(
-                    samples,
-                    metadata,
-                    codes,
+                self._capture_frame(
+                    photocurrent,
+                    states[start : start + n_samples],
                     fidelity=fidelity,
+                    engine="batched",
+                    auto_expose=auto_expose,
+                    lsb_error=lsb_error,
+                    keep_digital_image=keep_digital_image,
                     seed_state=first_seed_state if frame_index == 0 else states[start].copy(),
                     warmup_steps=first_warmup if frame_index == 0 else 0,
-                    keep_digital_image=keep_digital_image,
                 )
             )
         # Leave the imager's CA where the sequence ended: the last state
@@ -561,8 +505,8 @@ class CompressiveImager:
         A bump on a saturated code clips back to ``max_code``, so only the
         selected pixels below it count.  With none saturated that is the
         factor-sum count ``nR·(cols − nC) + (rows − nR)·nC``; otherwise it is
-        the rank-structured projection of the 0/1 live image, in the
-        signals' dtype (exact: every count is an integer below 2**24).
+        the rank-structured projection of the 0/1 live image (exact: every
+        count is an integer far below 2**53).
         """
         rows, cols = self.config.rows, self.config.cols
         live = codes < self.tdc.max_code
@@ -573,37 +517,6 @@ class CompressiveImager:
         live_image = live.reshape(rows, cols).astype(row_signals.dtype)
         return self._rank_structured_project(row_signals, col_signals, live_image).astype(np.int64)
 
-    def _behavioural_samples_fast(
-        self,
-        states: np.ndarray,
-        codes: np.ndarray,
-        *,
-        lsb_probability: float,
-    ):
-        """The ``dtype="float32"`` fast mode: single precision, expected LSB.
-
-        Two costs of the exact engine are dropped for very large arrays: the
-        matmuls run in float32 (half the memory traffic), and the binomial
-        LSB draw is replaced by its expectation — each sample gains
-        ``p x (selected, unsaturated pixels)`` deterministic bumps.  The
-        accuracy contract versus float64 is documented at
-        :data:`FLOAT32_SAMPLE_ATOL`.
-
-        Returns ``(samples, expected_bumps)``; the bump count is a float
-        expectation, not an integer tally.
-        """
-        rows, cols = self.config.rows, self.config.cols
-        row_signals = states[:, :rows].astype(np.float32)
-        col_signals = states[:, rows:].astype(np.float32)
-        image = codes.reshape(rows, cols).astype(np.float32)
-        samples = self._rank_structured_project(row_signals, col_signals, image)
-        expected_bumps = 0.0
-        if lsb_probability > 0.0:
-            eligible = self._eligible_events(states, row_signals, col_signals, codes)
-            samples = samples + np.float32(lsb_probability) * eligible.astype(np.float32)
-            expected_bumps = float(lsb_probability * eligible.sum())
-        return np.rint(samples).astype(np.int64), expected_bumps
-
     def _behavioural_samples(
         self,
         states: np.ndarray,
@@ -611,7 +524,6 @@ class CompressiveImager:
         *,
         lsb_probability: float,
         rng: np.random.Generator,
-        dtype: str = "float64",
     ):
         """One frame's compressed samples from its CA state stack, fully batched.
 
@@ -630,15 +542,7 @@ class CompressiveImager:
         generator stream exactly as one scalar draw per pattern in sample
         order does — the per-pattern loop the capture-equivalence tests pin
         this engine against, bit for bit.
-
-        ``dtype="float32"`` routes to :meth:`_behavioural_samples_fast`
-        instead; the default float64 path below is untouched and stays
-        byte-exact.
         """
-        if dtype == "float32":
-            return self._behavioural_samples_fast(
-                states, codes, lsb_probability=lsb_probability
-            )
         rows, cols = self.config.rows, self.config.cols
         row_signals = states[:, :rows].astype(np.float64)
         col_signals = states[:, rows:].astype(np.float64)
@@ -657,9 +561,7 @@ class CompressiveImager:
         states: np.ndarray,
         times: np.ndarray,
         lsb_probability: float,
-        n_bumped,
-        *,
-        dtype: str = "float64",
+        n_bumped: int,
     ) -> dict[str, object]:
         """Behavioural capture statistics, with *modelled* event counts.
 
@@ -677,9 +579,8 @@ class CompressiveImager:
 
         ``event_statistics`` is ``"modelled"`` here and ``"exact"`` for event
         fidelity, so downstream consumers can tell the two apart.  ``dtype``
-        records the arithmetic width of the capture; in the float32 fast
-        mode ``n_lsb_errors`` is the *expected* bump count (a float), since
-        that mode applies the expectation instead of drawing the bumps.
+        records the arithmetic width of the capture: always ``"float64"``,
+        a key the v2 frame statistics block carries on the wire.
         """
         rows, cols = self.config.rows, self.config.cols
         n_row_high = states[:, :rows].sum(axis=1, dtype=np.int64)
@@ -702,31 +603,12 @@ class CompressiveImager:
         overlap = self.config.event_overlap_probability(self.config.rows // 2)
         return {
             "lsb_error_probability": float(lsb_probability),
-            "n_lsb_errors": float(n_bumped) if dtype == "float32" else int(n_bumped),
+            "n_lsb_errors": int(n_bumped),
             "n_lost_events": n_lost,
             "n_queued_events": float((n_selected - n_lost) * overlap),
             "event_statistics": "modelled",
-            "dtype": dtype,
+            "dtype": "float64",
         }
-
-    def _capture_behavioural(
-        self,
-        codes: np.ndarray,
-        times: np.ndarray,
-        n_samples: int,
-        *,
-        lsb_error: bool,
-        rng: np.random.Generator,
-        dtype: str = "float64",
-    ):
-        lsb_probability = self._behavioural_lsb_probability(lsb_error)
-        states = self.selection.next_states(n_samples)
-        samples, n_bumped = self._behavioural_samples(
-            states, codes, lsb_probability=lsb_probability, rng=rng, dtype=dtype
-        )
-        return samples, self._behavioural_metadata(
-            states, times, lsb_probability, n_bumped, dtype=dtype
-        )
 
     # ------------------------------------------------------------ event path
     def _capture_event(self, times: np.ndarray, states: np.ndarray, *, lsb_error: bool):
@@ -849,13 +731,14 @@ class CompressiveImager:
     def _capture_event_reference(
         self,
         times: np.ndarray,
-        n_samples: int,
+        states: np.ndarray,
         *,
         lsb_error: bool,
     ):
         """The original per-column event loop — the executable specification.
 
-        Every selection pattern walks every column through the scalar
+        Every selection pattern (one CA state's ``S_i XOR S_j`` mask) walks
+        every column through the scalar
         :class:`~repro.sensor.column_bus.ColumnBusArbiter` and the register
         level :class:`~repro.sensor.sample_add.SampleAndAdd`.  Kept (and
         reachable via ``capture(engine="reference")``) so the equivalence
@@ -867,16 +750,18 @@ class CompressiveImager:
             column_bits=self.config.column_sum_bits,
             sample_bits=self.config.compressed_sample_bits,
         )
-        samples = np.empty(n_samples, dtype=np.int64)
+        rows, cols = self.config.rows, self.config.cols
+        masks = selection_masks_from_states(states, rows, cols).reshape(-1, rows, cols)
+        samples = np.empty(states.shape[0], dtype=np.int64)
         n_lost = 0
         n_queued = 0
         n_lsb_errors = 0
         max_queue_delay = 0.0
         deadline = self.tdc.conversion_window
-        for index, pattern in enumerate(self.selection.patterns(n_samples)):
+        for index, mask in enumerate(masks):
             adder.reset()
             for col in range(self.config.cols):
-                selected_rows = np.nonzero(pattern.mask[:, col])[0]
+                selected_rows = np.nonzero(mask[:, col])[0]
                 events: list[PixelEvent] = []
                 for row in selected_rows:
                     fire_time = times[row, col]

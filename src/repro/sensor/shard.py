@@ -14,15 +14,17 @@ models that system level:
   its own compressed-sample stream.  Edge tiles shrink to fit scenes that are
   not multiples of the tile size, the way a mosaic camera crops its border
   chips.
-* Tiles capture **concurrently** through a :mod:`concurrent.futures`
-  executor (``executor="thread" | "process" | "serial"``, ``max_workers``
-  configurable).  Every tile capture runs on a *copy* of the tile imager
-  (so nothing mutates the array's state, whichever process captured it) and
-  :meth:`CompressiveImager.capture` re-derives its noise streams from the
-  imager seed — the captured samples are therefore byte-identical whichever
-  executor runs them, and independent of capture history.  The executor is
-  purely a wall-clock knob, and the tiled-capture benchmarks gate that
-  ``max_workers > 1`` actually pays.
+* Tiles capture **concurrently**: every capture, single frame or
+  sequence, runs one job per tile — :meth:`CompressiveImager.capture_batch`
+  on a *copy* of the tile imager, which also returns the copy's end CA
+  state.  ``max_workers=1`` runs the jobs inline and ``max_workers > 1``
+  on a thread pool (``None``: one thread per usable CPU).  Nothing mutates
+  the array's imagers unless ``capture_sequence(advance=True)`` asks for
+  it, and every capture re-derives its noise streams from the imager seed,
+  so the captured samples are byte-identical for any ``max_workers`` and
+  independent of capture history.  The pool is purely a wall-clock knob,
+  and the tiled-capture benchmarks gate that ``max_workers > 1`` actually
+  pays.
 * The per-tile frames merge into one :class:`TiledCaptureResult`: the
   concatenated sample vector, the per-tile :class:`CompressedFrame` grid and
   the **summed** event statistics (``n_lost_events``, ``n_queued_events``,
@@ -34,11 +36,8 @@ models that system level:
 
 Per-tile invariants are exactly the single-sensor invariants: each tile's Φ
 comes from the one shared builder (shared-Φ invariant) and each tile's
-default-dtype behavioural capture stays byte-identical to the legacy loop
-(bit-fidelity invariant).  The ``dtype="float32"`` fast mode of
-:meth:`CompressiveImager.capture` composes with sharding for very large
-scenes; see :data:`repro.sensor.imager.FLOAT32_SAMPLE_ATOL` for its accuracy
-contract.
+behavioural capture stays byte-identical to the legacy loop (bit-fidelity
+invariant).
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ from repro.ca.selection import CASelectionGenerator
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressedFrame, CompressiveImager
 from repro.utils.rng import derive_seed
-from repro.utils.validation import check_choice, check_in_range, check_positive
-
-EXECUTOR_KINDS = ("serial", "thread", "process")
+from repro.utils.validation import check_in_range, check_positive
 
 
 def tile_grid(scene_shape, tile_shape) -> list[list[TileSlot]]:
@@ -150,8 +147,9 @@ class TiledCaptureResult:
         Full scene dimensions and the nominal (non-edge) tile dimensions.
     metadata:
         Aggregated capture statistics: the per-tile event statistics summed
-        (``max_queue_delay`` taken as the maximum), plus the capture options
-        (``fidelity``, ``dtype``, ``executor``, ``max_workers``).
+        (``max_queue_delay`` taken as the maximum), plus ``fidelity`` and
+        ``n_tiles``; a :meth:`TiledSensorArray.capture_sequence` result also
+        carries ``frame_index`` and ``n_frames``.
     """
 
     tiles: list[list[CompressedFrame | None]]
@@ -262,15 +260,14 @@ def merge_tile_statistics(frames: list[CompressedFrame]) -> dict[str, object]:
     return merged
 
 
-def _capture_tile_batch(job):
-    """Capture one tile's whole frame sequence; module-level for pickling.
+def _capture_tile(job) -> tuple[list[CompressedFrame], np.ndarray]:
+    """Capture one tile's frame sequence on a copy of its imager.
 
-    Like :func:`_capture_tile`, the chip is a *copy*: the tile's CA advances
-    frame to frame inside the copy (``capture_batch``'s one-pattern overlap),
-    and the copy's final CA state is returned alongside the frames so the
-    parent can — optionally and deterministically — advance its own imagers.
-    One job covers one tile's full sequence, so the result is byte-identical
-    whichever executor runs it.
+    The copy is what keeps tile captures stateless and threads apart: the
+    tile's CA advances frame to frame inside the copy (``capture_batch``'s
+    one-pattern overlap) and auto-expose adapts the copy's ``V_ref`` only.
+    The copy's end CA state is returned alongside the frames so the array
+    can — optionally and deterministically — advance its own imager.
     """
     imager, photocurrents, kwargs = job
     chip = copy.deepcopy(imager)
@@ -293,26 +290,11 @@ def pool_width(max_workers: int | None, n_jobs: int) -> int:
     """Workers for a pool running ``n_jobs`` tile jobs.
 
     ``max_workers``, or one worker per usable CPU (:func:`available_cpus`)
-    when it is ``None``, and never more than the job count.  Tile captures
-    and per-tile solves size their pools here.
+    when it is ``None``, and never more than the job count.
     """
     if max_workers is None:
         max_workers = available_cpus()
     return min(int(max_workers), n_jobs)
-
-
-def _capture_tile(job) -> CompressedFrame:
-    """Capture one tile; module-level so process executors can pickle it.
-
-    The chip is captured on a *copy*, so the parent's imagers are never
-    mutated (auto-expose adapts the copy's ``V_ref`` only).  This is what
-    makes tile captures stateless and the executors interchangeable: a
-    process worker discards its copy just like the parent discards its own,
-    so the samples cannot depend on which executor — or which previous
-    capture — ran.
-    """
-    imager, photocurrent, kwargs = job
-    return copy.deepcopy(imager).capture(photocurrent, **kwargs)
 
 
 class TiledSensorArray:
@@ -336,18 +318,18 @@ class TiledSensorArray:
     rule, steps_per_sample, warmup_steps:
         Selection-CA parameters shared by all tiles; each tile still draws
         its *own* CA seed, as independent chips would.
-    executor : {"thread", "process", "serial"}
-        How tile captures run: a thread pool (default — the capture hot path
-        is numpy/BLAS work that releases the GIL), a process pool, or inline.
-        The samples are byte-identical across all three.
     max_workers : int, optional
-        Concurrency cap for the pool executors; ``None`` means one worker per
-        CPU the process may run on (:func:`available_cpus`), and the pool is
-        never wider than the tile count.  Each concurrent tile capture holds
-        its own transient, so a wider pool only adds memory.
-    dtype : {"float64", "float32"}
-        Default behavioural arithmetic width for :meth:`capture`; see
-        :meth:`CompressiveImager.capture`.
+        How many tile captures run at once, the array's only concurrency
+        setting: ``1`` runs them inline, ``N > 1`` on a pool of ``N``
+        threads (the capture hot path is numpy/BLAS work that releases the
+        GIL), and ``None`` — the default — on one thread per CPU the process
+        may run on (:func:`available_cpus`).  The pool is never wider than
+        the tile count, and the samples are byte-identical for any value.
+        The pool pays only with BLAS at one thread
+        (``OPENBLAS_NUM_THREADS=1``): a multi-threaded BLAS already spreads
+        each tile's matmuls over the cores, and tile threads then contend
+        with it.  Each concurrent tile capture holds its own transient, so
+        a wider pool also adds memory.
     seed : int
         Array-level seed; tile ``(i, j)`` derives its chip seed as
         ``derive_seed(seed, "tile", i, j)``, giving every tile an
@@ -364,9 +346,7 @@ class TiledSensorArray:
         rule: int = 30,
         steps_per_sample: int = 1,
         warmup_steps: int = 8,
-        executor: str = "thread",
         max_workers: int | None = None,
-        dtype: str = "float64",
         seed: int = 2018,
     ) -> None:
         scene_rows, scene_cols = (int(scene_shape[0]), int(scene_shape[1]))
@@ -375,8 +355,6 @@ class TiledSensorArray:
         check_positive("scene cols", scene_cols)
         check_positive("tile rows", tile_rows)
         check_positive("tile cols", tile_cols)
-        check_choice("executor", executor, EXECUTOR_KINDS)
-        check_choice("dtype", dtype, ("float64", "float32"))
         if max_workers is not None:
             check_positive("max_workers", max_workers)
         template = config or SensorConfig()
@@ -388,9 +366,7 @@ class TiledSensorArray:
         self.scene_shape = (scene_rows, scene_cols)
         self.tile_shape = (min(tile_rows, scene_rows), min(tile_cols, scene_cols))
         self.compression_ratio = float(compression_ratio)
-        self.executor = executor
         self.max_workers = max_workers
-        self.dtype = dtype
         self.seed = int(seed)
 
         self.slots: list[list[TileSlot]] = tile_grid(self.scene_shape, self.tile_shape)
@@ -441,40 +417,68 @@ class TiledSensorArray:
         return max(1, int(round(ratio * slot.n_pixels)))
 
     # -------------------------------------------------------------- capture
-    def _tile_jobs(
+    def _capture_tiles(
         self,
-        photocurrent: np.ndarray,
+        photocurrents,
         *,
         fidelity: str,
         auto_expose: bool,
         lsb_error: bool,
         keep_digital_image: bool,
-        dtype: str,
         compression_ratio: float | None,
-    ) -> list[tuple]:
-        """Build the per-tile capture jobs of one frame, in row-major order."""
-        photocurrent = np.asarray(photocurrent, dtype=float)
-        if photocurrent.shape != self.scene_shape:
-            raise ValueError(
-                f"photocurrent must have shape {self.scene_shape}, "
-                f"got {photocurrent.shape}"
-            )
-        jobs = []
-        for slot_row, imager_row in zip(self.slots, self.imagers):
-            for slot, imager in zip(slot_row, imager_row):
-                tile_current = photocurrent[slot.row_slice, slot.col_slice]
-                kwargs = dict(
-                    n_samples=self.samples_per_tile(slot, compression_ratio),
-                    fidelity=fidelity,
-                    # A fully dark tile cannot adapt its reference ramp; the
-                    # chip falls back to its configured exposure.
-                    auto_expose=auto_expose and bool((tile_current > 0.0).any()),
-                    lsb_error=lsb_error,
-                    keep_digital_image=keep_digital_image,
-                    dtype=dtype,
+    ) -> Iterator[tuple[TileSlot, tuple[list[CompressedFrame], np.ndarray]]]:
+        """Run one :func:`_capture_tile` job per tile over a frame sequence.
+
+        Yields ``(slot, (frames, end_state))`` in row-major grid order, each
+        tile as soon as it (and every tile before it) is done, so callers
+        can stream early tiles while later ones are still capturing.  A tile
+        whose field of view is dark in *any* frame is captured without
+        exposure adaptation: a dark chip cannot adapt its reference ramp,
+        and the batched chip adapts once per frame and cannot skip frames.
+        """
+        photocurrents = [np.asarray(current, dtype=float) for current in photocurrents]
+        for index, current in enumerate(photocurrents):
+            if current.shape != self.scene_shape:
+                raise ValueError(
+                    f"photocurrent {index} must have shape {self.scene_shape}, "
+                    f"got {current.shape}"
                 )
-                jobs.append((imager, tile_current, kwargs))
-        return jobs
+        flat_slots = [slot for slot_row in self.slots for slot in slot_row]
+        jobs = []
+        for slot, imager in zip(flat_slots, (i for row in self.imagers for i in row)):
+            tile_currents = [
+                current[slot.row_slice, slot.col_slice] for current in photocurrents
+            ]
+            kwargs = dict(
+                n_samples=self.samples_per_tile(slot, compression_ratio),
+                fidelity=fidelity,
+                auto_expose=auto_expose
+                and all(bool((current > 0.0).any()) for current in tile_currents),
+                lsb_error=lsb_error,
+                keep_digital_image=keep_digital_image,
+            )
+            jobs.append((imager, tile_currents, kwargs))
+        width = pool_width(self.max_workers, len(jobs))
+        if width <= 1:
+            yield from zip(flat_slots, map(_capture_tile, jobs))
+            return
+        with concurrent.futures.ThreadPoolExecutor(max_workers=width) as pool:
+            yield from zip(flat_slots, pool.map(_capture_tile, jobs))
+
+    def _mosaic(
+        self, frames: list[CompressedFrame], fidelity: str, **sequence
+    ) -> TiledCaptureResult:
+        """Box one frame's row-major tile frames as a merged mosaic result."""
+        grid_rows, grid_cols = self.grid_shape
+        merged = merge_tile_statistics(frames)
+        merged.update(fidelity=fidelity, n_tiles=self.n_tiles, **sequence)
+        return TiledCaptureResult(
+            tiles=[frames[row * grid_cols : (row + 1) * grid_cols] for row in range(grid_rows)],
+            slots=self.slots,
+            scene_shape=self.scene_shape,
+            tile_shape=self.tile_shape,
+            metadata=merged,
+        )
 
     def iter_capture(
         self,
@@ -484,9 +488,6 @@ class TiledSensorArray:
         auto_expose: bool = True,
         lsb_error: bool = True,
         keep_digital_image: bool = True,
-        dtype: str | None = None,
-        executor: str | None = None,
-        max_workers: int | None = None,
         compression_ratio: float | None = None,
     ) -> Iterator[tuple[TileSlot, CompressedFrame]]:
         """Capture the scene and yield ``(slot, frame)`` pairs as tiles finish.
@@ -495,34 +496,21 @@ class TiledSensorArray:
         row-major grid order while later tiles are still being captured on
         the pool, so a camera node can put tile ``(0, 0)`` on the wire before
         tile ``(3, 3)`` exists.  The frames are byte-identical to
-        :meth:`capture` under every executor — same per-tile jobs, same
-        stateless :func:`_capture_tile` on an imager copy.
+        :meth:`capture`'s — the same per-tile jobs run either way.
 
         Parameters are those of :meth:`capture`; ``compression_ratio``
         overrides the per-tile sample budget for this capture only (the
         streaming bit-rate governor's degradation knob).
         """
-        executor = executor or self.executor
-        check_choice("executor", executor, EXECUTOR_KINDS)
-        jobs = self._tile_jobs(
-            photocurrent,
+        for slot, (frames, _) in self._capture_tiles(
+            [photocurrent],
             fidelity=fidelity,
             auto_expose=auto_expose,
             lsb_error=lsb_error,
             keep_digital_image=keep_digital_image,
-            dtype=dtype or self.dtype,
             compression_ratio=compression_ratio,
-        )
-        flat_slots = [slot for slot_row in self.slots for slot in slot_row]
-        pool = self._make_pool(executor, max_workers or self.max_workers, len(jobs))
-        if pool is None:
-            for slot, job in zip(flat_slots, jobs):
-                yield slot, _capture_tile(job)
-            return
-        try:
-            yield from zip(flat_slots, pool.map(_capture_tile, jobs))
-        finally:
-            pool.shutdown(wait=True)
+        ):
+            yield slot, frames[0]
 
     def capture(
         self,
@@ -532,9 +520,6 @@ class TiledSensorArray:
         auto_expose: bool = True,
         lsb_error: bool = True,
         keep_digital_image: bool = True,
-        dtype: str | None = None,
-        executor: str | None = None,
-        max_workers: int | None = None,
         compression_ratio: float | None = None,
     ) -> TiledCaptureResult:
         """Capture the whole scene, one concurrent frame per tile.
@@ -552,10 +537,6 @@ class TiledSensorArray:
             failing the mosaic.
         lsb_error, keep_digital_image : bool
             As in :meth:`CompressiveImager.capture`, applied per tile.
-        dtype : {"float64", "float32"}, optional
-            Behavioural arithmetic width; defaults to the array's ``dtype``.
-        executor, max_workers:
-            Per-call override of the array's executor configuration.
         compression_ratio : float, optional
             Per-call override of the per-tile sample budget (the streaming
             bit-rate governor's degradation knob).
@@ -566,39 +547,18 @@ class TiledSensorArray:
             The per-tile frame grid plus merged samples and summed event
             statistics.
         """
-        executor = executor or self.executor
-        check_choice("executor", executor, EXECUTOR_KINDS)
-        dtype = dtype or self.dtype
-        jobs = self._tile_jobs(
-            photocurrent,
-            fidelity=fidelity,
-            auto_expose=auto_expose,
-            lsb_error=lsb_error,
-            keep_digital_image=keep_digital_image,
-            dtype=dtype,
-            compression_ratio=compression_ratio,
-        )
-        frames = self._run_jobs(jobs, executor, max_workers or self.max_workers)
-
-        grid_rows, grid_cols = self.grid_shape
-        tile_grid = [
-            frames[row * grid_cols : (row + 1) * grid_cols] for row in range(grid_rows)
+        frames = [
+            frame
+            for _, frame in self.iter_capture(
+                photocurrent,
+                fidelity=fidelity,
+                auto_expose=auto_expose,
+                lsb_error=lsb_error,
+                keep_digital_image=keep_digital_image,
+                compression_ratio=compression_ratio,
+            )
         ]
-        metadata = merge_tile_statistics(frames)
-        metadata.update(
-            fidelity=fidelity,
-            dtype=dtype,
-            executor=executor,
-            max_workers=max_workers or self.max_workers,
-            n_tiles=self.n_tiles,
-        )
-        return TiledCaptureResult(
-            tiles=tile_grid,
-            slots=self.slots,
-            scene_shape=self.scene_shape,
-            tile_shape=self.tile_shape,
-            metadata=metadata,
-        )
+        return self._mosaic(frames, fidelity)
 
     def capture_scene(
         self,
@@ -654,9 +614,6 @@ class TiledSensorArray:
         auto_expose: bool = True,
         lsb_error: bool = True,
         keep_digital_image: bool = True,
-        dtype: str | None = None,
-        executor: str | None = None,
-        max_workers: int | None = None,
         compression_ratio: float | None = None,
         advance: bool = False,
     ) -> list[TiledCaptureResult]:
@@ -666,21 +623,19 @@ class TiledSensorArray:
         over the sequence — one shared CA evolution per tile, consecutive
         frames overlapping by one selection pattern exactly as each
         free-running chip would — and the per-tile frame stacks are regrouped
-        into one :class:`TiledCaptureResult` per input frame.  One executor
-        job covers one tile's full sequence, so the captured samples are
-        byte-identical under ``serial``/``thread``/``process``, like
-        :meth:`capture`.
+        into one :class:`TiledCaptureResult` per input frame.  These are the
+        per-tile jobs :meth:`capture` runs, so a one-frame sequence gives
+        :meth:`capture`'s tiles, and the samples are byte-identical for any
+        ``max_workers``.
 
         Parameters
         ----------
         photocurrents : sequence of numpy.ndarray
             Per-frame photocurrent maps, each of shape ``scene_shape``.
-        fidelity, auto_expose, lsb_error, keep_digital_image, dtype:
+        fidelity, auto_expose, lsb_error, keep_digital_image:
             As in :meth:`capture`.  A tile whose field of view is dark in
             *any* frame is captured without exposure adaptation (the batched
             chip adapts once per frame and cannot skip individual frames).
-        executor, max_workers:
-            Per-call override of the array's executor configuration.
         compression_ratio : float, optional
             Per-call override of the per-tile sample budget.
         advance : bool
@@ -688,8 +643,8 @@ class TiledSensorArray:
             after the last frame (warm-up already absorbed), so the next
             :meth:`capture_sequence` call continues the same CA evolution —
             how a streaming node chains GOPs.  The end states come from the
-            job results, so advancing is executor-independent too.  The
-            default keeps :meth:`capture`'s stateless contract.
+            job results, so advancing is independent of ``max_workers`` too.
+            The default keeps :meth:`capture`'s stateless contract.
 
         Returns
         -------
@@ -697,67 +652,32 @@ class TiledSensorArray:
             One merged mosaic result per input frame, each tile frame
             independently decodable from its own seed.
         """
-        executor = executor or self.executor
-        check_choice("executor", executor, EXECUTOR_KINDS)
-        dtype = dtype or self.dtype
-        photocurrents = [np.asarray(current, dtype=float) for current in photocurrents]
-        for index, current in enumerate(photocurrents):
-            if current.shape != self.scene_shape:
-                raise ValueError(
-                    f"photocurrent {index} must have shape {self.scene_shape}, "
-                    f"got {current.shape}"
-                )
+        photocurrents = list(photocurrents)
         if not photocurrents:
             return []
-        jobs = []
-        flat_slots = [slot for slot_row in self.slots for slot in slot_row]
-        flat_imagers = [imager for imager_row in self.imagers for imager in imager_row]
-        for slot, imager in zip(flat_slots, flat_imagers):
-            tile_currents = [
-                current[slot.row_slice, slot.col_slice] for current in photocurrents
-            ]
-            kwargs = dict(
-                n_samples=self.samples_per_tile(slot, compression_ratio),
+        outcomes = [
+            outcome
+            for _, outcome in self._capture_tiles(
+                photocurrents,
                 fidelity=fidelity,
-                auto_expose=auto_expose
-                and all(bool((current > 0.0).any()) for current in tile_currents),
+                auto_expose=auto_expose,
                 lsb_error=lsb_error,
                 keep_digital_image=keep_digital_image,
-                dtype=dtype,
+                compression_ratio=compression_ratio,
             )
-            jobs.append((imager, tile_currents, kwargs))
-        outcomes = self._run_jobs(
-            jobs, executor, max_workers or self.max_workers, job_fn=_capture_tile_batch
-        )
-
-        grid_rows, grid_cols = self.grid_shape
-        results: list[TiledCaptureResult] = []
-        for frame_index in range(len(photocurrents)):
-            flat_frames = [frames[frame_index] for frames, _ in outcomes]
-            tile_grid_frames = [
-                flat_frames[row * grid_cols : (row + 1) * grid_cols]
-                for row in range(grid_rows)
-            ]
-            metadata = merge_tile_statistics(flat_frames)
-            metadata.update(
-                fidelity=fidelity,
-                dtype=dtype,
-                executor=executor,
-                max_workers=max_workers or self.max_workers,
-                n_tiles=self.n_tiles,
+        ]
+        n_frames = len(photocurrents)
+        results = [
+            self._mosaic(
+                [frames[frame_index] for frames, _ in outcomes],
+                fidelity,
                 frame_index=frame_index,
-                n_frames=len(photocurrents),
+                n_frames=n_frames,
             )
-            results.append(
-                TiledCaptureResult(
-                    tiles=tile_grid_frames,
-                    slots=self.slots,
-                    scene_shape=self.scene_shape,
-                    tile_shape=self.tile_shape,
-                    metadata=metadata,
-                )
-            )
+            for frame_index in range(n_frames)
+        ]
         if advance:
+            flat_imagers = [imager for imager_row in self.imagers for imager in imager_row]
             for imager, (_, end_state) in zip(flat_imagers, outcomes):
                 imager.selection = CASelectionGenerator(
                     imager.config.rows,
@@ -770,35 +690,9 @@ class TiledSensorArray:
                 imager.warmup_steps = 0
         return results
 
-    @staticmethod
-    def _make_pool(executor: str, max_workers: int | None, n_jobs: int):
-        """The executor pool for a job batch, or ``None`` for inline runs.
-
-        The one place the serial short-circuit, worker clamp and pool-class
-        choice live; :meth:`capture`, :meth:`iter_capture` and
-        :meth:`capture_sequence` all route through it.
-        """
-        if executor == "serial" or n_jobs <= 1:
-            return None
-        pool_class = (
-            concurrent.futures.ThreadPoolExecutor
-            if executor == "thread"
-            else concurrent.futures.ProcessPoolExecutor
-        )
-        return pool_class(max_workers=pool_width(max_workers, n_jobs))
-
-    @staticmethod
-    def _run_jobs(jobs, executor: str, max_workers: int | None, job_fn=_capture_tile):
-        """Run the per-tile capture jobs through the chosen executor."""
-        pool = TiledSensorArray._make_pool(executor, max_workers, len(jobs))
-        if pool is None:
-            return [job_fn(job) for job in jobs]
-        with pool:
-            return list(pool.map(job_fn, jobs))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         grid_rows, grid_cols = self.grid_shape
         return (
             f"TiledSensorArray(scene={self.scene_shape}, tiles={grid_rows}x{grid_cols}, "
-            f"tile_shape={self.tile_shape}, executor={self.executor!r})"
+            f"tile_shape={self.tile_shape}, max_workers={self.max_workers!r})"
         )

@@ -99,7 +99,6 @@ class VideoSequencer:
         fidelity: str = "behavioural",
         auto_expose: bool = True,
         lsb_error: bool = True,
-        dtype: str = "float64",
     ) -> VideoCaptureResult:
         """Capture every scene in order, advancing the CA between frames.
 
@@ -122,11 +121,6 @@ class VideoSequencer:
             Per-frame capture engine.
         auto_expose, lsb_error : bool
             As in :meth:`~repro.sensor.imager.CompressiveImager.capture`.
-        dtype : {"float64", "float32"}
-            Behavioural arithmetic width for the whole sequence; the float32
-            fast mode trades the bit-exact LSB bookkeeping for speed on very
-            large arrays (see
-            :data:`repro.sensor.imager.FLOAT32_SAMPLE_ATOL`).
 
         Returns
         -------
@@ -143,7 +137,6 @@ class VideoSequencer:
             fidelity=fidelity,
             auto_expose=auto_expose,
             lsb_error=lsb_error,
-            dtype=dtype,
         )
         return result
 
@@ -155,7 +148,6 @@ class VideoSequencer:
         auto_expose: bool = True,
         lsb_error: bool = True,
         keep_digital_image: bool = True,
-        dtype: str = "float64",
         samples_for_frame: Callable[[int], int] | None = None,
     ) -> Iterator[CompressedFrame]:
         """Yield frames one at a time while the selection CA keeps running.
@@ -173,7 +165,7 @@ class VideoSequencer:
         ----------
         scenes : iterable of numpy.ndarray
             Normalised scenes, consumed lazily.
-        fidelity, auto_expose, lsb_error, keep_digital_image, dtype:
+        fidelity, auto_expose, lsb_error, keep_digital_image:
             As in :meth:`capture_sequence`, applied per frame.
         samples_for_frame : callable, optional
             ``frame_index -> n_samples`` override of the fixed per-frame
@@ -201,7 +193,6 @@ class VideoSequencer:
                 auto_expose=auto_expose,
                 lsb_error=lsb_error,
                 keep_digital_image=keep_digital_image,
-                dtype=dtype,
             )[0]
 
 

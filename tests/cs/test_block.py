@@ -119,37 +119,3 @@ class TestCAMatrixOption:
     def test_ca_matrix_rejects_degenerate_block_size(self):
         with pytest.raises(ValueError, match="block_size"):
             BlockCompressiveSampler((16, 16), block_size=1, matrix="ca")
-
-
-class TestFloat32FastMode:
-    def test_float32_measurements_carry_dtype(self):
-        sampler = BlockCompressiveSampler(
-            (16, 16), block_size=8, compression_ratio=0.5, seed=4, dtype="float32"
-        )
-        scene = make_scene("gradient", (16, 16), seed=3)
-        samples = sampler.measure(scene)
-        assert sampler.phi_block.dtype == np.float32
-        assert samples.dtype == np.float32
-
-    def test_float32_measurements_match_float64(self):
-        scene = make_scene("gradient", (16, 16), seed=3)
-        exact = BlockCompressiveSampler(
-            (16, 16), block_size=8, compression_ratio=0.5, seed=4
-        )
-        fast = BlockCompressiveSampler(
-            (16, 16), block_size=8, compression_ratio=0.5, seed=4, dtype="float32"
-        )
-        assert np.allclose(exact.measure(scene), fast.measure(scene), rtol=1e-5)
-
-    def test_float32_reconstruction_still_solves_in_float64(self):
-        sampler = BlockCompressiveSampler(
-            (16, 16), block_size=8, compression_ratio=0.6, seed=4, dtype="float32"
-        )
-        scene = make_scene("gradient", (16, 16), seed=3)
-        recovered = sampler.reconstruct(sampler.measure(scene), max_iterations=120)
-        assert recovered.dtype == np.float64
-        assert psnr(scene, recovered) > 18.0
-
-    def test_invalid_dtype_rejected(self):
-        with pytest.raises(ValueError, match="dtype"):
-            BlockCompressiveSampler((16, 16), block_size=8, dtype="float16")

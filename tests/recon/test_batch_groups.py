@@ -30,7 +30,7 @@ ITERATIONS = 8
 
 
 def tile_frames(scene_shape, tile_shape, seed=5):
-    array = TiledSensorArray(scene_shape, tile_shape=tile_shape, seed=seed, executor="serial")
+    array = TiledSensorArray(scene_shape, tile_shape=tile_shape, seed=seed, max_workers=1)
     capture = array.capture_scene(make_scene("natural", scene_shape, seed=3))
     return [frame for _, frame in capture.frames()]
 

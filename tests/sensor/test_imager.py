@@ -1,5 +1,7 @@
 """Tests for the top-level CompressiveImager."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -82,11 +84,33 @@ class TestBehaviouralCapture:
         assert difference.max() <= 16  # a handful of +1 LSB bumps per sample at most
         assert noisy.metadata["n_lsb_errors"] >= 0
 
-    def test_capture_is_reproducible(self, small_config):
-        current = photocurrents((16, 16))
-        a = CompressiveImager(small_config, seed=3).capture(current, n_samples=30)
-        b = CompressiveImager(small_config, seed=3).capture(current, n_samples=30)
-        assert np.array_equal(a.samples, b.samples)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("fidelity", ["behavioural", "event"])
+    def test_capture_is_reproducible(self, small_config, fidelity, seed):
+        """``capture`` is a one-frame ``capture_batch`` on a copy of the
+        imager: it leaves the CA seed and warm-up where it found them, so a
+        repeat capture, or one by a fresh imager, gives the same frame."""
+        current = photocurrents((16, 16), seed=seed)
+        imager = CompressiveImager(small_config, seed=seed)
+        selection, seed_state = imager.selection, imager.selection.seed_state
+        batch = copy.deepcopy(imager).capture_batch(
+            [current], n_samples=30, fidelity=fidelity
+        )[0]
+        frames = [
+            imager.capture(current, n_samples=30, fidelity=fidelity),
+            imager.capture(current, n_samples=30, fidelity=fidelity),
+            CompressiveImager(small_config, seed=seed).capture(
+                current, n_samples=30, fidelity=fidelity
+            ),
+        ]
+        assert imager.selection is selection
+        assert np.array_equal(imager.selection.seed_state, seed_state)
+        assert imager.warmup_steps == 8
+        for frame in frames:
+            assert frame.samples.tobytes() == batch.samples.tobytes()
+            assert np.array_equal(frame.seed_state, batch.seed_state)
+            assert frame.warmup_steps == batch.warmup_steps == 8
+            assert frame.metadata == batch.metadata
 
     def test_metadata_fields_present(self, small_imager):
         frame = small_imager.capture(photocurrents((16, 16)), n_samples=10)

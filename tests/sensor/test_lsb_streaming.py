@@ -195,6 +195,6 @@ class TestBoundedMemory:
     def test_tiled_capture_scene(self):
         # Serial tiles keep the peak deterministic: a thread pool's peak
         # depends on how many tile captures the scheduler overlaps.
-        array = TiledSensorArray((256, 256), seed=5, executor="serial")
+        array = TiledSensorArray((256, 256), seed=5, max_workers=1)
         scene = make_scene("natural", (256, 256), seed=3)
         assert traced_peak_mb(lambda: array.capture_scene(scene)) <= 10.0

@@ -1,4 +1,4 @@
-"""Tiled-sensor sharding: geometry, merging, statistics and executors.
+"""Tiled-sensor sharding: geometry, merging, statistics and the tile pool.
 
 Pins the contracts of :mod:`repro.sensor.shard`:
 
@@ -7,11 +7,14 @@ Pins the contracts of :mod:`repro.sensor.shard`:
   single-tile grid);
 * per-tile event statistics sum correctly into the merged
   :class:`TiledCaptureResult` metadata;
-* the samples are byte-identical whichever executor captures the tiles —
-  the executor is a wall-clock knob, never a semantics knob.
+* the samples and end CA states are byte-identical for any ``max_workers``
+  — the tile pool is a wall-clock knob, never a semantics knob;
+* ``capture``, ``iter_capture`` and ``capture_sequence`` run the same
+  per-tile job, so a one-frame sequence gives ``capture``'s tiles.
 """
 
 import concurrent.futures
+import copy
 import os
 
 import numpy as np
@@ -21,12 +24,45 @@ from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.sensor import shard
 from repro.sensor.config import SensorConfig
+from repro.sensor.imager import CompressiveImager
 from repro.sensor.shard import TiledSensorArray, available_cpus, merge_tile_statistics
+from repro.sensor.video import VideoSequencer
+
+#: Tile-pool widths every neutrality test runs: inline, and two pools.
+WORKERS = (1, 2, 4)
 
 
 def make_current(shape, seed=5, kind="natural"):
     scene = make_scene(kind, shape, seed=seed)
     return PhotoConversion(prnu_sigma=0.0, shot_noise=False).convert(scene)
+
+
+def tile_frames(results):
+    """Every tile frame of a list of mosaic results, in capture order."""
+    return [frame for result in results for _, frame in result.frames()]
+
+
+#: Every public capture path, as ``(imager 16x16, array 32x32) -> frames``.
+CAPTURE_PATHS = {
+    "imager.capture": lambda imager, array: [imager.capture(make_current((16, 16)))],
+    "imager.capture_batch": lambda imager, array: imager.capture_batch(
+        [make_current((16, 16), seed=s) for s in range(2)]
+    ),
+    "array.capture": lambda imager, array: tile_frames(
+        [array.capture(make_current((32, 32)))]
+    ),
+    "array.iter_capture": lambda imager, array: [
+        frame for _, frame in array.iter_capture(make_current((32, 32)))
+    ],
+    "array.capture_sequence": lambda imager, array: tile_frames(
+        array.capture_sequence([make_current((32, 32), seed=s) for s in range(2)])
+    ),
+    "video.stream_frames": lambda imager, array: list(
+        VideoSequencer(imager, samples_per_frame=32).stream_frames(
+            make_scene("blobs", (16, 16), seed=s) for s in range(2)
+        )
+    ),
+}
 
 
 class TestTileGeometry:
@@ -83,9 +119,9 @@ class TestTileGeometry:
         assert array.samples_per_tile(full) == round(0.25 * 32 * 32)
         assert array.samples_per_tile(edge) == round(0.25 * 16 * 32)
 
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            TiledSensorArray((32, 32), executor="fleet")
+    def test_invalid_max_workers_rejected(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            TiledSensorArray((32, 32), max_workers=0)
 
     def test_shape_mismatch_rejected(self):
         array = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=1)
@@ -117,58 +153,57 @@ class TestTiledCapture:
         assert result.n_tiles == 1
         assert np.array_equal(result.samples, direct.samples)
 
-    def test_executor_choice_does_not_change_samples(self):
+    @pytest.mark.parametrize("max_workers", WORKERS)
+    def test_max_workers_does_not_change_samples(self, max_workers):
         current = make_current((32, 32))
-        captures = {}
-        for executor in ("serial", "thread", "process"):
-            array = TiledSensorArray(
-                (32, 32), tile_shape=(16, 16), seed=3,
-                executor=executor, max_workers=2,
-            )
-            captures[executor] = array.capture(current).samples
-        assert np.array_equal(captures["serial"], captures["thread"])
-        assert np.array_equal(captures["serial"], captures["process"])
+        inline = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=3, max_workers=1)
+        pooled = TiledSensorArray(
+            (32, 32), tile_shape=(16, 16), seed=3, max_workers=max_workers
+        )
+        assert pooled.capture(current).samples.tobytes() == (
+            inline.capture(current).samples.tobytes()
+        )
 
-    def test_capture_history_does_not_leak_across_executors(self):
+    @pytest.mark.parametrize("max_workers", WORKERS)
+    def test_capture_history_does_not_leak(self, max_workers):
         # Tile captures run on imager copies, so an earlier auto-exposing
-        # capture must not shift a later auto_expose=False capture — in any
-        # executor (a process worker's state dies with the worker; the
-        # parent's must behave identically).
+        # capture must not shift a later auto_expose=False capture, whatever
+        # thread captured it.
         current = make_current((32, 32))
-        outcomes = {}
-        for executor in ("serial", "process"):
-            array = TiledSensorArray(
-                (32, 32), tile_shape=(16, 16), seed=3,
-                executor=executor, max_workers=2,
-            )
-            array.capture(current)  # adapts V_ref only on per-capture copies
-            outcomes[executor] = array.capture(current, auto_expose=False).samples
-        assert np.array_equal(outcomes["serial"], outcomes["process"])
-
-    def test_per_call_executor_override(self):
-        array = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=3)
-        current = make_current((32, 32))
-        serial = array.capture(current, executor="serial")
-        threaded = array.capture(current, executor="thread", max_workers=2)
-        assert np.array_equal(serial.samples, threaded.samples)
-        assert serial.metadata["executor"] == "serial"
-        assert threaded.metadata["executor"] == "thread"
-        assert threaded.metadata["max_workers"] == 2
+        fresh = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=3)
+        array = TiledSensorArray(
+            (32, 32), tile_shape=(16, 16), seed=3, max_workers=max_workers
+        )
+        array.capture(current)  # adapts V_ref only on per-capture copies
+        assert np.array_equal(
+            array.capture(current, auto_expose=False).samples,
+            fresh.capture(current, auto_expose=False).samples,
+        )
 
     @pytest.mark.parametrize(("n_jobs", "width"), [(2, 2), (64, 3)])
     def test_default_pool_width_is_available_cpus(self, monkeypatch, n_jobs, width):
-        """``max_workers=None`` gives one worker per usable CPU, clamped to
+        """``max_workers=None`` gives one thread per usable CPU, clamped to
         the tile count, not :mod:`concurrent.futures`' nproc + 4."""
         requested = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
         def recording_pool(max_workers):
             requested.append(max_workers)
-            return "pool"
+            return real_pool(max_workers=max_workers)
 
         monkeypatch.setattr(shard, "available_cpus", lambda: 3)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-        assert TiledSensorArray._make_pool("thread", None, n_jobs) == "pool"
+        array = TiledSensorArray((8, 8 * n_jobs), tile_shape=(8, 8), seed=3)
+        array.capture(make_current((8, 8 * n_jobs)), keep_digital_image=False)
         assert requested == [width]
+
+    def test_one_worker_runs_inline(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("max_workers=1 must not start a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        array = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=3, max_workers=1)
+        assert array.capture(make_current((32, 32))).n_tiles == 4
 
     def test_available_cpus_counts_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -210,16 +245,15 @@ class TestTiledCapture:
             frame.compressed_bits for _, frame in result.frames()
         )
 
-    def test_float32_dtype_flagged_per_tile_and_mosaic(self):
-        array = TiledSensorArray(
-            (32, 32), tile_shape=(16, 16), dtype="float32", seed=3
-        )
-        result = array.capture(make_current((32, 32)))
-        assert result.metadata["dtype"] == "float32"
-        assert all(
-            frame.metadata["dtype"] == "float32"
-            for _, frame in result.frames()
-        )
+    @pytest.mark.parametrize("path", sorted(CAPTURE_PATHS))
+    def test_every_capture_path_stamps_float64(self, path):
+        """Captures are float64 only, and every behavioural frame still says
+        so: the v2 frame statistics block carries the ``dtype`` key."""
+        imager = CompressiveImager(SensorConfig(rows=16, cols=16), seed=3)
+        array = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=3)
+        frames = CAPTURE_PATHS[path](imager, array)
+        assert frames
+        assert all(frame.metadata["dtype"] == "float64" for frame in frames)
 
 
 class TestStatisticsAggregation:
@@ -276,23 +310,38 @@ class TestStatisticsAggregation:
 class TestIterCapture:
     """The chunk iterator yields the same tiles capture() merges."""
 
-    def test_matches_capture_in_row_major_order(self):
-        array = TiledSensorArray((32, 48), tile_shape=(16, 16), seed=4)
-        current = make_current((32, 48))
-        merged = array.capture(current)
-        streamed = list(array.iter_capture(current))
+    @pytest.mark.parametrize("fidelity", ["behavioural", "event"])
+    def test_matches_capture_in_row_major_order(self, fidelity):
+        """``capture``, ``iter_capture`` and a one-frame ``capture_sequence``
+        run the same per-tile job: equal tiles, a dark chip included."""
+        array = TiledSensorArray(
+            (48, 48), tile_shape=(16, 16), compression_ratio=0.1, seed=4
+        )
+        current = make_current((48, 48))
+        current[16:32, 16:32] = 0.0  # one fully dark chip
+        merged = array.capture(current, fidelity=fidelity)
+        streamed = list(array.iter_capture(current, fidelity=fidelity))
+        (sequence,) = array.capture_sequence([current], fidelity=fidelity)
         assert [slot for slot, _ in streamed] == [slot for slot, _ in merged.frames()]
-        for (_, iter_frame), (_, cap_frame) in zip(streamed, merged.frames()):
-            assert np.array_equal(iter_frame.samples, cap_frame.samples)
-            assert np.array_equal(iter_frame.seed_state, cap_frame.seed_state)
+        for (_, iter_frame), (_, cap_frame), (_, seq_frame) in zip(
+            streamed, merged.frames(), sequence.frames()
+        ):
+            for frame in (iter_frame, seq_frame):
+                assert frame.samples.tobytes() == cap_frame.samples.tobytes()
+                assert np.array_equal(frame.seed_state, cap_frame.seed_state)
+                assert frame.warmup_steps == cap_frame.warmup_steps
+                assert frame.metadata == cap_frame.metadata
+        assert sequence.metadata == dict(merged.metadata, frame_index=0, n_frames=1)
 
-    def test_executor_neutral(self):
-        array = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=4)
+    @pytest.mark.parametrize("max_workers", WORKERS)
+    def test_max_workers_neutral(self, max_workers):
         current = make_current((32, 32))
-        serial = [f.samples for _, f in array.iter_capture(current, executor="serial")]
-        threaded = [f.samples for _, f in array.iter_capture(current, executor="thread")]
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a, b)
+        inline = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=4, max_workers=1)
+        pooled = TiledSensorArray(
+            (32, 32), tile_shape=(16, 16), seed=4, max_workers=max_workers
+        )
+        expected = [f.samples.tobytes() for _, f in inline.iter_capture(current)]
+        assert [f.samples.tobytes() for _, f in pooled.iter_capture(current)] == expected
 
     def test_compression_ratio_override(self):
         array = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=4,
@@ -308,7 +357,7 @@ class TestIterCapture:
 
 
 class TestCaptureSequence:
-    """Tiled video: per-tile CA continuity, executor neutrality, state."""
+    """Tiled video: per-tile CA continuity, max_workers neutrality, state."""
 
     def test_one_result_per_frame_with_continuous_ca(self):
         array = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=9,
@@ -322,8 +371,7 @@ class TestCaptureSequence:
         # Within each tile the sequence must equal that tile's capture_batch.
         for grid_row, slot_row in enumerate(array.slots):
             for grid_col, slot in enumerate(slot_row):
-                import copy as _copy
-                chip = _copy.deepcopy(array.imagers[grid_row][grid_col])
+                chip = copy.deepcopy(array.imagers[grid_row][grid_col])
                 expected = chip.capture_batch(
                     [c[slot.row_slice, slot.col_slice] for c in currents],
                     n_samples=array.samples_per_tile(slot),
@@ -335,16 +383,24 @@ class TestCaptureSequence:
                         got.seed_state, expected[frame_index].seed_state
                     )
 
-    def test_executor_neutral(self):
+    @pytest.mark.parametrize("max_workers", WORKERS)
+    def test_max_workers_neutral(self, max_workers):
+        """Samples and the advanced end CA states do not depend on the pool."""
         currents = [make_current((32, 32), seed=i) for i in range(2)]
-        by_executor = {}
-        for executor in ("serial", "thread"):
-            array = TiledSensorArray((32, 32), tile_shape=(16, 16), seed=9)
-            by_executor[executor] = array.capture_sequence(
-                currents, executor=executor
-            )
-        for serial, threaded in zip(by_executor["serial"], by_executor["thread"]):
-            assert np.array_equal(serial.samples, threaded.samples)
+        arrays = [
+            TiledSensorArray((32, 32), tile_shape=(16, 16), seed=9, max_workers=workers)
+            for workers in (1, max_workers)
+        ]
+        inline, pooled = (
+            array.capture_sequence(currents, advance=True) for array in arrays
+        )
+        for expected, got in zip(inline, pooled):
+            assert got.samples.tobytes() == expected.samples.tobytes()
+        for expected, got in zip(*(
+            [imager for row in array.imagers for imager in row] for array in arrays
+        )):
+            assert np.array_equal(got.selection.seed_state, expected.selection.seed_state)
+            assert got.warmup_steps == expected.warmup_steps == 0
 
     def test_stateless_by_default_advance_opt_in(self):
         currents = [make_current((32, 32), seed=i) for i in range(2)]

@@ -314,7 +314,7 @@ class TestSingleSessionByteIdentity:
             (32, 32),
             tile_shape=(16, 16),
             compression_ratio=0.2,
-            executor="serial",
+            max_workers=1,
             seed=13,
         )
 

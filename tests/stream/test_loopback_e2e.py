@@ -34,7 +34,7 @@ def _array(scene_shape=(256, 256), ratio=0.05, seed=11):
         scene_shape,
         tile_shape=(64, 64),
         compression_ratio=ratio,
-        executor="serial",
+        max_workers=1,
         seed=seed,
     )
 

@@ -284,7 +284,7 @@ class TestTiledSingleFrame:
 
         array = TiledSensorArray(
             (32, 32), tile_shape=(16, 16), compression_ratio=0.15,
-            executor="serial", seed=5,
+            max_workers=1, seed=5,
         )
         current = self._current(array)
 
@@ -307,7 +307,7 @@ class TestTiledSingleFrame:
 
         array = TiledSensorArray(
             (32, 32), tile_shape=(16, 16), compression_ratio=0.3,
-            executor="serial", seed=5,
+            max_workers=1, seed=5,
         )
         current = self._current(array)
         budget = 6000  # tight enough to force degradation below R = 0.3
@@ -328,7 +328,7 @@ class TestTiledSingleFrame:
 
         array = TiledSensorArray(
             (32, 32), tile_shape=(16, 16), compression_ratio=0.15,
-            executor="serial", seed=5,
+            max_workers=1, seed=5,
         )
         currents = [self._current(array, seed=i) for i in range(2)]
 
@@ -342,7 +342,7 @@ class TestTiledSingleFrame:
         # Fresh array: the streaming node advanced the original's tile CAs.
         fresh = TiledSensorArray(
             (32, 32), tile_shape=(16, 16), compression_ratio=0.15,
-            executor="serial", seed=5,
+            max_workers=1, seed=5,
         )
         direct = fresh.capture_sequence(currents)
         for received, expected in zip(result.frames, direct):
@@ -359,7 +359,7 @@ class TestReceiverBarrierErrors:
 
         array = TiledSensorArray(
             (32, 32), tile_shape=(16, 16), compression_ratio=0.15,
-            executor="serial", seed=5,
+            max_workers=1, seed=5,
         )
         current = TestTiledSingleFrame._current(array)
 

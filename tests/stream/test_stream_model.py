@@ -55,7 +55,7 @@ def _scenes(n, shape=(16, 16), seed=0):
 
 def _array():
     return TiledSensorArray(
-        (32, 32), tile_shape=(16, 16), compression_ratio=0.2, executor="serial", seed=5
+        (32, 32), tile_shape=(16, 16), compression_ratio=0.2, max_workers=1, seed=5
     )
 
 
@@ -288,7 +288,7 @@ class TestMosaicRepair:
     @staticmethod
     def _mosaic():
         return TiledSensorArray(
-            (128, 128), tile_shape=(64, 64), compression_ratio=0.05, executor="serial", seed=9
+            (128, 128), tile_shape=(64, 64), compression_ratio=0.05, max_workers=1, seed=9
         )
 
     def _scenes(self):
