@@ -6,7 +6,8 @@ elementary cellular automaton running Rule 30 around the pixel array
 
 * :mod:`repro.ca.rules` — Wolfram-coded elementary rules as truth tables.
 * :mod:`repro.ca.automaton` — an elementary CA engine with ring or fixed
-  boundaries, vectorised over the whole register.
+  boundaries: the register packed into one integer and updated a whole
+  generation at a time by the rule's algebraic normal form.
 * :mod:`repro.ca.rule30` — the gate-level Rule 30 cell of Fig. 3 (``NS =
   L XOR (S OR R)``) and a register built from such cells, used to show the
   gate network matches the Table I truth table bit-for-bit.

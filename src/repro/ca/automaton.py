@@ -10,7 +10,8 @@ ring (periodic) and fixed logic levels at both ends.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
+import functools
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from repro.utils.rng import SeedLike, nonzero_seed_bits
 from repro.utils.validation import check_binary_array
 
 
+@functools.cache
 def rule_monomials(rule_number: int) -> tuple[tuple[int, ...], ...]:
     """The algebraic normal form of an elementary rule, as its monomials.
 
@@ -126,40 +128,11 @@ class ElementaryCellularAutomaton:
         self._generation = 0
 
     # ---------------------------------------------------------------- update
-    def _neighbours(self) -> tuple:
-        """Return (left, right) neighbour arrays under the boundary condition."""
-        state = self._state
-        if self.boundary is BoundaryCondition.PERIODIC:
-            left = np.roll(state, 1)
-            right = np.roll(state, -1)
-        else:
-            pad = 0 if self.boundary is BoundaryCondition.FIXED_ZERO else 1
-            left = np.concatenate(([pad], state[:-1])).astype(np.uint8)
-            right = np.concatenate((state[1:], [pad])).astype(np.uint8)
-        return left, right
-
     def step(self, n_steps: int = 1) -> np.ndarray:
-        """Advance the automaton ``n_steps`` generations and return the new state.
-
-        A multi-generation step on a periodic ring runs on the packed-integer
-        engine behind :meth:`evolve_states` (same bytes, far fewer numpy
-        calls); this is what the warm-ups and the receiver's GOP seed chain
-        pay for.
-        """
+        """Advance the automaton ``n_steps`` generations and return the new state."""
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-        if self.boundary is BoundaryCondition.PERIODIC and n_steps > 1:
-            self._evolve_states_packed(
-                np.empty((1, self.n_cells), dtype=np.uint8),
-                int(n_steps),
-                step_before_first=True,
-            )
-            return self.state
-        for _ in range(n_steps):
-            left, right = self._neighbours()
-            self._state = self.rule.apply(left, self._state, right)
-            self._generation += 1
-        return self.state
+        return self._evolve(1, int(n_steps), step_before_first=True)[0]
 
     def evolve_states(
         self,
@@ -170,11 +143,9 @@ class ElementaryCellularAutomaton:
     ) -> np.ndarray:
         """Advance the automaton and collect ``n_snapshots`` strided states.
 
-        This is the batched engine behind the vectorised Φ builder: instead of
-        materialising one state at a time through :meth:`step`, it runs the
-        whole evolution in a tight loop with the rule lookup hoisted out, and
-        returns the snapshot stack as a single ``(n_snapshots, n_cells)``
-        ``uint8`` array.
+        This is the batched form behind the vectorised Φ builder: the whole
+        evolution runs in one pass and the snapshot stack comes back as a
+        single ``(n_snapshots, n_cells)`` ``uint8`` array.
 
         Parameters
         ----------
@@ -195,65 +166,43 @@ class ElementaryCellularAutomaton:
             raise ValueError(f"n_snapshots must be non-negative, got {n_snapshots}")
         if stride < 1:
             raise ValueError(f"stride must be at least 1, got {stride}")
-        n_snapshots = int(n_snapshots)
-        stride = int(stride)
-        snapshots = np.empty((n_snapshots, self.n_cells), dtype=np.uint8)
-        if n_snapshots == 0:
-            return snapshots
-        if self.boundary is BoundaryCondition.PERIODIC:
-            return self._evolve_states_packed(
-                snapshots, stride, step_before_first=step_before_first
-            )
-        lookup = self.rule.lookup_table
-        state = self._state
-        pad = np.uint8(0 if self.boundary is BoundaryCondition.FIXED_ZERO else 1)
-        padded = np.empty(self.n_cells + 2, dtype=np.uint8)
-        padded[0] = padded[-1] = pad
+        return self._evolve(
+            int(n_snapshots), int(stride), step_before_first=step_before_first
+        )
 
-        def advance(state: np.ndarray) -> np.ndarray:
-            padded[1:-1] = state
-            neighbourhood = (
-                padded[:-2] * np.uint8(4)
-                + padded[1:-1] * np.uint8(2)
-                + padded[2:]
-            )
-            return lookup[neighbourhood]
-
-        for snapshot_index in range(n_snapshots):
-            if snapshot_index > 0 or step_before_first:
-                for _ in range(stride):
-                    state = advance(state)
-                    self._generation += 1
-            snapshots[snapshot_index] = state
-        self._state = state.copy()
-        return snapshots
-
-    def _evolve_states_packed(
-        self,
-        snapshots: np.ndarray,
-        stride: int,
-        *,
-        step_before_first: bool,
+    def _evolve(
+        self, n_snapshots: int, stride: int, *, step_before_first: bool
     ) -> np.ndarray:
-        """Periodic-ring fast path for :meth:`evolve_states`.
+        """The one update engine: every stepping method calls this.
 
         The register is packed into one Python integer (bit ``i`` is cell
-        ``i``) and the rule is applied over the whole ring at once in its
+        ``i``) and the rule is applied over the whole register at once in its
         algebraic normal form: the XOR of the rule's monomials over
         ``(left, centre, right)`` (:func:`rule_monomials`; Rule 30 is
-        ``l ⊕ c ⊕ r ⊕ c·r``).  Arbitrary-precision integer ops make this a
-        handful of word-level operations per generation instead of a numpy
-        call chain, which matters because CA evolution is the only serial
-        part of the batched Φ builder.
+        ``l ⊕ c ⊕ r ⊕ c·r``).  The neighbour words are the register shifted
+        by one cell, with the boundary shifted in at the open end: the
+        wrapped-around cell on a ring, a constant fill bit otherwise.
+        Arbitrary-precision integer ops make this a handful of word-level
+        operations per generation instead of a numpy call chain, which
+        matters because CA evolution is the only serial part of the batched
+        Φ builder.
         """
         n_cells = self.n_cells
-        n_snapshots = snapshots.shape[0]
+        if n_snapshots == 0:
+            return np.empty((0, n_cells), dtype=np.uint8)
+        top = n_cells - 1
         ring_mask = (1 << n_cells) - 1
+        periodic = self.boundary is BoundaryCondition.PERIODIC
+        # The bits shifted in at cell 0's left and cell n-1's right: the
+        # fixed boundary's fill, or on a ring the wrapped-around cells (set
+        # each generation below).
+        fill_left = int(self.boundary is BoundaryCondition.FIXED_ONE)
+        fill_right = fill_left << top
         packed = int.from_bytes(
             np.packbits(self._state, bitorder="little").tobytes(), "little"
         )
         # Each monomial as (first factor, further factors); factor 3 is the
-        # all-ones ring, the constant monomial.
+        # all-ones register, the constant monomial.
         monomials = [
             (monomial[0], monomial[1:]) if monomial else (3, ())
             for monomial in rule_monomials(self.rule.number)
@@ -263,12 +212,14 @@ class ElementaryCellularAutomaton:
         for snapshot_index in range(n_snapshots):
             if snapshot_index > 0 or step_before_first:
                 for _ in range(stride):
+                    if periodic:
+                        fill_left, fill_right = packed >> top, (packed & 1) << top
                     # Bit i of factors[0] is cell i's left neighbour, of
                     # factors[2] its right one.
                     factors = (
-                        ((packed << 1) | (packed >> (n_cells - 1))) & ring_mask,
+                        ((packed << 1) | fill_left) & ring_mask,
                         packed,
-                        (packed >> 1) | ((packed & 1) << (n_cells - 1)),
+                        (packed >> 1) | fill_right,
                         ring_mask,
                     )
                     next_packed = 0
@@ -278,15 +229,15 @@ class ElementaryCellularAutomaton:
                             term &= factors[factor]
                         next_packed ^= term
                     packed = next_packed
-                    self._generation += 1
             packed_rows += packed.to_bytes(n_bytes, "little")
-        unpacked = np.unpackbits(
+        n_advances = n_snapshots if step_before_first else n_snapshots - 1
+        self._generation += stride * n_advances
+        snapshots = np.unpackbits(
             np.frombuffer(bytes(packed_rows), dtype=np.uint8).reshape(n_snapshots, n_bytes),
             axis=1,
             count=n_cells,
             bitorder="little",
         )
-        snapshots[:] = unpacked
         self._state = snapshots[-1].copy()
         return snapshots
 
@@ -299,17 +250,9 @@ class ElementaryCellularAutomaton:
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-        rows = []
-        if include_initial:
-            rows.append(self.state)
-        for _ in range(n_steps):
-            rows.append(self.step())
-        return np.array(rows, dtype=np.uint8)
-
-    def iterate(self) -> Iterator[np.ndarray]:
-        """Infinite generator of successive states (post-update)."""
-        while True:
-            yield self.step()
+        return self._evolve(
+            int(n_steps) + bool(include_initial), 1, step_before_first=not include_initial
+        )
 
     # ------------------------------------------------------------- utilities
     def center_column(self, n_steps: int) -> np.ndarray:
@@ -319,11 +262,10 @@ class ElementaryCellularAutomaton:
         (it is what Mathematica's ``RandomInteger`` historically used); it is
         a convenient scalar stream for the statistical tests.
         """
-        center = self.n_cells // 2
-        bits = np.empty(n_steps, dtype=np.uint8)
-        for i in range(n_steps):
-            bits[i] = self.step()[center]
-        return bits
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+        states = self._evolve(int(n_steps), 1, step_before_first=True)
+        return states[:, self.n_cells // 2].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -73,8 +73,9 @@ class RuleTable:
     def lookup_table(self) -> np.ndarray:
         """Next-state lookup indexed by the neighbourhood value ``(L<<2)|(S<<1)|R``.
 
-        Cached because :meth:`apply` sits on the CA stepping hot path and the
-        table never changes for a given rule.
+        Read by :meth:`apply`, the per-cell truth-table form the tests check
+        the automaton's packed engine against; cached because the table never
+        changes for a given rule.
         """
         table = np.array([(self.number >> i) & 1 for i in range(8)], dtype=np.uint8)
         table.setflags(write=False)

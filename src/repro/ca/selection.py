@@ -341,17 +341,6 @@ class CASelectionGenerator:
         self._sample_index += int(n_patterns)
         return states
 
-    def next_masks(self, n_patterns: int) -> np.ndarray:
-        """Consume the next ``n_patterns`` patterns as a flattened-mask batch.
-
-        The result is the ``(n_patterns, rows * cols)`` ``uint8`` slice of Φ
-        this generator contributes next — what the batched behavioural
-        capture multiplies against the pixel codes.
-        """
-        return selection_masks_from_states(
-            self.next_states(n_patterns), self.rows, self.cols
-        )
-
     def next_pattern(self) -> SelectionPattern:
         """Return the selection pattern for the next compressed sample.
 
@@ -368,8 +357,8 @@ class CASelectionGenerator:
         Lazy: the CA advances one pattern per iteration, so a consumer that
         stops early leaves the generator positioned exactly on the last
         pattern it took (the pre-batching contract).  Batch consumers that
-        want the whole stretch at once should use :meth:`next_states` /
-        :meth:`next_masks`, which evolve it in a single pass.
+        want the whole stretch at once should use :meth:`next_states`, which
+        evolves it in a single pass.
         """
         check_positive("n_patterns", n_patterns)
         for _ in range(int(n_patterns)):
@@ -384,25 +373,6 @@ class CASelectionGenerator:
         disturb the generator's own position in the sequence.
         """
         return ca_measurement_matrix(
-            int(n_samples),
-            self.rows,
-            self.cols,
-            self._seed_state,
-            rule=self._automaton.rule,
-            steps_per_sample=self.steps_per_sample,
-            warmup_steps=self.warmup_steps,
-            boundary=self._automaton.boundary,
-        )
-
-    def measurement_factors(self, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return the ``(R, C)`` factor pair of the first ``n_samples`` rows of Φ.
-
-        The factored counterpart of :meth:`measurement_matrix`: same seed,
-        same batched CA evolution, but the pre-expansion row/column factors
-        instead of the dense matrix — what the matrix-free reconstruction
-        operator consumes.  Does not disturb the generator's position.
-        """
-        return ca_selection_factors(
             int(n_samples),
             self.rows,
             self.cols,

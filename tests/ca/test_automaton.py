@@ -132,8 +132,8 @@ class TestResetAndRun:
 
 
 class TestEvolveStates:
-    """The batched evolution must replay step() exactly — step() is the
-    executable reference the packed fast path is verified against."""
+    """Snapshot bookkeeping: the strided stack replays the matching step()
+    calls, and leaves the state and generation counter where they would."""
 
     @pytest.mark.parametrize("rule", [30, 90, 110, 184, 45, 0, 255])
     @pytest.mark.parametrize("n_cells", [3, 7, 16, 128, 130])
@@ -178,6 +178,62 @@ class TestEvolveStates:
             automaton.evolve_states(3, 0)
 
 
+def reference_evolution(rule, seed, boundary, n_steps):
+    """``n_steps + 1`` states from a per-cell truth-table loop (row 0 is ``seed``)."""
+    states = [np.asarray(seed, dtype=np.uint8)]
+    for _ in range(n_steps):
+        state = states[-1]
+        if boundary is BoundaryCondition.PERIODIC:
+            left, right = np.roll(state, 1), np.roll(state, -1)
+        else:
+            fill = int(boundary is BoundaryCondition.FIXED_ONE)
+            padded = np.concatenate(([fill], state, [fill])).astype(np.uint8)
+            left, right = padded[:-2], padded[2:]
+        states.append(rule.apply(left, state, right))
+    return np.array(states, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("boundary", list(BoundaryCondition))
+@pytest.mark.parametrize("n_cells", [3, 8, 65, 130])
+def test_every_update_matches_the_truth_table_oracle(boundary, n_cells):
+    """Every stepping entry point replays the per-cell oracle, for all 256 rules."""
+    seeds = np.random.default_rng(n_cells).integers(0, 2, size=(256, n_cells), dtype=np.uint8)
+    centre = n_cells // 2
+
+    def fresh(number, seed):
+        return ElementaryCellularAutomaton(
+            n_cells, number, seed_state=seed, boundary=boundary
+        )
+
+    for number, seed in enumerate(seeds):
+        reference = reference_evolution(RuleTable(number), seed, boundary, 16)
+
+        stepped = fresh(number, seed)
+        assert stepped.step().tobytes() == reference[1].tobytes()
+        assert stepped.step(5).tobytes() == reference[6].tobytes()
+        assert stepped.state.tobytes() == reference[6].tobytes()
+        assert stepped.generation == 6
+
+        evolved = fresh(number, seed)
+        assert evolved.evolve_states(4, 3).tobytes() == reference[0:10:3].tobytes()
+        assert evolved.generation == 9
+        snapshots = evolved.evolve_states(3, 2, step_before_first=True)
+        assert snapshots.tobytes() == reference[11:16:2].tobytes()
+        assert evolved.state.tobytes() == reference[15].tobytes()
+        assert evolved.generation == 15
+
+        ran = fresh(number, seed)
+        assert ran.run(6).tobytes() == reference[0:7].tobytes()
+        assert ran.run(4, include_initial=False).tobytes() == reference[7:11].tobytes()
+        assert ran.state.tobytes() == reference[10].tobytes()
+        assert ran.generation == 10
+
+        column = fresh(number, seed)
+        assert column.center_column(7).tobytes() == reference[1:8, centre].tobytes()
+        assert column.state.tobytes() == reference[7].tobytes()
+        assert column.generation == 7
+
+
 class TestAlgebraicNormalForm:
     """The packed engine steps every rule from its monomials."""
 
@@ -187,18 +243,3 @@ class TestAlgebraicNormalForm:
     def test_constant_rules(self):
         assert rule_monomials(0) == ()
         assert rule_monomials(255) == ((),)
-
-    @pytest.mark.parametrize("n_cells", [3, 5, 9])
-    def test_every_rule_matches_the_truth_table_on_short_rings(self, n_cells):
-        seeds = np.random.default_rng(n_cells).integers(0, 2, size=(4, n_cells))
-        seeds[0] = 0
-        seeds[1, 0] = seeds[1, 1] = 1
-        for number in range(256):
-            rule = RuleTable(number)
-            for seed in seeds.astype(np.uint8):
-                automaton = ElementaryCellularAutomaton(n_cells, number, seed_state=seed)
-                state, reference = seed, [seed]
-                for _ in range(7):
-                    state = rule.apply(np.roll(state, 1), state, np.roll(state, -1))
-                    reference.append(state)
-                assert automaton.evolve_states(8, 1).tobytes() == np.array(reference).tobytes()

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.ca.automaton import BoundaryCondition, ElementaryCellularAutomaton
-from repro.ca.selection import CASelectionGenerator
+from repro.ca.selection import (
+    CASelectionGenerator,
+    ca_selection_factors,
+    selection_masks_from_states,
+)
 from repro.stream.protocol import advance_seed_state
 from repro.utils.rng import nonzero_seed_bits
 
@@ -120,11 +124,11 @@ class TestMatrixProperties:
 
 
 class TestBatchedStateAccess:
-    def test_next_masks_match_pattern_stream(self):
+    def test_batched_masks_match_pattern_stream(self):
         seed = CASelectionGenerator(8, 8, seed=20).seed_state
         batched = CASelectionGenerator(8, 8, seed_state=seed, warmup_steps=2)
         sequential = CASelectionGenerator(8, 8, seed_state=seed, warmup_steps=2)
-        masks = batched.next_masks(7)
+        masks = selection_masks_from_states(batched.next_states(7), 8, 8)
         for row in masks:
             assert np.array_equal(row, sequential.next_pattern().as_vector())
         assert batched.sample_index == sequential.sample_index
@@ -227,5 +231,6 @@ class TestMultiGenerationStep:
     def test_warmup_matches_stepping_the_generator(self):
         generator = CASelectionGenerator(12, 9, seed=4, warmup_steps=23)
         reference = stepped_state(generator.seed_state, 30, 23)
-        assert generator.measurement_factors(1)[0][0].tobytes() == reference[:12].tobytes()
+        row_factors, _ = ca_selection_factors(1, 12, 9, generator.seed_state, warmup_steps=23)
+        assert row_factors[0].tobytes() == reference[:12].tobytes()
         assert generator.next_pattern().row_signals.tobytes() == reference[:12].tobytes()

@@ -83,11 +83,13 @@ class TestFactorBuilders:
         ).reshape(12, 24)
         assert np.array_equal(masks, rejoined)
 
-    def test_generator_measurement_factors(self):
+    def test_generator_factors_rejoin_to_its_matrix(self):
         from repro.ca.selection import CASelectionGenerator
 
         generator = CASelectionGenerator(8, 8, seed=5, warmup_steps=4)
-        row_factors, col_factors = generator.measurement_factors(20)
+        row_factors, col_factors = ca_selection_factors(
+            20, 8, 8, generator.seed_state, warmup_steps=4
+        )
         dense = generator.measurement_matrix(20)
         rejoined = np.bitwise_xor(
             row_factors[:, :, None], col_factors[:, None, :]
