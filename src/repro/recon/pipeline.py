@@ -362,7 +362,6 @@ def reconstruct_tiled(
     regularization: float | None = None,
     max_iterations: int | None = None,
     reference: np.ndarray | None = None,
-    operator: str = "structured",
     sample_masks: Mapping[tuple[int, int], np.ndarray] | None = None,
 ) -> TiledReconstructionResult:
     """Reconstruct a :class:`~repro.sensor.shard.TiledCaptureResult` scene.
@@ -386,9 +385,6 @@ def reconstruct_tiled(
     reference : numpy.ndarray, optional
         Ground-truth code image of the whole scene; when omitted, the
         stitched per-tile digital images are used if the capture kept them.
-    operator : {"structured", "dense"}
-        Operator flavour for the per-tile solves, as in
-        :func:`reconstruct_frame`.
     sample_masks : mapping, optional
         Per-tile sample-survival masks keyed by ``(grid_row, grid_col)``: a
         tile that lost samples is solved over the rows of Φ that survived,
@@ -404,9 +400,10 @@ def reconstruct_tiled(
     -----
     Unmasked tiles of equal geometry are solved as stacked FISTA/ISTA
     groups through :func:`~repro.recon.batch.solve_tiles_batched`, each
-    tile's GEMMs on its own factors; masked tiles and the dense operator
-    flavour take per-tile :func:`reconstruct_frame` solves.  Either way every
-    tile's bytes equal its own :func:`reconstruct_frame` solve.  The
+    tile's GEMMs on its own structured factors; masked tiles take per-tile
+    :func:`reconstruct_frame` solves.  Either way every tile's bytes equal
+    its own :func:`reconstruct_frame` solve.  The dense reference stays on
+    :func:`reconstruct_frame` (``operator="dense"``).  The
     streaming receiver settles each mosaic frame through this function, so
     streamed and in-process reconstructions stay byte-identical.
     """
@@ -430,12 +427,10 @@ def reconstruct_tiled(
                 f"{slot.rows}x{slot.cols}"
             )
         mask = masks.get((slot.grid_row, slot.grid_col))
-        if mask is None and operator == "structured":
+        if mask is None:
             groups.setdefault(batch_group_key(frame), []).append((slot, frame))
         else:
-            results[slot] = reconstruct_frame(
-                frame, operator=operator, sample_mask=mask, **options
-            )
+            results[slot] = reconstruct_frame(frame, sample_mask=mask, **options)
     for members in groups.values():
         solved = solve_tiles_batched([frame for _, frame in members], **options)
         results.update(zip((slot for slot, _ in members), solved))

@@ -101,16 +101,6 @@ class LossyTransport:
         self.duplicated: list[int] = []
         self.reordered: list[int] = []
 
-    @property
-    def n_faults(self) -> int:
-        """Total slices hit by any fault."""
-        return (
-            len(self.dropped)
-            + len(self.truncated)
-            + len(self.duplicated)
-            + len(self.reordered)
-        )
-
     async def _flush_held(self, incoming: tuple[int, bytes] | None) -> None:
         """Apply the fault draw to the held slice and deliver the outcome.
 

@@ -368,7 +368,7 @@ class ReceiverHub:
 
     Parameters
     ----------
-    reconstruct, dictionary, solver, regularization, max_iterations, operator:
+    reconstruct, dictionary, solver, regularization, max_iterations:
         Per-session reconstruction options, exactly as on
         :class:`~repro.stream.receiver.StreamReceiver`; every session the
         hub opens gets the same configuration.  ``solver`` must be one of
@@ -390,8 +390,6 @@ class ReceiverHub:
         resynchronises over corrupt framing instead of raising, and a
         transport dying before its stream-end chunk salvages every frame
         already in flight rather than failing the connection.
-    min_surviving_samples:
-        Per-session sample floor for the partial-Φ solve (resilient mode).
     feedback:
         Ship each session's queued control chunks (delivery ACKs, rate
         advice and — with ``frame_deadline`` set — NACK repair requests)
@@ -434,14 +432,12 @@ class ReceiverHub:
         solver: str = "fista",
         regularization: float | None = None,
         max_iterations: int | None = None,
-        operator: str = "structured",
         executor: Executor | None = None,
         solver_slots: int = 2,
         per_stream_pending: int | None = 2,
         max_pending: int | None = None,
         max_streams: int | None = None,
         resilient: bool = False,
-        min_surviving_samples: int = 1,
         feedback: bool = False,
         resume_grace: float | None = None,
         idle_timeout: float | None = None,
@@ -475,9 +471,7 @@ class ReceiverHub:
             solver=solver,
             regularization=regularization,
             max_iterations=max_iterations,
-            operator=operator,
             resilient=self.resilient,
-            min_surviving_samples=min_surviving_samples,
             emit_feedback=self.feedback,
             max_sequence_gap=max_sequence_gap,
             frame_deadline=frame_deadline,

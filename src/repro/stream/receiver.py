@@ -12,8 +12,8 @@ actual protocol work lives in :class:`~repro.stream.session.StreamSession`:
   tiles solved in stacked FISTA groups sized to a cache budget
   (:func:`~repro.recon.batch.solve_tiles_batched`), each tile's GEMMs on
   its own rank-structured ``(R, C)`` factors, exactly the path in-process
-  :func:`~repro.recon.pipeline.reconstruct_tiled` defaults to, so streamed
-  and in-process reconstructions stay byte-identical;
+  :func:`~repro.recon.pipeline.reconstruct_tiled` runs, so streamed and
+  in-process reconstructions stay byte-identical;
 * video streams maintain one **seed chain** per tile position: keyframes
   re-anchor the chain with their inline seed, seedless frames decode against
   it, and after every frame the chain advances by the one-pattern frame

@@ -16,9 +16,10 @@ deliberately separate so each can scale independently:
   scheduling across streams, and the high-watermark backpressure.
 
 A :class:`StreamSession` never touches a transport and never runs a solve
-itself: it consumes already-parsed :class:`~repro.stream.protocol.Chunk`
-objects and hands every CPU-bound reconstruction to a
-:class:`SolveScheduler` — the seam where the hub's fairness policy plugs in.
+itself: its synchronous core consumes already-parsed
+:class:`~repro.stream.protocol.Chunk` objects, and one drain coroutine hands
+every CPU-bound reconstruction, in frame order, to a :class:`SolveScheduler`
+— the seam where the hub's fairness policy plugs in.
 The single-node :class:`~repro.stream.receiver.StreamReceiver` drives exactly
 one session through exactly the same code path, which is what keeps
 streamed ≡ in-process byte-identical whether one camera is connected or
@@ -172,8 +173,7 @@ class ReceivedFrame:
         nothing usable arrived for is ``None``).
     reconstruction:
         The frame's reconstruction, or ``None`` when the receiver runs
-        as a pure decoder — or when a resilient session dropped the solve
-        because too few samples survived (see ``loss``).
+        as a pure decoder.
     loss:
         Delivery accounting for this frame (resilient sessions only;
         ``None`` on the lossless path).
@@ -247,8 +247,8 @@ class SessionStats:
     n_late_chunks: int = 0
     #: Frames solved from a strict subset of their samples (partial Φ).
     n_partial_frames: int = 0
-    #: Frames landed without reconstruction (below the sample floor, or a
-    #: broken GOP seed chain).
+    #: Frames written off without reconstruction (no usable tile arrived,
+    #: e.g. a broken GOP seed chain).
     n_dropped_frames: int = 0
     #: NACK requests queued down the feedback path (selective repeat).
     n_nacks_sent: int = 0
@@ -438,6 +438,9 @@ class StreamSession:
     :func:`~repro.recon.pipeline.reconstruct_frame` job per single-sensor
     frame, one batched barrier job per mosaic frame.
 
+    The state machine is synchronous (:meth:`feed`, :meth:`tick`,
+    :meth:`seal`); each async entry point runs its core, then the drain.
+
     Parameters
     ----------
     stream_id:
@@ -445,7 +448,7 @@ class StreamSession:
     scheduler:
         The :class:`SolveScheduler` every reconstruction is dispatched
         through.  The session never blocks the event loop on solver work.
-    reconstruct, dictionary, solver, regularization, max_iterations, operator:
+    reconstruct, dictionary, solver, regularization, max_iterations:
         Reconstruction options, exactly as on
         :class:`~repro.stream.receiver.StreamReceiver` (which forwards them
         here verbatim); ``solver`` is one of the proximal family
@@ -458,11 +461,6 @@ class StreamSession:
         and frames settle from whatever arrived — lost segments as masked
         rows of Φ, lost tiles as holes in the mosaic.  On a lossless channel
         the two are byte-identical.
-    min_surviving_samples:
-        Sample floor for the partial-Φ solve: a frame that lands with fewer
-        surviving samples keeps its decoded capture but gets no
-        reconstruction (``n_dropped_frames``) — below some point a solve
-        returns noise, and a receiver should say "lost" rather than lie.
     emit_feedback:
         Queue a :class:`~repro.stream.protocol.ControlAck` per finalised
         frame (plus a :class:`~repro.stream.protocol.RateAdvice` when the
@@ -499,7 +497,7 @@ class StreamSession:
     """
 
     #: How many whole-frame batched solves may be in flight at once before
-    #: the frame barrier awaits the oldest.  One is enough to overlap the
+    #: the drain awaits the oldest.  One is enough to overlap the
     #: current frame's solve with the next frame's wire transfer while
     #: keeping per-session memory bounded.
     MAX_INFLIGHT_TILED_SOLVES = 1
@@ -521,9 +519,7 @@ class StreamSession:
         solver: str = "fista",
         regularization: float | None = None,
         max_iterations: int | None = None,
-        operator: str = "structured",
         resilient: bool = False,
-        min_surviving_samples: int = 1,
         emit_feedback: bool = False,
         max_sequence_gap: int | None = None,
         frame_deadline: float | None = None,
@@ -534,7 +530,6 @@ class StreamSession:
         self.scheduler = scheduler
         self.reconstruct = bool(reconstruct)
         self.resilient = bool(resilient)
-        self.min_surviving_samples = max(1, int(min_surviving_samples))
         self.emit_feedback = bool(emit_feedback)
         self.max_sequence_gap = (
             self.MAX_SEQUENCE_GAP if max_sequence_gap is None else int(max_sequence_gap)
@@ -570,7 +565,6 @@ class StreamSession:
             solver=solver,
             regularization=regularization,
             max_iterations=None if max_iterations is None else int(max_iterations),
-            operator=operator,
         )
         self._header: StreamHeader | None = None
         #: The frame's tile grid (1x1 for single-sensor streams).
@@ -587,12 +581,16 @@ class StreamSession:
         self._chain_frame: dict[tuple[int, int], int] = {}
         #: Unsettled frames, by frame index.
         self._frames: dict[int, _PendingFrame] = {}
-        # (ReceivedFrame, future) pairs of in-flight solves.  Single-sensor
+        #: Settled frames awaiting submission: ``(frame, job, first-chunk time)``.
+        self._queued: deque[tuple[ReceivedFrame, Callable[[], Any], float]] = deque()
+        # (ReceivedFrame, future) pairs of submitted solves.  Single-sensor
         # reconstructions are attached at end-of-stream (see :meth:`finish`);
-        # a mosaic frame's barrier awaits older solves past
+        # the drain awaits older solves before submitting a mosaic frame past
         # MAX_INFLIGHT_TILED_SOLVES, so a stream that outruns the solver
         # cannot accumulate unbounded work.
         self._solves: list[tuple[ReceivedFrame, asyncio.Future[Any]]] = []
+        #: Serialises the drain (created on first use, inside the event loop).
+        self._drain_lock: asyncio.Lock | None = None
         #: Sequence numbers proven missing (gap seen, chunk never arrived).
         self._missing: set[int] = set()
         #: Next frame index the stream has not yet settled (landed, finalised
@@ -667,34 +665,52 @@ class StreamSession:
         self._latency_histogram.observe(latency)
         self._hub_latencies.append(latency)
 
-    async def _submit_solve(
-        self, frame_index: int, fn: Callable[[], Any]
-    ) -> asyncio.Future[Any]:
-        """Dispatch one solve thunk, tracing its queue wait and solve time.
+    def _traced(self, frame_index: int, fn: Callable[[], Any]) -> Callable[[], Any]:
+        """Wrap one solve thunk to trace its queue wait and solve time.
 
-        With telemetry enabled the frame's ``queue_wait`` span opens at
-        submission and closes inside the thunk the moment a scheduler slot
+        With telemetry enabled the frame's ``queue_wait`` span opens here, at
+        submission, and closes inside the thunk the moment a scheduler slot
         actually runs it (on an executor thread — the tracer is
         thread-safe), where the ``solve`` span takes over.  The thunk's
         return value and exceptions pass through untouched, and the wrapped
         thunk only *reads* clocks — reconstruction bytes cannot change.
         """
         tel = active(self.telemetry)
-        if tel is not None:
-            stream_id = self.stream_id
-            tel.begin_span(stream_id, frame_index, SPAN_QUEUE_WAIT)
-            inner = fn
+        if tel is None:
+            return fn
+        stream_id = self.stream_id
+        tel.begin_span(stream_id, frame_index, SPAN_QUEUE_WAIT)
 
-            def traced() -> Any:
-                tel.end_span(stream_id, frame_index, SPAN_QUEUE_WAIT)
-                tel.begin_span(stream_id, frame_index, SPAN_SOLVE)
-                try:
-                    return inner()
-                finally:
-                    tel.end_span(stream_id, frame_index, SPAN_SOLVE)
+        def traced() -> Any:
+            tel.end_span(stream_id, frame_index, SPAN_QUEUE_WAIT)
+            tel.begin_span(stream_id, frame_index, SPAN_SOLVE)
+            try:
+                return fn()
+            finally:
+                tel.end_span(stream_id, frame_index, SPAN_SOLVE)
 
-            fn = traced
-        return await self.scheduler.submit(self.stream_id, fn)
+        return traced
+
+    async def _drain(self) -> None:
+        """Submit every queued solve in frame order (the one await site).
+
+        One drain runs at a time, so a reap-loop :meth:`check_deadlines`
+        racing :meth:`handle_chunk` cannot reorder submissions."""
+        if self._drain_lock is None:
+            self._drain_lock = asyncio.Lock()
+        async with self._drain_lock:
+            while self._queued:
+                received, job, started = self._queued.popleft()
+                if isinstance(received.capture, TiledCaptureResult):
+                    while len(self._solves) >= self.MAX_INFLIGHT_TILED_SOLVES:
+                        earlier, pending = self._solves.pop(0)
+                        earlier.reconstruction = await pending
+                job = self._traced(received.frame_index, job)
+                future = await self.scheduler.submit(self.stream_id, job)
+                future.add_done_callback(
+                    lambda done, at=started: done.cancelled() or self._note_latency(at)
+                )
+                self._solves.append((received, future))
 
     # ----------------------------------------------------- strictness policy
     def _fault(self, error: StreamProtocolError, counter: str | None = None) -> None:
@@ -758,7 +774,7 @@ class StreamSession:
         return False
 
     # ------------------------------------------------------------ settling
-    async def _settle_to(self, stop: int, *, defer: bool = True) -> None:
+    def _settle_to(self, stop: int, *, defer: bool = True) -> None:
         """Settle every frame below ``stop`` in order, pausing at deferrals.
 
         The one settle loop.  Every frame below :attr:`_settle_frontier`
@@ -781,10 +797,9 @@ class StreamSession:
             ):
                 self._queue_nack(frame_index, self._now())
                 return
-            # Advance before settling: the settle may suspend on the solver,
-            # and a concurrent sweep (the reap loop) must start past it.
+            # Advance first: a strict settle that raises leaves its frame behind.
             self._next_frame_index += 1
-            await self._settle_frame(frame_index)
+            self._settle_frame(frame_index)
 
     def _expected_chunks(self, tiles: dict[tuple[int, int], _TileChunks]) -> int:
         """Chunks a frame occupied: the latest barrier's count, else inferred
@@ -794,12 +809,13 @@ class StreamSession:
         inferred = sum(chunks.n_chunks_expected for chunks in tiles.values())
         return inferred + self._n_tiles - len(tiles)
 
-    async def _settle_frame(self, frame_index: int) -> None:
+    def _settle_frame(self, frame_index: int) -> None:
         """Land (or write off) one frame the stream has passed.
 
         Loss shows up per tile: a tile missing samples solves over the rows
         of Φ that survived, a tile nothing usable arrived for stays a hole in
         the mosaic, and a frame with no usable tile at all is written off.
+        A landed frame's solve job joins the FIFO the drain submits from.
         """
         assert self._header is not None
         pending = self._frames.pop(frame_index, None)
@@ -869,17 +885,10 @@ class StreamSession:
         if not self.reconstruct:
             self._note_latency(pending.started)
             return
-        if n_incomplete and n_received_samples < self.min_surviving_samples:
-            self._count("n_dropped_frames")
-            self._note_latency(pending.started)
-            return
         if n_incomplete:
             self._count("n_partial_frames")
         job: Callable[[], Any]
         if isinstance(capture, TiledCaptureResult):
-            while len(self._solves) >= self.MAX_INFLIGHT_TILED_SOLVES:
-                earlier, future = self._solves.pop(0)
-                earlier.reconstruction = await future
             masks = {key: tile.mask for key, tile in decoded.items() if tile.mask is not None}
             job = functools.partial(
                 reconstruct_tiled, capture, sample_masks=masks, **self._recon_options
@@ -888,12 +897,7 @@ class StreamSession:
             job = functools.partial(
                 reconstruct_frame, capture, sample_mask=sample_mask, **self._recon_options
             )
-        future = await self._submit_solve(frame_index, job)
-        started = pending.started
-        future.add_done_callback(
-            lambda done: None if done.cancelled() else self._note_latency(started)
-        )
-        self._solves.append((received, future))
+        self._queued.append((received, job, pending.started))
 
     def _decode_tile(
         self, frame_index: int, key: tuple[int, int], chunks: _TileChunks
@@ -1078,7 +1082,7 @@ class StreamSession:
         assert self.nack_grace is not None
         self._deferred[frame_index] = now + self.nack_grace
 
-    async def _check_deferred(self, now: float) -> None:
+    def _check_deferred(self, now: float) -> None:
         """Resolve deferred frames that completed or whose grace lapsed."""
         while self._deferred:
             frame_index = min(self._deferred)
@@ -1092,11 +1096,17 @@ class StreamSession:
                 self._count("n_deadline_salvages")
             else:
                 return
-            await self._settle_to(self._settle_frontier)
+            self._settle_to(self._settle_frontier)
 
     async def check_deadlines(self, now: float | None = None) -> None:
-        """Fire every expired frame/NACK timer (the hub's reap loop calls
-        this; tests drive it directly under a ``ManualClock``).
+        """Fire expired timers (:meth:`tick`) for the hub's reap loop; a tick
+        that settled nothing never waits behind another drain."""
+        self.tick(self._now() if now is None else now)
+        if self._queued:
+            await self._drain()
+
+    def tick(self, now: float) -> None:
+        """Fire every frame/NACK timer expired at session-clock time ``now``.
 
         Two timers live here: an incomplete frame whose *first chunk* is
         older than ``frame_deadline`` NACKs once even though its barrier
@@ -1105,8 +1115,6 @@ class StreamSession:
         """
         if self.frame_deadline is None or self._ended:
             return
-        if now is None:
-            now = self._now()
         for frame_index in sorted(self._frames):
             if (
                 frame_index not in self._nacked_frames
@@ -1114,7 +1122,7 @@ class StreamSession:
                 and self._repairable(frame_index)
             ):
                 self._queue_nack(frame_index, now)
-        await self._check_deferred(now)
+        self._check_deferred(now)
 
     def _flush_deferrals(self) -> None:
         """Cancel every grace window (stream end / EOF): salvage now."""
@@ -1123,7 +1131,12 @@ class StreamSession:
 
     # ------------------------------------------------------------- chunk fsm
     async def handle_chunk(self, chunk: Chunk) -> None:
-        """Advance the FSM by one chunk (may suspend on solve backpressure).
+        """:meth:`feed` one chunk, then drain (may suspend on backpressure)."""
+        self.feed(chunk)
+        await self._drain()
+
+    def feed(self, chunk: Chunk) -> None:
+        """Advance the FSM by one chunk.
 
         Every anomaly — a malformed chunk, a sequence gap, a duplicate, a
         chunk after the stream end, a frame that settles incomplete — goes
@@ -1141,7 +1154,7 @@ class StreamSession:
         self._count("n_chunks")
         self._count("n_bytes", chunk.n_bytes)
         try:
-            await self._dispatch_chunk(chunk)
+            self._dispatch_chunk(chunk)
         except StreamProtocolError as error:
             # A chunk that arrived but cannot be used (failed checksum, a
             # truncated payload that swallowed its neighbour, an impossible
@@ -1151,7 +1164,7 @@ class StreamSession:
         if self._deferred:
             # A retransmit may have just completed the deferred head frame
             # (settle it whole) or time may have run out on its grace.
-            await self._check_deferred(self._now())
+            self._check_deferred(self._now())
 
     def _advance_sequence(self, chunk: Chunk) -> bool:
         """Run the sequence FSM; returns False when the chunk is skipped."""
@@ -1199,7 +1212,7 @@ class StreamSession:
         self._count("n_duplicate_chunks")
         return False
 
-    async def _dispatch_chunk(self, chunk: Chunk) -> None:
+    def _dispatch_chunk(self, chunk: Chunk) -> None:
         if chunk.chunk_type in CONTROL_CHUNK_TYPES:
             raise StreamProtocolError(
                 f"{chunk.chunk_type.name} control chunk on the forward data "
@@ -1223,7 +1236,7 @@ class StreamSession:
             self._header = payload
             self._result.header = payload
         elif isinstance(payload, (FrameData, FrameSegment, FrameParity)):
-            await self._handle_tile_chunk(chunk, payload)
+            self._handle_tile_chunk(chunk, payload)
         elif isinstance(payload, FrameComplete):
             if not self._frame_in_window(payload.frame_index):
                 return
@@ -1231,7 +1244,7 @@ class StreamSession:
             # authoritative chunk count) and settles every earlier frame
             # whose own barrier was lost.
             self._expected_frame_chunks = payload.n_chunks
-            await self._settle_to(payload.frame_index + 1)
+            self._settle_to(payload.frame_index + 1)
         elif isinstance(payload, StreamEnd):
             announced = payload.n_frames
             if not self._plausible(announced):
@@ -1241,7 +1254,7 @@ class StreamSession:
             # NACK grace window dies with the stream: the repair can no
             # longer arrive, so deferred frames salvage partial.
             self._flush_deferrals()
-            await self._settle_to(announced, defer=False)
+            self._settle_to(announced, defer=False)
             self._result.announced_frames = announced
             self._ended = True
         elif isinstance(payload, SessionResume):
@@ -1258,7 +1271,7 @@ class StreamSession:
             )
             self._count("n_resumes")
 
-    async def _handle_tile_chunk(self, chunk: Chunk, part: TilePayload) -> None:
+    def _handle_tile_chunk(self, chunk: Chunk, part: TilePayload) -> None:
         """Land one tile-carrying chunk, decoded as ``part``, in its frame's grid."""
         assert self._header is not None
         key = (part.grid_row, part.grid_col)
@@ -1290,10 +1303,15 @@ class StreamSession:
         if isinstance(part, FrameData) and not self._header.tiled:
             # An unsegmented single-sensor frame is its own barrier.
             self._expected_frame_chunks = 1
-            await self._settle_to(part.frame_index + 1)
+            self._settle_to(part.frame_index + 1)
 
     # --------------------------------------------------------------- closing
     async def handle_eof(self) -> None:
+        """:meth:`seal` a stream whose transport died, then drain."""
+        self.seal()
+        await self._drain()
+
+    def seal(self) -> None:
         """Seal a stream whose transport died before stream-end.
 
         A strict session raises (EOF-before-end is a protocol failure); a
@@ -1307,7 +1325,7 @@ class StreamSession:
         if self._ended:
             return
         self._flush_deferrals()
-        await self._settle_to(max(self._frames, default=-1) + 1, defer=False)
+        self._settle_to(max(self._frames, default=-1) + 1, defer=False)
         self._ended = True
 
     async def finish(self) -> StreamResult:
@@ -1327,6 +1345,7 @@ class StreamSession:
             self._fault(
                 StreamProtocolError(f"stream ended with incomplete frames: {pending}")
             )
+        await self._drain()  # also waits out another entry point's drain
         for received, future in self._solves:
             received.reconstruction = await future
         self._solves = []
@@ -1336,14 +1355,9 @@ class StreamSession:
 
     def cancel(self) -> None:
         """Cancel every in-flight solve (the session is being torn down)."""
+        self._queued.clear()
         for _, future in self._solves:
-            future.cancel()
-        # Consume exceptions of already-settled futures so a torn-down
-        # session never leaves "exception was never retrieved" noise.
-        for _, future in self._solves:
-            _consume_exception(future)
-
-
-def _consume_exception(future: asyncio.Future[Any]) -> None:
-    if future.done() and not future.cancelled():
-        future.exception()
+            # Retrieve an already-settled solve's exception so a torn-down
+            # session never leaves "exception was never retrieved" noise.
+            if not future.cancel() and not future.cancelled():
+                future.exception()

@@ -50,16 +50,10 @@ class TestReconstructTiled:
         assert result.capture_metadata["event_statistics"] == "modelled"
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{}, {"solver": "ista"}, {"operator": "dense"}],
-        ids=["fista", "ista", "dense"],
+        "kwargs", [{}, {"solver": "ista"}], ids=["fista", "ista"]
     )
     def test_batched_executor_matches_per_tile(self, tiled_capture, kwargs):
-        """``reconstruct_tiled`` is each tile's own ``reconstruct_frame``, byte for byte.
-
-        FISTA/ISTA run as one batched solve; the dense operator rides the
-        per-tile ``reconstruct_frame`` fallback inside ``reconstruct_tiled``.
-        """
+        """``reconstruct_tiled`` is each tile's own ``reconstruct_frame``, byte for byte."""
         kwargs = dict(kwargs, max_iterations=40)
         tiled = reconstruct_tiled(tiled_capture, **kwargs)
         image, per_tile = per_tile_solves(tiled_capture, **kwargs)
@@ -75,10 +69,10 @@ class TestReconstructTiled:
             assert ours.converged == theirs.converged
             assert ours.step_reductions == theirs.step_reductions
 
-    @pytest.mark.parametrize("operator", ["structured", "dense"])
+    @pytest.mark.parametrize("operator", ["structured"])
     def test_tile_images_are_views_of_the_mosaic(self, tiled_capture, operator):
         """The mosaic keeps its pixels once; each tile's image is its slot."""
-        tiled = reconstruct_tiled(tiled_capture, max_iterations=20, operator=operator)
+        tiled = reconstruct_tiled(tiled_capture, max_iterations=20)
         image, _ = per_tile_solves(tiled_capture, max_iterations=20, operator=operator)
         for slot, _frame in tiled_capture.frames():
             tile = tiled.tile_results[slot.grid_row][slot.grid_col]
@@ -95,10 +89,10 @@ class TestReconstructTiled:
         with pytest.raises(TypeError, match="sparsity"):
             reconstruct_tiled(tiled_capture, sparsity=12)
 
-    def test_dense_operator_reachable(self, tiled_capture, float64_products):
-        dense = reconstruct_tiled(tiled_capture, max_iterations=40, operator="dense")
-        structured = reconstruct_tiled(tiled_capture, max_iterations=40)
-        np.testing.assert_allclose(dense.image, structured.image, atol=1e-8)
+    def test_operator_is_not_an_option(self, tiled_capture):
+        """The mosaic solve is structured only; the dense reference is per frame."""
+        with pytest.raises(TypeError, match="operator"):
+            reconstruct_tiled(tiled_capture, operator="dense")
 
     def test_explicit_reference_overrides_digital_image(self, tiled_capture):
         reference = tiled_capture.digital_image().astype(float)

@@ -40,6 +40,7 @@ from repro.stream.protocol import (
     encode_payload,
 )
 from repro.stream.receiver import StreamReceiver
+from repro.stream.session import StreamSession
 from repro.stream.transport import LoopbackTransport, connect_tcp
 from repro.telemetry import percentile
 
@@ -379,6 +380,20 @@ class TestSingleSessionByteIdentity:
     def test_sparsity_is_not_an_option(self, factory):
         with pytest.raises(TypeError, match="sparsity"):
             factory(sparsity=12)
+
+
+def _session(**options):
+    return StreamSession(1, None, **options)
+
+
+@pytest.mark.parametrize("factory", [ReceiverHub, StreamReceiver, _session])
+@pytest.mark.parametrize("option", ["operator", "min_surviving_samples"])
+def test_operator_is_not_an_option(factory, option):
+    """Streamed solves are structured only, and a landed frame always solves:
+    the dense reference lives on ``reconstruct_frame``, and no sample floor
+    can drop a frame whose tiles decoded."""
+    with pytest.raises(TypeError, match=option):
+        factory(**{option: 1})
 
 
 class TestSlowConsumerIsolation:
