@@ -141,8 +141,6 @@ class CompressiveImager:
     encoder:
         The light-to-time conversion chain; a default encoder is built when
         omitted.
-    ca_seed_state:
-        Explicit CA seed bits (``rows + cols`` of them).  Random when omitted.
     rule:
         CA rule number (30 in the paper).
     steps_per_sample, warmup_steps:
@@ -157,7 +155,6 @@ class CompressiveImager:
         config: SensorConfig | None = None,
         *,
         encoder: TimeEncoder | None = None,
-        ca_seed_state: np.ndarray | None = None,
         rule: int = 30,
         steps_per_sample: int = 1,
         warmup_steps: int = 8,
@@ -172,7 +169,6 @@ class CompressiveImager:
         self.selection = CASelectionGenerator(
             self.config.rows,
             self.config.cols,
-            seed_state=ca_seed_state,
             rule=rule,
             steps_per_sample=steps_per_sample,
             warmup_steps=warmup_steps,

@@ -23,8 +23,8 @@ the capture engines:
   in-process reconstruction pipeline;
 * :mod:`repro.stream.fault` — the seeded chaos adversaries:
   :class:`LossyTransport` (drop / truncate / duplicate / reorder),
-  :class:`GilbertElliottTransport` (two-state burst loss),
-  :class:`StallingTransport` and :class:`DisconnectingTransport` —
+  :class:`GilbertElliottTransport` (two-state burst loss) and
+  :class:`DisconnectingTransport` (a scripted mid-stream cut) —
   everything the resilient receive path, the closed rate-control loop and
   the self-healing (NACK / resume / deadline) machinery are tested against.
 """
@@ -33,7 +33,6 @@ from repro.stream.fault import (
     DisconnectingTransport,
     GilbertElliottTransport,
     LossyTransport,
-    StallingTransport,
 )
 from repro.stream.hub import (
     DuplicateStreamIdError,
@@ -119,7 +118,6 @@ __all__ = [
     "loopback_duplex_pair",
     "LossyTransport",
     "GilbertElliottTransport",
-    "StallingTransport",
     "DisconnectingTransport",
     "TcpTransport",
     "TransportClosedError",

@@ -116,9 +116,9 @@ class HubPortInUseError(OSError):
     """The hub could not bind its listening (or metrics) port.
 
     Subclasses ``OSError`` so a node-side
-    :class:`~repro.stream.node.ReconnectSupervisor` — whose default
-    ``retryable`` set is ``(OSError,)`` — treats a hub that is still
-    restarting as a transient, retryable condition.
+    :class:`~repro.stream.node.ReconnectSupervisor`, which retries every
+    ``OSError``, treats a hub that is still restarting as a transient,
+    retryable condition.
     """
 
 

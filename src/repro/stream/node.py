@@ -388,9 +388,10 @@ class ReconnectSupervisor:
     (defaults: the process monotonic clock and :func:`asyncio.sleep`), so
     tests pin exact firing times under
     :class:`~repro.telemetry.ManualClock` with no wall-clock waits.
-    ``retryable`` defaults to ``(OSError,)``, which covers refused/reset
-    connections *and* the hub's typed
-    :class:`~repro.stream.hub.HubPortInUseError`.
+    Only an ``OSError`` from ``connect`` is retried, which covers
+    refused/reset connections *and* the hub's typed
+    :class:`~repro.stream.hub.HubPortInUseError`; any other error passes
+    straight through.
     """
 
     def __init__(
@@ -404,7 +405,6 @@ class ReconnectSupervisor:
         seed: int = 0,
         clock: Clock | None = None,
         sleep: Callable[[float], Awaitable[None]] | None = None,
-        retryable: tuple[type[BaseException], ...] = (OSError,),
     ) -> None:
         check_positive("max_attempts", max_attempts)
         check_positive("base_delay", base_delay)
@@ -416,7 +416,6 @@ class ReconnectSupervisor:
         self.base_delay = float(base_delay)
         self.max_delay = float(max_delay)
         self.jitter = float(jitter)
-        self.retryable = retryable
         self.clock: Clock = clock if clock is not None else MONOTONIC_CLOCK
         self._sleep = sleep if sleep is not None else asyncio.sleep
         self._rng = new_rng(derive_seed(seed, "reconnect-supervisor"))
@@ -446,7 +445,7 @@ class ReconnectSupervisor:
             self.attempt_times.append(self.clock.now())
             try:
                 transport = await self._connect()
-            except self.retryable as error:
+            except OSError as error:
                 last_error = error
                 continue
             self.n_reconnects += 1

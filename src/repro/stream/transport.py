@@ -170,9 +170,9 @@ class TcpTransport:
         await self._writer.drain()
         self.bytes_sent += len(data)
 
-    async def recv(self, max_bytes: int = 65536) -> bytes | None:
-        """Read the next TCP segment; ``None`` at end-of-stream."""
-        data = await self._reader.read(max_bytes)
+    async def recv(self) -> bytes | None:
+        """Read the next TCP segment (up to 64 KiB); ``None`` at end-of-stream."""
+        data = await self._reader.read(65536)
         return data if data else None
 
     async def close(self) -> None:

@@ -33,20 +33,32 @@ STAGE_SECONDS = "repro_stage_seconds"
 
 
 class Telemetry:
-    """Clock, metrics registry and frame tracer behind one enable switch."""
+    """Clock, metrics registry and frame tracer behind one enable switch.
+
+    Parameters
+    ----------
+    enabled:
+        ``False`` turns every recording method into an early return.
+    clock:
+        The clock every span reads (the process monotonic clock by default).
+    tracer:
+        A frame tracer to share; one on ``clock`` keeping
+        ``max_trace_frames`` frames is built when omitted.
+
+    The facade builds its own :class:`MetricsRegistry` as ``registry``.
+    """
 
     def __init__(
         self,
         *,
         enabled: bool = True,
         clock: Clock | None = None,
-        registry: MetricsRegistry | None = None,
         tracer: FrameTracer | None = None,
         max_trace_frames: int = 1024,
     ) -> None:
         self.enabled = enabled
         self.clock: Clock = clock if clock is not None else MONOTONIC_CLOCK
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.tracer = (
             tracer
             if tracer is not None
