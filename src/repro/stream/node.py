@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import itertools
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from operator import attrgetter
 from collections.abc import Awaitable, Callable, Iterable, Iterator
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -43,9 +44,13 @@ from repro.sensor.imager import CompressedFrame, CompressiveImager
 from repro.sensor.shard import TiledSensorArray, tile_grid
 from repro.sensor.video import VideoSequencer
 from repro.stream.protocol import (
+    _CHUNK_HEADER,
+    _PARITY_LENGTH,
     CONTROL_CHUNK_TYPES,
+    PAYLOAD_LAYOUTS,
     Chunk,
     ChunkDecoder,
+    ChunkType,
     ControlAck,
     FrameComplete,
     FrameData,
@@ -80,14 +85,21 @@ class ChannelBudgetError(ValueError):
     """The per-frame bit budget cannot fit even one compressed sample."""
 
 
-#: Wire cost of wrapping one frame as a chunk: the 12-byte chunk header plus
-#: the 9-byte frame-data prefix (frame index, grid position, keyframe flag).
-CHUNK_OVERHEAD_BITS = (12 + 9) * 8
+def _chunk_bits(chunk_type: ChunkType) -> int:
+    """Wire bits of a chunk of ``chunk_type`` before its variable tail."""
+    return 8 * (_CHUNK_HEADER.size + PAYLOAD_LAYOUTS[chunk_type].fixed.size)
+
+
+#: Wire cost of wrapping one frame as a chunk: the chunk header plus the
+#: frame-data prefix (frame index, grid position, keyframe flag).
+CHUNK_OVERHEAD_BITS = _chunk_bits(ChunkType.FRAME_DATA)
 
 
 @dataclass
 class BitrateGovernor:
     """Fits each frame's sample count to a bits-per-frame channel budget.
+
+    A mosaic frame's count is summed over its tiles.
 
     Parameters
     ----------
@@ -95,10 +107,10 @@ class BitrateGovernor:
         Channel budget for one frame, headers and seed included.  ``None``
         disables governing (the configured sample count is used as-is).
     min_samples:
-        Floor below which the governor refuses to degrade and raises
-        :class:`ChannelBudgetError` instead — a frame with almost no samples
-        reconstructs to noise, and a node should fail loudly rather than
-        stream garbage.
+        Per-tile floor below which the governor refuses to degrade and
+        raises :class:`ChannelBudgetError` instead — a frame with almost no
+        samples reconstructs to noise, and a node should fail loudly rather
+        than stream garbage.
     closed_loop:
         Steer the sample count from receiver feedback (AIMD, below).  Off by
         default — the open-loop governor is the bit-reproducible path, and
@@ -106,11 +118,9 @@ class BitrateGovernor:
         target starts *at* the open-loop count, increases are capped there,
         and only a lossy frame can pull it down.
     aimd_increase:
-        Samples added back per clean frame (additive increase).
-    aimd_decrease:
-        Multiplicative factor applied to the target when the receiver
-        reports a lossy frame — the classic congestion-control asymmetry:
-        back off fast, probe back slowly.
+        Samples added back per clean frame (additive increase).  A lossy
+        frame multiplies the target by :attr:`AIMD_DECREASE` — the classic
+        congestion-control asymmetry: back off fast, probe back slowly.
 
     Notes
     -----
@@ -120,11 +130,13 @@ class BitrateGovernor:
     lock.
     """
 
+    #: Factor applied to the target when the receiver reports a lossy frame.
+    AIMD_DECREASE: ClassVar[float] = 0.5
+
     bits_per_frame: int | None = None
     min_samples: int = 1
     closed_loop: bool = False
     aimd_increase: int = 32
-    aimd_decrease: float = 0.5
     #: Receiver reports processed (both kinds) — observability counters.
     n_feedback: int = field(default=0, init=False)
     n_loss_events: int = field(default=0, init=False)
@@ -132,16 +144,13 @@ class BitrateGovernor:
     rate_trace: list[int] = field(default_factory=list, init=False)
     _target: int | None = field(default=None, init=False, repr=False)
     _ceiling: int | None = field(default=None, init=False, repr=False)
+    _floor: int = field(default=1, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.bits_per_frame is not None:
             check_positive("bits_per_frame", self.bits_per_frame)
         check_positive("min_samples", self.min_samples)
         check_positive("aimd_increase", self.aimd_increase)
-        if not 0.0 < self.aimd_decrease < 1.0:
-            raise ValueError(
-                f"aimd_decrease must be in (0, 1), got {self.aimd_decrease}"
-            )
 
     # ----------------------------------------------------- feedback (AIMD)
     def on_feedback(self, ack: ControlAck) -> None:
@@ -149,16 +158,14 @@ class BitrateGovernor:
 
         A clean frame earns ``aimd_increase`` samples back, never beyond the
         open-loop ceiling; a lossy frame multiplies the target by
-        ``aimd_decrease``, never below ``min_samples``.
+        :attr:`AIMD_DECREASE`, never below the frame's ``min_samples`` floor.
         """
         self.n_feedback += 1
         if not self.closed_loop or self._target is None:
             return
         if ack.n_samples_received < ack.n_samples_expected:
             self.n_loss_events += 1
-            self._target = max(
-                self.min_samples, int(self._target * self.aimd_decrease)
-            )
+            self._target = max(self._floor, int(self._target * self.AIMD_DECREASE))
         else:
             ceiling = self._ceiling if self._ceiling is not None else self._target
             self._target = min(ceiling, self._target + self.aimd_increase)
@@ -173,7 +180,7 @@ class BitrateGovernor:
         self.n_feedback += 1
         if not self.closed_loop or self._target is None:
             return
-        advised = max(self.min_samples, int(advice.advised_samples))
+        advised = max(self._floor, int(advice.advised_samples))
         if advised < self._target:
             self._target = advised
             self.rate_trace.append(self._target)
@@ -183,31 +190,65 @@ class BitrateGovernor:
         config: SensorConfig,
         *,
         max_samples: int | None = None,
+        n_tiles: int = 1,
         include_seed: bool = True,
+        segments: int = 1,
+        parity: bool = False,
+        barrier: bool = False,
     ) -> int:
-        """Samples that fit the budget after the frame overhead is charged.
+        """Samples of one frame, summed over its tiles, that fit the budget.
 
-        ``include_seed=False`` models a non-keyframe of a GOP, whose seed
-        bits the channel never pays — the governor then fits more samples
-        into the same budget.
+        ``config`` is the largest tile's sensor and ``max_samples`` (default
+        ``n_tiles`` times its budget) the open-loop count.  The frame pays
+        what the node sends: per tile one ``FRAME_DATA`` chunk or
+        ``segments`` ``FRAME_SEGMENT`` chunks, each with its own copy of the
+        frame prefix and byte-aligned samples, and the ``parity`` chunk;
+        then the ``FRAME_COMPLETE`` ``barrier``.  ``include_seed=False``
+        models a GOP's non-keyframe, whose seed bits the channel never pays.
         """
         if max_samples is None:
-            max_samples = config.samples_per_frame
+            max_samples = n_tiles * config.samples_per_frame
+        floor = self.min_samples * n_tiles
         if self.bits_per_frame is None:
-            return self._governed(int(max_samples))
-        overhead = CHUNK_OVERHEAD_BITS + frame_overhead_bits(
+            return self._governed(int(max_samples), floor)
+        sample_bits = config.compressed_sample_bits
+        data_type = (
+            ChunkType.FRAME_SEGMENT if segments > 1 or parity else ChunkType.FRAME_DATA
+        )
+        # Every sample-carrying payload's fixed fields, its copy of the frame
+        # prefix and the alignment of its last sample byte.
+        payload_bits = 8 * PAYLOAD_LAYOUTS[data_type].fixed.size + frame_overhead_bits(
             config, version=2, include_seed=include_seed
         )
-        usable = self.bits_per_frame - overhead
-        n_samples = min(int(max_samples), usable // config.compressed_sample_bits)
-        if n_samples < self.min_samples:
+        tile_bits = segments * (8 * _CHUNK_HEADER.size + payload_bits)
+        if parity:
+            # The XOR body is as long as the longest segment payload.
+            tile_bits += (
+                _chunk_bits(ChunkType.FRAME_PARITY)
+                + 8 * segments * _PARITY_LENGTH.size
+                + payload_bits
+            )
+        usable = self.bits_per_frame - n_tiles * tile_bits
+        if barrier:
+            usable -= _chunk_bits(ChunkType.FRAME_COMPLETE)
+        if parity:
+            # Each tile's parity copies its longest segment's samples, at
+            # most ceil(n / segments) of the tile's n.
+            n_samples = (usable * segments - sample_bits * n_tiles * (segments - 1)) // (
+                sample_bits * (segments + 1)
+            )
+        else:
+            n_samples = usable // sample_bits
+        n_samples = min(int(max_samples), n_samples)
+        if n_samples < floor:
             raise ChannelBudgetError(
                 f"budget of {self.bits_per_frame} bits leaves room for "
-                f"{max(0, n_samples)} samples (< min_samples={self.min_samples})"
+                f"{max(0, n_samples)} samples over {n_tiles} tile(s) "
+                f"(< min_samples={self.min_samples} per tile)"
             )
-        return self._governed(int(n_samples))
+        return self._governed(n_samples, floor)
 
-    def _governed(self, base: int) -> int:
+    def _governed(self, base: int, floor: int) -> int:
         """Apply the closed-loop target on top of the open-loop count."""
         if not self.closed_loop:
             return base
@@ -216,40 +257,8 @@ class BitrateGovernor:
         # The open-loop count is the ceiling the additive increase probes
         # back towards — feedback can only ever *lower* the rate.
         self._ceiling = base
-        return max(self.min_samples, min(base, self._target))
-
-    def ratio_for_frame(
-        self,
-        config: SensorConfig,
-        n_pixels: int,
-        *,
-        n_tiles: int = 1,
-        include_seed: bool = True,
-    ) -> float | None:
-        """Per-tile compression-ratio override fitting a tiled frame's budget.
-
-        A mosaic frame pays the per-frame overhead once per tile; the
-        remaining bits spread over ``n_pixels`` scene pixels give the ratio
-        handed to :meth:`TiledSensorArray.capture
-        <repro.sensor.shard.TiledSensorArray.capture>`.  Returns ``None``
-        when ungoverned.
-        """
-        if self.bits_per_frame is None:
-            return None
-        overhead = n_tiles * (
-            CHUNK_OVERHEAD_BITS
-            + frame_overhead_bits(config, version=2, include_seed=include_seed)
-        )
-        usable = self.bits_per_frame - overhead
-        n_samples = usable // config.compressed_sample_bits
-        if n_samples < self.min_samples * n_tiles:
-            raise ChannelBudgetError(
-                f"budget of {self.bits_per_frame} bits leaves room for "
-                f"{max(0, n_samples)} samples over {n_tiles} tiles"
-            )
-        # A generous budget never *upgrades* the capture beyond its
-        # configured ratio — the budget is a ceiling, not a target.
-        return min(0.999, config.compression_ratio, float(n_samples) / float(n_pixels))
+        self._floor = floor
+        return max(floor, min(base, self._target))
 
 
 @dataclass
@@ -276,7 +285,6 @@ class _RetransmitEntry:
     sequence: int
     frame_index: int | None
     encoded: bytes
-    sent_at: float
 
 
 class RetransmitBuffer:
@@ -285,58 +293,37 @@ class RetransmitBuffer:
     The node answers a ``CONTROL_NACK`` by re-sending the buffered bytes
     *verbatim* — original sequence numbers and all — so the session's
     reorder/duplicate handling absorbs them without any special casing.
-    Entries leave the window three ways:
+    Entries leave the window two ways:
 
     * **ACK** — a ``CONTROL_ACK`` for frame *f* means every chunk of frames
       ``<= f`` settled at the receiver; :meth:`evict_acked` drops them.
-    * **age** — entries older than ``max_age`` (by the injected clock's
-      seconds) are useless for repair and are dropped lazily.
     * **capacity** — the window never holds more than ``capacity`` entries;
       inserting past that evicts the oldest (sequences only grow, so oldest
       is first-inserted).
     """
 
-    def __init__(self, capacity: int, *, max_age: float | None = None) -> None:
+    def __init__(self, capacity: int) -> None:
         check_positive("capacity", capacity)
-        if max_age is not None:
-            check_positive("max_age", max_age)
         self.capacity = int(capacity)
-        self.max_age = max_age
         self._entries: dict[int, _RetransmitEntry] = {}
         self.n_evicted_capacity = 0
         self.n_evicted_acked = 0
-        self.n_evicted_aged = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def add(
-        self,
-        sequence: int,
-        encoded: bytes,
-        *,
-        frame_index: int | None,
-        now: float,
-    ) -> None:
+    def add(self, sequence: int, encoded: bytes, *, frame_index: int | None) -> None:
         """Record a chunk as it goes on the wire (call *before* the send)."""
-        self.evict_aged(now)
         self._entries[sequence] = _RetransmitEntry(
-            sequence=sequence, frame_index=frame_index, encoded=encoded, sent_at=now
+            sequence=sequence, frame_index=frame_index, encoded=encoded
         )
         while len(self._entries) > self.capacity:
             self._entries.pop(next(iter(self._entries)))
             self.n_evicted_capacity += 1
 
-    def get(self, sequence: int, *, now: float) -> _RetransmitEntry | None:
-        """Look up a sequence for repair; an over-age entry counts as gone."""
-        entry = self._entries.get(sequence)
-        if entry is None:
-            return None
-        if self.max_age is not None and now - entry.sent_at > self.max_age:
-            self._entries.pop(sequence)
-            self.n_evicted_aged += 1
-            return None
-        return entry
+    def get(self, sequence: int) -> _RetransmitEntry | None:
+        """Look up a sequence for repair; ``None`` once it left the window."""
+        return self._entries.get(sequence)
 
     def evict_acked(self, frame_index: int) -> int:
         """Drop every buffered chunk belonging to frames ``<= frame_index``."""
@@ -348,20 +335,6 @@ class RetransmitBuffer:
         for sequence in stale:
             self._entries.pop(sequence)
         self.n_evicted_acked += len(stale)
-        return len(stale)
-
-    def evict_aged(self, now: float) -> int:
-        """Drop entries older than ``max_age`` (no-op when age-unbounded)."""
-        if self.max_age is None:
-            return 0
-        stale = [
-            sequence
-            for sequence, entry in self._entries.items()
-            if now - entry.sent_at > self.max_age
-        ]
-        for sequence in stale:
-            self._entries.pop(sequence)
-        self.n_evicted_aged += len(stale)
         return len(stale)
 
     def pending(self) -> list[_RetransmitEntry]:
@@ -521,11 +494,8 @@ class CameraNode:
         Keep up to this many recently sent chunks in a
         :class:`RetransmitBuffer` for NACK-driven selective repeat and
         resume replay.  ``0`` (default) disables retransmission entirely —
-        the legacy fire-and-forget path.
-    retransmit_max_age:
-        Age bound (seconds on the node's clock) after which buffered chunks
-        stop being eligible for repair; ``None`` keeps them until ACK or
-        capacity eviction.
+        the legacy fire-and-forget path.  Chunks leave the buffer when
+        their frame is ACKed or when capacity pushes them out.
     reconnect:
         Optional :class:`ReconnectSupervisor`.  When a send fails with an
         ``OSError`` the node reconnects through the supervisor's backoff
@@ -555,7 +525,6 @@ class CameraNode:
         parity: bool = False,
         feedback: bool = False,
         retransmit_capacity: int = 0,
-        retransmit_max_age: float | None = None,
         reconnect: ReconnectSupervisor | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
@@ -591,13 +560,8 @@ class CameraNode:
         self.n_resumes = 0
         self.n_resume_retransmits = 0
         self.telemetry = telemetry
-        self._clock: Clock = (
-            telemetry.clock if telemetry is not None else MONOTONIC_CLOCK
-        )
         self._retransmit: RetransmitBuffer | None = (
-            RetransmitBuffer(retransmit_capacity, max_age=retransmit_max_age)
-            if retransmit_capacity
-            else None
+            RetransmitBuffer(retransmit_capacity) if retransmit_capacity else None
         )
         self._sequence = 0
         self._last_frame_index = 0
@@ -626,6 +590,36 @@ class CameraNode:
     def _segmented(self) -> bool:
         """True when frames ride the segment/parity framing."""
         return self.segments_per_frame > 1 or self.parity
+
+    def _barriers(self, header: StreamHeader) -> bool:
+        """True when a ``FRAME_COMPLETE`` barrier closes every frame."""
+        return header.tiled or self._segmented
+
+    def _samples_per_gop(
+        self, header: StreamHeader, config: SensorConfig, max_samples: int
+    ) -> Callable[[int], int]:
+        """Frame index → the governor's sample count for the frame's GOP.
+
+        The governor is asked once per GOP: seed re-derivation needs every
+        chained frame's advance announced in its header, and the keyframe's
+        count must also fit its seed bits.  The GOP boundary is where
+        closed-loop rate changes land.  ``config`` is the largest tile's
+        sensor and ``max_samples`` the frame's own budget.
+        """
+        grid = tile_grid(header.scene_shape, header.tile_shape)
+
+        @functools.lru_cache(maxsize=1)
+        def gop_samples(gop: int) -> int:
+            return self.governor.samples_for_frame(
+                config,
+                max_samples=max_samples,
+                n_tiles=len(grid) * len(grid[0]),
+                segments=self.segments_per_frame,
+                parity=self.parity,
+                barrier=self._barriers(header),
+            )
+
+        return lambda frame_index: gop_samples(frame_index // header.gop_size)
 
     async def _run(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Run blocking capture work on the worker executor."""
@@ -678,8 +672,8 @@ class CameraNode:
 
         Repairs go out verbatim under their *original* sequence numbers —
         the session reclaims them from its missing set exactly like
-        late-arriving reordered chunks.  Sequences already evicted (ACKed,
-        aged out, capacity-pushed) are counted as misses and skipped; the
+        late-arriving reordered chunks.  Sequences already evicted (ACKed or
+        capacity-pushed) are counted as misses and skipped; the
         receiver's deadline salvage covers whatever repair cannot.  A send
         failure here is swallowed: the forward path will hit the same broken
         transport and drive the resume flow itself.
@@ -689,7 +683,7 @@ class CameraNode:
             return
         answered = 0
         for sequence in request.sequences:
-            entry = self._retransmit.get(sequence, now=self._clock.now())
+            entry = self._retransmit.get(sequence)
             if entry is None:
                 self.n_nack_misses += 1
                 continue
@@ -728,9 +722,7 @@ class CameraNode:
         if frame_index is not None:
             self._last_frame_index = frame_index
         if self._retransmit is not None:
-            self._retransmit.add(
-                chunk.sequence, data, frame_index=frame_index, now=self._clock.now()
-            )
+            self._retransmit.add(chunk.sequence, data, frame_index=frame_index)
         try:
             await self.transport.send(data)
         except OSError:
@@ -882,7 +874,7 @@ class CameraNode:
         try:
             grid = tile_grid(header.scene_shape, header.tile_shape)
             n_tiles = len(grid) * len(grid[0])
-            barriers = header.tiled or self._segmented
+            barriers = self._barriers(header)
             chunks_per_tile = self.segments_per_frame + (1 if self.parity else 0)
             if barriers and n_tiles * chunks_per_tile > 0xFFFF:
                 raise ValueError(
@@ -963,24 +955,25 @@ class CameraNode:
         Each scene is captured via
         :meth:`~repro.sensor.imager.CompressiveImager.capture_scene` on the
         worker executor, encoded as a self-contained v2 frame (seed included)
-        and sent.  The governor, when budgeted, fits each frame's sample
-        count to the channel.
+        and sent.  Every frame is its own GOP, so the governor fits each
+        frame's sample count to the channel.
         """
         config = imager.config
-
-        def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
-            for scene in scenes:
-                n_samples = self.governor.samples_for_frame(config)
-                yield 0, 0, imager.capture_scene(
-                    scene, n_samples=n_samples, fidelity=fidelity, **capture_kwargs
-                )
-
         header = StreamHeader(
             kind="frame",
             scene_shape=(config.rows, config.cols),
             tile_shape=(config.rows, config.cols),
             gop_size=1,
         )
+        samples_for = self._samples_per_gop(header, config, config.samples_per_frame)
+
+        def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
+            for frame_index, scene in enumerate(scenes):
+                n_samples = samples_for(frame_index)
+                yield 0, 0, imager.capture_scene(
+                    scene, n_samples=n_samples, fidelity=fidelity, **capture_kwargs
+                )
+
         return await self._stream(header, captures())
 
     # --------------------------------------------------------------- video
@@ -1002,23 +995,13 @@ class CameraNode:
         (:func:`repro.stream.protocol.advance_seed_state`).
         """
         config = sequencer.imager.config
-        # The governor must fix one sample count per GOP: seed re-derivation
-        # needs every chained frame's advance to be announced in its header,
-        # and a keyframe budget must also fit its seed bits.  Re-asking the
-        # governor at each GOP boundary is where closed-loop rate changes
-        # land; the open-loop governor returns the same count every time, so
-        # this stays byte-identical to fixing the count up front.
-        gop_samples: dict[int, int] = {}
-
-        def samples_for(index: int) -> int:
-            gop = index // self.gop_size
-            if gop not in gop_samples:
-                gop_samples[gop] = self.governor.samples_for_frame(
-                    config,
-                    max_samples=sequencer.samples_per_frame,
-                    include_seed=True,
-                )
-            return gop_samples[gop]
+        header = StreamHeader(
+            kind="video",
+            scene_shape=(config.rows, config.cols),
+            tile_shape=(config.rows, config.cols),
+            gop_size=self.gop_size,
+        )
+        samples_for = self._samples_per_gop(header, config, sequencer.samples_per_frame)
 
         def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
             for frame in sequencer.stream_frames(
@@ -1026,12 +1009,6 @@ class CameraNode:
             ):
                 yield 0, 0, frame
 
-        header = StreamHeader(
-            kind="video",
-            scene_shape=(config.rows, config.cols),
-            tile_shape=(config.rows, config.cols),
-            gop_size=self.gop_size,
-        )
         return await self._stream(header, captures())
 
     # --------------------------------------------------------------- tiled
@@ -1051,22 +1028,23 @@ class CameraNode:
         capturing the rest of the mosaic.  Every tile is self-contained
         (own seed); a ``FRAME_COMPLETE`` barrier closes the frame.
         """
-
-        def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
-            for slot, frame in array.iter_capture(
-                photocurrent,
-                fidelity=fidelity,
-                compression_ratio=self._tiled_ratio(array),
-                **capture_kwargs,
-            ):
-                yield slot.grid_row, slot.grid_col, frame
-
         header = StreamHeader(
             kind="tiled",
             scene_shape=array.scene_shape,
             tile_shape=array.tile_shape,
             gop_size=1,
         )
+
+        def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
+            ratio_for = self._mosaic_ratio(header, array)
+            for slot, frame in array.iter_capture(
+                photocurrent,
+                fidelity=fidelity,
+                compression_ratio=ratio_for(0),
+                **capture_kwargs,
+            ):
+                yield slot.grid_row, slot.grid_col, frame
+
         return await self._stream(header, captures())
 
     async def stream_tiled_video(
@@ -1083,43 +1061,62 @@ class CameraNode:
         Scenes are consumed in groups of ``gop_size``; each GOP is captured
         through
         :meth:`~repro.sensor.shard.TiledSensorArray.capture_sequence` with
-        ``advance=True`` (every tile's CA free-runs across GOP boundaries),
-        then emitted frame by frame: one chunk (or segment group) per tile —
-        seeds riding only on the GOP's first frame — and one
-        ``FRAME_COMPLETE`` barrier per frame.  ``photocurrents=True`` treats
-        ``scenes`` as photocurrent maps instead of normalised scenes.
+        ``advance=True`` (every tile's CA free-runs across GOP boundaries)
+        at the governor's count for that GOP, then emitted frame by frame:
+        one chunk (or segment group) per tile — seeds riding only on the
+        GOP's first frame — and one ``FRAME_COMPLETE`` barrier per frame.
+        ``photocurrents=True`` treats ``scenes`` as photocurrent maps
+        instead of normalised scenes.
         """
-
-        def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
-            ratio = self._tiled_ratio(array)
-            capture = (
-                array.capture_sequence if photocurrents else array.capture_scene_sequence
-            )
-            iterator = iter(scenes)
-            while gop := list(itertools.islice(iterator, self.gop_size)):
-                results = capture(
-                    gop,
-                    fidelity=fidelity,
-                    compression_ratio=ratio,
-                    advance=True,
-                    **capture_kwargs,
-                )
-                for result in results:
-                    for slot, frame in result.delivered():
-                        yield slot.grid_row, slot.grid_col, frame
-
         header = StreamHeader(
             kind="tiled-video",
             scene_shape=array.scene_shape,
             tile_shape=array.tile_shape,
             gop_size=self.gop_size,
         )
+
+        def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
+            ratio_for = self._mosaic_ratio(header, array)
+            capture = (
+                array.capture_sequence if photocurrents else array.capture_scene_sequence
+            )
+            iterator = iter(scenes)
+            frame_index = 0
+            while gop := list(itertools.islice(iterator, self.gop_size)):
+                results = capture(
+                    gop,
+                    fidelity=fidelity,
+                    compression_ratio=ratio_for(frame_index),
+                    advance=True,
+                    **capture_kwargs,
+                )
+                frame_index += len(gop)
+                for result in results:
+                    for slot, frame in result.delivered():
+                        yield slot.grid_row, slot.grid_col, frame
+
         return await self._stream(header, captures())
 
-    def _tiled_ratio(self, array: TiledSensorArray) -> float | None:
-        """The governor's per-tile compression ratio for one mosaic frame."""
-        return self.governor.ratio_for_frame(
-            array.imagers[0][0].config,
-            array.scene_shape[0] * array.scene_shape[1],
-            n_tiles=array.n_tiles,
-        )
+    def _mosaic_ratio(
+        self, header: StreamHeader, array: TiledSensorArray
+    ) -> Callable[[int], float | None]:
+        """Frame index → the per-tile compression-ratio override of its GOP.
+
+        ``None`` when the governor's count is the array's own budget, so an
+        ungoverned mosaic captures as configured.  Each tile rounds ratio x
+        pixels, gaining at most half a sample, so the ratio gives up half a
+        sample per tile less a hair: the tiles never sum past the count, and
+        equal tiles get ``count // n_tiles`` each.
+        """
+        slots = [slot for slot_row in array.slots for slot in slot_row]
+        own_budget = sum(map(array.samples_per_tile, slots))
+        samples_for = self._samples_per_gop(header, array.imagers[0][0].config, own_budget)
+        n_pixels = sum(slot.n_pixels for slot in slots)
+
+        def ratio_for(frame_index: int) -> float | None:
+            n_samples = samples_for(frame_index)
+            if n_samples == own_budget:
+                return None
+            return (n_samples - len(slots) / 2 + 1e-3) / n_pixels
+
+        return ratio_for

@@ -21,6 +21,7 @@ import pytest
 from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
+from repro.sensor.shard import TiledCaptureResult, TiledSensorArray
 from repro.sensor.video import VideoSequencer
 from repro.stream.fault import LossyTransport
 from repro.stream.hub import ReceiverHub
@@ -72,6 +73,27 @@ def _sequencer(seed=7, samples=50):
 
 def _scenes(n, shape=(16, 16), seed=0):
     return [make_scene("blobs", shape, seed=seed + index) for index in range(n)]
+
+
+def _mosaic():
+    """A 32x32 four-tile mosaic delivering 51 samples per 16x16 tile."""
+    return TiledSensorArray(
+        (32, 32), tile_shape=(16, 16), compression_ratio=0.2, max_workers=1, seed=5
+    )
+
+
+def _stream_kind(node, kind, n_frames):
+    """The node's video stream of ``kind``: one chip or the four-tile mosaic."""
+    if kind == "video":
+        return node.stream_video(_sequencer(), _scenes(n_frames))
+    return node.stream_tiled_video(_mosaic(), _scenes(n_frames, (32, 32)))
+
+
+def _tile_frames(capture):
+    """A received capture's per-tile frames (a chip is its own one tile)."""
+    if isinstance(capture, TiledCaptureResult):
+        return [frame for _, frame in capture.delivered()]
+    return [capture]
 
 
 async def _record_video_chunks(
@@ -490,7 +512,7 @@ class TestClosedLoopRateControl:
 
     def test_aimd_backs_off_multiplicatively_and_probes_back_additively(self):
         governor = BitrateGovernor(
-            closed_loop=True, aimd_increase=4, aimd_decrease=0.5, min_samples=8
+            closed_loop=True, aimd_increase=4, min_samples=8
         )
         assert governor.samples_for_frame(CONFIG, max_samples=40) == 40
 
@@ -525,9 +547,7 @@ class TestClosedLoopRateControl:
         assert governor.samples_for_frame(CONFIG, max_samples=40) == 12
 
     def test_unknown_expectation_acks_count_as_loss(self):
-        governor = BitrateGovernor(
-            closed_loop=True, aimd_decrease=0.5, min_samples=8
-        )
+        governor = BitrateGovernor(closed_loop=True, min_samples=8)
         governor.samples_for_frame(CONFIG, max_samples=40)
         # A fully-lost frame the receiver could not even size must pull the
         # rate down, not read as "clean" vacuously.
@@ -545,7 +565,6 @@ class TestClosedLoopRateControl:
             governor = BitrateGovernor(
                 closed_loop=True,
                 aimd_increase=4,
-                aimd_decrease=0.5,
                 min_samples=8,
             )
             node = CameraNode(
@@ -576,7 +595,33 @@ class TestClosedLoopRateControl:
         assert min(stats.samples_per_frame) >= 8
         assert result.n_frames == 12
 
-    def test_zero_loss_closed_loop_is_byte_identical_to_open_loop(self):
+    def test_closed_loop_governs_a_mosaic_per_gop(self):
+        async def scenario():
+            node_end, receiver_end = loopback_duplex_pair(max_buffered=4)
+            lossy = LossyTransport(node_end, seed=5, drop_rate=0.2)
+            governor = BitrateGovernor(closed_loop=True, aimd_increase=4, min_samples=8)
+            node = CameraNode(lossy, governor=governor, gop_size=2, feedback=True)
+            receiver = StreamReceiver(
+                reconstruct=False, resilient=True, feedback=True
+            )
+            send_task = asyncio.create_task(_stream_kind(node, "tiled-video", 12))
+            await receiver.run(receiver_end)
+            stats = await send_task
+            return lossy, governor, stats
+
+        lossy, governor, stats = run(scenario())
+        assert lossy.dropped
+        assert governor.n_loss_events > 0
+        counts = stats.samples_per_frame
+        assert len(counts) == 12
+        # Some GOP streamed below the open-loop 4 x 51 samples, none below
+        # the four tiles' floor, and every GOP kept one count.
+        assert min(counts) < 4 * 51
+        assert min(counts) >= 4 * 8
+        assert counts[0::2] == counts[1::2]
+
+    @pytest.mark.parametrize("kind", ["video", "tiled-video"])
+    def test_zero_loss_closed_loop_is_byte_identical_to_open_loop(self, kind):
         kwargs = dict(max_iterations=8)
 
         async def closed():
@@ -584,9 +629,7 @@ class TestClosedLoopRateControl:
             governor = BitrateGovernor(closed_loop=True, min_samples=8)
             node = CameraNode(node_end, governor=governor, gop_size=4, feedback=True)
             receiver = StreamReceiver(resilient=True, feedback=True, **kwargs)
-            send_task = asyncio.create_task(
-                node.stream_video(_sequencer(), _scenes(8))
-            )
+            send_task = asyncio.create_task(_stream_kind(node, kind, 8))
             result = await receiver.run(receiver_end)
             stats = await send_task
             return governor, result, stats
@@ -595,9 +638,7 @@ class TestClosedLoopRateControl:
             transport = LoopbackTransport(max_buffered=64)
             node = CameraNode(transport, gop_size=4)
             receiver = StreamReceiver(**kwargs)
-            send_task = asyncio.create_task(
-                node.stream_video(_sequencer(), _scenes(8))
-            )
+            send_task = asyncio.create_task(_stream_kind(node, kind, 8))
             result = await receiver.run(transport)
             stats = await send_task
             return result, stats
@@ -612,12 +653,12 @@ class TestClosedLoopRateControl:
         for closed_frame, open_frame in zip(
             closed_result.frames, open_result.frames
         ):
-            assert np.array_equal(
-                closed_frame.capture.samples, open_frame.capture.samples
-            )
-            assert np.array_equal(
-                closed_frame.capture.seed_state, open_frame.capture.seed_state
-            )
+            closed_tiles = _tile_frames(closed_frame.capture)
+            open_tiles = _tile_frames(open_frame.capture)
+            assert len(closed_tiles) == len(open_tiles)
+            for closed_tile, open_tile in zip(closed_tiles, open_tiles):
+                assert np.array_equal(closed_tile.samples, open_tile.samples)
+                assert np.array_equal(closed_tile.seed_state, open_tile.seed_state)
             assert (
                 closed_frame.reconstruction.image.tobytes()
                 == open_frame.reconstruction.image.tobytes()

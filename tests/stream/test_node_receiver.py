@@ -48,7 +48,10 @@ class TestBitrateGovernor:
     def test_ungoverned_passes_the_configured_budget(self):
         governor = BitrateGovernor()
         assert governor.samples_for_frame(CONFIG) == CONFIG.samples_per_frame
-        assert governor.ratio_for_frame(CONFIG, CONFIG.n_pixels) is None
+        assert (
+            governor.samples_for_frame(CONFIG, n_tiles=16)
+            == 16 * CONFIG.samples_per_frame
+        )
 
     def test_budget_fits_samples_after_overhead(self):
         budget = 2000  # tight enough that the governor actually degrades
@@ -72,17 +75,67 @@ class TestBitrateGovernor:
 
     def test_tiled_ratio_respects_budget(self):
         governor = BitrateGovernor(bits_per_frame=30000)
-        ratio = governor.ratio_for_frame(CONFIG, 64 * 64, n_tiles=16)
-        assert 0.0 < ratio < 1.0
-        total_sample_bits = ratio * 64 * 64 * CONFIG.compressed_sample_bits
+        n_samples = governor.samples_for_frame(CONFIG, n_tiles=16)
+        assert 0 < n_samples < 16 * CONFIG.samples_per_frame
+        total_sample_bits = n_samples * CONFIG.compressed_sample_bits
         overhead = 16 * (CHUNK_OVERHEAD_BITS + frame_overhead_bits(CONFIG, version=2))
         assert total_sample_bits + overhead <= 30000 + CONFIG.compressed_sample_bits
 
     def test_tiled_impossible_budget_raises(self):
         with pytest.raises(ChannelBudgetError):
-            BitrateGovernor(bits_per_frame=500).ratio_for_frame(
-                CONFIG, 64 * 64, n_tiles=16
+            BitrateGovernor(bits_per_frame=500).samples_for_frame(CONFIG, n_tiles=16)
+
+
+class TestBudgetFitsEveryFraming:
+    """A governed frame fits its budget however the node frames it.
+
+    Each budget binds (the frame streams below its open-loop count) yet
+    leaves room for at least one sample per tile under that framing.
+    """
+
+    FRAMINGS = [
+        pytest.param(1, False, 1800, 7000, id="1-segment"),
+        pytest.param(4, False, 4500, 16000, id="4-segments"),
+        pytest.param(4, True, 6000, 21000, id="4-segments-parity"),
+    ]
+
+    @staticmethod
+    def _stream(kind, node):
+        if kind == "video":
+            sequencer = VideoSequencer(CompressiveImager(CONFIG, seed=7), seed=7)
+            scenes = [make_scene("blobs", (16, 16), seed=i) for i in range(4)]
+            return sequencer.samples_per_frame, node.stream_video(sequencer, scenes)
+        from repro.sensor.shard import TiledSensorArray
+
+        array = TiledSensorArray(
+            (32, 32), tile_shape=(16, 16), compression_ratio=0.3, max_workers=1, seed=5
+        )
+        scenes = [make_scene("blobs", (32, 32), seed=i) for i in range(4)]
+        return 4 * 77, node.stream_tiled_video(array, scenes)
+
+    @pytest.mark.parametrize("kind", ["video", "tiled-video"])
+    @pytest.mark.parametrize("segments, parity, video_budget, tiled_budget", FRAMINGS)
+    def test_frame_bytes_fit_the_budget(
+        self, kind, segments, parity, video_budget, tiled_budget
+    ):
+        budget = video_budget if kind == "video" else tiled_budget
+
+        async def scenario(transport):
+            node = CameraNode(
+                transport,
+                governor=BitrateGovernor(bits_per_frame=budget),
+                gop_size=2,
+                segments_per_frame=segments,
+                parity=parity,
             )
+            open_loop, stream = self._stream(kind, node)
+            return open_loop, await stream
+
+        result, (open_loop, stats) = run(_stream_and_receive(scenario))
+        assert result.n_frames == stats.n_frames == 4
+        for frame_bytes in stats.bytes_per_frame:
+            assert frame_bytes * 8 <= budget
+        assert max(stats.samples_per_frame) < open_loop
 
 
 class TestSingleSensorStream:

@@ -4,7 +4,7 @@ The session-durability layer of PR 10, pinned at every level:
 
 * **unit** — the :class:`~repro.stream.node.RetransmitBuffer` window
   discipline and the :class:`~repro.stream.node.ReconnectSupervisor`
-  backoff schedule, both to exact numbers under a
+  backoff schedule, both to exact numbers, the schedule under a
   :class:`~repro.telemetry.ManualClock` (no wall-clock sleeps anywhere in
   this file);
 * **session** — NACK-at-barrier deferral, repair-completes-whole, grace
@@ -182,49 +182,32 @@ class TestRetransmitBuffer:
     def test_capacity_evicts_oldest_first(self):
         buffer = RetransmitBuffer(3)
         for sequence in range(5):
-            buffer.add(sequence, bytes([sequence]), frame_index=0, now=0.0)
+            buffer.add(sequence, bytes([sequence]), frame_index=0)
         assert len(buffer) == 3
         assert buffer.n_evicted_capacity == 2
         assert [entry.sequence for entry in buffer.pending()] == [2, 3, 4]
-        assert buffer.get(0, now=0.0) is None
-        assert buffer.get(4, now=0.0).encoded == b"\x04"
+        assert buffer.get(0) is None
+        assert buffer.get(4).encoded == b"\x04"
 
     def test_ack_evicts_whole_frames_but_not_frameless_chunks(self):
         buffer = RetransmitBuffer(10)
-        buffer.add(0, b"h", frame_index=None, now=0.0)  # header/end chunks
-        buffer.add(1, b"a", frame_index=0, now=0.0)
-        buffer.add(2, b"b", frame_index=1, now=0.0)
-        buffer.add(3, b"c", frame_index=2, now=0.0)
+        buffer.add(0, b"h", frame_index=None)  # header/end chunks
+        buffer.add(1, b"a", frame_index=0)
+        buffer.add(2, b"b", frame_index=1)
+        buffer.add(3, b"c", frame_index=2)
         assert buffer.evict_acked(1) == 2
         assert buffer.n_evicted_acked == 2
         assert [entry.sequence for entry in buffer.pending()] == [0, 3]
 
-    def test_aged_entries_vanish_on_lookup(self):
-        buffer = RetransmitBuffer(10, max_age=1.0)
-        buffer.add(7, b"x", frame_index=0, now=0.0)
-        assert buffer.get(7, now=1.0) is not None  # exactly at the bound: kept
-        assert buffer.get(7, now=1.001) is None  # past it: gone
-        assert buffer.n_evicted_aged == 1
-        assert len(buffer) == 0
-
-    def test_aged_sweep_on_add(self):
-        buffer = RetransmitBuffer(10, max_age=1.0)
-        buffer.add(1, b"a", frame_index=0, now=0.0)
-        buffer.add(2, b"b", frame_index=0, now=2.0)  # sweeps the stale entry
-        assert buffer.n_evicted_aged == 1
-        assert [entry.sequence for entry in buffer.pending()] == [2]
-
     def test_clear_forgets_everything(self):
         buffer = RetransmitBuffer(4)
-        buffer.add(1, b"a", frame_index=0, now=0.0)
+        buffer.add(1, b"a", frame_index=0)
         buffer.clear()
         assert len(buffer) == 0 and buffer.pending() == []
 
     def test_zero_capacity_refused(self):
         with pytest.raises(ValueError):
             RetransmitBuffer(0)
-        with pytest.raises(ValueError):
-            RetransmitBuffer(4, max_age=0.0)
 
 
 # =========================================================================

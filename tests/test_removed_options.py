@@ -4,7 +4,9 @@ Slice 0 of a loss channel is always exempt, the burst channel always runs
 its fixed two-state model, the reconnect supervisor always retries
 ``OSError``, a TCP read is always one 64 KiB segment, a telemetry facade
 always owns its registry and an imager always draws its CA seed from its
-base seed.  Each removed keyword must be refused, not silently accepted.
+base seed.  A governor always backs off by half, and the retransmission
+buffer only evicts on ACK and capacity.  Each removed keyword must be
+refused, not silently accepted.
 """
 
 import pytest
@@ -12,7 +14,12 @@ import pytest
 import repro.stream
 from repro.sensor.imager import CompressiveImager
 from repro.stream.fault import GilbertElliottTransport, LossyTransport
-from repro.stream.node import ReconnectSupervisor
+from repro.stream.node import (
+    BitrateGovernor,
+    CameraNode,
+    ReconnectSupervisor,
+    RetransmitBuffer,
+)
 from repro.stream.transport import LoopbackTransport, TcpTransport
 from repro.telemetry import Telemetry
 
@@ -37,6 +44,14 @@ def _tcp_recv(**option):
     return TcpTransport(None, None).recv(**option)
 
 
+def _node(**option):
+    return CameraNode(LoopbackTransport(), **option)
+
+
+def _retransmit_buffer(**option):
+    return RetransmitBuffer(4, **option)
+
+
 @pytest.mark.parametrize(
     "factory, option",
     [
@@ -50,6 +65,9 @@ def _tcp_recv(**option):
         (_tcp_recv, "max_bytes"),
         (Telemetry, "registry"),
         (CompressiveImager, "ca_seed_state"),
+        (BitrateGovernor, "aimd_decrease"),
+        (_node, "retransmit_max_age"),
+        (_retransmit_buffer, "max_age"),
     ],
 )
 def test_removed_keyword_is_not_an_option(factory, option):
