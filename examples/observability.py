@@ -51,7 +51,7 @@ async def scrape(port, path="/metrics"):
 
 async def instrumented_fleet(telemetry):
     """N instrumented nodes over loopback, metrics endpoint open throughout."""
-    hub = ReceiverHub(solver="fista", max_iterations=5, telemetry=telemetry)
+    hub = ReceiverHub(max_iterations=5, telemetry=telemetry)
     await hub.serve_metrics()
 
     async def one_node(stream_id):

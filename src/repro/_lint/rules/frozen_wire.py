@@ -10,8 +10,9 @@ encoder/decoder pair (which share the constants) keeps round-tripping green.
 This rule fingerprints the wire-layout constants of
 ``repro/io/framing.py`` and ``repro/stream/protocol.py`` (an order-sensitive
 digest of their AST-extracted values) and compares against the pinned digest
-in :data:`EXPECTED_FINGERPRINTS`.  A mismatch is a finding whose fix is
-procedural, not mechanical: introduce a **new version byte** (grow
+in :data:`EXPECTED_FINGERPRINTS` (``PAYLOAD_LAYOUTS`` rows by struct name,
+field order and tail).  A mismatch is a finding whose fix is procedural,
+not mechanical: introduce a **new version byte** (grow
 ``SUPPORTED_VERSIONS`` / bump ``PROTOCOL_VERSION``) with decode support for
 the old layout, then re-pin the fingerprint here — in the same reviewed
 change.  ``python -m repro._lint --wire-fingerprint`` prints the current
@@ -58,6 +59,7 @@ PINNED_CONSTANTS: dict[str, tuple[str, ...]] = {
         "_NACK_SEQUENCE",
         "_SESSION_RESUME",
         "ChunkType",
+        "PAYLOAD_LAYOUTS",
     ),
 }
 
@@ -74,7 +76,7 @@ EXPECTED_FINGERPRINTS: dict[str, str] = {
         "c3b1418903982b0daefc30acd3a1011fb6d5c9fc655536117c9f20490dbd799b"
     ),
     "repro/stream/protocol.py": (
-        "c83d632b892072c64104cf0fd5767e31b64da3ff1ee4ae0f36f9d9cbb270d41e"
+        "5f6fc961deaf1965379e0baa017f914e0ed290539534a79f04fb8f445cf422a5"
     ),
 }
 
@@ -90,6 +92,43 @@ def _extract_value(node: ast.AST) -> object | None:
         return ast.literal_eval(node)
     except ValueError:
         return None
+
+
+def _expression(node: ast.AST) -> object:
+    """A canonical, Python-version-independent form of a schema expression."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return ("name", node.id)
+    if isinstance(node, ast.Attribute):
+        return ("attribute", _expression(node.value), node.attr)
+    if isinstance(node, ast.Call):
+        return (
+            "call",
+            _expression(node.func),
+            tuple(_expression(argument) for argument in node.args),
+            tuple((keyword.arg, _expression(keyword.value)) for keyword in node.keywords),
+        )
+    return ("unsupported", type(node).__name__)
+
+
+def _layout_rows(node: ast.AST) -> object | None:
+    """Pin every ``PayloadLayout`` row of the schema dict: chunk type, struct
+    name, field names in wire order, and the tail (kind and arguments)."""
+    if not isinstance(node, ast.Dict):
+        return None
+    rows = []
+    for key, row in zip(node.keys, node.values):
+        if key is None or not isinstance(row, ast.Call) or len(row.args) < 3:
+            return None
+        tails = [keyword.value for keyword in row.keywords if keyword.arg == "tail"]
+        tail = row.args[4] if len(row.args) > 4 else (tails[0] if tails else None)
+        names = _expression(row.args[2])
+        if not isinstance(names, str):
+            return None
+        tail_form = None if tail is None else _expression(tail)
+        rows.append((_expression(key), _expression(row.args[1]), tuple(names.split()), tail_form))
+    return tuple(rows)
 
 
 def extract_constants(tree: ast.AST, names: tuple[str, ...]) -> dict[str, object]:
@@ -116,7 +155,8 @@ def extract_constants(tree: ast.AST, names: tuple[str, ...]) -> dict[str, object
             continue
         for target in targets:
             if isinstance(target, ast.Name) and target.id in names and value is not None:
-                extracted = _extract_value(value)
+                extract = _layout_rows if target.id == "PAYLOAD_LAYOUTS" else _extract_value
+                extracted = extract(value)
                 if extracted is not None:
                     found[target.id] = extracted
     return found

@@ -132,10 +132,9 @@ def batched_proximal_gradient(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     tolerance: float = 1e-6,
     step_sizes: np.ndarray | None = None,
-    accelerated: bool = True,
     profile: SolverProfile | None = None,
 ) -> list[SolverResult]:
-    """Run FISTA (or ISTA) on every tile of a homogeneous operator stack.
+    """Run FISTA on every tile of a homogeneous operator stack.
 
     Parameters
     ----------
@@ -153,8 +152,6 @@ def batched_proximal_gradient(
         Per-tile initial gradient steps; from :func:`batched_operator_norms`
         when omitted.  Steps that fail the sufficient-decrease test shrink
         per tile, as in the solo solvers.
-    accelerated:
-        ``True`` for FISTA (Nesterov momentum), ``False`` for plain ISTA.
     profile:
         Opt-in :class:`~repro.telemetry.SolverProfile`: the LASSO objective
         and residual norm summed over all tiles and the count of tiles
@@ -166,7 +163,7 @@ def batched_proximal_gradient(
     list of SolverResult
         One result per tile, with per-tile iteration counts, convergence
         flags and residual histories — each byte-identical to the solo
-        :func:`~repro.cs.solvers.iterative.fista` / ``ista`` solve of that
+        :func:`~repro.cs.solvers.iterative.fista` solve of that
         tile with the same step.
     """
     stack = _TileStack(operators)
@@ -198,7 +195,7 @@ def batched_proximal_gradient(
         regularization=regularization,
         max_iterations=max_iterations,
         tolerance=tolerance,
-        accelerated=accelerated,
+        accelerated=True,
         step_provenance=step_provenance,
         profile=profile,
     )

@@ -4,7 +4,7 @@
 :func:`~repro.recon.pipeline.reconstruct_frame`: it shares its per-tile
 centring and default l1 weight
 (:func:`~repro.recon.pipeline.center_frame_samples`) and result packaging,
-and runs the same FISTA/ISTA loop — but over a stack of equal-shape tiles
+and runs the same FISTA loop — but over a stack of equal-shape tiles
 at once, through the stacked operators of :mod:`repro.cs.solvers.batched`,
 where each tile's GEMMs run on its own ±1 factors.  Per-tile step sizes
 come from each CA operator's closed-form norm estimate, exactly as in the
@@ -38,13 +38,11 @@ from repro.cs.solvers.batched import (
 from repro.cs.structured import FACTOR_DTYPES
 from repro.recon.operator import frame_operator
 from repro.recon.pipeline import (
-    PROXIMAL_SOLVERS,
     ReconstructionResult,
     center_frame_samples,
     frame_result,
 )
 from repro.sensor.imager import CompressedFrame
-from repro.utils.validation import check_choice
 
 
 def batch_group_key(frame: CompressedFrame) -> tuple:
@@ -81,25 +79,22 @@ def tiles_per_group(frame: CompressedFrame) -> int:
 def solve_tiles_batched(
     frames: Sequence[CompressedFrame],
     *,
-    dictionary: str = "dct",
-    solver: str = "fista",
-    regularization: float | None = None,
     max_iterations: int | None = None,
 ) -> list[ReconstructionResult]:
     """Solve equal-geometry tile frames in stacked groups.
 
     The frames are walked in groups of :func:`tiles_per_group`; each group
-    builds its operators, runs one batched proximal-gradient solve and
-    releases them before the next group starts.
+    builds its operators, runs one batched FISTA solve and releases them
+    before the next group starts.
 
     Parameters
     ----------
     frames:
         Equal-geometry frames (same :func:`batch_group_key`); callers group
         heterogeneous mosaics before calling.
-    dictionary, solver, regularization, max_iterations:
-        As in :func:`~repro.recon.pipeline.reconstruct_frame`; ``solver``
-        must be one of the proximal family (``fista``/``ista``).
+    max_iterations:
+        As in :func:`~repro.recon.pipeline.reconstruct_frame`, whose other
+        defaults (DCT dictionary, FISTA, automatic λ) every tile solves at.
 
     Returns
     -------
@@ -108,7 +103,6 @@ def solve_tiles_batched(
         per-tile path produces, including per-tile metrics against the
         frame's digital image when it was kept.
     """
-    check_choice("solver", solver, PROXIMAL_SOLVERS)
     if not frames:
         return []
     keys = {batch_group_key(frame) for frame in frames}
@@ -121,39 +115,18 @@ def solve_tiles_batched(
     size = tiles_per_group(frames[0])
     results: list[ReconstructionResult] = []
     for start in range(0, len(frames), size):
-        results.extend(
-            _solve_group(
-                frames[start : start + size],
-                dictionary=dictionary,
-                solver=solver,
-                regularization=regularization,
-                max_iterations=max_iterations,
-            )
-        )
+        results.extend(_solve_group(frames[start : start + size], max_iterations))
     return results
 
 
 def _solve_group(
-    frames: Sequence[CompressedFrame],
-    *,
-    dictionary: str,
-    solver: str,
-    regularization: float | None,
-    max_iterations: int,
+    frames: Sequence[CompressedFrame], max_iterations: int
 ) -> list[ReconstructionResult]:
     """One stacked solve; its operators are freed when it returns."""
-    built = [
-        frame_operator(
-            frame,
-            dictionary=dictionary,
-            center=True,
-            operator="structured",
-        )
-        for frame in frames
-    ]
+    built = [frame_operator(frame) for frame in frames]
     operators = [operator for operator, _ in built]
     centered, pixel_means, regularizations = zip(*(
-        center_frame_samples(operator, density, frame.samples.astype(float), regularization)
+        center_frame_samples(operator, density, frame.samples.astype(float), None)
         for (operator, density), frame in zip(built, frames)
     ))
 
@@ -164,12 +137,11 @@ def _solve_group(
         regularization=np.array(regularizations),
         max_iterations=max_iterations,
         step_sizes=steps_from_norms(sigmas),
-        accelerated=(solver == "fista"),
     )
     return [
         frame_result(
             frame, operator, solver_result, pixel_mean,
-            dictionary=dictionary, solver=solver,
+            dictionary="dct", solver="fista",
         )
         for frame, operator, solver_result, pixel_mean in zip(
             frames, operators, solver_results, pixel_means

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -36,10 +35,6 @@ _SOLVERS = {
     "ista": ista,
     "omp": omp,
 }
-
-#: The proximal-gradient family: the solvers the batched multi-tile engine
-#: stacks, and the only ones the tiled and streaming paths take.
-PROXIMAL_SOLVERS = ("fista", "ista")
 
 
 @dataclass
@@ -85,16 +80,16 @@ def _solve(
     max_iterations: int | None,
 ) -> SolverResult:
     check_choice("solver", solver, tuple(_SOLVERS))
-    if solver in PROXIMAL_SOLVERS:
-        return _SOLVERS[solver](
-            operator,
-            measurements,
-            regularization=regularization,
-            max_iterations=DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations,
-        )
-    if sparsity is None:
-        sparsity = max(1, operator.n_samples // 8)
-    return omp(operator, measurements, sparsity=int(sparsity), max_iterations=max_iterations)
+    if solver == "omp":
+        if sparsity is None:
+            sparsity = max(1, operator.n_samples // 8)
+        return omp(operator, measurements, sparsity=int(sparsity), max_iterations=max_iterations)
+    return _SOLVERS[solver](
+        operator,
+        measurements,
+        regularization=regularization,
+        max_iterations=DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations,
+    )
 
 
 def reconstruct_samples(
@@ -336,8 +331,6 @@ class TiledReconstructionResult:
         Row-major grid of the per-tile :class:`ReconstructionResult` objects
         (each with its own solver diagnostics, and its ``image`` a view of
         its slot in ``image``); ``None`` where a tile was missing.
-    dictionary, solver:
-        Names of the sparsifying dictionary and solver used on every tile.
     metrics:
         Scene-level quality metrics against a reference image (filled when a
         reference is supplied or the capture kept its digital images).
@@ -348,8 +341,6 @@ class TiledReconstructionResult:
 
     image: np.ndarray
     tile_results: list[list[ReconstructionResult | None]]
-    dictionary: str
-    solver: str
     metrics: dict[str, float]
     capture_metadata: dict[str, object] = field(default_factory=dict)
 
@@ -357,9 +348,6 @@ class TiledReconstructionResult:
 def reconstruct_tiled(
     capture: TiledCaptureResult,
     *,
-    dictionary: str = "dct",
-    solver: str = "fista",
-    regularization: float | None = None,
     max_iterations: int | None = None,
     reference: np.ndarray | None = None,
     sample_masks: Mapping[tuple[int, int], np.ndarray] | None = None,
@@ -379,9 +367,10 @@ def reconstruct_tiled(
         The merged tiled capture to invert.  A tile that is ``None`` (lost
         on the wire) stays zero in the image and ``None`` in
         ``tile_results``.
-    dictionary, solver, regularization, max_iterations:
-        Per-tile reconstruction options, as in :func:`reconstruct_frame`;
-        ``solver`` is one of the proximal family (``fista``/``ista``).
+    max_iterations:
+        Per-tile iteration budget, as in :func:`reconstruct_frame`; every
+        tile solves at that function's defaults otherwise (DCT dictionary,
+        FISTA, automatic λ).
     reference : numpy.ndarray, optional
         Ground-truth code image of the whole scene; when omitted, the
         stitched per-tile digital images are used if the capture kept them.
@@ -398,7 +387,7 @@ def reconstruct_tiled(
 
     Notes
     -----
-    Unmasked tiles of equal geometry are solved as stacked FISTA/ISTA
+    Unmasked tiles of equal geometry are solved as stacked FISTA
     groups through :func:`~repro.recon.batch.solve_tiles_batched`, each
     tile's GEMMs on its own structured factors; masked tiles take per-tile
     :func:`reconstruct_frame` solves.  Either way every tile's bytes equal
@@ -409,13 +398,6 @@ def reconstruct_tiled(
     """
     from repro.recon.batch import batch_group_key, solve_tiles_batched
 
-    check_choice("solver", solver, PROXIMAL_SOLVERS)
-    options: dict[str, Any] = dict(
-        dictionary=dictionary,
-        solver=solver,
-        regularization=regularization,
-        max_iterations=max_iterations,
-    )
     masks = sample_masks or {}
     results: dict[TileSlot, ReconstructionResult] = {}
     groups: dict[tuple, list[tuple[TileSlot, CompressedFrame]]] = {}
@@ -430,9 +412,13 @@ def reconstruct_tiled(
         if mask is None:
             groups.setdefault(batch_group_key(frame), []).append((slot, frame))
         else:
-            results[slot] = reconstruct_frame(frame, sample_mask=mask, **options)
+            results[slot] = reconstruct_frame(
+                frame, sample_mask=mask, max_iterations=max_iterations
+            )
     for members in groups.values():
-        solved = solve_tiles_batched([frame for _, frame in members], **options)
+        solved = solve_tiles_batched(
+            [frame for _, frame in members], max_iterations=max_iterations
+        )
         results.update(zip((slot for slot, _ in members), solved))
     image = np.zeros(capture.scene_shape, dtype=float)
     for slot, result in results.items():
@@ -448,8 +434,6 @@ def reconstruct_tiled(
     return TiledReconstructionResult(
         image=image,
         tile_results=[[results.get(slot) for slot in row] for row in capture.slots],
-        dictionary=dictionary,
-        solver=solver,
         metrics=quality_metrics(reference, image),
         capture_metadata=dict(capture.metadata),
     )

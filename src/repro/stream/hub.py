@@ -20,11 +20,12 @@ Two hub-level policies sit on top of the sessions:
   fleet (the recorded :attr:`~FairSolveScheduler.dispatch_order` lets tests
   pin this).
 * **Two-level backpressure high-watermarks** — ``per_stream_pending``
-  bounds one stream's queued-plus-running solves, ``max_pending`` bounds
-  the hub-wide total.  A full watermark suspends the *submitting* stream's
-  connection coroutine, which (through the transport's own bounded
-  buffering) stalls that camera's capture loop — while every other
-  connection keeps draining.  Nothing in the hub buffers unboundedly.
+  bounds one stream's queued-plus-running solves, mosaic or not (it is the
+  only in-flight bound a stream has), ``max_pending`` bounds the hub-wide
+  total.  A full watermark suspends the *submitting* stream's connection
+  coroutine, which (through the transport's own bounded buffering) stalls
+  that camera's capture loop — while every other connection keeps
+  draining.  Nothing in the hub buffers unboundedly.
 
 A hub serving a single node is **byte-identical** to ``StreamReceiver`` (a
 pinned test), which is the invariant that makes the fleet path trustworthy.
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Any
 
-from repro.recon.pipeline import PROXIMAL_SOLVERS
 from repro.stream.protocol import (
     ChunkDecoder,
     ChunkType,
@@ -73,7 +73,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.registry import latency_quantile_gauges
 from repro.utils.memory import release_freed_memory
-from repro.utils.validation import check_choice, check_positive
+from repro.utils.validation import check_positive
 
 
 def _keep_recent(entries: list[Any], entry: Any) -> None:
@@ -153,9 +153,9 @@ class FairSolveScheduler:
         executor via ``run_in_executor``).  This bounds hub-wide solver
         parallelism regardless of how many streams are connected.
     per_stream_pending:
-        High-watermark on one stream's queued-plus-running jobs; ``None``
-        is unbounded.  :meth:`submit` suspends the submitting stream past
-        the bound — per-stream backpressure.
+        High-watermark on one stream's queued-plus-running jobs, a positive
+        int.  :meth:`submit` suspends the submitting stream past the bound —
+        per-stream backpressure.
     max_pending:
         High-watermark on the hub-wide queued-plus-running total; ``None``
         is unbounded — global backpressure.
@@ -168,19 +168,16 @@ class FairSolveScheduler:
         self,
         *,
         slots: int = 2,
-        per_stream_pending: int | None = 2,
+        per_stream_pending: int = 2,
         max_pending: int | None = None,
         executor: Executor | None = None,
     ) -> None:
         check_positive("slots", slots)
-        if per_stream_pending is not None:
-            check_positive("per_stream_pending", per_stream_pending)
+        check_positive("per_stream_pending", per_stream_pending)
         if max_pending is not None:
             check_positive("max_pending", max_pending)
         self.slots = int(slots)
-        self.per_stream_pending = (
-            None if per_stream_pending is None else int(per_stream_pending)
-        )
+        self.per_stream_pending = int(per_stream_pending)
         self.max_pending = None if max_pending is None else int(max_pending)
         self.executor = executor
         # All scheduler state is guarded by one condition, created lazily so
@@ -210,10 +207,7 @@ class FairSolveScheduler:
         return self._pending.get(key, 0)
 
     def _has_space(self, key: int) -> bool:
-        if (
-            self.per_stream_pending is not None
-            and self._pending.get(key, 0) >= self.per_stream_pending
-        ):
+        if self._pending.get(key, 0) >= self.per_stream_pending:
             return False
         return self.max_pending is None or self._total_pending < self.max_pending
 
@@ -368,12 +362,12 @@ class ReceiverHub:
 
     Parameters
     ----------
-    reconstruct, dictionary, solver, regularization, max_iterations:
+    reconstruct, max_iterations:
         Per-session reconstruction options, exactly as on
         :class:`~repro.stream.receiver.StreamReceiver`; every session the
-        hub opens gets the same configuration.  ``solver`` must be one of
-        the proximal family (``fista``/``ista``); any other name raises
-        ``ValueError`` here, before a stream arrives.
+        hub opens gets the same configuration.  Frames solve at
+        :func:`~repro.recon.pipeline.reconstruct_frame`'s defaults (DCT,
+        FISTA, automatic λ) with ``max_iterations`` as the one option.
     executor:
         ``concurrent.futures`` executor for solver work; ``None`` uses the
         event loop's default thread pool.
@@ -428,13 +422,10 @@ class ReceiverHub:
         self,
         *,
         reconstruct: bool = True,
-        dictionary: str = "dct",
-        solver: str = "fista",
-        regularization: float | None = None,
         max_iterations: int | None = None,
         executor: Executor | None = None,
         solver_slots: int = 2,
-        per_stream_pending: int | None = 2,
+        per_stream_pending: int = 2,
         max_pending: int | None = None,
         max_streams: int | None = None,
         resilient: bool = False,
@@ -446,7 +437,6 @@ class ReceiverHub:
         max_sequence_gap: int | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        check_choice("solver", solver, PROXIMAL_SOLVERS)
         if max_streams is not None:
             check_positive("max_streams", max_streams)
         if resume_grace is not None:
@@ -467,9 +457,6 @@ class ReceiverHub:
         )
         self._session_options: dict[str, Any] = dict(
             reconstruct=reconstruct,
-            dictionary=dictionary,
-            solver=solver,
-            regularization=regularization,
             max_iterations=max_iterations,
             resilient=self.resilient,
             emit_feedback=self.feedback,

@@ -125,9 +125,8 @@ class BitrateGovernor:
     Notes
     -----
     The feedback callbacks (:meth:`on_feedback`, :meth:`on_rate_advice`) run
-    on the node's feedback task while ``samples_for_frame`` runs inside the
-    capture worker; both only read/assign small ints, so the loop needs no
-    lock.
+    on the node's feedback task and ``samples_for_frame`` in its send loop,
+    both on the event loop, so the AIMD state has one writer thread.
     """
 
     #: Factor applied to the target when the receiver reports a lossy frame.
@@ -853,13 +852,17 @@ class CameraNode:
         self,
         header: StreamHeader,
         captures: Iterator[tuple[int, int, CompressedFrame]],
+        samples_for: Callable[[int], int],
     ) -> StreamStats:
         """The one send loop every stream kind runs.
 
         ``captures`` yields ``(grid_row, grid_col, frame)`` for every tile of
         every frame, frame after frame in grid order; each pull runs on the
         worker executor, so capture work never blocks the event loop and a
-        tile is on the wire while the next one is still being captured.  A
+        tile is on the wire while the next one is still being captured.
+        The loop asks ``samples_for`` (:meth:`_samples_per_gop`) at each GOP
+        boundary, so the governor runs on the loop that applies feedback and
+        the worker's call hits the cache.  A
         frame is a grid of ≥1 tiles and a tile ships as one ``FRAME_DATA``
         chunk or a segment group; once a frame's last tile is out, a
         ``FRAME_COMPLETE`` barrier announcing the chunks the frame occupied
@@ -889,6 +892,8 @@ class CameraNode:
             tiles_sent = frame_bytes = frame_samples = 0
             frame_start_chunks = stats.n_chunks
             while True:
+                if tiles_sent == 0 and frame_index % header.gop_size == 0:
+                    samples_for(frame_index)
                 # The capture span is recorded after the fact (add_span) so
                 # the sentinel pull that ends the stream never opens a phantom
                 # frame; a mosaic's per-tile intervals merge into one envelope.
@@ -974,7 +979,7 @@ class CameraNode:
                     scene, n_samples=n_samples, fidelity=fidelity, **capture_kwargs
                 )
 
-        return await self._stream(header, captures())
+        return await self._stream(header, captures(), samples_for)
 
     # --------------------------------------------------------------- video
     async def stream_video(
@@ -1009,7 +1014,7 @@ class CameraNode:
             ):
                 yield 0, 0, frame
 
-        return await self._stream(header, captures())
+        return await self._stream(header, captures(), samples_for)
 
     # --------------------------------------------------------------- tiled
     async def stream_tiled(
@@ -1035,8 +1040,9 @@ class CameraNode:
             gop_size=1,
         )
 
+        samples_for, ratio_for = self._mosaic_ratio(header, array)
+
         def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
-            ratio_for = self._mosaic_ratio(header, array)
             for slot, frame in array.iter_capture(
                 photocurrent,
                 fidelity=fidelity,
@@ -1045,7 +1051,7 @@ class CameraNode:
             ):
                 yield slot.grid_row, slot.grid_col, frame
 
-        return await self._stream(header, captures())
+        return await self._stream(header, captures(), samples_for)
 
     async def stream_tiled_video(
         self,
@@ -1075,8 +1081,9 @@ class CameraNode:
             gop_size=self.gop_size,
         )
 
+        samples_for, ratio_for = self._mosaic_ratio(header, array)
+
         def captures() -> Iterator[tuple[int, int, CompressedFrame]]:
-            ratio_for = self._mosaic_ratio(header, array)
             capture = (
                 array.capture_sequence if photocurrents else array.capture_scene_sequence
             )
@@ -1095,28 +1102,37 @@ class CameraNode:
                     for slot, frame in result.delivered():
                         yield slot.grid_row, slot.grid_col, frame
 
-        return await self._stream(header, captures())
+        return await self._stream(header, captures(), samples_for)
 
     def _mosaic_ratio(
         self, header: StreamHeader, array: TiledSensorArray
-    ) -> Callable[[int], float | None]:
-        """Frame index → the per-tile compression-ratio override of its GOP.
+    ) -> tuple[Callable[[int], int], Callable[[int], float | None]]:
+        """The mosaic's :meth:`_samples_per_gop` and, from it, frame index →
+        the per-tile compression-ratio override of its GOP.
 
-        ``None`` when the governor's count is the array's own budget, so an
-        ungoverned mosaic captures as configured.  Each tile rounds ratio x
-        pixels, gaining at most half a sample, so the ratio gives up half a
-        sample per tile less a hair: the tiles never sum past the count, and
-        equal tiles get ``count // n_tiles`` each.
+        The override is ``None`` when the governor's count is the array's
+        own budget, so an ungoverned mosaic captures as configured.  Each
+        tile rounds ratio x pixels, gaining at most half a sample, so the
+        ratio gives up half a sample per tile less a hair: the tiles never
+        sum past the count, and equal tiles get ``count // n_tiles`` each.
         """
-        slots = [slot for slot_row in array.slots for slot in slot_row]
-        own_budget = sum(map(array.samples_per_tile, slots))
-        samples_for = self._samples_per_gop(header, array.imagers[0][0].config, own_budget)
-        n_pixels = sum(slot.n_pixels for slot in slots)
+
+        @functools.lru_cache(maxsize=1)
+        def budget() -> tuple[Callable[[int], int], int, int, int]:
+            # Read on first use: the send loop refuses a bad geometry first.
+            slots = [slot for slot_row in array.slots for slot in slot_row]
+            own_budget = sum(map(array.samples_per_tile, slots))
+            gop_samples = self._samples_per_gop(header, array.imagers[0][0].config, own_budget)
+            return gop_samples, own_budget, len(slots), sum(slot.n_pixels for slot in slots)
+
+        def samples_for(frame_index: int) -> int:
+            return budget()[0](frame_index)
 
         def ratio_for(frame_index: int) -> float | None:
+            _, own_budget, n_tiles, n_pixels = budget()
             n_samples = samples_for(frame_index)
             if n_samples == own_budget:
                 return None
-            return (n_samples - len(slots) / 2 + 1e-3) / n_pixels
+            return (n_samples - n_tiles / 2 + 1e-3) / n_pixels
 
-        return ratio_for
+        return samples_for, ratio_for

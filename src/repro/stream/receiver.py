@@ -22,7 +22,8 @@ actual protocol work lives in :class:`~repro.stream.session.StreamSession`:
   paper's central selling point exercised over an actual wire.
 
 Reconstruction runs on a worker executor so the event loop keeps draining
-the transport; with reconstruction disabled the receiver is a pure decoder
+the transport, with at most :attr:`StreamReceiver.SOLVER_SLOTS` solves
+in flight; with reconstruction disabled the receiver is a pure decoder
 (useful for benchmarks and relays).  Because the single-node path *is* the
 hub path with ``max_streams=1``, the fleet-scale
 :class:`~repro.stream.hub.ReceiverHub` inherits the byte-identity invariant
@@ -35,12 +36,10 @@ from __future__ import annotations
 import inspect
 from typing import Any
 
-from repro.recon.pipeline import PROXIMAL_SOLVERS
 from repro.stream.hub import ReceiverHub
 from repro.stream.protocol import StreamProtocolError
 from repro.stream.session import ReceivedFrame, StreamResult
 from repro.stream.transport import Transport
-from repro.utils.validation import check_choice
 
 __all__ = ["ReceivedFrame", "StreamReceiver", "StreamResult", "receive_stream"]
 
@@ -53,14 +52,12 @@ class StreamReceiver:
     ``frame_deadline``, ``telemetry``, ...), forwarded verbatim to the
     private one-stream hub each :meth:`run` builds.  The fleet options that
     hub fixes or never exercises (:attr:`FLEET_ONLY`) are refused, as is an
-    unknown name: both raise ``TypeError`` here, at construction.  A solver
-    outside the proximal family raises ``ValueError``, also here.
+    unknown name: both raise ``TypeError`` here, at construction.
     """
 
-    #: Solver slots of the private single-stream hub.  Generous on purpose:
-    #: the historical receiver never bounded its in-flight solves (the tiled
-    #: depth bound lives in the session), and a single stream needs no
-    #: cross-stream fairness.
+    #: Solver slots of the private single-stream hub and its stream's
+    #: ``per_stream_pending``: the one stream may fill every slot and no
+    #: more.
     SOLVER_SLOTS = 8
 
     #: Hub options with no meaning for one stream on a private hub: the
@@ -81,15 +78,13 @@ class StreamReceiver:
         fleet = sorted(self.FLEET_ONLY.intersection(options))
         if fleet:
             raise TypeError(f"StreamReceiver does not take the hub options {fleet}")
-        bound = inspect.signature(ReceiverHub).bind(**options)
-        bound.apply_defaults()
-        check_choice("solver", bound.arguments["solver"], PROXIMAL_SOLVERS)
+        inspect.signature(ReceiverHub).bind(**options)
         self._options = options
 
     def _new_hub(self) -> ReceiverHub:
         return ReceiverHub(
             solver_slots=self.SOLVER_SLOTS,
-            per_stream_pending=None,
+            per_stream_pending=self.SOLVER_SLOTS,
             max_pending=None,
             max_streams=1,
             **self._options,

@@ -448,11 +448,11 @@ class StreamSession:
     scheduler:
         The :class:`SolveScheduler` every reconstruction is dispatched
         through.  The session never blocks the event loop on solver work.
-    reconstruct, dictionary, solver, regularization, max_iterations:
+    reconstruct, max_iterations:
         Reconstruction options, exactly as on
         :class:`~repro.stream.receiver.StreamReceiver` (which forwards them
-        here verbatim); ``solver`` is one of the proximal family
-        (``fista``/``ista``), which the hub checks at construction.
+        here verbatim); every other solve option is
+        :func:`~repro.recon.pipeline.reconstruct_frame`'s default.
     resilient:
         The strictness policy.  A strict session (the default) raises
         :class:`StreamProtocolError` on every anomaly; a resilient one turns
@@ -496,12 +496,6 @@ class StreamSession:
         and latencies.  ``None`` (the default) uses a private disabled one.
     """
 
-    #: How many whole-frame batched solves may be in flight at once before
-    #: the drain awaits the oldest.  One is enough to overlap the
-    #: current frame's solve with the next frame's wire transfer while
-    #: keeping per-session memory bounded.
-    MAX_INFLIGHT_TILED_SOLVES = 1
-
     #: Default resync-plausibility window (see the ``max_sequence_gap``
     #: parameter): the largest forward sequence jump booked as loss rather
     #: than corruption — a jump past it is not plausible loss but a corrupt
@@ -515,9 +509,6 @@ class StreamSession:
         scheduler: SolveScheduler,
         *,
         reconstruct: bool = True,
-        dictionary: str = "dct",
-        solver: str = "fista",
-        regularization: float | None = None,
         max_iterations: int | None = None,
         resilient: bool = False,
         emit_feedback: bool = False,
@@ -529,6 +520,8 @@ class StreamSession:
         self.stream_id = int(stream_id)
         self.scheduler = scheduler
         self.reconstruct = bool(reconstruct)
+        #: The one solve option of the single-frame and the mosaic jobs.
+        self.max_iterations = None if max_iterations is None else int(max_iterations)
         self.resilient = bool(resilient)
         self.emit_feedback = bool(emit_feedback)
         self.max_sequence_gap = (
@@ -558,14 +551,6 @@ class StreamSession:
         self._latency_histogram, self._hub_latencies = frame_latency_instruments(
             registry
         )
-        # The one option set shared by the single-frame and the mosaic solve
-        # paths — the two cannot diverge in configuration.
-        self._recon_options: dict[str, Any] = dict(
-            dictionary=dictionary,
-            solver=solver,
-            regularization=regularization,
-            max_iterations=None if max_iterations is None else int(max_iterations),
-        )
         self._header: StreamHeader | None = None
         #: The frame's tile grid (1x1 for single-sensor streams).
         self._slots: list[list[TileSlot]] = []
@@ -583,10 +568,10 @@ class StreamSession:
         self._frames: dict[int, _PendingFrame] = {}
         #: Settled frames awaiting submission: ``(frame, job, first-chunk time)``.
         self._queued: deque[tuple[ReceivedFrame, Callable[[], Any], float]] = deque()
-        # (ReceivedFrame, future) pairs of submitted solves.  Single-sensor
-        # reconstructions are attached at end-of-stream (see :meth:`finish`);
-        # the drain awaits older solves before submitting a mosaic frame past
-        # MAX_INFLIGHT_TILED_SOLVES, so a stream that outruns the solver
+        # (ReceivedFrame, future) pairs of submitted solves; reconstructions
+        # are attached at end-of-stream (see :meth:`finish`).  The scheduler's
+        # per-stream watermark bounds how many are unfinished: past it,
+        # ``submit`` suspends the drain, so a stream that outruns the solver
         # cannot accumulate unbounded work.
         self._solves: list[tuple[ReceivedFrame, asyncio.Future[Any]]] = []
         #: Serialises the drain (created on first use, inside the event loop).
@@ -701,10 +686,6 @@ class StreamSession:
         async with self._drain_lock:
             while self._queued:
                 received, job, started = self._queued.popleft()
-                if isinstance(received.capture, TiledCaptureResult):
-                    while len(self._solves) >= self.MAX_INFLIGHT_TILED_SOLVES:
-                        earlier, pending = self._solves.pop(0)
-                        earlier.reconstruction = await pending
                 job = self._traced(received.frame_index, job)
                 future = await self.scheduler.submit(self.stream_id, job)
                 future.add_done_callback(
@@ -891,11 +872,14 @@ class StreamSession:
         if isinstance(capture, TiledCaptureResult):
             masks = {key: tile.mask for key, tile in decoded.items() if tile.mask is not None}
             job = functools.partial(
-                reconstruct_tiled, capture, sample_masks=masks, **self._recon_options
+                reconstruct_tiled, capture, sample_masks=masks, max_iterations=self.max_iterations
             )
         else:
             job = functools.partial(
-                reconstruct_frame, capture, sample_mask=sample_mask, **self._recon_options
+                reconstruct_frame,
+                capture,
+                sample_mask=sample_mask,
+                max_iterations=self.max_iterations,
             )
         self._queued.append((received, job, pending.started))
 

@@ -20,7 +20,7 @@ from repro.ca.selection import (
 )
 from repro.cs.dictionaries import make_dictionary
 from repro.cs.operators import SensingOperator
-from repro.cs.solvers import fista, ista
+from repro.cs.solvers import fista
 from repro.cs.solvers.batched import (
     batched_operator_norms,
     batched_proximal_gradient,
@@ -271,10 +271,8 @@ class TestBatchedSolver:
         for operator, sigma in zip(operators, sigmas):
             assert sigma == operator.operator_norm()
 
-    @pytest.mark.parametrize("accelerated", [True, False])
-    def test_batched_solve_matches_per_tile(self, accelerated):
+    def test_batched_solve_matches_per_tile(self):
         operators, measurements = self._stack()
-        solo_solver = fista if accelerated else ista
         sigmas = batched_operator_norms(operators)
         steps = 1.0 / sigmas ** 2
         batched = batched_proximal_gradient(
@@ -283,12 +281,11 @@ class TestBatchedSolver:
             regularization=0.05,
             max_iterations=60,
             step_sizes=steps,
-            accelerated=accelerated,
         )
         for operator, y, step, result in zip(
             operators, measurements, steps, batched
         ):
-            solo = solo_solver(
+            solo = fista(
                 operator,
                 y,
                 regularization=0.05,
@@ -300,19 +297,17 @@ class TestBatchedSolver:
             assert result.n_iterations == solo.n_iterations
             assert result.converged == solo.converged
 
-    @pytest.mark.parametrize("accelerated", [True, False])
-    def test_step_reductions_match_per_tile(self, accelerated):
+    def test_step_reductions_match_per_tile(self):
         # Steps 4x above 1/σ² fail the sufficient-decrease test: each tile
         # backtracks on its own row, exactly as its solo solve does.
         operators, measurements = self._stack()
-        solo_solver = fista if accelerated else ista
         steps = 4.0 / batched_operator_norms(operators) ** 2
         batched = batched_proximal_gradient(
             operators, measurements, regularization=0.05, max_iterations=40,
-            step_sizes=steps, accelerated=accelerated,
+            step_sizes=steps,
         )
         for operator, y, step, result in zip(operators, measurements, steps, batched):
-            solo = solo_solver(
+            solo = fista(
                 operator, y, regularization=0.05, max_iterations=40,
                 step_size=float(step),
             )

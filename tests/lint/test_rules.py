@@ -249,6 +249,31 @@ class TestFrozenWire:
         assert "missing" in full[0].message
         assert reduced == []
 
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            # Two fields of a row swap wire positions.
+            ('"frame_index n_chunks"', '"n_chunks frame_index"'),
+            # A checksummed tail loses its CRC.
+            (
+                'CrcTail("prefix_bytes", "sample_bytes", split="prefix_length", crc="checksum")',
+                'RawTail("sample_bytes")',
+            ),
+        ],
+        ids=["field-order", "tail-kind"],
+    )
+    def test_schema_row_edit_flagged(self, before, after):
+        import pathlib
+
+        source = pathlib.Path("src/repro/stream/protocol.py").read_text(encoding="utf-8")
+        assert source.count(before) == 1
+        full, reduced = _findings(
+            source.replace(before, after), "src/repro/stream/protocol.py", "REPRO005"
+        )
+        assert [f.rule_id for f in full] == ["REPRO005"]
+        assert "changed" in full[0].message
+        assert reduced == []
+
     def test_real_modules_match_their_pins(self):
         import pathlib
 

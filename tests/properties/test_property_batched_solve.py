@@ -3,9 +3,9 @@
 :func:`~repro.cs.solvers.batched.batched_operator_norms` and
 :func:`~repro.cs.solvers.batched.batched_proximal_gradient` take each
 tile's solo :meth:`~repro.cs.operators.BaseSensingOperator.operator_norm`
-and run the proximal-gradient loop of :func:`~repro.cs.solvers.fista` /
-:func:`~repro.cs.solvers.ista` over a stack of tiles.  Hypothesis draws the tile shape (square and not), the
-dictionary, the stack height, FISTA or ISTA, per-tile l1 weights, the
+and run the proximal-gradient loop of :func:`~repro.cs.solvers.fista`
+over a stack of tiles.  Hypothesis draws the tile shape (square and not), the
+dictionary, the stack height, per-tile l1 weights, the
 budget (one to four λ-continuation stages), a loose tolerance, so tiles of
 one stack freeze at different iterations and in different stages and the
 frozen-tile path is exercised, and whether the operators carry the CA
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ca.selection import ca_selection_factors
 from repro.cs.dictionaries import make_dictionary
-from repro.cs.solvers import fista, ista
+from repro.cs.solvers import fista
 from repro.cs.solvers.batched import batched_operator_norms, batched_proximal_gradient
 from repro.cs.structured import StructuredSensingOperator
 from repro.optics.scenes import make_scene
@@ -53,14 +53,13 @@ def tile_problem(shape, dictionary, seed, bounded=False):
     st.sampled_from(SHAPES),
     st.sampled_from(["identity", "dct", "haar"]),
     st.integers(1, 5),
-    st.booleans(),
     st.sampled_from([3e-2, 1e-2, 3e-3, 1e-3]),
     st.sampled_from([20, 60, 80, 120]),
     st.booleans(),
     st.data(),
 )
 def test_batched_solve_matches_per_tile_solves(
-    shape, dictionary, n_tiles, accelerated, tolerance, budget, bounded, data
+    shape, dictionary, n_tiles, tolerance, budget, bounded, data
 ):
     seeds = data.draw(
         st.lists(st.integers(1, 10_000), min_size=n_tiles, max_size=n_tiles, unique=True)
@@ -79,15 +78,13 @@ def test_batched_solve_matches_per_tile_solves(
         regularization=np.array(weights),
         max_iterations=budget,
         tolerance=tolerance,
-        accelerated=accelerated,
     )
-    solo_solver = fista if accelerated else ista
     for operator, samples, weight, sigma, result in zip(
         operators, measurements, weights, sigmas, batched
     ):
         solo_sigma = operator.operator_norm()
         assert sigma == solo_sigma
-        solo = solo_solver(
+        solo = fista(
             operator,
             samples,
             regularization=weight,

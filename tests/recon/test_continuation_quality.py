@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro.cs.solvers import DEFAULT_MAX_ITERATIONS
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
 from repro.recon.pipeline import reconstruct_frame
@@ -55,7 +56,13 @@ def capture(scene, seed):
     return imager.capture(current, n_samples=int(round(0.4 * rows * cols)))
 
 
+def test_the_gate_covers_twenty_frames_of_both_scene_kinds():
+    assert len(CASES) >= 20
+    assert {scene for scene, _ in CASES} == {"natural", "blobs"}
+
+
 @pytest.mark.parametrize("scene, seed", CASES)
 def test_default_budget_reaches_the_plain_200_psnr(scene, seed):
     result = reconstruct_frame(capture(scene, seed))
+    assert result.solver_result.n_iterations <= DEFAULT_MAX_ITERATIONS
     assert result.metrics["psnr_db"] >= PLAIN_200_PSNR_DB[scene][seed]

@@ -164,22 +164,6 @@ class TestSolveTilesBatched:
         with pytest.raises(ValueError, match="equal-geometry"):
             solve_tiles_batched([small, large])
 
-    def test_greedy_solver_rejected(self):
-        from repro.recon.batch import solve_tiles_batched
-
-        with pytest.raises(ValueError, match="solver"):
-            solve_tiles_batched([capture()], solver="omp")
-
-    def test_explicit_regularization_matches_per_tile(self):
-        from repro.recon.batch import solve_tiles_batched
-
-        frame = capture()
-        batched = solve_tiles_batched(
-            [frame], regularization=5.0, max_iterations=30
-        )[0]
-        solo = reconstruct_frame(frame, regularization=5.0, max_iterations=30)
-        np.testing.assert_allclose(batched.image, solo.image, atol=EQUIV_ATOL)
-
 
 class TestClosedFormSteps:
     """No CA solve runs a power iteration: every frame operator carries σ̂."""

@@ -49,14 +49,10 @@ class TestReconstructTiled:
         assert result.capture_metadata["n_tiles"] == tiled_capture.n_tiles
         assert result.capture_metadata["event_statistics"] == "modelled"
 
-    @pytest.mark.parametrize(
-        "kwargs", [{}, {"solver": "ista"}], ids=["fista", "ista"]
-    )
-    def test_batched_executor_matches_per_tile(self, tiled_capture, kwargs):
+    def test_batched_executor_matches_per_tile(self, tiled_capture):
         """``reconstruct_tiled`` is each tile's own ``reconstruct_frame``, byte for byte."""
-        kwargs = dict(kwargs, max_iterations=40)
-        tiled = reconstruct_tiled(tiled_capture, **kwargs)
-        image, per_tile = per_tile_solves(tiled_capture, **kwargs)
+        tiled = reconstruct_tiled(tiled_capture, max_iterations=40)
+        image, per_tile = per_tile_solves(tiled_capture, max_iterations=40)
         assert tiled.image.tobytes() == image.tobytes()
         tiles = [tile for row in tiled.tile_results for tile in row]
         assert len(tiles) == len(per_tile)
@@ -79,11 +75,6 @@ class TestReconstructTiled:
             assert np.shares_memory(tile.image, tiled.image)
             assert tile.image.shape == (slot.rows, slot.cols)
             assert tile.image.tobytes() == image[slot.row_slice, slot.col_slice].tobytes()
-
-    @pytest.mark.parametrize("solver", ["omp", "bogus"])
-    def test_non_proximal_solver_rejected(self, tiled_capture, solver):
-        with pytest.raises(ValueError, match="solver"):
-            reconstruct_tiled(tiled_capture, solver=solver)
 
     def test_sparsity_is_not_an_option(self, tiled_capture):
         with pytest.raises(TypeError, match="sparsity"):

@@ -85,7 +85,7 @@ class TestFairSolveScheduler:
         """A stream with many queued jobs yields to other streams' queues."""
 
         async def scenario():
-            scheduler = FairSolveScheduler(slots=1, per_stream_pending=None)
+            scheduler = FairSolveScheduler(slots=1, per_stream_pending=3)
             gate = _Gate()
             futures = [await scheduler.submit(1, gate.job("a1"))]
             # a1 is now the running job; everything below queues behind it.
@@ -136,9 +136,7 @@ class TestFairSolveScheduler:
 
     def test_global_watermark_bounds_total_pending(self):
         async def scenario():
-            scheduler = FairSolveScheduler(
-                slots=1, per_stream_pending=None, max_pending=2
-            )
+            scheduler = FairSolveScheduler(slots=1, max_pending=2)
             gate = _Gate()
             first = await scheduler.submit(1, gate.job("a1"))
             second = await scheduler.submit(2, lambda: "b1")
@@ -307,7 +305,7 @@ class TestFailureIsolation:
 class TestSingleSessionByteIdentity:
     """The fifth invariant: hub(single node) ≡ StreamReceiver, byte for byte."""
 
-    RECON_KWARGS = dict(solver="fista", max_iterations=10)
+    RECON_KWARGS = dict(max_iterations=10)
     SCENES = 2
 
     def _array(self):
@@ -367,14 +365,6 @@ class TestSingleSessionByteIdentity:
         # knob fails at construction instead of being silently dropped.
         with pytest.raises(TypeError):
             StreamReceiver(**{option: 1})
-
-    @pytest.mark.parametrize("factory", [ReceiverHub, StreamReceiver])
-    @pytest.mark.parametrize("solver", ["omp", "iht", "bogus"])
-    def test_non_proximal_solver_rejected_at_construction(self, factory, solver):
-        # Before any stream arrives, not when its first frame reaches the
-        # solver thread and fails the whole run().
-        with pytest.raises(ValueError, match="solver"):
-            factory(solver=solver)
 
     @pytest.mark.parametrize("factory", [ReceiverHub, StreamReceiver])
     def test_sparsity_is_not_an_option(self, factory):

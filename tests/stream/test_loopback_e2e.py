@@ -43,7 +43,7 @@ class TestTiled256VideoByteIdentical:
     """The headline acceptance test: 256x256 tiled video over loopback."""
 
     SCENES = 2
-    RECON_KWARGS = dict(solver="fista", max_iterations=12)
+    RECON_KWARGS = dict(max_iterations=12)
 
     @pytest.fixture(scope="class")
     def streamed_and_direct(self):

@@ -1,6 +1,8 @@
 """Tests for the camera node, the bit-rate governor and the stream receiver."""
 
 import asyncio
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -84,6 +86,56 @@ class TestBitrateGovernor:
     def test_tiled_impossible_budget_raises(self):
         with pytest.raises(ChannelBudgetError):
             BitrateGovernor(bits_per_frame=500).samples_for_frame(CONFIG, n_tiles=16)
+
+
+@dataclass
+class _ThreadRecordingGovernor(BitrateGovernor):
+    """A closed-loop governor that records the thread of every budget call."""
+
+    closed_loop: bool = True
+    threads: list = field(default_factory=list, init=False)
+
+    def samples_for_frame(self, *args, **kwargs):
+        self.threads.append(threading.current_thread())
+        return super().samples_for_frame(*args, **kwargs)
+
+
+def _mosaic():
+    from repro.sensor.shard import TiledSensorArray
+
+    return TiledSensorArray(
+        (32, 32), tile_shape=(16, 16), compression_ratio=0.15, max_workers=1, seed=5
+    )
+
+
+_SCENES = [make_scene("blobs", (16, 16), seed=index) for index in range(5)]
+_MOSAIC_SCENES = [make_scene("blobs", (32, 32), seed=index) for index in range(5)]
+_STREAMS = {
+    "frames": lambda node: node.stream_frames(CompressiveImager(CONFIG, seed=1), _SCENES),
+    "video": lambda node: node.stream_video(
+        VideoSequencer(CompressiveImager(CONFIG, seed=1), seed=1), _SCENES
+    ),
+    "tiled": lambda node: node.stream_tiled(
+        _mosaic(), TestTiledSingleFrame._current(_mosaic())
+    ),
+    "tiled-video": lambda node: node.stream_tiled_video(_mosaic(), _MOSAIC_SCENES),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STREAMS))
+def test_the_governor_is_asked_on_the_event_loop_only(kind):
+    """Receiver feedback adjusts the governor on the event loop, so the
+    budget calls must run there too, never on the capture worker."""
+    governor = _ThreadRecordingGovernor()
+
+    async def scenario(transport):
+        scenario.loop_thread = threading.current_thread()
+        node = CameraNode(transport, governor=governor, gop_size=2)
+        return await _STREAMS[kind](node)
+
+    run(_stream_and_receive(scenario))
+    assert governor.threads
+    assert set(governor.threads) == {scenario.loop_thread}
 
 
 class TestBudgetFitsEveryFraming:

@@ -36,7 +36,7 @@ from repro.telemetry import (
 
 CONFIG = SensorConfig(rows=64, cols=64)
 N_FRAMES = 3
-RECON_KWARGS = dict(solver="fista", max_iterations=5)
+RECON_KWARGS = dict(max_iterations=5)
 
 
 def run(coro):

@@ -5,21 +5,30 @@ its fixed two-state model, the reconnect supervisor always retries
 ``OSError``, a TCP read is always one 64 KiB segment, a telemetry facade
 always owns its registry and an imager always draws its CA seed from its
 base seed.  A governor always backs off by half, and the retransmission
-buffer only evicts on ACK and capacity.  Each removed keyword must be
+buffer only evicts on ACK and capacity.  A streamed or tiled solve always
+runs the DCT dictionary, FISTA and the automatic λ, and a stream's
+in-flight solves always have a bound.  Each removed keyword must be
 refused, not silently accepted.
 """
 
 import pytest
 
+import repro.recon.pipeline
 import repro.stream
+from repro.cs.solvers import batched_proximal_gradient
+from repro.recon.batch import solve_tiles_batched
+from repro.recon.pipeline import reconstruct_tiled
 from repro.sensor.imager import CompressiveImager
 from repro.stream.fault import GilbertElliottTransport, LossyTransport
+from repro.stream.hub import FairSolveScheduler, ReceiverHub
 from repro.stream.node import (
     BitrateGovernor,
     CameraNode,
     ReconnectSupervisor,
     RetransmitBuffer,
 )
+from repro.stream.receiver import StreamReceiver
+from repro.stream.session import StreamSession
 from repro.stream.transport import LoopbackTransport, TcpTransport
 from repro.telemetry import Telemetry
 
@@ -52,6 +61,26 @@ def _retransmit_buffer(**option):
     return RetransmitBuffer(4, **option)
 
 
+def _session(**option):
+    return StreamSession(1, None, **option)
+
+
+def _tiled(**option):
+    return reconstruct_tiled(None, **option)
+
+
+def _batched_tiles(**option):
+    return solve_tiles_batched([], **option)
+
+
+def _batched_solve(**option):
+    return batched_proximal_gradient([], None, regularization=0.0, **option)
+
+
+SOLVE_OPTIONS = ("dictionary", "solver", "regularization")
+SOLVE_SIGNATURES = (ReceiverHub, StreamReceiver, _session, _tiled, _batched_tiles)
+
+
 @pytest.mark.parametrize(
     "factory, option",
     [
@@ -68,6 +97,8 @@ def _retransmit_buffer(**option):
         (BitrateGovernor, "aimd_decrease"),
         (_node, "retransmit_max_age"),
         (_retransmit_buffer, "max_age"),
+        (_batched_solve, "accelerated"),
+        *[(factory, option) for factory in SOLVE_SIGNATURES for option in SOLVE_OPTIONS],
     ],
 )
 def test_removed_keyword_is_not_an_option(factory, option):
@@ -78,3 +109,14 @@ def test_removed_keyword_is_not_an_option(factory, option):
 def test_stalling_transport_is_not_an_option():
     assert "StallingTransport" not in repro.stream.__all__
     assert not hasattr(repro.stream, "StallingTransport")
+
+
+@pytest.mark.parametrize("factory", [FairSolveScheduler, ReceiverHub])
+def test_unbounded_per_stream_pending_is_refused(factory):
+    with pytest.raises(TypeError, match="per_stream_pending"):
+        factory(per_stream_pending=None)
+
+
+def test_removed_solve_constants_are_gone():
+    assert not hasattr(repro.recon.pipeline, "PROXIMAL_SOLVERS")
+    assert not hasattr(StreamSession, "MAX_INFLIGHT_TILED_SOLVES")
