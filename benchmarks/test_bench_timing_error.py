@@ -17,7 +17,6 @@ import numpy as np
 from benchmarks.conftest import print_table
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
-from repro.recon.operator import measurement_matrix_from_seed
 from repro.recon.pipeline import reconstruct_frame, reconstruct_samples
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
@@ -66,10 +65,7 @@ def test_inflated_error_rate_shows_where_it_would_matter(benchmark):
     current = PhotoConversion(prnu_sigma=0.0, shot_noise=False).convert(scene)
     frame = imager.capture(current, n_samples=400, lsb_error=False)
     codes = frame.digital_image.reshape(-1).astype(np.int64)
-    phi = measurement_matrix_from_seed(
-        frame.seed_state, frame.n_samples, (32, 32),
-        steps_per_sample=frame.steps_per_sample, warmup_steps=frame.warmup_steps,
-    )
+    phi = frame.measurement_matrix().astype(float)
 
     def sweep():
         rng = np.random.default_rng(0)

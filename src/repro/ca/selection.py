@@ -10,20 +10,22 @@ clock cycles produces the next row of the measurement matrix Φ.
 
 Because the CA is deterministic, the complete Φ is a pure function of the
 seed — this is the property the paper exploits to avoid transmitting or
-storing Φ.  :class:`CASelectionGenerator` is used both inside the sensor
-simulator (to select pixels) and inside the reconstruction pipeline (to
-rebuild the very same Φ at the receiver from the seed alone).
+storing Φ.
 
 Φ is built *batched*: the CA states for a whole frame are evolved in one
 pass (:meth:`~repro.ca.automaton.ElementaryCellularAutomaton.evolve_states`)
 and expanded into the ``(n_samples, rows*cols)`` selection matrix with a
 single broadcast XOR — no per-sample Python objects.  The module-level
-:func:`ca_measurement_matrix` is the one shared Φ builder: the sensor's
-capture path, the receiver's reconstruction pipeline and the matrix-quality
-benchmarks all call it, so the two ends of the channel cannot drift apart.
-The per-pattern iterator API (:meth:`CASelectionGenerator.next_pattern`,
-:meth:`CASelectionGenerator.patterns`) is kept as a thin view over the same
-batched states.
+:func:`ca_measurement_matrix` (dense Φ) and :func:`ca_selection_factors`
+(its ``(R, C)`` factors) are the only seed-to-Φ builders: a captured
+frame's Φ, the receiver's reconstruction pipeline and the matrix-quality
+baselines all come from them, so the two ends of the channel cannot drift
+apart.  :class:`CASelectionGenerator` is the sensor's stateful view of the
+same CA: its batched :meth:`~CASelectionGenerator.next_states` feeds the
+capture engines, and its per-pattern iterator
+(:meth:`CASelectionGenerator.next_pattern`,
+:meth:`CASelectionGenerator.patterns`) is what the bit-fidelity reference
+capture loop walks.
 """
 
 from __future__ import annotations
@@ -151,8 +153,9 @@ def ca_measurement_matrix(
 ) -> np.ndarray:
     """Build Φ from a CA seed in one batched pass — the shared Φ builder.
 
-    Every consumer of a CA measurement matrix (the sensor capture path, the
-    receiver-side :func:`repro.recon.operator.measurement_matrix_from_seed`,
+    Every consumer of a dense CA measurement matrix (a frame's
+    :meth:`~repro.sensor.imager.CompressedFrame.measurement_matrix`, the
+    receiver's dense reference in :func:`repro.recon.operator.frame_operator`,
     the CS baselines) routes through this function, which guarantees that the
     matrix used for capture and the matrix rebuilt for reconstruction are the
     same batched computation, bit for bit.
@@ -363,25 +366,6 @@ class CASelectionGenerator:
         check_positive("n_patterns", n_patterns)
         for _ in range(int(n_patterns)):
             yield self.next_pattern()
-
-    def measurement_matrix(self, n_samples: int) -> np.ndarray:
-        """Return Φ as an ``n_samples x (rows*cols)`` binary matrix.
-
-        This regenerates the matrix from scratch starting at the seed — in
-        one batched pass through :func:`ca_measurement_matrix`, which is
-        exactly what the receiving end of the channel does; it does not
-        disturb the generator's own position in the sequence.
-        """
-        return ca_measurement_matrix(
-            int(n_samples),
-            self.rows,
-            self.cols,
-            self._seed_state,
-            rule=self._automaton.rule,
-            steps_per_sample=self.steps_per_sample,
-            warmup_steps=self.warmup_steps,
-            boundary=self._automaton.boundary,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

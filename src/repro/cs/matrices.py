@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ca.selection import CASelectionGenerator
+from repro.ca.selection import ca_measurement_matrix
 from repro.lfsr.lfsr import LFSRSelectionGenerator
-from repro.utils.rng import SeedLike, new_rng
+from repro.utils.rng import SeedLike, new_rng, nonzero_seed_bits
 from repro.utils.validation import check_positive, check_power_of_two, check_probability
 
 
@@ -111,18 +111,18 @@ def ca_xor_matrix(
     and the sequencing parameters — the property that lets the sensor avoid
     transmitting Φ.
     """
-    check_positive("n_samples", n_samples)
     rows, cols = shape
-    generator = CASelectionGenerator(
+    if seed_state is None:
+        seed_state = nonzero_seed_bits(rows + cols, seed)
+    return ca_measurement_matrix(
+        int(n_samples),
         rows,
         cols,
-        seed_state=seed_state,
+        seed_state,
         rule=rule,
         steps_per_sample=steps_per_sample,
         warmup_steps=warmup_steps,
-        seed=seed,
-    )
-    return generator.measurement_matrix(int(n_samples)).astype(float)
+    ).astype(float)
 
 
 def lfsr_matrix(

@@ -42,11 +42,3 @@ def v2_output(v1: int, row_signal: int, col_signal: int) -> int:
     if row_signal == col_signal:
         return 1
     return 1 - v1
-
-
-def selection_density(mask: np.ndarray) -> float:
-    """Fraction of pixels selected by a mask (the XOR construction targets 1/2)."""
-    mask = np.asarray(mask)
-    if mask.size == 0:
-        raise ValueError("mask must be non-empty")
-    return float(np.count_nonzero(mask) / mask.size)

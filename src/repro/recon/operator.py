@@ -8,12 +8,14 @@ result into the centred sensing operator the solvers expect.
 Two operator flavours share one CA evolution:
 
 * ``operator="structured"`` (the default) rebuilds only the pre-expansion
-  factor pair ``(R, C)`` and returns a matrix-free
+  factor pair ``(R, C)`` with
+  :func:`~repro.ca.selection.ca_selection_factors` and returns a matrix-free
   :class:`~repro.cs.structured.StructuredSensingOperator` — the receiver-side
   twin of the sensor's rank-structured capture engine;
-* ``operator="dense"`` materialises Φ through the shared dense builder and
-  returns the classic :class:`~repro.cs.operators.SensingOperator`, kept as
-  the executable reference the equivalence suite pins the fast path against.
+* ``operator="dense"`` materialises Φ with
+  :func:`~repro.ca.selection.ca_measurement_matrix` and returns the classic
+  :class:`~repro.cs.operators.SensingOperator`, kept as the executable
+  reference the equivalence suite pins the fast path against.
 
 Both flavours leave here carrying the same closed-form step estimate
 (:func:`ca_norm_estimate`), so no CA solve runs a power iteration.
@@ -28,68 +30,10 @@ from repro.cs.dictionaries import Dictionary, make_dictionary
 from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.structured import PRECISIONS, StructuredSensingOperator
 from repro.sensor.imager import CompressedFrame
-from repro.utils.validation import check_choice, check_positive
+from repro.utils.validation import check_choice
 
 #: Operator flavours accepted by the reconstruction entry points.
 OPERATOR_CHOICES = ("structured", "dense")
-
-
-def measurement_matrix_from_seed(
-    seed_state: np.ndarray,
-    n_samples: int,
-    shape: tuple[int, int],
-    *,
-    rule: int = 30,
-    steps_per_sample: int = 1,
-    warmup_steps: int = 8,
-) -> np.ndarray:
-    """Regenerate the 0/1 measurement matrix Φ from the CA seed.
-
-    This must (and, by construction, does) produce bit-for-bit the same
-    matrix the sensor used: both ends call the one batched builder,
-    :func:`repro.ca.selection.ca_measurement_matrix`, so the capture and
-    reconstruction matrices cannot drift apart.  The property is pinned by
-    the round-trip property tests.
-    """
-    check_positive("n_samples", n_samples)
-    rows, cols = shape
-    return ca_measurement_matrix(
-        int(n_samples),
-        rows,
-        cols,
-        np.asarray(seed_state),
-        rule=rule,
-        steps_per_sample=steps_per_sample,
-        warmup_steps=warmup_steps,
-    ).astype(float)
-
-
-def measurement_factors_from_seed(
-    seed_state: np.ndarray,
-    n_samples: int,
-    shape: tuple[int, int],
-    *,
-    rule: int = 30,
-    steps_per_sample: int = 1,
-    warmup_steps: int = 8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Regenerate the ``(R, C)`` factor pair of Φ from the CA seed.
-
-    The factored twin of :func:`measurement_matrix_from_seed`: the same CA
-    evolution, stopped before the broadcast-XOR expansion.  Re-joining the
-    factors with an outer XOR reproduces the dense matrix bit for bit.
-    """
-    check_positive("n_samples", n_samples)
-    rows, cols = shape
-    return ca_selection_factors(
-        int(n_samples),
-        rows,
-        cols,
-        np.asarray(seed_state),
-        rule=rule,
-        steps_per_sample=steps_per_sample,
-        warmup_steps=warmup_steps,
-    )
 
 
 #: Floor of the safety factor on the random-matrix spectrum edge in
@@ -197,13 +141,14 @@ def frame_operator(
     check_choice("operator", operator, OPERATOR_CHOICES)
     check_choice("precision", precision, PRECISIONS)
     mask = normalize_sample_mask(sample_mask, frame.n_samples)
-    shape = (frame.config.rows, frame.config.cols)
-    psi: Dictionary = make_dictionary(dictionary, shape)
+    rows, cols = frame.config.rows, frame.config.cols
+    psi: Dictionary = make_dictionary(dictionary, (rows, cols))
     if operator == "structured":
-        row_factors, col_factors = measurement_factors_from_seed(
-            frame.seed_state,
+        row_factors, col_factors = ca_selection_factors(
             frame.n_samples,
-            shape,
+            rows,
+            cols,
+            frame.seed_state,
             rule=frame.rule_number,
             steps_per_sample=frame.steps_per_sample,
             warmup_steps=frame.warmup_steps,
@@ -219,14 +164,15 @@ def frame_operator(
         structured.center = density
         built: BaseSensingOperator = structured
     else:
-        phi = measurement_matrix_from_seed(
-            frame.seed_state,
+        phi = ca_measurement_matrix(
             frame.n_samples,
-            shape,
+            rows,
+            cols,
+            frame.seed_state,
             rule=frame.rule_number,
             steps_per_sample=frame.steps_per_sample,
             warmup_steps=frame.warmup_steps,
-        )
+        ).astype(float)
         if mask is not None:
             phi = phi[mask]
         matrix_density = float(phi.mean())

@@ -8,10 +8,11 @@ solver in the chosen dictionary and returns the reconstructed code image.
 ``reconstruct_samples`` is the matrix-level variant used by the pure-algorithm
 benchmarks where Φ is given explicitly (Gaussian, Bernoulli, LFSR baselines).
 
-Φ is rebuilt through :func:`repro.recon.operator.measurement_matrix_from_seed`,
-which delegates to the one batched builder shared with the sensor's capture
-path (:func:`repro.ca.selection.ca_measurement_matrix`) — the receiver is
-guaranteed to invert exactly the matrix the sensor sampled with.
+Φ is rebuilt by :func:`repro.recon.operator.frame_operator`, which calls the
+shared CA builders (:func:`repro.ca.selection.ca_selection_factors`, or
+:func:`repro.ca.selection.ca_measurement_matrix` for the dense reference)
+that also give a captured frame its Φ — the receiver is guaranteed to
+invert exactly the matrix the sensor sampled with.
 """
 
 from __future__ import annotations

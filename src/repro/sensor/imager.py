@@ -48,7 +48,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ca.selection import CASelectionGenerator, selection_masks_from_states
+from repro.ca.selection import (
+    CASelectionGenerator,
+    ca_measurement_matrix,
+    selection_masks_from_states,
+)
 from repro.pixel.event import PixelEvent
 from repro.pixel.time_encoder import TimeEncoder, column_event_order
 from repro.sensor.column_bus import ColumnBusArbiter, arbitrate_columns
@@ -120,15 +124,15 @@ class CompressedFrame:
 
     def measurement_matrix(self) -> np.ndarray:
         """Rebuild Φ from the seed — what the receiver does before reconstruction."""
-        generator = CASelectionGenerator(
+        return ca_measurement_matrix(
+            self.n_samples,
             self.config.rows,
             self.config.cols,
-            seed_state=self.seed_state,
+            self.seed_state,
             rule=self.rule_number,
             steps_per_sample=self.steps_per_sample,
             warmup_steps=self.warmup_steps,
         )
-        return generator.measurement_matrix(self.n_samples)
 
 
 class CompressiveImager:
@@ -789,17 +793,6 @@ class CompressiveImager:
             "event_statistics": "exact",
         }
         return samples, metadata
-
-    # ------------------------------------------------------------ reporting
-    def ideal_samples(self, codes: np.ndarray, n_samples: int) -> np.ndarray:
-        """Compressed samples with a perfect read-out (no LSB error, no losses).
-
-        Used as the reference when quantifying the influence of the
-        late-detection error (benchmark E8).
-        """
-        check_positive("n_samples", n_samples)
-        matrix = self.selection.measurement_matrix(int(n_samples))
-        return matrix.astype(np.int64) @ codes.reshape(-1).astype(np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -80,7 +80,7 @@ from repro.stream.receiver import (
     StreamResult,
     receive_stream,
 )
-from repro.stream.session import FrameLossReport, SessionStats, StreamSession
+from repro.stream.session import SessionStats, StreamSession
 from repro.stream.transport import (
     DuplexTransport,
     LoopbackTransport,
@@ -102,7 +102,6 @@ __all__ = [
     "receive_stream",
     "StreamSession",
     "SessionStats",
-    "FrameLossReport",
     "ReceiverHub",
     "FairSolveScheduler",
     "HubStats",

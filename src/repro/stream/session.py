@@ -113,49 +113,6 @@ class SolveScheduler(Protocol):
         ...  # pragma: no cover - protocol body
 
 
-@dataclass(frozen=True)
-class FrameLossReport:
-    """Receiver-side delivery accounting for one frame of a lossy stream.
-
-    One entry per landed frame in a resilient session's
-    ``stats.frame_loss``; the same numbers ride the
-    :class:`~repro.stream.protocol.ControlAck` back to the node when
-    feedback is on.  ``n_recovered_chunks`` counts parity repairs — those
-    chunks were lost on the wire (so they *do* appear in the session's
-    ``n_lost_chunks``) but their samples reached the solve anyway.
-    """
-
-    frame_index: int
-    n_expected_chunks: int
-    n_received_chunks: int
-    n_recovered_chunks: int
-    n_samples_expected: int
-    n_samples_received: int
-
-    @property
-    def clean(self) -> bool:
-        """True when every expected sample of the frame was delivered.
-
-        A report whose expectation is unknown (``n_samples_expected == 0``,
-        e.g. a frame none of whose chunks arrived) is never clean.
-        """
-        return (
-            self.n_samples_expected > 0
-            and self.n_samples_received >= self.n_samples_expected
-        )
-
-    def to_ack(self) -> ControlAck:
-        """The wire form of this report (what feedback sends to the node)."""
-        return ControlAck(
-            frame_index=self.frame_index,
-            n_expected_chunks=self.n_expected_chunks,
-            n_received_chunks=self.n_received_chunks,
-            n_recovered_chunks=self.n_recovered_chunks,
-            n_samples_expected=self.n_samples_expected,
-            n_samples_received=self.n_samples_received,
-        )
-
-
 @dataclass
 class ReceivedFrame:
     """One fully-landed frame: the decoded capture and (optionally) its image.
@@ -175,8 +132,9 @@ class ReceivedFrame:
         The frame's reconstruction, or ``None`` when the receiver runs
         as a pure decoder.
     loss:
-        Delivery accounting for this frame (resilient sessions only;
-        ``None`` on the lossless path).
+        Delivery accounting for this frame, the same
+        :class:`~repro.stream.protocol.ControlAck` feedback sends to the
+        node (resilient sessions only; ``None`` on the lossless path).
     sample_mask:
         The survival mask the solve used — ``None`` when every sample
         arrived (full-Φ solve) or for mosaics (whose loss is per tile).
@@ -185,7 +143,7 @@ class ReceivedFrame:
     frame_index: int
     capture: CompressedFrame | TiledCaptureResult
     reconstruction: ReconstructionResult | TiledReconstructionResult | None = None
-    loss: FrameLossReport | None = None
+    loss: ControlAck | None = None
     sample_mask: np.ndarray | None = None
 
 
@@ -258,7 +216,7 @@ class SessionStats:
     #: ``SESSION_RESUME`` chunks absorbed (node reconnect-with-resume).
     n_resumes: int = 0
     #: Per-frame delivery accounting, in finalisation order.
-    frame_loss: deque[FrameLossReport] = field(default_factory=lambda: deque(maxlen=STATS_WINDOW))
+    frame_loss: deque[ControlAck] = field(default_factory=lambda: deque(maxlen=STATS_WINDOW))
 
 
 #: Every :class:`SessionStats` counter -> (hub-wide series, help, ``{stream}``
@@ -702,7 +660,7 @@ class StreamSession:
         if counter is not None:
             self._count(counter)
 
-    def _record_loss(self, report: FrameLossReport) -> FrameLossReport | None:
+    def _record_loss(self, report: ControlAck) -> ControlAck | None:
         """Book a frame's delivery accounting and queue its feedback.
 
         Only a resilient session keeps loss accounting: a strict one has
@@ -712,12 +670,12 @@ class StreamSession:
             return None
         self.stats.frame_loss.append(report)
         if self.emit_feedback:
-            self._outgoing_control.append(report.to_ack())
+            self._outgoing_control.append(report)
             if report.n_samples_received < report.n_samples_expected:
                 advice = RateAdvice(
                     frame_index=report.frame_index,
                     advised_samples=report.n_samples_received,
-                    loss_fraction=report.to_ack().loss_fraction,
+                    loss_fraction=report.loss_fraction,
                 )
                 self._outgoing_control.append(advice)
         return report
@@ -820,7 +778,7 @@ class StreamSession:
             )
         n_received_samples = sum(tile.n_samples_received for tile in decoded.values())
         n_received_chunks = sum(chunks.n_chunks_received for chunks in tiles.values())
-        report = FrameLossReport(
+        report = ControlAck(
             frame_index=frame_index,
             # The barrier's count has no CRC: a corrupt one below what landed
             # cannot stand, or the ack would contradict itself on the wire.

@@ -6,6 +6,7 @@ import pytest
 from repro.ca.automaton import BoundaryCondition, ElementaryCellularAutomaton
 from repro.ca.selection import (
     CASelectionGenerator,
+    ca_measurement_matrix,
     ca_selection_factors,
     selection_masks_from_states,
 )
@@ -80,47 +81,58 @@ class TestDeterminismAndReset:
 
     def test_measurement_matrix_matches_pattern_stream(self):
         generator = CASelectionGenerator(8, 8, seed=8, warmup_steps=2)
-        matrix = generator.measurement_matrix(6)
-        generator.reset()
+        matrix = ca_measurement_matrix(6, 8, 8, generator.seed_state, warmup_steps=2)
         for row_index in range(6):
             assert np.array_equal(matrix[row_index], generator.next_pattern().as_vector())
-
-    def test_measurement_matrix_does_not_disturb_generator(self):
-        generator = CASelectionGenerator(8, 8, seed=9)
-        first = generator.next_pattern().mask
-        generator.measurement_matrix(10)
-        second = generator.next_pattern().mask
-        fresh = CASelectionGenerator(8, 8, seed_state=generator.seed_state, warmup_steps=0)
-        fresh_first = fresh.next_pattern().mask
-        fresh_second = fresh.next_pattern().mask
-        assert np.array_equal(first, fresh_first)
-        assert np.array_equal(second, fresh_second)
 
     def test_same_seed_two_generators_identical(self):
         """The property the channel relies on: seed fully determines Φ."""
         seed = CASelectionGenerator(16, 16, seed=10).seed_state
         a = CASelectionGenerator(16, 16, seed_state=seed, warmup_steps=5)
         b = CASelectionGenerator(16, 16, seed_state=seed, warmup_steps=5)
-        assert np.array_equal(a.measurement_matrix(20), b.measurement_matrix(20))
+        assert np.array_equal(a.next_states(20), b.next_states(20))
 
     def test_steps_per_sample_changes_sequence(self):
         seed = CASelectionGenerator(8, 8, seed=11).seed_state
-        one = CASelectionGenerator(8, 8, seed_state=seed, steps_per_sample=1)
-        two = CASelectionGenerator(8, 8, seed_state=seed, steps_per_sample=2)
-        assert not np.array_equal(one.measurement_matrix(5), two.measurement_matrix(5))
+        one = ca_measurement_matrix(5, 8, 8, seed, steps_per_sample=1)
+        two = ca_measurement_matrix(5, 8, 8, seed, steps_per_sample=2)
+        assert not np.array_equal(one, two)
 
 
 class TestMatrixProperties:
     def test_matrix_rows_are_distinct(self):
-        generator = CASelectionGenerator(16, 16, seed=12, warmup_steps=4)
-        matrix = generator.measurement_matrix(40)
+        seed = nonzero_seed_bits(32, 12)
+        matrix = ca_measurement_matrix(40, 16, 16, seed, warmup_steps=4)
         assert len({row.tobytes() for row in matrix}) == 40
 
     def test_matrix_dtype_and_shape(self):
-        generator = CASelectionGenerator(8, 12, seed=13)
-        matrix = generator.measurement_matrix(9)
+        matrix = ca_measurement_matrix(9, 8, 12, nonzero_seed_bits(20, 13))
         assert matrix.shape == (9, 96)
         assert matrix.dtype == np.uint8
+
+    @pytest.mark.parametrize(
+        "n_samples, steps_per_sample, warmup_steps",
+        [(0, 1, 0), (4, 0, 0), (4, 1, -1)],
+        ids=["no-samples", "zero-stride", "negative-warmup"],
+    )
+    def test_builder_rejects_bad_sequencing(self, n_samples, steps_per_sample, warmup_steps):
+        seed = nonzero_seed_bits(16, 14)
+        for builder in (ca_measurement_matrix, ca_selection_factors):
+            with pytest.raises(ValueError):
+                builder(
+                    n_samples, 8, 8, seed,
+                    steps_per_sample=steps_per_sample, warmup_steps=warmup_steps,
+                )
+
+    @pytest.mark.parametrize(
+        "seed_state",
+        [np.ones(15, dtype=np.uint8), np.full(16, 2, dtype=np.uint8)],
+        ids=["wrong-length", "non-binary"],
+    )
+    def test_builder_rejects_bad_seed(self, seed_state):
+        for builder in (ca_measurement_matrix, ca_selection_factors):
+            with pytest.raises(ValueError):
+                builder(4, 8, 8, seed_state)
 
 
 class TestBatchedStateAccess:

@@ -120,6 +120,9 @@ class TestCentering:
         centered = center_matrix(phi, density=0.5)
         assert np.allclose(centered, 0.5)
 
+    def test_selection_density_of_known_mask(self):
+        assert selection_density(np.array([[1, 0], [0, 1]])) == 0.5
+
     def test_selection_density_empty_rejected(self):
         with pytest.raises(ValueError):
             selection_density(np.empty((0, 0)))

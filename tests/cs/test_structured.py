@@ -90,7 +90,7 @@ class TestFactorBuilders:
         row_factors, col_factors = ca_selection_factors(
             20, 8, 8, generator.seed_state, warmup_steps=4
         )
-        dense = generator.measurement_matrix(20)
+        dense = np.array([pattern.as_vector() for pattern in generator.patterns(20)])
         rejoined = np.bitwise_xor(
             row_factors[:, :, None], col_factors[:, None, :]
         ).reshape(20, 64)

@@ -10,9 +10,9 @@ import json
 
 import numpy as np
 
+from repro.ca.selection import ca_measurement_matrix
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
-from repro.recon.operator import measurement_matrix_from_seed
 from repro.recon.pipeline import reconstruct_samples
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
@@ -43,10 +43,11 @@ class TestSeedOnlyChannel:
 
         payload = json.loads(serialise(frame))
 
-        phi = measurement_matrix_from_seed(
-            np.array(payload["seed_state"], dtype=np.uint8),
+        phi = ca_measurement_matrix(
             len(payload["samples"]),
-            (payload["rows"], payload["cols"]),
+            payload["rows"],
+            payload["cols"],
+            np.array(payload["seed_state"], dtype=np.uint8),
             rule=payload["rule"],
             steps_per_sample=payload["steps_per_sample"],
             warmup_steps=payload["warmup_steps"],
@@ -80,8 +81,8 @@ class TestSeedOnlyChannel:
 
         wrong_seed = frame.seed_state.copy()
         wrong_seed[:8] ^= 1  # corrupt the seed
-        wrong_phi = measurement_matrix_from_seed(
-            wrong_seed, frame.n_samples, (32, 32),
+        wrong_phi = ca_measurement_matrix(
+            frame.n_samples, 32, 32, wrong_seed,
             steps_per_sample=frame.steps_per_sample, warmup_steps=frame.warmup_steps,
         )
         correct_phi = frame.measurement_matrix()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pixel.selection import selection_density, v2_output, xor_select
+from repro.pixel.selection import v2_output, xor_select
 
 
 class TestXorSelect:
@@ -44,13 +44,3 @@ class TestV2Output:
     def test_rejects_invalid_levels(self):
         with pytest.raises(ValueError):
             v2_output(0, 1, 2)
-
-
-class TestSelectionDensity:
-    def test_density_of_known_mask(self):
-        mask = np.array([[1, 0], [0, 1]])
-        assert selection_density(mask) == 0.5
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            selection_density(np.array([]))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.ca.automaton import ElementaryCellularAutomaton
 from repro.ca.rule30 import Rule30Register, rule30_next_state
 from repro.ca.rules import RuleTable
-from repro.ca.selection import CASelectionGenerator
+from repro.ca.selection import CASelectionGenerator, ca_measurement_matrix
 
 seed_bits = st.lists(st.integers(0, 1), min_size=6, max_size=40).filter(lambda bits: any(bits))
 
@@ -69,11 +69,12 @@ def test_gate_level_register_matches_engine(bits, steps):
 def test_selection_matrix_rebuildable_from_seed(rows, cols, n_samples, seed):
     """Φ is a pure function of (seed, parameters): sensor and receiver always agree."""
     sensor_side = CASelectionGenerator(rows, cols, seed=seed, warmup_steps=3)
-    receiver_side = CASelectionGenerator(
-        rows, cols, seed_state=sensor_side.seed_state, warmup_steps=3
+    receiver_side = ca_measurement_matrix(
+        n_samples, rows, cols, sensor_side.seed_state, warmup_steps=3
     )
     assert np.array_equal(
-        sensor_side.measurement_matrix(n_samples), receiver_side.measurement_matrix(n_samples)
+        np.array([pattern.as_vector() for pattern in sensor_side.patterns(n_samples)]),
+        receiver_side,
     )
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.ca.selection import ca_measurement_matrix
 from repro.optics.photo import PhotoConversion
 from repro.optics.scenes import make_scene
-from repro.recon.operator import frame_operator, measurement_matrix_from_seed
+from repro.recon.operator import frame_operator
 
 
 class TestMeasurementMatrixFromSeed:
@@ -14,10 +15,11 @@ class TestMeasurementMatrixFromSeed:
         scene = make_scene("blobs", (16, 16), seed=1)
         conversion = PhotoConversion(prnu_sigma=0.0, shot_noise=False)
         frame = small_imager.capture(conversion.convert(scene), n_samples=25)
-        receiver_phi = measurement_matrix_from_seed(
-            frame.seed_state,
+        receiver_phi = ca_measurement_matrix(
             frame.n_samples,
-            (16, 16),
+            16,
+            16,
+            frame.seed_state,
             rule=frame.rule_number,
             steps_per_sample=frame.steps_per_sample,
             warmup_steps=frame.warmup_steps,
@@ -29,21 +31,21 @@ class TestMeasurementMatrixFromSeed:
         seed_a[0] = 1
         seed_b = np.zeros(32, dtype=np.uint8)
         seed_b[1] = 1
-        a = measurement_matrix_from_seed(seed_a, 10, (16, 16), warmup_steps=4)
-        b = measurement_matrix_from_seed(seed_b, 10, (16, 16), warmup_steps=4)
+        a = ca_measurement_matrix(10, 16, 16, seed_a, warmup_steps=4)
+        b = ca_measurement_matrix(10, 16, 16, seed_b, warmup_steps=4)
         assert not np.array_equal(a, b)
 
     def test_wrong_parameters_give_wrong_matrix(self, small_imager):
         """Receiver must use the same sequencing parameters as the sensor."""
         frame = small_imager.capture_scene(make_scene("blobs", (16, 16), seed=2), n_samples=10)
-        wrong = measurement_matrix_from_seed(
-            frame.seed_state, 10, (16, 16), steps_per_sample=2, warmup_steps=frame.warmup_steps
+        wrong = ca_measurement_matrix(
+            10, 16, 16, frame.seed_state, steps_per_sample=2, warmup_steps=frame.warmup_steps
         )
         assert not np.array_equal(wrong, frame.measurement_matrix())
 
     def test_invalid_sample_count(self):
         with pytest.raises(ValueError):
-            measurement_matrix_from_seed(np.ones(32, dtype=np.uint8), 0, (16, 16))
+            ca_measurement_matrix(0, 16, 16, np.ones(32, dtype=np.uint8))
 
 
 class TestFrameOperator:

@@ -205,12 +205,11 @@ class TestCompressedFrame:
         assert np.array_equal(phi_a, phi_b)
         assert phi_a.shape == (20, 256)
 
-    def test_ideal_samples_match_behavioural_without_error(self, small_imager):
+    def test_error_free_samples_are_phi_times_codes(self, small_imager):
         current = photocurrents((16, 16))
         frame = small_imager.capture(current, n_samples=15, lsb_error=False)
-        codes = frame.digital_image
-        small_imager.selection.reset()
-        ideal = small_imager.ideal_samples(codes, 15)
+        codes = frame.digital_image.reshape(-1).astype(np.int64)
+        ideal = frame.measurement_matrix().astype(np.int64) @ codes
         assert np.array_equal(ideal, frame.samples)
 
     def test_capture_scene_wrapper(self, small_imager):

@@ -26,9 +26,9 @@ from repro.sensor.video import VideoSequencer
 from repro.stream.fault import LossyTransport
 from repro.stream.hub import ReceiverHub
 from repro.stream.node import BitrateGovernor, CameraNode
-from repro.stream.protocol import ChunkDecoder
+from repro.stream.protocol import ChunkDecoder, ControlAck
 from repro.stream.receiver import StreamReceiver
-from repro.stream.session import FrameLossReport, StreamSession
+from repro.stream.session import StreamSession
 from repro.stream.transport import LoopbackTransport, loopback_duplex_pair
 
 
@@ -214,7 +214,7 @@ class TestExactLossAccounting:
 
         session, result = run(scenario())
         report = session.stats.frame_loss[0]
-        assert report == FrameLossReport(
+        assert report == ControlAck(
             frame_index=0,
             n_expected_chunks=5,
             n_received_chunks=3,
@@ -245,7 +245,7 @@ class TestExactLossAccounting:
 
         session, result = run(scenario())
         report = session.stats.frame_loss[0]
-        assert report == FrameLossReport(
+        assert report == ControlAck(
             frame_index=0,
             n_expected_chunks=5,
             n_received_chunks=4,
@@ -295,7 +295,7 @@ class TestExactLossAccounting:
         session, result = run(scenario())
         assert session.stats.n_dropped_frames == 1
         report = session.stats.frame_loss[1]
-        assert report == FrameLossReport(
+        assert report == ControlAck(
             frame_index=1,
             n_expected_chunks=5,
             n_received_chunks=0,
@@ -517,7 +517,7 @@ class TestClosedLoopRateControl:
         assert governor.samples_for_frame(CONFIG, max_samples=40) == 40
 
         def ack(received, expected=40):
-            return FrameLossReport(0, 1, 1, 0, expected, received).to_ack()
+            return ControlAck(0, 1, 1, 0, expected, received)
 
         governor.on_feedback(ack(30))  # loss → halve
         assert governor.samples_for_frame(CONFIG, max_samples=40) == 20
@@ -551,9 +551,7 @@ class TestClosedLoopRateControl:
         governor.samples_for_frame(CONFIG, max_samples=40)
         # A fully-lost frame the receiver could not even size must pull the
         # rate down, not read as "clean" vacuously.
-        report = FrameLossReport(0, 5, 0, 0, 0, 0)
-        assert not report.clean
-        assert not report.to_ack().clean
+        assert not ControlAck(0, 5, 0, 0, 0, 0).clean
 
     def test_closed_loop_backs_off_under_real_loss(self):
         async def scenario():

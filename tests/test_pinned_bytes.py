@@ -2,7 +2,8 @@
 
 Every input below is a hand-written bit pattern or a fixed arithmetic
 sequence, so these digests depend only on the program: the packed CA engine
-(rules 30/90/110 on all three boundaries), the shared Φ factor builder, the
+(rules 30/90/110 on all three boundaries), the shared Φ builders (dense
+and factored, reached through a frame and through the CS baseline), the
 receiver's seed chain and the v2 frame encoding (with and without its seed).
 A refactor that claims "same bytes" must leave every digest here unchanged;
 a digest that moves is a changed wire or a changed Φ, never noise.
@@ -18,6 +19,7 @@ import pytest
 
 from repro.ca.automaton import BoundaryCondition, ElementaryCellularAutomaton
 from repro.ca.selection import ca_selection_factors
+from repro.cs.matrices import ca_xor_matrix
 from repro.io.framing import decode_frame, encode_frame
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressedFrame
@@ -74,6 +76,29 @@ def test_ca_selection_factors():
     )
     assert digest(*factors) == (
         "c345519822326c8eb2b437039969a31957946a11aa03fe6e0450ba7e18a0c6ab"
+    )
+
+
+def test_frame_measurement_matrix():
+    frame = CompressedFrame(
+        samples=np.zeros(40, dtype=np.int64),
+        seed_state=PHI_SEED,
+        rule_number=30,
+        steps_per_sample=2,
+        warmup_steps=5,
+        config=SensorConfig(rows=ROWS, cols=COLS),
+    )
+    assert digest(frame.measurement_matrix()) == (
+        "49bcabd56f146072fc6548cb2d1cbe6dbfc0824eabc1a16959aaf0aa53c7b8af"
+    )
+
+
+def test_ca_xor_matrix():
+    matrix = ca_xor_matrix(
+        40, (ROWS, COLS), seed_state=PHI_SEED, steps_per_sample=2, warmup_steps=5
+    )
+    assert digest(matrix) == (
+        "cb31c4acd83e310461da3eec9d36783535a120d5d088cf80482bec2ce05d2e9d"
     )
 
 

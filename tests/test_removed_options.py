@@ -8,13 +8,20 @@ base seed.  A governor always backs off by half, and the retransmission
 buffer only evicts on ACK and capacity.  A streamed or tiled solve always
 runs the DCT dictionary, FISTA and the automatic λ, and a stream's
 in-flight solves always have a bound.  Each removed keyword must be
-refused, not silently accepted.
+refused, not silently accepted.  A CA seed becomes Φ only through the two
+shared builders of ``repro.ca.selection``, and a frame's loss report is
+the ``ControlAck`` it is sent as, so the wrappers around them stay gone.
 """
 
 import pytest
 
+import repro.pixel.selection
+import repro.recon
+import repro.recon.operator
 import repro.recon.pipeline
 import repro.stream
+import repro.stream.session
+from repro.ca.selection import CASelectionGenerator
 from repro.cs.solvers import batched_proximal_gradient
 from repro.recon.batch import solve_tiles_batched
 from repro.recon.pipeline import reconstruct_tiled
@@ -120,3 +127,22 @@ def test_unbounded_per_stream_pending_is_refused(factory):
 def test_removed_solve_constants_are_gone():
     assert not hasattr(repro.recon.pipeline, "PROXIMAL_SOLVERS")
     assert not hasattr(StreamSession, "MAX_INFLIGHT_TILED_SOLVES")
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (repro.recon.operator, "measurement_matrix_from_seed"),
+        (repro.recon.operator, "measurement_factors_from_seed"),
+        (repro.recon, "measurement_matrix_from_seed"),
+        (repro.recon, "measurement_factors_from_seed"),
+        (CASelectionGenerator, "measurement_matrix"),
+        (CompressiveImager, "ideal_samples"),
+        (repro.stream.session, "FrameLossReport"),
+        (repro.stream, "FrameLossReport"),
+        (repro.pixel.selection, "selection_density"),
+    ],
+)
+def test_removed_phi_and_loss_wrappers_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert name not in getattr(owner, "__all__", ())
