@@ -8,8 +8,6 @@ sizes come from each CA operator's closed-form norm estimate.
 
 * ``test_recon_64x64_fista_dense`` / ``..._structured`` — one 64x64 frame
   through the proximal solver, dense reference vs matrix-free default;
-* ``test_recon_64x64_omp_dense`` / ``..._structured`` — the greedy path,
-  exercising the batched ``columns`` support solves;
 * ``test_recon_tiled_256x256_structured_batched`` — the headline: a 16-tile
   256x256 mosaic through the batched structured default.  It must beat the
   dense per-tile loop by a wide margin (``test_batched_structured_beats_dense_per_tile``:
@@ -96,24 +94,6 @@ def test_recon_64x64_fista_structured(benchmark, single_frame):
     np.testing.assert_allclose(exact.image, dense.image, atol=1e-8)
     error = np.linalg.norm(structured.image - dense.image)
     assert error <= 1e-3 * np.linalg.norm(dense.image)
-
-
-@pytest.mark.benchmark(group="recon")
-def test_recon_64x64_omp_dense(benchmark, single_frame):
-    result = benchmark(
-        lambda: reconstruct_frame(
-            single_frame, solver="omp", sparsity=96, operator="dense"
-        )
-    )
-    assert result.solver_result.sparsity <= 96
-
-
-@pytest.mark.benchmark(group="recon")
-def test_recon_64x64_omp_structured(benchmark, single_frame):
-    result = benchmark(
-        lambda: reconstruct_frame(single_frame, solver="omp", sparsity=96)
-    )
-    assert result.solver_result.sparsity <= 96
 
 
 @pytest.mark.benchmark(group="recon")

@@ -96,7 +96,7 @@ def reconstruction_experiment(
             seed=derive_seed(seed, "phi", strategy),
         )
         samples = sampler.measure(image)
-        reconstruction = sampler.reconstruct(samples, solver="fista", max_iterations=max_iterations)
+        reconstruction = sampler.reconstruct(samples, max_iterations=max_iterations)
         record_samples = sampler.total_samples
         extra = {"block_size": float(sampler.block_size)}
     else:

@@ -28,7 +28,7 @@ from repro.cs.metrics import nmse, psnr, reconstruction_snr, ssim
 from repro.cs.operators import BaseSensingOperator, SensingOperator
 from repro.cs.structured import StructuredSensingOperator
 from repro.cs.rip import mutual_coherence, restricted_isometry_estimate
-from repro.cs.solvers import fista, ista, omp
+from repro.cs.solvers import fista, ista
 
 __all__ = [
     "Dictionary",
@@ -52,7 +52,6 @@ __all__ = [
     "reconstruction_snr",
     "mutual_coherence",
     "restricted_isometry_estimate",
-    "omp",
     "ista",
     "fista",
 ]

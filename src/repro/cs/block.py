@@ -28,7 +28,7 @@ from repro.ca.selection import ca_measurement_matrix
 from repro.cs.dictionaries import Dictionary, make_dictionary
 from repro.cs.matrices import bernoulli_matrix
 from repro.cs.operators import SensingOperator
-from repro.cs.solvers import fista, omp
+from repro.cs.solvers import fista
 from repro.utils.images import block_view, unblock_view
 from repro.utils.rng import SeedLike, nonzero_seed_bits
 from repro.utils.validation import check_choice, check_in_range, check_positive
@@ -134,26 +134,19 @@ class BlockCompressiveSampler:
         self,
         samples: np.ndarray,
         *,
-        solver: str = "fista",
         regularization: float | None = None,
-        sparsity: int | None = None,
         max_iterations: int = 150,
     ) -> np.ndarray:
-        """Reconstruct the full image from per-block samples.
+        """Reconstruct the full image from per-block samples, block by block
+        with FISTA.
 
         Parameters
         ----------
-        solver:
-            ``"fista"`` (l1) or ``"omp"`` (greedy, needs ``sparsity``).
         regularization:
             FISTA l1 weight.  When omitted it is scaled to each block's
             centred sample magnitude, which keeps one default working across
             pixel depths and compression ratios.
-        sparsity:
-            OMP sparsity target per block; defaults to a quarter of the
-            per-block measurement count.
         """
-        check_choice("solver", solver, ("fista", "omp"))
         samples = np.asarray(samples, dtype=float)
         if samples.shape != (self.n_blocks, self.samples_per_block):
             raise ValueError(
@@ -163,27 +156,21 @@ class BlockCompressiveSampler:
         density = float(self.phi_block.mean())
         centered_phi = self.phi_block - density
         operator = SensingOperator(centered_phi, self.dictionary)
-        if sparsity is None:
-            sparsity = max(1, self.samples_per_block // 4)
-
         reconstructed_blocks = np.empty((self.n_blocks, self.block_size, self.block_size))
         for index in range(self.n_blocks):
             block_samples = samples[index]
             # Estimate the block DC from the sample mean: E[y] = density * sum(x).
             dc_sum = float(block_samples.mean() / density) if density > 0 else 0.0
             centered = block_samples - density * dc_sum
-            if solver == "fista":
-                block_regularization = regularization
-                if block_regularization is None:
-                    block_regularization = 0.02 * float(np.abs(centered).max() + 1.0)
-                result = fista(
-                    operator,
-                    centered,
-                    regularization=block_regularization,
-                    max_iterations=max_iterations,
-                )
-            else:
-                result = omp(operator, centered, sparsity=int(sparsity))
+            block_regularization = regularization
+            if block_regularization is None:
+                block_regularization = 0.02 * float(np.abs(centered).max() + 1.0)
+            result = fista(
+                operator,
+                centered,
+                regularization=block_regularization,
+                max_iterations=max_iterations,
+            )
             block_image = operator.coefficients_to_image(result.coefficients)
             # Restore the DC level removed by the centring step.
             block_image = block_image - block_image.mean() + dc_sum / self.n_block_pixels

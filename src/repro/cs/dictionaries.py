@@ -117,8 +117,7 @@ class Dictionary(abc.ABC):
         """Dense ``(n_pixels, k)`` sub-matrix of Ψ for the given atom indices.
 
         Synthesised as **one** batched transform over a stack of unit
-        coefficient vectors — this is what lets the greedy solvers build
-        their support sub-matrices without a per-column Python loop.
+        coefficient vectors, with no per-column Python loop.
         """
         indices = [int(index) for index in indices]
         for index in indices:

@@ -15,7 +15,7 @@ Both derive from :class:`BaseSensingOperator`, which fixes the contract:
 * ``matvec(z)``  — ``Φ Ψ z``
 * ``rmatvec(y)`` — ``Ψ* Φ* y``
 * ``phi_dot(x)`` — ``Φ x`` on a raw pixel vector (no dictionary)
-* ``column(j)`` / ``columns(S)`` — dense sub-matrices of A for greedy solvers
+* ``columns(S)`` — a dense sub-matrix of A (what :meth:`dense` stacks)
 * ``operator_norm()`` — the largest singular value that sizes the steps
 
 ``operator_norm`` returns :attr:`~BaseSensingOperator.norm_estimate` when the
@@ -47,8 +47,8 @@ class BaseSensingOperator:
     """Abstract linear operator ``A = Φ Ψ`` acting on coefficient vectors.
 
     Subclasses implement :meth:`matvec`, :meth:`rmatvec`, :meth:`phi_dot`
-    and :meth:`phi_dot_columns`; everything else — shapes, greedy-solver
-    column extraction, the memoised power-iteration norm, the image
+    and :meth:`phi_dot_columns`; everything else — shapes, column
+    extraction, the memoised power-iteration norm, the image
     conveniences — is shared, so the dense reference and the matrix-free
     fast path cannot drift in behaviour.
     """
@@ -119,17 +119,11 @@ class BaseSensingOperator:
         """Apply Φ to a dense ``(n_pixels, k)`` stack of pixel columns."""
         raise NotImplementedError
 
-    def column(self, index: int) -> np.ndarray:
-        """The ``index``-th column of A (Φ applied to one dictionary atom)."""
-        atom = self.dictionary.atom(int(index))
-        return self.phi_dot(atom)
-
     def columns(self, indices: Iterable[int]) -> np.ndarray:
         """Dense sub-matrix of A restricted to the given coefficient indices.
 
         The atoms are batch-synthesised in one dictionary transform and
-        pushed through Φ in one product — no per-column Python loop, which
-        is what keeps OMP's support solves cheap.
+        pushed through Φ in one product — no per-column Python loop.
         """
         indices = list(indices)
         if not indices:

@@ -241,9 +241,7 @@ class StructuredSensingOperator(BaseSensingOperator):
 
     #: Column batches at least this wide ride the materialised Φ instead of
     #: the factor algebra: the cross term costs the same ``k·m·n`` flops
-    #: either way, but one dense GEMM beats ``k`` small batched products —
-    #: and greedy solvers (the only column-heavy consumers) re-request
-    #: growing supports every iteration, so the one-off expansion amortises.
+    #: either way, but one dense GEMM beats ``k`` small batched products.
     MATERIALIZE_COLUMN_THRESHOLD = 8
 
     def phi_dot_columns(self, atoms: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from repro.cs.dictionaries import make_dictionary
 from repro.cs.metrics import psnr, reconstruction_snr
 from repro.cs.operators import BaseSensingOperator, SensingOperator
-from repro.cs.solvers import DEFAULT_MAX_ITERATIONS, SolverResult, fista, ista, omp
+from repro.cs.solvers import DEFAULT_MAX_ITERATIONS, SolverResult, fista, ista
 from repro.recon.operator import frame_operator, normalize_sample_mask
 from repro.sensor.imager import CompressedFrame
 from repro.sensor.shard import TiledCaptureResult, TileSlot
@@ -34,7 +34,6 @@ from repro.utils.validation import check_choice
 _SOLVERS = {
     "fista": fista,
     "ista": ista,
-    "omp": omp,
 }
 
 
@@ -77,14 +76,9 @@ def _solve(
     *,
     solver: str,
     regularization: float,
-    sparsity: int | None,
     max_iterations: int | None,
 ) -> SolverResult:
     check_choice("solver", solver, tuple(_SOLVERS))
-    if solver == "omp":
-        if sparsity is None:
-            sparsity = max(1, operator.n_samples // 8)
-        return omp(operator, measurements, sparsity=int(sparsity), max_iterations=max_iterations)
     return _SOLVERS[solver](
         operator,
         measurements,
@@ -101,7 +95,6 @@ def reconstruct_samples(
     dictionary: str = "dct",
     solver: str = "fista",
     regularization: float | None = None,
-    sparsity: int | None = None,
     max_iterations: int | None = None,
     center: bool = True,
     reference: np.ndarray | None = None,
@@ -124,17 +117,13 @@ def reconstruct_samples(
         ``(rows, cols)`` of the image to recover.
     dictionary : str
         Sparsifying dictionary name (see :func:`repro.cs.dictionaries.make_dictionary`).
-    solver : {"fista", "ista", "omp"}
-        Sparse-recovery solver; OMP uses ``sparsity``.
+    solver : {"fista", "ista"}
+        Sparse-recovery solver.
     regularization : float, optional
-        l1 weight for FISTA/ISTA; auto-scaled when omitted.
-    sparsity : int, optional
-        Sparsity target for OMP; defaults to ``n_samples // 8``.
+        l1 weight; auto-scaled when omitted.
     max_iterations : int, optional
-        Iteration budget; when omitted,
-        :data:`~repro.cs.solvers.DEFAULT_MAX_ITERATIONS` for FISTA/ISTA
-        (their total over the λ-continuation stages) and the sparsity target
-        for OMP.  An explicit value is honoured verbatim by every solver.
+        Iteration budget (the total over the λ-continuation stages); when
+        omitted, :data:`~repro.cs.solvers.DEFAULT_MAX_ITERATIONS`.
     center : bool
         Apply the selection-matrix DC centring described above.
     reference : numpy.ndarray, optional
@@ -162,7 +151,6 @@ def reconstruct_samples(
         samples,
         solver=solver,
         regularization=regularization,
-        sparsity=sparsity,
         max_iterations=max_iterations,
     )
     image = operator.coefficients_to_image(result.coefficients)
@@ -183,7 +171,6 @@ def reconstruct_frame(
     dictionary: str = "dct",
     solver: str = "fista",
     regularization: float | None = None,
-    sparsity: int | None = None,
     max_iterations: int | None = None,
     reference: np.ndarray | None = None,
     operator: str = "structured",
@@ -198,16 +185,10 @@ def reconstruct_frame(
     dictionary, solver:
         Sparsifying dictionary and solver names.
     regularization:
-        FISTA/ISTA l1 weight.  Defaults to a value scaled to the code range
-        and the measurement count, which works well across the synthetic
-        scenes.
-    sparsity:
-        OMP's sparsity target, as in :func:`reconstruct_samples`.
+        l1 weight.  Defaults to a value scaled to the code range and the
+        measurement count, which works well across the synthetic scenes.
     max_iterations:
-        Iteration budget; when omitted,
-        :data:`~repro.cs.solvers.DEFAULT_MAX_ITERATIONS` for FISTA/ISTA
-        (their total over the λ-continuation stages) and the sparsity target
-        for OMP, and an explicit value is honoured verbatim.
+        Iteration budget, as in :func:`reconstruct_samples`.
     reference:
         Optional ground-truth code image (e.g. ``frame.digital_image``); when
         given, PSNR/SNR metrics are attached to the result.
@@ -249,7 +230,6 @@ def reconstruct_frame(
         centered,
         solver=solver,
         regularization=regularization,
-        sparsity=sparsity,
         max_iterations=max_iterations,
     )
     return frame_result(

@@ -53,7 +53,6 @@ from repro.stream.protocol import (
     ChunkType,
     ControlAck,
     FrameComplete,
-    FrameData,
     FrameSegment,
     NackRequest,
     Payload,
@@ -88,11 +87,6 @@ class ChannelBudgetError(ValueError):
 def _chunk_bits(chunk_type: ChunkType) -> int:
     """Wire bits of a chunk of ``chunk_type`` before its variable tail."""
     return 8 * (_CHUNK_HEADER.size + PAYLOAD_LAYOUTS[chunk_type].fixed.size)
-
-
-#: Wire cost of wrapping one frame as a chunk: the chunk header plus the
-#: frame-data prefix (frame index, grid position, keyframe flag).
-CHUNK_OVERHEAD_BITS = _chunk_bits(ChunkType.FRAME_DATA)
 
 
 @dataclass
@@ -193,17 +187,16 @@ class BitrateGovernor:
         include_seed: bool = True,
         segments: int = 1,
         parity: bool = False,
-        barrier: bool = False,
     ) -> int:
         """Samples of one frame, summed over its tiles, that fit the budget.
 
         ``config`` is the largest tile's sensor and ``max_samples`` (default
         ``n_tiles`` times its budget) the open-loop count.  The frame pays
-        what the node sends: per tile one ``FRAME_DATA`` chunk or
-        ``segments`` ``FRAME_SEGMENT`` chunks, each with its own copy of the
-        frame prefix and byte-aligned samples, and the ``parity`` chunk;
-        then the ``FRAME_COMPLETE`` ``barrier``.  ``include_seed=False``
-        models a GOP's non-keyframe, whose seed bits the channel never pays.
+        what the node sends: per tile ``segments`` ``FRAME_SEGMENT`` chunks,
+        each with its own copy of the frame prefix and byte-aligned samples,
+        and the ``parity`` chunk; then the ``FRAME_COMPLETE`` barrier.
+        ``include_seed=False`` models a GOP's non-keyframe, whose seed bits
+        the channel never pays.
         """
         if max_samples is None:
             max_samples = n_tiles * config.samples_per_frame
@@ -211,14 +204,10 @@ class BitrateGovernor:
         if self.bits_per_frame is None:
             return self._governed(int(max_samples), floor)
         sample_bits = config.compressed_sample_bits
-        data_type = (
-            ChunkType.FRAME_SEGMENT if segments > 1 or parity else ChunkType.FRAME_DATA
-        )
-        # Every sample-carrying payload's fixed fields, its copy of the frame
-        # prefix and the alignment of its last sample byte.
-        payload_bits = 8 * PAYLOAD_LAYOUTS[data_type].fixed.size + frame_overhead_bits(
-            config, version=2, include_seed=include_seed
-        )
+        # Every segment payload's fixed fields, its copy of the frame prefix
+        # and the alignment of its last sample byte.
+        payload_bits = 8 * PAYLOAD_LAYOUTS[ChunkType.FRAME_SEGMENT].fixed.size
+        payload_bits += frame_overhead_bits(config, version=2, include_seed=include_seed)
         tile_bits = segments * (8 * _CHUNK_HEADER.size + payload_bits)
         if parity:
             # The XOR body is as long as the longest segment payload.
@@ -227,9 +216,7 @@ class BitrateGovernor:
                 + 8 * segments * _PARITY_LENGTH.size
                 + payload_bits
             )
-        usable = self.bits_per_frame - n_tiles * tile_bits
-        if barrier:
-            usable -= _chunk_bits(ChunkType.FRAME_COMPLETE)
+        usable = self.bits_per_frame - n_tiles * tile_bits - _chunk_bits(ChunkType.FRAME_COMPLETE)
         if parity:
             # Each tile's parity copies its longest segment's samples, at
             # most ceil(n / segments) of the tile's n.
@@ -471,17 +458,17 @@ class CameraNode:
         ``concurrent.futures`` executor for the capture work; ``None`` uses
         the event loop's default thread pool.
     segments_per_frame:
-        Split each tile's sample vector across this many
+        Split each tile's sample vector across this many CRC-checked
         :data:`~repro.stream.protocol.ChunkType.FRAME_SEGMENT` chunks (each
         carrying the frame prefix, so any survivor decodes), turning a lost
-        chunk into a lost *row subset* of Φ instead of a lost frame.  ``1``
-        (default) keeps the legacy one-chunk-per-tile framing.  Every stream
-        kind may be segmented: each tile of a mosaic becomes its own segment
-        group.
+        chunk into a lost *row subset* of Φ instead of a lost frame.  Every
+        tile of every stream kind ships as such a segment group, one
+        segment by default, and every frame ends in a ``FRAME_COMPLETE``
+        barrier.
     parity:
         Append one XOR-parity chunk per segment group, recovering any single
         lost segment of a tile at the receiver (burst-loss insurance, off
-        by default; implies segment framing even with one segment).
+        by default).
     feedback:
         Read receiver→node control chunks (ACK / rate advice / NACK) from
         the transport's return path — ACKs and advice feed the governor,
@@ -585,15 +572,6 @@ class CameraNode:
         return 0 if self.reconnect is None else self.reconnect.n_attempts
 
     # -------------------------------------------------------------- helpers
-    @property
-    def _segmented(self) -> bool:
-        """True when frames ride the segment/parity framing."""
-        return self.segments_per_frame > 1 or self.parity
-
-    def _barriers(self, header: StreamHeader) -> bool:
-        """True when a ``FRAME_COMPLETE`` barrier closes every frame."""
-        return header.tiled or self._segmented
-
     def _samples_per_gop(
         self, header: StreamHeader, config: SensorConfig, max_samples: int
     ) -> Callable[[int], int]:
@@ -615,7 +593,6 @@ class CameraNode:
                 n_tiles=len(grid) * len(grid[0]),
                 segments=self.segments_per_frame,
                 parity=self.parity,
-                barrier=self._barriers(header),
             )
 
         return lambda frame_index: gop_samples(frame_index // header.gop_size)
@@ -786,14 +763,15 @@ class CameraNode:
         grid_col: int,
         keyframe: bool,
     ) -> int:
-        """Ship one tile: a ``FRAME_DATA`` chunk, or a segment group.
+        """Ship one tile as a segment group: every frame has this one framing.
 
-        A segment group splits the encoded frame into its *prefix* (header,
-        stats, seed — everything before the packed samples) and the samples
-        themselves; every segment replicates the prefix and bit-packs its own
-        contiguous sample slice, so each chunk decodes independently and a
-        lost chunk costs exactly its rows of Φ.  An optional XOR-parity chunk
-        closes the group.
+        The encoded frame splits into its *prefix* (header, stats, seed —
+        everything before the packed samples) and the samples themselves;
+        each of the group's ``max(1, min(segments_per_frame, n_samples))``
+        ``FRAME_SEGMENT`` chunks replicates the prefix and bit-packs its own
+        contiguous sample slice, so each chunk decodes independently, its
+        CRC-32 covers prefix and samples, and a lost chunk costs exactly its
+        rows of Φ.  An optional XOR-parity chunk closes the group.
         """
         tel = active(self.telemetry)
         if tel is not None:
@@ -806,20 +784,11 @@ class CameraNode:
             # first chunk lands (joined over loopback; a no-op half over TCP).
             tel.end_span(self.stream_id, frame_index, SPAN_ENCODE)
             tel.begin_span(self.stream_id, frame_index, SPAN_TRANSPORT)
-        if not self._segmented:
-            data = FrameData(
-                frame_index=frame_index,
-                grid_row=grid_row,
-                grid_col=grid_col,
-                keyframe=keyframe,
-                frame_bytes=frame_bytes,
-            )
-            chunk = await self._send_chunk(data, stats, frame_index=frame_index)
-            return chunk.n_bytes
         sample_bits = frame.config.compressed_sample_bits
-        packed = pack_samples(frame.samples, sample_bits)
-        prefix = frame_bytes[: len(frame_bytes) - len(packed)]
         n_samples = frame.n_samples
+        # The packed samples close the frame: ceil(n * bits / 8) bytes.
+        packed_bytes = (n_samples * sample_bits + 7) // 8
+        prefix = frame_bytes[: len(frame_bytes) - packed_bytes]
         n_segments = max(1, min(self.segments_per_frame, n_samples))
         payloads: list[bytes] = []
         sent = 0
@@ -863,11 +832,9 @@ class CameraNode:
         The loop asks ``samples_for`` (:meth:`_samples_per_gop`) at each GOP
         boundary, so the governor runs on the loop that applies feedback and
         the worker's call hits the cache.  A
-        frame is a grid of ≥1 tiles and a tile ships as one ``FRAME_DATA``
-        chunk or a segment group; once a frame's last tile is out, a
-        ``FRAME_COMPLETE`` barrier announcing the chunks the frame occupied
-        closes it (mosaics and segmented streams only — an unsegmented
-        single-sensor frame is its own barrier).
+        frame is a grid of ≥1 tiles and a tile ships as a segment group;
+        once a frame's last tile is out, a ``FRAME_COMPLETE`` barrier
+        announcing the chunks the frame occupied closes it.
 
         A failure mid-stream (governor rejection, bad scene shape, a dead
         transport) must not strand the peer: the transport is closed, turning
@@ -877,9 +844,8 @@ class CameraNode:
         try:
             grid = tile_grid(header.scene_shape, header.tile_shape)
             n_tiles = len(grid) * len(grid[0])
-            barriers = self._barriers(header)
             chunks_per_tile = self.segments_per_frame + (1 if self.parity else 0)
-            if barriers and n_tiles * chunks_per_tile > 0xFFFF:
+            if n_tiles * chunks_per_tile > 0xFFFF:
                 raise ValueError(
                     f"{n_tiles} tiles x {chunks_per_tile} chunks per tile "
                     "overflow the frame barrier's u16 chunk count"
@@ -922,13 +888,12 @@ class CameraNode:
                 tiles_sent += 1
                 if tiles_sent < n_tiles:
                     continue
-                if barriers:
-                    # The barrier tells the receiver how many chunks the frame
-                    # occupied, so it can settle (and account loss for) the
-                    # frame without waiting for the next one.
-                    barrier = FrameComplete(frame_index, stats.n_chunks - frame_start_chunks)
-                    chunk = await self._send_chunk(barrier, stats, frame_index=frame_index)
-                    frame_bytes += chunk.n_bytes
+                # The barrier tells the receiver how many chunks the frame
+                # occupied, so it can settle (and account loss for) the frame
+                # without waiting for the next one.
+                barrier = FrameComplete(frame_index, stats.n_chunks - frame_start_chunks)
+                chunk = await self._send_chunk(barrier, stats, frame_index=frame_index)
+                frame_bytes += chunk.n_bytes
                 stats.n_frames += 1
                 stats.samples_per_frame.append(frame_samples)
                 stats.bytes_per_frame.append(frame_bytes)
@@ -1069,7 +1034,7 @@ class CameraNode:
         :meth:`~repro.sensor.shard.TiledSensorArray.capture_sequence` with
         ``advance=True`` (every tile's CA free-runs across GOP boundaries)
         at the governor's count for that GOP, then emitted frame by frame:
-        one chunk (or segment group) per tile — seeds riding only on the
+        one segment group per tile — seeds riding only on the
         GOP's first frame — and one ``FRAME_COMPLETE`` barrier per frame.
         ``photocurrents=True`` treats ``scenes`` as photocurrent maps
         instead of normalised scenes.

@@ -16,7 +16,8 @@ flowing.  This module is that layer:
   (:class:`StreamHeader` — kind, scene/tile geometry, GOP size: everything a
   receiver needs to derive the tile grid and pre-size its reconstruction),
   frame/tile data (:class:`FrameData` — grid position + an embedded v2 frame
-  from :func:`repro.io.framing.encode_frame`), the per-frame completion
+  from :func:`repro.io.framing.encode_frame`; decode-only since every tile
+  ships as a :class:`FrameSegment` group), the per-frame completion
   barrier (:class:`FrameComplete`) and the end-of-stream marker
   (:class:`StreamEnd`).  :data:`PAYLOAD_LAYOUTS` describes every payload
   once, and one :func:`encode_payload`/:func:`decode_payload` pair reads it;
@@ -84,7 +85,10 @@ class ChunkType(enum.IntEnum):
     control payloads); 9–10 are the additive session-durability extension
     (NACK-driven selective repeat and reconnect-with-resume).  A v1 stream
     never contains types above 4, so every previously-written stream still
-    decodes unchanged.
+    decodes unchanged.  New nodes never send ``FRAME_DATA``: every tile
+    ships as a CRC-checked ``FRAME_SEGMENT`` group and every frame ends in a
+    ``FRAME_COMPLETE`` barrier.  Sessions still decode ``FRAME_DATA``
+    streams.
     """
 
     STREAM_START = 1
@@ -253,9 +257,13 @@ class StreamHeader:
     ----------
     kind:
         One of :data:`STREAM_KINDS`.  ``frame``/``video`` are single-sensor
-        streams (one frame per :class:`~repro.stream.protocol.FrameData`
-        chunk); the ``tiled`` kinds ship one chunk per mosaic tile and the
-        receiver derives the grid from the two shapes below.
+        streams (a frame is one tile); the ``tiled`` kinds ship a mosaic
+        tile by tile and the receiver derives the grid from the two shapes
+        below.  New nodes ship every tile as a
+        :class:`~repro.stream.protocol.FrameSegment` group and close every
+        frame with a :class:`~repro.stream.protocol.FrameComplete` barrier;
+        v1 streams, one :class:`~repro.stream.protocol.FrameData` chunk per
+        tile, still decode.
     scene_shape, tile_shape:
         Scene dimensions and nominal tile dimensions.  For single-sensor
         streams the two coincide.
@@ -278,7 +286,7 @@ class StreamHeader:
 
     @property
     def tiled(self) -> bool:
-        """True for mosaic streams (one chunk per tile)."""
+        """True for mosaic streams (a grid of tiles per frame)."""
         return self.kind in ("tiled", "tiled-video")
 
 

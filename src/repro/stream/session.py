@@ -279,8 +279,9 @@ def frame_latency_instruments(registry: MetricsRegistry) -> tuple[Histogram, Win
 class _TileChunks:
     """The chunks of one tile of one frame that have landed so far.
 
-    A tile arrives either as one ``FRAME_DATA`` chunk or as a group of
-    ``FRAME_SEGMENT`` chunks plus an optional ``FRAME_PARITY`` chunk.
+    A tile arrives as a group of ``FRAME_SEGMENT`` chunks plus an optional
+    ``FRAME_PARITY`` chunk, or — from a node that predates the one framing —
+    as one ``FRAME_DATA`` chunk.
     """
 
     def __init__(self) -> None:
@@ -331,6 +332,17 @@ class _TileChunks:
             return False
         missing = self.n_segments - len(self.segments)
         return missing <= 0 or (missing == 1 and self.parity is not None)
+
+    @property
+    def frame_bytes(self) -> bytes | None:
+        """The tile's whole encoded frame when one chunk carries it: a
+        ``FRAME_DATA`` chunk, or a one-segment group (whose prefix and
+        samples are exactly :func:`~repro.io.framing.encode_frame`'s bytes)."""
+        if self.data is not None:
+            return self.data.frame_bytes
+        if self.n_segments == 1 and 0 in self.segments:
+            return self.segments[0].prefix_bytes + self.segments[0].sample_bytes
+        return None
 
     @property
     def n_chunks_expected(self) -> int:
@@ -386,13 +398,14 @@ class StreamSession:
     """The chunk finite-state machine for exactly one stream.
 
     Every stream kind runs one frame model: a frame is a grid of ≥1 tiles
-    (one for single-sensor streams), and each tile arrives as one
-    ``FRAME_DATA`` chunk or as a group of ``FRAME_SEGMENT`` chunks plus an
-    optional ``FRAME_PARITY`` chunk.  Tiles land in a per-frame grid; frames
-    settle oldest-first through one path when a ``FRAME_COMPLETE`` barrier,
-    the stream end or EOF passes them (an unsegmented single-sensor frame is
-    its own barrier).  Settling decodes each tile against its position's seed
-    chain and hands the frame to the solver — one
+    (one for single-sensor streams), and each tile arrives as a group of
+    ``FRAME_SEGMENT`` chunks plus an optional ``FRAME_PARITY`` chunk.  Tiles
+    land in a per-frame grid; frames settle oldest-first through one path
+    when a ``FRAME_COMPLETE`` barrier, the stream end or EOF passes them.
+    Streams from nodes that predate the one framing still decode: their
+    tiles arrive as one ``FRAME_DATA`` chunk each, and such a single-sensor
+    frame is its own barrier.  Settling decodes each tile against its
+    position's seed chain and hands the frame to the solver — one
     :func:`~repro.recon.pipeline.reconstruct_frame` job per single-sensor
     frame, one batched barrier job per mosaic frame.
 
@@ -846,10 +859,11 @@ class StreamSession:
     ) -> _DecodedTile:
         """Decode one tile against its position's seed chain.
 
-        The one decode path for both chunk kinds: a ``FRAME_DATA`` tile
-        decodes whole; a segment group fills the sample slices that arrived
-        and marks them in a survival mask.  A tile whose Φ cannot be trusted
-        — only parity arrived, a seedless tile without an unbroken seed
+        The one decode path for both chunk kinds: a tile one chunk carries
+        whole (a one-segment group or a ``FRAME_DATA`` chunk) decodes as the
+        frame it is; a larger segment group fills the sample slices that
+        arrived and marks them in a survival mask.  A tile whose Φ cannot be
+        trusted — only parity arrived, a seedless tile without an unbroken seed
         chain, an undecodable prefix, a tile that does not fit its slot — is
         written off rather than solved against a wrong or unknown Φ.
         """
@@ -891,8 +905,9 @@ class StreamSession:
             tel.begin_span(self.stream_id, frame_index, SPAN_DECODE)
         mask: np.ndarray | None = None
         try:
-            if chunks.data is not None:
-                frame = decode_frame(encoded, seed_state=seed)
+            whole = chunks.frame_bytes
+            if whole is not None:
+                frame = decode_frame(whole, seed_state=seed)
             else:
                 frame, mask = self._assemble_segments(encoded, seed, segments)
         except FramingError as error:
@@ -1243,7 +1258,8 @@ class StreamSession:
             )
             return
         if isinstance(part, FrameData) and not self._header.tiled:
-            # An unsegmented single-sensor frame is its own barrier.
+            # A single-sensor FRAME_DATA frame (written before every frame
+            # ended in a barrier) is its own barrier.
             self._expected_frame_chunks = 1
             self._settle_to(part.frame_index + 1)
 

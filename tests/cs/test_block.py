@@ -73,17 +73,6 @@ class TestReconstruction:
         psnr_high = psnr(scene, high.reconstruct(high.measure(scene), max_iterations=120))
         assert psnr_high > psnr_low
 
-    def test_omp_solver_path(self):
-        sampler = BlockCompressiveSampler((16, 16), block_size=8, compression_ratio=0.6, seed=11)
-        scene = make_scene("gradient", (16, 16), seed=12)
-        recovered = sampler.reconstruct(sampler.measure(scene), solver="omp", sparsity=10)
-        assert psnr(scene, recovered) > 18.0
-
-    def test_invalid_solver_rejected(self):
-        sampler = BlockCompressiveSampler((16, 16), block_size=8)
-        with pytest.raises(ValueError):
-            sampler.reconstruct(np.zeros((4, sampler.samples_per_block)), solver="bogus")
-
     def test_wrong_sample_shape_rejected(self):
         sampler = BlockCompressiveSampler((16, 16), block_size=8)
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 from repro.cs.dictionaries import DCT2Dictionary
 from repro.cs.matrices import gaussian_matrix
 from repro.cs.operators import SensingOperator
-from repro.cs.solvers import fista, ista, omp
+from repro.cs.solvers import fista, ista
 from repro.cs.solvers.iterative import soft_threshold
 
 
@@ -35,34 +35,6 @@ class TestThresholdOperators:
     def test_soft_threshold_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(np.zeros(3), -1.0)
-
-
-class TestOMP:
-    def test_exact_recovery_of_sparse_signal(self):
-        matrix, truth, measurements = sparse_problem(sparsity=5, seed=1)
-        result = omp(matrix, measurements, sparsity=5)
-        assert np.allclose(result.coefficients, truth, atol=1e-6)
-        assert result.converged
-
-    def test_recovers_support(self):
-        matrix, truth, measurements = sparse_problem(sparsity=4, seed=2)
-        result = omp(matrix, measurements, sparsity=4)
-        assert set(np.nonzero(result.coefficients)[0]) == set(np.nonzero(truth)[0])
-
-    def test_residual_decreases_monotonically(self):
-        matrix, _, measurements = sparse_problem(sparsity=8, seed=3)
-        result = omp(matrix, measurements, sparsity=8)
-        assert all(b <= a + 1e-9 for a, b in zip(result.history, result.history[1:]))
-
-    def test_sparsity_budget_respected(self):
-        matrix, _, measurements = sparse_problem(sparsity=10, seed=4)
-        result = omp(matrix, measurements, sparsity=3)
-        assert result.sparsity <= 3
-
-    def test_invalid_sparsity_rejected(self):
-        matrix, _, measurements = sparse_problem(seed=5)
-        with pytest.raises(ValueError):
-            omp(matrix, measurements, sparsity=0)
 
 
 class TestISTAAndFISTA:

@@ -39,7 +39,7 @@ from repro.sensor.shard import TiledSensorArray
 PSNR_BOUND_DB = 0.01
 RELATIVE_BOUND = 1e-3
 SHAPES = [(8, 8), (16, 16), (32, 32), (16, 32), (32, 16)]
-SOLVERS = ["fista", "ista", "omp"]
+SOLVERS = ["fista", "ista"]
 
 
 @lru_cache(maxsize=32)

@@ -68,12 +68,10 @@ class TestFrameOperatorFlavours:
 
 class TestReconstructFrameEquivalence:
     @pytest.mark.parametrize("dictionary", ["identity", "dct", "haar"])
-    @pytest.mark.parametrize("solver", ["fista", "ista", "omp"])
+    @pytest.mark.parametrize("solver", ["fista", "ista"])
     def test_structured_matches_dense(self, dictionary, solver):
         frame = capture((16, 16))
-        kwargs = dict(
-            dictionary=dictionary, solver=solver, max_iterations=40, sparsity=12
-        )
+        kwargs = dict(dictionary=dictionary, solver=solver, max_iterations=40)
         dense = reconstruct_frame(frame, operator="dense", **kwargs)
         structured = reconstruct_frame(frame, operator="structured", **kwargs)
         np.testing.assert_allclose(
@@ -84,12 +82,10 @@ class TestReconstructFrameEquivalence:
         )
 
     @pytest.mark.parametrize("shape", [(16, 32), (32, 16)])
-    @pytest.mark.parametrize("solver", ["fista", "omp"])
-    def test_non_square_shapes(self, shape, solver):
+    def test_non_square_shapes(self, shape):
         frame = capture(shape, n_samples=150)
-        kwargs = dict(solver=solver, max_iterations=40, sparsity=15)
-        dense = reconstruct_frame(frame, operator="dense", **kwargs)
-        structured = reconstruct_frame(frame, operator="structured", **kwargs)
+        dense = reconstruct_frame(frame, operator="dense", max_iterations=40)
+        structured = reconstruct_frame(frame, operator="structured", max_iterations=40)
         np.testing.assert_allclose(structured.image, dense.image, atol=EQUIV_ATOL)
 
     @pytest.mark.parametrize(

@@ -63,20 +63,9 @@ class TestReconstructFrame:
         assert psnr_many > psnr_few
 
     def test_solver_choices_produce_images(self, captured_frame):
-        for solver in ("fista", "ista", "omp"):
-            result = reconstruct_frame(
-                captured_frame, solver=solver, max_iterations=40, sparsity=20
-            )
+        for solver in ("fista", "ista"):
+            result = reconstruct_frame(captured_frame, solver=solver, max_iterations=40)
             assert result.image.shape == (32, 32)
-
-    def test_omp_honours_an_explicit_iteration_budget(self, captured_frame):
-        capped = reconstruct_frame(
-            captured_frame, solver="omp", sparsity=20, max_iterations=3
-        )
-        assert capped.solver_result.n_iterations == 3
-        # Without a budget OMP runs to its sparsity target.
-        default = reconstruct_frame(captured_frame, solver="omp", sparsity=5)
-        assert default.solver_result.n_iterations == 5
 
     def test_unknown_solver_rejected(self, captured_frame):
         with pytest.raises(ValueError, match="solver"):

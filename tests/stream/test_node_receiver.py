@@ -12,25 +12,34 @@ from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
 from repro.sensor.video import VideoSequencer
-from repro.stream.node import (
-    CHUNK_OVERHEAD_BITS,
-    BitrateGovernor,
-    CameraNode,
-    ChannelBudgetError,
-)
+from repro.stream.node import BitrateGovernor, CameraNode, ChannelBudgetError
 from repro.stream.protocol import (
     Chunk,
+    ChunkDecoder,
     ChunkType,
+    FrameComplete,
+    FrameSegment,
     StreamEnd,
     StreamProtocolError,
     encode_chunk,
     encode_payload,
+    payload_chunk,
 )
 from repro.stream.receiver import StreamReceiver
 from repro.stream.transport import LoopbackTransport
 
 
 CONFIG = SensorConfig(rows=16, cols=16)
+
+
+def _wire_bits(payload):
+    return 8 * len(encode_chunk(payload_chunk(payload, 1, 0)))
+
+
+#: What the node wraps every tile in (a one-segment group, here with an
+#: empty prefix and no samples) and closes every frame with.
+SEGMENT_OVERHEAD_BITS = _wire_bits(FrameSegment(0, 0, 0, True, 0, 1, 0, 0, b"", b""))
+BARRIER_BITS = _wire_bits(FrameComplete(0, 0))
 
 
 def run(coro):
@@ -59,7 +68,9 @@ class TestBitrateGovernor:
         budget = 2000  # tight enough that the governor actually degrades
         governor = BitrateGovernor(bits_per_frame=budget)
         n_samples = governor.samples_for_frame(CONFIG)
-        overhead = CHUNK_OVERHEAD_BITS + frame_overhead_bits(CONFIG, version=2)
+        overhead = (
+            SEGMENT_OVERHEAD_BITS + frame_overhead_bits(CONFIG, version=2) + BARRIER_BITS
+        )
         assert overhead + n_samples * CONFIG.compressed_sample_bits <= budget
         assert (
             overhead + (n_samples + 1) * CONFIG.compressed_sample_bits > budget
@@ -80,7 +91,10 @@ class TestBitrateGovernor:
         n_samples = governor.samples_for_frame(CONFIG, n_tiles=16)
         assert 0 < n_samples < 16 * CONFIG.samples_per_frame
         total_sample_bits = n_samples * CONFIG.compressed_sample_bits
-        overhead = 16 * (CHUNK_OVERHEAD_BITS + frame_overhead_bits(CONFIG, version=2))
+        overhead = (
+            16 * (SEGMENT_OVERHEAD_BITS + frame_overhead_bits(CONFIG, version=2))
+            + BARRIER_BITS
+        )
         assert total_sample_bits + overhead <= 30000 + CONFIG.compressed_sample_bits
 
     def test_tiled_impossible_budget_raises(self):
@@ -271,12 +285,16 @@ class TestVideoGop:
             return await node.stream_video(self._sequencer(), scenes)
 
         async def collect(transport):
-            sizes = []
+            decoder, sizes = ChunkDecoder(), []
             while True:
                 data = await transport.recv()
                 if data is None:
                     break
-                sizes.append(len(data))
+                sizes += [
+                    chunk.n_bytes
+                    for chunk in decoder.feed(data)
+                    if chunk.chunk_type == ChunkType.FRAME_SEGMENT
+                ]
             return sizes
 
         async def run_both():
@@ -287,8 +305,9 @@ class TestVideoGop:
             return sizes
 
         sizes = run(run_both())
-        # chunk 0 = header, 1 = keyframe, 2..4 = seedless frames, 5 = end.
-        keyframe_size, delta_sizes = sizes[1], sizes[2:5]
+        # One segment per frame: the keyframe, then three seedless frames.
+        keyframe_size, delta_sizes = sizes[0], sizes[1:]
+        assert len(delta_sizes) == 3
         assert all(size < keyframe_size for size in delta_sizes)
         assert all(size == delta_sizes[0] for size in delta_sizes)
 
@@ -501,8 +520,6 @@ class TestReceiverBarrierErrors:
         items = self._tiled_wire_chunks()
         # Drop one tile chunk (index 2: header, tile0, tile1, ...) and renumber
         # the remaining sequence so only the missing tile is the violation.
-        from repro.stream.protocol import ChunkDecoder
-
         chunks = ChunkDecoder().feed(b"".join(items))
         chunks = [c for i, c in enumerate(chunks) if i != 2]
         renumbered = [
@@ -514,8 +531,6 @@ class TestReceiverBarrierErrors:
 
     def test_duplicate_tile_is_detected(self):
         items = self._tiled_wire_chunks()
-        from repro.stream.protocol import ChunkDecoder
-
         chunks = ChunkDecoder().feed(b"".join(items))
         chunks.insert(2, chunks[1])  # replay tile (0, 0)
         renumbered = [
@@ -527,8 +542,6 @@ class TestReceiverBarrierErrors:
 
     def test_duplicate_stream_start_is_detected(self):
         items = self._tiled_wire_chunks()
-        from repro.stream.protocol import ChunkDecoder
-
         chunks = ChunkDecoder().feed(b"".join(items))
         chunks.insert(1, chunks[0])
         renumbered = [
@@ -543,11 +556,9 @@ class TestPartialMosaicStream:
     @staticmethod
     def _received_without_tile_0_1():
         """The 2x2 mosaic replayed into a resilient receiver, tile (0, 1) lost."""
-        from repro.stream.protocol import ChunkDecoder
-
         items = TestReceiverBarrierErrors._tiled_wire_chunks()
         chunks = ChunkDecoder().feed(b"".join(items))
-        assert chunks[2].chunk_type == ChunkType.FRAME_DATA
+        assert chunks[2].chunk_type == ChunkType.FRAME_SEGMENT
         # Lose tile (0, 1)'s only chunk: a sequence gap, booked as loss.
         lossy = [encode_chunk(c) for i, c in enumerate(chunks) if i != 2]
 
@@ -709,11 +720,9 @@ class TestNodeFailureClosesChannel:
 
 class TestChunksAfterStreamEnd:
     def test_coalesced_post_end_chunk_is_rejected(self):
-        from repro.stream.protocol import ChunkDecoder
-
         items = TestReceiverBarrierErrors._tiled_wire_chunks()
         chunks = ChunkDecoder().feed(b"".join(items))
-        # Replay a FRAME_DATA chunk *after* the stream end, renumbered so the
+        # Replay a tile chunk *after* the stream end, renumbered so the
         # sequence is consecutive — only its position is the violation.
         chunks.append(chunks[1])
         renumbered = [

@@ -3,17 +3,21 @@
 A :class:`~hypothesis.stateful.RuleBasedStateMachine` drives
 :meth:`StreamSession.feed`, :meth:`~StreamSession.tick` and
 :meth:`~StreamSession.seal` over pre-encoded single-sensor and mosaic streams
-(plain, and segmented with parity).  Its rules deliver, drop, duplicate,
-hold back (to reorder) or bit-flip chunks, advance a ``ManualClock`` (and
-drain the feedback queue, as the hub does) or seal the stream.
-After every step:
+in three framings: the default one-segment groups, two segments with parity,
+and the ``FRAME_DATA`` tiles sessions still decode.  Its rules deliver, drop,
+duplicate, hold back (to reorder) or bit-flip chunks, advance a
+``ManualClock`` (and drain the feedback queue, as the hub does) or seal the
+stream.  After every step:
 
 * a strict session has raised nothing but ``StreamProtocolError`` subclasses
   (after a raise the machine starts a fresh session on the same stream);
 * a resilient session has raised nothing at all;
 * the lost-chunk level equals the proven-missing set;
 * no unsettled or deferred frame lies behind the settle frontier;
-* landed frames and queued solves are in strictly increasing frame order.
+* landed frames and queued solves are in strictly increasing frame order;
+* every landed frame's surviving samples and Φ (seed, sensor, rule, steps)
+  equal the clean recording's (on the checksummed framings; see
+  :meth:`SessionMachine.landed_frames_match_the_clean_recording`).
 
 A hang is a step that never returns.  CI's chaos job reruns this module
 under the fixed-budget ``fuzz`` profile.
@@ -32,15 +36,30 @@ from hypothesis.stateful import (
 from repro.stream.protocol import Chunk, StreamProtocolError
 from repro.stream.session import StreamSession
 from repro.telemetry import ManualClock, Telemetry
-from tests.stream.recorded import recorded_chunks
+from tests.stream.recorded import (
+    as_frame_data_stream,
+    landed_frames,
+    recorded_chunks,
+    wrong_frames,
+)
 
-STREAMS = {
-    (kind, segmented): recorded_chunks(
-        kind, 3, segments_per_frame=2 if segmented else 1, parity=segmented
+STREAMS = {}
+for kind in ("video", "mosaic"):
+    STREAMS[kind, "segment"] = recorded_chunks(kind, 3)
+    STREAMS[kind, "segments-parity"] = recorded_chunks(
+        kind, 3, segments_per_frame=2, parity=True
     )
-    for kind in ("video", "mosaic")
-    for segmented in (False, True)
-}
+    STREAMS[kind, "frame-data"] = as_frame_data_stream(STREAMS[kind, "segment"])
+
+
+def _clean_landing(chunks):
+    session = StreamSession(1, None)
+    for chunk in chunks:
+        session.feed(chunk)
+    return landed_frames(session)
+
+
+CLEAN = {stream: _clean_landing(chunks) for stream, chunks in STREAMS.items()}
 
 
 class SessionMachine(RuleBasedStateMachine):
@@ -53,6 +72,7 @@ class SessionMachine(RuleBasedStateMachine):
         emit_feedback=st.booleans(),
     )
     def start(self, stream, resilient, frame_deadline, emit_feedback):
+        self.stream = stream
         self.chunks = STREAMS[stream]
         self.options = dict(
             resilient=resilient,
@@ -73,6 +93,7 @@ class SessionMachine(RuleBasedStateMachine):
         self.cursor = 0
         self.delivered = []
         self.held = []
+        self.flipped = False
 
     def _step(self, call, *args):
         try:
@@ -130,6 +151,7 @@ class SessionMachine(RuleBasedStateMachine):
             sequence ^= 1 << bit
         else:
             payload[(bit - 32) // 8] ^= 1 << (bit % 8)
+        self.flipped = True
         self._feed(Chunk(chunk.chunk_type, chunk.stream_id, sequence, bytes(payload)))
 
     @rule(seconds=st.sampled_from([0.1, 0.3, 1.0]))
@@ -161,6 +183,20 @@ class SessionMachine(RuleBasedStateMachine):
         queued = [frame.frame_index for frame, _, _ in self.session._queued]
         assert landed == sorted(set(landed))
         assert queued == landed  # nothing drains: every landed frame is queued
+
+    @invariant()
+    def landed_frames_match_the_clean_recording(self):
+        """No corruption reaches a solve as plausible wrong pixels.
+
+        ``FRAME_DATA`` carries no checksum, so only the segment framings are
+        held to it.  A strict session is held to it always.  A resilient one
+        only until a bit flip lands: a segment's CRC does not cover its fixed
+        fields, and a flipped frame index, grid position or start sample can
+        move a valid segment into another frame, tile or slice.
+        """
+        if self.stream[1] == "frame-data" or (self.session.resilient and self.flipped):
+            return
+        assert wrong_frames(landed_frames(self.session), CLEAN[self.stream]) == []
 
 
 SessionMachine.TestCase.settings = settings(

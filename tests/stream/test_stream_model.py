@@ -21,7 +21,7 @@ import pytest
 from repro.optics.scenes import make_scene
 from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
-from repro.sensor.shard import TiledSensorArray
+from repro.sensor.shard import TiledCaptureResult, TiledSensorArray
 from repro.sensor.video import VideoSequencer
 from repro.stream.fault import GilbertElliottTransport
 from repro.stream.hub import ReceiverHub
@@ -39,6 +39,7 @@ from repro.stream.protocol import (
 from repro.stream.receiver import StreamReceiver
 from repro.stream.session import StreamSession
 from repro.stream.transport import LoopbackTransport, loopback_duplex_pair
+from tests.stream.recorded import as_frame_data_stream
 
 
 CONFIG = SensorConfig(rows=16, cols=16)
@@ -175,9 +176,9 @@ class TestBoundedSettling:
     def test_implausible_frame_index_is_skipped_as_corrupt(self):
         chunks = _recorded_chunks("frame")
         index = next(
-            i for i, c in enumerate(chunks) if c.chunk_type is ChunkType.FRAME_DATA
+            i for i, c in enumerate(chunks) if c.chunk_type is ChunkType.FRAME_SEGMENT
         )
-        data = decode_payload(ChunkType.FRAME_DATA, chunks[index].payload)
+        data = decode_payload(ChunkType.FRAME_SEGMENT, chunks[index].payload)
         chunks[index] = _with_payload(
             chunks[index], encode_payload(replace(data, frame_index=2**31))
         )
@@ -205,6 +206,30 @@ class TestBoundedSettling:
 
 
 # =========================================================================
+# Streams whose tiles ride one FRAME_DATA chunk each still decode
+# =========================================================================
+
+
+def _tiles(capture):
+    if isinstance(capture, TiledCaptureResult):
+        frames = [frame for _, frame in capture.delivered()]
+    else:
+        frames = [capture]
+    return [(frame.samples.tobytes(), frame.seed_state.tobytes()) for frame in frames]
+
+
+@pytest.mark.parametrize("kind", ["frame", "video", "tiled", "tiled-video"])
+def test_a_frame_data_stream_decodes_to_the_same_frames(kind):
+    chunks = _recorded_chunks(kind)
+    assert ChunkType.FRAME_DATA not in {chunk.chunk_type for chunk in chunks}
+    _, segmented = run(_feed(chunks, resilient=False))
+    _, frame_data = run(_feed(as_frame_data_stream(chunks), resilient=False))
+    assert frame_data.n_frames == segmented.n_frames > 0
+    for old, new in zip(frame_data.frames, segmented.frames):
+        assert _tiles(old.capture) == _tiles(new.capture)
+
+
+# =========================================================================
 # A seedless tile without a seed chain fails typed, whatever carried it
 # =========================================================================
 
@@ -214,8 +239,10 @@ class TestSeedlessTileWithoutChain:
 
     @staticmethod
     def _seedless_stream(segmented):
-        options = dict(segments_per_frame=1, parity=True) if segmented else {}
-        chunks = _recorded_chunks("video", **options)
+        if segmented:
+            chunks = _recorded_chunks("video", parity=True)
+        else:
+            chunks = as_frame_data_stream(_recorded_chunks("video"))
         header = decode_payload(ChunkType.STREAM_START, chunks[0].payload)
         stream = [
             _with_payload(chunks[0], encode_payload(replace(header, gop_size=1)))

@@ -11,20 +11,31 @@ in-flight solves always have a bound.  Each removed keyword must be
 refused, not silently accepted.  A CA seed becomes Φ only through the two
 shared builders of ``repro.ca.selection``, and a frame's loss report is
 the ``ControlAck`` it is sent as, so the wrappers around them stay gone.
+The proximal-gradient solvers are the one solver family: OMP, its
+sparsity target and its column extraction are gone.  Every tile ships as a
+segment group closed by a barrier, so the governor has no unsegmented
+charge to select.
 """
+
+import importlib.util
 
 import pytest
 
+import repro.cs
+import repro.cs.solvers
 import repro.pixel.selection
 import repro.recon
 import repro.recon.operator
 import repro.recon.pipeline
 import repro.stream
+import repro.stream.node
 import repro.stream.session
 from repro.ca.selection import CASelectionGenerator
+from repro.cs.block import BlockCompressiveSampler
+from repro.cs.operators import BaseSensingOperator
 from repro.cs.solvers import batched_proximal_gradient
 from repro.recon.batch import solve_tiles_batched
-from repro.recon.pipeline import reconstruct_tiled
+from repro.recon.pipeline import _solve, reconstruct_frame, reconstruct_samples, reconstruct_tiled
 from repro.sensor.imager import CompressiveImager
 from repro.stream.fault import GilbertElliottTransport, LossyTransport
 from repro.stream.hub import FairSolveScheduler, ReceiverHub
@@ -84,6 +95,26 @@ def _batched_solve(**option):
     return batched_proximal_gradient([], None, regularization=0.0, **option)
 
 
+def _frame_solve(**option):
+    return reconstruct_frame(None, **option)
+
+
+def _samples_solve(**option):
+    return reconstruct_samples(None, None, None, **option)
+
+
+def _inner_solve(**option):
+    return _solve(None, None, solver="fista", regularization=0.0, max_iterations=None, **option)
+
+
+def _block_solve(**option):
+    return BlockCompressiveSampler((16, 16), block_size=8).reconstruct(None, **option)
+
+
+def _governor_budget(**option):
+    return BitrateGovernor().samples_for_frame(None, **option)
+
+
 SOLVE_OPTIONS = ("dictionary", "solver", "regularization")
 SOLVE_SIGNATURES = (ReceiverHub, StreamReceiver, _session, _tiled, _batched_tiles)
 
@@ -105,6 +136,12 @@ SOLVE_SIGNATURES = (ReceiverHub, StreamReceiver, _session, _tiled, _batched_tile
         (_node, "retransmit_max_age"),
         (_retransmit_buffer, "max_age"),
         (_batched_solve, "accelerated"),
+        (_frame_solve, "sparsity"),
+        (_samples_solve, "sparsity"),
+        (_inner_solve, "sparsity"),
+        (_block_solve, "sparsity"),
+        (_block_solve, "solver"),
+        (_governor_budget, "barrier"),
         *[(factory, option) for factory in SOLVE_SIGNATURES for option in SOLVE_OPTIONS],
     ],
 )
@@ -146,3 +183,23 @@ def test_removed_solve_constants_are_gone():
 def test_removed_phi_and_loss_wrappers_are_gone(owner, name):
     assert not hasattr(owner, name)
     assert name not in getattr(owner, "__all__", ())
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (repro.cs, "omp"),
+        (repro.cs.solvers, "omp"),
+        (repro.recon.pipeline, "omp"),
+        (BaseSensingOperator, "column"),
+        (repro.stream.node, "CHUNK_OVERHEAD_BITS"),
+    ],
+)
+def test_removed_solver_and_framing_names_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert name not in getattr(owner, "__all__", ())
+
+
+def test_omp_module_is_gone():
+    assert importlib.util.find_spec("repro.cs.solvers.greedy") is None
+    assert "omp" not in repro.recon.pipeline._SOLVERS
