@@ -184,6 +184,17 @@ class BaseSensingOperator:
         self._norm_cache[memo_key] = sigma
         return sigma
 
+    def mean_column_energy(self) -> float:
+        """``‖A‖²_F / n``: the mean squared column norm of A.
+
+        It is the scale ``s²`` of the message-passing warm start of the
+        proximal solvers.  This generic form materialises A; the dense and
+        structured operators compute it from Φ alone when Ψ is orthonormal
+        (``‖Φ Ψ‖_F = ‖Φ‖_F``).
+        """
+        dense = self.dense()
+        return float(np.vdot(dense, dense)) / self.n_coefficients
+
     # -------------------------------------------------------------- images
     def coefficients_to_image(self, coefficients: np.ndarray) -> np.ndarray:
         """Convenience: synthesise coefficients and reshape to the image grid."""
@@ -275,3 +286,8 @@ class SensingOperator(BaseSensingOperator):
 
     def phi_dot_columns(self, atoms: np.ndarray) -> np.ndarray:
         return self.phi @ atoms
+
+    def mean_column_energy(self) -> float:
+        if getattr(self.dictionary, "orthonormal", False):
+            return float(np.vdot(self.phi, self.phi)) / self.n_coefficients
+        return super().mean_column_energy()

@@ -13,7 +13,7 @@ Available solvers:
   :data:`DEFAULT_MAX_ITERATIONS` is their budget when the caller names none.
 """
 
-from repro.cs.solvers.result import SolverResult, as_operator
+from repro.cs.solvers.result import SolverDiagnostics, SolverResult, as_operator
 from repro.cs.solvers.iterative import DEFAULT_MAX_ITERATIONS, fista, ista
 from repro.cs.solvers.batched import (
     batched_operator_norms,
@@ -22,6 +22,7 @@ from repro.cs.solvers.batched import (
 
 __all__ = [
     "DEFAULT_MAX_ITERATIONS",
+    "SolverDiagnostics",
     "SolverResult",
     "as_operator",
     "ista",

@@ -192,6 +192,7 @@ def batched_proximal_gradient(
         measurements,
         np.zeros((n_tiles, stack.dictionary.n_pixels)),
         step_sizes=step_sizes,
+        column_energies=np.array([operator.mean_column_energy() for operator in operators]),
         regularization=regularization,
         max_iterations=max_iterations,
         tolerance=tolerance,

@@ -13,12 +13,20 @@ momentum step, instead of being recomputed.
   stack of one; the batched multi-tile solver
   (:mod:`repro.cs.solvers.batched`) runs it over a stack of tiles.
 
-The loop follows a λ path (fixed-point continuation, Hale, Yin & Zhang
-2008): the budget is split into up to :data:`CONTINUATION_STAGES` stages
-(:func:`stage_budgets`) at l1 weights ``λ·27, λ·9, λ·3, λ``, each
-warm-started from the last one's iterate with FISTA's momentum reset.  The
-large early weights find the support in few products, so the path reaches
-a given image in about 60% of the products plain FISTA needs at λ.
+A solve opens with :data:`AMP_ITERATIONS` iterations of approximate
+message passing (:func:`message_passing`; Donoho, Maleki & Montanari 2009)
+when its budget leaves at least :data:`MIN_STAGE_ITERATIONS` after them
+(:func:`amp_budget`).  A centred CA-XOR Φ behaves like an i.i.d. ±½
+matrix, the regime where AMP's Onsager memory term lets it take steps of
+about ``7/σ²`` without a backtrack and find most of an image in a few
+products.  It is no descent method, so it hands on each tile's
+least-residual iterate.  The rest of the budget follows a λ path
+(fixed-point continuation, Hale, Yin & Zhang 2008): it is split into up to
+:data:`CONTINUATION_STAGES` stages (:func:`stage_budgets`) at l1 weights
+``λ·27, λ·9, λ·3, λ``, each warm-started from the last one's iterate with
+FISTA's momentum reset.  The default budget of 60 is 10 AMP iterations,
+then 25 at ``λ·3`` and 25 at ``λ``: about half the products of the
+120-iteration λ path it replaced, at a higher PSNR.
 
 The default step ``1/σ²`` comes from ``operator.operator_norm()``, which for
 CA frames is a closed-form estimate rather than a bound.  So the loop
@@ -71,9 +79,17 @@ def step_from_norm(sigma: float) -> float:
 
 
 #: The proximal solvers' iteration budget when the caller names none: the
-#: total number of iterations (one product pair each) over every
-#: continuation stage of a solve.
-DEFAULT_MAX_ITERATIONS = 120
+#: total number of iterations (one product pair each) over the
+#: message-passing warm start and every continuation stage of a solve.
+DEFAULT_MAX_ITERATIONS = 60
+
+#: Approximate-message-passing iterations that open a solve (its warm
+#: start), when its budget leaves a full λ stage after them.
+AMP_ITERATIONS = 10
+
+#: AMP's threshold in units of the noise level it estimates from its
+#: memory, ``‖mem‖/√m`` (α of Donoho, Maleki & Montanari 2009).
+AMP_THRESHOLD = 1.5
 
 #: The most warm-started λ-continuation stages one solve runs.
 CONTINUATION_STAGES = 4
@@ -85,6 +101,15 @@ CONTINUATION_RATIO = 3.0
 #: Every stage gets at least this many iterations: a budget under twice this
 #: runs one stage, which is plain FISTA/ISTA at λ.
 MIN_STAGE_ITERATIONS = 25
+
+
+def amp_budget(max_iterations: int) -> int:
+    """The AMP iterations of a solve: :data:`AMP_ITERATIONS`, or none when
+    fewer than :data:`MIN_STAGE_ITERATIONS` of the budget would be left for
+    the λ path.  Like the stage budgets, it depends on the budget alone."""
+    if max_iterations - AMP_ITERATIONS >= MIN_STAGE_ITERATIONS:
+        return AMP_ITERATIONS
+    return 0
 
 
 def stage_budgets(max_iterations: int) -> list[int]:
@@ -218,6 +243,7 @@ def _solo_proximal_gradient(
         measurements[None],
         start[None],
         step_sizes=np.array([step]),
+        column_energies=np.array([operator.mean_column_energy()]),
         regularization=np.array([float(regularization)]),
         max_iterations=max_iterations,
         tolerance=tolerance,
@@ -228,6 +254,81 @@ def _solo_proximal_gradient(
     return result
 
 
+def message_passing(
+    forward: Callable[[np.ndarray, list[int]], np.ndarray],
+    adjoint: Callable[[np.ndarray], np.ndarray],
+    measurements: np.ndarray,
+    coefficients: np.ndarray,
+    measured: np.ndarray,
+    *,
+    column_energies: np.ndarray,
+    n_iterations: int,
+    histories: list[list[float]],
+    profile: SolverProfile | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """AMP on a stack of tiles: each tile's least-residual iterate and its product.
+
+    Approximate message passing (Donoho, Maleki & Montanari 2009) with
+    soft thresholds, for ``A`` whose columns have mean squared norm
+    ``s² = column_energies[t]``::
+
+        x   ← η(x + Aᵀ·mem / s², θ),   θ = AMP_THRESHOLD·‖mem‖ / (s·√m)
+        mem ← (y − A x) + mem · nnz(x) / m
+
+    starting from ``coefficients`` (whose product ``measured`` the caller
+    has) with ``mem = y − A x``.  The Onsager term ``mem·nnz(x)/m`` keeps
+    the effective noise Gaussian for matrices with i.i.d.-like entries,
+    such as a centred CA-XOR Φ.  Each iteration costs one adjoint and one
+    forward product and appends the iterate's residual norm to its tile's
+    history.  Nothing guarantees descent on a structured or degenerate Φ,
+    so each tile keeps the iterate (the start included) with the least
+    residual norm and returns it with its tracked product.  Every
+    per-tile quantity is a 1-D reduction of that tile's row, so a tile
+    gives the same bytes alone and in a stack.  ``profile`` records each
+    iteration as stage 0, with the mean θ in place of λ.
+    """
+    n_tiles, n_samples = measurements.shape
+    all_tiles = list(range(n_tiles))
+    energies = np.where(column_energies > 0.0, column_energies, 1.0)
+    noise_scales = [float(np.sqrt(energy)) * np.sqrt(n_samples) for energy in energies]
+    residuals = measurements - measured
+    memory = residuals
+    best, best_measured = coefficients.copy(), measured.copy()
+    best_norms = [float(np.linalg.norm(residual)) for residual in residuals]
+    for _ in range(n_iterations):
+        thresholds = np.array([
+            AMP_THRESHOLD * float(np.linalg.norm(memory[index])) / noise_scales[index]
+            for index in all_tiles
+        ])
+        pseudo_data = coefficients + adjoint(memory) / energies[:, None]
+        coefficients = _shrink(pseudo_data, thresholds[:, None])
+        measured = forward(coefficients, all_tiles)
+        residuals = measurements - measured
+        onsager = np.array([
+            np.count_nonzero(coefficients[index]) / n_samples for index in all_tiles
+        ])
+        memory = residuals + memory * onsager[:, None]
+        for index in all_tiles:
+            norm = float(np.linalg.norm(residuals[index]))
+            histories[index].append(norm)
+            if norm < best_norms[index]:
+                best_norms[index] = norm
+                best[index] = coefficients[index]
+                best_measured[index] = measured[index]
+        if profile is not None:
+            objective = sum(
+                0.5 * history[-1] ** 2
+                + float(thresholds[index]) * float(np.abs(coefficients[index]).sum())
+                for index, history in enumerate(histories)
+            )
+            residual = np.hypot.reduce([history[-1] for history in histories])
+            profile.record_iteration(
+                objective, residual, frozen=0, stage=0,
+                regularization=float(thresholds.mean()),
+            )
+    return best, best_measured
+
+
 def proximal_gradient(
     forward: Callable[[np.ndarray, list[int]], np.ndarray],
     adjoint: Callable[[np.ndarray], np.ndarray],
@@ -235,6 +336,7 @@ def proximal_gradient(
     initial: np.ndarray,
     *,
     step_sizes: np.ndarray,
+    column_energies: np.ndarray,
     regularization: np.ndarray,
     max_iterations: int,
     tolerance: float,
@@ -258,30 +360,44 @@ def proximal_gradient(
     point's, with exact residual norms (ISTA's momentum point *is* the
     candidate, so its bytes are unchanged).
 
-    ``max_iterations`` is the total budget over the continuation stages of
-    :func:`stage_budgets`.  Stage ``k`` of ``K`` solves at
-    ``regularization · CONTINUATION_RATIO**(K − 1 − k)``, from the previous
-    stage's iterate and tracked product, with the momentum reset and every
+    ``max_iterations`` is the total budget: the :func:`amp_budget`
+    iterations of :func:`message_passing` (whose per-tile scales are
+    ``column_energies``, each ``‖A_t‖²_F / n``), then the continuation
+    stages of :func:`stage_budgets` over the rest.  Stage ``k`` of ``K``
+    solves at ``regularization · CONTINUATION_RATIO**(K − 1 − k)``, from
+    the previous stage's iterate and tracked product (the first from the
+    AMP guard's), with the momentum reset and every
     tile live; a tile that freezes waits for the next stage.  A result is
     ``converged`` when its tile froze in the final stage, at the caller's λ.
     ``profile`` gets the objective (at the stage's λ) and residual norm
     summed over the stack, how many tiles entered each iteration frozen,
-    the stage and its λ, and the number of step reductions.
+    the stage and its λ (the AMP warm start is stage 0, with θ for λ), and
+    the number of step reductions.
     """
     check_positive("max_iterations", max_iterations)
     check_positive("tolerance", tolerance)
     n_tiles = measurements.shape[0]
     all_tiles = list(range(n_tiles))
-    budgets = stage_budgets(int(max_iterations))
+    n_amp = amp_budget(int(max_iterations))
+    budgets = stage_budgets(int(max_iterations) - n_amp)
+    # The AMP warm start, when it runs, is stage 0 of the profile.
+    first_stage = 1 if n_amp else 0
     if profile is not None:
         profile.record_step_size(float(step_sizes.mean()), provenance=step_provenance)
         profile.n_tiles = n_tiles
-        profile.n_stages = len(budgets)
+        profile.n_stages = first_stage + len(budgets)
+        profile.amp_iterations = n_amp
     step_sizes = np.array(step_sizes, dtype=float)
     reductions = [0] * n_tiles
     coefficients = initial.copy()
     measured_coefficients = forward(coefficients, all_tiles)
     histories: list[list[float]] = [[] for _ in range(n_tiles)]
+    if n_amp:
+        coefficients, measured_coefficients = message_passing(
+            forward, adjoint, measurements, coefficients, measured_coefficients,
+            column_energies=column_energies,
+            n_iterations=n_amp, histories=histories, profile=profile,
+        )
     frozen: list[int] = []
     for stage, budget in enumerate(budgets):
         # A stage restarts the momentum from the last stage's iterate and its
@@ -360,7 +476,7 @@ def proximal_gradient(
                 residual = np.hypot.reduce([history[-1] for history in histories])
                 profile.record_iteration(
                     objective, residual, frozen=n_tiles - len(live),
-                    stage=stage, regularization=float(weights.mean()),
+                    stage=first_stage + stage, regularization=float(weights.mean()),
                 )
             live = still_live
     if profile is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -10,15 +10,18 @@ from repro.cs.operators import BaseSensingOperator, SensingOperator
 
 
 @dataclass
-class SolverResult:
-    """Outcome of a sparse-recovery solve.
+class SolverDiagnostics:
+    """How a sparse-recovery solve went, without the coefficients it found.
+
+    A :class:`~repro.recon.pipeline.ReconstructionResult` keeps only this
+    part of its solve: the coefficients are a second copy of the image it
+    already holds.
 
     Attributes
     ----------
-    coefficients:
-        Recovered coefficient vector (dictionary domain).
     n_iterations:
-        Iterations actually performed.
+        Iterations actually performed (the message-passing warm start
+        included).
     converged:
         Whether the stopping tolerance was met before the iteration cap (for
         FISTA/ISTA: in the final λ-continuation stage, at the caller's λ).
@@ -31,12 +34,30 @@ class SolverResult:
         shrunk (0 when the initial step held throughout).
     """
 
-    coefficients: np.ndarray
     n_iterations: int
     converged: bool
     residual_norm: float
-    history: list[float] = field(default_factory=list)
-    step_reductions: int = 0
+    history: list[float]
+    step_reductions: int
+
+    def diagnostics(self) -> SolverDiagnostics:
+        """These diagnostics alone, as a new :class:`SolverDiagnostics`."""
+        return SolverDiagnostics(
+            **{item.name: getattr(self, item.name) for item in fields(SolverDiagnostics)}
+        )
+
+
+@dataclass
+class SolverResult(SolverDiagnostics):
+    """Outcome of a sparse-recovery solve: its diagnostics and coefficients.
+
+    Attributes
+    ----------
+    coefficients:
+        Recovered coefficient vector (dictionary domain).
+    """
+
+    coefficients: np.ndarray
 
     @property
     def sparsity(self) -> int:

@@ -252,6 +252,18 @@ class StructuredSensingOperator(BaseSensingOperator):
         images = atoms.T.reshape(-1, rows, cols)
         return phi_dot_stack(self.row_signs_t, self.col_signs, self.offset, images).T
 
+    def mean_column_energy(self) -> float:
+        """``‖A‖²_F / n = m·(d(1 − d) + (d − c)²)`` for an orthonormal Ψ.
+
+        The entries of ``Φ − c`` are ``1 − c`` on a fraction ``d`` (the exact
+        :attr:`density`) and ``−c`` elsewhere, so a centred frame
+        (``c = d``) reads exactly ``m·d(1 − d)``.
+        """
+        if not getattr(self.dictionary, "orthonormal", False):
+            return super().mean_column_energy()
+        density, center = self.density, self.center
+        return self.n_samples * (density * (1.0 - density) + (density - center) ** 2)
+
     # --------------------------------------------------------------- dense
     @property
     def phi(self) -> np.ndarray:

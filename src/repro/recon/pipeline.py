@@ -25,7 +25,13 @@ import numpy as np
 from repro.cs.dictionaries import make_dictionary
 from repro.cs.metrics import psnr, reconstruction_snr
 from repro.cs.operators import BaseSensingOperator, SensingOperator
-from repro.cs.solvers import DEFAULT_MAX_ITERATIONS, SolverResult, fista, ista
+from repro.cs.solvers import (
+    DEFAULT_MAX_ITERATIONS,
+    SolverDiagnostics,
+    SolverResult,
+    fista,
+    ista,
+)
 from repro.recon.operator import frame_operator, normalize_sample_mask
 from repro.sensor.imager import CompressedFrame
 from repro.sensor.shard import TiledCaptureResult, TileSlot
@@ -46,7 +52,10 @@ class ReconstructionResult:
     image:
         The reconstructed image (code domain for sensor frames).
     solver_result:
-        The underlying :class:`~repro.cs.solvers.SolverResult`.
+        The solve's :class:`~repro.cs.solvers.SolverDiagnostics`: its
+        iterations, convergence, residuals and step reductions.  The
+        solver's coefficients are not kept, because ``image`` already holds
+        the pixels they synthesise.
     dictionary:
         Name of the sparsifying dictionary used.
     solver:
@@ -63,7 +72,7 @@ class ReconstructionResult:
     """
 
     image: np.ndarray
-    solver_result: SolverResult
+    solver_result: SolverDiagnostics
     dictionary: str
     solver: str
     metrics: dict[str, float]
@@ -158,7 +167,7 @@ def reconstruct_samples(
         image = image + pixel_mean
     return ReconstructionResult(
         image=image,
-        solver_result=result,
+        solver_result=result.diagnostics(),
         dictionary=dictionary,
         solver=solver,
         metrics=quality_metrics(reference, image),
@@ -281,7 +290,7 @@ def frame_result(
         reference = frame.digital_image
     return ReconstructionResult(
         image=image,
-        solver_result=result,
+        solver_result=result.diagnostics(),
         dictionary=dictionary,
         solver=solver,
         metrics=quality_metrics(reference, image),

@@ -474,7 +474,15 @@ class CompressiveImager:
         # A pulse slips into the next clock period when queueing pushes it
         # across a tick boundary; the per-event probability is bounded by
         # the chance of colliding with another event of the same column.
-        return self.config.event_overlap_probability(self.config.rows // 2)
+        return self._column_overlap_probability()
+
+    def _column_overlap_probability(self) -> float:
+        """Chance that a selected event overlaps another of its column.
+
+        A pattern selects about half of each column; a one-row chip selects
+        at most one pixel per column, so its events never collide.
+        """
+        return self.config.event_overlap_probability(max(1, self.config.rows // 2))
 
     @staticmethod
     def _rank_structured_project(
@@ -600,7 +608,7 @@ class CompressiveImager:
                     outside_window.reshape(rows, cols).astype(np.float64),
                 ).sum()
             )
-        overlap = self.config.event_overlap_probability(self.config.rows // 2)
+        overlap = self._column_overlap_probability()
         return {
             "lsb_error_probability": float(lsb_probability),
             "n_lsb_errors": int(n_bumped),

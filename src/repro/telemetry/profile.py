@@ -3,8 +3,9 @@
 ``ista``/``fista`` and ``batched_proximal_gradient`` accept
 ``profile=SolverProfile()``; when given, they append one record per
 iteration (objective, residual norm, how many tiles are frozen — always
-0 for ``ista``/``fista``, which solve one tile — and the continuation stage
-and its l1 weight) and stamp where the step size came from.  When
+0 for ``ista``/``fista``, which solve one tile — and the stage and its l1
+weight, or the AMP threshold θ in the message-passing warm start) and
+stamp where the step size came from.  When
 ``profile`` stays ``None`` (the default) the solvers skip every bookkeeping
 branch, so the profiling seam costs nothing and, because a profile only
 *reads* solver state, recording one is bit-neutral: same iterates, same RNG
@@ -34,9 +35,12 @@ class SolverProfile:
     ``objectives[i]`` is the composite objective ``0.5·‖Ax−y‖² + λ‖x‖₁``
     after iteration ``i`` at that iteration's λ (summed over tiles for
     batched solves) and ``residual_norms[i]`` the matching data-fidelity
-    norm.  ``stages[i]`` is the λ-continuation stage iteration ``i`` ran in
-    (``0`` .. ``n_stages − 1``; the last stage solves at the caller's λ) and
-    ``regularizations[i]`` its λ (the mean over tiles).  ``frozen_counts[i]``
+    norm.  ``stages[i]`` is the stage iteration ``i`` ran in (``0`` ..
+    ``n_stages − 1``; the last stage solves at the caller's λ) and
+    ``regularizations[i]`` its λ (the mean over tiles).  When the solve
+    opens with ``amp_iterations`` of approximate message passing, those
+    are stage 0 and record the AMP threshold θ in place of λ; the
+    λ-continuation stages follow.  ``frozen_counts[i]``
     counts tiles already frozen in that stage entering iteration ``i`` (0
     for a one-tile solve).  ``step_size`` is
     the initial step (the mean over tiles) and ``step_reductions`` counts
@@ -53,6 +57,7 @@ class SolverProfile:
     step_size_provenance: str | None = None
     n_tiles: int | None = None
     n_stages: int | None = None
+    amp_iterations: int = 0
     n_iterations: int = 0
     step_reductions: int = 0
     converged: bool | None = None
@@ -87,11 +92,11 @@ class SolverProfile:
 
     @property
     def monotone(self) -> bool:
-        """``True`` when the objective never increased (ISTA guarantee).
+        """``True`` when the λ path's objective never increased (ISTA guarantee).
 
         Continuation keeps the guarantee: a stage boundary lowers λ at the
-        same iterate, which can only lower the composite objective.
+        same iterate, which can only lower the composite objective.  The
+        AMP warm start is no descent method, so its iterations are skipped.
         """
-        return all(
-            b <= a + 1e-12 for a, b in zip(self.objectives, self.objectives[1:])
-        )
+        path = self.objectives[self.amp_iterations:]
+        return all(b <= a + 1e-12 for a, b in zip(path, path[1:]))

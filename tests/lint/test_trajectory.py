@@ -76,3 +76,6 @@ def test_committed_ledger_reads(reader):
     assert benches, "no BENCH_*.json at the repository root"
     rows = reader.trajectory_rows(benches, workload="video_64", metric="cpu_s_per_frame")
     assert [row["pr"] for row in rows] == list(benches)
+    mosaic = reader.trajectory_rows(benches, workload="mosaic_256", metric="cpu_s_per_frame")
+    (amp,) = [row for row in mosaic if row["pr"] == 37]
+    assert amp["wins"] == amp["pairs"] == 10

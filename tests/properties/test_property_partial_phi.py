@@ -125,5 +125,5 @@ def test_losing_rows_degrades_but_never_destroys_the_solve(dropped):
     sensing, density = frame_operator(_FRAME, sample_mask=mask)
     kept = _FRAME.samples[mask].astype(float)
     centered, _, _ = center_frame_samples(sensing, density, kept, None)
-    residual = centered - sensing.matvec(partial.solver_result.coefficients)
-    assert np.linalg.norm(residual) < 0.1 * np.linalg.norm(centered)
+    residual = partial.solver_result.residual_norm
+    assert residual < 0.1 * np.linalg.norm(centered)

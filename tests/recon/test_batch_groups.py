@@ -68,7 +68,6 @@ def assert_matches_solo(frames, results):
         solo = reconstruct_frame(frame, max_iterations=ITERATIONS)
         assert result.image.tobytes() == solo.image.tobytes()
         got, want = result.solver_result, solo.solver_result
-        assert got.coefficients.tobytes() == want.coefficients.tobytes()
         assert got.history == want.history
         assert got.n_iterations == want.n_iterations
         assert got.converged == want.converged

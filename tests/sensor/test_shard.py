@@ -119,6 +119,18 @@ class TestTileGeometry:
         assert array.samples_per_tile(full) == round(0.25 * 32 * 32)
         assert array.samples_per_tile(edge) == round(0.25 * 16 * 32)
 
+    @pytest.mark.parametrize("scene_shape", [(33, 40), (17, 36)])
+    def test_one_row_edge_tiles_capture(self, scene_shape):
+        # The last row of tiles is one pixel high: such a chip selects at
+        # most one pixel per column, so its events cannot collide.
+        array = TiledSensorArray(scene_shape, tile_shape=(16, 16), seed=1, max_workers=1)
+        assert {slot.rows for slot in array.slots[-1]} == {1}
+        result = array.capture(make_current(scene_shape))
+        for slot, frame in result.frames():
+            assert frame.n_samples == array.samples_per_tile(slot)
+            if slot.rows == 1:
+                assert frame.metadata["lsb_error_probability"] == 0.0
+
     def test_invalid_max_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
             TiledSensorArray((32, 32), max_workers=0)

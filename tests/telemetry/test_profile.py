@@ -218,7 +218,8 @@ class TestStepProvenance:
 
 
 class TestContinuationFacts:
-    """The profile names each iteration's λ-continuation stage and its λ."""
+    """The profile names each iteration's stage and its λ: the AMP warm start
+    is stage 0 with its threshold θ, the λ-continuation stages follow."""
 
     def test_stages_and_weights_follow_the_lambda_path(self):
         matrix, measurements = _problem()
@@ -227,15 +228,40 @@ class TestContinuationFacts:
             matrix, measurements, regularization=0.05, max_iterations=100,
             tolerance=1e-12, profile=profile,
         )
+        # 10 AMP iterations, then 90 over three stages at λ·9, λ·3 and λ.
+        assert profile.amp_iterations == 10
         assert profile.n_stages == 4
         assert profile.stages == sorted(profile.stages)
+        assert profile.stages.count(0) == 10
         assert set(profile.stages) == {0, 1, 2, 3}
         for stage, weight in zip(profile.stages, profile.regularizations):
-            assert weight == 0.05 * 3.0 ** (3 - stage)
+            if stage:
+                assert weight == 0.05 * 3.0 ** (3 - stage)
         # The last objective is read at the caller's λ.
         assert profile.objectives[-1] == pytest.approx(
             0.5 * result.residual_norm**2 + 0.05 * np.abs(result.coefficients).sum()
         )
+
+    def test_amp_stage_records_its_threshold_in_place_of_lambda(self):
+        matrix, measurements = _problem()
+        profile = SolverProfile()
+        fista(matrix, measurements, regularization=0.05, max_iterations=60, profile=profile)
+        # From the zero start the memory is y: θ = 1.5·‖y‖/(s·√m), s² = ‖A‖²_F/n.
+        scale = np.sqrt(np.vdot(matrix, matrix) / matrix.shape[1]) * np.sqrt(matrix.shape[0])
+        assert profile.regularizations[0] == pytest.approx(
+            1.5 * np.linalg.norm(measurements) / scale
+        )
+        assert profile.stages[: profile.amp_iterations] == [0] * 10
+        assert profile.regularizations[10:] == [0.05 * 3.0] * 25 + [0.05] * 25
+
+    def test_short_budgets_run_no_amp_stage(self):
+        matrix, measurements = _problem()
+        profile = SolverProfile()
+        fista(matrix, measurements, regularization=0.05, max_iterations=34,
+              tolerance=1e-12, profile=profile)
+        assert profile.amp_iterations == 0
+        assert profile.n_stages == 1 and set(profile.stages) == {0}
+        assert set(profile.regularizations) == {0.05}
 
     def test_ista_stays_monotone_across_stage_boundaries(self):
         matrix, measurements = _problem(seed=2)
@@ -250,18 +276,22 @@ class TestContinuationFacts:
     @pytest.mark.parametrize("tolerance, converged", [(1e-12, False), (1e-2, True)])
     def test_converged_means_frozen_in_the_final_stage(self, tolerance, converged):
         matrix, measurements = _problem()
-        # Above half of ||A^T y||_inf, the weights λ·27, λ·9 and λ·3 keep the
-        # zero start, so the first three stages freeze after one iteration
-        # each; only the final stage at λ decides ``converged``.
+        # Above half of ||A^T y||_inf, the weights λ·27, λ·9 and λ·3 shrink
+        # the AMP iterate to zero and keep it there, so the first three
+        # stages freeze within two iterations each; only the final stage at
+        # λ decides ``converged``.
         weight = 0.5 * np.abs(matrix.T @ measurements).max()
         profile = SolverProfile()
         result = ista(
-            matrix, measurements, regularization=weight, max_iterations=100,
+            matrix, measurements, regularization=weight, max_iterations=110,
             tolerance=tolerance, profile=profile,
         )
-        assert profile.stages[:4] == [0, 1, 2, 3]
+        path = profile.stages[profile.amp_iterations:]
+        assert profile.amp_iterations == 10
+        early = [path.count(stage) for stage in (1, 2, 3)]
+        assert all(1 <= count <= 2 for count in early)
         assert result.converged is converged
         assert profile.converged is converged
         # A tile that did not freeze ran the final stage's whole quarter.
-        assert (profile.stages.count(3) < 25) is converged
-        assert result.n_iterations == 3 + profile.stages.count(3)
+        assert (path.count(4) < 25) is converged
+        assert result.n_iterations == 10 + sum(early) + path.count(4)

@@ -14,7 +14,9 @@ the ``ControlAck`` it is sent as, so the wrappers around them stay gone.
 The proximal-gradient solvers are the one solver family: OMP, its
 sparsity target and its column extraction are gone.  Every tile ships as a
 segment group closed by a barrier, so the governor has no unsegmented
-charge to select.
+charge to select.  A reconstruction keeps its pixels once: its
+``solver_result`` holds the solve's diagnostics, not the coefficients (nor
+the ``sparsity`` and ``image`` read off them).
 """
 
 import importlib.util
@@ -33,9 +35,11 @@ import repro.stream.session
 from repro.ca.selection import CASelectionGenerator
 from repro.cs.block import BlockCompressiveSampler
 from repro.cs.operators import BaseSensingOperator
-from repro.cs.solvers import batched_proximal_gradient
+from repro.cs.solvers import SolverDiagnostics, batched_proximal_gradient
 from repro.recon.batch import solve_tiles_batched
 from repro.recon.pipeline import _solve, reconstruct_frame, reconstruct_samples, reconstruct_tiled
+from repro.optics.scenes import make_scene
+from repro.sensor.config import SensorConfig
 from repro.sensor.imager import CompressiveImager
 from repro.stream.fault import GilbertElliottTransport, LossyTransport
 from repro.stream.hub import FairSolveScheduler, ReceiverHub
@@ -203,3 +207,13 @@ def test_removed_solver_and_framing_names_are_gone(owner, name):
 def test_omp_module_is_gone():
     assert importlib.util.find_spec("repro.cs.solvers.greedy") is None
     assert "omp" not in repro.recon.pipeline._SOLVERS
+
+
+@pytest.mark.parametrize("name", ["coefficients", "sparsity", "image"])
+def test_reconstructions_keep_no_solver_coefficients(name):
+    frame = CompressiveImager(SensorConfig(rows=8, cols=8), seed=1).capture_scene(
+        make_scene("blobs", (8, 8), seed=1), n_samples=24
+    )
+    kept = reconstruct_frame(frame, max_iterations=2).solver_result
+    assert type(kept) is SolverDiagnostics
+    assert not hasattr(kept, name)
